@@ -30,7 +30,7 @@ from conftest import RESULTS_DIR, update_bench_report, write_result
 
 from repro.dagman.condor import ClassAd
 from repro.service.loadgen import LoadSpec, run_load
-from repro.sim.matchmaker import create_matchmaker
+from repro.sim.matchmaker import IndexedMatchmaker, LinearMatchmaker, Matchmaker
 from repro.sim.machine import make_machines
 from repro.sim.rng import RngStreams
 
@@ -83,8 +83,10 @@ def _sweep_ads() -> list[ClassAd]:
     ]
 
 
-def _us_per_dispatch(strategy: str, size: int, rounds: int = 4) -> float:
-    matchmaker = create_matchmaker(strategy, _sweep_pool(size))
+def _us_per_dispatch(
+    strategy: type[Matchmaker], size: int, rounds: int = 4
+) -> float:
+    matchmaker = strategy(_sweep_pool(size))
     ads = _sweep_ads()
     started = time.perf_counter()
     finds = 0
@@ -168,8 +170,8 @@ def test_service_load_and_matchmaker_cost():
     indexed_cost = {}
     linear_cost = {}
     for size in POOL_SIZES:
-        indexed_cost[size] = _us_per_dispatch("indexed", size)
-        linear_cost[size] = _us_per_dispatch("linear", size)
+        indexed_cost[size] = _us_per_dispatch(IndexedMatchmaker, size)
+        linear_cost[size] = _us_per_dispatch(LinearMatchmaker, size)
         lines.append(
             f"{size:>9,}   {indexed_cost[size]:>15.2f}   "
             f"{linear_cost[size]:>14.2f}"

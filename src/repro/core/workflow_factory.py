@@ -33,11 +33,15 @@ from repro.cap3.assembler import Cap3Params
 from repro.dagman.scheduler import DagmanResult, DagmanScheduler
 from repro.execution.payloads import TaskCall
 from repro.perfmodel.task_models import PaperTaskModel
-from repro.sim.cloud import CloudConfig, CloudPlatform
-from repro.sim.cluster import CampusCluster, CampusClusterConfig
-from repro.sim.engine import Simulator
-from repro.sim.grid import GridConfig, OpportunisticGrid
-from repro.sim.rng import RngStreams
+from repro.sim import (
+    PLATFORMS,
+    CampusClusterConfig,
+    CloudConfig,
+    GridConfig,
+    RngStreams,
+    SimPlatform,
+    Simulator,
+)
 from repro.util.dot import DotGraph
 from repro.wms.catalogs import (
     ReplicaCatalog,
@@ -378,6 +382,26 @@ def run_local(
 Platform = Literal["sandhills", "osg", "cloud"]
 
 
+def _build_platform(
+    platform: Platform,
+    simulator: Simulator,
+    *,
+    cluster_config: CampusClusterConfig | None,
+    grid_config: GridConfig | None,
+    cloud_config: CloudConfig | None,
+    **kwargs: Any,
+) -> SimPlatform:
+    """The named platform model, with the caller's config for *that*
+    platform when one was given (its calibrated defaults otherwise)."""
+    config = {
+        "sandhills": cluster_config,
+        "osg": grid_config,
+        "cloud": cloud_config,
+    }[platform]
+    args = (simulator,) if config is None else (simulator, config)
+    return PLATFORMS[platform](*args, **kwargs)
+
+
 def simulate_paper_run(
     n: int,
     platform: Platform,
@@ -423,20 +447,11 @@ def simulate_paper_run(
     )
     simulator = Simulator()
     streams = RngStreams(seed=seed)
-    env: CampusCluster | OpportunisticGrid | CloudPlatform
-    if platform == "sandhills":
-        env = CampusCluster(
-            simulator, cluster_config or CampusClusterConfig(),
-            streams=streams, bus=bus,
-        )
-    elif platform == "osg":
-        env = OpportunisticGrid(
-            simulator, grid_config or GridConfig(), streams=streams, bus=bus
-        )
-    else:
-        env = CloudPlatform(
-            simulator, cloud_config or CloudConfig(), streams=streams, bus=bus
-        )
+    env = _build_platform(
+        platform, simulator,
+        cluster_config=cluster_config, grid_config=grid_config,
+        cloud_config=cloud_config, streams=streams, bus=bus,
+    )
     scheduler = DagmanScheduler(planned.dag, env, bus=bus)
     scheduler.start()
     if sample_interval_s is not None:
@@ -508,23 +523,12 @@ def simulate_paper_run_with_recovery(
     blacklist = None
     if blacklist_policy is not None:
         blacklist = Blacklist(blacklist_policy, bus=bus)
-    env: CampusCluster | OpportunisticGrid | CloudPlatform
-    if platform == "sandhills":
-        env = CampusCluster(
-            simulator, cluster_config or CampusClusterConfig(),
-            streams=streams, bus=bus, injector=injector,
-            blacklist=blacklist,
-        )
-    elif platform == "osg":
-        env = OpportunisticGrid(
-            simulator, grid_config or GridConfig(), streams=streams,
-            bus=bus, injector=injector, blacklist=blacklist,
-        )
-    else:
-        env = CloudPlatform(
-            simulator, cloud_config or CloudConfig(), streams=streams,
-            bus=bus, injector=injector,
-        )
+    env = _build_platform(
+        platform, simulator,
+        cluster_config=cluster_config, grid_config=grid_config,
+        cloud_config=cloud_config, streams=streams, bus=bus,
+        injector=injector, blacklist=blacklist,
+    )
     outcome = run_with_recovery(
         planned.dag, env, max_rounds=max_rounds, bus=bus,
         retry_policy=retry_policy,

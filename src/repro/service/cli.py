@@ -67,9 +67,6 @@ def main(argv: list[str] | None = None) -> int:
                             "Sandhills-style software requirements")
     bench.add_argument("--backend", choices=("cluster", "grid"),
                        default="cluster")
-    bench.add_argument("--matchmaker", choices=("indexed", "linear"),
-                       default=None,
-                       help="grid matchmaking strategy override")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--json", dest="json_out", default=None,
                        help="save the full results document here")
@@ -81,12 +78,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"repro-service: {exc}", file=sys.stderr)
         return 2
-    result = run_load(
-        spec,
-        backend=args.backend,
-        seed=args.seed,
-        matchmaker=args.matchmaker,
-    )
+    result = run_load(spec, backend=args.backend, seed=args.seed)
     if args.json_out:
         from repro.util.iolib import atomic_write
 

@@ -21,9 +21,8 @@ from repro.dagman.dag import Dag, DagJob
 from repro.observe.bus import EventBus
 from repro.service.service import ServiceConfig, WorkflowService
 from repro.service.tenants import TenantConfig, TenantQuota
-from repro.sim.cluster import CampusCluster, CampusClusterConfig
+from repro.sim import PLATFORMS
 from repro.sim.engine import Simulator
-from repro.sim.grid import GridConfig, OpportunisticGrid
 from repro.sim.rng import RngStreams, bounded_lognormal
 
 __all__ = ["LoadSpec", "generate_workflow", "build_service", "run_load"]
@@ -168,32 +167,19 @@ def build_service(
     backend: str = "cluster",
     seed: int = 0,
     bus: EventBus | None = None,
-    matchmaker: str | None = None,
 ) -> _Backend:
     """Platform + service + tenants for one load run.
 
-    ``backend`` is ``cluster`` (Sandhills model) or ``grid`` (OSG
-    model); ``matchmaker`` overrides the grid's strategy (``indexed``
-    is its default, ``linear`` is the oracle)."""
+    ``backend`` names a platform in :data:`repro.sim.PLATFORMS`:
+    ``cluster`` (Sandhills model) or ``grid`` (OSG model)."""
+    if backend not in PLATFORMS:
+        raise ValueError(
+            f"unknown backend {backend!r}; choose from {sorted(PLATFORMS)}"
+        )
     simulator = Simulator()
     streams = RngStreams(seed=seed)
     bus = bus if bus is not None else EventBus()
-    environment: CampusCluster | OpportunisticGrid
-    if backend == "cluster":
-        environment = CampusCluster(
-            simulator, CampusClusterConfig(), streams=streams, bus=bus
-        )
-    elif backend == "grid":
-        config = GridConfig()
-        if matchmaker is not None:
-            config = GridConfig(matchmaker=matchmaker)
-        environment = OpportunisticGrid(
-            simulator, config, streams=streams, bus=bus
-        )
-    else:
-        raise ValueError(
-            f"unknown backend {backend!r}; choose cluster or grid"
-        )
+    environment = PLATFORMS[backend](simulator, streams=streams, bus=bus)
     service = WorkflowService(
         environment,
         config=ServiceConfig(),
@@ -224,7 +210,6 @@ def run_load(
     backend: str = "cluster",
     seed: int = 0,
     bus: EventBus | None = None,
-    matchmaker: str | None = None,
 ) -> dict[str, object]:
     """Run one scenario to completion; returns the results document.
 
@@ -233,9 +218,7 @@ def run_load(
     ``60 / workflows_per_minute`` — a deterministic interleaved
     schedule at the requested per-tenant rate.
     """
-    built = build_service(
-        spec, backend=backend, seed=seed, bus=bus, matchmaker=matchmaker
-    )
+    built = build_service(spec, backend=backend, seed=seed, bus=bus)
     service = built.service
     streams = RngStreams(seed=seed)
     shape_rng = streams.stream("loadgen.shapes")

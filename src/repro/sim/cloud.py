@@ -18,29 +18,28 @@ models the EC2/FutureGrid style platform the paper names:
   (an eviction hazard, like OSG's preemption) for the cost/risk
   trade-off study.
 
-Implements the same ``ExecutionEnvironment`` protocol as the campus
-cluster and grid models, so DAGMan and ``pegasus-statistics`` work on
-cloud runs unchanged.
+Runs on the same :class:`~repro.sim.platform.SimPlatform` kernel as the
+campus cluster and grid models, so DAGMan and ``pegasus-statistics``
+work on cloud runs unchanged.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING
 
-from repro.dagman.dag import DagJob
-from repro.dagman.events import JobAttempt, JobStatus
+from repro.dagman.events import JobStatus
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
-from repro.observe.profile import modelled_profile
-from repro.resilience.faults import resolve_exec
-from repro.sim.engine import Simulator
+from repro.sim.engine import Event, Simulator
 from repro.sim.failures import NO_FAILURES, FailureModel
+from repro.sim.platform import Attempt, SimPlatform
 from repro.sim.rng import RngStreams, bounded_lognormal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.faults import FaultDecision, FaultInjector
+    from repro.resilience.blacklist import Blacklist
+    from repro.resilience.faults import FaultInjector
 
 __all__ = ["InstanceType", "CloudConfig", "CloudPlatform"]
 
@@ -88,21 +87,28 @@ class CloudConfig:
             raise ValueError("spot_discount must be in (0, 1]")
 
 
+@dataclass(slots=True, eq=False)
 class _Instance:
     """One VM: boots once, runs jobs one at a time, idles, terminates."""
 
-    __slots__ = ("name", "launched_at", "terminated_at", "busy", "idle_event")
+    name: str
+    site: str
+    speed: float
+    launched_at: float
+    terminated_at: float | None = None
+    booted: bool = False
+    idle_event: Event | None = None  # pending termination
 
-    def __init__(self, name: str, launched_at: float) -> None:
-        self.name = name
-        self.launched_at = launched_at
-        self.terminated_at: float | None = None
-        self.busy = False
-        self.idle_event = None  # pending termination event
+    def lifetime(self, now: float) -> float:
+        """Provisioned seconds so far."""
+        end = self.terminated_at if self.terminated_at is not None else now
+        return end - self.launched_at
 
 
-class CloudPlatform:
+class CloudPlatform(SimPlatform):
     """Discrete-event on-demand cloud (an ``ExecutionEnvironment``)."""
+
+    eviction_error = "spot instance reclaimed"
 
     def __init__(
         self,
@@ -112,301 +118,113 @@ class CloudPlatform:
         streams: RngStreams | None = None,
         bus: EventBus | None = None,
         injector: "FaultInjector | None" = None,
+        blacklist: "Blacklist | None" = None,
     ) -> None:
         """``injector`` layers a chaos
         :class:`~repro.resilience.faults.FaultPlan` (spot storms, bad
-        AZs, stragglers) on top of the configured spot-reclaim model."""
-        self.simulator = simulator
+        AZs, stragglers) on top of the configured spot-reclaim model.
+        ``blacklist`` records start failures like on the other
+        platforms, but never excludes capacity: an instance that fails
+        a start is terminated, so no streak outlives it."""
         self.config = config
-        self.bus = bus
-        self.injector = injector
         streams = streams or RngStreams(seed=0)
-        self._boot_rng = streams.stream(f"{config.name}.boot")
-        self._failure_rng = streams.stream(f"{config.name}.failures")
+        boot_rng = streams.stream(f"{config.name}.boot")
+        failure_rng = streams.stream(f"{config.name}.failures")
         self._instances: list[_Instance] = []
         self._warm: list[_Instance] = []  # booted and idle
-        self._queue: list[
-            tuple[DagJob, Callable[[JobAttempt], None], int, float]
-        ] = []
-        self._counter = 0
+        self._running = 0  # launched and not yet terminated
         self.peak_instances = 0
-        self.reclaim_count = 0
-        self.start_failure_count = 0
-        self.timeout_count = 0
 
-    # -- ExecutionEnvironment protocol ---------------------------------
+        def boot_wait(instance: _Instance) -> float | None:
+            if instance.booted:
+                return None  # warm pool: the payload starts at once
+            return config.dispatch_latency_s + bounded_lognormal(
+                boot_rng,
+                config.boot_mean_s,
+                config.boot_sigma,
+                high=config.boot_max_s,
+            )
 
-    @property
-    def now(self) -> float:
-        return self.simulator.now
-
-    def submit(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        *,
-        attempt: int = 1,
-    ) -> None:
-        self._queue.append((job, on_complete, attempt, self.now))
-        self._dispatch()
-
-    def run_until_complete(self) -> None:
-        self.simulator.run()
-
-    def call_later(self, delay_s: float, fn: Callable[[], None]) -> None:
-        """Virtual-clock deferral (delayed retries park here)."""
-        self.simulator.schedule(delay_s, fn)
+        super().__init__(
+            simulator,
+            bus=bus,
+            injector=injector,
+            blacklist=blacklist,
+            wait=boot_wait,
+            # Setup: none — the machine image is pre-baked. Hazard: spot
+            # reclaim only; a baked image has no misconfigured nodes, so
+            # there is never a native start-failure draw.
+            eviction=partial(
+                config.failures.sample_eviction_time, failure_rng
+            ),
+        )
 
     # -- accounting -------------------------------------------------------
 
     @property
     def running_instances(self) -> int:
-        return sum(1 for i in self._instances if i.terminated_at is None)
+        return self._running
 
-    def queue_status(self) -> dict[str, int]:
-        """``condor_q``-style snapshot: idle (awaiting capacity) vs
-        running (busy instances)."""
-        busy = sum(
-            1 for i in self._instances
-            if i.terminated_at is None and i.busy
-        )
-        return {"idle": len(self._queue), "running": busy}
+    @property
+    def reclaim_count(self) -> int:
+        return self.eviction_count
 
     def instance_seconds(self) -> float:
         """Raw provisioned seconds across all instances."""
-        total = 0.0
-        for inst in self._instances:
-            end = inst.terminated_at if inst.terminated_at is not None else self.now
-            total += end - inst.launched_at
-        return total
+        now = self.now
+        return sum(inst.lifetime(now) for inst in self._instances)
 
     def billed_cost(self) -> float:
         """Dollars, rounding each instance up to the billing quantum."""
         quantum = self.config.billing_quantum_s
         hourly = self.config.instance_type.hourly_price * self.config.spot_discount
+        now = self.now
         cost = 0.0
         for inst in self._instances:
-            end = inst.terminated_at if inst.terminated_at is not None else self.now
-            quanta = math.ceil(max(1e-9, end - inst.launched_at) / quantum)
+            quanta = math.ceil(max(1e-9, inst.lifetime(now)) / quantum)
             cost += quanta * hourly * (quantum / 3600.0)
         return cost
 
-    # -- internals ------------------------------------------------------
+    # -- slot source: warm pool first, else provision up to the cap -----
 
-    def _emit(self, kind: EventKind, job: DagJob, attempt: int,
-              instance: _Instance,
-              detail: dict | None = None) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return  # deaf bus: skip event construction entirely
-        bus.emit(
-            RunEvent(
-                kind,
-                self.simulator.now,
-                job_name=job.name,
-                transformation=job.transformation,
-                site=self.config.name,
-                machine=instance.name,
-                attempt=attempt,
-                detail=detail or {},
-            )
-        )
-
-    def _dispatch(self) -> None:
-        while self._queue:
-            job, on_complete, attempt, submit_time = self._queue[0]
-            if self._warm:
-                instance = self._warm.pop()
-                if instance.idle_event is not None:
-                    instance.idle_event.cancel()
-                    instance.idle_event = None
-                self._queue.pop(0)
-                self._emit(
-                    EventKind.MATCH, job, attempt, instance,
-                    detail={"queue_depth": len(self._queue)},
-                )
-                self._start_on(
-                    instance, job, on_complete, attempt, submit_time,
-                    booted=True,
-                )
-            elif self.running_instances < self.config.max_instances:
-                self._queue.pop(0)
-                self._counter += 1
-                instance = _Instance(
-                    name=f"{self.config.name}-vm{self._counter:05d}",
-                    launched_at=self.now,
-                )
-                self._instances.append(instance)
-                self.peak_instances = max(
-                    self.peak_instances, self.running_instances
-                )
-                self._emit(
-                    EventKind.MATCH, job, attempt, instance,
-                    detail={"queue_depth": len(self._queue)},
-                )
-                boot = self.config.dispatch_latency_s + bounded_lognormal(
-                    self._boot_rng,
-                    self.config.boot_mean_s,
-                    self.config.boot_sigma,
-                    high=self.config.boot_max_s,
-                )
-                self.simulator.schedule(
-                    boot,
-                    lambda inst=instance, j=job, cb=on_complete, a=attempt,
-                    st=submit_time: self._start_on(inst, j, cb, a, st,
-                                                   booted=False),
-                )
-            else:
-                return  # no capacity; retry on next completion
-
-    def _start_on(
-        self,
-        instance: _Instance,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        *,
-        booted: bool,
-    ) -> None:
-        instance.busy = True
-        start = self.now
-        # Native spot-reclaim draw comes FIRST so the configured model
-        # consumes its RNG stream identically with or without an
-        # injector layered on top.
-        reclaim_in = self.config.failures.sample_eviction_time(
-            self._failure_rng
-        )
-        decision: "FaultDecision | None" = None
-        if self.injector is not None:
-            decision = self.injector.decide(
-                job,
-                site=self.config.name,
-                machine=instance.name,
-                attempt=attempt,
-                now=self.now,
-            )
-        if decision is not None and decision.dead_on_arrival:
-            self.start_failure_count += 1
-            self._finish(
-                instance, job, on_complete, attempt, submit_time, start,
-                JobStatus.FAILED, decision.dead_on_arrival,
-                terminate=True,
-            )
-            return
-        self._emit(EventKind.EXEC_START, job, attempt, instance)
-        duration = job.runtime / self.config.instance_type.speed
-        if decision is not None:
-            duration *= decision.slowdown_factor
-            if decision.hang:
-                duration = math.inf
-            if decision.evict_after is not None:
-                reclaim_in = min(reclaim_in, decision.evict_after)
-        delay, status, error = resolve_exec(
-            duration, evict_after=reclaim_in, timeout_s=job.timeout_s
-        )
-        if math.isinf(delay):
-            # Hung payload, no timeout, no reclaim due: the attempt
-            # wedges and the instance bills forever — the scenario
-            # ``DagJob.timeout_s`` prevents.
-            return
-        if status is JobStatus.EVICTED:
-            self.reclaim_count += 1
-            error = "spot instance reclaimed"
-        elif status is JobStatus.TIMEOUT:
-            self.timeout_count += 1
-        self.simulator.schedule(
-            delay,
-            lambda: self._finish(
-                instance, job, on_complete, attempt, submit_time, start,
-                status, error, terminate=status is JobStatus.EVICTED,
-            ),
-        )
-
-    def _finish(
-        self,
-        instance: _Instance,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        start: float,
-        status: JobStatus,
-        error: str | None,
-        *,
-        terminate: bool,
-    ) -> None:
-        record = JobAttempt(
-            job_name=job.name,
-            transformation=job.transformation,
+    def _acquire(self, a: Attempt) -> _Instance | None:
+        if self._warm:
+            instance = self._warm.pop()
+            if instance.idle_event is not None:
+                instance.idle_event.cancel()
+                instance.idle_event = None
+            return instance
+        if self._running >= self.config.max_instances:
+            return None  # no capacity; retry on next completion
+        instance = _Instance(
+            name=f"{self.config.name}-vm{len(self._instances) + 1:05d}",
             site=self.config.name,
-            machine=instance.name,
-            attempt=attempt,
-            submit_time=submit_time,
-            setup_start=start,  # image is pre-baked: no download/install
-            exec_start=start,
-            exec_end=self.now,
-            status=status,
-            error=error,
-            profile=modelled_profile(
-                job.transformation, self.now - start,
-                speed=self.config.instance_type.speed,
-            ),
+            speed=self.config.instance_type.speed,
+            launched_at=self.now,
         )
-        instance.busy = False
-        if terminate:
-            instance.terminated_at = self.now
-        else:
-            self._park(instance)
-        bus = self.bus
-        if bus is not None and bus.active:
-            batch = []
-            if status is JobStatus.TIMEOUT:
-                batch.append(
-                    RunEvent(
-                        EventKind.TIMEOUT,
-                        self.now,
-                        job_name=record.job_name,
-                        transformation=record.transformation,
-                        site=record.site,
-                        machine=record.machine,
-                        attempt=record.attempt,
-                        detail={"error": error} if error else {},
-                    )
-                )
-            kind = (
-                EventKind.EVICT
-                if status is JobStatus.EVICTED
-                else EventKind.FINISH
-            )
-            batch.append(
-                RunEvent(
-                    kind,
-                    self.now,
-                    job_name=record.job_name,
-                    transformation=record.transformation,
-                    site=record.site,
-                    machine=record.machine,
-                    attempt=record.attempt,
-                    record=record,
-                    detail={"status": record.status.value},
-                )
-            )
-            bus.emit_batch(batch)
-        on_complete(record)
-        self._dispatch()
+        self._instances.append(instance)
+        self._running += 1
+        self.peak_instances = max(self.peak_instances, self._running)
+        return instance
 
-    def _park(self, instance: _Instance) -> None:
-        """Idle the instance; terminate it after the warm-pool timeout."""
-        self._warm.append(instance)
+    def _release(self, slot: _Instance, status: JobStatus) -> None:
+        """Reclaimed and dead-on-arrival instances are gone; any other
+        outcome idles the instance in the warm pool, to be terminated
+        after ``idle_timeout_s`` unless a job takes it first."""
+        if status in (JobStatus.EVICTED, JobStatus.FAILED):
+            self._terminate(slot)
+            return
+        slot.booted = True
+        self._warm.append(slot)
 
-        def terminate() -> None:
-            if instance.busy or instance.terminated_at is not None:
-                return
-            if instance in self._warm:
-                self._warm.remove(instance)
-            instance.terminated_at = self.now
+        def idle_out() -> None:
+            self._warm.remove(slot)
+            self._terminate(slot)
 
-        instance.idle_event = self.simulator.schedule(
-            self.config.idle_timeout_s, terminate
+        slot.idle_event = self.simulator.schedule(
+            self.config.idle_timeout_s, idle_out
         )
+
+    def _terminate(self, instance: _Instance) -> None:
+        instance.terminated_at = self.now
+        self._running -= 1

@@ -11,30 +11,25 @@ failures**. The model has exactly those levers:
 * per-node speed jitter (heterogeneous cluster),
 * zero download/install time, zero failures, zero preemption.
 
-It implements the :class:`repro.dagman.scheduler.ExecutionEnvironment`
-protocol, so DAGMan drives it exactly as it drives the real executor.
+Everything else — the queue, the attempt lifecycle, the
+:class:`repro.dagman.scheduler.ExecutionEnvironment` surface DAGMan
+drives — is the shared :class:`~repro.sim.platform.SimPlatform` kernel.
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from repro.dagman.dag import DagJob
-from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
-from repro.observe.profile import modelled_profile
-from repro.resilience.faults import resolve_exec
 from repro.sim.engine import Simulator
 from repro.sim.machine import MachineSpec, make_machines
+from repro.sim.platform import Attempt, SimPlatform
 from repro.sim.rng import RngStreams, bounded_lognormal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.blacklist import Blacklist
-    from repro.resilience.faults import FaultDecision, FaultInjector
+    from repro.resilience.faults import FaultInjector
 
 __all__ = ["CampusClusterConfig", "CampusCluster"]
 
@@ -73,7 +68,7 @@ class CampusClusterConfig:
         return self.nodes * self.cores_per_node
 
 
-class CampusCluster:
+class CampusCluster(SimPlatform):
     """Discrete-event Sandhills model (an ``ExecutionEnvironment``)."""
 
     def __init__(
@@ -90,13 +85,9 @@ class CampusCluster:
         layers a chaos :class:`~repro.resilience.faults.FaultPlan` on
         top of it and ``blacklist`` excludes tripped nodes from the
         round-robin."""
-        self.simulator = simulator
         self.config = config
-        self.bus = bus
-        self.injector = injector
-        self.blacklist = blacklist
         streams = streams or RngStreams(seed=0)
-        self._wait_rng = streams.stream(f"{config.name}.wait")
+        wait_rng = streams.stream(f"{config.name}.wait")
         machine_rng = streams.stream(f"{config.name}.machines")
         # One spec per node; slots cycle over nodes (cores are identical
         # within a node, so per-node speed is what matters).
@@ -108,45 +99,34 @@ class CampusCluster:
             speed_spread=config.speed_spread,
             software_prob=1.0,  # campus software stack is maintained
         )
-        self._queue: deque[
-            tuple[DagJob, Callable[[JobAttempt], None], int, float]
-        ] = deque()
-        self._busy = 0
         self._next_machine = 0
-        self._redispatch_pending = False
-        self.peak_busy = 0
-        self.start_failure_count = 0
-        self.eviction_count = 0
-        self.timeout_count = 0
 
-    # -- ExecutionEnvironment protocol ---------------------------------
+        def queue_wait(_node: MachineSpec) -> float:
+            return config.dispatch_latency_s + bounded_lognormal(
+                wait_rng,
+                config.queue_wait_mean_s,
+                config.queue_wait_sigma,
+                high=config.queue_wait_max_s,
+            )
 
-    @property
-    def now(self) -> float:
-        return self.simulator.now
-
-    def submit(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        *,
-        attempt: int = 1,
-    ) -> None:
-        self._queue.append((job, on_complete, attempt, self.now))
-        self._dispatch()
-
-    def run_until_complete(self) -> None:
-        self.simulator.run()
-
-    def call_later(self, delay_s: float, fn: Callable[[], None]) -> None:
-        """Virtual-clock deferral (delayed retries park here)."""
-        self.simulator.schedule(delay_s, fn)
-
-    # -- internals ------------------------------------------------------
+        super().__init__(
+            simulator,
+            bus=bus,
+            injector=injector,
+            blacklist=blacklist,
+            # Waiting: "small and negligible" once resources are
+            # allocated — and the allocation is the group's from the
+            # moment the batch system matches the job.
+            wait=queue_wait,
+            busy_from_match=True,
+            # Setup: none ("libraries ... are already set and
+            # maintained"). Hazard: none — NO_FAILURES, "we encountered
+            # no failures" — so no ``failures`` stream is ever drawn.
+        )
 
     @property
     def busy_slots(self) -> int:
-        return self._busy
+        return self._occupied
 
     @property
     def capacity(self) -> int:
@@ -154,207 +134,24 @@ class CampusCluster:
         by): the group allocation, not the whole cluster."""
         return self.config.group_slots
 
-    def queue_status(self) -> dict[str, int]:
-        """``condor_q``-style snapshot: idle (queued) vs running."""
-        return {"idle": len(self._queue), "running": self._busy}
+    # -- slot source: round-robin over the group's fixed allocation -----
 
-    def _emit(self, kind: EventKind, job: DagJob, attempt: int,
-              machine: MachineSpec,
-              detail: dict | None = None) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return  # deaf bus: skip event construction entirely
-        bus.emit(
-            RunEvent(
-                kind,
-                self.simulator.now,
-                job_name=job.name,
-                transformation=job.transformation,
-                site=self.config.name,
-                machine=machine.name,
-                attempt=attempt,
-                detail=detail or {},
-            )
-        )
-
-    def _dispatch(self) -> None:
-        while self._queue and self._busy < self.config.group_slots:
-            machine = self._pick_machine()
-            if machine is None:
-                # Every node is blacklisted: park the queue and wake up
-                # when the earliest block expires (if any will).
-                self._schedule_redispatch()
-                return
-            job, on_complete, attempt, submit_time = self._queue.popleft()
-            self._busy += 1
-            self.peak_busy = max(self.peak_busy, self._busy)
-            self._emit(
-                EventKind.MATCH, job, attempt, machine,
-                detail={"queue_depth": len(self._queue)},
-            )
-            wait = self.config.dispatch_latency_s + bounded_lognormal(
-                self._wait_rng,
-                self.config.queue_wait_mean_s,
-                self.config.queue_wait_sigma,
-                high=self.config.queue_wait_max_s,
-            )
-            self.simulator.schedule(
-                wait,
-                lambda j=job, cb=on_complete, a=attempt, st=submit_time, m=machine: (
-                    self._start(j, cb, a, st, m)
-                ),
-            )
-
-    def _pick_machine(self) -> MachineSpec | None:
-        """Next round-robin node that isn't blacklisted (None when all
-        are blocked)."""
-        for _ in range(len(self._machines)):
-            machine = self._machines[self._next_machine % len(self._machines)]
+    def _acquire(self, a: Attempt) -> MachineSpec | None:
+        """Next round-robin node that isn't blacklisted; None when the
+        group allocation is full or every node is blocked (the queue
+        parks until a completion or the earliest block's expiry). The
+        kernel's occupancy count is the whole allocation state, so there
+        is nothing to give back on release."""
+        if self._occupied >= self.config.group_slots:
+            return None
+        machines = self._machines
+        blacklist = self.blacklist
+        for _ in range(len(machines)):
+            machine = machines[self._next_machine % len(machines)]
             self._next_machine += 1
-            if self.blacklist is None or not self.blacklist.is_blocked(
-                machine.name, self.config.name, now=self.now
+            if blacklist is None or not blacklist.is_blocked(
+                machine.name, machine.site, now=self.now
             ):
                 return machine
+        self._blocks_excluded = True
         return None
-
-    def _schedule_redispatch(self) -> None:
-        assert self.blacklist is not None
-        if self._redispatch_pending:
-            return
-        expiry = self.blacklist.next_expiry(now=self.now)
-        if expiry is None:
-            return
-        self._redispatch_pending = True
-
-        def fire() -> None:
-            self._redispatch_pending = False
-            self._dispatch()
-
-        self.simulator.schedule(expiry - self.now, fire)
-
-    def _start(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        machine: MachineSpec,
-    ) -> None:
-        start = self.now
-        decision: "FaultDecision | None" = None
-        if self.injector is not None:
-            decision = self.injector.decide(
-                job,
-                site=self.config.name,
-                machine=machine.name,
-                attempt=attempt,
-                now=self.now,
-            )
-        if decision is not None and decision.dead_on_arrival:
-            self.start_failure_count += 1
-            if self.blacklist is not None:
-                self.blacklist.record_start_failure(
-                    machine.name, self.config.name, now=self.now
-                )
-            self._finish(
-                job, on_complete, attempt, submit_time, start, machine,
-                JobStatus.FAILED, decision.dead_on_arrival,
-            )
-            return
-        duration = job.runtime / machine.speed
-        evict_after: float | None = None
-        if decision is not None:
-            duration *= decision.slowdown_factor
-            if decision.hang:
-                duration = math.inf
-            evict_after = decision.evict_after
-        delay, status, error = resolve_exec(
-            duration, evict_after=evict_after, timeout_s=job.timeout_s
-        )
-        # Software is pre-installed: setup == start, no download/install.
-        self._emit(EventKind.EXEC_START, job, attempt, machine)
-        if math.isinf(delay):
-            # Hung payload, no timeout: the attempt wedges and its slot
-            # stays busy — the scenario ``DagJob.timeout_s`` prevents.
-            return
-        if status is JobStatus.EVICTED:
-            self.eviction_count += 1
-        elif status is JobStatus.TIMEOUT:
-            self.timeout_count += 1
-        self.simulator.schedule(
-            delay,
-            lambda: self._finish(
-                job, on_complete, attempt, submit_time, start, machine,
-                status, error,
-            ),
-        )
-
-    def _finish(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        start: float,
-        machine: MachineSpec,
-        status: JobStatus = JobStatus.SUCCEEDED,
-        error: str | None = None,
-    ) -> None:
-        record = JobAttempt(
-            job_name=job.name,
-            transformation=job.transformation,
-            site=self.config.name,
-            machine=machine.name,
-            attempt=attempt,
-            submit_time=submit_time,
-            setup_start=start,
-            exec_start=start,
-            exec_end=self.now,
-            status=status,
-            error=error,
-            # Model-derived usage for the realized exec window (evicted
-            # or timed-out attempts show the work they burned anyway).
-            profile=modelled_profile(
-                job.transformation, self.now - start, speed=machine.speed
-            ),
-        )
-        self._busy -= 1
-        if status is JobStatus.SUCCEEDED and self.blacklist is not None:
-            self.blacklist.record_success(machine.name, self.config.name)
-        bus = self.bus
-        if bus is not None and bus.active:
-            batch = []
-            if status is JobStatus.TIMEOUT:
-                batch.append(
-                    RunEvent(
-                        EventKind.TIMEOUT,
-                        self.now,
-                        job_name=job.name,
-                        transformation=job.transformation,
-                        site=self.config.name,
-                        machine=machine.name,
-                        attempt=attempt,
-                        detail={"error": error} if error else {},
-                    )
-                )
-            kind = (
-                EventKind.EVICT
-                if status is JobStatus.EVICTED
-                else EventKind.FINISH
-            )
-            batch.append(
-                RunEvent(
-                    kind,
-                    self.now,
-                    job_name=job.name,
-                    transformation=job.transformation,
-                    site=self.config.name,
-                    machine=machine.name,
-                    attempt=attempt,
-                    record=record,
-                    detail={"status": record.status.value},
-                )
-            )
-            bus.emit_batch(batch)
-        on_complete(record)
-        self._dispatch()

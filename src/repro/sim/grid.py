@@ -22,30 +22,39 @@ Aggregate capacity exceeds the campus cluster's group share ("OSG
 provides more computational resources"), and per-core speed is a little
 higher (the paper: ignoring waiting and download/install, "OSG gives
 significantly better results").
+
+The queue, the attempt lifecycle and the ``ExecutionEnvironment``
+surface are the shared :class:`~repro.sim.platform.SimPlatform` kernel;
+this module is the four policies above plus the slot accounting that
+only a matched-then-waiting platform needs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.dagman.condor import ClassAd
 from repro.dagman.dag import DagJob
-from repro.dagman.events import JobAttempt, JobStatus
+from repro.dagman.events import JobStatus
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
-from repro.observe.profile import modelled_profile
-from repro.resilience.faults import resolve_exec
 from repro.sim.engine import Simulator
 from repro.sim.failures import FailureModel
 from repro.sim.machine import MachineSpec, make_machines
-from repro.sim.matchmaker import MATCHMAKERS, Matchmaker, create_matchmaker
+from repro.sim.matchmaker import IndexedMatchmaker, Matchmaker
+from repro.sim.platform import (
+    UNMATCHED,
+    Attempt,
+    NoMatch,
+    OnComplete,
+    SimPlatform,
+)
 from repro.sim.rng import RngStreams, bounded_lognormal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.blacklist import Blacklist
-    from repro.resilience.faults import FaultDecision, FaultInjector
+    from repro.resilience.faults import FaultInjector
 
 __all__ = ["GridSiteConfig", "GridConfig", "OpportunisticGrid"]
 
@@ -95,18 +104,10 @@ class GridConfig:
         start_failure_prob=0.04, eviction_rate_per_s=1.0 / 20000.0
     )
     unmatched_timeout_s: float = 6 * 3600.0
-    #: Matchmaking strategy: ``indexed`` (capability-signature buckets)
-    #: or ``linear`` (the historical full rescan, kept as the oracle).
-    matchmaker: str = "indexed"
 
     def __post_init__(self) -> None:
         if self.unmatched_timeout_s <= 0:
             raise ValueError("unmatched_timeout_s must be positive")
-        if self.matchmaker not in MATCHMAKERS:
-            raise ValueError(
-                f"unknown matchmaker {self.matchmaker!r}; "
-                f"choose from {sorted(MATCHMAKERS)}"
-            )
 
     def with_sites(self) -> "GridConfig":
         if self.sites:
@@ -118,20 +119,7 @@ class GridConfig:
         return sum(site.slots for site in self.sites)
 
 
-@dataclass(frozen=True)
-class _QueueEntry:
-    """One idle job: its ClassAd is built once at submit time and
-    reused on every dispatch pass (it used to be rebuilt per entry per
-    pass)."""
-
-    job: DagJob
-    on_complete: Callable[[JobAttempt], None]
-    attempt: int
-    submit_time: float
-    ad: ClassAd
-
-
-class OpportunisticGrid:
+class OpportunisticGrid(SimPlatform):
     """Discrete-event OSG model (an ``ExecutionEnvironment``)."""
 
     def __init__(
@@ -149,20 +137,15 @@ class OpportunisticGrid:
         ``blacklist`` is the start-failure circuit breaker — blocked
         machines are excluded from matchmaking until their cooldown
         (if any) expires."""
-        self.simulator = simulator
-        self.config = config.with_sites()
-        self.bus = bus
-        self.injector = injector
-        self.blacklist = blacklist
-        self._redispatch_pending = False
+        self.config = config = config.with_sites()
         streams = streams or RngStreams(seed=0)
-        self._wait_rng = streams.stream(f"{self.config.name}.wait")
-        self._setup_rng = streams.stream(f"{self.config.name}.setup")
-        self._failure_rng = streams.stream(f"{self.config.name}.failures")
-        machine_rng = streams.stream(f"{self.config.name}.machines")
+        wait_rng = streams.stream(f"{config.name}.wait")
+        setup_rng = streams.stream(f"{config.name}.setup")
+        failure_rng = streams.stream(f"{config.name}.failures")
+        machine_rng = streams.stream(f"{config.name}.machines")
 
         self._machines: list[MachineSpec] = []
-        for site in self.config.sites:
+        for site in config.sites:
             self._machines.extend(
                 make_machines(
                     machine_rng,
@@ -177,73 +160,57 @@ class OpportunisticGrid:
             m.name: m for m in self._machines
         }
         #: Owns the free list, the machine ads, and all match caches.
-        self.matchmaker: Matchmaker = create_matchmaker(
-            self.config.matchmaker, self._machines
+        #: Public so a test or bench can swap in the linear oracle
+        #: before the first submit.
+        self.matchmaker: Matchmaker = IndexedMatchmaker(self._machines)
+        self._blocked: frozenset[str] = frozenset()
+
+        def opportunistic_wait(_machine: MachineSpec) -> float:
+            # Erratic slot acquisition: a lognormal baseline with
+            # occasional long spikes.
+            if wait_rng.random() < config.wait_spike_prob:
+                mean = config.wait_spike_mean_s
+            else:
+                mean = config.wait_mean_s
+            return config.dispatch_latency_s + bounded_lognormal(
+                wait_rng, mean, config.wait_sigma, high=config.wait_max_s
+            )
+
+        def download_install(job: DagJob) -> float:
+            # Fig. 3's red rectangles: only jobs that carry their own
+            # software pay, but every job passes through the phase.
+            if not job.needs_setup:
+                return 0.0
+            return bounded_lognormal(
+                setup_rng,
+                config.setup_mean_s,
+                config.setup_sigma,
+                high=config.setup_max_s,
+            )
+
+        super().__init__(
+            simulator,
+            bus=bus,
+            injector=injector,
+            blacklist=blacklist,
+            wait=opportunistic_wait,
+            setup=download_install,
+            # Misconfigured nodes and owner preemption, both drawn from
+            # the one ``failures`` stream.
+            start_failure=partial(
+                config.failures.sample_start_failure, failure_rng
+            ),
+            eviction=partial(
+                config.failures.sample_eviction_time, failure_rng
+            ),
+            # Slots are reserved at match but only *occupied* on
+            # arrival (``peak_busy`` must not count the opportunistic
+            # wait), and a freed slot is re-matched before the exit
+            # record of the job that held it is published.
+            eager_release=True,
         )
-        self._queue: list[_QueueEntry] = []
-        # Jobs that have *arrived* at their slot (setup or payload in
-        # progress). ``busy_slots`` counts reserved slots from match
-        # time; the paper's utilization numbers must not count the
-        # opportunistic-wait window as busy, so the peak is recorded
-        # from arrivals (see ``_arrive``), not from matches.
-        self._occupied = 0
-        self.peak_busy = 0
-        self.eviction_count = 0
-        self.start_failure_count = 0
-        self.timeout_count = 0
 
-    # -- ExecutionEnvironment protocol ---------------------------------
-
-    @property
-    def now(self) -> float:
-        return self.simulator.now
-
-    def submit(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        *,
-        attempt: int = 1,
-    ) -> None:
-        submit_time = self.now
-        ad = self._job_ad(job)
-        if job.requirements and not self.matchmaker.matchable(ad):
-            # No resource in the entire pool can ever run this job: it
-            # idles in the queue until the hold timeout expires.
-            timeout = self.config.unmatched_timeout_s
-
-            def hold_expired() -> None:
-                record = JobAttempt(
-                    job_name=job.name,
-                    transformation=job.transformation,
-                    site=self.config.name,
-                    machine="(unmatched)",
-                    attempt=attempt,
-                    submit_time=submit_time,
-                    setup_start=submit_time + timeout,
-                    exec_start=submit_time + timeout,
-                    exec_end=submit_time + timeout,
-                    status=JobStatus.FAILED,
-                    error="no matching resources in the pool",
-                )
-                self._emit_terminal(record)
-                on_complete(record)
-
-            self.simulator.schedule(timeout, hold_expired)
-            return
-        self._queue.append(
-            _QueueEntry(job, on_complete, attempt, submit_time, ad)
-        )
-        self._dispatch()
-
-    def run_until_complete(self) -> None:
-        self.simulator.run()
-
-    def call_later(self, delay_s: float, fn: Callable[[], None]) -> None:
-        """Virtual-clock deferral (delayed retries park here)."""
-        self.simulator.schedule(delay_s, fn)
-
-    # -- internals ------------------------------------------------------
+    # -- slot accounting --------------------------------------------------
 
     @property
     def busy_slots(self) -> int:
@@ -275,64 +242,44 @@ class OpportunisticGrid:
             "running": self._occupied,
         }
 
-    def _emit(self, kind: EventKind, job: DagJob, attempt: int,
-              machine: MachineSpec,
-              detail: dict | None = None) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return  # deaf bus: skip event construction entirely
-        bus.emit(
-            RunEvent(
-                kind,
-                self.simulator.now,
-                job_name=job.name,
-                transformation=job.transformation,
-                site=machine.site,
-                machine=machine.name,
-                attempt=attempt,
-                detail=detail or {},
-            )
-        )
+    # -- slot source: ClassAd matchmaking over opportunistic slots -------
 
-    def _terminal_event(self, record: JobAttempt) -> RunEvent:
-        kind = (
-            EventKind.EVICT
-            if record.status is JobStatus.EVICTED
-            else EventKind.FINISH
-        )
-        return RunEvent(
-            kind,
-            self.simulator.now,
-            job_name=record.job_name,
-            transformation=record.transformation,
-            site=record.site,
-            machine=record.machine,
-            attempt=record.attempt,
-            record=record,
-            detail={"status": record.status.value},
-        )
-
-    def _emit_terminal(self, record: JobAttempt) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return
-        bus.emit(self._terminal_event(record))
-
-    @staticmethod
-    def _job_ad(job: DagJob) -> ClassAd:
-        return ClassAd(
+    def submit(
+        self, job: DagJob, on_complete: OnComplete, *, attempt: int = 1
+    ) -> None:
+        # The ClassAd is built once at submit time and reused on every
+        # dispatch pass.
+        ad = ClassAd(
             name=job.name,
             attributes={"transformation": job.transformation},
             requirements=job.requirements,
             rank="speed",
         )
+        a = Attempt(job, on_complete, attempt, self.now, ad)
+        if not job.requirements or self.matchmaker.matchable(ad):
+            self._queue.append(a)
+            self._dispatch()
+            return
+        # No resource in the entire pool can ever run this job: it idles
+        # (holding no slot) until the hold timeout expires, then fails.
+        a.slot = MachineSpec(name="(unmatched)", site=self.config.name)
 
-    def _dispatch(self) -> None:
+        def hold_expired() -> None:
+            a.setup_start = a.exec_start = self.now
+            self._publish(a, self._record(
+                a, JobStatus.FAILED, "no matching resources in the pool"
+            ))
+
+        self.simulator.schedule(
+            self.config.unmatched_timeout_s, hold_expired
+        )
+
+    def _begin_pass(self) -> bool:
         matchmaker = self.matchmaker
         if not matchmaker.free_count:
-            return
+            return False
         # The blocked set is computed once per pass and shared by every
-        # queued entry (it used to be re-filtered per entry).
+        # queued entry.
         blocked: frozenset[str] = frozenset()
         if self.blacklist is not None:
             blocked = frozenset(
@@ -342,242 +289,19 @@ class OpportunisticGrid:
                     name, self._by_name[name].site, now=self.now
                 )
             )
-        still_queued = []
-        for idx, entry in enumerate(self._queue):
-            if not matchmaker.free_count:
-                # Pool exhausted mid-pass: nothing behind can match.
-                still_queued.extend(self._queue[idx:])
-                break
-            chosen = matchmaker.find(entry.ad, blocked=blocked)
-            if chosen is None:
-                still_queued.append(entry)
-                continue
-            matchmaker.claim(chosen)
-            machine = self._by_name[chosen]
-            self._emit(
-                EventKind.MATCH, entry.job, entry.attempt, machine,
-                # Entries still unmatched this pass: the skipped ones
-                # plus everything behind the cursor.
-                detail={
-                    "queue_depth": len(still_queued)
-                    + (len(self._queue) - idx - 1),
-                },
-            )
-            wait = self.config.dispatch_latency_s + self._sample_wait()
-            self.simulator.schedule(
-                wait,
-                lambda e=entry, m=machine: self._arrive(
-                    e.job, e.on_complete, e.attempt, e.submit_time, m
-                ),
-            )
-        self._queue = still_queued
-        if blocked and self._queue:
-            # Blocks excluded candidates; wake up when the earliest one
-            # expires so queued jobs are not stranded until the next
-            # completion happens to re-run matchmaking.
-            self._schedule_redispatch()
+        self._blocked = blocked
+        self._blocks_excluded = bool(blocked)
+        return True
 
-    def _schedule_redispatch(self) -> None:
-        # Guarded in-method (like the cluster) so any caller — the
-        # dispatch pass, the service layer's wakeups — can request a
-        # redispatch without double-scheduling timers.
-        assert self.blacklist is not None
-        if self._redispatch_pending:
-            return
-        expiry = self.blacklist.next_expiry(now=self.now)
-        if expiry is None:
-            return
-        self._redispatch_pending = True
+    def _acquire(self, a: Attempt) -> MachineSpec | NoMatch | None:
+        matchmaker = self.matchmaker
+        if not matchmaker.free_count:
+            return None  # pool exhausted mid-pass: nothing behind can match
+        chosen = matchmaker.find(a.ticket, blocked=self._blocked)
+        if chosen is None:
+            return UNMATCHED
+        matchmaker.claim(chosen)
+        return self._by_name[chosen]
 
-        def fire() -> None:
-            self._redispatch_pending = False
-            self._dispatch()
-
-        self.simulator.schedule(expiry - self.now, fire)
-
-    def _sample_wait(self) -> float:
-        rng = self._wait_rng
-        if rng.random() < self.config.wait_spike_prob:
-            mean = self.config.wait_spike_mean_s
-        else:
-            mean = self.config.wait_mean_s
-        return bounded_lognormal(
-            rng, mean, self.config.wait_sigma, high=self.config.wait_max_s
-        )
-
-    def _arrive(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        machine: MachineSpec,
-    ) -> None:
-        """The job reached its slot: maybe DOA, else setup then payload."""
-        setup_start = self.now
-        # The slot only now starts doing work for this job; the sampled
-        # waiting window it spent reserved does not count toward peak
-        # utilization (the paper's "waiting time" is idle time).
-        self._occupied += 1
-        self.peak_busy = max(self.peak_busy, self._occupied)
-        # Native regime draw comes FIRST so the calibrated baseline
-        # consumes its RNG stream identically with or without an
-        # injector layered on top.
-        native_doa = self.config.failures.sample_start_failure(
-            self._failure_rng
-        )
-        decision: "FaultDecision | None" = None
-        if self.injector is not None:
-            decision = self.injector.decide(
-                job,
-                site=machine.site,
-                machine=machine.name,
-                attempt=attempt,
-                now=self.now,
-            )
-        if native_doa or (decision is not None and decision.dead_on_arrival):
-            self.start_failure_count += 1
-            if self.blacklist is not None:
-                self.blacklist.record_start_failure(
-                    machine.name, machine.site, now=self.now
-                )
-            self._release(machine)
-            error = (
-                "node misconfiguration (dead on arrival)"
-                if native_doa
-                else decision.dead_on_arrival  # type: ignore[union-attr]
-            )
-            record = JobAttempt(
-                job_name=job.name,
-                transformation=job.transformation,
-                site=machine.site,
-                machine=machine.name,
-                attempt=attempt,
-                submit_time=submit_time,
-                setup_start=setup_start,
-                exec_start=setup_start,
-                exec_end=setup_start,
-                status=JobStatus.FAILED,
-                error=error,
-            )
-            self._emit_terminal(record)
-            on_complete(record)
-            return
-
-        self._emit(EventKind.SETUP_START, job, attempt, machine)
-        setup = 0.0
-        if job.needs_setup:
-            setup = bounded_lognormal(
-                self._setup_rng,
-                self.config.setup_mean_s,
-                self.config.setup_sigma,
-                high=self.config.setup_max_s,
-            )
-        self.simulator.schedule(
-            setup,
-            lambda: self._start_payload(
-                job, on_complete, attempt, submit_time, setup_start,
-                machine, decision,
-            ),
-        )
-
-    def _start_payload(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        setup_start: float,
-        machine: MachineSpec,
-        decision: "FaultDecision | None" = None,
-    ) -> None:
-        exec_start = self.now
-        self._emit(EventKind.EXEC_START, job, attempt, machine)
-        duration = job.runtime / machine.speed
-        if decision is not None:
-            duration *= decision.slowdown_factor
-            if decision.hang:
-                duration = math.inf
-        eviction_in = self.config.failures.sample_eviction_time(
-            self._failure_rng
-        )
-        if decision is not None and decision.evict_after is not None:
-            eviction_in = min(eviction_in, decision.evict_after)
-        delay, status, error = resolve_exec(
-            duration, evict_after=eviction_in, timeout_s=job.timeout_s
-        )
-        if math.isinf(delay):
-            # Hung payload, no timeout, no eviction due: the attempt
-            # wedges and its slot stays occupied — exactly the scenario
-            # ``DagJob.timeout_s`` exists to prevent.
-            return
-        if status is JobStatus.EVICTED:
-            self.eviction_count += 1
-        elif status is JobStatus.TIMEOUT:
-            self.timeout_count += 1
-        self.simulator.schedule(
-            delay,
-            lambda: self._finish(
-                job, on_complete, attempt, submit_time, setup_start,
-                exec_start, machine, status, error,
-            ),
-        )
-
-    def _finish(
-        self,
-        job: DagJob,
-        on_complete: Callable[[JobAttempt], None],
-        attempt: int,
-        submit_time: float,
-        setup_start: float,
-        exec_start: float,
-        machine: MachineSpec,
-        status: JobStatus,
-        error: str | None,
-    ) -> None:
-        record = JobAttempt(
-            job_name=job.name,
-            transformation=job.transformation,
-            site=machine.site,
-            machine=machine.name,
-            attempt=attempt,
-            submit_time=submit_time,
-            setup_start=setup_start,
-            exec_start=exec_start,
-            exec_end=self.now,
-            status=status,
-            error=error,
-            # Model-derived usage for the realized exec window (evicted
-            # attempts show the work OSG preemption threw away).
-            profile=modelled_profile(
-                job.transformation, self.now - exec_start,
-                speed=machine.speed,
-            ),
-        )
-        if status is JobStatus.SUCCEEDED and self.blacklist is not None:
-            self.blacklist.record_success(machine.name, machine.site)
-        bus = self.bus
-        if status is JobStatus.TIMEOUT and bus is not None and bus.active:
-            # Emitted before _release: the redispatch a release triggers
-            # emits its own MATCH events, and the timeout must precede
-            # them on the stream (order is part of the bus contract).
-            bus.emit(
-                RunEvent(
-                    EventKind.TIMEOUT,
-                    self.now,
-                    job_name=job.name,
-                    transformation=job.transformation,
-                    site=machine.site,
-                    machine=machine.name,
-                    attempt=attempt,
-                    detail={"error": error} if error else {},
-                )
-            )
-        self._release(machine)
-        self._emit_terminal(record)
-        on_complete(record)
-
-    def _release(self, machine: MachineSpec) -> None:
-        self._occupied -= 1
-        self.matchmaker.release(machine.name)
-        self._dispatch()
+    def _release(self, slot: MachineSpec, status: JobStatus) -> None:
+        self.matchmaker.release(slot.name)

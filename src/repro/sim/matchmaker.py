@@ -7,15 +7,16 @@ requirements against every free machine — O(queue × pool) per pass,
 which is exactly the hot path a multi-tenant service layer hammers
 (thousands of concurrent workflows sharing one pool).
 
-Two interchangeable matchmakers implement the same contract:
+Two matchmakers implement the same contract:
 
 * :class:`LinearMatchmaker` — the historical scan, verbatim. Kept as
   the **equivalence oracle**: property tests pin the indexed rewrite to
   it machine-for-machine (the same pattern PR 7 used for
-  ``LegacyRescanScheduler``).
-* :class:`IndexedMatchmaker` — buckets free machines by *capability
-  signature* (every advertised attribute except the continuous
-  ``speed``). A requirements expression that does not mention ``speed``
+  ``LegacyRescanScheduler``). Nothing user-settable selects it; tests
+  and benches construct it directly.
+* :class:`IndexedMatchmaker` — what the grid always builds. Buckets
+  free machines by *capability signature* (every advertised attribute
+  except the continuous ``speed``). A requirements expression that does not mention ``speed``
   is constant across a bucket, so one evaluation per bucket replaces
   one evaluation per machine: a match costs O(buckets) instead of
   O(pool), and verdicts are memoized per (expression, job attributes,
@@ -40,7 +41,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.dagman.condor import ClassAd, evaluate_requirements, match
 from repro.sim.machine import MachineSpec
@@ -50,8 +51,6 @@ __all__ = [
     "Matchmaker",
     "LinearMatchmaker",
     "IndexedMatchmaker",
-    "create_matchmaker",
-    "MATCHMAKERS",
 ]
 
 
@@ -444,22 +443,3 @@ class IndexedMatchmaker(Matchmaker):
         self._matchable_cache[job_key] = verdict
         return verdict
 
-
-MATCHMAKERS: Mapping[str, type[Matchmaker]] = {
-    "linear": LinearMatchmaker,
-    "indexed": IndexedMatchmaker,
-}
-
-
-def create_matchmaker(
-    strategy: str, machines: Iterable[MachineSpec]
-) -> Matchmaker:
-    """Instantiate a matchmaker by config name (``indexed``/``linear``)."""
-    try:
-        cls = MATCHMAKERS[strategy]
-    except KeyError:
-        raise ValueError(
-            f"unknown matchmaker {strategy!r}; "
-            f"choose from {sorted(MATCHMAKERS)}"
-        ) from None
-    return cls(machines)

@@ -196,12 +196,6 @@ def main_run(argv: list[str] | None = None) -> int:
                         default="kill",
                         help="testing: SIGKILL the process (kill) or raise "
                              "CrashInjected in-process (raise)")
-    parser.add_argument("--grid-matchmaker",
-                        choices=("indexed", "linear"),
-                        default="indexed",
-                        help="OSG matchmaking strategy: capability-signature "
-                             "buckets (indexed) or the historical full "
-                             "rescan (linear, the equivalence oracle)")
     args = parser.parse_args(argv)
 
     from repro.observe import (
@@ -236,11 +230,7 @@ def main_run(argv: list[str] | None = None) -> int:
         recover,
         run_with_recovery,
     )
-    from repro.sim.cloud import CloudPlatform
-    from repro.sim.cluster import CampusCluster
-    from repro.sim.engine import Simulator
-    from repro.sim.grid import GridConfig, OpportunisticGrid
-    from repro.sim.rng import RngStreams
+    from repro.sim import PLATFORMS, CloudPlatform, RngStreams, Simulator
     from repro.wms.monitor import write_trace
 
     from repro.observe.report import dag_from_plan_meta
@@ -404,19 +394,14 @@ def main_run(argv: list[str] | None = None) -> int:
 
         retry_policy = ImmediateRetry(charge_evictions=False)
 
-    env: CampusCluster | CloudPlatform | OpportunisticGrid
-    if meta["site"] == "sandhills":
-        env = CampusCluster(simulator, streams=streams, bus=bus,
-                            injector=injector, blacklist=blacklist)
-    elif meta["site"] == "cloud":
-        env = CloudPlatform(simulator, streams=streams, bus=bus,
-                            injector=injector)
-    else:
-        env = OpportunisticGrid(
-            simulator, GridConfig(matchmaker=args.grid_matchmaker),
-            streams=streams, bus=bus,
-            injector=injector, blacklist=blacklist,
-        )
+    if meta["site"] not in PLATFORMS:
+        print(f"repro-run: plan names unknown site {meta['site']!r}; "
+              f"choose from {sorted(PLATFORMS)}", file=sys.stderr)
+        return 2
+    env = PLATFORMS[meta["site"]](
+        simulator, streams=streams, bus=bus,
+        injector=injector, blacklist=blacklist,
+    )
 
     sampler = None
 

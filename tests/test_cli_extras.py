@@ -24,6 +24,23 @@ class TestCloudCli:
         assert "cloud cost: $" in out
         assert main_statistics(["--submit-dir", str(d)]) == 0
 
+    def test_blacklist_flags_reach_the_cloud_platform(self, tmp_path):
+        # Regression: repro-run built the Blacklist, then constructed
+        # CloudPlatform without it, so --blacklist-* did nothing there.
+        d = tmp_path / "cloud-chaos"
+        assert main_plan(["--submit-dir", str(d), "-n", "10",
+                          "--site", "cloud", "--retries", "30"]) == 0
+        assert main_run(["--submit-dir", str(d), "--seed", "1",
+                         "--chaos-start-failure", "0.3",
+                         "--blacklist-threshold", "1"]) == 0
+        events = [json.loads(line)
+                  for line in (d / "events.jsonl").read_text().splitlines()]
+        failed_starts = [e for e in events
+                         if e["event"] == "fault.injected"]
+        tripped = [e for e in events if e["event"] == "blacklist.add"]
+        assert failed_starts and len(tripped) == len(failed_starts)
+        assert all(e["site"] == "cloud" for e in tripped)
+
 
 class TestPlannerFlags:
     def test_cluster_size_flag_merges_jobs(self, tmp_path):

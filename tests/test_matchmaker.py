@@ -23,7 +23,7 @@ from repro.sim.machine import MachineSpec
 from repro.sim.matchmaker import (
     IndexedMatchmaker,
     LinearMatchmaker,
-    create_matchmaker,
+    Matchmaker,
 )
 from repro.sim.rng import RngStreams
 
@@ -204,10 +204,6 @@ class TestCaching:
         with pytest.raises(ValueError):
             LinearMatchmaker([_machine("a"), _machine("a")])
 
-    def test_unknown_strategy_refused(self):
-        with pytest.raises(ValueError):
-            create_matchmaker("quantum", [_machine("a")])
-
 
 class TestDispatchCostRegression:
     """Satellite 1: a non-matching head-of-line job must not cost
@@ -265,7 +261,8 @@ class TestDispatchCostRegression:
 
 
 class TestRedispatchGuard:
-    """Satellite 3: the redispatch timer guard lives in the method."""
+    """Satellite 3: the redispatch timer guard lives in the method (the
+    guard itself is one row of ``tests/test_platform_kernel.py``)."""
 
     def _grid_with_blacklist(self):
         simulator = Simulator()
@@ -281,15 +278,6 @@ class TestRedispatchGuard:
         )
         return simulator, grid, blacklist
 
-    def test_in_method_guard_prevents_double_scheduling(self):
-        simulator, grid, blacklist = self._grid_with_blacklist()
-        blacklist.record_start_failure("x", "s", now=0.0)
-        before = len(simulator._queue)
-        grid._schedule_redispatch()
-        assert grid._redispatch_pending
-        grid._schedule_redispatch()  # second caller: guarded no-op
-        assert len(simulator._queue) == before + 1
-
     def test_redispatch_after_queue_drained_is_noop(self):
         simulator, grid, blacklist = self._grid_with_blacklist()
         blacklist.record_start_failure("x", "s", now=0.0)
@@ -301,14 +289,15 @@ class TestRedispatchGuard:
         assert grid.busy_slots == 0
 
 
-def _run_grid_trace(matchmaker: str, *, seed: int = 11):
+def _run_grid_trace(matchmaker: type[Matchmaker], *, seed: int = 11):
     simulator = Simulator()
     bus = EventBus()
     recorder = EventRecorder(bus)
-    config = GridConfig(matchmaker=matchmaker)
     grid = OpportunisticGrid(
-        simulator, config, streams=RngStreams(seed=seed), bus=bus
+        simulator, GridConfig(), streams=RngStreams(seed=seed), bus=bus
     )
+    # Swapped in before the first submit: the pool is untouched so far.
+    grid.matchmaker = matchmaker(grid._machines)
     dag = Dag()
     for i in range(60):
         req = (
@@ -329,8 +318,8 @@ def _run_grid_trace(matchmaker: str, *, seed: int = 11):
 
 class TestGridTraceParity:
     def test_indexed_grid_run_identical_to_linear(self):
-        r_lin, seq_lin, g_lin = _run_grid_trace("linear")
-        r_idx, seq_idx, g_idx = _run_grid_trace("indexed")
+        r_lin, seq_lin, g_lin = _run_grid_trace(LinearMatchmaker)
+        r_idx, seq_idx, g_idx = _run_grid_trace(IndexedMatchmaker)
         assert r_lin.success and r_idx.success
         assert seq_idx == seq_lin
         assert r_idx.wall_time == r_lin.wall_time
@@ -348,7 +337,7 @@ class TestGridTraceParity:
     @given(st.integers(min_value=0, max_value=30))
     @settings(max_examples=10, deadline=None)
     def test_parity_across_seeds(self, seed):
-        r_lin, seq_lin, _ = _run_grid_trace("linear", seed=seed)
-        r_idx, seq_idx, _ = _run_grid_trace("indexed", seed=seed)
+        r_lin, seq_lin, _ = _run_grid_trace(LinearMatchmaker, seed=seed)
+        r_idx, seq_idx, _ = _run_grid_trace(IndexedMatchmaker, seed=seed)
         assert seq_idx == seq_lin
         assert r_idx.wall_time == r_lin.wall_time
