@@ -41,6 +41,8 @@ WORKFLOWS_PER_TENANT = 2
 POOL_SIZES = (400, 1600, 6400)
 #: Indexed µs/dispatch may grow at most this fraction of pool growth.
 SUBLINEAR_FACTOR = 0.5
+#: Grid tier: matchmaker finds per job released to the platform.
+MAX_FINDS_PER_JOB = 3
 
 
 def _jobs_per_workflow() -> int:
@@ -158,10 +160,17 @@ def test_service_load_and_matchmaker_cost():
     assert mm["strategy"] == "IndexedMatchmaker"
     assert mm["ads_scanned"] == 0, "grid dispatch fell off the indexed path"
     assert mm["linear_fallbacks"] == 0
+    # An exact count, so the gate can be tight: the wait index asks the
+    # matchmaker about a parked job only when a machine it could use
+    # was freed — not once per queued job per dispatch pass.
+    assert mm["finds"] <= MAX_FINDS_PER_JOB * grid_result["jobs_released"], (
+        f"{mm['finds']:,} finds for {grid_result['jobs_released']:,} jobs: "
+        "grid dispatch is re-matching parked jobs"
+    )
     lines += [
         f"grid tier: {grid_result['jobs_released']:,} jobs, "
-        f"{mm['finds']:,} finds, {mm['bucket_probes']:,} bucket probes, "
-        f"0 ads scanned",
+        f"{mm['finds']:,} finds ({mm['finds_per_claim']:.2f} per claim), "
+        f"{mm['bucket_probes']:,} bucket probes, 0 ads scanned",
         "",
     ]
 

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from types import CodeType
 from typing import Any, Mapping, Sequence
 
-__all__ = ["ClassAd", "evaluate_requirements", "match"]
+__all__ = ["ClassAd", "compile_expression", "evaluate_requirements", "match"]
 
 _ALLOWED_NODES = (
     ast.Expression,
@@ -62,16 +64,61 @@ class ClassAd:
     def get(self, key: str, default: Any = None) -> Any:
         return self.attributes.get(key, default)
 
+    @cached_property
+    def match_key(self) -> tuple | None:
+        """Everything of this ad a requirements verdict can depend on:
+        two ads with equal keys match exactly the same machines. Built
+        once per ad; ``None`` when an attribute value is unhashable."""
+        try:
+            return (self.requirements, frozenset(self.attributes.items()))
+        except TypeError:
+            return None
 
-def _check_expression(expr: str) -> ast.Expression:
+
+class _Missing:
+    """UNDEFINED: falsy and incomparable-but-quiet."""
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __eq__(self, other: object) -> bool:
+        return False
+
+    def __lt__(self, other: object) -> bool:
+        return False
+
+    __gt__ = __le__ = __ge__ = __lt__
+
+
+_MISSING = _Missing()
+
+
+@lru_cache(maxsize=4096)
+def compile_expression(expr: str) -> tuple[CodeType, frozenset[str]]:
+    """The checked code object of ``expr`` and the names it references.
+
+    Memoized per expression string (a workflow has a handful); a
+    malformed or disallowed expression raises — ``SyntaxError`` /
+    ``ValueError`` — on every call, since failures are never cached.
+    """
     tree = ast.parse(expr, mode="eval")
+    names = set()
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(
                 f"disallowed syntax in ClassAd expression {expr!r}: "
                 f"{type(node).__name__}"
             )
-    return tree
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+    return compile(tree, "<classad>", "eval"), frozenset(names)
+
+
+def _namespace(target: ClassAd, my: ClassAd | None) -> dict[str, Any]:
+    namespace: dict[str, Any] = dict(target.attributes)
+    if my is not None:
+        namespace.update({f"my_{k}": v for k, v in my.attributes.items()})
+    return namespace
 
 
 def evaluate_requirements(
@@ -85,32 +132,12 @@ def evaluate_requirements(
     """
     if expr is None:
         return True
-    tree = _check_expression(expr)
-
-    namespace: dict[str, Any] = dict(target.attributes)
-    if my is not None:
-        namespace.update({f"my_{k}": v for k, v in my.attributes.items()})
+    code, names = compile_expression(expr)
+    namespace = _namespace(target, my)
     namespace.setdefault("true", True)
     namespace.setdefault("false", False)
-
-    class _Missing:
-        """UNDEFINED: falsy and incomparable-but-quiet."""
-
-        def __bool__(self) -> bool:
-            return False
-
-        def __eq__(self, other: object) -> bool:
-            return False
-
-        def __lt__(self, other: object) -> bool:
-            return False
-
-        __gt__ = __le__ = __ge__ = __lt__
-
-    code = compile(tree, "<classad>", "eval")
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     for name in names:
-        namespace.setdefault(name, _Missing())
+        namespace.setdefault(name, _MISSING)
     try:
         return bool(eval(code, {"__builtins__": {}}, namespace))
     except TypeError:
@@ -121,16 +148,12 @@ def evaluate_rank(expr: str | None, target: ClassAd, my: ClassAd | None = None) 
     """Evaluate a rank expression; undefined/invalid ranks score 0."""
     if expr is None:
         return 0.0
-    tree = _check_expression(expr)
-    namespace: dict[str, Any] = dict(target.attributes)
-    if my is not None:
-        namespace.update({f"my_{k}": v for k, v in my.attributes.items()})
-    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    code, names = compile_expression(expr)
+    namespace = _namespace(target, my)
     for name in names:
         namespace.setdefault(name, 0)
     try:
-        value = eval(compile(tree, "<classad>", "eval"), {"__builtins__": {}}, namespace)
-        return float(value)
+        return float(eval(code, {"__builtins__": {}}, namespace))
     except (TypeError, ValueError):
         return 0.0
 

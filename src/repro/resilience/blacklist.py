@@ -104,6 +104,12 @@ class Blacklist:
 
     # -- queries --------------------------------------------------------
 
+    @property
+    def has_blocks(self) -> bool:
+        """Is any block recorded at all (lapsed ones included)? False
+        means :meth:`is_blocked` is False for everything, unasked."""
+        return bool(self._blocked_machines or self._blocked_sites)
+
     def is_blocked(self, machine: str, site: str, *, now: float) -> bool:
         return self._check(self._blocked_machines, machine, now) or (
             self._check(self._blocked_sites, site, now)

@@ -115,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
             print()
             print(
                 f"matchmaker {matchmaker['strategy']}: "
-                f"{matchmaker['finds']} finds, "
+                f"{matchmaker['finds']} finds "
+                f"({matchmaker['finds_per_claim']:.2f} per claim), "
                 f"{matchmaker['ads_scanned']} ads scanned, "
                 f"{matchmaker['bucket_probes']} bucket probes, "
                 f"{matchmaker['linear_fallbacks']} linear fallbacks"

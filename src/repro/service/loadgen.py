@@ -288,6 +288,9 @@ def run_load(
         result["matchmaker"] = {
             "strategy": type(stats).__name__,
             "finds": stats.stats.finds,
+            # What the dispatch path asks per slot it hands out: 1 is
+            # the floor, queue-length multiples mean it is re-asking.
+            "finds_per_claim": stats.stats.finds / max(1, stats.stats.claims),
             "ads_scanned": stats.stats.ads_scanned,
             "bucket_probes": stats.stats.bucket_probes,
             "linear_fallbacks": stats.stats.linear_fallbacks,

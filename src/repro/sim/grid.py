@@ -31,6 +31,7 @@ only a matched-then-waiting platform needs.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING
@@ -156,14 +157,14 @@ class OpportunisticGrid(SimPlatform):
                     software_prob=site.software_prob,
                 )
             )
-        self._by_name: dict[str, MachineSpec] = {
-            m.name: m for m in self._machines
-        }
-        #: Owns the free list, the machine ads, and all match caches.
-        #: Public so a test or bench can swap in the linear oracle
-        #: before the first submit.
+        #: Owns the pool, the free list, the machine ads, and all match
+        #: caches. Public so a test or bench can swap in the linear
+        #: oracle before the first submit.
         self.matchmaker: Matchmaker = IndexedMatchmaker(self._machines)
         self._blocked: frozenset[str] = frozenset()
+        self._pool_epoch = self.matchmaker.pool_epoch
+        #: ClassAd match key → the wait class of the attempts that share it.
+        self._wait_classes: dict[tuple, deque[Attempt]] = {}
 
         def opportunistic_wait(_machine: MachineSpec) -> float:
             # Erratic slot acquisition: a lognormal baseline with
@@ -238,7 +239,7 @@ class OpportunisticGrid(SimPlatform):
         """
         waiting_matched = self.busy_slots - self._occupied
         return {
-            "idle": len(self._queue) + waiting_matched,
+            "idle": self._idle + waiting_matched,
             "running": self._occupied,
         }
 
@@ -247,8 +248,9 @@ class OpportunisticGrid(SimPlatform):
     def submit(
         self, job: DagJob, on_complete: OnComplete, *, attempt: int = 1
     ) -> None:
-        # The ClassAd is built once at submit time and reused on every
-        # dispatch pass.
+        # The ClassAd is built once at submit time; its match key names
+        # the attempt's wait class (an ad that has none is a class of
+        # its own).
         ad = ClassAd(
             name=job.name,
             attributes={"transformation": job.transformation},
@@ -257,8 +259,12 @@ class OpportunisticGrid(SimPlatform):
         )
         a = Attempt(job, on_complete, attempt, self.now, ad)
         if not job.requirements or self.matchmaker.matchable(ad):
-            self._queue.append(a)
-            self._dispatch()
+            key = ad.match_key
+            self._enqueue(
+                a,
+                deque() if key is None
+                else self._wait_classes.setdefault(key, deque()),
+            )
             return
         # No resource in the entire pool can ever run this job: it idles
         # (holding no slot) until the hold timeout expires, then fails.
@@ -281,14 +287,26 @@ class OpportunisticGrid(SimPlatform):
         # The blocked set is computed once per pass and shared by every
         # queued entry.
         blocked: frozenset[str] = frozenset()
-        if self.blacklist is not None:
+        if self.blacklist is not None and self.blacklist.has_blocks:
             blocked = frozenset(
                 name
                 for name in matchmaker.free_names()
                 if self.blacklist.is_blocked(
-                    name, self._by_name[name].site, now=self.now
+                    name, matchmaker.machine(name).site, now=self.now
                 )
             )
+        # A sleeping class is one no free, unblocked machine satisfied;
+        # ``_release`` wakes the classes a freed machine can matter to.
+        # An expiring block or a joining machine frees nothing, so a
+        # pass with (or right after one with) blocked machines, and any
+        # pass after a membership change, wakes everyone.
+        if (
+            blocked
+            or self._blocked
+            or matchmaker.pool_epoch != self._pool_epoch
+        ):
+            self._pool_epoch = matchmaker.pool_epoch
+            self._wake()
         self._blocked = blocked
         self._blocks_excluded = bool(blocked)
         return True
@@ -301,7 +319,10 @@ class OpportunisticGrid(SimPlatform):
         if chosen is None:
             return UNMATCHED
         matchmaker.claim(chosen)
-        return self._by_name[chosen]
+        return matchmaker.machine(chosen)
 
     def _release(self, slot: MachineSpec, status: JobStatus) -> None:
         self.matchmaker.release(slot.name)
+        self._wake(
+            lambda a: self.matchmaker.may_accept(a.ticket, slot.name)
+        )

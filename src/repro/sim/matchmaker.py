@@ -19,8 +19,10 @@ Two matchmakers implement the same contract:
   except the continuous ``speed``). A requirements expression that does not mention ``speed``
   is constant across a bucket, so one evaluation per bucket replaces
   one evaluation per machine: a match costs O(buckets) instead of
-  O(pool), and verdicts are memoized per (expression, job attributes,
-  signature). Jobs whose requirements reference ``speed``, ranks other
+  O(pool), and the set of accepting buckets is memoized per
+  (expression, job attributes) — which is also what tells the
+  platform's wait index whether a freed machine can matter to a parked
+  job (:meth:`Matchmaker.may_accept`). Jobs whose requirements reference ``speed``, ranks other
   than ``"speed"``, blacklist-blocked passes, and pools whose machines
   advertise their own requirements all fall back to the linear scan —
   correctness first, the fast path covers the common shapes.
@@ -38,12 +40,16 @@ behaviour so the fix stays measurable.
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Iterable
 
-from repro.dagman.condor import ClassAd, evaluate_requirements, match
+from repro.dagman.condor import (
+    ClassAd,
+    compile_expression,
+    evaluate_requirements,
+    match,
+)
 from repro.sim.machine import MachineSpec
 
 __all__ = [
@@ -60,12 +66,13 @@ class MatchmakerStats:
     O(pool)-regression tests measure.
 
     ``ads_scanned`` counts per-machine requirement evaluations on the
-    linear path; ``bucket_probes`` counts per-bucket verdict lookups on
-    the indexed path (cache hits included — the point is that probes
-    scale with bucket count, not pool size).
+    linear path; ``bucket_probes`` counts the buckets a ``find`` looked
+    into on the indexed path (accepting buckets with a free member —
+    the point is that probes scale with bucket count, not pool size).
     """
 
     finds: int = 0
+    claims: int = 0
     ads_scanned: int = 0
     bucket_probes: int = 0
     linear_fallbacks: int = 0
@@ -91,6 +98,9 @@ class Matchmaker:
         self.ads: dict[str, ClassAd] = {}
         self._free: dict[str, int] = {}
         self._free_seq = 0
+        #: Bumped by every membership change: whoever remembers a
+        #: "nothing free matches" verdict must forget it when this moves.
+        self.pool_epoch = 0
         self.stats = MatchmakerStats()
         self.add_machines(machines)
 
@@ -109,6 +119,7 @@ class Matchmaker:
             self.ads[machine.name] = machine.classad()
             self._mark_free(machine.name)
             self._index_machine(machine)
+        self.pool_epoch += 1
         self._invalidate_pool_caches()
 
     def remove_machine(self, name: str) -> None:
@@ -125,6 +136,7 @@ class Matchmaker:
         machine = self._machines.pop(name)
         del self.ads[name]
         self._unindex_machine(machine)
+        self.pool_epoch += 1
         self._invalidate_pool_caches()
 
     # -- free-list bookkeeping ------------------------------------------
@@ -132,6 +144,9 @@ class Matchmaker:
     @property
     def pool_size(self) -> int:
         return len(self._machines)
+
+    def machine(self, name: str) -> MachineSpec:
+        return self._machines[name]
 
     @property
     def free_count(self) -> int:
@@ -148,6 +163,7 @@ class Matchmaker:
     def claim(self, name: str) -> None:
         """Take a free machine out of the free set — O(1)."""
         del self._free[name]
+        self.stats.claims += 1
 
     def release(self, name: str) -> None:
         """Return a machine to the free set, behind every machine that
@@ -178,6 +194,12 @@ class Matchmaker:
         """Could *any* machine in the pool — busy or free — ever run
         this job? (The admission-control question.)"""
         raise NotImplementedError
+
+    def may_accept(self, ad: ClassAd, name: str) -> bool:
+        """Could freeing machine ``name`` turn a ``find(ad)`` that just
+        returned ``None`` into a match? False only when that is known
+        for certain (the wait index leaves ``ad``'s class asleep)."""
+        return True
 
     # -- strategy hooks -------------------------------------------------
 
@@ -264,12 +286,11 @@ class IndexedMatchmaker(Matchmaker):
         self._buckets: dict[_Signature, _Bucket] = {}
         self._sig_of: dict[str, _Signature] = {}
         self._bucketable = True
-        #: (expr, job-attrs, signature) → bool requirement verdict
-        self._verdicts: dict[tuple, bool] = {}
         #: (expr, job-attrs) → pool-wide matchability
         self._matchable_cache: dict[tuple, bool] = {}
-        #: expr → referenced names (None = unparseable)
-        self._expr_names: dict[str, frozenset[str] | None] = {}
+        #: (expr, job-attrs) → the buckets whose machines satisfy it
+        #: (None = decided per machine: the ad is not indexable)
+        self._accepting_cache: dict[tuple, dict[_Signature, _Bucket] | None] = {}
         super().__init__(machines)
 
     # -- indexing -------------------------------------------------------
@@ -330,56 +351,46 @@ class IndexedMatchmaker(Matchmaker):
             self._buckets[sig].free.discard(name)
 
     def _invalidate_pool_caches(self) -> None:
-        # Bucket verdicts depend only on (expr, job, signature) and stay
-        # valid; pool-wide matchability does not survive membership
-        # changes — the satellite-2 bug was never invalidating anything.
+        # Neither pool-wide matchability nor the accepting set survives
+        # a membership change: buckets come and go with their members.
         self._matchable_cache.clear()
+        self._accepting_cache.clear()
 
     # -- expression analysis --------------------------------------------
 
-    def _names_in(self, expr: str) -> frozenset[str] | None:
-        cached = self._expr_names.get(expr)
-        if cached is None and expr not in self._expr_names:
-            try:
-                tree = ast.parse(expr, mode="eval")
-            except SyntaxError:
-                cached = None  # linear path will raise identically
-            else:
-                cached = frozenset(
-                    node.id
-                    for node in ast.walk(tree)
-                    if isinstance(node, ast.Name)
-                )
-            self._expr_names[expr] = cached
-        return cached
-
     @staticmethod
-    def _job_key(ad: ClassAd) -> tuple | None:
+    def _per_bucket(expr: str) -> bool:
+        """Is ``expr`` constant across a bucket (no ``speed`` in it)?"""
         try:
-            return (ad.requirements, frozenset(ad.attributes.items()))
-        except TypeError:
+            return "speed" not in compile_expression(expr)[1]
+        except (SyntaxError, ValueError):
+            return False  # the linear path raises it, or has nothing to scan
+
+    def _accepting(self, ad: ClassAd) -> dict[_Signature, _Bucket] | None:
+        """The buckets whose members satisfy ``ad``'s requirements, or
+        ``None`` when that is not a per-bucket question (``speed`` in
+        the expression, unhashable attributes, an exotic pool)."""
+        job_key = ad.match_key
+        if job_key is None or not self._bucketable:
             return None
+        try:
+            return self._accepting_cache[job_key]
+        except KeyError:
+            pass
+        expr = ad.requirements
+        accepting: dict[_Signature, _Bucket] | None = None
+        if expr is None or self._per_bucket(expr):
+            accepting = {
+                sig: bucket
+                for sig, bucket in self._buckets.items()
+                if evaluate_requirements(expr, bucket.representative, my=ad)
+            }
+        self._accepting_cache[job_key] = accepting
+        return accepting
 
-    def _indexable(self, ad: ClassAd) -> bool:
-        if not self._bucketable or ad.rank != "speed":
-            return False
-        if ad.requirements is None:
-            return True
-        names = self._names_in(ad.requirements)
-        return names is not None and "speed" not in names
-
-    def _verdict(
-        self, expr: str, job_key: tuple, ad: ClassAd, sig: _Signature,
-        bucket: _Bucket,
-    ) -> bool:
-        key = (expr, job_key, sig)
-        cached = self._verdicts.get(key)
-        if cached is None:
-            cached = evaluate_requirements(
-                expr, bucket.representative, my=ad
-            )
-            self._verdicts[key] = cached
-        return cached
+    def may_accept(self, ad: ClassAd, name: str) -> bool:
+        accepting = self._accepting(ad)
+        return accepting is None or self._sig_of[name] in accepting
 
     # -- matching -------------------------------------------------------
 
@@ -387,24 +398,21 @@ class IndexedMatchmaker(Matchmaker):
         self, ad: ClassAd, *, blocked: frozenset[str] = frozenset()
     ) -> str | None:
         self.stats.finds += 1
-        job_key = self._job_key(ad)
-        if blocked or job_key is None or not self._indexable(ad):
+        accepting = None
+        if not blocked and ad.rank == "speed":
+            accepting = self._accepting(ad)
+        if accepting is None:
             # Blocked machines may sit on bucket tops without being
             # claimable; the (rare, chaos-only) pass scans linearly.
             self.stats.linear_fallbacks += 1
             return self._find_linear(ad, blocked)
-        expr = ad.requirements
         best: _BestKey | None = None
         best_name: str | None = None
         free_seq = self._free
-        for sig, bucket in self._buckets.items():
+        for bucket in accepting.values():
             if not bucket.free:
                 continue
             self.stats.bucket_probes += 1
-            if expr is not None and not self._verdict(
-                expr, job_key, ad, sig, bucket
-            ):
-                continue
             heap = bucket.heap
             while heap:
                 neg_speed, seq, name = heap[0]
@@ -421,25 +429,17 @@ class IndexedMatchmaker(Matchmaker):
 
     def matchable(self, ad: ClassAd) -> bool:
         self.stats.matchable_calls += 1
-        job_key = self._job_key(ad)
+        job_key = ad.match_key
         if job_key is None:
             return self._matchable_scan(ad)
         cached = self._matchable_cache.get(job_key)
         if cached is not None:
             return cached
-        expr = ad.requirements
-        if expr is None:
-            verdict = bool(self.ads)
-        elif not self._bucketable or (
-            (names := self._names_in(expr)) is None or "speed" in names
-        ):
-            verdict = self._matchable_scan(ad)
-        else:
-            verdict = any(
-                bucket.pool
-                and self._verdict(expr, job_key, ad, sig, bucket)
-                for sig, bucket in self._buckets.items()
-            )
+        # An empty bucket is deleted, so an accepting one has a member.
+        accepting = self._accepting(ad)
+        verdict = (
+            self._matchable_scan(ad) if accepting is None else bool(accepting)
+        )
         self._matchable_cache[job_key] = verdict
         return verdict
 

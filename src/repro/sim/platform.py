@@ -5,8 +5,8 @@ mechanisms: which slots a job may get, how long it waits for one, what
 it pays before the payload starts (download/install), and whether the
 slot can fail or be taken away. :class:`SimPlatform` is everything
 *else* — the ``ExecutionEnvironment`` surface DAGMan drives, the idle
-queue and dispatch loop, the blacklist redispatch timer, event
-emission, and the attempt lifecycle::
+queue (a *wait index*, below) and dispatch loop, the blacklist
+redispatch timer, event emission, and the attempt lifecycle::
 
     match → wait → arrive → native + injected faults → [setup] → exec
           → finish → release → on_complete
@@ -24,6 +24,16 @@ constructor and bound here once so the per-job path stays straight-line:
   ``start_failure()`` (dead on arrival?) and ``eviction()`` (seconds
   until the slot is preempted).
 
+**Wait index.** Idle attempts queue per *wait class* — one FIFO for all
+the attempts no slot could tell apart, which the slot source hands to
+``_enqueue`` — and carry a global submit sequence number. A dispatch
+pass merges the heads of the *awake* classes in sequence order, so
+slots go out in submit order; a class whose head the source could not
+place (``UNMATCHED``) goes *asleep* and is not asked about again, in
+this pass or a later one, until the source calls ``_wake``. A source
+with one class (cluster, cloud) never sleeps: its pass is plain
+head-of-line.
+
 Where the platforms order things differently the difference is kept,
 not unified: the event stream, the engine's event count and every named
 RNG stream are pinned byte-for-byte by ``tests/test_platform_golden.py``
@@ -37,6 +47,7 @@ import enum
 import math
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 from typing import TYPE_CHECKING, Any, Callable, Final, Protocol
 
 from repro.dagman.dag import DagJob
@@ -74,7 +85,8 @@ class Attempt:
     """One try of one job, from submit to its terminal record.
 
     ``ticket`` is whatever the slot source computed at submit time and
-    wants back on every dispatch pass (the grid's ClassAd).
+    wants back when it is asked for a slot (the grid's ClassAd);
+    ``seq`` is the platform-wide submit order, set by ``_enqueue``.
     """
 
     job: DagJob
@@ -82,6 +94,7 @@ class Attempt:
     number: int
     submit_time: float
     ticket: Any = None
+    seq: int = 0
     slot: Any = None
     setup_start: float = 0.0
     exec_start: float = 0.0
@@ -91,9 +104,9 @@ class NoMatch(enum.Enum):
     UNMATCHED = enum.auto()
 
 
-#: ``_acquire`` verdict: no free slot fits *this* attempt, but ones
-#: queued behind it may still match — skip it and keep scanning.
-#: (``None`` means no slot for anyone: the pass is over.)
+#: ``_acquire`` verdict: no free slot fits *this* attempt — nor any
+#: other of its wait class, which goes asleep — but other classes may
+#: still match. (``None`` means no slot for anyone: the pass is over.)
 UNMATCHED: Final = NoMatch.UNMATCHED
 
 
@@ -102,8 +115,8 @@ class SimPlatform:
 
     Subclasses are the slot source: they implement :meth:`_acquire` and
     :meth:`_release` (and, if matching needs per-pass state,
-    ``_begin_pass``) and hand the other three policies to this
-    constructor.
+    ``_begin_pass``; if attempts differ in what can place them, wait
+    classes and :meth:`_wake`) and hand the other three policies here.
     """
 
     #: Optional slot-source hook run at the start of every dispatch
@@ -157,7 +170,14 @@ class SimPlatform:
         self._eviction_on_exec = eviction if setup is not None else None
         self._busy_from_match = busy_from_match
         self._eager_release = eager_release
-        self._queue: deque[Attempt] = deque()
+        #: The wait index. A class with an idle attempt is in exactly
+        #: one of ``_awake`` (a heap keyed by its head's ``seq``) and
+        #: ``_asleep``; an empty class is in neither.
+        self._line: deque[Attempt] = deque()  # the class of a one-class source
+        self._awake: list[tuple[int, deque[Attempt]]] = []
+        self._asleep: list[deque[Attempt]] = []
+        self._idle = 0
+        self._submitted = 0
         self._occupied = 0
         self._redispatch_pending = False
         #: Set by the slot source when the blacklist kept a queued
@@ -177,10 +197,7 @@ class SimPlatform:
     def submit(
         self, job: DagJob, on_complete: OnComplete, *, attempt: int = 1
     ) -> None:
-        self._queue.append(
-            Attempt(job, on_complete, attempt, self.simulator.now)
-        )
-        self._dispatch()
+        self._enqueue(Attempt(job, on_complete, attempt, self.simulator.now))
 
     def run_until_complete(self) -> None:
         self.simulator.run()
@@ -191,7 +208,7 @@ class SimPlatform:
 
     def queue_status(self) -> dict[str, int]:
         """``condor_q``-style snapshot: idle (queued) vs running."""
-        return {"idle": len(self._queue), "running": self._occupied}
+        return {"idle": self._idle, "running": self._occupied}
 
     # -- slot source (implemented by each platform) ----------------------
 
@@ -206,38 +223,64 @@ class SimPlatform:
 
     # -- queue and dispatch ---------------------------------------------
 
+    def _enqueue(self, a: Attempt, wait_class: deque | None = None) -> None:
+        """Queue ``a`` behind its class and run a dispatch pass. A class
+        that is asleep stays asleep: what could not place its head
+        cannot place ``a``."""
+        fifo = self._line if wait_class is None else wait_class
+        a.seq = self._submitted
+        self._submitted += 1
+        if not fifo:
+            heappush(self._awake, (a.seq, fifo))
+        fifo.append(a)
+        self._idle += 1
+        self._dispatch()
+
+    def _wake(self, may_place: Callable[[Attempt], bool] | None = None) -> None:
+        """Something happened that could place the head of a sleeping
+        class: of every one (``None``), or of those ``may_place`` says."""
+        asleep, self._asleep = self._asleep, []
+        for fifo in asleep:
+            if may_place is None or may_place(fifo[0]):
+                heappush(self._awake, (fifo[0].seq, fifo))
+            else:
+                self._asleep.append(fifo)
+
     def _dispatch(self) -> None:
         self._blocks_excluded = False
         if self._begin_pass is not None and not self._begin_pass():
             return
-        queue = self._queue
-        skipped: list[Attempt] = []
-        while queue:
-            a = queue[0]
+        awake = self._awake
+        while awake:
+            fifo = awake[0][1]
+            a = fifo[0]
             slot = self._acquire(a)
             if slot is None:
                 break
-            queue.popleft()
             if slot is UNMATCHED:
-                skipped.append(a)
+                heappop(awake)
+                self._asleep.append(fifo)
                 continue
+            # The index is settled before anything observable happens:
+            # a MATCH subscriber may submit, and that pass nests here.
+            fifo.popleft()
+            if fifo:
+                heapreplace(awake, (fifo[0].seq, fifo))
+            else:
+                heappop(awake)
+            self._idle -= 1
             a.slot = slot
             if self._busy_from_match:
                 self._occupy()
-            # Attempts still idle after this match: the ones this pass
-            # skipped plus everything behind the cursor.
             self._emit(
-                EventKind.MATCH, a,
-                detail={"queue_depth": len(skipped) + len(queue)},
+                EventKind.MATCH, a, detail={"queue_depth": self._idle}
             )
             wait = self._wait(slot)
             if wait is None:
                 self._arrive(a)
             else:
                 self.simulator.schedule(wait, lambda a=a: self._arrive(a))
-        if skipped:
-            queue.extendleft(reversed(skipped))
-        if self._blocks_excluded and queue:
+        if self._blocks_excluded and self._idle:
             # Blocks excluded candidates; wake up when the earliest one
             # expires so queued jobs are not stranded until the next
             # completion happens to re-run the dispatch pass.

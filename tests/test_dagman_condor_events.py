@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.dagman.condor import ClassAd, evaluate_requirements, match
+from repro.dagman import condor
+from repro.dagman.condor import (
+    ClassAd,
+    compile_expression,
+    evaluate_rank,
+    evaluate_requirements,
+    match,
+)
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
 
 
@@ -45,6 +52,41 @@ class TestClassAdEval:
             evaluate_requirements("__import__('os')", m)
         with pytest.raises(ValueError, match="disallowed"):
             evaluate_requirements("(lambda: 1)()", m)
+
+    def test_expression_compiled_once_evaluated_many_times(self, monkeypatch):
+        parsed = []
+        parse = condor.ast.parse
+        monkeypatch.setattr(
+            condor.ast, "parse",
+            lambda *a, **kw: parsed.append(a[0]) or parse(*a, **kw),
+        )
+        expr = "memory_mb >= 1234 and has_python"  # no other test's
+        job = ClassAd(name="j", rank=expr)
+        for memory in (1000, 2000, 3000):
+            m = self.machine(memory_mb=memory, has_python=True)
+            assert evaluate_requirements(expr, m) == (memory >= 1234)
+            assert evaluate_rank(job.rank, m, my=job) == float(memory >= 1234)
+        assert parsed == [expr]
+        code, names = compile_expression(expr)
+        assert names == {"memory_mb", "has_python"}
+        assert compile_expression(expr)[0] is code
+
+    def test_bad_expressions_raise_on_every_call(self):
+        # A failure is never memoized into a verdict.
+        m = self.machine(has_python=True)
+        for _ in range(3):
+            with pytest.raises(ValueError, match="disallowed"):
+                evaluate_requirements("has_python.real", m)
+            with pytest.raises(ValueError, match="disallowed"):
+                evaluate_rank("[speed]", m)
+            with pytest.raises(SyntaxError):
+                evaluate_requirements("has_python and", m)
+
+    def test_undefined_names_are_quiet_in_every_position(self):
+        m = self.machine(speed=1.0)
+        for expr in ("a == b", "a < 3", "3 >= a", "not a", "a in 'xyz'",
+                     "a + 1 > 0"):
+            assert evaluate_requirements(expr, m) is (expr == "not a")
 
 
 class TestMatch:

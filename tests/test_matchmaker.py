@@ -153,8 +153,16 @@ class TestOracleEquivalence:
     def test_malformed_requirements_raise_on_both(self):
         machines = [_machine("a")]
         for mm in (LinearMatchmaker(machines), IndexedMatchmaker(machines)):
-            with pytest.raises((SyntaxError, ValueError)):
-                mm.find(_job_ad(requirements="has_python and"))
+            for _ in range(2):  # every call: a failure is never cached
+                with pytest.raises(SyntaxError):
+                    mm.find(_job_ad(requirements="has_python and"))
+                with pytest.raises(ValueError, match="disallowed"):
+                    mm.find(_job_ad(requirements="has_python.real"))
+                with pytest.raises(SyntaxError):
+                    mm.matchable(_job_ad(requirements="has_python and"))
+            # Nothing free, nothing to evaluate: neither side raises.
+            mm.claim("a")
+            assert mm.find(_job_ad(requirements="has_python and")) is None
 
 
 class TestCaching:

@@ -234,13 +234,13 @@ GOLDEN: dict[tuple[str, str, int], str] = {
 
 #: ``matchmaker.stats.finds`` per OSG row (see the module docstring).
 FINDS: dict[tuple[str, str, int], int] = {
-    ('osg', 'clean', 3): 97,
+    ('osg', 'clean', 3): 31,
     ('osg', 'clean', 11): 21,
-    ('osg', 'chaos', 3): 277,
+    ('osg', 'chaos', 3): 67,
     ('osg', 'chaos', 11): 34,
-    ('osg', 'blacklist', 3): 1041,
-    ('osg', 'blacklist', 11): 990,
-    ('osg', 'unsatisfiable', 3): 97,
+    ('osg', 'blacklist', 3): 225,
+    ('osg', 'blacklist', 11): 213,
+    ('osg', 'unsatisfiable', 3): 31,
     ('osg', 'unsatisfiable', 11): 21,
 }
 
