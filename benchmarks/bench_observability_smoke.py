@@ -51,7 +51,7 @@ from repro.observe import (
 )
 from repro.observe.report import build_report
 from repro.wms.monitor import read_trace
-from repro.wms.statistics import render_report, summarize, summarize_events
+from repro.wms.statistics import render_report, summarize
 
 N = 300
 SEED = 0
@@ -174,7 +174,7 @@ def test_observability_smoke(paper_model, benchmark, tmp_path):
         ), "bus-derived trace != scheduler trace"
 
         # -- statistics from events == pegasus-statistics over the trace --
-        stats_events = summarize_events(events, dag=planned.dag)
+        stats_events = summarize(bus_trace, dag=planned.dag)
         stats_trace = summarize(result.trace, dag=planned.dag)
         assert stats_events == stats_trace
         assert stats_events.total_jobs == len(planned.dag.jobs)
@@ -316,7 +316,7 @@ def test_observability_smoke(paper_model, benchmark, tmp_path):
             f"alerts={len(monitor.alerts)} "
             f"span-critical-path == attribution: OK",
             f"[{platform}] bus-trace == scheduler-trace: OK; "
-            "summarize_events == summarize: OK",
+            "summarize(events) == summarize(trace): OK",
             "",
         ]
         # Keep a statistics report next to the artifacts for eyeballing.

@@ -21,6 +21,7 @@ from repro.observe import (
     EventRecorder,
     StatusView,
     UtilizationSample,
+    events_to_trace,
     instrument,
 )
 from repro.util.tables import Table
@@ -33,7 +34,6 @@ from repro.wms.statistics import (
     per_site,
     render_report,
     summarize,
-    summarize_events,
 )
 
 
@@ -66,7 +66,7 @@ def main() -> None:
     # The stream is a faithful second witness: statistics computed from
     # events match pegasus-statistics over the scheduler's own trace.
     assert (
-        summarize_events(recorder.events, dag=planned.dag).total_jobs
+        summarize(events_to_trace(recorder.events), dag=planned.dag).total_jobs
         == summarize(result.trace, dag=planned.dag).total_jobs
     )
     print()

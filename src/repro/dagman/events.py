@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 __all__ = ["JobStatus", "ResourceProfile", "JobAttempt", "WorkflowTrace"]
 
@@ -132,6 +132,54 @@ class JobAttempt:
                 f"for {self.job_name!r}: {self.submit_time}, "
                 f"{self.setup_start}, {self.exec_start}, {self.exec_end}"
             )
+
+    def to_json(self) -> dict[str, object]:
+        """Flatten to JSON-able primitives — the attempt record every
+        log shares: a ``trace.jsonl`` line verbatim, and the tail of an
+        ``events.jsonl`` / journal terminal line. Key order is part of
+        the format (artefacts are pinned byte for byte)."""
+        out: dict[str, object] = {
+            "job_name": self.job_name,
+            "transformation": self.transformation,
+            "site": self.site,
+            "machine": self.machine,
+            "attempt": self.attempt,
+            "submit_time": self.submit_time,
+            "setup_start": self.setup_start,
+            "exec_start": self.exec_start,
+            "exec_end": self.exec_end,
+            "status": self.status.value,
+        }
+        if self.error:
+            out["error"] = self.error
+        if self.profile is not None:
+            out["profile"] = self.profile.to_json()
+        return out
+
+    @classmethod
+    def from_json(cls, data: Mapping[str, Any]) -> "JobAttempt":
+        """Inverse of :meth:`to_json`; extra keys are ignored. Raises
+        ``KeyError`` / ``ValueError`` / ``TypeError`` on a mapping that
+        is not an attempt record."""
+        profile = data.get("profile")
+        return cls(
+            job_name=data["job_name"],
+            transformation=data["transformation"],
+            site=data["site"],
+            machine=data["machine"],
+            attempt=data["attempt"],
+            submit_time=data["submit_time"],
+            setup_start=data["setup_start"],
+            exec_start=data["exec_start"],
+            exec_end=data["exec_end"],
+            status=JobStatus(data["status"]),
+            error=data.get("error"),
+            profile=(
+                ResourceProfile.from_json(profile)
+                if isinstance(profile, dict)
+                else None
+            ),
+        )
 
     @property
     def waiting_time(self) -> float:

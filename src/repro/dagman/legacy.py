@@ -90,8 +90,6 @@ class LegacyRescanScheduler(DagmanScheduler):
 
     def _handle_completion(self, name: str, attempt: JobAttempt) -> None:
         self.trace.add(attempt)
-        if self.on_attempt is not None:
-            self.on_attempt(attempt)
         self._in_flight -= 1
         if attempt.status.is_success:
             self._failed_attempts[name] = 0

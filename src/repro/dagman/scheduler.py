@@ -168,7 +168,6 @@ class DagmanScheduler:
         *,
         max_jobs: int | None = None,
         default_retries: int | None = None,
-        on_attempt: Callable[[JobAttempt], None] | None = None,
         bus: EventBus | None = None,
         retry_policy: "RetryPolicy | None" = None,
         restore: SchedulerRestore | None = None,
@@ -184,12 +183,6 @@ class DagmanScheduler:
         historic behaviour — immediate requeue, every failure charged
         against the ``RETRY`` budget.
 
-        ``on_attempt`` is the legacy monitord hook, invoked for every
-        finished attempt as it lands (stream attempts to a JSONL log
-        with :func:`repro.wms.monitor.append_attempt`). It predates the
-        bus and is kept for backward compatibility; new code should
-        subscribe to the bus's terminal events instead.
-
         ``restore`` resumes a crashed run: per-job counters and failure
         marks recovered from the write-ahead journal are applied during
         ``start()`` (see :class:`SchedulerRestore`), on top of
@@ -200,7 +193,6 @@ class DagmanScheduler:
         self.environment = environment
         self.max_jobs = max_jobs
         self.default_retries = default_retries
-        self.on_attempt = on_attempt
         self.bus = bus
         self.retry_policy = retry_policy
         self.restore = restore
@@ -500,8 +492,6 @@ class DagmanScheduler:
 
     def _handle_completion(self, name: str, attempt: JobAttempt) -> None:
         self.trace.add(attempt)
-        if self.on_attempt is not None:
-            self.on_attempt(attempt)
         self._in_flight -= 1
         if attempt.status.is_success:
             self._failed_attempts[name] = 0

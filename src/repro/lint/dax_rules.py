@@ -2,8 +2,7 @@
 
 These rules need nothing beyond the :class:`~repro.wms.dax.ADag`
 (DAX002 additionally wants a replica catalog to know what *could* be
-staged in). They absorb and supersede the checks of the deprecated
-``ADag.validate()`` — message wording is kept compatible with it.
+staged in).
 """
 
 from __future__ import annotations

@@ -43,12 +43,7 @@ from repro.observe.anomaly import (
     SloBurnDetector,
     StragglerDetector,
 )
-from repro.observe.bus import (
-    EventBus,
-    EventRecorder,
-    TraceCollector,
-    events_to_trace,
-)
+from repro.observe.bus import EventBus, EventRecorder, events_to_trace
 from repro.observe.chrome_trace import chrome_trace, write_chrome_trace
 from repro.observe.events import (
     TERMINAL_KINDS,
@@ -95,7 +90,6 @@ __all__ = [
     "attribute_makespan",
     "EventBus",
     "EventRecorder",
-    "TraceCollector",
     "events_to_trace",
     "chrome_trace",
     "write_chrome_trace",

@@ -36,9 +36,9 @@ detector                   fires when …
 
 All detectors are deterministic, allocation-light, and advance purely
 on event timestamps (virtual time under the simulators) — no wall
-clock, no threads. Like the span tracer, the monitor ignores its own
-``anomaly.*`` output and ``trace.span`` events on input, so tracer and
-monitor can share one bus without feedback loops.
+clock, no threads. The monitor ignores its own ``anomaly.*`` output on
+input (and the span tracer never emits), so tracer and monitor can
+share one bus without feedback loops.
 """
 
 from __future__ import annotations
@@ -409,10 +409,10 @@ class AnomalyMonitor:
     def __call__(self, event: RunEvent) -> None:
         entry = self._routes.get(event.kind)
         if entry is None:
-            # Unrouted kinds — including our own ``anomaly.*`` output
-            # and the tracer's ``trace.span``, which can never reach a
-            # detector (no feedback loops) — still advance the
-            # straggler's deadline clock while deadlines are armed.
+            # Unrouted kinds — including our own ``anomaly.*`` output,
+            # which can never reach a detector (no feedback loops) —
+            # still advance the straggler's deadline clock while
+            # deadlines are armed.
             if self._deadlines:
                 alerts = self._expire(event.time)
                 if alerts:

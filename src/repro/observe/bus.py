@@ -7,14 +7,11 @@ determinism is preserved); the local backend emits from its driver
 thread too (completions are marshalled there before any callback runs),
 so subscribers never need locks.
 
-Two stock subscribers cover the common cases:
-
-* :class:`EventRecorder` — keep every event in memory (tests, ad-hoc
-  analysis);
-* :class:`TraceCollector` — fold terminal events back into a
-  :class:`~repro.dagman.events.WorkflowTrace`, making the bus a strict
-  superset of the old ``on_attempt`` hook and the single source of
-  truth for ``pegasus-statistics`` style reporting.
+The stock subscriber, :class:`EventRecorder`, keeps every event in
+memory (tests, ad-hoc analysis); :func:`events_to_trace` folds any
+event stream — a recorder's capture or a log read back — into the
+:class:`~repro.dagman.events.WorkflowTrace` that ``pegasus-statistics``
+style reporting runs on.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from typing import Any, Callable, Iterable
 from repro.dagman.events import WorkflowTrace
 from repro.observe.events import EventKind, RunEvent
 
-__all__ = ["EventBus", "EventRecorder", "TraceCollector", "events_to_trace"]
+__all__ = ["EventBus", "EventRecorder", "events_to_trace"]
 
 Subscriber = Callable[[RunEvent], None]
 
@@ -161,19 +158,6 @@ class EventRecorder:
             for e in self.events
             if wanted is None or e.kind in wanted
         ]
-
-
-class TraceCollector:
-    """Fold terminal events into a :class:`WorkflowTrace` as they land."""
-
-    def __init__(self, bus: EventBus | None = None) -> None:
-        self.trace = WorkflowTrace()
-        if bus is not None:
-            bus.subscribe(self, kinds=(EventKind.FINISH, EventKind.EVICT))
-
-    def __call__(self, event: RunEvent) -> None:
-        if event.is_terminal and event.record is not None:
-            self.trace.add(event.record)
 
 
 def events_to_trace(events: Iterable[RunEvent]) -> WorkflowTrace:

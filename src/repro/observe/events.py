@@ -52,9 +52,6 @@ kind                      meaning
 ``service.workflow_done`` a tenant workflow finished (``detail`` has
                           tenant/workflow/succeeded plus turnaround_s
                           and queue_wait_s for SLO accounting)
-``trace.span``            the causal tracer closed a span
-                          (``detail`` has span/kind/trace_id/span_id;
-                          see :mod:`repro.observe.trace`)
 ``anomaly.straggler``     an attempt is running far past its
                           per-transformation baseline (``detail`` has
                           elapsed_s/expected_s/factor)
@@ -112,7 +109,6 @@ class EventKind(Enum):
     SERVICE_ADMIT = "service.admit"
     SERVICE_REJECT = "service.reject"
     SERVICE_WORKFLOW_DONE = "service.workflow_done"
-    TRACE_SPAN = "trace.span"
     ANOMALY_STRAGGLER = "anomaly.straggler"
     ANOMALY_QUEUE_WAIT = "anomaly.queue_wait"
     ANOMALY_BLACKLIST_STORM = "anomaly.blacklist"

@@ -1,26 +1,34 @@
 """JSONL event-log persistence — monitord's ``*.jobstate.log``, typed.
 
 Each event is one self-contained JSON line, so logs stream, append,
-tail, and survive crashes. The schema is a **superset** of the attempt
-schema in :mod:`repro.wms.monitor`: terminal events (``job.finish`` /
-``job.evict``) carry every field of the old per-attempt lines plus an
-``event`` discriminator and an event timestamp ``t``. Consequently:
-
-* :func:`repro.wms.monitor.read_trace` reads an event log and recovers
-  exactly the attempts (it skips non-terminal lines);
-* :func:`read_events` reads an *old* attempt-only log and synthesises
-  the terminal events, so pre-existing logs keep working.
+tail, and survive crashes. A terminal line (``job.finish`` /
+``job.evict``) is an ``event`` discriminator and an event timestamp
+``t`` followed by the attempt record exactly as
+:meth:`JobAttempt.to_json <repro.dagman.events.JobAttempt.to_json>`
+renders it; ``trace.jsonl`` (:func:`repro.wms.monitor.write_trace`) is
+the same record with no header. This module is the only reader of
+either: :func:`iter_events` turns a headerless attempt line into the
+terminal event of that attempt, so
+:func:`~repro.observe.bus.events_to_trace` recovers the same trace from
+both files.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
+from repro.dagman.events import JobAttempt
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
+from repro.observe.events import (
+    TERMINAL_KINDS,
+    EventKind,
+    RunEvent,
+    attempt_events,
+)
 
 __all__ = [
     "EventLogWriter",
@@ -33,18 +41,9 @@ __all__ = [
     "iter_events",
 ]
 
-#: The per-attempt fields shared with :mod:`repro.wms.monitor`.
-ATTEMPT_FIELDS = (
-    "job_name",
-    "transformation",
-    "site",
-    "machine",
-    "attempt",
-    "submit_time",
-    "setup_start",
-    "exec_start",
-    "exec_end",
-)
+#: Line keys that are header or attempt record; every other key of a
+#: line is the event's ``detail``.
+_KNOWN = frozenset({"event", "t", *(f.name for f in fields(JobAttempt))})
 
 
 #: One-slot serialization memo. A run's bus fans each event out to
@@ -92,64 +91,24 @@ def _flatten(event: RunEvent) -> dict:
         if value is not None:
             out[name] = value
     if event.record is not None:
-        for name in ATTEMPT_FIELDS:
-            out[name] = getattr(event.record, name)
-        out["status"] = event.record.status.value
-        if event.record.error:
-            out["error"] = event.record.error
-        if event.record.profile is not None:
-            out["profile"] = event.record.profile.to_json()
+        out.update(event.record.to_json())
     if event.detail:
         for key, value in event.detail.items():
             out.setdefault(key, value)
     return out
 
 
-def _record_from(data: dict) -> JobAttempt:
-    profile = data.get("profile")
-    return JobAttempt(
-        status=JobStatus(data["status"]),
-        error=data.get("error"),
-        profile=(
-            ResourceProfile.from_json(profile)
-            if isinstance(profile, dict)
-            else None
-        ),
-        **{name: data[name] for name in ATTEMPT_FIELDS},
-    )
-
-
 def event_from_json(data: dict) -> RunEvent:
     """Parse one log line back into a :class:`RunEvent`.
 
-    Lines without an ``event`` key are legacy attempt records from
-    :func:`repro.wms.monitor.write_trace`; they become the terminal
-    event of that attempt (``job.finish`` or ``job.evict``).
+    A line without an ``event`` key is a bare attempt record
+    (``trace.jsonl``); it becomes the terminal event of that attempt
+    (``job.finish`` or ``job.evict``).
     """
-    known = {
-        "event", "t", "job_name", "transformation", "site", "machine",
-        "attempt", "status", "error", "profile", *ATTEMPT_FIELDS,
-    }
-    detail = {k: v for k, v in data.items() if k not in known}
-    if "event" not in data:  # legacy monitor.py line
-        record = _record_from(data)
-        kind = (
-            EventKind.EVICT
-            if record.status is JobStatus.EVICTED
-            else EventKind.FINISH
-        )
-        return RunEvent(
-            kind,
-            record.exec_end,
-            job_name=record.job_name,
-            transformation=record.transformation,
-            site=record.site,
-            machine=record.machine,
-            attempt=record.attempt,
-            record=record,
-            detail={"status": record.status.value},
-        )
+    if "event" not in data:
+        return attempt_events(JobAttempt.from_json(data))[-1]
     kind = EventKind(data["event"])
+    detail = {k: v for k, v in data.items() if k not in _KNOWN}
     if "status" in data:
         detail["status"] = data["status"]
     return RunEvent(
@@ -160,7 +119,7 @@ def event_from_json(data: dict) -> RunEvent:
         site=data.get("site"),
         machine=data.get("machine"),
         attempt=data.get("attempt"),
-        record=_record_from(data) if kind in (EventKind.FINISH, EventKind.EVICT) else None,
+        record=JobAttempt.from_json(data) if kind in TERMINAL_KINDS else None,
         detail=detail,
     )
 
@@ -210,13 +169,41 @@ def write_events(path: str | Path, events: Iterable[RunEvent]) -> int:
 
 
 def iter_events(path: str | Path) -> Iterator[RunEvent]:
-    """Stream events from a JSONL log (legacy attempt logs included)."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield event_from_json(json.loads(line))
+    """Stream events from a JSONL log (``events.jsonl`` or ``trace.jsonl``).
+
+    A final line with no newline that does not parse is what a killed
+    writer leaves behind: it is skipped with one note on stderr and the
+    complete prefix stands. Any other line that is not JSON, or is JSON
+    but neither an event nor an attempt record, raises a ``ValueError``
+    that names ``path:lineno``.
+    """
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            if not raw.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                data = json.loads(raw)
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                if raw.endswith(b"\n"):
+                    raise ValueError(f"{where}: not JSON: {exc}") from None
+                print(
+                    f"{where}: ignoring torn final line "
+                    "(the writer was killed mid-record)",
+                    file=sys.stderr,
+                )
+                return
+            if not isinstance(data, dict):
+                raise ValueError(f"{where}: not a JSON object")
+            try:
+                event = event_from_json(data)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"{where}: not an event or attempt record: {exc!r}"
+                ) from None
+            yield event
 
 
 def read_events(path: str | Path) -> list[RunEvent]:
-    """Load a JSONL event log (or legacy attempt log) into memory."""
+    """Load a JSONL log into memory (see :func:`iter_events`)."""
     return list(iter_events(path))

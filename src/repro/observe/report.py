@@ -32,6 +32,8 @@ from repro.observe.analysis import (
     aggregate_components,
     attribute_makespan,
 )
+from repro.observe.bus import events_to_trace
+from repro.observe.log import read_events
 from repro.observe.metrics import Histogram
 from repro.util.units import format_duration
 
@@ -85,50 +87,32 @@ def dag_from_plan_meta(meta: dict) -> "Dag":
     return dag
 
 
-def _try_read_events(path: Path) -> "list | None":
-    """The full event stream when ``path`` is an observe event log
-    (``None`` for classic attempt logs, which carry no lifecycle
-    events to fold into spans)."""
-    from repro.observe.log import read_events
-
-    try:
-        events = read_events(path)
-    except (KeyError, ValueError):
-        return None
-    return events or None
-
-
 def _load_trace_and_dag(
     path: Path,
-) -> tuple[WorkflowTrace, "Dag | None", dict | None, "list | None", str]:
+) -> tuple[WorkflowTrace, "Dag | None", dict | None, list, str]:
     """(trace, dag, metrics, events, label) from a run directory or
-    log file."""
-    from repro.wms.monitor import read_trace
-
-    dag = None
-    metrics = None
-    events_list = None
+    log file. The log is parsed once; the trace is its terminal
+    events' records."""
+    dag: "Dag | None" = None
+    metrics: dict | None = None
+    source, label = path, path.stem  # a bare JSONL log, unless:
     if path.is_dir():
-        events = path / "events.jsonl"
-        trace_log = path / "trace.jsonl"
-        source = events if events.exists() else trace_log
+        source = path / "events.jsonl"
+        if not source.exists():
+            source = path / "trace.jsonl"
         if not source.exists():
             raise FileNotFoundError(
                 f"no events.jsonl or trace.jsonl under {path}"
             )
-        trace = read_trace(source)
-        if events.exists():
-            events_list = _try_read_events(events)
+        label = path.name or str(path)
         plan = path / "plan.json"
         if plan.exists():
             dag = dag_from_plan_meta(json.loads(plan.read_text()))
         metrics_path = path / "metrics.json"
         if metrics_path.exists():
             metrics = json.loads(metrics_path.read_text())
-        return trace, dag, metrics, events_list, path.name or str(path)
-    # A bare JSONL log (classic trace or observe event log).
-    trace = read_trace(path)
-    return trace, None, None, _try_read_events(path), path.stem
+    events = read_events(source)
+    return events_to_trace(events), dag, metrics, events, label
 
 
 def load_report(path: str | Path, *, label: str | None = None) -> dict:

@@ -45,11 +45,10 @@ Zero cost when detached: the tracer is just another bus subscriber, so
 the PR 7 ``bus.active`` fast path still skips event *construction*
 entirely when nothing listens; :func:`spans_created` exposes a process
 counter the benchmarks assert stays flat on an untraced run. Near-zero
-cost when attached: by default the tracer only *buffers* events during
+cost when attached: the tracer only *buffers* events during
 the run (one list append each) and runs the causal fold once in
 :meth:`SpanTracer.finish` — the record-cheap / process-at-export split
-tracing backends use; ``announce=True`` opts into online folding so
-each span close is re-emitted live as a ``trace.span`` event.
+tracing backends use.
 
 Exports: :func:`write_otlp_trace` (OTLP-JSON, one resourceSpans
 envelope) and :func:`write_perfetto_trace` (Perfetto protobuf-JSON
@@ -71,6 +70,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
+from repro.util.iolib import atomic_write
 
 __all__ = [
     "Span",
@@ -168,12 +168,8 @@ class SpanTracer:
     Attach with ``bus.subscribe(tracer)`` (or pass ``bus=``); call
     :meth:`finish` after the run to close any still-open spans. The
     same instance also works offline over a recorded event list (see
-    :func:`spans_from_events`).
-
-    With ``announce=True`` and an active bus, every span close emits a
-    ``trace.span`` event — which the tracer itself ignores on input,
-    as it does all ``anomaly.*`` kinds, so monitors and tracers can
-    share one bus without feedback.
+    :func:`spans_from_events`). It never emits, so tracers and
+    monitors can share one bus without feedback.
     """
 
     def __init__(
@@ -182,12 +178,9 @@ class SpanTracer:
         *,
         seed: str = "repro",
         bus: EventBus | None = None,
-        announce: bool = False,
     ) -> None:
         self.trace_id = trace_id or derive_trace_id(seed)
         self.spans: list[Span] = []
-        self._bus = bus
-        self._announce = announce
         self._counts: dict[str, int] = {}
         self._run: Span | None = None
         self._workflows: dict[str, Span] = {}
@@ -201,28 +194,26 @@ class SpanTracer:
         self._pending_resume: dict[str, object] | None = None
         self._pending_rescue: dict[str, object] | None = None
         self._last_time = 0.0
-        # Per-kind dispatch: one dict probe on the hot path. Kinds
+        # Per-kind dispatch: one dict probe per folded event. Kinds
         # outside the span model — exec starts, utilization samples,
-        # resilience instants, the tracer's own ``trace.span`` output
-        # and the monitor's ``anomaly.*`` families — miss the table
-        # and return immediately, so tracers and monitors can share a
-        # bus without feedback loops.
+        # resilience instants and the monitor's ``anomaly.*`` families
+        # — miss the table and are skipped.
         self._handlers: dict[EventKind, Callable[[RunEvent, float], None]] = {
-            EventKind.WORKFLOW_START: self._h_workflow_start,
-            EventKind.WORKFLOW_END: self._h_workflow_end,
-            EventKind.SUBMIT: self._h_submit,
-            EventKind.STATE_CHANGE: self._h_state_change,
-            EventKind.FINISH: self._h_terminal,
-            EventKind.EVICT: self._h_terminal,
-            EventKind.MATCH: self._h_match,
-            EventKind.RETRY: self._h_retry,
-            EventKind.TIMEOUT: self._h_timeout,
-            EventKind.RESCUE: self._h_rescue,
-            EventKind.JOURNAL_RESUME: self._h_journal_resume,
-            EventKind.SERVICE_SUBMIT: self._h_service_submit,
-            EventKind.SERVICE_ADMIT: self._h_service_admit,
-            EventKind.SERVICE_REJECT: self._h_service_reject,
-            EventKind.SERVICE_WORKFLOW_DONE: self._h_service_done,
+            EventKind.WORKFLOW_START: self._on_workflow_start,
+            EventKind.WORKFLOW_END: self._on_workflow_end,
+            EventKind.SUBMIT: self._on_submit,
+            EventKind.STATE_CHANGE: self._on_state_change,
+            EventKind.FINISH: self._on_terminal,
+            EventKind.EVICT: self._on_terminal,
+            EventKind.MATCH: self._on_match,
+            EventKind.RETRY: self._on_retry,
+            EventKind.TIMEOUT: self._on_timeout,
+            EventKind.RESCUE: self._on_rescue,
+            EventKind.JOURNAL_RESUME: self._on_journal_resume,
+            EventKind.SERVICE_SUBMIT: self._on_service_submit,
+            EventKind.SERVICE_ADMIT: self._on_service_admit,
+            EventKind.SERVICE_REJECT: self._on_service_reject,
+            EventKind.SERVICE_WORKFLOW_DONE: self._on_service_done,
         }
         if bus is not None:
             bus.subscribe(self)
@@ -257,26 +248,6 @@ class SpanTracer:
             return
         span.end = max(end, span.start)
         span.status = status
-        if self._announce and self._bus is not None and self._bus.active:
-            self._bus.emit(
-                RunEvent(
-                    EventKind.TRACE_SPAN,
-                    span.end,
-                    job_name=(
-                        str(span.attributes["job"])
-                        if "job" in span.attributes
-                        else None
-                    ),
-                    detail={
-                        "span": span.name,
-                        "span_kind": span.kind,
-                        "trace_id": span.trace_id,
-                        "span_id": span.span_id,
-                        "duration_s": span.duration,
-                        "status": status,
-                    },
-                )
-            )
 
     def _ensure_run(self, t: float) -> Span:
         if self._run is None:
@@ -296,75 +267,39 @@ class SpanTracer:
         # *records* (one append per event); the causal fold runs once in
         # :meth:`finish`, off the simulated run's hot path — the same
         # record-cheap / process-offline split real tracing backends
-        # use. ``announce=True`` opts back into online folding, since
-        # live ``trace.span`` emission needs spans to exist live.
-        if self._announce:
-            self._ingest(event)
-        else:
-            self._buffer.append(event)
-
-    def _ingest(self, event: RunEvent) -> None:
-        handler = self._handlers.get(event.kind)
-        if handler is None:
-            return  # outside the span model (see _handlers comment)
-        t = event.time
-        if t > self._last_time:
-            self._last_time = t
-        handler(event, t)
+        # use.
+        self._buffer.append(event)
 
     @staticmethod
     def _scope(event: RunEvent) -> str:
         workflow = event.detail.get("workflow")
         return str(workflow) if workflow else ""
 
-    def _h_workflow_start(self, event: RunEvent, t: float) -> None:
-        self._on_workflow_start(
-            event, self._ensure_run(t), self._scope(event), t
-        )
-
-    def _h_workflow_end(self, event: RunEvent, t: float) -> None:
+    def _on_workflow_end(self, event: RunEvent, t: float) -> None:
         span = self._workflows.pop(self._scope(event), None)
         if span is not None:
             self._close(span, t)
             self._last_workflow[self._scope(event)] = span
 
-    def _h_submit(self, event: RunEvent, t: float) -> None:
-        self._on_submit(event, self._ensure_run(t), self._scope(event), t)
-
-    def _h_state_change(self, event: RunEvent, t: float) -> None:
-        self._ensure_run(t)
-        self._on_state_change(event, self._scope(event), t)
-
-    def _h_terminal(self, event: RunEvent, t: float) -> None:
-        self._on_terminal(event, self._scope(event))
-
-    def _h_match(self, event: RunEvent, t: float) -> None:
-        self._on_match(event, self._scope(event), t)
-
-    def _h_retry(self, event: RunEvent, t: float) -> None:
+    def _on_retry(self, event: RunEvent, t: float) -> None:
         state = self._jobs.get((self._scope(event), event.job_name or ""))
         if state is not None:
             retries = state.span.attributes.get("retries", 0)
             state.span.attributes["retries"] = int(retries) + 1  # type: ignore[call-overload]
 
-    def _h_timeout(self, event: RunEvent, t: float) -> None:
+    def _on_timeout(self, event: RunEvent, t: float) -> None:
         state = self._jobs.get((self._scope(event), event.job_name or ""))
         if state is not None and event.attempt in state.attempts:
             state.attempts[event.attempt].attributes["timeout"] = True
 
-    def _h_rescue(self, event: RunEvent, t: float) -> None:
+    def _on_rescue(self, event: RunEvent, t: float) -> None:
         self._pending_rescue = dict(event.detail)
 
-    def _h_journal_resume(self, event: RunEvent, t: float) -> None:
+    def _on_journal_resume(self, event: RunEvent, t: float) -> None:
         self._pending_resume = dict(event.detail)
         self._ensure_run(t).attributes["resumed"] = True
 
-    def _h_service_submit(self, event: RunEvent, t: float) -> None:
-        self._on_service_submit(
-            event, self._ensure_run(t), self._scope(event), t
-        )
-
-    def _h_service_admit(self, event: RunEvent, t: float) -> None:
+    def _on_service_admit(self, event: RunEvent, t: float) -> None:
         scope = self._scope(event)
         admission = self._admissions.pop(scope, None)
         if admission is not None:
@@ -373,7 +308,7 @@ class SpanTracer:
         if service is not None:
             service.attributes["admitted"] = True
 
-    def _h_service_reject(self, event: RunEvent, t: float) -> None:
+    def _on_service_reject(self, event: RunEvent, t: float) -> None:
         scope = self._scope(event)
         admission = self._admissions.pop(scope, None)
         if admission is not None:
@@ -385,7 +320,7 @@ class SpanTracer:
         if service is not None:
             self._close(service, t, status="error")
 
-    def _h_service_done(self, event: RunEvent, t: float) -> None:
+    def _on_service_done(self, event: RunEvent, t: float) -> None:
         service = self._services.pop(self._scope(event), None)
         if service is not None:
             succeeded = bool(event.detail.get("succeeded", True))
@@ -394,9 +329,9 @@ class SpanTracer:
                     service.attributes[attr] = event.detail[attr]
             self._close(service, t, status="ok" if succeeded else "error")
 
-    def _on_workflow_start(
-        self, event: RunEvent, run: Span, scope: str, t: float
-    ) -> None:
+    def _on_workflow_start(self, event: RunEvent, t: float) -> None:
+        run = self._ensure_run(t)
+        scope = self._scope(event)
         parent: Span = self._services.get(scope, run)
         name = f"workflow:{scope}" if scope else "workflow"
         attrs: dict[str, object] = {}
@@ -430,9 +365,9 @@ class SpanTracer:
             self._pending_resume = None
         self._workflows[scope] = span
 
-    def _on_submit(
-        self, event: RunEvent, run: Span, scope: str, t: float
-    ) -> None:
+    def _on_submit(self, event: RunEvent, t: float) -> None:
+        run = self._ensure_run(t)
+        scope = self._scope(event)
         name = event.job_name or ""
         key = (scope, name)
         state = self._jobs.get(key)
@@ -507,7 +442,9 @@ class SpanTracer:
             )
         state.attempts[attempt] = aspan
 
-    def _on_state_change(self, event: RunEvent, scope: str, t: float) -> None:
+    def _on_state_change(self, event: RunEvent, t: float) -> None:
+        self._ensure_run(t)
+        scope = self._scope(event)
         to = str(event.detail.get("to", ""))
         name = event.job_name or ""
         if to == "ready" and "released_by" in event.detail:
@@ -519,11 +456,11 @@ class SpanTracer:
                     state.span, t, status="ok" if to == "done" else "error"
                 )
 
-    def _on_terminal(self, event: RunEvent, scope: str) -> None:
+    def _on_terminal(self, event: RunEvent, t: float) -> None:
         record = event.record
         if record is None:
             return
-        state = self._jobs.get((scope, event.job_name or ""))
+        state = self._jobs.get((self._scope(event), event.job_name or ""))
         if state is None:
             return
         aspan = state.attempts.get(record.attempt)
@@ -585,8 +522,8 @@ class SpanTracer:
             )
             self._close(execution, record.exec_end)
 
-    def _on_match(self, event: RunEvent, scope: str, t: float) -> None:
-        state = self._jobs.get((scope, event.job_name or ""))
+    def _on_match(self, event: RunEvent, t: float) -> None:
+        state = self._jobs.get((self._scope(event), event.job_name or ""))
         if state is None:
             return
         aspan = state.attempts.get(event.attempt or 1)
@@ -598,9 +535,9 @@ class SpanTracer:
         if "queue_depth" in event.detail:
             aspan.attributes["queue_depth"] = event.detail["queue_depth"]
 
-    def _on_service_submit(
-        self, event: RunEvent, run: Span, scope: str, t: float
-    ) -> None:
+    def _on_service_submit(self, event: RunEvent, t: float) -> None:
+        run = self._ensure_run(t)
+        scope = self._scope(event)
         attrs: dict[str, object] = {}
         for extra in ("tenant", "workflow", "jobs"):
             if extra in event.detail:
@@ -621,11 +558,15 @@ class SpanTracer:
         """Fold any buffered events into spans, close every still-open
         span (children before parents) and return the full span list.
 
-        Until this is called, :attr:`spans` is empty unless the tracer
-        was constructed with ``announce=True`` (online folding)."""
+        Until this is called, :attr:`spans` is empty."""
         buffered, self._buffer = self._buffer, []
         for event in buffered:
-            self._ingest(event)
+            handler = self._handlers.get(event.kind)
+            if handler is None:
+                continue  # outside the span model (see _handlers comment)
+            if event.time > self._last_time:
+                self._last_time = event.time
+            handler(event, event.time)
         self._materialize_phases()
         end = self._last_time if at is None else max(at, self._last_time)
         for span in reversed(self.spans):
@@ -838,11 +779,10 @@ def write_otlp_trace(
     path: str | Path, spans: Sequence[Span], **kwargs: object
 ) -> Path:
     """Write :func:`to_otlp_json` output to ``path`` and return it."""
-    out = Path(path)
-    out.write_text(
-        json.dumps(to_otlp_json(spans, **kwargs), indent=1) + "\n"  # type: ignore[arg-type]
+    return atomic_write(
+        path,
+        json.dumps(to_otlp_json(spans, **kwargs), indent=1) + "\n",  # type: ignore[arg-type]
     )
-    return out
 
 
 # -- Perfetto protobuf-JSON export -----------------------------------
@@ -945,6 +885,6 @@ def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
 
 def write_perfetto_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     """Write :func:`to_perfetto_json` output to ``path`` and return it."""
-    out = Path(path)
-    out.write_text(json.dumps(to_perfetto_json(spans), indent=1) + "\n")
-    return out
+    return atomic_write(
+        path, json.dumps(to_perfetto_json(spans), indent=1) + "\n"
+    )

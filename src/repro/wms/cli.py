@@ -536,7 +536,11 @@ def _load_trace(submit_dir: str):
     if not path.exists():
         print(f"no trace at {path}; run repro-run first", file=sys.stderr)
         raise SystemExit(2)
-    return read_trace(path)
+    try:
+        return read_trace(path)
+    except ValueError as exc:  # a damaged line, named path:lineno
+        print(exc, file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def main_status(argv: list[str] | None = None) -> int:
@@ -576,7 +580,11 @@ def main_status(argv: list[str] | None = None) -> int:
 
     view = StatusView(total_jobs=total_jobs)
     if not args.follow:
-        view.feed(iter_events(events_path))
+        try:
+            view.feed(iter_events(events_path))
+        except ValueError as exc:  # a damaged line, named path:lineno
+            print(exc, file=sys.stderr)
+            return 2
         print(view.render())
         return 0
 

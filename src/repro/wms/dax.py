@@ -156,25 +156,6 @@ class ADag:
     def __len__(self) -> int:
         return len(self.jobs)
 
-    def validate(self) -> list[str]:
-        """Deprecated: use :func:`repro.lint.lint` instead.
-
-        Thin shim over the DAX pass of the rule-based linter; returns
-        the finding messages (empty = clean) so existing callers keep
-        working. New code should call ``lint(adag)`` and inspect the
-        structured :class:`~repro.lint.Report`.
-        """
-        import warnings
-
-        warnings.warn(
-            "ADag.validate() is deprecated; use repro.lint.lint(adag)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.lint import lint
-
-        return [f.message for f in lint(self).findings]
-
     # -- DAX XML ----------------------------------------------------------
 
     def to_xml(self) -> str:

@@ -1,8 +1,11 @@
-"""Trace persistence: the monitord-style JSONL event log.
+"""Trace persistence: the attempt-per-line ``trace.jsonl``.
 
-Every finished attempt becomes one JSON line, so logs stream, append,
-and survive crashes (each line is self-contained). ``pegasus-status``
-style progress summaries read the same file.
+One finished attempt is one JSON line —
+:meth:`JobAttempt.to_json <repro.dagman.events.JobAttempt.to_json>`,
+the same record an ``events.jsonl`` terminal line carries after its
+header — and :mod:`repro.observe.log` is the one reader of both files,
+so :func:`read_trace` recovers the same trace from either.
+``pegasus-status`` style progress summaries read the same trace.
 """
 
 from __future__ import annotations
@@ -11,89 +14,27 @@ import json
 from pathlib import Path
 from typing import Iterable
 
-from repro.dagman.events import (
-    JobAttempt,
-    JobStatus,
-    ResourceProfile,
-    WorkflowTrace,
-)
+from repro.dagman.events import JobAttempt, WorkflowTrace
+from repro.observe.bus import events_to_trace
+from repro.observe.log import iter_events
+from repro.util.iolib import atomic_write
 
-__all__ = ["write_trace", "read_trace", "append_attempt", "progress_line"]
-
-_FIELDS = (
-    "job_name",
-    "transformation",
-    "site",
-    "machine",
-    "attempt",
-    "submit_time",
-    "setup_start",
-    "exec_start",
-    "exec_end",
-)
-
-
-def _to_dict(attempt: JobAttempt) -> dict:
-    record = {name: getattr(attempt, name) for name in _FIELDS}
-    record["status"] = attempt.status.value
-    if attempt.error:
-        record["error"] = attempt.error
-    if attempt.profile is not None:
-        record["profile"] = attempt.profile.to_json()
-    return record
-
-
-def _from_dict(record: dict) -> JobAttempt:
-    profile = record.get("profile")
-    return JobAttempt(
-        status=JobStatus(record["status"]),
-        error=record.get("error"),
-        profile=(
-            ResourceProfile.from_json(profile)
-            if isinstance(profile, dict)
-            else None
-        ),
-        **{name: record[name] for name in _FIELDS},
-    )
-
-
-def append_attempt(path: str | Path, attempt: JobAttempt) -> None:
-    """Append one attempt to a JSONL log (creating it if needed)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(_to_dict(attempt)) + "\n")
+__all__ = ["write_trace", "read_trace", "progress_line"]
 
 
 def write_trace(path: str | Path, trace: WorkflowTrace | Iterable[JobAttempt]) -> int:
     """Write a whole trace as JSONL; returns the attempt count."""
     attempts = list(trace)
-    payload = "".join(json.dumps(_to_dict(a)) + "\n" for a in attempts)
-    from repro.util.iolib import atomic_write
-
-    atomic_write(path, payload)
+    atomic_write(
+        path, "".join(json.dumps(a.to_json()) + "\n" for a in attempts)
+    )
     return len(attempts)
 
 
 def read_trace(path: str | Path) -> WorkflowTrace:
-    """Load a JSONL log back into a trace.
-
-    Accepts both the classic attempt-per-line logs this module writes
-    and the richer :mod:`repro.observe.log` event logs — those are a
-    superset schema whose terminal events (``job.finish``/``job.evict``)
-    carry every attempt field. Lines describing non-terminal lifecycle
-    events (submits, state changes, samples, …) are skipped, so the
-    recovered trace is identical either way.
-    """
-    trace = WorkflowTrace()
-    for line in Path(path).read_text().splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if not all(name in record for name in (*_FIELDS, "status")):
-            continue  # a non-terminal observe-layer event line
-        trace.add(_from_dict(record))
-    return trace
+    """Load the attempts of a ``trace.jsonl`` or an ``events.jsonl``
+    (whose non-terminal lines carry no attempt and are passed over)."""
+    return events_to_trace(iter_events(path))
 
 
 def progress_line(trace: WorkflowTrace, total_jobs: int) -> str:

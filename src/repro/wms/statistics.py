@@ -28,7 +28,6 @@ __all__ = [
     "SiteStats",
     "WorkflowStatistics",
     "summarize",
-    "summarize_events",
     "per_transformation",
     "per_site",
     "critical_path",
@@ -257,28 +256,6 @@ def summarize(
         unattempted_jobs=(
             planned - len(attempted_names) if planned is not None else 0
         ),
-    )
-
-
-def summarize_events(
-    events,
-    *,
-    dag=None,
-    expected_jobs: int | None = None,
-) -> WorkflowStatistics:
-    """Summarize straight from a :mod:`repro.observe` event stream.
-
-    The live view and the statistics report share one source of truth:
-    terminal events carry the full attempt records, so this is exactly
-    :func:`summarize` over the trace they reconstruct. ``events`` is
-    any iterable of :class:`repro.observe.events.RunEvent` (e.g. an
-    :class:`~repro.observe.bus.EventRecorder`'s capture, or
-    :func:`repro.observe.log.read_events` over a JSONL log).
-    """
-    from repro.observe.bus import events_to_trace
-
-    return summarize(
-        events_to_trace(events), dag=dag, expected_jobs=expected_jobs
     )
 
 

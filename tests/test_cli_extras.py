@@ -1,5 +1,5 @@
 """Tests for the newer CLI features: cloud site, clustering/cleanup
-flags, live monitord hook, and --validate."""
+flags, live attempt streaming, and --validate."""
 
 import json
 
@@ -11,7 +11,8 @@ from repro.core.cli import main as blast2cap3_main
 from repro.dagman.scheduler import DagmanScheduler
 from repro.datagen.workload import generate_blast2cap3_workload
 from repro.wms.cli import main_plan, main_run, main_statistics
-from repro.wms.monitor import append_attempt, read_trace
+from repro.observe import EventBus, EventLogWriter
+from repro.wms.monitor import read_trace
 
 
 class TestCloudCli:
@@ -77,17 +78,12 @@ class TestMonitordHook:
         planned = plan(adag, site_name="sandhills", sites=sites,
                        transformations=tc, replicas=rc)
         log = tmp_path / "live.jsonl"
-        env = CampusCluster(Simulator(), streams=RngStreams(seed=0))
-        result = DagmanScheduler(
-            planned.dag, env,
-            on_attempt=lambda a: append_attempt(log, a),
-        ).run()
+        bus = EventBus()
+        env = CampusCluster(Simulator(), streams=RngStreams(seed=0), bus=bus)
+        with EventLogWriter(log, bus):
+            result = DagmanScheduler(planned.dag, env, bus=bus).run()
         assert result.success
-        streamed = read_trace(log)
-        assert len(streamed) == len(result.trace)
-        assert {a.job_name for a in streamed} == {
-            a.job_name for a in result.trace
-        }
+        assert read_trace(log) == result.trace
 
 
 class TestValidateFlag:

@@ -1,4 +1,4 @@
-"""ADag.validate() tests plus extra bio property tests (ORF symmetry,
+"""DAX-pass lint findings on hand-built ADags plus extra bio property tests (ORF symmetry,
 affine/linear relationships over random sequences)."""
 
 import pytest
@@ -7,20 +7,25 @@ from hypothesis import given, settings, strategies as st
 from repro.bio.orf import find_orfs
 from repro.bio.seq import reverse_complement
 from repro.core.workflow_factory import build_blast2cap3_adag
+from repro.lint import lint
 from repro.wms.dax import ADag, AbstractJob, File
 from repro.wms.statistics import render_site_breakdown
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=120)
 
 
+def problems(adag):
+    return [f.message for f in lint(adag).findings]
+
+
 class TestAdagValidate:
     def test_blast2cap3_adag_is_clean(self):
-        assert build_blast2cap3_adag(10).validate() == []
+        assert problems(build_blast2cap3_adag(10)) == []
 
     def test_job_without_files_flagged(self):
         adag = ADag(name="w")
         adag.add_job(AbstractJob(id="bare", transformation="t"))
-        assert any("uses no files" in p for p in adag.validate())
+        assert any("uses no files" in p for p in problems(adag))
 
     def test_size_disagreement_flagged(self):
         adag = ADag(name="w")
@@ -34,7 +39,7 @@ class TestAdagValidate:
                 File("x.dat", size=999)
             )
         )
-        assert any("sizes" in p for p in adag.validate())
+        assert any("sizes" in p for p in problems(adag))
 
     def test_duplicate_producer_flagged(self):
         adag = ADag(name="w")
@@ -44,7 +49,7 @@ class TestAdagValidate:
                     File("x.dat")
                 )
             )
-        assert any("produced by both" in p for p in adag.validate())
+        assert any("produced by both" in p for p in problems(adag))
 
     def test_redundant_explicit_edge_flagged(self):
         adag = ADag(name="w")
@@ -55,7 +60,7 @@ class TestAdagValidate:
             AbstractJob(id="b", transformation="t").add_input(File("x.dat"))
         )
         adag.add_dependency("a", "b")
-        assert any("duplicates a data dependency" in p for p in adag.validate())
+        assert any("duplicates a data dependency" in p for p in problems(adag))
 
 
 class TestOrfProperties:

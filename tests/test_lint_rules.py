@@ -486,16 +486,6 @@ class TestRuleTable:
         assert "DAX003" in report.checked_rules
 
 
-class TestValidateShim:
-    def test_validate_is_deprecated_but_compatible(self):
-        adag = adag_of(job("bare"))
-        with pytest.warns(DeprecationWarning, match="repro.lint"):
-            problems = adag.validate()
-        assert any("uses no files" in p for p in problems)
-
-    def test_validate_clean(self):
-        with pytest.warns(DeprecationWarning):
-            assert build_blast2cap3_adag(5).validate() == []
 
 
 class TestCycleHelper:

@@ -23,7 +23,6 @@ from repro.observe import (
     MetricsRegistry,
     RunEvent,
     StatusView,
-    TraceCollector,
     UtilizationSample,
     UtilizationSampler,
     attempt_events,
@@ -40,7 +39,6 @@ from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.wms.monitor import read_trace, write_trace
-from repro.wms.statistics import summarize, summarize_events
 
 
 def make_attempt(
@@ -122,16 +120,6 @@ class TestEventBus:
     def test_terminal_event_requires_record(self):
         with pytest.raises(ValueError, match="must carry a record"):
             RunEvent(EventKind.FINISH, 1.0, job_name="j")
-
-    def test_trace_collector_folds_terminals(self):
-        bus = EventBus()
-        collector = TraceCollector(bus)
-        record = make_attempt()
-        bus.emit(RunEvent(EventKind.SUBMIT, 0.0, job_name="j1"))
-        bus.emit(
-            RunEvent(EventKind.FINISH, 30.0, job_name="j1", record=record)
-        )
-        assert list(collector.trace) == [record]
 
     def test_recorder_sequence_strips_timestamps(self):
         bus = EventBus()
@@ -340,11 +328,6 @@ class TestEventLog:
         back = event_from_json(line)
         assert back.kind is EventKind.SUBMIT and back.record is None
 
-    def test_summarize_events_matches_summarize(self):
-        events = self.events()
-        trace = events_to_trace(events)
-        assert summarize_events(events) == summarize(trace)
-
 
 class TestChromeTrace:
     def trace(self):
@@ -508,11 +491,11 @@ class TestCrossBackend:
 
     def test_bus_trace_equals_scheduler_trace(self):
         bus = EventBus()
-        collector = TraceCollector(bus)
+        recorder = EventRecorder(bus)
         simulator = Simulator()
         env = CampusCluster(simulator, streams=RngStreams(seed=1), bus=bus)
         result = DagmanScheduler(chain_dag(), env, bus=bus).run()
-        assert collector.trace == result.trace
+        assert events_to_trace(recorder.events) == result.trace
 
     def test_event_log_round_trip_of_simulated_run(self, tmp_path):
         bus = EventBus()

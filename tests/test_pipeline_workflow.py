@@ -12,6 +12,7 @@ from repro.core.pipeline_workflow import (
 from repro.datagen.proteins import random_protein_db
 from repro.datagen.reads import ReadSimSpec, simulate_paired_reads
 from repro.datagen.transcripts import TranscriptomeSpec, generate_transcriptome
+from repro.lint import lint
 
 
 class TestPipelineAdag:
@@ -37,7 +38,7 @@ class TestPipelineAdag:
         assert [f.name for f in adag.final_outputs()] == [PIPELINE_FINAL_LFN]
 
     def test_validates_clean(self):
-        assert build_pipeline_adag(3).validate() == []
+        assert lint(build_pipeline_adag(3)).findings == []
 
     def test_invalid_lanes(self):
         with pytest.raises(ValueError):

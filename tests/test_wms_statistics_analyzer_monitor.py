@@ -10,7 +10,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.wms.analyzer import analyze, render_analysis
 from repro.wms.monitor import (
-    append_attempt,
     progress_line,
     read_trace,
     write_trace,
@@ -154,12 +153,6 @@ class TestMonitor:
             path, [attempt("x", status=JobStatus.FAILED, error="stack trace")]
         )
         assert read_trace(path).attempts[0].error == "stack trace"
-
-    def test_append(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        append_attempt(path, attempt("a"))
-        append_attempt(path, attempt("b"))
-        assert len(read_trace(path)) == 2
 
     def test_progress_line(self):
         line = progress_line(sample_trace(), total_jobs=10)
