@@ -58,7 +58,7 @@ SEED = 0
 SAMPLE_INTERVAL_S = 300.0
 #: CI gate (repro-report compare --fail-on tracing_overhead_pct=10).
 OVERHEAD_GATE_PCT = 10.0
-OVERHEAD_REPEATS = 3
+OVERHEAD_REPEATS = 5
 
 
 def _observed_run(platform, model):
@@ -138,14 +138,14 @@ def test_observability_smoke(paper_model, benchmark, tmp_path):
     bench_sections: dict[str, dict] = {}
     # Span-tracing cost, measured once on the cheaper platform: best
     # of K fully-observed runs with vs without the tracer + monitor.
-    bare = min(
-        _timed_run("sandhills", paper_model, tmp_path, traced=False)
-        for _ in range(OVERHEAD_REPEATS)
-    )
-    traced = min(
-        _timed_run("sandhills", paper_model, tmp_path, traced=True)
-        for _ in range(OVERHEAD_REPEATS)
-    )
+    # The arms alternate, so a slow minute on the host falls on both
+    # and does not read as overhead.
+    bare = traced = float("inf")
+    for _ in range(OVERHEAD_REPEATS):
+        bare = min(bare, _timed_run(
+            "sandhills", paper_model, tmp_path, traced=False))
+        traced = min(traced, _timed_run(
+            "sandhills", paper_model, tmp_path, traced=True))
     overhead_pct = max(0.0, (traced - bare) / bare * 100.0)
     assert overhead_pct < OVERHEAD_GATE_PCT, (
         f"span tracing costs {overhead_pct:.1f}% "

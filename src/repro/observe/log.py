@@ -32,6 +32,7 @@ from repro.observe.events import (
 
 __all__ = [
     "EventLogWriter",
+    "compact_json",
     "event_to_json",
     "event_to_json_line",
     "event_from_json",
@@ -44,6 +45,12 @@ __all__ = [
 #: Line keys that are header or attempt record; every other key of a
 #: line is the event's ``detail``.
 _KNOWN = frozenset({"event", "t", *(f.name for f in fields(JobAttempt))})
+
+
+#: ``json.dumps(obj, separators=(",", ":"))`` without the encoder that
+#: call builds each time: the one compact form every event-log line and
+#: journal record is written in (and the journal's CRC is taken over).
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 #: One-slot serialization memo. A run's bus fans each event out to
@@ -64,7 +71,7 @@ def serialize_event(event: RunEvent) -> tuple[dict, str]:
     if memo is not None and memo[0] is event:
         return memo[1], memo[2]
     data = _flatten(event)
-    line = json.dumps(data, separators=(",", ":"))
+    line = compact_json(data)
     _memo = (event, data, line)
     return data, line
 

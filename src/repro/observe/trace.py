@@ -64,6 +64,8 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -697,6 +699,13 @@ def critical_path_from_spans(spans: Sequence[Span]) -> SpanCriticalPath:
 
 
 # -- OTLP-JSON export -------------------------------------------------
+#
+# One document, two renderings: :func:`to_otlp_json` builds it as a dict
+# (the public API, and the reference the tests hold the writer to) and
+# :func:`write_otlp_trace` prints the same document as indented text
+# straight from the spans. What the two must agree on — value typing,
+# status codes, field names and order, resource and scope — is decided
+# by the definitions below and read by both.
 
 _OTLP_STATUS = {
     "unset": "STATUS_CODE_UNSET",
@@ -704,19 +713,76 @@ _OTLP_STATUS = {
     "error": "STATUS_CODE_ERROR",
 }
 
+_OTLP_SCOPE = {"name": "repro.observe.trace", "version": "1"}
 
-def _otlp_value(value: object) -> dict[str, object]:
+#: A span's string-valued fields in wire order; ``attributes``,
+#: ``status`` and the optional ``parentSpanId`` and ``links`` follow.
+_OTLP_SPAN_FIELDS = (
+    "traceId",
+    "spanId",
+    "name",
+    "kind",
+    "startTimeUnixNano",
+    "endTimeUnixNano",
+)
+_OTLP_LINK_FIELDS = ("traceId", "spanId")
+
+
+def _otlp_value(value: object) -> tuple[str, bool | str | float]:
+    """The proto3-JSON ``AnyValue`` for *value* as (field, scalar); the
+    scalar is a ``bool``, a ``str`` or a finite ``float``."""
     if isinstance(value, bool):
-        return {"boolValue": value}
+        return "boolValue", value
     if isinstance(value, int):
-        return {"intValue": str(value)}  # proto3 JSON: int64 as string
+        return "intValue", str(value)  # proto3 JSON: int64 as string
     if isinstance(value, float):
-        return {"doubleValue": value}
-    return {"stringValue": str(value)}
+        if isfinite(value):
+            return "doubleValue", value
+        # proto3 JSON spells these as strings; a bare Infinity or NaN
+        # token is not JSON and makes a collector reject the whole file.
+        if value != value:
+            return "doubleValue", "NaN"
+        return "doubleValue", "Infinity" if value > 0 else "-Infinity"
+    return "stringValue", str(value)
+
+
+def _otlp_span_fields(s: Span) -> tuple[str, ...]:
+    """Values for :data:`_OTLP_SPAN_FIELDS`; an open span ends where it
+    starts."""
+    end = s.end if s.end is not None else s.start
+    return (
+        s.trace_id,
+        s.span_id,
+        s.name,
+        "SPAN_KIND_INTERNAL",
+        str(int(round(s.start * 1e9))),
+        str(int(round(end * 1e9))),
+    )
+
+
+def _otlp_link_fields(link: SpanLink) -> tuple[str, ...]:
+    return link.trace_id, link.span_id
+
+
+def _otlp_span_attrs(s: Span) -> dict[str, object]:
+    return {"repro.span_kind": s.kind, **s.attributes}
+
+
+def _otlp_resource(
+    service_name: str, resource_attributes: Mapping[str, object] | None
+) -> dict[str, object]:
+    resource: dict[str, object] = {"service.name": service_name}
+    if resource_attributes:
+        resource.update(resource_attributes)
+    return resource
 
 
 def _otlp_attrs(attrs: Mapping[str, object]) -> list[dict[str, object]]:
-    return [{"key": k, "value": _otlp_value(v)} for k, v in attrs.items()]
+    rendered: list[dict[str, object]] = []
+    for key, value in attrs.items():
+        field, scalar = _otlp_value(value)
+        rendered.append({"key": key, "value": {field: scalar}})
+    return rendered
 
 
 def to_otlp_json(
@@ -729,59 +795,172 @@ def to_otlp_json(
     (the ``resourceSpans`` envelope any OTLP/HTTP collector accepts)."""
     rendered: list[dict[str, object]] = []
     for s in spans:
-        end = s.end if s.end is not None else s.start
-        entry: dict[str, object] = {
-            "traceId": s.trace_id,
-            "spanId": s.span_id,
-            "name": s.name,
-            "kind": "SPAN_KIND_INTERNAL",
-            "startTimeUnixNano": str(int(round(s.start * 1e9))),
-            "endTimeUnixNano": str(int(round(end * 1e9))),
-            "attributes": _otlp_attrs(
-                {"repro.span_kind": s.kind, **s.attributes}
-            ),
-            "status": {"code": _OTLP_STATUS[s.status]},
-        }
+        entry: dict[str, object] = dict(
+            zip(_OTLP_SPAN_FIELDS, _otlp_span_fields(s))
+        )
+        entry["attributes"] = _otlp_attrs(_otlp_span_attrs(s))
+        entry["status"] = {"code": _OTLP_STATUS[s.status]}
         if s.parent_span_id is not None:
             entry["parentSpanId"] = s.parent_span_id
         if s.links:
             entry["links"] = [
                 {
-                    "traceId": link.trace_id,
-                    "spanId": link.span_id,
+                    **dict(zip(_OTLP_LINK_FIELDS, _otlp_link_fields(link))),
                     "attributes": _otlp_attrs(link.attributes),
                 }
                 for link in s.links
             ]
         rendered.append(entry)
-    resource: dict[str, object] = {"service.name": service_name}
-    if resource_attributes:
-        resource.update(resource_attributes)
+    resource = _otlp_resource(service_name, resource_attributes)
     return {
         "resourceSpans": [
             {
                 "resource": {"attributes": _otlp_attrs(resource)},
                 "scopeSpans": [
-                    {
-                        "scope": {
-                            "name": "repro.observe.trace",
-                            "version": "1",
-                        },
-                        "spans": rendered,
-                    }
+                    {"scope": dict(_OTLP_SCOPE), "spans": rendered}
                 ],
             }
         ]
     }
 
 
+# The text rendering. Nesting depth is fixed by the envelope: resource
+# attributes sit 5 spaces in, spans 6, a span's attributes and links 8,
+# a link's attributes 10. ``_json_str`` is the ``json`` module's own
+# string escaper (the C one where CPython has it).
+
+
+def _json_list(items: list[str], depth: int) -> str:
+    """*items*, each already indented *depth* spaces, as a JSON list
+    whose opening bracket continues the current line."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + " " * (depth - 1) + "]"
+
+
+def _otlp_attrs_text(depth: int) -> Callable[[Mapping[str, object]], str]:
+    """Text twin of :func:`_otlp_attrs` for attribute objects indented
+    *depth* spaces.
+
+    A run repeats most (key, value) pairs hundreds of times, so each
+    attribute object is printed once and its text reused. Only exact
+    ``str``, ``int`` and ``bool`` values are remembered, each type
+    apart: equal values of one of those types print the same, which
+    does not hold across them (``1 == True``), for floats
+    (``0.0 == -0.0``), or for anything printed through ``str()`` — and
+    a list, which a rescue link carries, does not hash at all.
+    """
+    pad = " " * depth
+    template = (
+        f'{pad}{{\n{pad} "key": %s,\n{pad} "value": {{\n'
+        f'{pad}  "%s": %s\n{pad} }}\n{pad}}}'
+    )
+    printed: dict[type, dict[tuple[str, object], str]] = {
+        str: {},
+        int: {},
+        bool: {},
+    }
+
+    def one(key: str, value: object) -> str:
+        field, scalar = _otlp_value(value)
+        if isinstance(scalar, str):
+            text = _json_str(scalar)
+        elif isinstance(scalar, bool):
+            text = "true" if scalar else "false"
+        else:
+            text = float.__repr__(scalar)
+        return template % (_json_str(key), field, text)
+
+    def render(attrs: Mapping[str, object]) -> str:
+        items = []
+        for item in attrs.items():
+            seen = printed.get(item[1].__class__)
+            text = None if seen is None else seen.get(item)
+            if text is None:
+                text = one(*item)
+                if seen is not None:
+                    seen[item] = text
+            items.append(text)
+        return _json_list(items, depth)
+
+    return render
+
+
+def _otlp_fields_text(names: Sequence[str], depth: int) -> str:
+    pad = " " * depth
+    return "".join(f'{pad}"{name}": %s,\n' for name in names)
+
+
+_OTLP_SPAN_TEXT = (
+    "      {\n"
+    + _otlp_fields_text(_OTLP_SPAN_FIELDS, 7)
+    + '       "attributes": %s,\n'
+    + '       "status": {\n        "code": %s\n       }%s\n      }'
+)
+_OTLP_PARENT_TEXT = ',\n       "parentSpanId": %s'
+_OTLP_LINKS_TEXT = ',\n       "links": %s'
+_OTLP_LINK_TEXT = (
+    "        {\n"
+    + _otlp_fields_text(_OTLP_LINK_FIELDS, 9)
+    + '         "attributes": %s\n        }'
+)
+_OTLP_ENVELOPE_TEXT = (
+    '{\n "resourceSpans": [\n  {\n   "resource": {\n'
+    '    "attributes": %s\n   },\n   "scopeSpans": [\n    {\n'
+    '     "scope": {\n'
+    + ",\n".join(
+        f"      {_json_str(k)}: {_json_str(v)}" for k, v in _OTLP_SCOPE.items()
+    )
+    + '\n     },\n     "spans": %s\n    }\n   ]\n  }\n ]\n}\n'
+)
+
+
 def write_otlp_trace(
-    path: str | Path, spans: Sequence[Span], **kwargs: object
+    path: str | Path,
+    spans: Sequence[Span],
+    *,
+    service_name: str = "repro",
+    resource_attributes: Mapping[str, object] | None = None,
 ) -> Path:
-    """Write :func:`to_otlp_json` output to ``path`` and return it."""
+    """Write the :func:`to_otlp_json` document to ``path``, one space
+    per nesting level, and return the path.
+
+    The text is printed from the spans, not encoded from the dict, so
+    no document tree is built and none is walked in Python; the bytes
+    are those the ``json`` module gives for the dict
+    (``tests/test_otlp_render.py`` compares them).
+    """
+    span_attrs = _otlp_attrs_text(8)
+    link_attrs = _otlp_attrs_text(10)
+    rendered = []
+    for s in spans:
+        tail = ""
+        if s.parent_span_id is not None:
+            tail = _OTLP_PARENT_TEXT % _json_str(s.parent_span_id)
+        if s.links:
+            links = [
+                _OTLP_LINK_TEXT
+                % (
+                    *map(_json_str, _otlp_link_fields(link)),
+                    link_attrs(link.attributes),
+                )
+                for link in s.links
+            ]
+            tail += _OTLP_LINKS_TEXT % _json_list(links, 8)
+        rendered.append(
+            _OTLP_SPAN_TEXT
+            % (
+                *map(_json_str, _otlp_span_fields(s)),
+                span_attrs(_otlp_span_attrs(s)),
+                _json_str(_OTLP_STATUS[s.status]),
+                tail,
+            )
+        )
+    resource = _otlp_resource(service_name, resource_attributes)
     return atomic_write(
         path,
-        json.dumps(to_otlp_json(spans, **kwargs), indent=1) + "\n",  # type: ignore[arg-type]
+        _OTLP_ENVELOPE_TEXT
+        % (_otlp_attrs_text(5)(resource), _json_list(rendered, 6)),
     )
 
 

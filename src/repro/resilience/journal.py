@@ -66,7 +66,7 @@ from repro.dagman.dag import Dag
 from repro.dagman.events import WorkflowTrace
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
-from repro.observe.log import event_from_json, serialize_event
+from repro.observe.log import compact_json, event_from_json, serialize_event
 from repro.util.iolib import atomic_write, ensure_dir
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -169,7 +169,7 @@ def encode_record(seq: int, body: Mapping[str, object]) -> str:
     re-serializes from the parsed line, whose key order is by
     construction the order this function wrote.
     """
-    return _frame_record(seq, json.dumps(body, separators=(",", ":")))
+    return _frame_record(seq, compact_json(body))
 
 
 def decode_record(line: str) -> dict | None:
@@ -183,7 +183,7 @@ def decode_record(line: str) -> dict | None:
     crc = data.pop("crc", None)
     if not isinstance(crc, str):
         return None
-    canonical = json.dumps(data, separators=(",", ":"))
+    canonical = compact_json(data)
     expected = format(zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF, "08x")
     if crc != expected:
         return None
@@ -271,9 +271,8 @@ class JournalState:
             self.records.append(
                 raw
                 if raw is not None
-                else json.dumps(
-                    {k: v for k, v in data.items() if k not in ("seq", "crc")},
-                    separators=(",", ":"),
+                else compact_json(
+                    {k: v for k, v in data.items() if k not in ("seq", "crc")}
                 )
             )
             if data.get("status") == "succeeded":
@@ -415,9 +414,7 @@ class JournalState:
         records = data.get("records")
         if isinstance(records, list):
             state.records = [
-                r
-                if isinstance(r, str)
-                else json.dumps(r, separators=(",", ":"))
+                r if isinstance(r, str) else compact_json(r)
                 for r in records
             ]
         blocks = data.get("blacklist_blocks")
@@ -707,9 +704,7 @@ class Journal:
         return fh
 
     def _append(self, body: dict) -> None:
-        self._append_serialized(
-            body, json.dumps(body, separators=(",", ":"))
-        )
+        self._append_serialized(body, compact_json(body))
 
     def _append_serialized(self, body: dict, body_str: str) -> None:
         # One serialization per record: the compact body text becomes
