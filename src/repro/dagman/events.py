@@ -35,6 +35,8 @@ class JobStatus(Enum):
     EVICTED = "evicted"  # preempted by the resource owner (OSG)
     TIMEOUT = "timeout"  # killed after exceeding DagJob.timeout_s
 
+    __hash__ = object.__hash__  # singletons; see EventKind
+
     @property
     def is_success(self) -> bool:
         return self is JobStatus.SUCCEEDED

@@ -44,7 +44,7 @@ import heapq
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Protocol
+from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
@@ -103,6 +103,8 @@ class NodeState(Enum):
     DONE = "done"
     FAILED = "failed"
     UNRUNNABLE = "unrunnable"  # an ancestor failed
+
+    __hash__ = object.__hash__  # singletons; see EventKind
 
 
 #: States a node never leaves; a workflow is finished when every node
@@ -169,6 +171,7 @@ class DagmanScheduler:
         max_jobs: int | None = None,
         default_retries: int | None = None,
         bus: EventBus | None = None,
+        tags: Mapping[str, object] | None = None,
         retry_policy: "RetryPolicy | None" = None,
         restore: SchedulerRestore | None = None,
     ) -> None:
@@ -176,7 +179,10 @@ class DagmanScheduler:
         retries, node state changes, workflow start/end — see
         :mod:`repro.observe.events`); pass the same bus to the execution
         environment so platform-side events (match, setup, exec, finish)
-        interleave on one timeline.
+        interleave on one timeline. ``tags`` are merged into the
+        ``detail`` of every event this scheduler builds, after the
+        event's own keys — how :mod:`repro.service` puts
+        ``tenant``/``workflow`` on a bus many workflows share.
 
         ``retry_policy`` (see :mod:`repro.resilience.retry`) controls
         the timing and accounting of retries; ``None`` keeps the
@@ -194,6 +200,7 @@ class DagmanScheduler:
         self.max_jobs = max_jobs
         self.default_retries = default_retries
         self.bus = bus
+        self._tags = dict(tags) if tags else None
         self.retry_policy = retry_policy
         self.restore = restore
         self.trace = WorkflowTrace()
@@ -368,9 +375,12 @@ class DagmanScheduler:
     def _emit(self, kind: EventKind, *, job: DagJob | None = None,
               attempt: int | None = None,
               detail: dict | None = None) -> None:
-        if self.bus is None or not self.bus.active:
+        bus = self.bus
+        if bus is None or not bus.active:
             return  # deaf bus: skip event construction (PR 7 fast path)
-        self.bus.emit(
+        if self._tags is not None:
+            detail = {**(detail or {}), **self._tags}
+        bus.emit(
             RunEvent(
                 kind,
                 self.environment.now,
@@ -407,8 +417,11 @@ class DagmanScheduler:
             )
         if previous is NodeState.READY and state is not NodeState.READY:
             self._ready_count -= 1
-        if state is not previous:
-            detail: dict = {"from": previous.value, "to": state.value}
+        bus = self.bus
+        if state is not previous and bus is not None and bus.active:
+            # Asked here, not only in _emit: a deaf run pays for no
+            # detail dict (engine_layered_100k is nothing but this).
+            detail: dict = {"from": previous._value_, "to": state._value_}
             if cause:
                 detail.update(cause)
             self._emit(
@@ -472,14 +485,16 @@ class DagmanScheduler:
         self._attempt[name] += 1
         self._in_flight += 1
         job = self.dag.jobs[name]
-        self._emit(
-            EventKind.SUBMIT,
-            job=job,
-            attempt=self._attempt[name],
-            # The planner's expected runtime seeds the straggler
-            # detector's per-transformation baseline.
-            detail={"expected_s": job.runtime},
-        )
+        bus = self.bus
+        if bus is not None and bus.active:  # as in _set_state
+            self._emit(
+                EventKind.SUBMIT,
+                job=job,
+                attempt=self._attempt[name],
+                # The planner's expected runtime seeds the straggler
+                # detector's per-transformation baseline.
+                detail={"expected_s": job.runtime},
+            )
         self.environment.submit(
             job, self._make_listener(name), attempt=self._attempt[name]
         )

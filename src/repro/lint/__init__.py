@@ -46,12 +46,13 @@ The planner runs this automatically (``PlannerOptions.lint``), and the
 from __future__ import annotations
 
 from dataclasses import replace as _replace
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro.lint.findings import Finding, Report, Severity, render_report
 from repro.lint.registry import (
     LintContext,
     Rule,
+    finding,
     registered_rules,
     rule,
 )
@@ -60,15 +61,14 @@ from repro.lint.registry import (
 from repro.lint import catalog_rules as _catalog_rules  # noqa: E402,F401
 from repro.lint import dataflow as _dataflow  # noqa: E402,F401
 from repro.lint import dax_rules as _dax_rules  # noqa: E402,F401
-from repro.lint import determinism as _determinism  # noqa: E402,F401
 from repro.lint import feasibility as _feasibility  # noqa: E402,F401
 from repro.lint import plan_rules as _plan_rules  # noqa: E402,F401
 
-from repro.lint.determinism import DeterminismOptions
 from repro.lint.feasibility import SitePool, default_pools
 from repro.lint.suppress import LintConfig, apply_baseline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.lint.determinism import DeterminismOptions
     from repro.wms.catalogs import (
         ReplicaCatalog,
         SiteCatalog,
@@ -77,6 +77,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
     from repro.wms.dax import ADag
     from repro.wms.planner import PlannedWorkflow, PlannerOptions
+
+
+@rule(
+    "DET001",
+    Severity.ERROR,
+    "simulation event trace is not reproducible",
+    requires=("determinism",),
+)
+def _nondeterministic_trace(ctx: LintContext) -> Iterator[Finding]:
+    # The audit module is imported on use, never by this package:
+    # ``python -m repro.lint.determinism`` imports the package first,
+    # and runpy warns about (and re-executes) a module it then finds
+    # in ``sys.modules``.
+    from repro.lint.determinism import audit_determinism
+
+    assert ctx.determinism is not None
+    for div in audit_determinism(ctx.determinism):
+        yield finding(
+            f"platform:{div.platform}",
+            div.describe(),
+            "find the order-dependent iteration or shared-RNG draw; "
+            "sort before iterating sets/dicts and draw only from named "
+            "RngStreams",
+        )
+
+
+def __getattr__(name: str) -> object:
+    if name == "DeterminismOptions":  # lazily, for the same reason
+        from repro.lint.determinism import DeterminismOptions
+
+        return DeterminismOptions
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Severity",

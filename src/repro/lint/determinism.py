@@ -23,10 +23,11 @@ across perturbations that must not matter:
 
 A trace fingerprint hashes the ``(kind, time, job_name, attempt)``
 signature of every event, so *any* reordering or timing shift
-diverges. Rule ``DET001`` exposes the audit to ``lint()`` behind the
-opt-in ``determinism=`` context (it replays simulations, so it is not
-part of the always-on static passes); ``python -m
-repro.lint.determinism`` is the CI smoke entry point.
+diverges. Rule ``DET001`` (registered in :mod:`repro.lint`, which
+imports this module only when the rule runs) exposes the audit to
+``lint()`` behind the opt-in ``determinism=`` context (it replays
+simulations, so it is not part of the always-on static passes);
+``python -m repro.lint.determinism`` is the CI smoke entry point.
 """
 
 from __future__ import annotations
@@ -40,10 +41,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
-
-from repro.lint.findings import Finding, Severity
-from repro.lint.registry import LintContext, finding, rule
+from typing import Callable, Sequence
 
 __all__ = [
     "DeterminismOptions",
@@ -208,24 +206,6 @@ def audit_determinism(opts: DeterminismOptions) -> list[Divergence]:
                     )
                 )
     return divergences
-
-
-@rule(
-    "DET001",
-    Severity.ERROR,
-    "simulation event trace is not reproducible",
-    requires=("determinism",),
-)
-def _nondeterministic_trace(ctx: LintContext) -> Iterator[Finding]:
-    assert ctx.determinism is not None
-    for div in audit_determinism(ctx.determinism):
-        yield finding(
-            f"platform:{div.platform}",
-            div.describe(),
-            "find the order-dependent iteration or shared-RNG draw; "
-            "sort before iterating sets/dicts and draw only from named "
-            "RngStreams",
-        )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -153,12 +153,6 @@ def rule(
 
     def decorate(fn: Callable[[LintContext], Iterable[Finding]]) -> Rule:
         if rule_id in _REGISTRY:
-            # ``python -m repro.lint.determinism`` (and any other rule
-            # module run via runpy) executes the module a second time
-            # under ``__main__`` after ``repro.lint`` already imported
-            # it; that re-registration is the same rule, not a clash.
-            if fn.__module__ == "__main__":
-                return _REGISTRY[rule_id]
             raise ValueError(f"duplicate rule id: {rule_id!r}")
         r = Rule(
             id=rule_id,

@@ -382,48 +382,34 @@ class AnomalyMonitor:
         self._bus = bus
         # Kind-routed dispatch: only the detectors that consume a kind
         # see it (one dict probe per event instead of fanning every
-        # event through the whole catalog). The bool marks routes that
-        # bypass the straggler, whose deadline clock must still advance
-        # (when deadlines are armed) so in-flight stragglers are
-        # flagged by whatever event crosses their deadline.
-        self._routes: dict[
-            EventKind, tuple[tuple[_Detector, ...], bool]
-        ] = {
-            EventKind.SUBMIT: ((self.straggler, self.queue_wait), False),
-            EventKind.EXEC_START: ((self.straggler,), False),
-            EventKind.FINISH: ((self.straggler,), False),
-            EventKind.EVICT: ((self.straggler,), False),
-            EventKind.MATCH: ((self.queue_wait,), True),
-            EventKind.BLACKLIST: ((self.blacklist,), True),
-            EventKind.SERVICE_WORKFLOW_DONE: ((self.slo,), True),
+        # event through the whole catalog).
+        self._routes: dict[EventKind, tuple[_Detector, ...]] = {
+            EventKind.SUBMIT: (self.straggler, self.queue_wait),
+            EventKind.EXEC_START: (self.straggler,),
+            EventKind.FINISH: (self.straggler,),
+            EventKind.EVICT: (self.straggler,),
+            EventKind.MATCH: (self.queue_wait,),
+            EventKind.BLACKLIST: (self.blacklist,),
+            EventKind.SERVICE_WORKFLOW_DONE: (self.slo,),
         }
         # The straggler's deadline heap is mutated in place (heapq)
-        # and never rebound, so bind it once for the per-event armed
-        # check — the common case (no deadline pending expiry) is one
-        # dict probe plus one truthiness test.
+        # and never rebound, so bind it once for the per-event check.
         self._deadlines = self.straggler._deadlines
         self._expire = self.straggler._expire
         if bus is not None:
             bus.subscribe(self)
 
     def __call__(self, event: RunEvent) -> None:
-        entry = self._routes.get(event.kind)
-        if entry is None:
-            # Unrouted kinds — including our own ``anomaly.*`` output,
-            # which can never reach a detector (no feedback loops) —
-            # still advance the straggler's deadline clock while
-            # deadlines are armed.
-            if self._deadlines:
-                alerts = self._expire(event.time)
-                if alerts:
-                    self._publish(alerts)
-            return
-        detectors, expire = entry
-        if expire and self._deadlines:
-            alerts = self._expire(event.time)
-            if alerts:
-                self._publish(alerts)
-        for detector in detectors:
+        # Every event — routed or not, our own ``anomaly.*`` output
+        # included (it reaches no detector: no feedback loops) —
+        # advances the straggler's deadline clock, so an in-flight
+        # straggler is flagged by whatever event crosses its deadline.
+        # The common case, no deadline due, is decided here on the heap
+        # head without a call.
+        deadlines = self._deadlines
+        if deadlines and deadlines[0][0] <= event.time:
+            self._publish(self._expire(event.time))
+        for detector in self._routes.get(event.kind, ()):
             alerts = detector.update(event)
             if alerts:
                 self._publish(alerts)

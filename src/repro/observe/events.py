@@ -114,6 +114,11 @@ class EventKind(Enum):
     ANOMALY_BLACKLIST_STORM = "anomaly.blacklist"
     ANOMALY_SLO_BURN = "anomaly.slo_burn"
 
+    # Members are singletons: identity is a sound hash, and the C slot
+    # spares every dict / frozenset probe ``Enum.__hash__``'s
+    # Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
 
 #: Kinds that end one attempt and carry its full :class:`JobAttempt`.
 TERMINAL_KINDS = frozenset({EventKind.FINISH, EventKind.EVICT})

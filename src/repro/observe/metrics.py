@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
@@ -186,6 +186,18 @@ class MetricsRegistry:
         }
 
 
+class _Cells(dict):  # type: ignore[type-arg]
+    """Memo of registry cells: ``cells[key]`` asks ``resolve(key)`` the
+    first time ``key`` is seen and is a C-level dict hit ever after."""
+
+    def __init__(self, resolve: Callable[[Any], Any]) -> None:
+        self._resolve = resolve
+
+    def __missing__(self, key: object) -> object:
+        cell = self[key] = self._resolve(key)
+        return cell
+
+
 def instrument(bus: EventBus, registry: MetricsRegistry | None = None) -> MetricsRegistry:
     """Subscribe the standard workflow metrics to ``bus``.
 
@@ -208,64 +220,78 @@ def instrument(bus: EventBus, registry: MetricsRegistry | None = None) -> Metric
       SLO distributions) from ``service.workflow_done`` details.
     """
     registry = registry or MetricsRegistry()
+    # Each cell is resolved through the registry once, at first sight
+    # (so no zero-valued series appears), and is a plain dict hit after.
+    events_total = _Cells(
+        lambda kind: registry.counter("events_total", {"kind": kind.value})
+    )
+    kickstart = _Cells(
+        lambda name: registry.histogram("kickstart_s", {"transformation": name})
+    )
+    counters = _Cells(registry.counter)
+    gauges = _Cells(registry.gauge)
+    histograms = _Cells(registry.histogram)
+
+    def labelled(name: str, label: str) -> Callable[[RunEvent], None]:
+        def bump(event: RunEvent) -> None:
+            value = str(event.detail.get(label, ""))
+            registry.counter(name, {label: value}).inc()
+
+        return bump
+
+    def on_workflow_done(event: RunEvent) -> None:
+        tenant = {"tenant": str(event.detail.get("tenant", ""))}
+        registry.counter("service_workflows_done_total", tenant).inc()
+        registry.histogram("service_turnaround_s", tenant).observe(
+            float(event.detail.get("turnaround_s", 0.0))  # type: ignore[arg-type]
+        )
+        registry.histogram("service_queue_wait_s", tenant).observe(
+            float(event.detail.get("queue_wait_s", 0.0))  # type: ignore[arg-type]
+        )
+
+    def on_sample(event: RunEvent) -> None:
+        gauges["queue_idle"].set(float(event.detail.get("idle", 0)))  # type: ignore[arg-type]
+        gauges["slots_busy"].set(float(event.detail.get("busy", 0)))  # type: ignore[arg-type]
+
+    def on_terminal(event: RunEvent) -> None:
+        record = event.record
+        if record is None:
+            return
+        gauges["jobs_in_flight"].dec()
+        if not record.status.is_success:
+            counters["failures_total"].inc()
+        kickstart[record.transformation].observe(record.kickstart_time)
+        histograms["waiting_s"].observe(record.waiting_time)
+        if record.download_install_time > 0:
+            histograms["download_install_s"].observe(
+                record.download_install_time
+            )
+
+    def on_evict(event: RunEvent) -> None:
+        counters["evictions_total"].inc()
+        on_terminal(event)
+
+    handlers: dict[EventKind, Callable[[RunEvent], None]] = {
+        EventKind.SUBMIT: lambda event: gauges["jobs_in_flight"].inc(),
+        EventKind.RETRY: lambda event: counters["retries_total"].inc(),
+        EventKind.TIMEOUT: lambda event: counters["timeouts_total"].inc(),
+        EventKind.FAULT: lambda event: counters["faults_injected_total"].inc(),
+        EventKind.FINISH: on_terminal,
+        EventKind.EVICT: on_evict,
+        EventKind.CACHE_HIT: labelled("cache_hits_total", "kind"),
+        EventKind.CACHE_MISS: labelled("cache_misses_total", "kind"),
+        EventKind.SERVICE_SUBMIT: labelled("service_submissions_total", "tenant"),
+        EventKind.SERVICE_REJECT: labelled("service_rejections_total", "tenant"),
+        EventKind.SERVICE_WORKFLOW_DONE: on_workflow_done,
+        EventKind.SAMPLE: on_sample,
+    }
 
     def on_event(event: RunEvent) -> None:
-        registry.counter("events_total", {"kind": event.kind.value}).inc()
-        if event.kind is EventKind.SUBMIT:
-            registry.gauge("jobs_in_flight").inc()
-        elif event.kind is EventKind.RETRY:
-            registry.counter("retries_total").inc()
-        elif event.kind is EventKind.EVICT:
-            registry.counter("evictions_total").inc()
-        elif event.kind is EventKind.TIMEOUT:
-            registry.counter("timeouts_total").inc()
-        elif event.kind is EventKind.FAULT:
-            registry.counter("faults_injected_total").inc()
-        elif event.kind is EventKind.CACHE_HIT:
-            registry.counter(
-                "cache_hits_total",
-                {"kind": str(event.detail.get("kind", ""))},
-            ).inc()
-        elif event.kind is EventKind.CACHE_MISS:
-            registry.counter(
-                "cache_misses_total",
-                {"kind": str(event.detail.get("kind", ""))},
-            ).inc()
-        elif event.kind is EventKind.SERVICE_SUBMIT:
-            registry.counter(
-                "service_submissions_total",
-                {"tenant": str(event.detail.get("tenant", ""))},
-            ).inc()
-        elif event.kind is EventKind.SERVICE_REJECT:
-            registry.counter(
-                "service_rejections_total",
-                {"tenant": str(event.detail.get("tenant", ""))},
-            ).inc()
-        elif event.kind is EventKind.SERVICE_WORKFLOW_DONE:
-            tenant = {"tenant": str(event.detail.get("tenant", ""))}
-            registry.counter("service_workflows_done_total", tenant).inc()
-            registry.histogram("service_turnaround_s", tenant).observe(
-                float(event.detail.get("turnaround_s", 0.0))  # type: ignore[arg-type]
-            )
-            registry.histogram("service_queue_wait_s", tenant).observe(
-                float(event.detail.get("queue_wait_s", 0.0))  # type: ignore[arg-type]
-            )
-        elif event.kind is EventKind.SAMPLE:
-            registry.gauge("queue_idle").set(float(event.detail.get("idle", 0)))  # type: ignore[arg-type]
-            registry.gauge("slots_busy").set(float(event.detail.get("busy", 0)))  # type: ignore[arg-type]
-        if event.is_terminal and event.record is not None:
-            record = event.record
-            registry.gauge("jobs_in_flight").dec()
-            if not record.status.is_success:
-                registry.counter("failures_total").inc()
-            registry.histogram(
-                "kickstart_s", {"transformation": record.transformation}
-            ).observe(record.kickstart_time)
-            registry.histogram("waiting_s").observe(record.waiting_time)
-            if record.download_install_time > 0:
-                registry.histogram("download_install_s").observe(
-                    record.download_install_time
-                )
+        kind = event.kind
+        events_total[kind].inc()
+        handler = handlers.get(kind)
+        if handler is not None:
+            handler(event)
 
     bus.subscribe(on_event)
     return registry

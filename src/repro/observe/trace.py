@@ -190,7 +190,8 @@ class SpanTracer:
         self._jobs: dict[tuple[str, str], _JobState] = {}
         self._services: dict[str, Span] = {}
         self._admissions: dict[str, Span] = {}
-        self._pending_release: dict[tuple[str, str], dict[str, object]] = {}
+        #: (scope, job) → the parent whose completion released it
+        self._pending_release: dict[tuple[str, str], str] = {}
         self._pending_phases: list[tuple[Span, JobAttempt]] = []
         self._buffer: list[RunEvent] = []
         self._pending_resume: dict[str, object] | None = None
@@ -394,9 +395,8 @@ class SpanTracer:
                         {"relation": "rescue_continuation"},
                     )
                 )
-            release = self._pending_release.pop(key, None)
-            if release is not None:
-                parent_name = str(release.get("released_by", ""))
+            parent_name = self._pending_release.pop(key, None)
+            if parent_name is not None:
                 span.attributes["released_by"] = parent_name
                 parent_state = self._jobs.get((scope, parent_name))
                 if (
@@ -450,7 +450,9 @@ class SpanTracer:
         to = str(event.detail.get("to", ""))
         name = event.job_name or ""
         if to == "ready" and "released_by" in event.detail:
-            self._pending_release[(scope, name)] = dict(event.detail)
+            self._pending_release[(scope, name)] = str(
+                event.detail["released_by"]
+            )
         elif to in ("done", "failed", "unrunnable"):
             state = self._jobs.get((scope, name))
             if state is not None and state.span.end is None:

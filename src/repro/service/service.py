@@ -22,14 +22,16 @@ platform, usually) and multiplexes many tenant workflows onto it:
   so the *platform's* FIFO queue never holds more than the service
   released, and cross-tenant ordering is the service's decision, not
   the platform's;
-* every workflow runs against a private event bus whose stream is
-  re-emitted onto the service bus with ``tenant``/``workflow`` merged
-  into ``detail`` — one tagged timeline for all tenants, feeding
-  :func:`repro.observe.metrics.instrument` and ``repro-report``.
-  Platform-side events (match/exec/finish) belong to the shared
-  environment and are not tagged; the scheduler-side stream (submit,
-  state changes, retries, workflow start/end) plus the ``service.*``
-  kinds carry the tenant dimension.
+* every workflow's scheduler emits straight onto the service bus and
+  stamps ``tenant``/``workflow`` into ``detail`` where it builds the
+  event (``DagmanScheduler(tags=...)``) — one tagged timeline for all
+  tenants, feeding :func:`repro.observe.metrics.instrument` and
+  ``repro-report``, each event built and emitted once, and none built
+  at all while nobody listens. Platform-side events
+  (match/exec/finish) belong to the shared environment and are not
+  tagged; the scheduler-side stream (submit, state changes, retries,
+  workflow start/end) plus the ``service.*`` kinds carry the tenant
+  dimension.
 
 Turnaround and queue-wait are measured on the platform clock:
 *turnaround* from submission to the workflow's terminal event,
@@ -42,7 +44,6 @@ numbers).
 
 from __future__ import annotations
 
-import dataclasses
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -324,11 +325,11 @@ class WorkflowService:
             workflow=wf_name,
             extra={"jobs": len(dag.jobs)},
         )
-        private_bus = self._tagged_bus(tenant, wf_name)
         scheduler = DagmanScheduler(
             dag,
             _Gate(self, handle),
-            bus=private_bus,
+            bus=self.bus,
+            tags={"tenant": tenant, "workflow": wf_name},
             max_jobs=max_jobs,
             default_retries=default_retries,
         )
@@ -377,23 +378,6 @@ class WorkflowService:
         return None
 
     # -- event plumbing --------------------------------------------------
-
-    def _tagged_bus(self, tenant: str, workflow: str) -> EventBus:
-        """A private bus whose whole stream is re-emitted onto the
-        service bus with tenant/workflow merged into ``detail``."""
-        private = EventBus()
-        service_bus = self.bus
-        tags = {"tenant": tenant, "workflow": workflow}
-
-        def forward(event: RunEvent) -> None:
-            if not service_bus.active:
-                return
-            service_bus.emit(
-                dataclasses.replace(event, detail={**event.detail, **tags})
-            )
-
-        private.subscribe(forward)
-        return private
 
     def _emit_service(
         self,

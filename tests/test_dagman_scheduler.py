@@ -1,10 +1,15 @@
 """Tests for the DAGMan scheduling loop on a scripted environment."""
 
+from unittest import mock
+
 import pytest
 
+from repro.dagman import scheduler as scheduler_mod
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus
 from repro.dagman.scheduler import DagmanScheduler, NodeState
+from repro.observe.bus import EventBus
+from repro.observe.events import EventKind, RunEvent
 from repro.sim.engine import Simulator
 
 
@@ -239,3 +244,47 @@ class TestRescue:
         scheduler.start()
         with pytest.raises(RuntimeError, match="already started"):
             scheduler.start()
+
+
+class TestDeafBus:
+    """Nobody listening: the hot paths build neither a ``detail`` dict
+    nor a ``RunEvent`` (what ``engine_layered_100k`` measures)."""
+
+    @staticmethod
+    def run(bus):
+        built, details = [], []
+
+        def counting(*args, **kwargs):
+            built.append(RunEvent(*args, **kwargs))
+            return built[-1]
+
+        emit = DagmanScheduler._emit
+
+        def spying(self, kind, **kwargs):
+            if kind in (EventKind.STATE_CHANGE, EventKind.SUBMIT):
+                details.append(kwargs.get("detail"))
+            emit(self, kind, **kwargs)
+
+        env = ScriptedEnvironment(failures={("b", 1): True})
+        with mock.patch.object(scheduler_mod, "RunEvent", counting), \
+                mock.patch.object(DagmanScheduler, "_emit", spying):
+            result = DagmanScheduler(diamond(retries=1), env, bus=bus).run()
+        assert result.success
+        return built, details
+
+    @pytest.mark.parametrize("bus", [None, EventBus()], ids=["none", "deaf"])
+    def test_nothing_is_built(self, bus):
+        built, details = self.run(bus)
+        assert built == [] and details == []
+        assert bus is None or bus.emitted == 0
+
+    def test_a_listener_gets_everything(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(seen.append)
+        built, details = self.run(bus)
+        assert seen == built and bus.emitted == len(built)
+        # a, c, d: ready / submitted / done + one submit each;
+        # b, retried once: five state changes + two submits.
+        assert len(details) == 3 * (3 + 1) + (5 + 2)
+        assert all(d for d in details)
