@@ -21,7 +21,10 @@ CI gate:
   tooling's threshold semantics).
 
 CI runs the smoke tier only (``REPRO_BENCH_ENGINE_NS=10000``) to keep
-the job fast; the defaults here are the developer-facing tiers.
+the job fast; the defaults here are the developer-facing tiers. Run it
+as ``python -m pytest benchmarks/bench_engine_throughput.py`` from the
+repository root (CI does): the oracle lives in ``tests/oracles/`` and
+imports as ``tests.oracles.rescan_scheduler``.
 """
 
 import json
@@ -32,9 +35,9 @@ from conftest import RESULTS_DIR, update_bench_report, write_result
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus
-from repro.dagman.legacy import LegacyRescanScheduler
 from repro.dagman.scheduler import DagmanScheduler
 from repro.sim.engine import Simulator
+from tests.oracles.rescan_scheduler import LegacyRescanScheduler
 
 SPEEDUP_N = 10_000
 MIN_SPEEDUP = 10.0

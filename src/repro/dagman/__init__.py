@@ -10,16 +10,15 @@ marking completed work. This package implements those semantics:
   shared by the simulator and the real local executor),
 * :mod:`repro.dagman.scheduler` — the DAGMan loop with throttles,
   retries, priorities, and rescue generation (incremental ready-heap
-  hot paths sized for million-job DAGs),
-* :mod:`repro.dagman.legacy` — the pre-rewrite full-rescan scheduler,
-  kept only as the equivalence oracle for tests and benchmarks,
+  hot paths over dense job ids, sized for million-job DAGs; the
+  name-keyed full-rescan loop it replaced is the test oracle
+  ``tests/oracles/rescan_scheduler.py``),
 * :mod:`repro.dagman.condor` — ClassAd-style matchmaking used by the
   platform models to pair jobs with heterogeneous machines.
 """
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
-from repro.dagman.legacy import LegacyRescanScheduler
 from repro.dagman.scheduler import DagmanScheduler, DagmanResult
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "WorkflowTrace",
     "DagmanScheduler",
     "DagmanResult",
-    "LegacyRescanScheduler",
 ]

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable
-
-from typing import Iterable as _Iterable
-from typing import Mapping
+from typing import AbstractSet, Callable, Iterable, Mapping
 
 from repro.util.iolib import atomic_write
 
@@ -39,7 +36,7 @@ class CycleError(ValueError):
 
 
 def topological_sort(
-    nodes: _Iterable[str], children: Mapping[str, _Iterable[str]]
+    nodes: Iterable[str], children: Mapping[str, Iterable[str]]
 ) -> list[str]:
     """Kahn's algorithm over an adjacency mapping.
 
@@ -109,12 +106,16 @@ class DagJob:
     def __post_init__(self) -> None:
         if not self.name or any(c.isspace() for c in self.name):
             raise ValueError(f"invalid job name: {self.name!r}")
-        if self.runtime < 0:
-            raise ValueError("runtime must be >= 0")
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails every
+        # comparison, so only the negated form rejects it.
+        if not self.runtime >= 0:
+            raise ValueError(f"runtime must be >= 0, got {self.runtime}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive (or None)")
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError(
+                f"timeout_s must be positive (or None), got {self.timeout_s}"
+            )
 
 
 class Dag:
@@ -195,6 +196,12 @@ class Dag:
     def children(self, name: str) -> set[str]:
         return set(self._children[name])
 
+    def child_sets(self) -> Iterable[tuple[str, AbstractSet[str]]]:
+        """``(job, its children)`` per job, in insertion order — the
+        DAG's own sets where :meth:`children` copies; for whole-graph
+        passes that only read. Do not mutate them."""
+        return self._children.items()
+
     def roots(self) -> list[str]:
         return [n for n in self.jobs if not self._parents[n]]
 
@@ -208,6 +215,19 @@ class Dag:
 
     def __len__(self) -> int:
         return len(self.jobs)
+
+    def rescue(self, done: Iterable[str], *, name: str | None = None) -> "Dag":
+        """The in-memory rescue DAG: a copy with ``done`` as its DONE
+        marks. Same :class:`DagJob` objects (payloads, runtimes and
+        timeouts survive, which a written ``.dag`` file cannot carry),
+        adjacency copied set for set — the edges are known acyclic, so
+        none of :meth:`add_edge`'s reachability checks run."""
+        rescue = Dag(name=self.name if name is None else name)
+        rescue.jobs = dict(self.jobs)
+        rescue._children = {n: set(s) for n, s in self._children.items()}
+        rescue._parents = {n: set(s) for n, s in self._parents.items()}
+        rescue.done = set(done)
+        return rescue
 
     def topological_order(self) -> list[str]:
         """Kahn's algorithm; stable w.r.t. insertion order. Raises

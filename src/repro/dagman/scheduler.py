@@ -32,10 +32,18 @@ node is pushed onto exactly once per readiness transition — entries
 whose node has since left READY are lazily invalidated at pop time, and
 the heap is compacted when stale entries dominate. A completion
 therefore costs O(children + log n), not O(n log n), which is what lets
-million-job DAGs run in minutes (see ``bench_engine_throughput``). The
-pre-rewrite full-rescan implementation survives as
-:class:`repro.dagman.legacy.LegacyRescanScheduler`, the equivalence
-oracle the property tests pin this rewrite against.
+million-job DAGs run in minutes (see ``bench_engine_throughput``).
+
+Job ids: inside the scheduler a job is its position in ``dag.jobs``,
+and everything known per job sits in parallel lists indexed by it — a
+completion touches no name-keyed dict. Names appear only at the
+boundary: the events built here, :attr:`DagmanResult.states`, the
+``states`` / ``attempt_number`` snapshots, :class:`SchedulerRestore`
+lookups. Children are kept as ids **in child-name order**: readiness
+order is the FIFO tie-break, and id order is not name order. The
+name-keyed full-rescan loop this replaced is the test oracle
+``tests/oracles/rescan_scheduler.py``; the property tests hold this
+scheduler to it event for event.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Mapping, Protocol
 
@@ -107,11 +116,21 @@ class NodeState(Enum):
     __hash__ = object.__hash__  # singletons; see EventKind
 
 
+# The members as module globals, for the scheduler's own comparisons:
+# it makes some twenty per job, and ``NodeState.READY`` is an attribute
+# lookup through the enum metaclass where a global is one dict hit —
+# measured, a tenth of an engine_layered_100k op.
+_UNREADY = NodeState.UNREADY
+_READY = NodeState.READY
+_SUBMITTED = NodeState.SUBMITTED
+_HELD = NodeState.HELD
+_DONE = NodeState.DONE
+_FAILED = NodeState.FAILED
+_UNRUNNABLE = NodeState.UNRUNNABLE
+
 #: States a node never leaves; a workflow is finished when every node
 #: has reached one (see :attr:`DagmanScheduler.unfinished`).
-_TERMINAL_STATES = frozenset(
-    {NodeState.DONE, NodeState.FAILED, NodeState.UNRUNNABLE}
-)
+_TERMINAL_STATES = frozenset({_DONE, _FAILED, _UNRUNNABLE})
 
 
 @dataclass
@@ -204,11 +223,20 @@ class DagmanScheduler:
         self.retry_policy = retry_policy
         self.restore = restore
         self.trace = WorkflowTrace()
-        self.states: dict[str, NodeState] = {}
-        self._retries_left: dict[str, int] = {}
-        self._attempt: dict[str, int] = {}
-        self._failed_attempts: dict[str, int] = {}
-        self._ready_seq: dict[str, int] = {}
+        # Per-job state, filled by start(): parallel lists indexed by
+        # the job's id, its position in ``dag.jobs``.
+        self._jobs: list[DagJob] = []
+        self._state: list[NodeState] = []
+        self._attempt: list[int] = []
+        self._retries_left: list[int] = []
+        self._failed_attempts: list[int] = []
+        self._ready_seq: list[int] = []
+        # Parents not yet DONE, per node; READY fires when this hits 0.
+        self._pending_parents: list[int] = []
+        # Child ids in child-*name* order, sorted once at start(): the
+        # readiness FIFO tie-break must depend on neither set hash order
+        # nor insertion order.
+        self._children: list[tuple[int, ...]] = []
         self._seq = 0
         self._in_flight = 0
         self._started = False
@@ -218,16 +246,11 @@ class DagmanScheduler:
         # workflow finished?" check is O(1), not an O(n) state scan.
         self._unfinished = 0
         # Incremental ready-set state: a node is pushed exactly once per
-        # readiness transition; entries for nodes that left READY some
-        # other way (unrunnable cascade) are skipped lazily at pop time.
-        self._ready_heap: list[tuple[int, int, str]] = []
+        # readiness transition, as ``(-priority, seq, id)``; entries for
+        # nodes that left READY some other way (unrunnable cascade) are
+        # skipped lazily at pop time.
+        self._ready_heap: list[tuple[int, int, int]] = []
         self._ready_count = 0
-        # Parents not yet DONE, per node; READY fires when this hits 0.
-        self._pending_parents: dict[str, int] = {}
-        # Children in sorted order, precomputed once at start() — the
-        # readiness FIFO tie-break must not depend on set hash order,
-        # and sorting per completion would be O(k log k) every time.
-        self._children_sorted: dict[str, tuple[str, ...]] = {}
 
     # -- public API -----------------------------------------------------
 
@@ -262,112 +285,123 @@ class DagmanScheduler:
         self._started = True
         self._start_time = self.environment.now
         dag = self.dag
-        pre_done = dag.done
-        for name, job in dag.jobs.items():
-            retries = (
-                self.default_retries
-                if self.default_retries is not None
-                else job.retries
-            )
-            self._retries_left[name] = retries
-            self._attempt[name] = 0
-            self._failed_attempts[name] = 0
-            if name in pre_done:
-                self.states[name] = NodeState.DONE
-            else:
-                self.states[name] = NodeState.UNREADY
+        jobs = self._jobs = list(dag.jobs.values())
+        n = len(jobs)
+        # The one name → id index; everything below it speaks ids.
+        ids = {name: i for i, name in enumerate(dag.jobs)}
+        default_retries = self.default_retries
+        self._retries_left = (
+            [job.retries for job in jobs]
+            if default_retries is None
+            else [default_retries] * n
+        )
+        self._attempt = [0] * n
+        self._failed_attempts = [0] * n
+        self._ready_seq = [0] * n
+        state = self._state = [_UNREADY] * n
+        # Counted down by the direct state writes below (pre-done marks,
+        # journaled failures); every later transition into a terminal
+        # state flows through _set_state and decrements it.
+        unfinished = n
+        for name in dag.done:
+            i = ids.get(name)
+            if i is not None:
+                state[i] = _DONE
+                unfinished -= 1
         restore = self.restore
         if restore is not None:
-            for name, count in restore.attempts.items():
-                if name in self._attempt:
-                    self._attempt[name] = count
-            for name, left in restore.retries_left.items():
-                if name in self._retries_left:
-                    self._retries_left[name] = left
-            for name, count in restore.failed_attempts.items():
-                if name in self._failed_attempts:
-                    self._failed_attempts[name] = count
+            for restored, mine in (
+                (restore.attempts, self._attempt),
+                (restore.retries_left, self._retries_left),
+                (restore.failed_attempts, self._failed_attempts),
+            ):
+                for name, value in restored.items():
+                    i = ids.get(name)
+                    if i is not None:
+                        mine[i] = value
             for name in restore.failed:
                 # Journaled hard failures re-enter FAILED silently: their
                 # state_change was journaled (and logged) before the
                 # crash, so re-emitting would double-count it.
-                if self.states.get(name) is NodeState.UNREADY:
-                    self.states[name] = NodeState.FAILED
-        # Counted after the direct state writes above (pre-done marks,
-        # journaled failures); every later transition into a terminal
-        # state flows through _set_state and decrements it.
-        self._unfinished = sum(
-            1
-            for s in self.states.values()
-            if s not in _TERMINAL_STATES
-        )
-        states = self.states
-        for name in dag.jobs:
-            self._children_sorted[name] = tuple(sorted(dag.children(name)))
-            self._pending_parents[name] = sum(
-                1
-                for p in dag.parents(name)
-                if states[p] is not NodeState.DONE
-            )
+                i = ids.get(name)
+                if i is not None and state[i] is _UNREADY:
+                    state[i] = _FAILED
+                    unfinished -= 1
+        self._unfinished = unfinished
+        # One pass over the edges, from the parent's side: each child
+        # set is read once, ordered by name, mapped to ids, and counted
+        # into its children's pending-parent counters.
+        children: list[tuple[int, ...]] = [()] * n
+        pending = self._pending_parents = [0] * n
+        for name, kids in dag.child_sets():
+            if kids:
+                i = ids[name]
+                kid_ids = children[i] = tuple([ids[k] for k in sorted(kids)])
+                if state[i] is not _DONE:
+                    for kid in kid_ids:
+                        pending[kid] += 1
+        self._children = children
         self._emit(
             EventKind.WORKFLOW_START,
-            detail={"jobs": len(dag.jobs), "name": dag.name},
+            detail={"jobs": n, "name": dag.name},
         )
-        for name in dag.jobs:
-            if (
-                states[name] is NodeState.UNREADY
-                and self._pending_parents[name] == 0
-            ):
-                self._set_state(name, NodeState.READY)
+        for i in range(n):
+            if state[i] is _UNREADY and pending[i] == 0:
+                self._set_state(i, _READY)
         if restore is not None:
             for name in sorted(restore.failed):
-                if states.get(name) is NodeState.FAILED:
-                    self._mark_descendants_unrunnable(name)
+                i = ids.get(name)
+                if i is not None and state[i] is _FAILED:
+                    self._mark_descendants_unrunnable(i)
             # Terminal attempts whose retry-or-fail decision did not
             # reach the journal before the crash: replay the tail of
             # _handle_completion now, against the restored budgets and
             # the caller's retry policy — the decision (and its RETRY
             # charge) lands exactly once, post-resume.
             for name in sorted(restore.undecided):
-                if states.get(name) is not NodeState.READY:
+                i = ids.get(name)
+                if i is None or state[i] is not _READY:
                     continue
                 record = restore.undecided[name]
-                if self._may_retry(name, record):
-                    self._requeue(name, record)
+                if self._may_retry(i, record):
+                    self._requeue(i, record)
                 else:
-                    self._set_state(name, NodeState.FAILED)
-                    self._mark_descendants_unrunnable(name)
+                    self._set_state(i, _FAILED)
+                    self._mark_descendants_unrunnable(i)
         self._submit_ready()
 
     def result(self) -> DagmanResult:
         """Snapshot the outcome (valid after the environment drains)."""
-        success = all(
-            s is NodeState.DONE for s in self.states.values()
-        )
+        state = self._state
         return DagmanResult(
-            success=success,
+            success=state.count(_DONE) == len(state),
             trace=self.trace,
-            states=dict(self.states),
+            states=self.states,
             wall_time=self.environment.now - self._start_time,
         )
+
+    @property
+    def states(self) -> dict[str, NodeState]:
+        """Current state per job name, in ``dag.jobs`` order (empty
+        before :meth:`start`). A snapshot built per access — writing to
+        it changes nothing in the scheduler."""
+        return dict(zip(self.dag.jobs, self._state))
 
     def status_counts(self) -> dict[str, int]:
         """State histogram, the ``pegasus-status`` style summary."""
         counts: dict[str, int] = {}
-        for state in self.states.values():
+        for state in self._state:
             counts[state.value] = counts.get(state.value, 0) + 1
         return counts
 
     def write_rescue(self, path: str | Path) -> Path:
         """Write a rescue DAG marking completed nodes DONE."""
-        rescue = Dag(name=f"{self.dag.name}.rescue")
-        for job in self.dag.jobs.values():
-            rescue.add_job(job)
-        for parent, child in self.dag.edges():
-            rescue.add_edge(parent, child)
-        rescue.done = {
-            n for n, s in self.states.items() if s is NodeState.DONE
-        }
+        done = [
+            name
+            for name, state in zip(self.dag.jobs, self._state)
+            if state is _DONE
+        ]
+        rescue = self.dag.rescue(done, name=f"{self.dag.name}.rescue")
         return rescue.write_dagfile(path)
 
     # -- internals ------------------------------------------------------
@@ -392,42 +426,48 @@ class DagmanScheduler:
         )
 
     def _set_state(
-        self, name: str, state: NodeState, *, cause: dict | None = None
+        self,
+        i: int,
+        state: NodeState,
+        released_by: int | None = None,
+        released_attempt: int | None = None,
     ) -> None:
-        """``cause`` adds causal context to the ``state_change`` event
-        (e.g. ``released_by``: which parent's completion made a child
-        READY) — what the span tracer turns into explicit links."""
-        previous = self.states[name]
-        self.states[name] = state
+        """``released_by`` / ``released_attempt`` add causal context to
+        the ``state_change`` event — which parent's completion (job id
+        and attempt number) made a child READY; what the span tracer
+        turns into explicit links."""
+        states = self._state
+        previous = states[i]
+        states[i] = state
         if state in _TERMINAL_STATES and previous not in _TERMINAL_STATES:
             self._unfinished -= 1
-        if state is NodeState.READY:
+        if state is _READY:
             # Readiness order is the FIFO tie-break within a priority
             # class, so retried jobs queue behind equal-priority nodes
             # already waiting on the max_jobs throttle. Each readiness
             # transition pushes exactly one heap entry; the seq doubles
             # as the entry's validity token.
             seq = self._seq
-            self._ready_seq[name] = seq
+            self._ready_seq[i] = seq
             self._seq = seq + 1
             self._ready_count += 1
             heapq.heappush(
-                self._ready_heap,
-                (-self.dag.jobs[name].priority, seq, name),
+                self._ready_heap, (-self._jobs[i].priority, seq, i)
             )
-        if previous is NodeState.READY and state is not NodeState.READY:
+        if previous is _READY and state is not _READY:
             self._ready_count -= 1
         bus = self.bus
         if state is not previous and bus is not None and bus.active:
             # Asked here, not only in _emit: a deaf run pays for no
             # detail dict (engine_layered_100k is nothing but this).
             detail: dict = {"from": previous._value_, "to": state._value_}
-            if cause:
-                detail.update(cause)
+            if released_by is not None:
+                detail["released_by"] = self._jobs[released_by].name
+                detail["released_attempt"] = released_attempt
             self._emit(
                 EventKind.STATE_CHANGE,
-                job=self.dag.jobs[name],
-                attempt=self._attempt[name] or None,
+                job=self._jobs[i],
+                attempt=self._attempt[i] or None,
                 detail=detail,
             )
 
@@ -442,22 +482,16 @@ class DagmanScheduler:
         leave stale entries behind by design.
         """
         heap = self._ready_heap
-        states = self.states
+        state = self._state
         ready_seq = self._ready_seq
         max_jobs = self.max_jobs
         while heap:
             if max_jobs is not None and self._in_flight >= max_jobs:
                 break
-            entry = heap[0]
-            name = entry[2]
-            if (
-                states[name] is not NodeState.READY
-                or ready_seq[name] != entry[1]
-            ):
-                heapq.heappop(heap)  # stale: lazy invalidation
-                continue
-            heapq.heappop(heap)
-            self._submit(name)
+            _, seq, i = heapq.heappop(heap)
+            if state[i] is _READY and ready_seq[i] == seq:
+                self._submit(i)
+            # else stale: lazy invalidation
         self._compact_ready_heap()
 
     def _compact_ready_heap(self) -> None:
@@ -470,82 +504,72 @@ class DagmanScheduler:
         heap = self._ready_heap
         if len(heap) < 64 or len(heap) <= 2 * self._ready_count:
             return
-        states = self.states
+        state = self._state
         ready_seq = self._ready_seq
         heap[:] = [
             entry
             for entry in heap
-            if states[entry[2]] is NodeState.READY
+            if state[entry[2]] is _READY
             and ready_seq[entry[2]] == entry[1]
         ]
         heapq.heapify(heap)
 
-    def _submit(self, name: str) -> None:
-        self._set_state(name, NodeState.SUBMITTED)
-        self._attempt[name] += 1
+    def _submit(self, i: int) -> None:
+        self._set_state(i, _SUBMITTED)
+        attempt = self._attempt[i] + 1
+        self._attempt[i] = attempt
         self._in_flight += 1
-        job = self.dag.jobs[name]
+        job = self._jobs[i]
         bus = self.bus
         if bus is not None and bus.active:  # as in _set_state
             self._emit(
                 EventKind.SUBMIT,
                 job=job,
-                attempt=self._attempt[name],
+                attempt=attempt,
                 # The planner's expected runtime seeds the straggler
                 # detector's per-transformation baseline.
                 detail={"expected_s": job.runtime},
             )
         self.environment.submit(
-            job, self._make_listener(name), attempt=self._attempt[name]
+            job, partial(self._handle_completion, i), attempt=attempt
         )
 
-    def _make_listener(self, name: str) -> Callable[[JobAttempt], None]:
-        def on_complete(attempt: JobAttempt) -> None:
-            self._handle_completion(name, attempt)
-
-        return on_complete
-
-    def _handle_completion(self, name: str, attempt: JobAttempt) -> None:
+    def _handle_completion(self, i: int, attempt: JobAttempt) -> None:
         self.trace.add(attempt)
         self._in_flight -= 1
         if attempt.status.is_success:
-            self._failed_attempts[name] = 0
-            self._set_state(name, NodeState.DONE)
-            # Children in sorted order: readiness order is the FIFO
+            self._failed_attempts[i] = 0
+            self._set_state(i, _DONE)
+            # Children in name order: readiness order is the FIFO
             # tie-break — hash order would make run outcomes depend on
             # PYTHONHASHSEED. A parent finishes (goes DONE) exactly
             # once, so each child's pending counter is decremented
             # exactly once per parent.
             pending = self._pending_parents
-            states = self.states
-            for child in self._children_sorted[name]:
+            state = self._state
+            for child in self._children[i]:
                 remaining = pending[child] - 1
                 pending[child] = remaining
-                if remaining == 0 and states[child] is NodeState.UNREADY:
+                if remaining == 0 and state[child] is _UNREADY:
                     # This parent's completion is the release edge: it
                     # is by definition the child's latest-finishing
                     # parent, i.e. the critical-path predecessor.
                     self._set_state(
-                        child,
-                        NodeState.READY,
-                        cause={
-                            "released_by": name,
-                            "released_attempt": attempt.attempt,
-                        },
+                        child, _READY, i, attempt.attempt
                     )
         else:
             # Accounting happens here, once per completed attempt —
             # never inside _may_retry, which callers must be able to
             # evaluate any number of times without burning retry budget.
-            self._failed_attempts[name] += 1
-            if self._may_retry(name, attempt):
-                self._requeue(name, attempt)
+            self._failed_attempts[i] += 1
+            if self._may_retry(i, attempt):
+                self._requeue(i, attempt)
             else:
-                self._set_state(name, NodeState.FAILED)
-                self._mark_descendants_unrunnable(name)
+                self._set_state(i, _FAILED)
+                self._mark_descendants_unrunnable(i)
         self._submit_ready()
 
-    def _may_retry(self, name: str, attempt: JobAttempt) -> bool:
+    def _may_retry(self, i: int, attempt: JobAttempt) -> bool:
         """Pure predicate: would DAGMan requeue this failed attempt?
 
         Reads the failure count :meth:`_handle_completion` maintains;
@@ -558,12 +582,12 @@ class DagmanScheduler:
         if (
             policy is not None
             and policy.budget is not None
-            and self._failed_attempts[name] > policy.budget
+            and self._failed_attempts[i] > policy.budget
         ):
             return False  # runaway guard: total requeues capped
         if self._is_free_requeue(attempt):
             return True
-        return self._retries_left[name] > 0
+        return self._retries_left[i] > 0
 
     def _is_free_requeue(self, attempt: JobAttempt) -> bool:
         """Evictions are the platform's fault; a policy with
@@ -575,23 +599,23 @@ class DagmanScheduler:
             and not self.retry_policy.charge_evictions
         )
 
-    def _requeue(self, name: str, attempt: JobAttempt) -> None:
+    def _requeue(self, i: int, attempt: JobAttempt) -> None:
         charged = not self._is_free_requeue(attempt)
         if charged:
-            self._retries_left[name] -= 1
+            self._retries_left[i] -= 1
+        job = self._jobs[i]
+        attempt_no = self._attempt[i]
         policy = self.retry_policy
-        delay = (
-            policy.delay_s(self._attempt[name]) if policy is not None else 0.0
-        )
+        delay = policy.delay_s(attempt_no) if policy is not None else 0.0
         call_later = getattr(self.environment, "call_later", None)
         if call_later is None:
             delay = 0.0  # environment cannot park work; requeue now
         self._emit(
             EventKind.RETRY,
-            job=self.dag.jobs[name],
-            attempt=self._attempt[name],
+            job=job,
+            attempt=attempt_no,
             detail={
-                "retries_left": self._retries_left[name],
+                "retries_left": self._retries_left[i],
                 "status": attempt.status.value,
                 "charged": charged,
                 "delay_s": delay,
@@ -600,36 +624,38 @@ class DagmanScheduler:
         if delay > 0:
             self._emit(
                 EventKind.HELD,
-                job=self.dag.jobs[name],
-                attempt=self._attempt[name],
+                job=job,
+                attempt=attempt_no,
                 detail={
                     "delay_s": delay,
                     "until": self.environment.now + delay,
                 },
             )
-            self._set_state(name, NodeState.HELD)
+            self._set_state(i, _HELD)
 
             def release() -> None:
-                if self.states.get(name) is NodeState.HELD:
-                    self._set_state(name, NodeState.READY)
+                if self._state[i] is _HELD:
+                    self._set_state(i, _READY)
                     self._submit_ready()
 
             call_later(delay, release)
         else:
-            self._set_state(name, NodeState.READY)
+            self._set_state(i, _READY)
 
-    def _mark_descendants_unrunnable(self, name: str) -> None:
-        stack = list(self._children_sorted[name])
+    def _mark_descendants_unrunnable(self, i: int) -> None:
+        state = self._state
+        children = self._children
+        stack = list(children[i])
         while stack:
             node = stack.pop()
-            if self.states[node] in (NodeState.UNREADY, NodeState.READY):
-                self._set_state(node, NodeState.UNRUNNABLE)
-                stack.extend(self._children_sorted[node])
+            if state[node] in (_UNREADY, _READY):
+                self._set_state(node, _UNRUNNABLE)
+                stack.extend(children[node])
 
     @property
     def attempt_number(self) -> dict[str, int]:
         """Current attempt count per job (1-based once submitted)."""
-        return dict(self._attempt)
+        return dict(zip(self.dag.jobs, self._attempt))
 
     @property
     def unfinished(self) -> int:

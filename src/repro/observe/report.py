@@ -70,8 +70,8 @@ def dag_from_plan_meta(meta: dict) -> "Dag":
 
     dag = Dag(name=f"blast2cap3-n{meta.get('n')}-{meta.get('site')}")
     for name, spec in meta["jobs"].items():
-        dag.add_job(
-            DagJob(
+        try:
+            job = DagJob(
                 name=name,
                 transformation=spec["transformation"],
                 runtime=spec["runtime"],
@@ -81,7 +81,9 @@ def dag_from_plan_meta(meta: dict) -> "Dag":
                 requirements=spec.get("requirements"),
                 priority=spec.get("priority", 0),
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"job {name!r}: {exc}") from exc
+        dag.add_job(job)
     for parent, child in meta["edges"]:
         dag.add_edge(parent, child)
     return dag

@@ -850,15 +850,9 @@ class RecoveredState:
         """A copy of ``dag`` with the journaled done set marked DONE —
         rescue-DAG semantics, built in memory so payloads and runtimes
         survive (a ``.dag`` file cannot carry them)."""
-        rescue = Dag(name=dag.name)
-        for job in dag.jobs.values():
-            rescue.add_job(job)
-        for parent, child in dag.edges():
-            rescue.add_edge(parent, child)
-        rescue.done = set(dag.done) | {
-            n for n in self.state.done if n in dag.jobs
-        }
-        return rescue
+        return dag.rescue(
+            dag.done | {n for n in self.state.done if n in dag.jobs}
+        )
 
     def write_rescue(self, dag: Dag, path: str | Path) -> Path:
         """Emit a DAGMan-style rescue ``.dag`` (DONE marks) for interop

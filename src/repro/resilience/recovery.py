@@ -211,14 +211,5 @@ def run_with_recovery(
         if last_round:
             return outcome
 
-        # The in-memory rescue DAG: same jobs and edges (payloads,
-        # runtimes and timeouts intact — the written .dag file cannot
-        # carry those), DONE marks accumulated.
-        rescue = Dag(name=dag.name)
-        for job in dag.jobs.values():
-            rescue.add_job(job)
-        for parent, child in dag.edges():
-            rescue.add_edge(parent, child)
-        rescue.done = done
-        current = rescue
+        current = dag.rescue(done)  # DONE marks accumulate over rounds
     return outcome

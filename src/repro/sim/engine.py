@@ -116,13 +116,13 @@ class Simulator:
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:  # negated, so NaN is refused as well
             raise ValueError(f"delay must be >= 0, got {delay}")
         return self.schedule_at(self._now + delay, callback)
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute virtual ``time``."""
-        if time < self._now:
+        if not time >= self._now:  # negated, so NaN is refused as well
             raise ValueError(
                 f"cannot schedule in the past: {time} < now {self._now}"
             )

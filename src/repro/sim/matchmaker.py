@@ -11,9 +11,10 @@ Two matchmakers implement the same contract:
 
 * :class:`LinearMatchmaker` — the historical scan, verbatim. Kept as
   the **equivalence oracle**: property tests pin the indexed rewrite to
-  it machine-for-machine (the same pattern PR 7 used for
-  ``LegacyRescanScheduler``). Nothing user-settable selects it; tests
-  and benches construct it directly.
+  it machine-for-machine (the same pattern PR 7 used for the
+  scheduler, whose oracle now lives in
+  ``tests/oracles/rescan_scheduler.py``). Nothing user-settable selects
+  it; tests and benches construct it directly.
 * :class:`IndexedMatchmaker` — what the grid always builds. Buckets
   free machines by *capability signature* (every advertised attribute
   except the continuous ``speed``). A requirements expression that does not mention ``speed``

@@ -237,7 +237,13 @@ def main_run(argv: list[str] | None = None) -> int:
 
     submit = Path(args.submit_dir)
     meta = json.loads((submit / PLAN_FILE).read_text())
-    dag = dag_from_plan_meta(meta)
+    try:
+        dag = dag_from_plan_meta(meta)
+    except ValueError as exc:
+        # A value no job can have (``json`` parses a bare NaN runtime),
+        # or an edge closing a cycle: refuse the plan, simulate nothing.
+        print(f"{submit / PLAN_FILE}: {exc}", file=sys.stderr)
+        return 2
 
     # Admission check with the same feasibility engine the linter and
     # planner use: a requirement no slot of the target pool can ever

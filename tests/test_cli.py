@@ -1,6 +1,8 @@
 """Tests for the command-line tools (plan/run/status/statistics/analyzer
 and the blast2cap3 driver)."""
 
+import json
+
 import pytest
 
 from repro.bio.fasta import read_fasta, write_fasta
@@ -67,6 +69,30 @@ class TestPegasusStyleCli:
         assert main_run(["--submit-dir", str(d), "--seed", "2"]) == 0
         out = capsys.readouterr().out
         assert "succeeded" in out
+
+    def test_nan_runtime_in_plan_is_refused_not_simulated(
+        self, tmp_path, capsys
+    ):
+        """``json`` reads a bare ``NaN``; as a runtime it used to pass
+        ``runtime < 0``, put NaN keys in the event heap and end in
+        "workflow FAILED ... 0 failed, 0 unrunnable", exit 1."""
+        d = tmp_path / "nan"
+        assert main_plan(["--submit-dir", str(d), "-n", "4",
+                          "--site", "sandhills"]) == 0
+        plan = d / "plan.json"
+        meta = json.loads(plan.read_text())
+        meta["jobs"]["run_cap3_2"]["runtime"] = float("nan")
+        plan.write_text(json.dumps(meta))
+        assert "NaN" in plan.read_text()
+        capsys.readouterr()
+        assert main_run(["--submit-dir", str(d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line == (
+            f"{plan}: job 'run_cap3_2': runtime must be >= 0, got nan"
+        )
+        assert not (d / "events.jsonl").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Tests for the DAG model and .dag file round-trip."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dagman.dag import Dag, DagJob
 
@@ -26,6 +27,16 @@ class TestDagJob:
             DagJob(name="a", transformation="t", runtime=-1)
         with pytest.raises(ValueError):
             DagJob(name="a", transformation="t", retries=-1)
+
+    def test_nan_is_not_a_duration(self):
+        """NaN fails ``x < 0`` as well as ``x >= 0``; only guards
+        written the second way refuse it."""
+        with pytest.raises(ValueError, match="runtime must be >= 0, got nan"):
+            DagJob(name="a", transformation="t", runtime=float("nan"))
+        with pytest.raises(ValueError, match="timeout_s must be positive.*nan"):
+            DagJob(name="a", transformation="t", timeout_s=float("nan"))
+        with pytest.raises(ValueError, match="timeout_s"):
+            DagJob(name="a", transformation="t", timeout_s=0.0)
 
 
 class TestDag:
@@ -87,6 +98,75 @@ class TestDag:
         assert set(dag.edges()) == {
             ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"),
         }
+
+
+@st.composite
+def drawn_dag(draw):
+    """Jobs inserted in one drawn order, edges acyclic along another,
+    some DONE marks, and a done set for the rescue copy."""
+    n = draw(st.integers(min_value=0, max_value=9))
+    names = draw(st.permutations([f"n{i}" for i in range(n)]))
+    topo = draw(st.permutations(names))
+    dag = Dag(name="drawn")
+    for name in names:
+        dag.add_job(
+            DagJob(
+                name=name,
+                transformation="t",
+                retries=draw(st.integers(0, 2)),
+                priority=draw(st.integers(-1, 1)),
+                timeout_s=draw(st.sampled_from([None, 30.0])),
+                payload=lambda: None,
+            )
+        )
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 2)) == 0:
+                dag.add_edge(topo[i], topo[j])
+    subset = st.lists(st.sampled_from(names), unique=True) if n else st.just([])
+    dag.done = set(draw(subset))
+    return dag, draw(subset)
+
+
+class TestRescueCopy:
+    @given(drawn_dag(), st.sampled_from([None, "drawn.rescue"]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_add_job_add_edge_loop(self, tmp_path_factory, case, name):
+        """``Dag.rescue`` copies the adjacency instead of re-validating
+        every edge; it must build what the loop it replaced built."""
+        dag, done = case
+        loop = Dag(name=dag.name if name is None else name)
+        for job in dag.jobs.values():
+            loop.add_job(job)
+        for parent, child in dag.edges():
+            loop.add_edge(parent, child)
+        loop.done = set(done)
+
+        rescue = dag.rescue(done, name=name)
+
+        assert rescue.name == loop.name
+        assert list(rescue.jobs) == list(loop.jobs)
+        assert all(rescue.jobs[n] is dag.jobs[n] for n in dag.jobs)
+        assert list(rescue.edges()) == list(loop.edges())
+        assert rescue.done == loop.done
+        for n in dag.jobs:
+            assert rescue.parents(n) == loop.parents(n)
+            assert rescue.children(n) == loop.children(n)
+        out = tmp_path_factory.mktemp("rescue")
+        assert (
+            rescue.write_dagfile(out / "copy.dag").read_bytes()
+            == loop.write_dagfile(out / "loop.dag").read_bytes()
+        )
+
+    def test_copy_shares_no_adjacency_with_its_source(self):
+        dag = diamond()
+        dag.add_job(DagJob(name="e", transformation="t"))
+        rescue = dag.rescue({"a"})
+        rescue.add_edge("d", "e")
+        rescue.done.add("b")
+        assert dag.children("d") == set() and dag.parents("e") == set()
+        assert dag.done == set()
+        assert rescue.children("d") == {"e"} and rescue.done == {"a", "b"}
 
 
 class TestDagFile:

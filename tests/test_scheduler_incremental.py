@@ -1,14 +1,17 @@
-"""The incremental scheduler rewrite, pinned against the legacy oracle.
+"""The incremental scheduler, pinned against the legacy oracle.
 
-The rewrite (persistent ready heap + pending-parent counters, see
-``repro.dagman.scheduler``) claims *bit-identical behaviour* to the
-pre-rewrite full-rescan loop preserved as
-:class:`repro.dagman.legacy.LegacyRescanScheduler`. The hypothesis
-properties here enforce that claim: arbitrary DAGs (width, depth,
-priorities, retries, throttles, scripted failures) run through both
-implementations on a scripted environment and on all three simulated
-platforms, and the traces, bus event streams, final states, and wall
-times must match exactly.
+The scheduler (persistent ready heap + pending-parent counters over
+dense job ids, see ``repro.dagman.scheduler``) claims *bit-identical
+behaviour* to the name-keyed full-rescan loop preserved as
+:class:`tests.oracles.rescan_scheduler.LegacyRescanScheduler`. The
+hypothesis properties here enforce that claim: arbitrary DAGs (width,
+depth, priorities, retries, throttles, scripted failures, pre-done
+marks, tags) run through both implementations on a scripted environment
+and on all three simulated platforms, and the traces, bus event
+streams, final states, and wall times must match exactly. Job names are
+drawn so that insertion order (the ids), name order (the release order)
+and topological order are three different orders: a scheduler that
+released children in id order would fail here.
 
 The rest of the module is regression tests for the three hot-path bugs
 fixed alongside the rewrite:
@@ -25,15 +28,20 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus
-from repro.dagman.legacy import LegacyRescanScheduler
-from repro.dagman.scheduler import DagmanScheduler, NodeState
+from repro.dagman.scheduler import (
+    DagmanScheduler,
+    NodeState,
+    SchedulerRestore,
+)
 from repro.observe.bus import EventBus, EventRecorder
+from repro.observe.events import EventKind
 from repro.resilience.retry import FixedDelayRetry, RetryPolicy
 from repro.sim.cloud import CloudPlatform
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator
 from repro.sim.grid import GridConfig, OpportunisticGrid
 from repro.sim.rng import RngStreams
+from tests.oracles.rescan_scheduler import LegacyRescanScheduler
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +99,11 @@ class ScriptedEnvironment:
 @st.composite
 def dag_case(draw):
     n = draw(st.integers(min_value=1, max_value=10))
-    names = [f"n{i}" for i in range(n)]
+    # Three independent orders over the same names: insertion (what the
+    # scheduler's ids follow), sorted (what children are released in)
+    # and topological (what keeps the edges acyclic).
+    names = draw(st.permutations([f"n{i}" for i in range(n)]))
+    topo = draw(st.permutations(names))
     dag = Dag(name="eq")
     for name in names:
         dag.add_job(
@@ -103,11 +115,14 @@ def dag_case(draw):
                 needs_setup=draw(st.booleans()),
             )
         )
-    # i -> j with i < j keeps it acyclic by construction.
+    # topo[i] -> topo[j] with i < j keeps it acyclic by construction.
     for i in range(n):
         for j in range(i + 1, n):
             if draw(st.integers(0, 3)) == 0:
-                dag.add_edge(names[i], names[j])
+                dag.add_edge(topo[i], topo[j])
+    # Rescue marks, not necessarily ancestor-closed: a DONE node under a
+    # parent that still has to run must stay DONE in both schedulers.
+    dag.done = {name for name in names if draw(st.integers(0, 5)) == 0}
     retries = draw(st.integers(min_value=0, max_value=2))
     failures = set()
     for name in names:
@@ -124,28 +139,28 @@ def dag_case(draw):
             ]
         )
     )
-    return dag, failures, retries, max_jobs, policy
+    tags = draw(st.sampled_from([None, {"tenant": "t0", "workflow": "w0"}]))
+    return dag, failures, {
+        "max_jobs": max_jobs,
+        "default_retries": retries,
+        "retry_policy": policy,
+        "tags": tags,
+    }
 
 
-def _run(scheduler_cls, dag, env_factory, *, max_jobs, retries, policy):
+def _run(scheduler_cls, dag, env_factory, options):
     bus = EventBus()
     recorder = EventRecorder(bus)
-    env = env_factory(bus)
-    scheduler = scheduler_cls(
-        dag,
-        env,
-        max_jobs=max_jobs,
-        default_retries=retries,
-        bus=bus,
-        retry_policy=policy,
-    )
+    scheduler = scheduler_cls(dag, env_factory(bus), bus=bus, **options)
     result = scheduler.run()
     return result, recorder.events
 
 
-def _assert_equivalent(new, legacy):
-    new_result, new_events = new
-    legacy_result, legacy_events = legacy
+def _assert_equivalent_on(env_factory, dag, options):
+    new_result, new_events = _run(DagmanScheduler, dag, env_factory, options)
+    legacy_result, legacy_events = _run(
+        LegacyRescanScheduler, dag, env_factory, options
+    )
     assert new_result.states == legacy_result.states
     assert new_result.success == legacy_result.success
     assert new_result.wall_time == legacy_result.wall_time
@@ -156,24 +171,9 @@ def _assert_equivalent(new, legacy):
 @given(dag_case())
 @settings(max_examples=100, deadline=None)
 def test_equivalent_on_scripted_environment(case):
-    dag, failures, retries, max_jobs, policy = case
-    _assert_equivalent(
-        _run(
-            DagmanScheduler,
-            dag,
-            lambda bus: ScriptedEnvironment(failures),
-            max_jobs=max_jobs,
-            retries=retries,
-            policy=policy,
-        ),
-        _run(
-            LegacyRescanScheduler,
-            dag,
-            lambda bus: ScriptedEnvironment(failures),
-            max_jobs=max_jobs,
-            retries=retries,
-            policy=policy,
-        ),
+    dag, failures, options = case
+    _assert_equivalent_on(
+        lambda bus: ScriptedEnvironment(failures), dag, options
     )
 
 
@@ -212,40 +212,22 @@ def _cloud_factory(seed):
 @given(dag_case(), st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=25, deadline=None)
 def test_equivalent_on_campus_cluster(case, seed):
-    dag, _failures, retries, max_jobs, policy = case
-    factory = _cluster_factory(seed)
-    _assert_equivalent(
-        _run(DagmanScheduler, dag, factory,
-             max_jobs=max_jobs, retries=retries, policy=policy),
-        _run(LegacyRescanScheduler, dag, factory,
-             max_jobs=max_jobs, retries=retries, policy=policy),
-    )
+    dag, _failures, options = case
+    _assert_equivalent_on(_cluster_factory(seed), dag, options)
 
 
 @given(dag_case(), st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=25, deadline=None)
 def test_equivalent_on_opportunistic_grid(case, seed):
-    dag, _failures, retries, max_jobs, policy = case
-    factory = _grid_factory(seed)
-    _assert_equivalent(
-        _run(DagmanScheduler, dag, factory,
-             max_jobs=max_jobs, retries=retries, policy=policy),
-        _run(LegacyRescanScheduler, dag, factory,
-             max_jobs=max_jobs, retries=retries, policy=policy),
-    )
+    dag, _failures, options = case
+    _assert_equivalent_on(_grid_factory(seed), dag, options)
 
 
 @given(dag_case(), st.integers(min_value=0, max_value=2**16))
 @settings(max_examples=25, deadline=None)
 def test_equivalent_on_cloud(case, seed):
-    dag, _failures, retries, max_jobs, policy = case
-    factory = _cloud_factory(seed)
-    _assert_equivalent(
-        _run(DagmanScheduler, dag, factory,
-             max_jobs=max_jobs, retries=retries, policy=policy),
-        _run(LegacyRescanScheduler, dag, factory,
-             max_jobs=max_jobs, retries=retries, policy=policy),
-    )
+    dag, _failures, options = case
+    _assert_equivalent_on(_cloud_factory(seed), dag, options)
 
 
 # ---------------------------------------------------------------------------
@@ -364,29 +346,107 @@ def test_scales_without_rescans():
     result = scheduler.run()
     assert result.success
     assert len(result.trace) == n
-    # Every heap entry was consumed exactly once: nothing left over,
-    # nothing resubmitted.
-    assert scheduler._ready_heap == []
+    # Every node was submitted exactly once: nothing left over, nothing
+    # resubmitted.
+    assert scheduler.unfinished == 0
+    assert scheduler.attempt_number == {name: 1 for name in names}
     assert sorted(env.submissions) == [(name, 1) for name in names]
 
 
 def test_may_retry_is_pure():
+    """Deciding whether to retry must not itself count as a failure.
+
+    The decision is taken at two sites — per completion, and once more
+    at ``start()`` for every journaled attempt whose decision never
+    reached the journal (``SchedulerRestore.undecided``). The restored
+    ``failed_attempts`` already include that attempt, so a predicate
+    that counted as a side effect (the old one did) would charge it
+    twice and fail a job the retry budget still covers."""
     dag = Dag()
     dag.add_job(DagJob(name="j", transformation="t", retries=5))
+    always_failing = {("j", a) for a in range(1, 10)}
     scheduler = DagmanScheduler(
         dag,
-        SynchronousEnvironment(failures={("j", a) for a in range(1, 10)}),
+        SynchronousEnvironment(failures=always_failing),
         retry_policy=RetryPolicy(budget=2),
     )
-    scheduler.start()
-    scheduler.environment.run_until_complete()
+    scheduler.run()
     # The budget capped requeues at 2 (attempts at 3) even though the
     # RETRY budget allowed 5.
     assert scheduler.states["j"] is NodeState.FAILED
+    assert scheduler.attempt_number["j"] == 3
     assert len(scheduler.trace.for_job("j")) == 3
-    # Asking again (and again) must not change the answer or the count.
-    before = dict(scheduler._failed_attempts)
-    first = scheduler._may_retry("j", _failed_attempt("j", 3))
-    second = scheduler._may_retry("j", _failed_attempt("j", 3))
-    assert first == second
-    assert scheduler._failed_attempts == before
+
+    # Crash after attempt 2 failed, before its decision was journaled:
+    # two failures counted, budget 2 — exactly one requeue is still
+    # owed, and the resumed scheduler must grant it.
+    env = SynchronousEnvironment(failures=always_failing)
+    resumed = DagmanScheduler(
+        dag,
+        env,
+        retry_policy=RetryPolicy(budget=2),
+        restore=SchedulerRestore(
+            attempts={"j": 2},
+            retries_left={"j": 4},
+            failed_attempts={"j": 2},
+            undecided={"j": _failed_attempt("j", 2)},
+        ),
+    )
+    resumed.run()
+    assert env.submissions == [("j", 3)]
+    assert resumed.states["j"] is NodeState.FAILED
+    assert resumed.attempt_number["j"] == 3
+
+
+# ---------------------------------------------------------------------------
+# restore= goes through the name → id index
+# ---------------------------------------------------------------------------
+
+
+def test_restore_lands_on_the_right_job_when_insertion_order_is_not_name_order():
+    """Every ``SchedulerRestore`` field is keyed by job name while the
+    scheduler's own state is indexed by insertion position; here the two
+    orders differ, each field has an observable consequence, and every
+    field also names a job the DAG does not have."""
+    dag = Dag(name="restore")
+    for name in ("d", "b", "e", "a", "c"):  # ids 0..4; name order differs
+        dag.add_job(DagJob(name=name, transformation="t", retries=1))
+    dag.add_edge("d", "c")
+    ghost = _failed_attempt("ghost", 1)
+    restore = SchedulerRestore(
+        attempts={"a": 2, "b": 1, "ghost": 9},
+        retries_left={"a": 0, "ghost": 5},
+        failed_attempts={"e": 2, "ghost": 1},
+        failed=frozenset({"d", "ghost"}),
+        undecided={"b": _failed_attempt("b", 1), "ghost": ghost},
+    )
+    env = ScriptedEnvironment(failures={("a", 3), ("e", 1)})
+    bus = EventBus()
+    recorder = EventRecorder(bus)
+    scheduler = DagmanScheduler(
+        dag, env, bus=bus, retry_policy=RetryPolicy(budget=2),
+        restore=restore,
+    )
+    result = scheduler.run()
+
+    assert list(result.states) == ["d", "b", "e", "a", "c"]
+    assert result.states == {
+        # failed: re-enters FAILED without running ...
+        "d": NodeState.FAILED,
+        # undecided: requeued under b's own (default) RETRY budget ...
+        "b": NodeState.DONE,
+        # failed_attempts: 2 restored + 1 now exceeds the budget of 2,
+        # although a RETRY was left ...
+        "e": NodeState.FAILED,
+        # retries_left: 0 restored, so the failed attempt 3 is final ...
+        "a": NodeState.FAILED,
+        # ... and d's child is swept.
+        "c": NodeState.UNRUNNABLE,
+    }
+    # attempts: a and b carry on from their journaled attempt numbers.
+    assert scheduler.attempt_number == {"d": 0, "b": 2, "e": 1, "a": 3, "c": 0}
+    assert sorted(env.submissions) == [("a", 3), ("b", 2), ("e", 1)]
+    retries = [e for e in recorder.events if e.kind is EventKind.RETRY]
+    assert [(e.job_name, e.attempt, e.detail["retries_left"])
+            for e in retries] == [("b", 1, 0)]
+    assert all(e.job_name != "ghost" for e in recorder.events)

@@ -66,6 +66,23 @@ class TestSimulator:
         with pytest.raises(ValueError, match="past"):
             sim.schedule_at(5.0, lambda: None)
 
+    def test_nan_never_reaches_the_event_heap(self):
+        """NaN compares false with everything, so ``delay < 0`` and
+        ``time < now`` both let it through — and a NaN key in the heap
+        breaks the ordering of its neighbours (delays 5, nan, 1, 3, 0.5
+        used to fire as 1.0, 0.5, 3.0, nan, 5.0: time ran backwards)."""
+        sim = Simulator()
+        fired = []
+        for delay in (5.0, float("nan"), 1.0, 3.0, 0.5):
+            try:
+                sim.schedule(delay, lambda: fired.append(sim.now))
+            except ValueError as exc:
+                assert "delay must be >= 0, got nan" in str(exc)
+        with pytest.raises(ValueError, match="nan < now"):
+            sim.schedule_at(float("nan"), lambda: None)
+        sim.run()
+        assert fired == [0.5, 1.0, 3.0, 5.0]
+
     def test_run_until_stops_clock(self):
         sim = Simulator()
         fired = []
