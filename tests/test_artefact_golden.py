@@ -10,9 +10,16 @@ reader or an exporter that moves a single byte of ``events.jsonl``,
 ``metrics.json`` or the plan files shows here.
 
 The runs use relative paths from a scratch working directory because
-``events.jsonl`` records the rescue file's path as given. The journal's
-WAL and snapshot carry the manager's pid and are left out; its
-``records.jsonl`` sidecar (terminal records, verbatim log lines) is in.
+``events.jsonl`` records the rescue file's path as given. The journal
+directory is in too: the ``records.jsonl`` sidecar verbatim, the WAL
+segments and ``snapshot.json`` with the manager's pid masked (and, on
+the ``journal/open`` lines that carry it, the CRC taken over it). A
+clean ``close()`` compacts the WAL down to one header line, so the
+``osg-crash`` row is what pins record framing: it stops at the injected
+crash, with a snapshot, a sidecar and a WAL suffix ending in a torn
+record (the record before it is a failed attempt whose retry decision
+is lost). ``osg-crash-resume`` continues that directory with
+``--resume``.
 
 Regenerate (after convincing yourself the move is intended) with
 ``PYTHONPATH=src python tests/test_artefact_golden.py``.
@@ -25,6 +32,7 @@ import functools
 import hashlib
 import io
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -32,31 +40,60 @@ import pytest
 
 from repro.wms.cli import main_plan, main_run
 
+_CHAOS = (
+    "--chaos-start-failure", "0.2",
+    "--retry-policy", "backoff",
+    "--blacklist-threshold", "2",
+    "--blacklist-cooldown", "600",
+    "--max-rescue-rounds", "2",
+)
+
 #: scenario -> (site, extra ``repro-run`` arguments, expected exit code)
 SCENARIOS: dict[str, tuple[str, tuple[str, ...], int]] = {
     "sandhills": ("sandhills", (), 0),
     # n=12 seed=0 on the grid exhausts one job's retries: a failed run
     # with 24 retries, a rescue file and unrunnable descendants.
     "osg": ("osg", (), 1),
-    "osg-chaos-journal": (
+    "osg-chaos-journal": ("osg", (*_CHAOS, "--journal", "journal"), 0),
+    "osg-crash": (
         "osg",
         (
-            "--chaos-start-failure", "0.2",
-            "--retry-policy", "backoff",
-            "--blacklist-threshold", "2",
-            "--blacklist-cooldown", "600",
-            "--max-rescue-rounds", "2",
+            *_CHAOS,
             "--journal", "journal",
+            "--journal-snapshot-every", "16",
+            "--crash-at-record", "59",
+            "--crash-mode", "raise",
         ),
+        3,
+    ),
+    "osg-crash-resume": (
+        "osg",
+        (*_CHAOS, "--journal-snapshot-every", "16", "--resume", "journal"),
         0,
     ),
 }
+
+#: scenario -> the scenario whose directories it continues
+AFTER = {"osg-crash-resume": "osg-crash"}
+
+_PID = re.compile(rb'("(?:manager_)?pid": ?)\d+')
+_OPEN_CRC = re.compile(
+    rb'^\{"crc":"[0-9a-f]{8}"(?=.*"event":"journal/open")', re.MULTILINE
+)
+
+
+def _masked(data: bytes) -> bytes:
+    """Journal bytes with the one run-dependent value, the pid, out."""
+    return _OPEN_CRC.sub(b'{"crc":"--------"', _PID.sub(rb"\1N", data))
 
 
 @functools.lru_cache(maxsize=None)
 def _run(scenario: str) -> tuple[int, dict[str, str]]:
     """Exit code of ``repro-run`` and sha256 per artefact."""
-    site, extra, _ = SCENARIOS[scenario]
+    site = SCENARIOS[scenario][0]
+    chain = [scenario]
+    while chain[0] in AFTER:
+        chain.insert(0, AFTER[chain[0]])
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
@@ -67,15 +104,19 @@ def _run(scenario: str) -> tuple[int, dict[str, str]]:
                 assert main_plan(
                     ["--submit-dir", "submit", "-n", "12", "--site", site]
                 ) == 0
-                code = main_run(["--submit-dir", "submit", "--seed", "0", *extra])
-            files = sorted(Path("submit").iterdir())
-            sidecar = Path("journal", "records.jsonl")
-            if sidecar.exists():
-                files.append(sidecar)
+                for step in chain:
+                    code = main_run(
+                        ["--submit-dir", "submit", "--seed", "0",
+                         *SCENARIOS[step][1]]
+                    )
             digests = {
                 str(p): hashlib.sha256(p.read_bytes()).hexdigest()
-                for p in files
+                for p in sorted(Path("submit").iterdir())
             }
+            for p in sorted(Path("journal").glob("*")):
+                digests[str(p)] = hashlib.sha256(
+                    _masked(p.read_bytes())
+                ).hexdigest()
         finally:
             os.chdir(here)
     return code, digests
@@ -115,6 +156,30 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-chaos-journal', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-chaos-journal', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg-chaos-journal', 'journal/records.jsonl'): 'd3fa913aa5c518ecefa813576eb5ad0c4b15d365d02ac66ea2049fd3ca55ce49',
+    ('osg-chaos-journal', 'journal/snapshot.json'): 'd66b3f53a3b75ca62c93168ebbe97e0bebb3adc475d287b3fc9efec8f0b324f4',
+    ('osg-chaos-journal', 'journal/wal-00000003.jsonl'): 'c6899f57db10ea872df0c0d4d163f65f6071d6f6344b1cba745a1cf79140c638',
+    ('osg-crash', 'submit/events.jsonl'): '3bc7fd0b3e401548a9d36e17962cb18626b72101065cf35fec2b8ca51b1ed47b',
+    ('osg-crash', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
+    ('osg-crash', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
+    ('osg-crash', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
+    ('osg-crash', 'journal/records.jsonl'): '351791e510ef845d162e1edd399c3d9dc5aa3d7ab2a23a1423ea9c06a2afda85',
+    ('osg-crash', 'journal/snapshot.json'): '481a6776a2c3ce6df34ef1eb6effc886c3d43c988b4955513eee7fd129a0990a',
+    ('osg-crash', 'journal/wal-00000003.jsonl'): 'e79b943409a746883e8f281abb902a315584b1603a80de19bae6075749dd565e',
+    ('osg-crash-resume', 'submit/blast2cap3-n12-osg.rescue001'): '68f6ee1fe0d7713b95ab31d6d38c1484a1b0d98e9c96a2f343eee73d64879434',
+    ('osg-crash-resume', 'submit/blast2cap3-n12-osg.resume.dag'): '55c00044be9e975fb026e8133dd75cf59e9aa55908313690f405d9582f287224',
+    ('osg-crash-resume', 'submit/events.jsonl'): '7dcdf299d2e9a911d4334f1d376f4abd3152c7f7c79d8fffb113cb11afd61360',
+    ('osg-crash-resume', 'submit/metrics.json'): '6baab09c98dc6bc981800a5f9787b4d779fee1b99dde210d31261e6f57389618',
+    ('osg-crash-resume', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
+    ('osg-crash-resume', 'submit/trace.chrome.json'): '9d2a250c508b67cd8345d4ddcc6a04dce244703537f0c7a37c0e916ca1f2883e',
+    ('osg-crash-resume', 'submit/trace.jsonl'): 'a068a19cfeb2f80c31cd58b561f027333e91ec6d08fb972b9b099188b22613ec',
+    ('osg-crash-resume', 'submit/trace.otlp.json'): 'abc999cf1f91105f0e12768389acc6aa6a8ed57b78b970e1d16d61da7be3d145',
+    ('osg-crash-resume', 'submit/trace.perfetto.json'): '97cb88a4f15a942569e7c3649c6938d8e3e97348fea4847e6bb387a3780cd7c2',
+    ('osg-crash-resume', 'submit/utilization.tsv'): '68e68fa288e8273638b6ebd30b9cb276940059a10db198784fb4134702906b02',
+    ('osg-crash-resume', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
+    ('osg-crash-resume', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
+    ('osg-crash-resume', 'journal/records.jsonl'): '06ed3a94ace34ee438c02b2d9e96f3f29a97ea7ddb642d8346c8542aa69a92bf',
+    ('osg-crash-resume', 'journal/snapshot.json'): 'aec8b05767f06b470542734d8a5b053d72cd2d9d1d67b7cd028b7149ec7dc7c5',
+    ('osg-crash-resume', 'journal/wal-00000012.jsonl'): '62f5c04e8093f06e287ff09aa0288288d1a0e141b52961b825c9910113c6f699',
 }
 
 
