@@ -93,10 +93,16 @@ def event_to_json_line(event: RunEvent) -> str:
 
 def _flatten(event: RunEvent) -> dict:
     out: dict[str, object] = {"event": event.kind.value, "t": event.time}
-    for name in ("job_name", "transformation", "site", "machine", "attempt"):
-        value = getattr(event, name)
-        if value is not None:
-            out[name] = value
+    if event.job_name is not None:
+        out["job_name"] = event.job_name
+    if event.transformation is not None:
+        out["transformation"] = event.transformation
+    if event.site is not None:
+        out["site"] = event.site
+    if event.machine is not None:
+        out["machine"] = event.machine
+    if event.attempt is not None:
+        out["attempt"] = event.attempt
     if event.record is not None:
         out.update(event.record.to_json())
     if event.detail:

@@ -21,6 +21,7 @@ Two producers:
 
 from __future__ import annotations
 
+import functools
 import time
 
 from repro.dagman.events import ResourceProfile
@@ -98,6 +99,18 @@ MODEL_COEFFICIENTS: dict[str, tuple[float, float, int, float, float]] = {
 _DEFAULT_COEFFICIENTS = (0.85, 0.08, 64_000, 120.0, 60.0)
 
 
+@functools.lru_cache(maxsize=4096)
+def _coefficients(transformation: str) -> tuple[float, float, int, float, float]:
+    """A name's own row, else the first stem it starts with, else the
+    default — resolved once per name, not once per attempt."""
+    if transformation in MODEL_COEFFICIENTS:
+        return MODEL_COEFFICIENTS[transformation]
+    for stem, row in MODEL_COEFFICIENTS.items():
+        if transformation.startswith(stem):
+            return row
+    return _DEFAULT_COEFFICIENTS
+
+
 def modelled_profile(
     transformation: str,
     exec_s: float,
@@ -118,15 +131,7 @@ def modelled_profile(
     """
     if exec_s <= 0:
         return None
-    key = transformation
-    if key not in MODEL_COEFFICIENTS:
-        for stem in MODEL_COEFFICIENTS:
-            if key.startswith(stem):
-                key = stem
-                break
-    f_user, f_sys, rss_kb, read_rate, write_rate = MODEL_COEFFICIENTS.get(
-        key, _DEFAULT_COEFFICIENTS
-    )
+    f_user, f_sys, rss_kb, read_rate, write_rate = _coefficients(transformation)
     return ResourceProfile(
         cpu_user_s=round(exec_s * f_user, 6),
         cpu_sys_s=round(exec_s * f_sys, 6),

@@ -24,7 +24,20 @@ returns a :class:`RecoveredState` that can mark the DAG's done set,
 rebuild the scheduler's counters (:meth:`RecoveredState.scheduler_restore`),
 restore the blacklist, rebuild the merged attempt trace, write a
 DAGMan-interop rescue ``.dag``, and reconcile local worker processes
-orphaned by the crash (:func:`reconcile_local`).
+orphaned by the crash (:func:`reconcile_local`). What it cannot anchor
+it refuses (see :func:`recover`): repair cuts only after an anchored
+record.
+
+Bytes are the unit, and each record's are handled once in each
+direction. Out: the event's compact JSON text is encoded once; those
+bytes are framed into the WAL line, kept as the retained terminal
+record and later joined into the sidecar (both files are binary).
+Back: :func:`decode_record` checks the CRC over the bytes of the line
+on disk and parses what it verified; a replayed terminal record's body
+is a slice of that line, and every journaled attempt is parsed once,
+through :meth:`JobAttempt.from_json <repro.dagman.events.JobAttempt.from_json>`.
+The check-by-re-serialising this replaced is kept as
+``tests/oracles/journal_reference.py``.
 
 Exactly-once semantics, precisely: a job whose successful terminal
 record reached the journal is **never executed again** — resume marks
@@ -60,13 +73,13 @@ import signal
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping
 
 from repro.dagman.dag import Dag
-from repro.dagman.events import WorkflowTrace
+from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
-from repro.observe.log import compact_json, event_from_json, serialize_event
+from repro.observe.log import compact_json, serialize_event
 from repro.util.iolib import atomic_write, ensure_dir
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -149,47 +162,84 @@ def _durable(event: RunEvent) -> bool:
 # -- record framing ------------------------------------------------------
 
 
-def _frame_record(seq: int, body_str: str) -> str:
-    """Frame one pre-serialized body (compact JSON object) as a line."""
-    canonical = '{"seq":%d,%s' % (seq, body_str[1:])
-    # zlib.crc32 is already unsigned on Python 3; %08x formats it direct
-    return '{"crc":"%08x",%s\n' % (
-        zlib.crc32(canonical.encode("utf-8")), canonical[1:]
-    )
+def _frame_record(seq: int, body: bytes) -> bytes:
+    """Frame one serialized body (compact JSON object) as a line."""
+    canonical = b'{"seq":%d,' % seq + body[1:]
+    return b'{"crc":"%08x",' % zlib.crc32(canonical) + canonical[1:] + b"\n"
 
 
 def encode_record(seq: int, body: Mapping[str, object]) -> str:
     """Frame one WAL record: compact JSON + CRC32, one line.
 
-    The CRC is computed over the compact serialization (no whitespace,
-    keys in insertion order) of the body with ``seq`` as the first
-    key, then spliced in ahead of it — so the line is plain JSONL any
-    tool can read, yet :func:`decode_record` can re-serialize and
-    verify it byte-for-byte. Sorting keys is unnecessary: the decoder
-    re-serializes from the parsed line, whose key order is by
-    construction the order this function wrote.
+    The CRC is taken over the bytes of the compact serialization (no
+    whitespace, keys in insertion order, ASCII) of the body with
+    ``seq`` as the first key, then spliced in ahead of it — so the line
+    is plain JSONL any tool can read, and :func:`decode_record` checks
+    it against the very bytes it is handed.
     """
-    return _frame_record(seq, compact_json(body))
+    return _frame_record(seq, compact_json(body).encode()).decode()
 
 
-def decode_record(line: str) -> dict | None:
-    """Parse and verify one WAL line; ``None`` means torn/corrupt."""
+_parse_object = json.JSONDecoder().raw_decode
+
+
+def decode_record(line: bytes | str) -> dict | None:
+    """Parse and verify one WAL line; ``None`` means torn/corrupt.
+
+    A line is valid iff it starts ``{"crc":"`` + eight lowercase hex
+    digits + ``","seq":``, those digits are the CRC32 of ``{`` + the
+    rest of the line from ``"seq":`` on, that text is one JSON object
+    and its ``seq`` is an ``int``. The check is over the line's own
+    bytes, so a line someone re-spaced or re-ordered by hand is torn
+    even when its compact form would still match the checksum.
+    """
     try:
-        data = json.loads(line)
-    except ValueError:
+        if isinstance(line, str):
+            line = line.encode()
+        line = line.rstrip(b"\n")
+        canonical = b"{" + line[18:]
+        if not line.startswith(
+            b'{"crc":"%08x","seq":' % zlib.crc32(canonical)
+        ):
+            return None
+        text = canonical.decode()
+        data, end = _parse_object(text)
+    except ValueError:  # un-encodable, not UTF-8, or not JSON
         return None
-    if not isinstance(data, dict):
-        return None
-    crc = data.pop("crc", None)
-    if not isinstance(crc, str):
-        return None
-    canonical = compact_json(data)
-    expected = format(zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF, "08x")
-    if crc != expected:
-        return None
-    if not isinstance(data.get("seq"), int):
+    if end != len(text) or not isinstance(data["seq"], int):
         return None
     return data
+
+
+#: Lines per ``json.loads`` of attempt records: a call per line costs
+#: 30 % more, one call for a whole history holds every parsed dict at
+#: once (+20 MB of peak RSS at 15 000 records) and is no faster.
+_PARSE_CHUNK = 256
+_NOT_AN_ATTEMPT = (ValueError, KeyError, TypeError, AttributeError)
+
+
+def _parse_attempts(lines: list[bytes], where: Path) -> list[JobAttempt]:
+    """The attempt records in ``lines`` (record bodies, one per line of
+    ``where``); :class:`JournalError` names the first that is not one."""
+    attempts: list[JobAttempt] = []
+    from_json = JobAttempt.from_json
+    for start in range(0, len(lines), _PARSE_CHUNK):
+        chunk = lines[start : start + _PARSE_CHUNK]
+        try:
+            rows = json.loads(b"[" + b",".join(chunk) + b"]")
+            if len(rows) != len(chunk):
+                raise ValueError("a line holds more than one value")
+            attempts += [from_json(row) for row in rows]
+        except _NOT_AN_ATTEMPT:
+            for number, line in enumerate(chunk, start + 1):
+                try:
+                    from_json(json.loads(line))
+                except _NOT_AN_ATTEMPT as exc:
+                    raise JournalError(
+                        f"{where}:{number}: not an attempt record: {exc!r}"
+                    ) from None
+            raise
+    return attempts
 
 
 # -- the reduced state ---------------------------------------------------
@@ -221,11 +271,12 @@ class JournalState:
     #: scheduler re-decides these at resume (job -> terminal record)
     undecided: dict[str, dict] = field(default_factory=dict)
     #: every journaled terminal record, across rounds — the merged
-    #: trace. Kept as compact JSON *strings*, not dicts: strings are
-    #: invisible to the cyclic GC, so a large run's retained state does
-    #: not inflate every gen-2 collection the way tens of thousands of
-    #: small dicts would (measured as the dominant journal overhead).
-    records: list[str] = field(default_factory=list)
+    #: trace. Kept as the compact JSON *bytes* the WAL and the sidecar
+    #: hold, not dicts: bytes are invisible to the cyclic GC, so a
+    #: large run's retained state does not inflate every gen-2
+    #: collection the way tens of thousands of small dicts would
+    #: (measured as the dominant journal overhead).
+    records: list[bytes] = field(default_factory=list)
     #: ``blacklist.add`` records since the last snapshot
     blacklist_blocks: list[dict] = field(default_factory=list)
     rescue_round: int = 0
@@ -241,44 +292,40 @@ class JournalState:
     #: ``{tenant, workflow, succeeded, turnaround_s, queue_wait_s}``
     service_done: list[dict] = field(default_factory=list)
 
-    def apply(
-        self, data: Mapping[str, object], raw: str | None = None
-    ) -> None:
+    def apply(self, data: Mapping[str, object], raw: bytes) -> None:
         """Fold one decoded record into the state.
 
-        ``raw`` is the record body's compact JSON text when the caller
-        already has it (the live writer just framed it; recovery can
-        rebuild it) — it is stored verbatim for terminal records so the
-        hot path never serializes twice. ``seq``/``crc`` framing keys
-        must not be part of it.
+        ``raw`` is the record body's compact JSON bytes (the live
+        writer just framed them, recovery slices them out of the
+        verified line), stored verbatim for terminal records; the
+        ``seq``/``crc`` framing keys are not part of it.
         """
         t = data.get("t")
         if isinstance(t, (int, float)) and t > self.clock:
             self.clock = float(t)
         kind = data.get("event")
         job = data.get("job_name")
+        # Submits and terminals first: nearly every record is one, and
+        # the maps they clear stay empty until an attempt fails.
         if kind == "job.submit" and isinstance(job, str):
             attempt_raw = data.get("attempt")
             attempt = attempt_raw if isinstance(attempt_raw, int) else 0
             if attempt > self.attempts.get(job, 0):
                 self.attempts[job] = attempt
             self.in_flight[job] = attempt
-            self.undecided.pop(job, None)
+            if self.undecided:
+                self.undecided.pop(job, None)
         elif (
             kind == "job.finish" or kind == "job.evict"
         ) and isinstance(job, str):
             self.in_flight.pop(job, None)
-            self.records.append(
-                raw
-                if raw is not None
-                else compact_json(
-                    {k: v for k, v in data.items() if k not in ("seq", "crc")}
-                )
-            )
+            self.records.append(raw)
             if data.get("status") == "succeeded":
                 self.done.add(job)
-                self.failed_attempts.pop(job, None)
-                self.undecided.pop(job, None)
+                if self.failed_attempts:
+                    self.failed_attempts.pop(job, None)
+                if self.undecided:
+                    self.undecided.pop(job, None)
             else:
                 self.failed_attempts[job] = (
                     self.failed_attempts.get(job, 0) + 1
@@ -357,17 +404,17 @@ class JournalState:
 
     # -- persistence ----------------------------------------------------
 
-    def to_json(self, *, include_records: bool = True) -> dict:
-        """JSON-able state. ``include_records=False`` omits the (large,
-        append-only) terminal-record list — snapshots store those in the
-        ``records.jsonl`` sidecar instead and keep only a line count.
+    def to_json(self) -> dict:
+        """JSON-able state, without the (large, append-only) terminal
+        records — snapshots store those in the ``records.jsonl`` sidecar
+        and keep only a line count.
 
         ``done`` is sorted (sets hash-order nondeterministically across
         processes); the dict fields keep insertion order, which a
         deterministic run reproduces exactly — sorting the O(jobs) maps
         on every compaction was measurable at workflow scale.
         """
-        out = {
+        return {
             "done": sorted(self.done),
             "failed": sorted(self.failed),
             "attempts": dict(self.attempts),
@@ -385,9 +432,6 @@ class JournalState:
             "trace_id": self.trace_id,
             "service_done": [dict(d) for d in self.service_done],
         }
-        if include_records:
-            out["records"] = list(self.records)
-        return out
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "JournalState":
@@ -411,10 +455,10 @@ class JournalState:
             state.undecided = {
                 str(k): dict(v) for k, v in undecided.items()
             }
-        records = data.get("records")
+        records = data.get("records")  # snapshots older than the sidecar
         if isinstance(records, list):
             state.records = [
-                r if isinstance(r, str) else compact_json(r)
+                (r if isinstance(r, str) else compact_json(r)).encode()
                 for r in records
             ]
         blocks = data.get("blacklist_blocks")
@@ -449,7 +493,9 @@ class JournalState:
         return state
 
     def copy(self) -> "JournalState":
-        return JournalState.from_json(self.to_json())
+        clone = JournalState.from_json(self.to_json())
+        clone.records = list(self.records)
+        return clone
 
 
 # -- the writer ----------------------------------------------------------
@@ -527,13 +573,11 @@ class Journal:
         # any lines a crashed snapshot appended past the durable
         # snapshot.json are dropped rather than left to shadow the
         # replayed WAL.
-        self._records_fh: TextIO | None = open(
-            self.path / RECORDS_FILE, "w", encoding="utf-8"
+        self._records_fh: BinaryIO | None = open(
+            self.path / RECORDS_FILE, "wb"
         )
         if self._state.records:
-            self._records_fh.write(
-                "\n".join(self._state.records) + "\n"
-            )
+            self._records_fh.write(b"\n".join(self._state.records) + b"\n")
             self._records_fh.flush()
         self._records_persisted = len(self._state.records)
         self._fh = self._open_segment()
@@ -574,7 +618,8 @@ class Journal:
         # serialize_event shares a one-slot memo with the EventLogWriter
         # on the same bus: one flatten + serialize per event, however
         # many persistence subscribers are attached.
-        self._append_serialized(*serialize_event(event))
+        body, text = serialize_event(event)
+        self._append_serialized(body, text.encode())
 
     def _on_state_change(self, event: RunEvent) -> None:
         # Only hard failures are durable; the ready/submitted/done
@@ -622,7 +667,7 @@ class Journal:
         if records_fh is not None:
             if len(records) > self._records_persisted:
                 records_fh.write(
-                    "\n".join(records[self._records_persisted:]) + "\n"
+                    b"\n".join(records[self._records_persisted:]) + b"\n"
                 )
                 self._records_persisted = len(records)
             records_fh.flush()
@@ -632,7 +677,7 @@ class Journal:
             "version": JOURNAL_VERSION,
             "seq": self._seq - 1,
             "segment": self._segment,
-            "state": self._state.to_json(include_records=False),
+            "state": self._state.to_json(),
             "records_in_file": self._records_persisted,
             "blacklist": blacklist_json,
         }
@@ -692,9 +737,9 @@ class Journal:
 
     # -- internals ------------------------------------------------------
 
-    def _open_segment(self) -> TextIO:
+    def _open_segment(self) -> BinaryIO:
         seg_path = self.path / f"wal-{self._segment:08d}.jsonl"
-        fh = open(seg_path, "a", encoding="utf-8")
+        fh = open(seg_path, "ab")
         self._fh = fh
         self._append({
             "event": _META_OPEN,
@@ -704,16 +749,16 @@ class Journal:
         return fh
 
     def _append(self, body: dict) -> None:
-        self._append_serialized(body, compact_json(body))
+        self._append_serialized(body, compact_json(body).encode())
 
-    def _append_serialized(self, body: dict, body_str: str) -> None:
-        # One serialization per record: the compact body text becomes
+    def _append_serialized(self, body: dict, raw: bytes) -> None:
+        # One serialization per record: the compact body bytes become
         # both the framed WAL line and (for terminal records) the
-        # retained state entry, verbatim.
+        # retained state entry and sidecar line, verbatim.
         fh = self._fh
         if fh is None or self._dead:
             raise JournalError("journal is closed")
-        line = _frame_record(self._seq, body_str)
+        line = _frame_record(self._seq, raw)
         crash = self.crash
         if crash is not None and crash.note_record():
             # Simulate the torn write: a prefix of the record reaches
@@ -721,7 +766,7 @@ class Journal:
             # as torn, not valid), then the manager dies.
             self._dead = True
             torn = line[: max(1, int(len(line) * crash.torn_fraction))]
-            fh.write(torn.rstrip("\n"))
+            fh.write(torn.rstrip(b"\n"))
             fh.flush()
             crash.fire()  # SIGKILL or CrashInjected — never returns None
         fh.write(line)
@@ -739,7 +784,7 @@ class Journal:
                 fh.flush()
                 os.fsync(fh.fileno())
                 self._since_fsync = 0
-        self._state.apply(body, raw=body_str)
+        self._state.apply(body, raw)
         # Log-structured trigger: compact only once the WAL suffix is
         # at least as long as the state a snapshot would have to
         # serialize (``snapshot_every`` is the floor). A fixed cadence
@@ -783,6 +828,9 @@ class RecoveredState:
     torn_tail: bool
     #: WAL records replayed on top of the snapshot
     replayed: int
+    #: ``state.records`` parsed, index for index (:func:`recover` reads
+    #: each journaled attempt once, before it touches the directory)
+    attempts: list[JobAttempt] = field(default_factory=list)
 
     @property
     def done(self) -> frozenset[str]:
@@ -833,17 +881,15 @@ class RecoveredState:
         attempts = dict(state.attempts)
         for job, attempt in state.in_flight.items():
             attempts[job] = max(0, attempt - 1)
-        undecided = {}
-        for job, record_data in state.undecided.items():
-            record = event_from_json(dict(record_data)).record
-            if record is not None:
-                undecided[job] = record
         return SchedulerRestore(
             attempts=attempts,
             retries_left=dict(state.retries_left),
             failed_attempts=dict(state.failed_attempts),
             failed=frozenset(state.failed),
-            undecided=undecided,
+            undecided={
+                job: JobAttempt.from_json(record)
+                for job, record in state.undecided.items()
+            },
         )
 
     def resume_dag(self, dag: Dag) -> Dag:
@@ -864,12 +910,7 @@ class RecoveredState:
     def trace(self) -> WorkflowTrace:
         """The journaled attempts as a :class:`WorkflowTrace` — prepend
         to the resumed run's trace for whole-history statistics."""
-        trace = WorkflowTrace()
-        for raw in self.state.records:
-            record = event_from_json(json.loads(raw)).record
-            if record is not None:
-                trace.add(record)
-        return trace
+        return WorkflowTrace(list(self.attempts))
 
     def restore_blacklist(
         self,
@@ -905,62 +946,82 @@ class RecoveredState:
         return restored
 
 
+def _read_snapshot(
+    path: Path,
+) -> tuple[JournalState, int, dict | None, list[JobAttempt], str]:
+    """Where replay starts: the snapshot's state, its last ``seq``, the
+    serialized blacklist, the vouched records parsed, and what anchors
+    that ``seq`` — an empty state at -1 and the reason when no snapshot
+    can be used."""
+    def unusable(reason: str) -> tuple[JournalState, int, None, list, str]:
+        return JournalState(), -1, None, [], reason
+
+    snap_path = path / SNAPSHOT_FILE
+    if not snap_path.exists():
+        return unusable(f"there is no {SNAPSHOT_FILE}")
+    try:
+        snap = json.loads(snap_path.read_bytes())
+        state = JournalState.from_json(snap["state"])
+        seq = snap["seq"]
+        if snap["version"] != JOURNAL_VERSION or not isinstance(seq, int):
+            raise ValueError(snap["version"], seq)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        # unreadable, not JSON, or JSON of some other shape
+        return unusable(
+            f"{SNAPSHOT_FILE} is not a version-{JOURNAL_VERSION} snapshot"
+        )
+    where = snap_path
+    wanted = snap.get("records_in_file")
+    if "records" not in snap["state"] and isinstance(wanted, int):
+        # Terminal records live in the sidecar; the snapshot only
+        # vouches for its first ``wanted`` lines (later ones belong to a
+        # snapshot that never landed).
+        where = path / RECORDS_FILE
+        try:
+            lines = where.read_bytes().split(b"\n")[:-1]
+        except OSError:
+            lines = []
+        if len(lines) < wanted:
+            return unusable(
+                f"{RECORDS_FILE} holds {len(lines)} of the {wanted} line(s) "
+                f"{SNAPSHOT_FILE} vouches for"
+            )
+        state.records = lines[:wanted]
+    blacklist = snap.get("blacklist")
+    return (
+        state,
+        seq,
+        blacklist if isinstance(blacklist, dict) else None,
+        _parse_attempts(state.records, where),
+        f"{SNAPSHOT_FILE} ends at seq {seq}",
+    )
+
+
 def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
     """Reconstruct state from a journal directory.
 
-    Reads ``snapshot.json`` when present (a corrupt snapshot falls back
-    to full WAL replay), then replays every segment in order, verifying
-    CRC and ``seq`` continuity per record. The first invalid record —
-    torn tail, bad checksum, sequence gap, or trailing bytes without a
-    newline — ends the replay; with ``repair`` the offending segment is
-    truncated to its last valid byte and any later segments (causally
-    after the tear) are deleted, leaving the directory consistent for
-    the resumed writer.
+    Reads ``snapshot.json`` and the ``records.jsonl`` lines it vouches
+    for, then replays every segment in order, verifying CRC and ``seq``
+    continuity per record. The first invalid record — torn tail, bad
+    checksum, sequence gap, or trailing bytes without a newline — ends
+    the replay; with ``repair`` the offending segment is truncated to
+    its last valid byte and any later segments (causally after the
+    tear) are deleted, leaving the directory consistent for the resumed
+    writer.
+
+    Repair only cuts *after* something anchors the cut. A snapshot that
+    cannot be used (not JSON, not version 1, a sidecar shorter than it
+    claims) leaves replaying the WAL from ``seq`` 0, which no longer
+    exists after the first compaction: when the first surviving record
+    is not the one the snapshot (or ``seq`` 0) calls for, or is
+    unreadable with no snapshot behind it, :class:`JournalError` — as
+    for a vouched sidecar line that is not an attempt record
+    (``…/records.jsonl:LINE: …``). Raising leaves every file as found.
     """
     path = Path(path)
     if not path.is_dir():
         raise JournalError(f"no journal directory at {path}")
-    state = JournalState()
-    blacklist: dict | None = None
-    last_seq = -1
-    snap_path = path / SNAPSHOT_FILE
-    if snap_path.exists():
-        try:
-            snap = json.loads(snap_path.read_text(encoding="utf-8"))
-        except (ValueError, OSError):
-            snap = None
-        if (
-            isinstance(snap, dict)
-            and snap.get("version") == JOURNAL_VERSION
-            and isinstance(snap.get("state"), dict)
-            and isinstance(snap.get("seq"), int)
-        ):
-            state = JournalState.from_json(snap["state"])
-            wanted = snap.get("records_in_file")
-            usable = True
-            if "records" not in snap["state"] and isinstance(wanted, int):
-                # Terminal records live in the sidecar; the snapshot
-                # only vouches for its first ``wanted`` lines (later
-                # ones belong to a snapshot that never landed).
-                try:
-                    lines = (
-                        (path / RECORDS_FILE)
-                        .read_text(encoding="utf-8")
-                        .splitlines()
-                    )
-                except OSError:
-                    lines = []
-                if len(lines) < wanted:
-                    usable = False  # sidecar can't back the snapshot
-                else:
-                    state.records = lines[:wanted]
-            if usable:
-                last_seq = snap["seq"]
-                raw_blacklist = snap.get("blacklist")
-                if isinstance(raw_blacklist, dict):
-                    blacklist = raw_blacklist
-            else:
-                state = JournalState()
+    state, last_seq, blacklist, attempts, anchor = _read_snapshot(path)
 
     segments = sorted(path.glob(SEGMENT_GLOB), key=_segment_index)
     last_segment = max(
@@ -968,6 +1029,8 @@ def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
     )
     torn = False
     replayed = 0
+    first = True  # no WAL record accepted or skipped yet
+    records = state.records
     for position, seg in enumerate(segments):
         raw = seg.read_bytes()
         idx = 0
@@ -975,29 +1038,44 @@ def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
         while True:
             nl = raw.find(b"\n", idx)
             if nl == -1:
-                if idx < len(raw):
-                    torn = True  # trailing bytes, no newline
+                torn = idx < len(raw)  # trailing bytes, no newline
                 break
-            try:
-                line = raw[idx:nl].decode("utf-8")
-            except UnicodeDecodeError:
-                torn = True
-                break
+            line = raw[idx:nl]
             data = decode_record(line)
             if data is None:
+                if last_seq < 0:
+                    raise JournalError(
+                        f"{seg}:1: not a journal record, and {anchor} — "
+                        "nothing anchors the records after it"
+                    )
                 torn = True
                 break
             seq = data["seq"]
-            if seq <= last_seq:
-                idx = valid_end = nl + 1  # already in the snapshot
-                continue
-            if seq != last_seq + 1:
-                torn = True  # a gap: records after it are unanchored
+            if seq > last_seq + 1:  # a gap: records after it are unanchored
+                if first:
+                    raise JournalError(
+                        f"{seg}: the first surviving record is seq {seq}, "
+                        f"but {anchor} — nothing anchors it"
+                    )
+                torn = True
                 break
-            state.apply(data)
+            first = False
+            idx = valid_end = nl + 1
+            if seq <= last_seq:
+                continue  # already in the snapshot
+            # The body is the line minus its framing: 24 bytes of
+            # '{"crc":"…","seq":', then the digits and a comma.
+            state.apply(data, b"{" + line[line.find(b",", 24) + 1 :])
+            if len(records) > len(attempts):  # apply kept it: a terminal
+                try:
+                    attempts.append(JobAttempt.from_json(data))
+                except _NOT_AN_ATTEMPT as exc:
+                    raise JournalError(
+                        f"{seg}: record seq {seq} is not an attempt "
+                        f"record: {exc!r}"
+                    ) from None
             last_seq = seq
             replayed += 1
-            idx = valid_end = nl + 1
         if torn:
             if repair:
                 if valid_end < len(raw):
@@ -1014,6 +1092,7 @@ def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
         last_segment=last_segment,
         torn_tail=torn,
         replayed=replayed,
+        attempts=attempts,
     )
 
 

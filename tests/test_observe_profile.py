@@ -114,6 +114,42 @@ def test_modelled_profile_coefficients():
     assert modelled_profile("run_cap3", 0.0) is None
 
 
+def test_coefficients_resolve_once_per_name():
+    from repro.observe.profile import MODEL_COEFFICIENTS
+
+    class Name(str):
+        """A transformation name that counts the stem probes on it."""
+
+        probes = 0
+
+        def startswith(self, *args):
+            Name.probes += 1
+            return super().startswith(*args)
+
+    def shape(profile):
+        return (
+            profile.cpu_user_s / 100.0, profile.cpu_sys_s / 100.0,
+            profile.max_rss_kb, profile.read_ops / 100.0,
+            profile.write_ops / 100.0,
+        )
+
+    stems = list(MODEL_COEFFICIENTS)
+    # (name, coefficient row it resolves to, stem probes the walk costs)
+    cases = [
+        ("merge_joined", MODEL_COEFFICIENTS["merge_joined"], 0),
+        ("run_cap3_once_007", MODEL_COEFFICIENTS["run_cap3"],
+         stems.index("run_cap3") + 1),
+        ("synthetic_once", (0.85, 0.08, 64_000, 120.0, 60.0), len(stems)),
+    ]
+    for name, row, probes in cases:
+        Name.probes = 0
+        first = modelled_profile(Name(name), 100.0)
+        assert shape(first) == pytest.approx(row)
+        assert Name.probes == probes
+        assert modelled_profile(Name(name), 100.0) == first
+        assert Name.probes == probes  # the second call walks nothing
+
+
 def test_simulators_attach_modelled_profiles():
     from repro.core.workflow_factory import simulate_paper_run
 
