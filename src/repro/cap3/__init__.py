@@ -11,8 +11,24 @@ same contract from scratch:
 * :mod:`repro.cap3.assembler` — the public :func:`assemble` API.
 """
 
-from repro.cap3.assembler import AssemblyResult, Cap3Params, Contig, assemble
-from repro.cap3.report import format_ace, format_info, write_ace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cap3.assembler import AssemblyResult, Cap3Params, Contig, assemble
+    from repro.cap3.report import format_ace, format_info, write_ace
+
+_EXPORTS = {
+    "AssemblyResult": ("repro.cap3.assembler", "AssemblyResult"),
+    "Cap3Params": ("repro.cap3.assembler", "Cap3Params"),
+    "Contig": ("repro.cap3.assembler", "Contig"),
+    "assemble": ("repro.cap3.assembler", "assemble"),
+    "format_ace": ("repro.cap3.report", "format_ace"),
+    "format_info": ("repro.cap3.report", "format_info"),
+    "write_ace": ("repro.cap3.report", "write_ace"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "assemble",

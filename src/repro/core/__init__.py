@@ -17,11 +17,28 @@ partitions), and :mod:`repro.core.cache` the content-addressed result
 store that lets n-sweeps and rescue rounds skip unchanged work.
 """
 
-from repro.core.blast2cap3 import Blast2Cap3Result, blast2cap3_serial
-from repro.core.cache import CacheStats, ResultCache
-from repro.core.clusters import ProteinCluster, cluster_transcripts
-from repro.core.parallel import blast2cap3_parallel
-from repro.core.partition import partition_clusters
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.blast2cap3 import Blast2Cap3Result, blast2cap3_serial
+    from repro.core.cache import CacheStats, ResultCache
+    from repro.core.clusters import ProteinCluster, cluster_transcripts
+    from repro.core.parallel import blast2cap3_parallel
+    from repro.core.partition import partition_clusters
+
+_EXPORTS = {
+    "Blast2Cap3Result": ("repro.core.blast2cap3", "Blast2Cap3Result"),
+    "blast2cap3_serial": ("repro.core.blast2cap3", "blast2cap3_serial"),
+    "CacheStats": ("repro.core.cache", "CacheStats"),
+    "ResultCache": ("repro.core.cache", "ResultCache"),
+    "ProteinCluster": ("repro.core.clusters", "ProteinCluster"),
+    "cluster_transcripts": ("repro.core.clusters", "cluster_transcripts"),
+    "blast2cap3_parallel": ("repro.core.parallel", "blast2cap3_parallel"),
+    "partition_clusters": ("repro.core.partition", "partition_clusters"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "ProteinCluster",

@@ -14,14 +14,31 @@ reference database, and cluster sizes are right-skewed.
   performance models).
 """
 
-from repro.datagen.proteins import random_protein, random_protein_db
-from repro.datagen.transcripts import TranscriptomeSpec, generate_transcriptome
-from repro.datagen.workload import (
-    Blast2Cap3Workload,
-    PaperScale,
-    generate_blast2cap3_workload,
-    paper_scale,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.datagen.proteins import random_protein, random_protein_db
+    from repro.datagen.transcripts import TranscriptomeSpec, generate_transcriptome
+    from repro.datagen.workload import (
+        Blast2Cap3Workload,
+        PaperScale,
+        generate_blast2cap3_workload,
+        paper_scale,
+    )
+
+_EXPORTS = {
+    "random_protein": ("repro.datagen.proteins", "random_protein"),
+    "random_protein_db": ("repro.datagen.proteins", "random_protein_db"),
+    "TranscriptomeSpec": ("repro.datagen.transcripts", "TranscriptomeSpec"),
+    "generate_transcriptome": ("repro.datagen.transcripts", "generate_transcriptome"),
+    "Blast2Cap3Workload": ("repro.datagen.workload", "Blast2Cap3Workload"),
+    "PaperScale": ("repro.datagen.workload", "PaperScale"),
+    "generate_blast2cap3_workload": ("repro.datagen.workload", "generate_blast2cap3_workload"),
+    "paper_scale": ("repro.datagen.workload", "paper_scale"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "random_protein",

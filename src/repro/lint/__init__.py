@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import replace as _replace
 from typing import TYPE_CHECKING, Iterator, Mapping
 
+from repro._lazy import lazy_exports
 from repro.lint.findings import Finding, Report, Severity, render_report
 from repro.lint.registry import (
     LintContext,
@@ -103,12 +104,11 @@ def _nondeterministic_trace(ctx: LintContext) -> Iterator[Finding]:
         )
 
 
-def __getattr__(name: str) -> object:
-    if name == "DeterminismOptions":  # lazily, for the same reason
-        from repro.lint.determinism import DeterminismOptions
-
-        return DeterminismOptions
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# On first use, for the same reason (its import line is the typing-only
+# one above). Everything else here stays eager: importing a rule module
+# is what registers its rules.
+_EXPORTS = {"DeterminismOptions": ("repro.lint.determinism", "DeterminismOptions")}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 
 __all__ = [

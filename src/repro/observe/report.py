@@ -107,9 +107,10 @@ def _load_trace_and_dag(
                 f"no events.jsonl or trace.jsonl under {path}"
             )
         label = path.name or str(path)
-        plan = path / "plan.json"
-        if plan.exists():
-            dag = dag_from_plan_meta(json.loads(plan.read_text()))
+        if (path / "plan.json").exists():
+            from repro.wms.cli import load_plan
+
+            dag = dag_from_plan_meta(load_plan(path))
         metrics_path = path / "metrics.json"
         if metrics_path.exists():
             metrics = json.loads(metrics_path.read_text())

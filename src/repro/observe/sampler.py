@@ -14,11 +14,15 @@ it records one final sample and stops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
-from repro.sim.engine import Simulator
+
+# An annotation only, and the one edge from this package to the
+# simulators: at run time it would cost repro-status all of repro.sim.
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.engine import Simulator
 
 __all__ = ["UtilizationSample", "UtilizationSampler"]
 

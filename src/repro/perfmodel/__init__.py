@@ -8,7 +8,19 @@ they are fitted to (:mod:`repro.perfmodel.calibration`), with the fit
 itself asserted by tests and the calibration benchmark.
 """
 
-from repro.perfmodel.calibration import CalibrationAnchors, anchors
-from repro.perfmodel.task_models import PaperTaskModel
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.perfmodel.calibration import CalibrationAnchors, anchors
+    from repro.perfmodel.task_models import PaperTaskModel
+
+_EXPORTS = {
+    "CalibrationAnchors": ("repro.perfmodel.calibration", "CalibrationAnchors"),
+    "anchors": ("repro.perfmodel.calibration", "anchors"),
+    "PaperTaskModel": ("repro.perfmodel.task_models", "PaperTaskModel"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = ["CalibrationAnchors", "anchors", "PaperTaskModel"]

@@ -32,44 +32,84 @@ Everything emits typed events (``job.timeout``, ``job.held``,
 ``repro-status`` and in ``events.jsonl``.
 """
 
-from repro.resilience.blacklist import Blacklist, BlacklistPolicy
-from repro.resilience.faults import (
-    AttemptFault,
-    BadNode,
-    ChaosPayload,
-    CrashFault,
-    CrashInjected,
-    Eviction,
-    FaultDecision,
-    FaultInjected,
-    FaultInjector,
-    FaultPlan,
-    Hang,
-    SiteOutage,
-    Slowdown,
-    StartFailure,
-    resolve_exec,
-)
-from repro.resilience.journal import (
-    Journal,
-    JournalError,
-    JournalState,
-    ReconcileReport,
-    RecoveredState,
-    reconcile_local,
-    recover,
-)
-from repro.resilience.recovery import (
-    RecoveryResult,
-    RecoveryRound,
-    run_with_recovery,
-)
-from repro.resilience.retry import (
-    ExponentialBackoff,
-    FixedDelayRetry,
-    ImmediateRetry,
-    RetryPolicy,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.resilience.blacklist import Blacklist, BlacklistPolicy
+    from repro.resilience.faults import (
+        AttemptFault,
+        BadNode,
+        ChaosPayload,
+        CrashFault,
+        CrashInjected,
+        Eviction,
+        FaultDecision,
+        FaultInjected,
+        FaultInjector,
+        FaultPlan,
+        Hang,
+        SiteOutage,
+        Slowdown,
+        StartFailure,
+        resolve_exec,
+    )
+    from repro.resilience.journal import (
+        Journal,
+        JournalError,
+        JournalState,
+        ReconcileReport,
+        RecoveredState,
+        reconcile_local,
+        recover,
+    )
+    from repro.resilience.recovery import (
+        RecoveryResult,
+        RecoveryRound,
+        run_with_recovery,
+    )
+    from repro.resilience.retry import (
+        ExponentialBackoff,
+        FixedDelayRetry,
+        ImmediateRetry,
+        RetryPolicy,
+    )
+
+_EXPORTS = {
+    "Blacklist": ("repro.resilience.blacklist", "Blacklist"),
+    "BlacklistPolicy": ("repro.resilience.blacklist", "BlacklistPolicy"),
+    "AttemptFault": ("repro.resilience.faults", "AttemptFault"),
+    "BadNode": ("repro.resilience.faults", "BadNode"),
+    "ChaosPayload": ("repro.resilience.faults", "ChaosPayload"),
+    "CrashFault": ("repro.resilience.faults", "CrashFault"),
+    "CrashInjected": ("repro.resilience.faults", "CrashInjected"),
+    "Eviction": ("repro.resilience.faults", "Eviction"),
+    "FaultDecision": ("repro.resilience.faults", "FaultDecision"),
+    "FaultInjected": ("repro.resilience.faults", "FaultInjected"),
+    "FaultInjector": ("repro.resilience.faults", "FaultInjector"),
+    "FaultPlan": ("repro.resilience.faults", "FaultPlan"),
+    "Hang": ("repro.resilience.faults", "Hang"),
+    "SiteOutage": ("repro.resilience.faults", "SiteOutage"),
+    "Slowdown": ("repro.resilience.faults", "Slowdown"),
+    "StartFailure": ("repro.resilience.faults", "StartFailure"),
+    "resolve_exec": ("repro.resilience.faults", "resolve_exec"),
+    "Journal": ("repro.resilience.journal", "Journal"),
+    "JournalError": ("repro.resilience.journal", "JournalError"),
+    "JournalState": ("repro.resilience.journal", "JournalState"),
+    "ReconcileReport": ("repro.resilience.journal", "ReconcileReport"),
+    "RecoveredState": ("repro.resilience.journal", "RecoveredState"),
+    "reconcile_local": ("repro.resilience.journal", "reconcile_local"),
+    "recover": ("repro.resilience.journal", "recover"),
+    "RecoveryResult": ("repro.resilience.recovery", "RecoveryResult"),
+    "RecoveryRound": ("repro.resilience.recovery", "RecoveryRound"),
+    "run_with_recovery": ("repro.resilience.recovery", "run_with_recovery"),
+    "ExponentialBackoff": ("repro.resilience.retry", "ExponentialBackoff"),
+    "FixedDelayRetry": ("repro.resilience.retry", "FixedDelayRetry"),
+    "ImmediateRetry": ("repro.resilience.retry", "ImmediateRetry"),
+    "RetryPolicy": ("repro.resilience.retry", "RetryPolicy"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Blacklist",

@@ -18,15 +18,35 @@ already uses, via a per-workflow gate that parks submissions in the
 service's fair-share queue.
 """
 
-from repro.service.fairshare import StrideScheduler
-from repro.service.loadgen import LoadSpec, generate_workflow, run_load
-from repro.service.service import (
-    ServiceConfig,
-    WorkflowHandle,
-    WorkflowService,
-    WorkflowState,
-)
-from repro.service.tenants import TenantAccount, TenantConfig, TenantQuota
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.fairshare import StrideScheduler
+    from repro.service.loadgen import LoadSpec, generate_workflow, run_load
+    from repro.service.service import (
+        ServiceConfig,
+        WorkflowHandle,
+        WorkflowService,
+        WorkflowState,
+    )
+    from repro.service.tenants import TenantAccount, TenantConfig, TenantQuota
+
+_EXPORTS = {
+    "StrideScheduler": ("repro.service.fairshare", "StrideScheduler"),
+    "LoadSpec": ("repro.service.loadgen", "LoadSpec"),
+    "generate_workflow": ("repro.service.loadgen", "generate_workflow"),
+    "run_load": ("repro.service.loadgen", "run_load"),
+    "ServiceConfig": ("repro.service.service", "ServiceConfig"),
+    "WorkflowHandle": ("repro.service.service", "WorkflowHandle"),
+    "WorkflowService": ("repro.service.service", "WorkflowService"),
+    "WorkflowState": ("repro.service.service", "WorkflowState"),
+    "TenantAccount": ("repro.service.tenants", "TenantAccount"),
+    "TenantConfig": ("repro.service.tenants", "TenantConfig"),
+    "TenantQuota": ("repro.service.tenants", "TenantQuota"),
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "LoadSpec",

@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.util.iolib import atomic_write
 
 __all__ = [
+    "load_plan",
     "main_plan",
     "main_run",
     "main_status",
@@ -51,6 +52,35 @@ def _submit_dir(path: str) -> Path:
     d = Path(path)
     d.mkdir(parents=True, exist_ok=True)
     return d
+
+
+def _plan_refusal(submit: Path, reason: object) -> str:
+    """Every refusal of a plan reads ``PATH: reason``, one line."""
+    return f"{submit / PLAN_FILE}: {reason}"
+
+
+def load_plan(submit: str | Path) -> dict:
+    """The ``plan.json`` of a submit directory, checked for shape.
+
+    Raises :class:`ValueError` with a one-line ``PATH: reason`` message
+    when the file is missing, is not JSON (a torn write) or is not what
+    ``repro-plan`` writes; the commands print it and exit 2.
+    """
+    submit = Path(submit)
+    try:
+        meta = json.loads((submit / PLAN_FILE).read_text())
+    except FileNotFoundError:
+        raise ValueError(
+            _plan_refusal(submit, "missing — run repro-plan first")
+        ) from None
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ValueError(_plan_refusal(submit, f"not JSON: {exc}")) from None
+    for key, kind in (("jobs", dict), ("edges", list), ("site", str)):
+        if not (isinstance(meta, dict) and isinstance(meta.get(key), kind)):
+            raise ValueError(
+                _plan_refusal(submit, f"not a plan (missing {key!r})")
+            )
+    return meta
 
 
 def main_plan(argv: list[str] | None = None) -> int:
@@ -198,6 +228,15 @@ def main_run(argv: list[str] | None = None) -> int:
                              "CrashInjected in-process (raise)")
     args = parser.parse_args(argv)
 
+    # Before the imports below: a typo'd --submit-dir should fail in the
+    # time it takes to read one file, not after loading the simulators.
+    submit = Path(args.submit_dir)
+    try:
+        meta = load_plan(submit)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+
     from repro.observe import (
         AnomalyMonitor,
         EventBus,
@@ -235,14 +274,16 @@ def main_run(argv: list[str] | None = None) -> int:
 
     from repro.observe.report import dag_from_plan_meta
 
-    submit = Path(args.submit_dir)
-    meta = json.loads((submit / PLAN_FILE).read_text())
     try:
         dag = dag_from_plan_meta(meta)
     except ValueError as exc:
         # A value no job can have (``json`` parses a bare NaN runtime),
         # or an edge closing a cycle: refuse the plan, simulate nothing.
-        print(f"{submit / PLAN_FILE}: {exc}", file=sys.stderr)
+        print(_plan_refusal(submit, exc), file=sys.stderr)
+        return 2
+    if meta["site"] not in PLATFORMS:
+        print(_plan_refusal(submit, f"unknown site {meta['site']!r}; choose "
+                                    f"from {sorted(PLATFORMS)}"), file=sys.stderr)
         return 2
 
     # Admission check with the same feasibility engine the linter and
@@ -400,10 +441,6 @@ def main_run(argv: list[str] | None = None) -> int:
 
         retry_policy = ImmediateRetry(charge_evictions=False)
 
-    if meta["site"] not in PLATFORMS:
-        print(f"repro-run: plan names unknown site {meta['site']!r}; "
-              f"choose from {sorted(PLATFORMS)}", file=sys.stderr)
-        return 2
     env = PLATFORMS[meta["site"]](
         simulator, streams=streams, bus=bus,
         injector=injector, blacklist=blacklist,
@@ -568,8 +605,11 @@ def main_status(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     submit = Path(args.submit_dir)
-    meta = json.loads((submit / PLAN_FILE).read_text())
-    total_jobs = len(meta["jobs"])
+    try:
+        total_jobs = len(load_plan(submit)["jobs"])
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     events_path = submit / EVENTS_FILE
 
     if not events_path.exists():
@@ -628,9 +668,12 @@ def main_statistics(argv: list[str] | None = None) -> int:
     # The plan's job count makes the report honest about descendants of
     # failed jobs that never got to run (planned vs attempted).
     expected = None
-    plan_path = Path(args.submit_dir) / PLAN_FILE
-    if plan_path.exists():
-        expected = len(json.loads(plan_path.read_text())["jobs"])
+    if (Path(args.submit_dir) / PLAN_FILE).exists():
+        try:
+            expected = len(load_plan(args.submit_dir)["jobs"])
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
     print(render_report(summarize(trace, expected_jobs=expected),
                         title=args.submit_dir))
     return 0

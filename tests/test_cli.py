@@ -2,6 +2,7 @@
 and the blast2cap3 driver)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -10,6 +11,7 @@ from repro.blast.tabular import write_tabular
 from repro.core.cli import main as blast2cap3_main
 from repro.datagen.transcripts import TranscriptomeSpec
 from repro.datagen.workload import generate_blast2cap3_workload
+from repro.observe.report import main as main_report
 from repro.wms.cli import (
     main_analyzer,
     main_plan,
@@ -93,6 +95,71 @@ class TestPegasusStyleCli:
             f"{plan}: job 'run_cap3_2': runtime must be >= 0, got nan"
         )
         assert not (d / "events.jsonl").exists()
+
+
+    def test_unknown_site_in_plan_is_refused_like_any_other_plan_defect(
+        self, tmp_path, capsys
+    ):
+        d = tmp_path / "mars"
+        assert main_plan(["--submit-dir", str(d), "-n", "4"]) == 0
+        plan = d / "plan.json"
+        plan.write_text(json.dumps(json.loads(plan.read_text()) | {"site": "mars"}))
+        capsys.readouterr()
+        assert main_run(["--submit-dir", str(d)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"{plan}: unknown site 'mars'; choose from [")
+
+
+def exit_code(main, argv):
+    try:
+        return main(argv)
+    except SystemExit as stop:  # ``_load_trace`` leaves this way
+        return stop.code
+
+
+PLAN_READERS = {
+    "repro-run": (main_run, ["--submit-dir", "{d}"]),
+    "repro-status": (main_status, ["--submit-dir", "{d}"]),
+    "repro-statistics": (main_statistics, ["--submit-dir", "{d}"]),
+    "repro-report analyze": (main_report, ["analyze", "{d}"]),
+}
+
+
+@pytest.mark.parametrize("command", PLAN_READERS)
+class TestDamagedPlan:
+    """A missing or torn ``plan.json`` used to be a traceback
+    (``FileNotFoundError``, ``JSONDecodeError``, ``KeyError``)."""
+
+    def refused(self, command, d, capsys):
+        main, argv = PLAN_READERS[command]
+        capsys.readouterr()
+        assert exit_code(main, [a.format(d=d) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        (line,) = err.splitlines()
+        return line.removeprefix("repro-report: ")
+
+    def test_empty_submit_dir(self, command, tmp_path, capsys):
+        line = self.refused(command, tmp_path, capsys)
+        assert str(tmp_path) in line
+        if command in ("repro-run", "repro-status"):
+            assert line == (f"{tmp_path / 'plan.json'}: missing — run "
+                            "repro-plan first")
+
+    @pytest.mark.parametrize("text, reason", [
+        ('{"jobs": [', "not JSON: "),
+        ("[]", "not a plan (missing 'jobs')"),
+        ("{}", "not a plan (missing 'jobs')"),
+        ('{"jobs": {}, "edges": []}', "not a plan (missing 'site')"),
+    ], ids=["truncated", "list", "empty-object", "no-site"])
+    def test_plan_that_is_not_a_plan(
+        self, command, text, reason, submit_dir, tmp_path, capsys
+    ):
+        d = tmp_path / "run"
+        shutil.copytree(submit_dir, d)
+        (d / "plan.json").write_text(text)
+        line = self.refused(command, d, capsys)
+        assert line.startswith(f"{d / 'plan.json'}: {reason}")
 
 
 @pytest.fixture(scope="module")

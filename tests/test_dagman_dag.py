@@ -1,5 +1,7 @@
 """Tests for the DAG model and .dag file round-trip."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -27,6 +29,28 @@ class TestDagJob:
             DagJob(name="a", transformation="t", runtime=-1)
         with pytest.raises(ValueError):
             DagJob(name="a", transformation="t", retries=-1)
+
+    def test_name_check_agrees_with_isspace_on_every_code_point(self):
+        """The check is ``name.split() != [name]``; it must refuse what
+        ``not name or any(c.isspace() for c in name)`` refused."""
+        points = [chr(cp) for cp in range(sys.maxunicode + 1)]
+        spaces = [c for c in points if c.isspace()]
+        assert 20 < len(spaces) < 40 and "\x1f" in spaces
+        # One name holding every other code point: refused if ``split``
+        # took any of them for whitespace.
+        everything_else = "".join(c for c in points if not c.isspace())
+        assert DagJob(name=everything_else, transformation="t").name
+        for c in spaces:
+            for name in (c, c + "a", "a" + c, f"a{c}b"):
+                with pytest.raises(ValueError) as refused:
+                    DagJob(name=name, transformation="t")
+                assert str(refused.value) == f"invalid job name: {name!r}"
+
+    @pytest.mark.parametrize("name", ["", " a", "a b", "a\x1fb", "a\n"])
+    def test_invalid_names_keep_their_message(self, name):
+        with pytest.raises(ValueError) as refused:
+            DagJob(name=name, transformation="t")
+        assert str(refused.value) == f"invalid job name: {name!r}"
 
     def test_nan_is_not_a_duration(self):
         """NaN fails ``x < 0`` as well as ``x >= 0``; only guards
