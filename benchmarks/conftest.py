@@ -12,7 +12,6 @@ for every new run due to the availability of the current resources".
 
 from __future__ import annotations
 
-import json
 import statistics
 from pathlib import Path
 
@@ -41,32 +40,6 @@ def write_result(name: str, text: str) -> Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     return path
-
-
-BENCH_REPORT = RESULTS_DIR / "BENCH_report.json"
-
-
-def update_bench_report(section: str, payload: dict) -> Path:
-    """Merge one bench's numbers into ``BENCH_report.json``.
-
-    Benches run as separate pytest invocations in CI, so each one
-    read-modify-writes its own section of the shared machine-readable
-    report instead of owning the whole file. The result is the one
-    document perf-trajectory tooling (and ``repro-report compare``'s
-    committed baselines) key off.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    doc: dict = {"schema": "repro-bench/1", "sections": {}}
-    if BENCH_REPORT.exists():
-        try:
-            existing = json.loads(BENCH_REPORT.read_text())
-            if existing.get("schema") == doc["schema"]:
-                doc = existing
-        except json.JSONDecodeError:
-            pass  # corrupt artifact: rebuild from scratch
-    doc.setdefault("sections", {})[section] = payload
-    BENCH_REPORT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return BENCH_REPORT
 
 
 def median_walltime(n: int, platform: str, *, model: PaperTaskModel,

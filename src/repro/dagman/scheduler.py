@@ -32,7 +32,8 @@ node is pushed onto exactly once per readiness transition — entries
 whose node has since left READY are lazily invalidated at pop time, and
 the heap is compacted when stale entries dominate. A completion
 therefore costs O(children + log n), not O(n log n), which is what lets
-million-job DAGs run in minutes (see ``bench_engine_throughput``).
+million-job DAGs run in minutes (the ``engine_layered_100k`` workload
+of ``benchmarks/budget/`` times this loop and little else).
 
 Job ids: inside the scheduler a job is its position in ``dag.jobs``,
 and everything known per job sits in parallel lists indexed by it — a

@@ -86,7 +86,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         critical_path_from_spans,
         derive_span_id,
         derive_trace_id,
-        spans_created,
         spans_from_events,
         to_otlp_json,
         to_perfetto_json,
@@ -140,7 +139,6 @@ _EXPORTS = {
     "critical_path_from_spans": ("repro.observe.trace", "critical_path_from_spans"),
     "derive_span_id": ("repro.observe.trace", "derive_span_id"),
     "derive_trace_id": ("repro.observe.trace", "derive_trace_id"),
-    "spans_created": ("repro.observe.trace", "spans_created"),
     "spans_from_events": ("repro.observe.trace", "spans_from_events"),
     "to_otlp_json": ("repro.observe.trace", "to_otlp_json"),
     "to_perfetto_json": ("repro.observe.trace", "to_perfetto_json"),
@@ -194,7 +192,6 @@ __all__ = [
     "critical_path_from_spans",
     "derive_span_id",
     "derive_trace_id",
-    "spans_created",
     "spans_from_events",
     "to_otlp_json",
     "to_perfetto_json",

@@ -15,7 +15,8 @@ Two subcommands over run artifacts (a submit directory, a bare
 Threshold specs are ``metric=limit`` where ``limit`` is either a
 percentage (``makespan=5%`` — fail when NEW exceeds BASE by more than
 5 %) or an absolute amount (``retries=3`` — fail when NEW exceeds BASE
-by more than 3). All gated metrics are "higher is worse".
+by more than 3). All gated metrics are "higher is worse". A gate on a
+metric NEW has no value for is a usage error (exit 2), never a pass.
 """
 
 from __future__ import annotations
@@ -462,36 +463,15 @@ _METRIC_PATHS: dict[str, tuple[str, ...]] = {
     "kickstart_max": ("kickstart", "max"),
     "cpu_s": ("profile", "cpu_user_s"),
     "peak_rss_kb": ("profile", "peak_rss_kb"),
-    # Engine/scheduler throughput (bench_engine_throughput): costs, not
-    # rates, so "higher is worse" holds like every other metric here.
-    "engine_us_per_event": ("engine", "us_per_event"),
-    "engine_us_per_job": ("engine", "us_per_job"),
-    # Write-ahead journal costs (bench_crash_resume): journaling
-    # overhead on a run, and recovery replay latency.
-    "journal_overhead_pct": ("journal", "overhead_pct"),
-    "journal_replay_ms_per_1k": ("journal", "replay_ms_per_1k"),
-    # Multi-tenant service-layer costs (bench_service_load): wall
-    # seconds per completed workflow (inverse of sustained
-    # workflows/min, so "higher is worse" holds), tenant SLO tails,
-    # and matchmaking cost per dispatched job.
-    "service_seconds_per_workflow": ("service", "seconds_per_workflow"),
-    "service_p95_turnaround_s": ("service", "p95_turnaround_s"),
-    "service_p95_queue_wait_s": ("service", "p95_queue_wait_s"),
-    "service_matchmaker_us_per_dispatch": (
-        "service", "matchmaker_us_per_dispatch"
-    ),
-    # Span-tracing cost (bench_observability_smoke): extra wall % when
-    # a SpanTracer + AnomalyMonitor join a fully-observed run (recorder
-    # + metrics + status view + event log — what repro-run attaches).
-    "tracing_overhead_pct": ("tracing", "overhead_pct"),
 }
 
 
-def _metric(report: dict, name: str) -> float:
+def _metric(report: dict, name: str) -> float | None:
+    """The report's value at ``name``'s path, ``None`` when it has none."""
     node = report
     for key in _METRIC_PATHS[name]:
         if not isinstance(node, Mapping) or key not in node:
-            return 0.0
+            return None
         node = node[key]
     return float(node)
 
@@ -500,7 +480,7 @@ def compare_reports(base: dict, new: dict) -> dict:
     """Align two reports and compute the full delta table."""
     metrics: dict = {}
     for name in _METRIC_PATHS:
-        b, n = _metric(base, name), _metric(new, name)
+        b, n = _metric(base, name) or 0.0, _metric(new, name) or 0.0
         metrics[name] = {
             "base": b,
             "new": n,
@@ -676,6 +656,12 @@ def main(argv: list[str] | None = None) -> int:
         base = load_report(args.base)
         new = load_report(args.new)
         thresholds = parse_fail_on(args.fail_on)
+        for name in thresholds:
+            # A baseline without the metric reads as 0 (an absolute
+            # gate); a candidate without it has nothing to hold to one.
+            if _metric(new, name) is None:
+                path = ".".join(_METRIC_PATHS[name])
+                raise ValueError(f"NEW has no value for {name!r} ({path})")
         comparison = compare_reports(base, new)
         violations = check_thresholds(comparison, thresholds)
         comparison["violations"] = violations

@@ -43,12 +43,8 @@ recreates the same run-root id its predecessor had.
 
 Zero cost when detached: the tracer is just another bus subscriber, so
 the PR 7 ``bus.active`` fast path still skips event *construction*
-entirely when nothing listens; :func:`spans_created` exposes a process
-counter the benchmarks assert stays flat on an untraced run. Near-zero
-cost when attached: the tracer only *buffers* events during
-the run (one list append each) and runs the causal fold once in
-:meth:`SpanTracer.finish` — the record-cheap / process-at-export split
-tracing backends use.
+entirely when nothing listens. When attached it folds each event into
+its spans as the event arrives and keeps no event.
 
 Exports: :func:`write_otlp_trace` (OTLP-JSON, one resourceSpans
 envelope) and :func:`write_perfetto_trace` (Perfetto protobuf-JSON
@@ -82,7 +78,6 @@ __all__ = [
     "critical_path_from_spans",
     "derive_span_id",
     "derive_trace_id",
-    "spans_created",
     "spans_from_events",
     "to_otlp_json",
     "to_perfetto_json",
@@ -91,16 +86,6 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-
-#: Process-wide count of Span objects ever constructed — the
-#: zero-overhead benchmark guard asserts this stays flat across an
-#: untraced run (proof the bus fast path kept span construction at 0).
-_SPANS_CREATED = 0
-
-
-def spans_created() -> int:
-    """Total :class:`Span` objects constructed in this process."""
-    return _SPANS_CREATED
 
 
 def derive_trace_id(seed: str) -> str:
@@ -142,10 +127,6 @@ class Span:
     attributes: dict[str, object] = field(default_factory=dict)
     links: list[SpanLink] = field(default_factory=list)
     status: str = "unset"  # "unset" | "ok" | "error"
-
-    def __post_init__(self) -> None:
-        global _SPANS_CREATED
-        _SPANS_CREATED += 1
 
     @property
     def duration(self) -> float:
@@ -193,11 +174,10 @@ class SpanTracer:
         #: (scope, job) → the parent whose completion released it
         self._pending_release: dict[tuple[str, str], str] = {}
         self._pending_phases: list[tuple[Span, JobAttempt]] = []
-        self._buffer: list[RunEvent] = []
         self._pending_resume: dict[str, object] | None = None
         self._pending_rescue: dict[str, object] | None = None
         self._last_time = 0.0
-        # Per-kind dispatch: one dict probe per folded event. Kinds
+        # Per-kind dispatch: one dict probe per event. Kinds
         # outside the span model — exec starts, utilization samples,
         # resilience instants and the monitor's ``anomaly.*`` families
         # — miss the table and are skipped.
@@ -266,12 +246,12 @@ class SpanTracer:
     # -- event handling ----------------------------------------------
 
     def __call__(self, event: RunEvent) -> None:
-        # Ring-buffer discipline: while the run is live the tracer only
-        # *records* (one append per event); the causal fold runs once in
-        # :meth:`finish`, off the simulated run's hot path — the same
-        # record-cheap / process-offline split real tracing backends
-        # use.
-        self._buffer.append(event)
+        handler = self._handlers.get(event.kind)
+        if handler is None:
+            return  # outside the span model (see _handlers comment)
+        if event.time > self._last_time:
+            self._last_time = event.time
+        handler(event, event.time)
 
     @staticmethod
     def _scope(event: RunEvent) -> str:
@@ -559,18 +539,8 @@ class SpanTracer:
     # -- lifecycle ----------------------------------------------------
 
     def finish(self, at: float | None = None) -> list[Span]:
-        """Fold any buffered events into spans, close every still-open
-        span (children before parents) and return the full span list.
-
-        Until this is called, :attr:`spans` is empty."""
-        buffered, self._buffer = self._buffer, []
-        for event in buffered:
-            handler = self._handlers.get(event.kind)
-            if handler is None:
-                continue  # outside the span model (see _handlers comment)
-            if event.time > self._last_time:
-                self._last_time = event.time
-            handler(event, event.time)
+        """Append the phase spans, close every still-open span
+        (children before parents) and return the full span list."""
         self._materialize_phases()
         end = self._last_time if at is None else max(at, self._last_time)
         for span in reversed(self.spans):

@@ -6,8 +6,7 @@ One subcommand today:
   M workflows each, arriving at a per-tenant rate on the virtual
   clock) against a simulated platform and print the sustained
   throughput and per-tenant SLO table; ``--json`` saves the full
-  results document (the same shape ``bench_service_load.py`` folds
-  into ``BENCH_report.json``).
+  results document.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ process: each tenant submits M workflows per minute of virtual time,
 each workflow a blast2cap3-shaped DAG (split → parallel partitions →
 merge) with lognormal job runtimes. Everything is driven by named RNG
 streams, so a (spec, seed, backend) triple reproduces bit-identically
-— the property the bench gates rely on.
+— the property the count gates in ``benchmarks/gates.py`` rely on.
 
 ``run_load`` is the engine behind the ``repro-service bench`` CLI and
-``benchmarks/bench_service_load.py``.
+the ``svc_*`` workloads of ``benchmarks/budget/``.
 """
 
 from __future__ import annotations

@@ -7,36 +7,31 @@ requirements against every free machine — O(queue × pool) per pass,
 which is exactly the hot path a multi-tenant service layer hammers
 (thousands of concurrent workflows sharing one pool).
 
-Two matchmakers implement the same contract:
+The grid always builds an :class:`IndexedMatchmaker`. It buckets free
+machines by *capability signature* (every advertised attribute except
+the continuous ``speed``). A requirements expression that does not
+mention ``speed`` is constant across a bucket, so one evaluation per
+bucket replaces one evaluation per machine: a match costs O(buckets)
+instead of O(pool), and the set of accepting buckets is memoized per
+(expression, job attributes) — which is also what tells the platform's
+wait index whether a freed machine can matter to a parked job
+(:meth:`Matchmaker.may_accept`). Jobs whose requirements reference
+``speed``, ranks other than ``"speed"``, blacklist-blocked passes, and
+pools whose machines advertise their own requirements all fall back to
+the linear scan on the :class:`Matchmaker` base — correctness first, the
+fast path covers the common shapes. The historical scan-everything
+matchmaker built on that base alone is the equivalence oracle in
+``tests/oracles/linear_matchmaker.py``: property tests pin the index to
+it machine for machine.
 
-* :class:`LinearMatchmaker` — the historical scan, verbatim. Kept as
-  the **equivalence oracle**: property tests pin the indexed rewrite to
-  it machine-for-machine (the same pattern PR 7 used for the
-  scheduler, whose oracle now lives in
-  ``tests/oracles/rescan_scheduler.py``). Nothing user-settable selects
-  it; tests and benches construct it directly.
-* :class:`IndexedMatchmaker` — what the grid always builds. Buckets
-  free machines by *capability signature* (every advertised attribute
-  except the continuous ``speed``). A requirements expression that does not mention ``speed``
-  is constant across a bucket, so one evaluation per bucket replaces
-  one evaluation per machine: a match costs O(buckets) instead of
-  O(pool), and the set of accepting buckets is memoized per
-  (expression, job attributes) — which is also what tells the
-  platform's wait index whether a freed machine can matter to a parked
-  job (:meth:`Matchmaker.may_accept`). Jobs whose requirements reference ``speed``, ranks other
-  than ``"speed"``, blacklist-blocked passes, and pools whose machines
-  advertise their own requirements all fall back to the linear scan —
-  correctness first, the fast path covers the common shapes.
-
-Both matchmakers own the free list as an insertion-ordered mapping
+The matchmaker owns the free list as an insertion-ordered mapping
 ``name → free_seq``; the sequence number reproduces the oracle's
 list-order tie-break (earliest-freed machine wins among equals) and
 makes ``claim`` O(1) where the old ``list.remove`` paid O(pool).
 
 Pool-wide admission checks (:meth:`Matchmaker.matchable`) are cached
 per requirements signature and invalidated when pool membership
-changes — the linear oracle deliberately keeps the old re-scan
-behaviour so the fix stays measurable.
+changes.
 """
 
 from __future__ import annotations
@@ -56,7 +51,6 @@ from repro.sim.machine import MachineSpec
 __all__ = [
     "MatchmakerStats",
     "Matchmaker",
-    "LinearMatchmaker",
     "IndexedMatchmaker",
 ]
 
@@ -87,7 +81,8 @@ _BestKey = tuple[float, int]
 
 
 class Matchmaker:
-    """Free-list bookkeeping shared by both strategies.
+    """Free-list bookkeeping, the strategy hooks and the linear scan
+    the index falls back to.
 
     The pool is the fixed set of machines handed to the constructor
     plus any later :meth:`add_machines`; the *free* subset shrinks via
@@ -232,26 +227,6 @@ class Matchmaker:
         return any(
             match(ad, [self.ads[name]]) is not None for name in self.ads
         )
-
-
-class LinearMatchmaker(Matchmaker):
-    """The historical O(pool) scan, kept bit-for-bit as the oracle.
-
-    Every :meth:`find` walks the free list; every :meth:`matchable`
-    re-scans the whole pool with no memoization (the PR 7 leftover the
-    indexed rewrite fixes) — which is exactly what makes it the honest
-    baseline for the dispatch-cost benchmarks.
-    """
-
-    def find(
-        self, ad: ClassAd, *, blocked: frozenset[str] = frozenset()
-    ) -> str | None:
-        self.stats.finds += 1
-        return self._find_linear(ad, blocked)
-
-    def matchable(self, ad: ClassAd) -> bool:
-        self.stats.matchable_calls += 1
-        return self._matchable_scan(ad)
 
 
 #: A bucket's identity: every advertised attribute except ``speed``.

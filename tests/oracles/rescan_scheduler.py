@@ -11,10 +11,9 @@ FIFO, children released in name order) is the specification
 event. Self-contained on purpose: it shares no scheduling code with the
 class it judges, only the result and state types.
 
-Two consumers: the hypothesis equivalence properties in
+One consumer: the hypothesis equivalence properties in
 ``tests/test_scheduler_incremental.py`` (scripted environment and all
-three simulated platforms) and ``benchmarks/bench_engine_throughput.py``,
-which measures the speedup over it.
+three simulated platforms).
 
 Do not "fix" it: bug-for-bug fidelity to the historical implementation
 is the whole point. Its ``_submit_ready`` iterates a stale snapshot (a

@@ -1,9 +1,10 @@
 """The indexed matchmaker, pinned to the linear-scan oracle.
 
 Same pattern as the scheduler rewrite (LegacyRescanScheduler): the
-historical O(pool) scan stays in the tree as ``LinearMatchmaker``, and
-property tests drive both implementations through identical
-claim/release/find histories, asserting machine-for-machine agreement
+historical O(pool) scan stays in ``tests/oracles/`` as
+``LinearMatchmaker``, and property tests drive both implementations
+through identical claim/release/find histories, asserting
+machine-for-machine agreement
 — plus the dispatch-path bugfix regressions from PR 9 (memoized job
 ads, shared blocked set, cached matchability, in-method redispatch
 guard)."""
@@ -20,12 +21,9 @@ from repro.sim.engine import Simulator
 from repro.sim.failures import NO_FAILURES
 from repro.sim.grid import GridConfig, GridSiteConfig, OpportunisticGrid
 from repro.sim.machine import MachineSpec
-from repro.sim.matchmaker import (
-    IndexedMatchmaker,
-    LinearMatchmaker,
-    Matchmaker,
-)
+from repro.sim.matchmaker import IndexedMatchmaker, Matchmaker
 from repro.sim.rng import RngStreams
+from tests.oracles.linear_matchmaker import LinearMatchmaker
 
 
 def _machine(name, site="s1", speed=1.0, software=frozenset()):

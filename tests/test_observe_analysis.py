@@ -329,6 +329,32 @@ def test_cli_analyze_and_compare_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_gate_on_a_metric_the_candidate_lacks_is_refused(tmp_path, capsys):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps(build_report(
+        WorkflowTrace([_attempt(end=100.0)]), label="base"
+    )))
+    stripped = json.loads(base.read_text())
+    del stripped["makespan_s"]
+    new = tmp_path / "new.json"
+    new.write_text(json.dumps(stripped))
+    gate = ["--fail-on", "makespan=20%", "--quiet"]
+    # It used to read the missing value as 0.0: -100 %, within threshold.
+    assert main(["compare", str(base), str(new), *gate]) == 2
+    assert capsys.readouterr().err == (
+        "repro-report: NEW has no value for 'makespan' (makespan_s)\n"
+    )
+    # Ungated, the table still renders; a baseline without the metric
+    # keeps its absolute-gate reading.
+    assert main(["compare", str(base), str(new), "--quiet"]) == 0
+    assert main(["compare", str(new), str(base),
+                 "--fail-on", "makespan=120", "--quiet"]) == 0
+    # An unknown metric name is still the bad-spec error.
+    assert main(["compare", str(base), str(new),
+                 "--fail-on", "nope=1%"]) == 2
+    assert "bad --fail-on 'nope=1%'" in capsys.readouterr().err
+
+
 def test_cli_compare_paper_platforms_gates(tmp_path):
     """The acceptance scenario: Sandhills baseline vs an OSG run must
     trip a 5 % makespan gate (the paper's Fig. 4 gap is ~24 %)."""

@@ -64,10 +64,12 @@ def chain_dag() -> Dag:
     return dag
 
 
-def traced_chain_run(seed=7):
+def traced_chain_run(seed=7, probe=None):
     bus = EventBus()
     recorder = EventRecorder(bus)
     tracer = SpanTracer(trace_id=derive_trace_id("chain"), bus=bus)
+    if probe is not None:  # sees each event after the tracer has
+        bus.subscribe(lambda event: probe(tracer, event))
     env = CampusCluster(
         Simulator(),
         CampusClusterConfig(group_slots=2),
@@ -116,11 +118,37 @@ class TestDeterministicIds:
 
 
 class TestSpanHierarchy:
-    def test_buffered_until_finish(self):
-        _, _, tracer = traced_chain_run()
-        assert tracer.spans == []  # record-cheap: fold happens at finish
+    def test_folds_each_event_as_it_arrives(self):
+        mid_run = []
+
+        def probe(tracer, event):
+            if event.kind is EventKind.SUBMIT and event.job_name == "b":
+                mid_run.extend(
+                    (s.kind, s.name, s.end is None) for s in tracer.spans
+                )
+
+        _, recorder, tracer = traced_chain_run(probe=probe)
+        # When b is submitted, a is over and b has just opened.
+        assert mid_run == [
+            ("run", "run", True),
+            ("workflow", "workflow", True),
+            ("job", "job:a", False),
+            ("attempt", "a/attempt-1", False),
+            ("job", "job:b", True),
+            ("attempt", "b/attempt-1", True),
+        ]
+        live = len(tracer.spans)
+        assert not by_kind(tracer.spans, "phase")
         spans = tracer.finish()
-        assert spans and tracer.spans is spans
+        assert tracer.spans is spans
+        # finish() appends the phase spans after every other span and
+        # closes what the run left open (the run span itself).
+        assert spans[live:] and all(s.kind == "phase" for s in spans[live:])
+        assert all(s.end is not None for s in spans)
+        # The offline fold over the recorded stream is the same list.
+        assert spans_from_events(
+            recorder.events, trace_id=tracer.trace_id
+        ) == spans
 
     def test_levels_and_parents(self):
         _, _, tracer = traced_chain_run()

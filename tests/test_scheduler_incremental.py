@@ -329,8 +329,8 @@ def _failed_attempt(name, attempt=1):
 
 def test_scales_without_rescans():
     """A few thousand jobs complete near-instantly; the legacy rescan
-    loop made this size visibly quadratic. (The 10k/100k/1M tiers live
-    in ``benchmarks/bench_engine_throughput.py``.)"""
+    loop made this size visibly quadratic. (The 100k tier is the
+    ``engine_layered_100k`` workload of ``benchmarks/budget/``.)"""
     n, width = 3000, 50
     dag = Dag(name="scale")
     names = [f"s{i:05d}" for i in range(n)]
