@@ -13,6 +13,7 @@ periodic holds; one keyword keeps the round-trip honest).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Mapping
@@ -54,10 +55,12 @@ def topological_sort(
         for child in kids:
             if child in indegree and child != parent:
                 indegree[child] += 1
-    ready = [n for n in indegree if indegree[n] == 0]
+    # A deque: a split -> n children fan-out puts n nodes in the ready
+    # frontier, and ``list.pop(0)`` made ordering it quadratic in n.
+    ready = deque(n for n in indegree if indegree[n] == 0)
     order: list[str] = []
     while ready:
-        node = ready.pop(0)
+        node = ready.popleft()
         order.append(node)
         for child in sorted(children.get(node, ())):
             if child not in indegree or child == node:
@@ -73,7 +76,7 @@ def topological_sort(
     return order
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DagJob:
     """One schedulable node.
 
@@ -121,13 +124,22 @@ class DagJob:
 
 
 class Dag:
-    """A directed acyclic graph of :class:`DagJob` nodes."""
+    """A directed acyclic graph of :class:`DagJob` nodes.
+
+    One adjacency: every edge is stored once, in the parent's child
+    set, and nothing mirrors it. A run only ever walks forward
+    (:class:`~repro.dagman.scheduler.DagmanScheduler` reads
+    :meth:`child_sets`), so a second set per job would be paid by every
+    resident DAG for the benefit of a few whole-graph readers. Those
+    ask for :meth:`parent_sets` (or :meth:`levels`) once, O(V+E);
+    :meth:`parents` of a single job scans every edge — fine for one
+    look-up, quadratic inside a loop over the jobs.
+    """
 
     def __init__(self, name: str = "workflow") -> None:
         self.name = name
         self.jobs: dict[str, DagJob] = {}
         self._children: dict[str, set[str]] = {}
-        self._parents: dict[str, set[str]] = {}
         self.done: set[str] = set()  # pre-completed (rescue semantics)
 
     # -- construction -------------------------------------------------
@@ -137,7 +149,6 @@ class Dag:
             raise ValueError(f"duplicate job name: {job.name!r}")
         self.jobs[job.name] = job
         self._children[job.name] = set()
-        self._parents[job.name] = set()
         return job
 
     def add_edge(self, parent: str, child: str) -> None:
@@ -153,10 +164,11 @@ class Dag:
         # the descendants of ``child`` is O(reachable set), not the
         # O(V+E) full re-sort per edge this used to cost — which made
         # building million-edge DAGs quadratic. Built in topological
-        # order (every generator here does), the check is O(out-degree).
-        if self._reaches(child, parent):
+        # order (every generator here does), ``child`` has no children
+        # yet: nothing but itself is reachable from it, ``parent`` is
+        # not it, and the walk is skipped.
+        if self._children[child] and self._reaches(child, parent):
             self._children[parent].add(child)
-            self._parents[child].add(parent)
             try:
                 # Error path only: recover the full unorderable set so
                 # the exception's ``members`` matches the historical
@@ -166,13 +178,11 @@ class Dag:
             except CycleError as exc:
                 members = exc.members
             self._children[parent].discard(child)
-            self._parents[child].discard(parent)
             raise CycleError(
                 f"edge {parent!r} -> {child!r} would create a cycle",
                 members,
             )
         self._children[parent].add(child)
-        self._parents[child].add(parent)
 
     def _reaches(self, source: str, target: str) -> bool:
         """True when ``target`` is reachable from ``source`` via edges."""
@@ -193,7 +203,11 @@ class Dag:
     # -- queries ------------------------------------------------------
 
     def parents(self, name: str) -> set[str]:
-        return set(self._parents[name])
+        """The parents of one job, found by scanning every edge: O(E).
+        Whole-graph passes take :meth:`parent_sets` once instead."""
+        if name not in self._children:
+            raise KeyError(name)
+        return {p for p, kids in self._children.items() if name in kids}
 
     def children(self, name: str) -> set[str]:
         return set(self._children[name])
@@ -204,8 +218,19 @@ class Dag:
         passes that only read. Do not mutate them."""
         return self._children.items()
 
+    def parent_sets(self) -> dict[str, set[str]]:
+        """``job -> its parents`` for every job, in insertion order:
+        the edges inverted in one O(V+E) pass. The sets are the
+        caller's own."""
+        parents: dict[str, set[str]] = {n: set() for n in self._children}
+        for parent, kids in self._children.items():
+            for kid in kids:
+                parents[kid].add(parent)
+        return parents
+
     def roots(self) -> list[str]:
-        return [n for n in self.jobs if not self._parents[n]]
+        has_parent: set[str] = set().union(*self._children.values())
+        return [n for n in self.jobs if n not in has_parent]
 
     def leaves(self) -> list[str]:
         return [n for n in self.jobs if not self._children[n]]
@@ -227,7 +252,6 @@ class Dag:
         rescue = Dag(name=self.name if name is None else name)
         rescue.jobs = dict(self.jobs)
         rescue._children = {n: set(s) for n, s in self._children.items()}
-        rescue._parents = {n: set(s) for n, s in self._parents.items()}
         rescue.done = set(done)
         return rescue
 
@@ -237,12 +261,27 @@ class Dag:
         which rejects cycle-closing edges eagerly)."""
         return topological_sort(self.jobs, self._children)
 
+    def levels(self) -> dict[str, int]:
+        """``job -> length of the longest edge path reaching it`` (a
+        root is level 0), in topological order."""
+        level = dict.fromkeys(self.topological_order(), 0)
+        for node, at in level.items():
+            for kid in self._children[node]:
+                if level[kid] <= at:
+                    level[kid] = at + 1
+        return level
+
     def critical_path_length(self) -> float:
         """Longest runtime-weighted path (a lower bound on makespan)."""
-        longest: dict[str, float] = {}
+        jobs = self.jobs
+        # The longest path *ending at* each job, pushed on to its children.
+        longest = {n: job.runtime for n, job in jobs.items()}
         for node in self.topological_order():
-            incoming = [longest[p] for p in self._parents[node]]
-            longest[node] = self.jobs[node].runtime + max(incoming, default=0.0)
+            reach = longest[node]
+            for kid in self._children[node]:
+                through = reach + jobs[kid].runtime
+                if longest[kid] < through:
+                    longest[kid] = through
         return max(longest.values(), default=0.0)
 
     # -- .dag file round-trip ------------------------------------------

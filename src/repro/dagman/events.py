@@ -42,7 +42,7 @@ class JobStatus(Enum):
         return self is JobStatus.SUCCEEDED
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourceProfile:
     """Per-invocation resource accounting — the kickstart record's
     ``<usage>`` block.
@@ -101,7 +101,7 @@ class ResourceProfile:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobAttempt:
     """One try of one job on one machine."""
 

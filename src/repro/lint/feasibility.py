@@ -46,7 +46,6 @@ from repro.sim.failures import NO_FAILURES, FailureModel
 from repro.sim.machine import SOFTWARE_ATTRS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dagman.dag import Dag
     from repro.wms.catalogs import SiteCatalog, SiteEntry
 
 __all__ = [
@@ -336,15 +335,6 @@ def _needed_retries(
     return max(0, attempts - 1)
 
 
-def _dag_levels(dag: "Dag") -> dict[str, int]:
-    level: dict[str, int] = {}
-    for node in dag.topological_order():
-        level[node] = 1 + max(
-            (level[p] for p in dag.parents(node)), default=-1
-        )
-    return level
-
-
 # -- rules ---------------------------------------------------------------
 
 
@@ -407,7 +397,7 @@ def _oversubscription(ctx: LintContext) -> Iterator[Finding]:
     pool = ctx.pools.get(ctx.site.name)
     if pool is None or pool.slots is None:
         return
-    levels = _dag_levels(ctx.planned.dag)
+    levels = ctx.planned.dag.levels()
     width: dict[int, int] = {}
     for lvl in levels.values():
         width[lvl] = width.get(lvl, 0) + 1

@@ -360,21 +360,13 @@ def _apply_reuse(adag: ADag, replicas: ReplicaCatalog) -> ADag:
     return reduced
 
 
-def _levels(dag: Dag) -> dict[str, int]:
-    level: dict[str, int] = {}
-    for node in dag.topological_order():
-        parents = dag.parents(node)
-        level[node] = 1 + max((level[p] for p in parents), default=-1)
-    return level
-
-
 def _horizontal_clustering(
     planned: PlannedWorkflow, adag: ADag, cluster_size: int
 ) -> PlannedWorkflow:
     """Merge same-transformation compute jobs at the same level into
     sequential super-jobs of up to ``cluster_size`` members."""
     dag = planned.dag
-    levels = _levels(dag)
+    levels = dag.levels()
     compute = set(planned.job_map.values())
 
     groups: dict[tuple[str, int], list[str]] = {}

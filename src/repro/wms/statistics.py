@@ -193,10 +193,11 @@ def critical_path(
 
     current = max(final_attempt.values(), key=lambda a: a.exec_end)
     chain = [current]
+    parent_sets = dag.parent_sets()
     while True:
         parents = [
             final_attempt[p]
-            for p in dag.parents(current.job_name)
+            for p in parent_sets[current.job_name]
             if p in final_attempt
         ]
         if not parents:
