@@ -12,7 +12,7 @@ risk at cloud-like setup cost).
 
 from conftest import write_result
 
-from repro.core.workflow_factory import environment_for, simulate_paper_run
+from repro.core.workflow_factory import simulate_paper_run
 from repro.sim.cloud import CloudConfig, CloudPlatform
 from repro.sim.failures import FailureModel
 from repro.util.tables import Table
@@ -34,10 +34,10 @@ def test_cloud_platform_comparison(paper_model, benchmark):
                                        model=paper_model)
         grid, _ = simulate_paper_run(n, "osg", seed=1, model=paper_model)
         cloud, _ = simulate_paper_run(n, "cloud", seed=1, model=paper_model)
-        cloud_env = environment_for(cloud)
+        cloud_env = cloud.environment
         spot, _ = simulate_paper_run(n, "cloud", seed=1, model=paper_model,
                                      cloud_config=spot_config)
-        spot_env = environment_for(spot)
+        spot_env = spot.environment
         assert campus.success and grid.success and cloud.success and spot.success
         rows[n] = (campus, grid, cloud, cloud_env, spot, spot_env)
         table.add_row(

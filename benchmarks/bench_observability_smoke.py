@@ -44,7 +44,7 @@ from repro.observe import (
     write_perfetto_trace,
 )
 from repro.observe.report import build_report
-from repro.wms.monitor import read_trace
+from repro.wms.monitor import read_trace, write_utilization
 from repro.wms.statistics import render_report, summarize
 
 N = 300
@@ -179,12 +179,10 @@ def test_observability_smoke(paper_model, benchmark):
         assert begins == ends, "unbalanced Perfetto slice stack"
 
         util_path = RESULTS_DIR / f"observability_{platform}_utilization.tsv"
-        util_path.write_text(
-            "time_s\tbusy\tidle\n"
-            + "".join(
-                f"{e.time:.0f}\t{e.detail['busy']}\t{e.detail['idle']}\n"
-                for e in samples
-            )
+        write_utilization(
+            util_path,
+            (UtilizationSample(e.time, e.detail["busy"], e.detail["idle"])
+             for e in samples),
         )
 
         # -- makespan attribution: the buckets must tile the makespan --

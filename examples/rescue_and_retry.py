@@ -63,7 +63,7 @@ def main() -> None:
 
     # 2. post-mortem.
     print()
-    print(render_analysis(analyze(result)))
+    print(render_analysis(analyze(result.trace, result.states)))
 
     if result.success:
         print("\n(unlucky seed: everything survived; try another seed)")

@@ -382,24 +382,58 @@ def run_local(
 Platform = Literal["sandhills", "osg", "cloud"]
 
 
-def _build_platform(
+def _plan_and_build(
+    n: int,
     platform: Platform,
-    simulator: Simulator,
     *,
+    seed: int,
+    model: PaperTaskModel | None,
     cluster_config: CampusClusterConfig | None,
     grid_config: GridConfig | None,
     cloud_config: CloudConfig | None,
-    **kwargs: Any,
-) -> SimPlatform:
-    """The named platform model, with the caller's config for *that*
-    platform when one was given (its calibrated defaults otherwise)."""
-    config = {
-        "sandhills": cluster_config,
-        "osg": grid_config,
-        "cloud": cloud_config,
-    }[platform]
-    args = (simulator,) if config is None else (simulator, config)
-    return PLATFORMS[platform](*args, **kwargs)
+    planner_options: PlannerOptions | None,
+    partition_strategy: str,
+    bus: "EventBus | None",
+    fault_plan: "FaultPlan | None" = None,
+    blacklist_policy: "BlacklistPolicy | None" = None,
+) -> tuple[PlannedWorkflow, Simulator, SimPlatform]:
+    """What both simulated runs start from: the paper-scale workflow
+    planned for ``platform``, and that platform's model on a fresh
+    simulator (the caller's config for *that* platform when one was
+    given, its calibrated defaults otherwise)."""
+    if platform not in ("sandhills", "osg", "cloud"):
+        raise ValueError(f"unknown platform: {platform!r}")
+    sites, transformations, replicas = default_catalogs()
+    planned = plan(
+        build_blast2cap3_adag(
+            n, model=model or PaperTaskModel(), partition_strategy=partition_strategy
+        ),
+        site_name=platform,
+        sites=sites,
+        transformations=transformations,
+        replicas=replicas,
+        # Generous retries: on OSG, long-running tasks are routinely
+        # evicted and resubmitted ("failures and retries of the workflow
+        # were observed on OSG", §VI-A); DAGMan just keeps retrying.
+        options=planner_options or PlannerOptions(retries=20),
+    )
+    simulator = Simulator()
+    streams = RngStreams(seed=seed)
+    injector = blacklist = None
+    if fault_plan is not None:
+        from repro.resilience import FaultInjector
+
+        injector = FaultInjector(fault_plan, rng=streams.stream("faults"), bus=bus)
+    if blacklist_policy is not None:
+        from repro.resilience import Blacklist
+
+        blacklist = Blacklist(blacklist_policy, bus=bus)
+    config = {"sandhills": cluster_config, "osg": grid_config, "cloud": cloud_config}[platform]
+    env = PLATFORMS[platform](
+        *((simulator,) if config is None else (simulator, config)),
+        streams=streams, bus=bus, injector=injector, blacklist=blacklist,
+    )
+    return planned, simulator, env
 
 
 def simulate_paper_run(
@@ -418,39 +452,19 @@ def simulate_paper_run(
 ) -> tuple[DagmanResult, PlannedWorkflow]:
     """Simulate one paper-scale workflow run on one platform.
 
-    ``"cloud"`` is the paper's future-work platform: track cost via the
-    returned environment inside :func:`simulate_paper_run_with_env`.
+    ``"cloud"`` is the paper's future-work platform: its cost accounting
+    is on the platform the run used, ``result.environment``.
 
     ``bus`` receives the full live event stream (scheduler and platform
     events interleaved on the virtual timeline); with
     ``sample_interval_s`` set, ``platform.sample`` utilization events
     are emitted on the same bus at that virtual-clock cadence.
     """
-    if platform not in ("sandhills", "osg", "cloud"):
-        raise ValueError(f"unknown platform: {platform!r}")
-    model = model or PaperTaskModel()
-    adag = build_blast2cap3_adag(
-        n, model=model, partition_strategy=partition_strategy
-    )
-    sites, transformations, replicas = default_catalogs()
-    # Generous retries: on OSG, long-running tasks are routinely evicted
-    # and resubmitted ("failures and retries of the workflow were
-    # observed on OSG", §VI-A); DAGMan just keeps retrying.
-    options = planner_options or PlannerOptions(retries=20)
-    planned = plan(
-        adag,
-        site_name=platform,
-        sites=sites,
-        transformations=transformations,
-        replicas=replicas,
-        options=options,
-    )
-    simulator = Simulator()
-    streams = RngStreams(seed=seed)
-    env = _build_platform(
-        platform, simulator,
+    planned, simulator, env = _plan_and_build(
+        n, platform, seed=seed, model=model,
         cluster_config=cluster_config, grid_config=grid_config,
-        cloud_config=cloud_config, streams=streams, bus=bus,
+        cloud_config=cloud_config, planner_options=planner_options,
+        partition_strategy=partition_strategy, bus=bus,
     )
     scheduler = DagmanScheduler(planned.dag, env, bus=bus)
     scheduler.start()
@@ -463,9 +477,7 @@ def simulate_paper_run(
             simulator, env, interval_s=sample_interval_s, bus=bus
         ).start()
     env.run_until_complete()
-    result = scheduler.finish()
-    _LAST_ENVIRONMENTS[id(result)] = env
-    return result, planned
+    return scheduler.finish(), planned
 
 
 def simulate_paper_run_with_recovery(
@@ -493,62 +505,23 @@ def simulate_paper_run_with_recovery(
     ``fault_plan`` injects chaos on top of the platform's calibrated
     failure regime, ``blacklist_policy`` arms the start-failure circuit
     breaker, and ``retry_policy`` shapes DAGMan's requeues. Returns
-    ``(RecoveryResult, PlannedWorkflow)``.
+    ``(RecoveryResult, PlannedWorkflow)``; the platform is
+    ``outcome.final.environment``.
     """
-    from repro.resilience import Blacklist, FaultInjector, run_with_recovery
+    from repro.resilience import run_with_recovery
 
-    if platform not in ("sandhills", "osg", "cloud"):
-        raise ValueError(f"unknown platform: {platform!r}")
-    model = model or PaperTaskModel()
-    adag = build_blast2cap3_adag(
-        n, model=model, partition_strategy=partition_strategy
-    )
-    sites, transformations, replicas = default_catalogs()
-    options = planner_options or PlannerOptions(retries=20)
-    planned = plan(
-        adag,
-        site_name=platform,
-        sites=sites,
-        transformations=transformations,
-        replicas=replicas,
-        options=options,
-    )
-    simulator = Simulator()
-    streams = RngStreams(seed=seed)
-    injector = None
-    if fault_plan is not None:
-        injector = FaultInjector(
-            fault_plan, rng=streams.stream("faults"), bus=bus
-        )
-    blacklist = None
-    if blacklist_policy is not None:
-        blacklist = Blacklist(blacklist_policy, bus=bus)
-    env = _build_platform(
-        platform, simulator,
+    planned, _, env = _plan_and_build(
+        n, platform, seed=seed, model=model,
         cluster_config=cluster_config, grid_config=grid_config,
-        cloud_config=cloud_config, streams=streams, bus=bus,
-        injector=injector, blacklist=blacklist,
+        cloud_config=cloud_config, planner_options=planner_options,
+        partition_strategy=partition_strategy, bus=bus,
+        fault_plan=fault_plan, blacklist_policy=blacklist_policy,
     )
     outcome = run_with_recovery(
         planned.dag, env, max_rounds=max_rounds, bus=bus,
         retry_policy=retry_policy,
     )
-    _LAST_ENVIRONMENTS[id(outcome)] = env
     return outcome, planned
-
-
-#: Weak side-channel: environments of recent runs, keyed by result id,
-#: so cost-aware callers can reach the CloudPlatform accounting without
-#: changing the common return shape. Bounded to the latest few entries.
-_LAST_ENVIRONMENTS: dict[int, object] = {}
-
-
-def environment_for(result: DagmanResult) -> object | None:
-    """The execution environment that produced ``result`` (if recent)."""
-    env = _LAST_ENVIRONMENTS.get(id(result))
-    while len(_LAST_ENVIRONMENTS) > 32:
-        _LAST_ENVIRONMENTS.pop(next(iter(_LAST_ENVIRONMENTS)))
-    return env
 
 
 def workflow_figure(adag: ADag, *, osg: bool = False) -> DotGraph:

@@ -123,6 +123,14 @@ class DagJob:
             )
 
 
+#: What ``plan.json`` keeps of a job, in the order it is written.
+#: ``payload`` cannot travel and the byte counts never have.
+_JOB_KEYS = (
+    "transformation", "runtime", "needs_setup", "retries",
+    "timeout_s", "requirements", "priority",
+)
+
+
 class Dag:
     """A directed acyclic graph of :class:`DagJob` nodes.
 
@@ -283,6 +291,53 @@ class Dag:
                 if longest[kid] < through:
                     longest[kid] = through
         return max(longest.values(), default=0.0)
+
+    # -- plan.json round-trip -------------------------------------------
+
+    def to_json(self) -> dict:
+        """The JSON shape of a planned DAG: what the ``.dag`` file cannot
+        carry (runtimes, setup marks, requirements) beside what it can.
+        The name stays out, as it stays out of the ``.dag`` grammar, and
+        ``done`` is written only when there are marks."""
+        data: dict = {
+            "jobs": {
+                name: {key: getattr(job, key) for key in _JOB_KEYS}
+                for name, job in self.jobs.items()
+            },
+            "edges": sorted(self.edges()),
+        }
+        if self.done:
+            data["done"] = sorted(self.done)
+        return data
+
+    @classmethod
+    def from_json(cls, data: object, name: str = "workflow") -> "Dag":
+        """Rebuild what :meth:`to_json` wrote. Anything else — a wrong
+        shape, a job missing a key or holding a value no job can have,
+        an edge naming an unknown job or closing a cycle — is a
+        :class:`ValueError` saying which job or edge."""
+        for key, kind in (("jobs", dict), ("edges", list)):
+            if not (isinstance(data, dict) and isinstance(data.get(key), kind)):
+                raise ValueError(f"not a plan (missing {key!r})")
+        dag = cls(name=name)
+        for job_name, spec in data["jobs"].items():
+            try:
+                dag.add_job(DagJob(name=job_name, **{key: spec[key] for key in _JOB_KEYS}))
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"job {job_name!r}: {reason}") from None
+        for edge in data["edges"]:
+            try:
+                parent, child = edge
+                dag.add_edge(parent, child)
+            except (KeyError, TypeError, ValueError) as exc:
+                reason = "closes a cycle" if isinstance(exc, CycleError) else exc.args[0]
+                raise ValueError(f"edge {edge!r}: {reason}") from None
+        done = data.get("done", [])
+        if not (isinstance(done, list) and all(isinstance(n, str) and n in dag.jobs for n in done)):
+            raise ValueError("done: not a list of this plan's job names")
+        dag.done = set(done)
+        return dag
 
     # -- .dag file round-trip ------------------------------------------
 

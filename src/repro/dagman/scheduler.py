@@ -142,6 +142,8 @@ class DagmanResult:
     trace: WorkflowTrace
     states: dict[str, NodeState]
     wall_time: float
+    #: the platform the run used (a cloud's cost accounting lives there)
+    environment: object = field(default=None, repr=False, compare=False)
 
     @property
     def failed_jobs(self) -> list[str]:
@@ -379,6 +381,7 @@ class DagmanScheduler:
             trace=self.trace,
             states=self.states,
             wall_time=self.environment.now - self._start_time,
+            environment=self.environment,
         )
 
     @property

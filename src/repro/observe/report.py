@@ -33,8 +33,6 @@ from repro.observe.analysis import (
     aggregate_components,
     attribute_makespan,
 )
-from repro.observe.bus import events_to_trace
-from repro.observe.log import read_events
 from repro.observe.metrics import Histogram
 from repro.util.units import format_duration
 
@@ -46,7 +44,6 @@ __all__ = [
     "COMPARE_SCHEMA",
     "build_report",
     "load_report",
-    "dag_from_plan_meta",
     "render_markdown",
     "compare_reports",
     "render_compare_markdown",
@@ -63,69 +60,12 @@ COMPARE_SCHEMA = "repro-report-compare/1"
 # loading
 
 
-def dag_from_plan_meta(meta: dict) -> "Dag":
-    """Rebuild an executable :class:`~repro.dagman.dag.Dag` from the
-    ``plan.json`` a submit directory carries (same schema ``repro-plan``
-    writes and ``repro-run`` reads)."""
-    from repro.dagman.dag import Dag, DagJob
-
-    dag = Dag(name=f"blast2cap3-n{meta.get('n')}-{meta.get('site')}")
-    for name, spec in meta["jobs"].items():
-        try:
-            job = DagJob(
-                name=name,
-                transformation=spec["transformation"],
-                runtime=spec["runtime"],
-                needs_setup=spec["needs_setup"],
-                retries=spec["retries"],
-                timeout_s=spec.get("timeout_s"),
-                requirements=spec.get("requirements"),
-                priority=spec.get("priority", 0),
-            )
-        except ValueError as exc:
-            raise ValueError(f"job {name!r}: {exc}") from exc
-        dag.add_job(job)
-    for parent, child in meta["edges"]:
-        dag.add_edge(parent, child)
-    return dag
-
-
-def _load_trace_and_dag(
-    path: Path,
-) -> tuple[WorkflowTrace, "Dag | None", dict | None, list, str]:
-    """(trace, dag, metrics, events, label) from a run directory or
-    log file. The log is parsed once; the trace is its terminal
-    events' records."""
-    dag: "Dag | None" = None
-    metrics: dict | None = None
-    source, label = path, path.stem  # a bare JSONL log, unless:
-    if path.is_dir():
-        source = path / "events.jsonl"
-        if not source.exists():
-            source = path / "trace.jsonl"
-        if not source.exists():
-            raise FileNotFoundError(
-                f"no events.jsonl or trace.jsonl under {path}"
-            )
-        label = path.name or str(path)
-        if (path / "plan.json").exists():
-            from repro.wms.cli import load_plan
-
-            dag = dag_from_plan_meta(load_plan(path))
-        metrics_path = path / "metrics.json"
-        if metrics_path.exists():
-            metrics = json.loads(metrics_path.read_text())
-    events = read_events(source)
-    return events_to_trace(events), dag, metrics, events, label
-
-
 def load_report(path: str | Path, *, label: str | None = None) -> dict:
     """Load ``path`` into a report dict, whatever it is.
 
-    * a directory — a submit/run directory (``events.jsonl`` or
-      ``trace.jsonl``, plus ``plan.json``/``metrics.json`` when
-      present);
-    * a ``*.jsonl`` file — an event or attempt log;
+    * a directory or a ``*.jsonl`` log — whatever
+      :func:`repro.wms.monitor.load_run` makes of it (the event log or
+      the attempt trace, plus the plan and the metrics when present);
     * a ``*.json`` file — a report previously saved by ``analyze``
       (checked via its ``schema`` field), e.g. a committed baseline.
     """
@@ -140,10 +80,12 @@ def load_report(path: str | Path, *, label: str | None = None) -> dict:
         if label:
             data["label"] = label
         return data
-    trace, dag, metrics, events, inferred = _load_trace_and_dag(path)
+    from repro.wms.monitor import load_run
+
+    run = load_run(path)
     return build_report(
-        trace, dag=dag, metrics=metrics, events=events,
-        label=label or inferred,
+        run.trace, dag=run.dag, metrics=run.metrics, events=run.events,
+        label=label or run.label,
     )
 
 

@@ -455,12 +455,6 @@ class JournalState:
             state.undecided = {
                 str(k): dict(v) for k, v in undecided.items()
             }
-        records = data.get("records")  # snapshots older than the sidecar
-        if isinstance(records, list):
-            state.records = [
-                (r if isinstance(r, str) else compact_json(r)).encode()
-                for r in records
-            ]
         blocks = data.get("blacklist_blocks")
         if isinstance(blocks, list):
             state.blacklist_blocks = [dict(b) for b in blocks]
@@ -962,31 +956,33 @@ def _read_snapshot(
     try:
         snap = json.loads(snap_path.read_bytes())
         state = JournalState.from_json(snap["state"])
-        seq = snap["seq"]
-        if snap["version"] != JOURNAL_VERSION or not isinstance(seq, int):
-            raise ValueError(snap["version"], seq)
+        seq, wanted = snap["seq"], snap["records_in_file"]
+        # Version 1 keeps the terminal records in the sidecar and says how
+        # many: a snapshot that inlines them is refused, not recovered bare.
+        if (
+            snap["version"] != JOURNAL_VERSION
+            or not (isinstance(seq, int) and isinstance(wanted, int))
+            or "records" in snap["state"]
+        ):
+            raise ValueError(snap["version"], seq, wanted)
     except (OSError, ValueError, KeyError, TypeError, AttributeError):
         # unreadable, not JSON, or JSON of some other shape
         return unusable(
             f"{SNAPSHOT_FILE} is not a version-{JOURNAL_VERSION} snapshot"
         )
-    where = snap_path
-    wanted = snap.get("records_in_file")
-    if "records" not in snap["state"] and isinstance(wanted, int):
-        # Terminal records live in the sidecar; the snapshot only
-        # vouches for its first ``wanted`` lines (later ones belong to a
-        # snapshot that never landed).
-        where = path / RECORDS_FILE
-        try:
-            lines = where.read_bytes().split(b"\n")[:-1]
-        except OSError:
-            lines = []
-        if len(lines) < wanted:
-            return unusable(
-                f"{RECORDS_FILE} holds {len(lines)} of the {wanted} line(s) "
-                f"{SNAPSHOT_FILE} vouches for"
-            )
-        state.records = lines[:wanted]
+    # The snapshot only vouches for the sidecar's first ``wanted`` lines
+    # (later ones belong to a snapshot that never landed).
+    where = path / RECORDS_FILE
+    try:
+        lines = where.read_bytes().split(b"\n")[:-1]
+    except OSError:
+        lines = []
+    if len(lines) < wanted:
+        return unusable(
+            f"{RECORDS_FILE} holds {len(lines)} of the {wanted} line(s) "
+            f"{SNAPSHOT_FILE} vouches for"
+        )
+    state.records = lines[:wanted]
     blacklist = snap.get("blacklist")
     return (
         state,

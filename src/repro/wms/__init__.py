@@ -11,7 +11,7 @@ DAGMan. This package mirrors that architecture:
 * :mod:`repro.wms.statistics` — ``pegasus-statistics`` equivalents
   (Workflow Wall Time, per-task Kickstart/Waiting/Download-Install),
 * :mod:`repro.wms.analyzer` — ``pegasus-analyzer``-style failure reports,
-* :mod:`repro.wms.monitor` — JSONL event log (trace persistence),
+* :mod:`repro.wms.monitor` — the submit directory's files and codecs,
 * :mod:`repro.wms.cli` — ``pegasus-plan/run/status/statistics/analyzer``
   style command-line entry points.
 """

@@ -1,6 +1,7 @@
 """``pegasus-analyzer`` equivalent: explain what went wrong.
 
-Given a DAGMan result, produce the familiar post-mortem: per-job attempt
+Given a finished run's trace and the names of the planned jobs (all
+``repro-analyzer`` has), produce the familiar post-mortem: per-job attempt
 history for everything that failed, which jobs never became runnable
 because an ancestor failed, and a one-line verdict.
 """
@@ -8,9 +9,9 @@ because an ancestor failed, and a one-line verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.dagman.events import JobAttempt
-from repro.dagman.scheduler import DagmanResult, NodeState
+from repro.dagman.events import JobAttempt, WorkflowTrace
 
 __all__ = ["JobDiagnosis", "AnalyzerReport", "analyze", "render_analysis"]
 
@@ -28,10 +29,6 @@ class JobDiagnosis:
             if attempt.error:
                 return attempt.error
         return "(no error recorded)"
-
-    @property
-    def sites_tried(self) -> list[str]:
-        return sorted({a.machine for a in self.attempts})
 
 
 @dataclass
@@ -54,25 +51,22 @@ class AnalyzerReport:
         )
 
 
-def analyze(result: DagmanResult) -> AnalyzerReport:
-    """Build the post-mortem from a DAGMan result."""
-    failed = []
-    for name, state in sorted(result.states.items()):
-        if state is NodeState.FAILED:
-            failed.append(
-                JobDiagnosis(
-                    job_name=name,
-                    attempts=tuple(result.trace.for_job(name)),
-                )
-            )
+def analyze(trace: WorkflowTrace, jobs: Iterable[str]) -> AnalyzerReport:
+    """Build the post-mortem of a finished run: ``jobs`` names what was
+    planned (a ``DagmanResult``'s ``states``, a plan's ``dag.jobs``)."""
+    attempts: dict[str, list[JobAttempt]] = {name: [] for name in jobs}
+    done = set()
+    for attempt in trace:
+        attempts.setdefault(attempt.job_name, []).append(attempt)
+        if attempt.status.is_success:
+            done.add(attempt.job_name)
+    pending = sorted(attempts.keys() - done)
     return AnalyzerReport(
-        success=result.success,
-        total_jobs=len(result.states),
-        done=sum(
-            1 for s in result.states.values() if s is NodeState.DONE
-        ),
-        failed=failed,
-        unrunnable=result.unrunnable_jobs,
+        success=not pending,
+        total_jobs=len(attempts),
+        done=len(done),
+        failed=[JobDiagnosis(name, tuple(attempts[name])) for name in pending if attempts[name]],
+        unrunnable=[name for name in pending if not attempts[name]],
     )
 
 

@@ -2,7 +2,8 @@
 
 The paper's §III workflow: ``pegasus-plan`` → ``pegasus-run`` →
 ``pegasus-status`` → ``pegasus-statistics`` / ``pegasus-analyzer``.
-Our equivalents operate on a *submit directory*:
+Our equivalents operate on a *submit directory*, read and written
+through its one owner, :mod:`repro.wms.monitor`:
 
 * ``repro-plan``   — build the blast2cap3 DAX for a given *n*, plan it
   for a site, and write ``workflow.dax`` + ``workflow.dag`` into the
@@ -16,6 +17,7 @@ Our equivalents operate on a *submit directory*:
 * ``repro-status`` — pegasus-status-style view from ``events.jsonl``
   (``--follow`` tails a run in flight);
 * ``repro-statistics`` — print the pegasus-statistics report;
+* ``repro-plots``      — text gantt chart and utilization strips;
 * ``repro-analyzer``   — print the failure post-mortem.
 """
 
@@ -26,10 +28,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.util.iolib import atomic_write
-
 __all__ = [
-    "load_plan",
     "main_plan",
     "main_run",
     "main_status",
@@ -38,49 +37,14 @@ __all__ = [
     "main_plots",
 ]
 
-PLAN_FILE = "plan.json"
-TRACE_FILE = "trace.jsonl"
-EVENTS_FILE = "events.jsonl"
-CHROME_TRACE_FILE = "trace.chrome.json"
-OTLP_TRACE_FILE = "trace.otlp.json"
-PERFETTO_TRACE_FILE = "trace.perfetto.json"
-UTILIZATION_FILE = "utilization.tsv"
-METRICS_FILE = "metrics.json"
 
-
-def _submit_dir(path: str) -> Path:
-    d = Path(path)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _plan_refusal(submit: Path, reason: object) -> str:
-    """Every refusal of a plan reads ``PATH: reason``, one line."""
-    return f"{submit / PLAN_FILE}: {reason}"
-
-
-def load_plan(submit: str | Path) -> dict:
-    """The ``plan.json`` of a submit directory, checked for shape.
-
-    Raises :class:`ValueError` with a one-line ``PATH: reason`` message
-    when the file is missing, is not JSON (a torn write) or is not what
-    ``repro-plan`` writes; the commands print it and exit 2.
-    """
-    submit = Path(submit)
+def _or_exit(read, path: str | Path):
+    """``read(path)``, or its one-line refusal on stderr and exit 2."""
     try:
-        meta = json.loads((submit / PLAN_FILE).read_text())
-    except FileNotFoundError:
-        raise ValueError(
-            _plan_refusal(submit, "missing — run repro-plan first")
-        ) from None
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise ValueError(_plan_refusal(submit, f"not JSON: {exc}")) from None
-    for key, kind in (("jobs", dict), ("edges", list), ("site", str)):
-        if not (isinstance(meta, dict) and isinstance(meta.get(key), kind)):
-            raise ValueError(
-                _plan_refusal(submit, f"not a plan (missing {key!r})")
-            )
-    return meta
+        return read(path)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def main_plan(argv: list[str] | None = None) -> int:
@@ -106,12 +70,14 @@ def main_plan(argv: list[str] | None = None) -> int:
 
     from repro.core.workflow_factory import build_blast2cap3_adag, default_catalogs
     from repro.perfmodel.task_models import PaperTaskModel
+    from repro.wms.monitor import DAG_FILE, DAX_FILE, write_plan
     from repro.wms.planner import PlannerOptions, PlanningError, plan
 
-    submit = _submit_dir(args.submit_dir)
+    submit = Path(args.submit_dir)
+    submit.mkdir(parents=True, exist_ok=True)
     model = PaperTaskModel()
     adag = build_blast2cap3_adag(args.clusters, model=model)
-    adag.write(submit / "workflow.dax")
+    adag.write(submit / DAX_FILE)
 
     sites, transformations, replicas = default_catalogs()
     try:
@@ -132,27 +98,8 @@ def main_plan(argv: list[str] | None = None) -> int:
         # Includes the pre-flight linter's fail-fast (LintFailure).
         print(str(exc), file=sys.stderr)
         return 1
-    planned.dag.write_dagfile(submit / "workflow.dag")
-    # Runtimes and decorations do not live in the .dag file; persist
-    # them the way Pegasus persists per-job submit files.
-    plan_meta = {
-        "site": args.site,
-        "n": args.clusters,
-        "jobs": {
-            name: {
-                "transformation": job.transformation,
-                "runtime": job.runtime,
-                "needs_setup": job.needs_setup,
-                "retries": job.retries,
-                "timeout_s": job.timeout_s,
-                "requirements": job.requirements,
-                "priority": job.priority,
-            }
-            for name, job in planned.dag.jobs.items()
-        },
-        "edges": sorted(planned.dag.edges()),
-    }
-    atomic_write(submit / PLAN_FILE, json.dumps(plan_meta, indent=2))
+    planned.dag.write_dagfile(submit / DAG_FILE)
+    write_plan(submit, planned.dag, site=args.site, n=args.clusters)
     print(f"planned {len(planned.dag)} jobs for site {args.site!r}")
     print(f"submit dir: {submit}")
     print(f"run with: repro-run --submit-dir {submit}")
@@ -230,9 +177,13 @@ def main_run(argv: list[str] | None = None) -> int:
 
     # Before the imports below: a typo'd --submit-dir should fail in the
     # time it takes to read one file, not after loading the simulators.
+    from repro.wms import monitor
+
     submit = Path(args.submit_dir)
     try:
-        meta = load_plan(submit)
+        # A value no job can have (``json`` parses a bare NaN runtime),
+        # or an edge closing a cycle: refuse the plan, simulate nothing.
+        site, dag = monitor.read_plan(submit)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -270,20 +221,11 @@ def main_run(argv: list[str] | None = None) -> int:
         run_with_recovery,
     )
     from repro.sim import PLATFORMS, CloudPlatform, RngStreams, Simulator
-    from repro.wms.monitor import write_trace
+    from repro.util.iolib import atomic_write
 
-    from repro.observe.report import dag_from_plan_meta
-
-    try:
-        dag = dag_from_plan_meta(meta)
-    except ValueError as exc:
-        # A value no job can have (``json`` parses a bare NaN runtime),
-        # or an edge closing a cycle: refuse the plan, simulate nothing.
-        print(_plan_refusal(submit, exc), file=sys.stderr)
-        return 2
-    if meta["site"] not in PLATFORMS:
-        print(_plan_refusal(submit, f"unknown site {meta['site']!r}; choose "
-                                    f"from {sorted(PLATFORMS)}"), file=sys.stderr)
+    if site not in PLATFORMS:
+        print(f"{submit / monitor.PLAN_FILE}: unknown site {site!r}; "
+              f"choose from {sorted(PLATFORMS)}", file=sys.stderr)
         return 2
 
     # Admission check with the same feasibility engine the linter and
@@ -293,7 +235,7 @@ def main_run(argv: list[str] | None = None) -> int:
     # experiment (it is the paper's Fig. 3 scenario).
     from repro.lint.feasibility import default_pools, never_matchable
 
-    pool = default_pools().get(meta["site"])
+    pool = default_pools().get(site)
     if pool is not None:
         doomed = sorted(
             name
@@ -304,7 +246,7 @@ def main_run(argv: list[str] | None = None) -> int:
         if doomed:
             print(
                 f"warning: {len(doomed)} job(s) (e.g. {doomed[0]!r}) have "
-                f"requirements no {meta['site']!r} slot can satisfy; they "
+                f"requirements no {site!r} slot can satisfy; they "
                 "will idle until the unmatched timeout "
                 "(repro-lint names the missing capability)",
                 file=sys.stderr,
@@ -389,7 +331,7 @@ def main_run(argv: list[str] | None = None) -> int:
         else derive_trace_id(f"{dag.name}:{args.seed}")
     )
     tracer = SpanTracer(trace_id=trace_id, bus=bus)
-    monitor = AnomalyMonitor(bus)
+    anomalies = AnomalyMonitor(bus)
 
     faults = []
     if args.chaos_start_failure > 0:
@@ -441,7 +383,7 @@ def main_run(argv: list[str] | None = None) -> int:
 
         retry_policy = ImmediateRetry(charge_evictions=False)
 
-    env = PLATFORMS[meta["site"]](
+    env = PLATFORMS[site](
         simulator, streams=streams, bus=bus,
         injector=injector, blacklist=blacklist,
     )
@@ -485,9 +427,9 @@ def main_run(argv: list[str] | None = None) -> int:
     # unless resuming, where the new events append after the old ones
     # and the merged log reads as one continuous run.
     if recovered is None:
-        (submit / EVENTS_FILE).write_text("")
+        (submit / monitor.EVENTS_FILE).write_text("")
     try:
-        with EventLogWriter(submit / EVENTS_FILE, bus):
+        with EventLogWriter(submit / monitor.EVENTS_FILE, bus):
             outcome = run_with_recovery(
                 dag,
                 env,
@@ -511,26 +453,22 @@ def main_run(argv: list[str] | None = None) -> int:
             journal.close()
     result = outcome.final
 
-    write_trace(submit / TRACE_FILE, outcome.trace)
+    monitor.write_trace(submit / monitor.TRACE_FILE, outcome.trace)
     write_chrome_trace(
-        submit / CHROME_TRACE_FILE, outcome.trace,
+        submit / monitor.CHROME_TRACE_FILE, outcome.trace,
         samples=sampler.samples if sampler is not None else None,
         events=recorder.events,
         workflow=dag.name,
     )
     spans = tracer.finish()
-    write_otlp_trace(submit / OTLP_TRACE_FILE, spans)
-    write_perfetto_trace(submit / PERFETTO_TRACE_FILE, spans)
+    write_otlp_trace(submit / monitor.OTLP_TRACE_FILE, spans)
+    write_perfetto_trace(submit / monitor.PERFETTO_TRACE_FILE, spans)
     if sampler is not None:
-        atomic_write(
-            submit / UTILIZATION_FILE,
-            "time_s\tbusy\tidle\n"
-            + "".join(
-                f"{s.time:.0f}\t{s.busy}\t{s.idle}\n" for s in sampler.samples
-            ),
+        monitor.write_utilization(
+            submit / monitor.UTILIZATION_FILE, sampler.samples
         )
     atomic_write(
-        submit / METRICS_FILE, json.dumps(metrics.snapshot(), indent=2)
+        submit / monitor.METRICS_FILE, json.dumps(metrics.snapshot(), indent=2)
     )
     print(
         f"workflow {'succeeded' if outcome.success else 'FAILED'} in "
@@ -556,34 +494,21 @@ def main_run(argv: list[str] | None = None) -> int:
     print(
         f"observability: {len(recorder.events)} events "
         f"({terminal} terminal), {len(spans)} spans "
-        f"(trace {trace_id}) -> {EVENTS_FILE}, {CHROME_TRACE_FILE}, "
-        f"{OTLP_TRACE_FILE}, {PERFETTO_TRACE_FILE}"
-        + (f", {UTILIZATION_FILE}" if sampler is not None else "")
-        + f", {METRICS_FILE}"
+        f"(trace {trace_id}) -> {monitor.EVENTS_FILE}, "
+        f"{monitor.CHROME_TRACE_FILE}, {monitor.OTLP_TRACE_FILE}, "
+        f"{monitor.PERFETTO_TRACE_FILE}"
+        + (f", {monitor.UTILIZATION_FILE}" if sampler is not None else "")
+        + f", {monitor.METRICS_FILE}"
     )
-    if monitor.alerts:
-        print(f"anomalies: {len(monitor.alerts)} alert(s) — latest: "
-              + ", ".join(a.kind.value for a in monitor.alerts[-3:]))
+    if anomalies.alerts:
+        print(f"anomalies: {len(anomalies.alerts)} alert(s) — latest: "
+              + ", ".join(a.kind.value for a in anomalies.alerts[-3:]))
     if journal_dir is not None:
         print(f"journal: {journal_dir}")
     if isinstance(env, CloudPlatform):
         print(f"cloud cost: ${env.billed_cost():.2f} "
               f"({env.instance_seconds():.0f} instance-seconds)")
     return 0 if outcome.success else 1
-
-
-def _load_trace(submit_dir: str):
-    from repro.wms.monitor import read_trace
-
-    path = Path(submit_dir) / TRACE_FILE
-    if not path.exists():
-        print(f"no trace at {path}; run repro-run first", file=sys.stderr)
-        raise SystemExit(2)
-    try:
-        return read_trace(path)
-    except ValueError as exc:  # a damaged line, named path:lineno
-        print(exc, file=sys.stderr)
-        raise SystemExit(2) from None
 
 
 def main_status(argv: list[str] | None = None) -> int:
@@ -604,33 +529,24 @@ def main_status(argv: list[str] | None = None) -> int:
                         help="poll interval for --follow, in seconds")
     args = parser.parse_args(argv)
 
+    from repro.wms.monitor import EVENTS_FILE, load_run, progress_line, read_plan
+
     submit = Path(args.submit_dir)
-    try:
-        total_jobs = len(load_plan(submit)["jobs"])
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    total_jobs = len(_or_exit(read_plan, submit).dag)
     events_path = submit / EVENTS_FILE
-
     if not events_path.exists():
-        from repro.wms.monitor import progress_line
-
-        trace = _load_trace(args.submit_dir)
-        print(progress_line(trace, total_jobs=total_jobs))
+        run = _or_exit(load_run, submit)  # trace.jsonl, or nothing ran
+        print(progress_line(run.trace, total_jobs=total_jobs))
         return 0
 
     import time
 
-    from repro.observe import StatusView, iter_events
+    from repro.observe import StatusView
     from repro.observe.log import event_from_json
 
     view = StatusView(total_jobs=total_jobs)
     if not args.follow:
-        try:
-            view.feed(iter_events(events_path))
-        except ValueError as exc:  # a damaged line, named path:lineno
-            print(exc, file=sys.stderr)
-            return 2
+        view.feed(_or_exit(load_run, submit).events)
         print(view.render())
         return 0
 
@@ -662,19 +578,14 @@ def main_statistics(argv: list[str] | None = None) -> int:
     parser.add_argument("--submit-dir", required=True)
     args = parser.parse_args(argv)
 
+    from repro.wms.monitor import load_run
     from repro.wms.statistics import render_report, summarize
 
-    trace = _load_trace(args.submit_dir)
+    run = _or_exit(load_run, args.submit_dir)
     # The plan's job count makes the report honest about descendants of
     # failed jobs that never got to run (planned vs attempted).
-    expected = None
-    if (Path(args.submit_dir) / PLAN_FILE).exists():
-        try:
-            expected = len(load_plan(args.submit_dir)["jobs"])
-        except ValueError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-    print(render_report(summarize(trace, expected_jobs=expected),
+    expected = len(run.dag) if run.dag is not None else None
+    print(render_report(summarize(run.trace, expected_jobs=expected),
                         title=args.submit_dir))
     return 0
 
@@ -687,24 +598,16 @@ def main_plots(argv: list[str] | None = None) -> int:
     parser.add_argument("--max-rows", type=int, default=40)
     args = parser.parse_args(argv)
 
+    from repro.wms.monitor import load_run
     from repro.wms.plots import gantt, utilization, utilization_series
 
-    trace = _load_trace(args.submit_dir)
-    print(gantt(trace, width=args.width, max_rows=args.max_rows))
+    run = _or_exit(load_run, args.submit_dir)
+    print(gantt(run.trace, width=args.width, max_rows=args.max_rows))
     print()
-    print(utilization(trace))
-    sampled = Path(args.submit_dir) / UTILIZATION_FILE
-    if sampled.exists():
-        from repro.observe import UtilizationSample
-
-        samples = []
-        for line in sampled.read_text().splitlines()[1:]:
-            t, busy, idle = line.split("\t")
-            samples.append(
-                UtilizationSample(float(t), int(busy), int(idle))
-            )
+    print(utilization(run.trace))
+    if run.samples is not None:
         print()
-        print(utilization_series(samples, width=args.width))
+        print(utilization_series(run.samples, width=args.width))
     return 0
 
 
@@ -714,24 +617,10 @@ def main_analyzer(argv: list[str] | None = None) -> int:
     parser.add_argument("--submit-dir", required=True)
     args = parser.parse_args(argv)
 
-    from repro.dagman.events import JobStatus
+    from repro.wms.analyzer import analyze, render_analysis
+    from repro.wms.monitor import load_run
 
-    trace = _load_trace(args.submit_dir)
-    failures = trace.failures()
-    succeeded = {a.job_name for a in trace.successful()}
-    print(f"attempts: {len(trace)}  failures/evictions: {len(failures)}")
-    hard_failed = sorted(
-        {a.job_name for a in failures if a.job_name not in succeeded}
-    )
-    if not hard_failed:
-        print("all jobs eventually succeeded"
-              + (f" (after {trace.retry_count} retries)" if trace.retry_count else ""))
-        return 0
-    for name in hard_failed:
-        attempts = trace.for_job(name)
-        print(f"==== {name}: {len(attempts)} attempt(s) ====")
-        for a in attempts:
-            status = a.status.value
-            err = f" [{a.error}]" if a.error and a.status is not JobStatus.SUCCEEDED else ""
-            print(f"  #{a.attempt} on {a.machine}: {status}{err}")
-    return 1
+    run = _or_exit(load_run, args.submit_dir)
+    report = analyze(run.trace, run.dag.jobs if run.dag is not None else ())
+    print(render_analysis(report))
+    return 0 if report.success else 1

@@ -236,21 +236,31 @@ class TestDamagedLog:
                 lines = whole.splitlines()
                 lines.insert(3, b"}{ garbage")
                 (submit_dir / name).write_bytes(b"\n".join(lines) + b"\n")
-            capsys.readouterr()
-            for main, argv, name in (
-                (main_status, ["--submit-dir", str(submit_dir)], "events.jsonl"),
-                (main_report, ["analyze", str(submit_dir)], "events.jsonl"),
-            ):
-                assert main(argv) == 2
+
+            def refusal(main, argv):
+                capsys.readouterr()
+                try:
+                    code = main(argv)
+                except SystemExit as stop:  # the post-run commands' way out
+                    code = stop.code
                 out, err = capsys.readouterr()
-                assert out == "" and err.count("\n") == 1
-                assert f"{submit_dir / name}:4: " in err
-            with pytest.raises(SystemExit) as exit_info:
-                main_statistics(["--submit-dir", str(submit_dir)])
-            assert exit_info.value.code == 2
-            err = capsys.readouterr().err
-            assert err.count("\n") == 1
-            assert f"{submit_dir / 'trace.jsonl'}:4: " in err
+                assert code == 2 and out == "" and err.count("\n") == 1
+                return err
+
+            # One loader, one log: the event log while there is one ...
+            for main, argv in (
+                (main_status, ["--submit-dir", str(submit_dir)]),
+                (main_statistics, ["--submit-dir", str(submit_dir)]),
+                (main_report, ["analyze", str(submit_dir)]),
+            ):
+                assert f"{submit_dir / 'events.jsonl'}:4: " in refusal(main, argv)
+            # ... and the attempt trace when that is all a run left.
+            (submit_dir / "events.jsonl").unlink()
+            for main, argv in (
+                (main_statistics, ["--submit-dir", str(submit_dir)]),
+                (main_report, ["analyze", str(submit_dir)]),
+            ):
+                assert f"{submit_dir / 'trace.jsonl'}:4: " in refusal(main, argv)
         finally:
             for name, whole in originals.items():
                 (submit_dir / name).write_bytes(whole)

@@ -12,13 +12,16 @@ from repro.core.cli import main as blast2cap3_main
 from repro.datagen.transcripts import TranscriptomeSpec
 from repro.datagen.workload import generate_blast2cap3_workload
 from repro.observe.report import main as main_report
+from repro.wms.analyzer import analyze, render_analysis
 from repro.wms.cli import (
     main_analyzer,
     main_plan,
+    main_plots,
     main_run,
     main_statistics,
     main_status,
 )
+from repro.wms.monitor import load_run
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +58,22 @@ class TestPegasusStyleCli:
 
     def test_analyzer_on_success(self, submit_dir, capsys):
         assert main_analyzer(["--submit-dir", str(submit_dir)]) == 0
-        assert "succeeded" in capsys.readouterr().out
+        assert "all jobs completed successfully" in capsys.readouterr().out
+
+    def test_analyzer_prints_what_render_analysis_prints(self, tmp_path, capsys):
+        """One post-mortem: the command renders the failed run through
+        ``wms/analyzer.py``, from the trace and the planned job names."""
+        d = tmp_path / "doomed"
+        assert main_plan(["--submit-dir", str(d), "-n", "6", "--site", "osg",
+                          "--retries", "1"]) == 0
+        assert main_run(["--submit-dir", str(d), "--seed", "0"]) == 1
+        capsys.readouterr()
+        assert main_analyzer(["--submit-dir", str(d)]) == 1
+        printed = capsys.readouterr().out
+        run = load_run(d)
+        report = analyze(run.trace, run.dag.jobs)
+        assert report.failed and report.unrunnable
+        assert printed == render_analysis(report) + "\n"
 
     def test_status_without_trace_exits_2(self, tmp_path):
         d = tmp_path / "fresh"
@@ -113,7 +131,7 @@ class TestPegasusStyleCli:
 def exit_code(main, argv):
     try:
         return main(argv)
-    except SystemExit as stop:  # ``_load_trace`` leaves this way
+    except SystemExit as stop:  # the post-run commands leave this way
         return stop.code
 
 
@@ -121,15 +139,22 @@ PLAN_READERS = {
     "repro-run": (main_run, ["--submit-dir", "{d}"]),
     "repro-status": (main_status, ["--submit-dir", "{d}"]),
     "repro-statistics": (main_statistics, ["--submit-dir", "{d}"]),
+    "repro-plots": (main_plots, ["--submit-dir", "{d}"]),
+    "repro-analyzer": (main_analyzer, ["--submit-dir", "{d}"]),
     "repro-report analyze": (main_report, ["analyze", "{d}"]),
 }
 
 
-@pytest.mark.parametrize("command", PLAN_READERS)
-class TestDamagedPlan:
-    """A missing or torn ``plan.json`` used to be a traceback
-    (``FileNotFoundError``, ``JSONDecodeError``, ``KeyError``)."""
+def unknown_parent(meta):
+    meta["edges"][0][0] = "nobody"
 
+
+def back_edge(meta):
+    # split -> run_cap3_1 is planned; the reverse closes a cycle
+    meta["edges"].append(["run_cap3_1", "split"])
+
+
+class Refusals:
     def refused(self, command, d, capsys):
         main, argv = PLAN_READERS[command]
         capsys.readouterr()
@@ -138,6 +163,12 @@ class TestDamagedPlan:
         assert out == "" and "Traceback" not in err
         (line,) = err.splitlines()
         return line.removeprefix("repro-report: ")
+
+
+@pytest.mark.parametrize("command", PLAN_READERS)
+class TestDamagedPlan(Refusals):
+    """A missing or torn ``plan.json`` used to be a traceback
+    (``FileNotFoundError``, ``JSONDecodeError``, ``KeyError``)."""
 
     def test_empty_submit_dir(self, command, tmp_path, capsys):
         line = self.refused(command, tmp_path, capsys)
@@ -160,6 +191,52 @@ class TestDamagedPlan:
         (d / "plan.json").write_text(text)
         line = self.refused(command, d, capsys)
         assert line.startswith(f"{d / 'plan.json'}: {reason}")
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda meta: meta["jobs"]["split"].pop("runtime"),
+         "job 'split': missing 'runtime'"),
+        (lambda meta: meta["jobs"]["split"].update(retries=-1),
+         "job 'split': retries must be >= 0"),
+        (lambda meta: meta["jobs"].update(split=7), "job 'split': "),
+        (unknown_parent, "edge ['nobody', "),
+        (back_edge, "edge ['run_cap3_1', 'split']: closes a cycle"),
+        (lambda meta: meta["edges"].append(["split"]), "edge ['split']: "),
+    ], ids=["delete-a-key", "bad-value", "job-not-an-object", "bad-edge",
+            "cycle", "edge-not-a-pair"])
+    def test_plan_edited_by_hand(
+        self, command, edit, reason, submit_dir, tmp_path, capsys
+    ):
+        """The first and the fourth were ``KeyError`` tracebacks out of
+        the rebuild, which lived a package away from the shape check."""
+        d = tmp_path / "run"
+        shutil.copytree(submit_dir, d)
+        meta = json.loads((d / "plan.json").read_text())
+        edit(meta)
+        (d / "plan.json").write_text(json.dumps(meta, indent=2))
+        line = self.refused(command, d, capsys)
+        assert line.startswith(f"{d / 'plan.json'}: {reason}")
+
+
+@pytest.mark.parametrize("command", sorted(set(PLAN_READERS) - {"repro-run"}))
+class TestDamagedUtilization(Refusals):
+    @pytest.mark.parametrize("damage, where", [
+        (lambda text: text[:-3], ""),
+        (lambda text: "", ":1: "),
+        (lambda text: text.replace("\n", "\ngarbage\n", 1), ":2: "),
+        (lambda text: text.replace("\t", " "), ":1: "),
+    ], ids=["truncated", "emptied", "garbage-line", "spaces-for-tabs"])
+    def test_damaged_utilization(
+        self, command, damage, where, submit_dir, tmp_path, capsys
+    ):
+        """``repro-plots`` split every line on tabs and let the
+        ``ValueError`` out; the loader they all share refuses the series
+        by ``path:line``."""
+        d = tmp_path / "run"
+        shutil.copytree(submit_dir, d)
+        series = d / "utilization.tsv"
+        series.write_text(damage(series.read_text()))
+        line = self.refused(command, d, capsys)
+        assert line.startswith(f"{series}{where}")
 
 
 @pytest.fixture(scope="module")

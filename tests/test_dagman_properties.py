@@ -1,12 +1,17 @@
 """Property-based tests: DAGMan invariants over random DAGs, random
 failure scripts, and random throttles."""
 
+import json
+import tempfile
+from dataclasses import replace
+
 from hypothesis import given, settings, strategies as st
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus
 from repro.dagman.scheduler import DagmanScheduler, NodeState
 from repro.sim.engine import Simulator
+from repro.wms.monitor import read_plan, write_plan
 
 
 class RecordingEnvironment:
@@ -176,3 +181,72 @@ def test_rescue_resubmission_property(case):
     resubmitted = {name for name, _, _ in env2.submissions}
     assert resubmitted.isdisjoint(done_jobs)
     assert resubmitted == set(dag.jobs) - done_jobs
+
+
+# -- plan.json: the planned DAG's JSON shape -------------------------------
+
+decorations = st.fixed_dictionaries({
+    "needs_setup": st.booleans(),
+    "retries": st.integers(0, 20),
+    "priority": st.integers(-5, 5),
+    "timeout_s": st.none() | st.floats(1.0, 1e6),
+    "requirements": st.none() | st.sampled_from(
+        ["has_python", 'has_cap3 and site != "x"']
+    ),
+    "runtime": st.floats(0.0, 1e6),
+})
+
+
+def plan_json_before_the_codec(dag, site, n):
+    """The dict literal ``repro-plan`` built inline until ``Dag.to_json``
+    took the shape over, kept as the oracle for the file's bytes."""
+    return {
+        "site": site,
+        "n": n,
+        "jobs": {
+            name: {
+                "transformation": job.transformation,
+                "runtime": job.runtime,
+                "needs_setup": job.needs_setup,
+                "retries": job.retries,
+                "timeout_s": job.timeout_s,
+                "requirements": job.requirements,
+                "priority": job.priority,
+            }
+            for name, job in dag.jobs.items()
+        },
+        "edges": sorted(dag.edges()),
+    }
+
+
+@given(random_dag_case(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_plan_json_round_trip(case, data):
+    dag = case[0]
+    dag.name = data.draw(st.sampled_from(["workflow", "blast2cap3-n7-osg"]))
+    for name in dag.jobs:
+        dag.jobs[name] = replace(dag.jobs[name], **data.draw(decorations))
+
+    # The bytes: what ``repro-plan`` wrote before there was a codec.
+    with tempfile.TemporaryDirectory() as tmp:
+        written = write_plan(tmp, dag, site="osg", n=7).read_text()
+        site, planned = read_plan(tmp)
+    assert written == json.dumps(
+        plan_json_before_the_codec(dag, "osg", 7), indent=2
+    )
+
+    # The round trip, through text and straight from the dict; DONE
+    # marks travel too (as in the .dag file, only when there are any).
+    dag.done = set(data.draw(st.lists(st.sampled_from(sorted(dag.jobs)))))
+    assert ("done" in dag.to_json()) == bool(dag.done)
+    through_text = Dag.from_json(
+        json.loads(json.dumps(dag.to_json())), name=dag.name
+    )
+    for back in (through_text, Dag.from_json(dag.to_json(), name=dag.name)):
+        assert back.name == dag.name
+        assert list(back.jobs.items()) == list(dag.jobs.items())
+        assert list(back.edges()) == list(dag.edges())
+        assert back.done == dag.done
+    assert site == "osg" and planned.name == "blast2cap3-n7-osg"
+    assert planned.jobs == dag.jobs and not planned.done
+    assert list(planned.edges()) == list(dag.edges())

@@ -264,6 +264,17 @@ def _misshapen_snapshot(journal: Path) -> None:
     snap.write_text(json.dumps(body))
 
 
+def _inlined_records(journal: Path) -> None:
+    # What PR 18's ``include_records`` wrote last: the terminal records
+    # inside the snapshot instead of a count of sidecar lines.
+    snap = journal / "snapshot.json"
+    body = json.loads(snap.read_text())
+    wanted = body.pop("records_in_file")
+    lines = (journal / "records.jsonl").read_text().splitlines()[:wanted]
+    body["state"]["records"] = [json.loads(line) for line in lines]
+    snap.write_text(json.dumps(body))
+
+
 def _non_utf8_sidecar_byte(journal: Path) -> None:
     sidecar = journal / "records.jsonl"
     raw = bytearray(sidecar.read_bytes())
@@ -285,6 +296,8 @@ DAMAGE = {
                          r".*snapshot\.json is not a version-1 snapshot"),
     "misshapen-snapshot": (_misshapen_snapshot, r"wal-\d+\.jsonl: .*seq 48"
                            r".*snapshot\.json is not a version-1 snapshot"),
+    "inlined-records": (_inlined_records, r"wal-\d+\.jsonl: .*seq 48"
+                        r".*snapshot\.json is not a version-1 snapshot"),
     "non-utf8-sidecar": (_non_utf8_sidecar_byte, r"records\.jsonl:2: not an "
                          r"attempt record"),
     "garbage-sidecar": (_garbage_sidecar_line, r"records\.jsonl:3: not an "

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.workflow_factory import environment_for, simulate_paper_run
+from repro.core.workflow_factory import simulate_paper_run
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobStatus
 from repro.dagman.scheduler import DagmanScheduler
@@ -131,7 +131,7 @@ class TestPaperScaleCloud:
 
     def test_cloud_cost_accounted(self):
         result, _ = simulate_paper_run(100, "cloud", seed=1)
-        env = environment_for(result)
+        env = result.environment
         assert isinstance(env, CloudPlatform)
         assert env.billed_cost() > 0
         assert env.instance_seconds() > 0

@@ -106,9 +106,15 @@ def failing_result():
     )
 
 
+def post_mortem(result):
+    """The analyzer works from what ``repro-analyzer`` has: the trace
+    and the names of the planned jobs."""
+    return analyze(result.trace, result.states)
+
+
 class TestAnalyzer:
     def test_report_structure(self):
-        report = analyze(failing_result())
+        report = post_mortem(failing_result())
         assert not report.success
         assert report.total_jobs == 3
         assert report.done == 1
@@ -117,11 +123,11 @@ class TestAnalyzer:
         assert "1 job(s) failed" in report.verdict
 
     def test_last_error_extracted(self):
-        report = analyze(failing_result())
+        report = post_mortem(failing_result())
         assert "boom" in report.failed[0].last_error
 
     def test_render(self):
-        text = render_analysis(analyze(failing_result()))
+        text = render_analysis(post_mortem(failing_result()))
         assert "bad" in text
         assert "blocked" in text
         assert "last line" in text
@@ -132,7 +138,7 @@ class TestAnalyzer:
         sim = Simulator()
         env = CampusCluster(sim, streams=RngStreams(seed=0))
         result = DagmanScheduler(dag, env).run()
-        report = analyze(result)
+        report = post_mortem(result)
         assert report.success
         assert report.verdict == "all jobs completed successfully"
 
