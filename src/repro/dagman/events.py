@@ -218,15 +218,34 @@ class WorkflowTrace:
     def __iter__(self) -> Iterator[JobAttempt]:
         return iter(self.attempts)
 
+    def by_job(self) -> dict[str, list[JobAttempt]]:
+        """Every job's attempts in time order, ``(submit_time,
+        attempt)``: attempt numbers restart at 1 in each rescue round
+        and a resumed in-flight attempt re-runs under its old number,
+        so the number alone does not order a job's history. Jobs come
+        in first-seen order; built per call (the trace is mutable)."""
+        jobs: dict[str, list[JobAttempt]] = {}
+        for attempt in self.attempts:
+            jobs.setdefault(attempt.job_name, []).append(attempt)
+        for attempts in jobs.values():
+            attempts.sort(key=lambda a: (a.submit_time, a.attempt))
+        return jobs
+
     def for_job(self, job_name: str) -> list[JobAttempt]:
-        """All attempts of one job, in attempt order."""
-        return sorted(
-            (a for a in self.attempts if a.job_name == job_name),
-            key=lambda a: a.attempt,
-        )
+        """All attempts of one job, in time order (see :meth:`by_job`)."""
+        return self.by_job().get(job_name, [])
+
+    def final_attempts(
+        self, *, successful_only: bool = False
+    ) -> dict[str, JobAttempt]:
+        """Each job's final attempt — its latest *submitted*, not its
+        highest numbered; with ``successful_only`` the latest successful
+        one, of the jobs that have one."""
+        trace = WorkflowTrace(self.successful()) if successful_only else self
+        return {job: attempts[-1] for job, attempts in trace.by_job().items()}
 
     def successful(self) -> list[JobAttempt]:
-        """The final successful attempt of every job that succeeded."""
+        """Every successful attempt, in trace order."""
         return [a for a in self.attempts if a.status.is_success]
 
     def failures(self) -> list[JobAttempt]:

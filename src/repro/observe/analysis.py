@@ -17,11 +17,16 @@ bucket          meaning (time on the critical path spent …)
 ``setup``       downloading/installing software (paper's
                 "Download/Install Time"; OSG-only)
 ``exec``        running the payload (paper's "Kickstart Time")
-``retry_lost``  redoing work: failed/evicted attempts of a path job
-                plus any held-retry delay before its final attempt
+``retry_lost``  redoing work: from a path job's first submit to its
+                final attempt's — failed/evicted attempts, retry
+                holds, rescue rounds and resume re-runs
 ``idle``        none of the above — scheduler latency between a
                 parent finishing and the child's first submit
 ==============  ======================================================
+
+A job's *final* attempt is its latest submitted
+(:meth:`~repro.dagman.events.WorkflowTrace.by_job`), not its highest
+numbered: numbering restarts in every rescue round.
 
 The decomposition is exact by construction: the path's segments tile
 ``[first submit, last completion]`` with no gaps or overlaps, so the
@@ -42,10 +47,14 @@ proxy whenever dependencies follow time order (any DAGMan run).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from repro.dagman.events import JobAttempt, WorkflowTrace
+from repro.wms.statistics import critical_path
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dagman.dag import Dag
@@ -55,6 +64,7 @@ __all__ = [
     "PathSegment",
     "MakespanAttribution",
     "attribute_makespan",
+    "tile_path",
     "aggregate_components",
 ]
 
@@ -144,83 +154,67 @@ class MakespanAttribution:
         return out
 
 
-def _final_attempts(trace: WorkflowTrace) -> dict[str, JobAttempt]:
-    """Each job's last attempt (retries can only move exec_end later,
-    so this is also each job's latest-finishing attempt)."""
-    final: dict[str, JobAttempt] = {}
-    for a in trace:
-        prior = final.get(a.job_name)
-        if prior is None or a.attempt > prior.attempt:
-            final[a.job_name] = a
-    return final
-
-
-def _chain_from_dag(trace: WorkflowTrace, dag: "Dag") -> list[JobAttempt]:
-    from repro.wms.statistics import critical_path
-
-    return critical_path(trace, dag, attempts="final")
-
-
 def _chain_from_timeline(trace: WorkflowTrace) -> list[JobAttempt]:
     """DAG-free fallback: hop backward to the latest-finishing job that
     was first submitted strictly before the current one."""
-    final = _final_attempts(trace)
-    if not final:
-        return []
-    first_submit = {
-        name: min(a.submit_time for a in trace.for_job(name))
-        for name in final
-    }
-    current = max(final.values(), key=lambda a: a.exec_end)
-    chain = [current]
-    while True:
-        cutoff = first_submit[current.job_name]
-        candidates = [
-            a for name, a in final.items()
-            if name not in {c.job_name for c in chain}
-            and first_submit[name] < cutoff - _EPS
-        ]
-        if not candidates:
-            break
-        # The gating proxy: whoever finished last among earlier starters.
-        current = max(candidates, key=lambda a: a.exec_end)
+    # (first submit, rank in the trace, final attempt), by first submit.
+    # The cutoff only moves left, so each hop reads a prefix arg-max of
+    # final ``exec_end``; the earlier job in the trace wins a tie.
+    jobs = sorted(
+        (attempts[0].submit_time, rank, attempts[-1])
+        for rank, attempts in enumerate(trace.by_job().values())
+    )
+    submits = [submit for submit, _, _ in jobs]
+    latest = list(
+        accumulate(
+            jobs, partial(max, key=lambda j: (j[2].exec_end, -j[1]))
+        )
+    )
+    hop = len(jobs)
+    chain = []
+    while hop:
+        cutoff, _, current = latest[hop - 1]
         chain.append(current)
+        hop = bisect_left(submits, cutoff - _EPS)
     chain.reverse()
     return chain
 
 
-def attribute_makespan(
-    trace: WorkflowTrace, dag: "Dag | None" = None
-) -> MakespanAttribution:
-    """Decompose the trace's makespan along its realized critical path.
-
-    Pass the executed ``dag`` (a :class:`repro.dagman.dag.Dag`) for the
-    true dependency-guided path; without it a timestamp-greedy chain is
-    used (``method="timeline"``). Either way the returned buckets tile
-    the makespan exactly.
-    """
-    if len(trace) == 0:
-        return MakespanAttribution(
-            makespan_s=0.0, start_s=0.0, end_s=0.0,
-            buckets={b: 0.0 for b in BUCKETS},
-            method="critical-path" if dag is not None else "timeline",
-        )
-    chain = (
-        _chain_from_dag(trace, dag)
-        if dag is not None
-        else _chain_from_timeline(trace)
-    )
+def tile_path(
+    trace: WorkflowTrace, chain: list[JobAttempt]
+) -> tuple[float, float, dict[str, float], list[PathSegment]]:
+    """Tile the non-empty ``trace``'s ``[first submit, last completion]``
+    along ``chain`` (final attempts of the path's jobs, in time order)
+    into the five buckets. Returns start, end, the bucket totals and
+    the tiles."""
+    by_job = trace.by_job()
     start_s = min(a.submit_time for a in trace)
     end_s = max(a.exec_end for a in trace)
+    marks: list[tuple[float, str, JobAttempt | None]] = []
+    for a in chain:
+        marks += [
+            # Gap between the previous path job finishing and this
+            # job's first submit: scheduler latency, no job's fault.
+            (by_job[a.job_name][0].submit_time, "idle", None),
+            # From the job's first submit to its final attempt's: failed
+            # attempts, retry holds, rescue rounds and resume re-runs.
+            (a.submit_time, "retry_lost", a),
+            (a.setup_start, "waiting", a),
+            (a.exec_start, "setup", a),
+            (a.exec_end, "exec", a),
+        ]
+    # A pathological chain that stops short of the last completion (only
+    # possible for the timeline fallback on overlapping-start traces)
+    # closes with an idle tile so the sum invariant still holds.
+    marks.append((end_s, "idle", None))
 
     buckets = {b: 0.0 for b in BUCKETS}
     segments: list[PathSegment] = []
     cursor = start_s
-
-    def tile(until: float, bucket: str, a: JobAttempt | None) -> None:
-        nonlocal cursor
+    for until, bucket, a in marks:
+        until = min(until, end_s)
         if until <= cursor + _EPS:
-            return
+            continue
         seg = PathSegment(
             start=cursor,
             end=until,
@@ -233,26 +227,31 @@ def attribute_makespan(
         segments.append(seg)
         buckets[bucket] += seg.duration
         cursor = until
+    return start_s, end_s, buckets, segments
 
-    first_submit = {
-        a.job_name: min(x.submit_time for x in trace.for_job(a.job_name))
-        for a in chain
-    }
-    for a in chain:
-        # Gap between the previous path job finishing and this job's
-        # first submit: scheduler latency, not any job's fault.
-        tile(min(first_submit[a.job_name], end_s), "idle", None)
-        # Everything from the job's first submit to its final attempt's
-        # submit was consumed by failed attempts and retry holds.
-        tile(min(a.submit_time, end_s), "retry_lost", a)
-        tile(min(a.setup_start, end_s), "waiting", a)
-        tile(min(a.exec_start, end_s), "setup", a)
-        tile(min(a.exec_end, end_s), "exec", a)
-    # A pathological chain that stops short of the last completion (only
-    # possible for the timeline fallback on overlapping-start traces)
-    # closes with an idle tile so the sum invariant still holds.
-    tile(end_s, "idle", None)
 
+def attribute_makespan(
+    trace: WorkflowTrace, dag: "Dag | None" = None
+) -> MakespanAttribution:
+    """Decompose the trace's makespan along its realized critical path.
+
+    Pass the executed ``dag`` (a :class:`repro.dagman.dag.Dag`) for the
+    true dependency-guided path; without it a timestamp-greedy chain is
+    used (``method="timeline"``). Either way the returned buckets tile
+    the makespan exactly.
+    """
+    method = "critical-path" if dag is not None else "timeline"
+    if len(trace) == 0:
+        return MakespanAttribution(
+            makespan_s=0.0, start_s=0.0, end_s=0.0,
+            buckets={b: 0.0 for b in BUCKETS}, method=method,
+        )
+    chain = (
+        critical_path(trace, dag, attempts="final")
+        if dag is not None
+        else _chain_from_timeline(trace)
+    )
+    start_s, end_s, buckets, segments = tile_path(trace, chain)
     return MakespanAttribution(
         makespan_s=end_s - start_s,
         start_s=start_s,
@@ -260,7 +259,7 @@ def attribute_makespan(
         buckets=buckets,
         segments=segments,
         path_jobs=[a.job_name for a in chain],
-        method="critical-path" if dag is not None else "timeline",
+        method=method,
     )
 
 

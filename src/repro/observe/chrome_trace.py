@@ -121,17 +121,11 @@ def chrome_trace(
 
     # Retry chains: a flow arrow from each non-final attempt's end to
     # the next attempt's submit, so Perfetto draws the requeue hop
-    # (often onto a different machine or site).
-    by_job: dict[str, list] = {}
-    for a in trace:
-        by_job.setdefault(a.job_name, []).append(a)
+    # (often onto a different machine or site). by_job() orders a job's
+    # attempts in time, so the arrows run forward across rescue rounds
+    # and a --resume boundary, where attempt numbers restart.
     flow_id = 0
-    for job_name in sorted(by_job):
-        # Order by submit time first: rescue rounds restart attempt
-        # numbering at 1, so a merged multi-round trace sorted by
-        # attempt alone would zig-zag backwards in time and the arrows
-        # straddling a --resume boundary would be dropped.
-        attempts = sorted(by_job[job_name], key=lambda a: (a.submit_time, a.attempt))
+    for _, attempts in sorted(trace.by_job().items()):
         for prev, nxt in zip(attempts, attempts[1:]):
             flow_id += 1
             common = {"name": "retry", "cat": "retry", "id": flow_id}

@@ -35,6 +35,7 @@ from repro.observe.analysis import (
 )
 from repro.observe.metrics import Histogram
 from repro.util.units import format_duration
+from repro.wms.statistics import per_site, per_transformation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dagman.dag import Dag
@@ -128,8 +129,9 @@ def _trace_section(events: list, at: object) -> dict | None:
     """Span cross-check: fold the event stream into causal spans,
     re-derive the critical path purely from spans and links, and
     compare bucket-for-bucket against the event-record attribution.
-    The two decompositions come from independent code paths, so
-    agreement is a strong self-check on both."""
+    The two find the chain independently (``released_by`` links vs a
+    walk of the DAG) and share the tiler, so agreement says the fold
+    and the scheduler's causal record tell the DAG's story."""
     from repro.observe.trace import (
         critical_path_from_spans,
         spans_from_events,
@@ -176,31 +178,6 @@ def build_report(
     """
     at = attribute_makespan(trace, dag)
     successes = trace.successful()
-
-    per_transformation: dict[str, dict[str, float]] = {}
-    groups: dict[str, list] = {}
-    for a in successes:
-        groups.setdefault(a.transformation, []).append(a)
-    for name in sorted(groups):
-        attempts = groups[name]
-        per_transformation[name] = {
-            "count": len(attempts),
-            "kickstart_mean": sum(a.kickstart_time for a in attempts) / len(attempts),
-            "kickstart_max": max(a.kickstart_time for a in attempts),
-            "waiting_mean": sum(a.waiting_time for a in attempts) / len(attempts),
-            "setup_mean": sum(a.download_install_time for a in attempts) / len(attempts),
-        }
-
-    per_site: dict[str, dict[str, float]] = {}
-    for a in trace:
-        row = per_site.setdefault(
-            a.site, {"attempts": 0, "failures": 0, "kickstart_total": 0.0}
-        )
-        row["attempts"] += 1
-        if not a.status.is_success:
-            row["failures"] += 1
-        else:
-            row["kickstart_total"] += a.kickstart_time
 
     # Group the path tiling per job for the report's path table.
     path_rows: dict[str, dict] = {}
@@ -252,8 +229,24 @@ def build_report(
             ]
         ),
         "profile": _profile_rollup(trace),
-        "per_transformation": per_transformation,
-        "per_site": per_site,
+        "per_transformation": {
+            t.transformation: {
+                "count": t.count,
+                "kickstart_mean": t.mean_kickstart,
+                "kickstart_max": t.max_kickstart,
+                "waiting_mean": t.mean_waiting,
+                "setup_mean": t.mean_download_install,
+            }
+            for t in per_transformation(trace)
+        },
+        "per_site": {
+            s.site: {
+                "attempts": s.jobs + s.failures,
+                "failures": s.failures,
+                "kickstart_total": s.total_kickstart,
+            }
+            for s in per_site(trace)
+        },
     }
     if metrics is not None:
         report["metrics"] = metrics

@@ -65,7 +65,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
-from repro.dagman.events import JobAttempt, JobStatus
+from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
 from repro.util.iolib import atomic_write
@@ -585,6 +585,23 @@ class SpanCriticalPath:
         return sum(self.buckets.values())
 
 
+def _attempt_of(span: Span) -> JobAttempt:
+    """The attempt record a closed attempt span was stamped from."""
+    attrs = span.attributes
+    return JobAttempt(
+        job_name=str(attrs["job"]),
+        transformation=str(attrs.get("transformation", "")),
+        site=str(attrs.get("site", "")),
+        machine=str(attrs.get("machine", "")),
+        attempt=int(attrs["attempt"]),  # type: ignore[call-overload]
+        submit_time=float(attrs["submit_time"]),  # type: ignore[arg-type]
+        setup_start=float(attrs["setup_start"]),  # type: ignore[arg-type]
+        exec_start=float(attrs["exec_start"]),  # type: ignore[arg-type]
+        exec_end=float(attrs["exec_end"]),  # type: ignore[arg-type]
+        status=JobStatus(attrs["status"]),
+    )
+
+
 def critical_path_from_spans(spans: Sequence[Span]) -> SpanCriticalPath:
     """Walk ``released_by`` links backward from the last-finishing
     attempt and tile the makespan into the standard five buckets.
@@ -593,80 +610,44 @@ def critical_path_from_spans(spans: Sequence[Span]) -> SpanCriticalPath:
     parent's completion released each job), so on a clean run it
     reproduces :func:`repro.wms.statistics.critical_path` — the parent
     that flips the pending count to zero is by definition the
-    latest-finishing parent.
+    latest-finishing parent. Only the chain is found differently: a
+    job's final attempt and the tiling are those of the event-record
+    attribution (:func:`repro.observe.analysis.tile_path`).
     """
-    from repro.observe.analysis import BUCKETS
+    from repro.observe.analysis import BUCKETS, tile_path
 
-    buckets = {b: 0.0 for b in BUCKETS}
-    attempts = [
-        s
-        for s in spans
-        if s.kind == "attempt" and s.end is not None and "exec_end" in s.attributes
-    ]
-    if not attempts:
-        return SpanCriticalPath(0.0, 0.0, 0.0, buckets)
+    trace = WorkflowTrace(
+        [
+            _attempt_of(s)
+            for s in spans
+            if s.kind == "attempt"
+            and s.end is not None
+            and "exec_end" in s.attributes
+        ]
+    )
+    if not trace.attempts:
+        return SpanCriticalPath(0.0, 0.0, 0.0, {b: 0.0 for b in BUCKETS})
     released_by = {
         str(s.attributes["job"]): str(s.attributes["released_by"])
         for s in spans
         if s.kind == "job" and "released_by" in s.attributes
     }
+    final = trace.final_attempts()
 
-    def _num(span: Span, attr: str) -> float:
-        return float(span.attributes[attr])  # type: ignore[arg-type]
+    job: str | None = max(final, key=lambda name: (final[name].exec_end, name))
+    path: dict[str, JobAttempt] = {}  # last job first
+    while job in final and job not in path:
+        path[job] = final[job]
+        job = released_by.get(job)
+    chain = list(reversed(path.values()))
 
-    final: dict[str, Span] = {}
-    first_submit: dict[str, float] = {}
-    for s in attempts:
-        job = str(s.attributes["job"])
-        submit = _num(s, "submit_time")
-        first_submit[job] = min(first_submit.get(job, submit), submit)
-        prior = final.get(job)
-        if prior is None or int(s.attributes["attempt"]) > int(  # type: ignore[call-overload]
-            prior.attributes["attempt"]
-        ):
-            final[job] = s
-    start_s = min(first_submit.values())
-    end_s = max(_num(s, "exec_end") for s in attempts)
-
-    current = max(
-        final.values(),
-        key=lambda s: (_num(s, "exec_end"), str(s.attributes["job"])),
-    )
-    chain = [current]
-    seen = {str(current.attributes["job"])}
-    while True:
-        parent = released_by.get(str(chain[-1].attributes["job"]))
-        if parent is None or parent in seen or parent not in final:
-            break
-        seen.add(parent)
-        chain.append(final[parent])
-    chain.reverse()
-
-    cursor = start_s
-
-    def tile(until: float, bucket: str) -> None:
-        nonlocal cursor
-        capped = min(until, end_s)
-        if capped <= cursor + _EPS:
-            return
-        buckets[bucket] += capped - cursor
-        cursor = capped
-
-    for s in chain:
-        job = str(s.attributes["job"])
-        tile(first_submit[job], "idle")
-        tile(_num(s, "submit_time"), "retry_lost")
-        tile(_num(s, "setup_start"), "waiting")
-        tile(_num(s, "exec_start"), "setup")
-        tile(_num(s, "exec_end"), "exec")
-    tile(end_s, "idle")
-
+    start_s, end_s, buckets, _ = tile_path(trace, chain)
     return SpanCriticalPath(
         makespan_s=end_s - start_s,
         start_s=start_s,
         end_s=end_s,
         buckets=buckets,
-        path_jobs=[str(s.attributes["job"]) for s in chain],
+        path_jobs=[a.job_name for a in chain],
     )
 
 

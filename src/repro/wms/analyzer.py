@@ -54,19 +54,20 @@ class AnalyzerReport:
 def analyze(trace: WorkflowTrace, jobs: Iterable[str]) -> AnalyzerReport:
     """Build the post-mortem of a finished run: ``jobs`` names what was
     planned (a ``DagmanResult``'s ``states``, a plan's ``dag.jobs``)."""
-    attempts: dict[str, list[JobAttempt]] = {name: [] for name in jobs}
-    done = set()
-    for attempt in trace:
-        attempts.setdefault(attempt.job_name, []).append(attempt)
-        if attempt.status.is_success:
-            done.add(attempt.job_name)
-    pending = sorted(attempts.keys() - done)
+    by_job = trace.by_job()
+    names = by_job.keys() | set(jobs)
+    done = {attempt.job_name for attempt in trace.successful()}
+    pending = sorted(names - done)
     return AnalyzerReport(
         success=not pending,
-        total_jobs=len(attempts),
+        total_jobs=len(names),
         done=len(done),
-        failed=[JobDiagnosis(name, tuple(attempts[name])) for name in pending if attempts[name]],
-        unrunnable=[name for name in pending if not attempts[name]],
+        failed=[
+            JobDiagnosis(name, tuple(by_job[name]))
+            for name in pending
+            if name in by_job
+        ],
+        unrunnable=[name for name in pending if name not in by_job],
     )
 
 

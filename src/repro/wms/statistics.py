@@ -175,19 +175,16 @@ def critical_path(
 
     ``attempts`` selects which attempt represents each job on the path:
     ``"successful"`` (the default, the classic view over jobs that
-    finished) or ``"final"`` — every job's last attempt regardless of
-    status, so a workflow whose tail is a hard-failed job still has a
-    path reaching the makespan's end (what the attribution engine in
-    :mod:`repro.observe.analysis` walks).
+    finished) or ``"final"`` — every job's latest-submitted attempt
+    regardless of status, so a workflow whose tail is a hard-failed job
+    still has a path reaching the makespan's end (what the attribution
+    engine in :mod:`repro.observe.analysis` walks).
     """
     if attempts not in ("successful", "final"):
         raise ValueError(f"unknown attempts selector: {attempts!r}")
-    final_attempt: dict[str, JobAttempt] = {}
-    pool = trace.successful() if attempts == "successful" else trace
-    for attempt in pool:
-        prior = final_attempt.get(attempt.job_name)
-        if prior is None or attempt.attempt > prior.attempt:
-            final_attempt[attempt.job_name] = attempt
+    final_attempt = trace.final_attempts(
+        successful_only=attempts == "successful"
+    )
     if not final_attempt:
         return []
 
