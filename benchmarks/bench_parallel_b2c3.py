@@ -1,7 +1,7 @@
 """In-process parallel blast2cap3: wall-time table + cache speedup.
 
 The paper's headline result is turning the serial per-cluster CAP3 loop
-into parallel partitions. :func:`repro.core.parallel.blast2cap3_parallel`
+into parallel partitions. :func:`repro.core.blast2cap3.blast2cap3_parallel`
 is that optimisation without the workflow machinery; this bench measures
 it on *real* CAP3 work at laptop scale and writes the speedup table to
 ``benchmarks/results/parallel_b2c3.txt``.
@@ -24,9 +24,8 @@ import time
 
 from conftest import write_result
 
-from repro.core.blast2cap3 import blast2cap3_serial
+from repro.core.blast2cap3 import blast2cap3_parallel
 from repro.core.cache import ResultCache
-from repro.core.parallel import blast2cap3_parallel
 from repro.datagen.transcripts import TranscriptomeSpec
 from repro.datagen.workload import generate_blast2cap3_workload
 from repro.util.tables import Table
@@ -60,7 +59,7 @@ def test_parallel_and_cache_speedups(tmp_path, benchmark):
     jobs = max(2, min(4, cpus))
 
     t0 = time.perf_counter()
-    serial = blast2cap3_serial(wl.transcripts, wl.hits)
+    serial = blast2cap3_parallel(wl.transcripts, wl.hits, jobs=1)
     serial_s = time.perf_counter() - t0
     reference = _records(serial)
 

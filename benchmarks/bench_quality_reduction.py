@@ -20,7 +20,7 @@ from conftest import write_result
 
 from repro.bio.fasta import FastaRecord
 from repro.cap3.assembler import assemble
-from repro.core.blast2cap3 import blast2cap3_serial
+from repro.core.blast2cap3 import blast2cap3_parallel
 from repro.datagen.transcripts import TranscriptomeSpec, generate_transcriptome
 from repro.datagen.workload import _oracle_hits
 from repro.datagen.proteins import random_protein_db
@@ -69,7 +69,7 @@ def comparison():
     transcripts = transcriptome.transcripts
 
     whole = assemble(transcripts)  # the entire dataset through CAP3
-    guided = blast2cap3_serial(transcripts, hits)
+    guided = blast2cap3_parallel(transcripts, hits, jobs=1)
 
     whole_fused = fused_count((c.members for c in whole.contigs), origin)
     guided_members = []
@@ -118,7 +118,7 @@ def test_blast2cap3_reduces_transcripts(comparison, benchmark):
 
     proteins, transcriptome, hits = paralog_workload()
     benchmark(
-        lambda: blast2cap3_serial(transcriptome.transcripts, hits)
+        lambda: blast2cap3_parallel(transcriptome.transcripts, hits, jobs=1)
     )
 
 

@@ -56,7 +56,7 @@ def test_real_local_execution_also_speeds_up(tmp_path_factory, benchmark):
 
     from repro.bio.fasta import write_fasta
     from repro.blast.tabular import write_tabular
-    from repro.core.blast2cap3 import blast2cap3_serial
+    from repro.core.blast2cap3 import blast2cap3_parallel
     from repro.datagen.transcripts import TranscriptomeSpec
     from repro.datagen.workload import generate_blast2cap3_workload
 
@@ -76,7 +76,7 @@ def test_real_local_execution_also_speeds_up(tmp_path_factory, benchmark):
     write_tabular(alignments, wl.hits)
 
     t0 = time.perf_counter()
-    blast2cap3_serial(wl.transcripts, wl.hits)
+    blast2cap3_parallel(wl.transcripts, wl.hits, jobs=1)
     serial_s = time.perf_counter() - t0
 
     last_result = {}

@@ -23,7 +23,7 @@ from pathlib import Path
 from repro.bio.fasta import read_fasta, write_fasta
 from repro.blast.blastx import BlastXParams
 from repro.blast.tabular import write_tabular
-from repro.core.blast2cap3 import blast2cap3_serial
+from repro.core.blast2cap3 import blast2cap3_parallel
 from repro.core.workflow_factory import run_local
 from repro.datagen.transcripts import TranscriptomeSpec
 from repro.datagen.workload import generate_blast2cap3_workload
@@ -59,9 +59,9 @@ def main() -> None:
     write_fasta(transcripts_path, workload.transcripts)
     write_tabular(alignments_path, workload.hits)
 
-    # 4a. the original serial script.
+    # 4a. the original serial script: the driver at one job.
     t0 = time.perf_counter()
-    serial = blast2cap3_serial(workload.transcripts, workload.hits)
+    serial = blast2cap3_parallel(workload.transcripts, workload.hits, jobs=1)
     serial_s = time.perf_counter() - t0
     print(
         f"serial blast2cap3: {serial.input_count} -> {serial.output_count} "

@@ -8,7 +8,7 @@ algorithm, and prints what happened — the 60-second tour of the library.
 Run:  python examples/quickstart.py
 """
 
-from repro.core.blast2cap3 import blast2cap3_serial
+from repro.core.blast2cap3 import blast2cap3_parallel
 from repro.core.workflow_factory import build_blast2cap3_adag, default_catalogs
 from repro.datagen.transcripts import TranscriptomeSpec
 from repro.datagen.workload import generate_blast2cap3_workload
@@ -55,8 +55,9 @@ def main() -> None:
     )
 
     # 2. Protein-guided assembly: cluster transcripts by shared best
-    #    protein hit, merge each cluster with the CAP3-like assembler.
-    result = blast2cap3_serial(workload.transcripts, workload.hits)
+    #    protein hit, merge each cluster with the CAP3-like assembler,
+    #    one cluster at a time (one job: the original serial script).
+    result = blast2cap3_parallel(workload.transcripts, workload.hits, jobs=1)
 
     # 3. What happened.
     table = Table(["metric", "value"], title="blast2cap3 summary")

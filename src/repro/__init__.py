@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.blast2cap3 import Blast2Cap3Result, blast2cap3_serial
+    from repro.core.blast2cap3 import Blast2Cap3Result, blast2cap3_parallel
     from repro.core.workflow_factory import (
         build_blast2cap3_adag,
         run_local,
@@ -35,7 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 _EXPORTS = {
     "Blast2Cap3Result": ("repro.core.blast2cap3", "Blast2Cap3Result"),
-    "blast2cap3_serial": ("repro.core.blast2cap3", "blast2cap3_serial"),
+    "blast2cap3_parallel": ("repro.core.blast2cap3", "blast2cap3_parallel"),
     "build_blast2cap3_adag": ("repro.core.workflow_factory", "build_blast2cap3_adag"),
     "run_local": ("repro.core.workflow_factory", "run_local"),
     "simulate_paper_run": ("repro.core.workflow_factory", "simulate_paper_run"),
@@ -53,7 +53,7 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __all__ = [
     "__version__",
     "Blast2Cap3Result",
-    "blast2cap3_serial",
+    "blast2cap3_parallel",
     "build_blast2cap3_adag",
     "run_local",
     "simulate_paper_run",

@@ -1,6 +1,6 @@
 """blast2cap3: protein-guided assembly — the paper's subject system.
 
-The serial algorithm (faithful to Vince Buffalo's original script):
+The algorithm (faithful to Vince Buffalo's original script):
 
 1. load the assembled transcripts (``transcripts.fasta``),
 2. parse the BLASTX tabular alignments (``alignments.out``),
@@ -11,10 +11,11 @@ The serial algorithm (faithful to Vince Buffalo's original script):
 The workflow decomposition (Figs. 2–3 of the paper) re-expresses steps
 3–5 as a DAG whose ``run_cap3`` tasks over *n* cluster partitions run in
 parallel; :mod:`repro.core.workflow_factory` builds those DAGs for the
-Sandhills and OSG variants. :mod:`repro.core.parallel` is the same
-parallelisation in-process (a process pool over LPT-packed cluster
-partitions), and :mod:`repro.core.cache` the content-addressed result
-store that lets n-sweeps and rescue rounds skip unchanged work.
+Sandhills and OSG variants. :func:`~repro.core.blast2cap3.blast2cap3_parallel`
+is the one in-process driver — the original script at ``jobs=1``, the
+same partitioning over a thread or process pool above it — and
+:mod:`repro.core.cache` the content-addressed result store that lets
+n-sweeps and rescue rounds skip unchanged work.
 """
 
 from typing import TYPE_CHECKING
@@ -22,20 +23,18 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.blast2cap3 import Blast2Cap3Result, blast2cap3_serial
+    from repro.core.blast2cap3 import Blast2Cap3Result, blast2cap3_parallel
     from repro.core.cache import CacheStats, ResultCache
     from repro.core.clusters import ProteinCluster, cluster_transcripts
-    from repro.core.parallel import blast2cap3_parallel
     from repro.core.partition import partition_clusters
 
 _EXPORTS = {
     "Blast2Cap3Result": ("repro.core.blast2cap3", "Blast2Cap3Result"),
-    "blast2cap3_serial": ("repro.core.blast2cap3", "blast2cap3_serial"),
+    "blast2cap3_parallel": ("repro.core.blast2cap3", "blast2cap3_parallel"),
     "CacheStats": ("repro.core.cache", "CacheStats"),
     "ResultCache": ("repro.core.cache", "ResultCache"),
     "ProteinCluster": ("repro.core.clusters", "ProteinCluster"),
     "cluster_transcripts": ("repro.core.clusters", "cluster_transcripts"),
-    "blast2cap3_parallel": ("repro.core.parallel", "blast2cap3_parallel"),
     "partition_clusters": ("repro.core.partition", "partition_clusters"),
 }
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
@@ -44,7 +43,6 @@ __all__ = [
     "ProteinCluster",
     "cluster_transcripts",
     "Blast2Cap3Result",
-    "blast2cap3_serial",
     "blast2cap3_parallel",
     "CacheStats",
     "ResultCache",

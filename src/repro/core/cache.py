@@ -46,9 +46,9 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "cluster_merge_key",
+    "lookup_cluster_merge",
+    "store_cluster_merge",
     "cached_merge_cluster",
-    "encode_cluster_merge",
-    "decode_cluster_merge",
     "database_digest",
     "blastx_batch_key",
     "cached_blastx_hits",
@@ -167,13 +167,13 @@ def cluster_merge_key(
     cluster: "ProteinCluster",
     transcripts: Mapping[str, FastaRecord],
     params: Cap3Params,
-    *,
-    contig_prefix: str | None = None,
 ) -> str:
     """Key for one cluster's CAP3 merge: member sequences + params.
 
     The member *order* is part of the key — CAP3 layout tie-breaks
     depend on it, so reordered members are a different computation.
+    The ``<protein>.Contig`` prefix ``merge_cluster`` names contigs
+    with is hashed too; stores already on disk depend on it.
     """
     members = [
         (tid, transcripts[tid].seq, transcripts[tid].description)
@@ -183,7 +183,7 @@ def cluster_merge_key(
         [
             "cluster-merge/v1",
             cluster.protein_id,
-            contig_prefix or f"{cluster.protein_id}.Contig",
+            f"{cluster.protein_id}.Contig",
             members,
             _params_dict(params),
         ]
@@ -193,28 +193,27 @@ def cluster_merge_key(
 MergeOutcome = tuple[list[FastaRecord], list[FastaRecord], set[str]]
 
 
-def encode_cluster_merge(outcome: MergeOutcome) -> dict:
-    """Render a ``(contigs, singlets, merged_ids)`` merge outcome as the
-    JSON-able cache value. Singlets are cluster members, so only their
-    ids are stored."""
-    contigs, singlets, merged = outcome
-    return {
-        "contigs": [[c.id, c.seq, c.description] for c in contigs],
-        "singlets": [s.id for s in singlets],
-        "merged": sorted(merged),
-    }
-
-
-def decode_cluster_merge(
-    value: object, transcripts: Mapping[str, FastaRecord]
+def lookup_cluster_merge(
+    cache: ResultCache | None,
+    cluster: "ProteinCluster",
+    transcripts: Mapping[str, FastaRecord],
+    params: Cap3Params,
 ) -> MergeOutcome | None:
-    """Rebuild a merge outcome from a cache value, or ``None`` when the
-    entry doesn't decode (schema drift — treated as a miss).
+    """The stored ``(contigs, singlets, merged_ids)`` of ``cluster``, or
+    ``None``: no cache, a miss, or an entry that does not decode (schema
+    drift — counted corrupt, treated as a miss).
 
-    Singlet records are reconstructed from ``transcripts``, which is
+    Singlets are stored by id and rebuilt from ``transcripts``, which is
     bit-identical to the uncached return because ``merge_cluster``
     returns the input records themselves as singlets.
     """
+    if cache is None:
+        return None
+    value = cache.get(
+        CLUSTER_MERGE_KIND, cluster_merge_key(cluster, transcripts, params)
+    )
+    if value is None:
+        return None
     try:
         contigs = [
             FastaRecord(id=c[0], seq=c[1], description=c[2])
@@ -223,8 +222,32 @@ def decode_cluster_merge(
         singlets = [transcripts[tid] for tid in value["singlets"]]  # type: ignore[index]
         merged = set(value["merged"])  # type: ignore[index]
     except (KeyError, IndexError, TypeError, ValueError):
+        cache.stats.corrupt += 1
         return None
     return contigs, singlets, merged
+
+
+def store_cluster_merge(
+    cache: ResultCache | None,
+    cluster: "ProteinCluster",
+    transcripts: Mapping[str, FastaRecord],
+    params: Cap3Params,
+    outcome: MergeOutcome,
+) -> None:
+    """Write ``cluster``'s merge under the key
+    :func:`lookup_cluster_merge` reads (nothing without a cache)."""
+    if cache is None:
+        return
+    contigs, singlets, merged = outcome
+    cache.put(
+        CLUSTER_MERGE_KIND,
+        cluster_merge_key(cluster, transcripts, params),
+        {
+            "contigs": [[c.id, c.seq, c.description] for c in contigs],
+            "singlets": [s.id for s in singlets],
+            "merged": sorted(merged),
+        },
+    )
 
 
 def cached_merge_cluster(
@@ -232,8 +255,6 @@ def cached_merge_cluster(
     cluster: "ProteinCluster",
     transcripts: Mapping[str, FastaRecord],
     params: Cap3Params = Cap3Params(),
-    *,
-    contig_prefix: str | None = None,
 ) -> MergeOutcome:
     """:func:`repro.core.blast2cap3.merge_cluster`, through the cache.
 
@@ -241,25 +262,10 @@ def cached_merge_cluster(
     """
     from repro.core.blast2cap3 import merge_cluster
 
-    if cache is None:
-        return merge_cluster(
-            cluster, transcripts, params, contig_prefix=contig_prefix
-        )
-
-    key = cluster_merge_key(
-        cluster, transcripts, params, contig_prefix=contig_prefix
-    )
-    value = cache.get(CLUSTER_MERGE_KIND, key)
-    if value is not None:
-        outcome = decode_cluster_merge(value, transcripts)
-        if outcome is not None:
-            return outcome
-        cache.stats.corrupt += 1
-
-    outcome = merge_cluster(
-        cluster, transcripts, params, contig_prefix=contig_prefix
-    )
-    cache.put(CLUSTER_MERGE_KIND, key, encode_cluster_merge(outcome))
+    outcome = lookup_cluster_merge(cache, cluster, transcripts, params)
+    if outcome is None:
+        outcome = merge_cluster(cluster, transcripts, params)
+        store_cluster_merge(cache, cluster, transcripts, params, outcome)
     return outcome
 
 

@@ -4,10 +4,10 @@ Three modes, mirroring the paper's comparison plus this repo's
 in-process port of it:
 
 * ``--serial`` — the original script's behaviour: one cluster at a
-  time, no workflow machinery;
+  time, no workflow machinery (the in-process driver at ``jobs=1``);
 * ``--parallel`` — the paper's optimisation without the workflow: the
   per-cluster CAP3 loop fanned out over ``--jobs`` worker processes
-  (:func:`repro.core.parallel.blast2cap3_parallel`), bit-identical
+  (:func:`repro.core.blast2cap3.blast2cap3_parallel`), bit-identical
   output to ``--serial``;
 * default — plan the Pegasus-style workflow with ``-n`` partitions and
   execute it on the local backend with real payloads.
@@ -64,51 +64,36 @@ def main(argv: list[str] | None = None) -> int:
     cache_dir = None if args.no_cache else args.cache_dir
 
     start = time.perf_counter()
-    if args.serial:
+    if args.serial or args.parallel:
         from repro.bio.fasta import read_fasta, write_fasta
         from repro.blast.tabular import read_tabular
-        from repro.core.blast2cap3 import blast2cap3_serial
-
-        transcripts = list(read_fasta(args.transcripts))
-        hits = list(read_tabular(args.alignments))
-        result = blast2cap3_serial(transcripts, hits)
-        write_fasta(args.output, result.output_records)
-        elapsed = time.perf_counter() - start
-        print(
-            f"serial blast2cap3: {result.input_count} transcripts -> "
-            f"{result.output_count} sequences "
-            f"({100 * result.reduction_fraction:.1f}% reduction) "
-            f"in {elapsed:.1f}s"
-        )
-        if args.validate:
-            _print_validation(args.output)
-        return 0
-
-    if args.parallel:
-        from repro.bio.fasta import read_fasta, write_fasta
-        from repro.blast.tabular import read_tabular
+        from repro.core.blast2cap3 import blast2cap3_parallel
         from repro.core.cache import ResultCache
-        from repro.core.parallel import blast2cap3_parallel
 
-        cache = ResultCache(cache_dir) if cache_dir else None
-        transcripts = list(read_fasta(args.transcripts))
-        hits = list(read_tabular(args.alignments))
-        result = blast2cap3_parallel(
-            transcripts, hits,
-            jobs=args.jobs, n=args.clusters, cache=cache,
-        )
+        # --serial is one job, inline, and never touched the cache.
+        cache = ResultCache(cache_dir) if cache_dir and args.parallel else None
+        try:
+            result = blast2cap3_parallel(
+                read_fasta(args.transcripts),
+                read_tabular(args.alignments),
+                jobs=1 if args.serial else args.jobs,
+                n=args.clusters,
+                cache=cache,
+            )
+        except ValueError as exc:
+            print(f"repro-blast2cap3: {exc}", file=sys.stderr)
+            return 2
         write_fasta(args.output, result.output_records)
         elapsed = time.perf_counter() - start
-        cache_note = ""
-        if cache is not None:
-            cache_note = (
-                f", cache {cache.stats.hits} hits / "
-                f"{cache.stats.misses} misses"
-            )
-        print(
+        label = "serial blast2cap3" if args.serial else (
             f"parallel blast2cap3 (n={args.clusters}, "
-            f"jobs={args.jobs or 'auto'}): "
-            f"{result.input_count} transcripts -> "
+            f"jobs={args.jobs or 'auto'})"
+        )
+        cache_note = "" if cache is None else (
+            f", cache {cache.stats.hits} hits / {cache.stats.misses} misses"
+        )
+        print(
+            f"{label}: {result.input_count} transcripts -> "
             f"{result.output_count} sequences "
             f"({100 * result.reduction_fraction:.1f}% reduction) "
             f"in {elapsed:.1f}s{cache_note}"

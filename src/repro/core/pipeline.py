@@ -22,9 +22,8 @@ from repro.bio.quality import QualityReport, TrimParams, quality_filter
 from repro.blast.blastx import BlastXParams
 from repro.blast.database import ProteinDatabase
 from repro.cap3.assembler import Cap3Params, assemble
-from repro.core.blast2cap3 import Blast2Cap3Result, blast2cap3_serial
+from repro.core.blast2cap3 import Blast2Cap3Result, ExecutorKind, blast2cap3_parallel
 from repro.core.cache import ResultCache, cached_blastx_hits
-from repro.core.parallel import ExecutorKind, blast2cap3_parallel
 
 __all__ = [
     "PipelineConfig",
@@ -57,11 +56,11 @@ def n50(lengths: Iterable[int]) -> int:
 class PipelineConfig:
     """Per-stage knobs.
 
-    ``jobs`` > 1 switches the protein-guided merge to the parallel
-    driver (:func:`~repro.core.parallel.blast2cap3_parallel`);
-    ``cache`` threads a content-addressed result store under both the
-    BLASTX stage (hit batches) and the CAP3 merges, so a re-run over
-    unchanged inputs recomputes nothing.
+    ``jobs`` is the protein-guided merge's worker count
+    (:func:`~repro.core.blast2cap3.blast2cap3_parallel`; 1 is the
+    original serial script); ``cache`` threads a content-addressed
+    result store under both the BLASTX stage (hit batches) and the CAP3
+    merges, so a re-run over unchanged inputs recomputes nothing.
     """
 
     trim: TrimParams = TrimParams()
@@ -165,16 +164,13 @@ def run_transcriptome_pipeline(
         hits = cached_blastx_hits(
             config.cache, transcripts, database, config.blast
         )
-        if config.jobs > 1 or config.cache is not None:
-            b2c3_result = blast2cap3_parallel(
-                transcripts,
-                hits,
-                jobs=config.jobs,
-                executor=config.executor,
-                cache=config.cache,
-            )
-        else:
-            b2c3_result = blast2cap3_serial(transcripts, hits)
+        b2c3_result = blast2cap3_parallel(
+            transcripts,
+            hits,
+            jobs=config.jobs,
+            executor=config.executor,
+            cache=config.cache,
+        )
         transcripts = b2c3_result.output_records
         stages.append(
             StageReport(

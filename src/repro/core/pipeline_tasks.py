@@ -18,7 +18,8 @@ from repro.blast.blastx import BlastXParams, blastx_many
 from repro.blast.database import ProteinDatabase
 from repro.blast.tabular import read_tabular, write_tabular
 from repro.cap3.assembler import Cap3Params, assemble
-from repro.core.blast2cap3 import blast2cap3_serial
+from repro.core.blast2cap3 import ExecutorKind, blast2cap3_parallel
+from repro.core.cache import ResultCache
 
 __all__ = [
     "trim_reads",
@@ -99,7 +100,7 @@ def blast2cap3_merge(
     cap3_params: Cap3Params = Cap3Params(),
     jobs: int = 1,
     cache_dir: str | Path | None = None,
-    executor: str = "process",
+    executor: ExecutorKind = "process",
 ) -> int:
     """Post-processing: protein-guided merging (blast2cap3).
 
@@ -109,21 +110,12 @@ def blast2cap3_merge(
     rescue-resubmitted or re-planned task recomputes only what changed.
     Output is identical for every ``jobs``/``cache_dir`` combination.
     """
-    transcripts = list(read_fasta(transcripts_fasta))
-    hits = list(read_tabular(alignments_tabular))
-    if jobs > 1 or cache_dir is not None:
-        from repro.core.cache import ResultCache
-        from repro.core.parallel import blast2cap3_parallel
-
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        result = blast2cap3_parallel(
-            transcripts,
-            hits,
-            jobs=jobs,
-            cap3_params=cap3_params,
-            cache=cache,
-            executor=executor,  # type: ignore[arg-type]
-        )
-    else:
-        result = blast2cap3_serial(transcripts, hits, cap3_params=cap3_params)
+    result = blast2cap3_parallel(
+        read_fasta(transcripts_fasta),
+        read_tabular(alignments_tabular),
+        jobs=jobs,
+        cap3_params=cap3_params,
+        cache=ResultCache(cache_dir) if cache_dir is not None else None,
+        executor=executor,
+    )
     return write_fasta(out_fasta, result.output_records)

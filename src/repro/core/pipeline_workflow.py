@@ -28,11 +28,10 @@ DAG shape::
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.dagman.scheduler import DagmanResult, DagmanScheduler
+from repro.core.workflow_factory import LocalRunResult, plan_and_run_locally
 from repro.execution.payloads import TaskCall
 from repro.wms.catalogs import (
     ReplicaCatalog,
@@ -42,13 +41,11 @@ from repro.wms.catalogs import (
     local_site,
 )
 from repro.wms.dax import ADag, AbstractJob, File
-from repro.wms.planner import PlannedWorkflow, PlannerOptions, plan
 
 __all__ = [
     "PIPELINE_FINAL_LFN",
     "build_pipeline_adag",
     "run_pipeline_local",
-    "PipelineRunResult",
 ]
 
 PIPELINE_FINAL_LFN = "final_transcriptome.fasta"
@@ -180,15 +177,6 @@ def _pipeline_payload_factories(
     }
 
 
-@dataclass
-class PipelineRunResult:
-    """Outcome of a real pipeline workflow run."""
-
-    dagman: DagmanResult
-    planned: PlannedWorkflow
-    final_output: Path
-
-
 def run_pipeline_local(
     lane_paths: Sequence[str | Path],
     proteins_path: str | Path,
@@ -198,7 +186,7 @@ def run_pipeline_local(
     executor: str = "process",
     merge_jobs: int = 1,
     cache_dir: str | Path | None = None,
-) -> PipelineRunResult:
+) -> LocalRunResult:
     """Execute the Fig. 1 pipeline for real under DAGMan.
 
     ``merge_jobs`` parallelises the final ``blast2cap3_merge`` task's
@@ -235,28 +223,7 @@ def run_pipeline_local(
     for i, lane in enumerate(lanes, start=1):
         replicas.add(f"reads_{i}.fastq", str(lane), site="local")
     replicas.add("proteins.fasta", str(proteins_path), site="local")
-
-    planned = plan(
-        adag,
-        site_name="local",
-        sites=sites,
-        transformations=transformations,
-        replicas=replicas,
-        options=PlannerOptions(retries=0),
-    )
-    from dataclasses import replace as dc_replace
-
-    from repro.execution.local import LocalEnvironment
-
-    noop = TaskCall("repro.execution.payloads:noop")
-    for name, job in list(planned.dag.jobs.items()):
-        if job.payload is None:
-            planned.dag.jobs[name] = dc_replace(job, payload=noop)
-
-    with LocalEnvironment(max_workers=max_workers, executor=executor) as env:
-        result = DagmanScheduler(planned.dag, env).run()
-    return PipelineRunResult(
-        dagman=result,
-        planned=planned,
-        final_output=workdir / PIPELINE_FINAL_LFN,
+    return plan_and_run_locally(
+        adag, (sites, transformations, replicas), workdir / PIPELINE_FINAL_LFN,
+        max_workers=max_workers, executor=executor,
     )

@@ -254,8 +254,15 @@ class WorkflowTrace:
 
     @property
     def retry_count(self) -> int:
-        """Total number of re-submissions that happened."""
-        return sum(1 for a in self.attempts if a.attempt > 1)
+        """Every re-submission of a job: attempts minus distinct jobs.
+
+        Numbering restarts in each rescue round and a resumed attempt
+        re-runs under its old number (see :meth:`by_job`), so this
+        counts rescue-round and resume re-submits as well as DAGMan's
+        in-round requeues; ``metrics.json``'s ``retries_total`` counts
+        only the requeues.
+        """
+        return len(self.attempts) - len({a.job_name for a in self.attempts})
 
     def wall_time(self) -> float:
         """Workflow makespan: first submit to last completion."""

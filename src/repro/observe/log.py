@@ -36,6 +36,7 @@ __all__ = [
     "event_to_json",
     "event_to_json_line",
     "event_from_json",
+    "decode_event_line",
     "serialize_event",
     "write_events",
     "read_events",
@@ -181,40 +182,59 @@ def write_events(path: str | Path, events: Iterable[RunEvent]) -> int:
     return len(events)
 
 
+class _NotJSON(ValueError):
+    """A log line that does not parse at all (torn, or garbage)."""
+
+
+def decode_event_line(raw: bytes, where: str) -> RunEvent | None:
+    """One line of a JSONL log as its event, ``None`` for a blank line.
+
+    A line that is not JSON, or is JSON but neither an event nor an
+    attempt record, raises a ``ValueError`` that starts with ``where``
+    (``path:lineno``). The one line decoder of :func:`iter_events` and
+    ``repro-status --follow``.
+    """
+    if not raw.strip():
+        return None
+    try:
+        data = json.loads(raw)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise _NotJSON(f"{where}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    try:
+        return event_from_json(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{where}: not an event or attempt record: {exc!r}"
+        ) from None
+
+
 def iter_events(path: str | Path) -> Iterator[RunEvent]:
     """Stream events from a JSONL log (``events.jsonl`` or ``trace.jsonl``).
 
     A final line with no newline that does not parse is what a killed
     writer leaves behind: it is skipped with one note on stderr and the
-    complete prefix stands. Any other line that is not JSON, or is JSON
-    but neither an event nor an attempt record, raises a ``ValueError``
-    that names ``path:lineno``.
+    complete prefix stands. Any other line is decoded by
+    :func:`decode_event_line`, whose ``ValueError`` names
+    ``path:lineno``.
     """
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, 1):
-            if not raw.strip():
-                continue
             where = f"{path}:{lineno}"
             try:
-                data = json.loads(raw)
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                event = decode_event_line(raw, where)
+            except _NotJSON:
                 if raw.endswith(b"\n"):
-                    raise ValueError(f"{where}: not JSON: {exc}") from None
+                    raise
                 print(
                     f"{where}: ignoring torn final line "
                     "(the writer was killed mid-record)",
                     file=sys.stderr,
                 )
                 return
-            if not isinstance(data, dict):
-                raise ValueError(f"{where}: not a JSON object")
-            try:
-                event = event_from_json(data)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"{where}: not an event or attempt record: {exc!r}"
-                ) from None
-            yield event
+            if event is not None:
+                yield event
 
 
 def read_events(path: str | Path) -> list[RunEvent]:

@@ -49,7 +49,7 @@ write-ahead log can promise, and the hypothesis kill-anywhere property
 in ``tests/test_journal.py`` pins both halves.
 
 Durability policy: appends are buffered and flushed + fsynced in
-batches (``fsync="batch"``, every ``fsync_every`` records, plus at
+batches (``fsync="batch"``, every :data:`FSYNC_BATCH` records, plus at
 every snapshot and close; crash injection flushes its torn prefix
 explicitly). A crash between batch points can lose the buffered tail —
 but only the tail, and only whole or torn-suffix records, so recovery
@@ -110,6 +110,9 @@ SEGMENT_GLOB = "wal-*.jsonl"
 #: history of the whole run.
 RECORDS_FILE = "records.jsonl"
 JOURNAL_VERSION = 1
+#: Records between flush + fsync under ``fsync="batch"`` (snapshots
+#: and close flush too).
+FSYNC_BATCH = 4096
 
 #: Event kinds that change what recovery must reconstruct. Everything
 #: else on the bus (match/setup/exec phases, samples, cache traffic) is
@@ -504,7 +507,7 @@ class Journal:
     ``max(snapshot_every, state size)`` records, so replay stays
     bounded while total snapshot cost stays linear in run length;
     ``fsync`` is ``"always"`` /
-    ``"batch"`` (every ``fsync_every`` records, plus snapshot/close) /
+    ``"batch"`` (every :data:`FSYNC_BATCH` records, plus snapshot/close) /
     ``"never"``. ``crash`` arms a
     :class:`~repro.resilience.faults.CrashFault` — the injection point
     for kill-anywhere testing. ``resume`` continues an existing journal
@@ -519,7 +522,6 @@ class Journal:
         bus: EventBus | None = None,
         snapshot_every: int = 1000,
         fsync: str = "batch",
-        fsync_every: int = 4096,
         crash: "CrashFault | None" = None,
         resume: "RecoveredState | None" = None,
     ) -> None:
@@ -527,12 +529,9 @@ class Journal:
             raise ValueError("fsync must be 'always', 'batch', or 'never'")
         if snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
-        if fsync_every < 1:
-            raise ValueError("fsync_every must be >= 1")
         self.path = ensure_dir(path)
         self.snapshot_every = snapshot_every
         self.fsync_mode = fsync
-        self.fsync_every = fsync_every
         self.crash = crash
         self.bus = bus
         self._blacklist: "Blacklist | None" = None
@@ -774,7 +773,7 @@ class Journal:
             os.fsync(fh.fileno())
         elif self.fsync_mode == "batch":
             self._since_fsync += 1
-            if self._since_fsync >= self.fsync_every:
+            if self._since_fsync >= FSYNC_BATCH:
                 fh.flush()
                 os.fsync(fh.fileno())
                 self._since_fsync = 0

@@ -38,10 +38,10 @@ __all__ = [
 ]
 
 
-def _or_exit(read, path: str | Path):
-    """``read(path)``, or its one-line refusal on stderr and exit 2."""
+def _or_exit(read, *args):
+    """``read(*args)``, or its one-line refusal on stderr and exit 2."""
     try:
-        return read(path)
+        return read(*args)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         raise SystemExit(2) from None
@@ -164,7 +164,7 @@ def main_run(argv: list[str] | None = None) -> int:
                         choices=("always", "batch", "never"),
                         default="batch",
                         help="journal fsync policy: per record, batched "
-                             "(~1k records + every snapshot), or never")
+                             "(4096 records + every snapshot), or never")
     parser.add_argument("--crash-at-record", type=int, default=0,
                         metavar="N",
                         help="testing: crash the manager at the Nth journal "
@@ -542,7 +542,7 @@ def main_status(argv: list[str] | None = None) -> int:
     import time
 
     from repro.observe import StatusView
-    from repro.observe.log import event_from_json
+    from repro.observe.log import decode_event_line
 
     view = StatusView(total_jobs=total_jobs)
     if not args.follow:
@@ -551,17 +551,21 @@ def main_status(argv: list[str] | None = None) -> int:
         return 0
 
     # Tail mode: consume appended lines until workflow.end (or ^C).
-    with open(events_path, encoding="utf-8") as fh:
-        buffered = ""
+    with open(events_path, "rb") as fh:
+        buffered, lineno = b"", 0
         try:
             while True:
                 chunk = fh.readline()
                 if chunk:
                     buffered += chunk
-                    if not buffered.endswith("\n"):
+                    if not buffered.endswith(b"\n"):
                         continue  # partial line; wait for the rest
-                    view.update(event_from_json(json.loads(buffered)))
-                    buffered = ""
+                    lineno += 1
+                    event = _or_exit(decode_event_line, buffered,
+                                     f"{events_path}:{lineno}")
+                    if event is not None:
+                        view.update(event)
+                    buffered = b""
                     continue
                 print(view.render())
                 print("---")

@@ -16,7 +16,10 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.workflow_factory import simulate_paper_run
+from repro.core.workflow_factory import (
+    simulate_paper_run,
+    simulate_paper_run_with_recovery,
+)
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
 from repro.observe.analysis import (
@@ -26,9 +29,11 @@ from repro.observe.analysis import (
 )
 from repro.observe.chrome_trace import chrome_trace
 from repro.observe.report import build_report
+from repro.resilience import FaultPlan, StartFailure
 from repro.wms.analyzer import analyze
 from repro.wms.cli import main_plan, main_run
 from repro.wms.monitor import load_run
+from repro.wms.planner import PlannerOptions
 from repro.wms.statistics import critical_path, per_site, per_transformation
 from tests.oracles.timeline_chain import chain_from_timeline_reference
 
@@ -116,6 +121,38 @@ def test_final_attempt_is_the_latest_submitted(trace):
             _time_key(a) for a in trace if a.job_name == job
         )
     assert trace.for_job("nobody") == []
+
+
+@given(multi_round_traces())
+@settings(max_examples=150, deadline=None)
+def test_retry_count_is_every_resubmission(trace):
+    """A rescue round's re-submit restarts at attempt 1, and a resumed
+    attempt re-runs under its old number: both are retries, so the
+    count is attempts minus jobs, not attempts numbered above 1."""
+    by_job = trace.by_job()
+    assert trace.retry_count == len(trace) - len(by_job)
+    assert trace.retry_count == sum(len(a) - 1 for a in by_job.values())
+    one_round = WorkflowTrace([
+        _attempt(job, n, 0.0, 1.0)
+        for job, attempts in by_job.items()
+        for n in range(1, len(attempts) + 1)
+    ])
+    assert one_round.retry_count == sum(1 for a in one_round if a.attempt > 1)
+
+
+@pytest.mark.parametrize("seed, rounds, retries", [
+    (0, 4, 31), (1, 4, 27), (2, 4, 38), (3, 4, 58), (4, 4, 50), (5, 3, 40),
+])
+def test_retry_count_sees_rescue_rounds(seed, rounds, retries):
+    """The tight-budget cell of ``bench_chaos_sweep``; counting attempts
+    numbered above 1 read 25 / 22 / 30 / 46 / 37 / 33."""
+    outcome, _ = simulate_paper_run_with_recovery(
+        12, "osg", seed=seed, planner_options=PlannerOptions(retries=2),
+        fault_plan=FaultPlan((StartFailure(0.45),)), max_rounds=4,
+    )
+    assert len(outcome.rounds) == rounds
+    assert outcome.trace.retry_count == retries
+    assert retries > sum(1 for a in outcome.trace if a.attempt > 1)
 
 
 def test_final_successful_attempt_skips_later_failures():

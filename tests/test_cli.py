@@ -239,6 +239,66 @@ class TestDamagedUtilization(Refusals):
         assert line.startswith(f"{series}{where}")
 
 
+
+class TestStatusFollow:
+    """``--follow`` decodes lines with the reader every other command
+    uses: it used to call ``json.loads`` itself, so a garbage line was a
+    ``JSONDecodeError`` traceback (exit 1) where the same directory
+    without ``--follow`` printed ``events.jsonl:4: not JSON: …``, exit 2."""
+
+    def follow(self, d):
+        return exit_code(main_status, ["--submit-dir", str(d), "--follow",
+                                       "--interval", "0"])
+
+    @pytest.mark.parametrize("bad, reason", [
+        ("garbage", "not JSON: "),
+        ("{}", "not an event or attempt record: "),
+        ('{"event": "job.submit"}', "not an event or attempt record: "),
+        ("[1]", "not a JSON object"),
+    ], ids=["garbage", "empty-object", "no-time", "not-an-object"])
+    def test_damaged_line_is_exit_2_naming_it(
+        self, bad, reason, submit_dir, tmp_path, capsys
+    ):
+        d = tmp_path / "run"
+        shutil.copytree(submit_dir, d)
+        log = d / "events.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        lines[3] = bad + "\n"
+        log.write_text("".join(lines))
+        capsys.readouterr()
+        assert self.follow(d) == 2
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith(f"{log}:4: {reason}")
+        # the same refusal as without --follow
+        assert exit_code(main_status, ["--submit-dir", str(d)]) == 2
+        assert capsys.readouterr().err == err
+
+    def test_torn_final_line_waits_for_the_rest(
+        self, submit_dir, tmp_path, capsys, monkeypatch
+    ):
+        d = tmp_path / "run"
+        shutil.copytree(submit_dir, d)
+        log = d / "events.jsonl"
+        text = log.read_text()
+        cut = text.rindex("\n", 0, len(text) - 1) + 20  # inside workflow.end
+        log.write_text(text[:cut])
+        naps = []
+
+        def nap(seconds):
+            naps.append(seconds)
+            with open(log, "a") as fh:
+                fh.write(text[cut:])
+
+        monkeypatch.setattr("time.sleep", nap)
+        capsys.readouterr()
+        assert self.follow(d) == 0
+        assert naps == [0.0]
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert out.count("---") == 2
+
 @pytest.fixture(scope="module")
 def real_inputs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("inputs")
@@ -289,3 +349,30 @@ class TestBlast2Cap3Cli:
         serial_records = {(r.id, r.seq) for r in read_fasta(serial_out)}
         wf_records = {(r.id, r.seq) for r in read_fasta(wf_out)}
         assert serial_records == wf_records
+
+    @pytest.mark.parametrize("mode", ["--serial", "--parallel"])
+    def test_alignment_naming_a_missing_transcript_is_exit_2(
+        self, mode, real_inputs, tmp_path, capsys
+    ):
+        """Both in-process modes used to end in a ``KeyError`` traceback,
+        exit 1, each with its own message."""
+        transcripts, alignments = real_inputs
+        records = list(read_fasta(transcripts))
+        missing = records[0].id
+        fewer = tmp_path / "fewer.fasta"
+        write_fasta(fewer, records[1:])
+        out = tmp_path / "merged.fasta"
+        capsys.readouterr()
+        rc = blast2cap3_main([
+            "--transcripts", str(fewer),
+            "--alignments", str(alignments),
+            "--output", str(out), mode, "--jobs", "2",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"repro-blast2cap3: alignments name transcript {missing!r}, "
+            "which is not among the transcripts"
+        ]
+        assert not out.exists()

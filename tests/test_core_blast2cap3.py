@@ -1,8 +1,11 @@
-"""Tests for the serial blast2cap3 driver on synthetic workloads."""
+"""Tests for the blast2cap3 driver at ``jobs=1`` — the original serial
+script — on synthetic workloads."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.core.blast2cap3 import blast2cap3_serial, merge_cluster
+from repro.core.blast2cap3 import blast2cap3_parallel, merge_cluster
 from repro.core.clusters import ProteinCluster
 from repro.datagen.transcripts import TranscriptomeSpec
 from repro.datagen.workload import generate_blast2cap3_workload
@@ -23,7 +26,7 @@ def workload():
 
 @pytest.fixture(scope="module")
 def result(workload):
-    return blast2cap3_serial(workload.transcripts, workload.hits)
+    return blast2cap3_parallel(workload.transcripts, workload.hits, jobs=1)
 
 
 class TestSerialBlast2Cap3:
@@ -68,13 +71,34 @@ class TestSerialBlast2Cap3:
     def test_duplicate_transcripts_rejected(self, workload):
         doubled = workload.transcripts + workload.transcripts[:1]
         with pytest.raises(ValueError, match="duplicate"):
-            blast2cap3_serial(doubled, workload.hits)
+            blast2cap3_parallel(doubled, workload.hits, jobs=1)
 
     def test_empty_inputs(self):
-        result = blast2cap3_serial([], [])
+        result = blast2cap3_parallel([], [], jobs=1)
         assert result.output_count == 0
         assert result.reduction_fraction == 0.0
 
+
+    @pytest.mark.parametrize("mergeable", [True, False])
+    def test_alignment_naming_a_missing_transcript_is_one_value_error(
+        self, workload, mergeable
+    ):
+        """Checked once, before clustering: a mergeable cluster used to
+        end in ``merge_cluster``'s ``KeyError``, a one-member cluster in
+        a bare ``KeyError`` out of the reassembly."""
+        first = workload.hits[0].qseqid
+        transcripts = [t for t in workload.transcripts if t.id != first]
+        hits = list(workload.hits)
+        if not mergeable:
+            transcripts = workload.transcripts
+            hits.append(replace(hits[0], qseqid="ghost", sseqid="lonely"))
+        with pytest.raises(ValueError) as info:
+            blast2cap3_parallel(transcripts, hits, jobs=1)
+        missing = first if mergeable else "ghost"
+        assert str(info.value) == (
+            f"alignments name transcript {missing!r}, "
+            "which is not among the transcripts"
+        )
 
 class TestMergeCluster:
     def test_unknown_transcript_raises(self, workload):

@@ -1,25 +1,34 @@
-"""Parallel blast2cap3 ≡ serial, and the content-addressed cache.
+"""The one blast2cap3 driver ≡ the original serial loop, and the
+content-addressed cache.
 
-The tentpole guarantees under test:
+The guarantees under test:
 
-* :func:`repro.core.parallel.blast2cap3_parallel` is record-for-record
-  identical to :func:`repro.core.blast2cap3.blast2cap3_serial` for
-  *every* ``jobs`` / ``n`` / ``strategy`` / ``executor`` combination;
+* :func:`repro.core.blast2cap3.blast2cap3_parallel` is record-for-record
+  identical to the serial loop kept in ``tests/oracles/serial_blast2cap3.py``
+  for *every* ``jobs`` / ``n`` / ``strategy`` / ``executor`` and cache
+  state (none, cold, warm, corrupt);
 * a warm :class:`repro.core.cache.ResultCache` changes timings, never
   outputs — and a fully warm cache performs **zero** CAP3
   recomputations (hit count == mergeable cluster count);
-* a corrupted cache entry degrades to recomputation, never a crash.
+* a corrupted cache entry degrades to recomputation, never a crash;
+* the workflow's ``run_cap3`` tasks and the driver read and write one
+  store: what either wrote is all hits for the other.
 """
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.bio.fasta import write_fasta
 from repro.blast.blastx import BlastXParams, blastx_many
 from repro.blast.database import ProteinDatabase
+from repro.blast.tabular import write_tabular
 from repro.cap3.assembler import Cap3Params
-from repro.core.blast2cap3 import blast2cap3_serial
+from repro.core.blast2cap3 import blast2cap3_parallel
 from repro.core.clusters import cluster_transcripts
 from repro.core.cache import (
     CLUSTER_MERGE_KIND,
@@ -29,12 +38,13 @@ from repro.core.cache import (
     cached_merge_cluster,
     cluster_merge_key,
 )
-from repro.core.parallel import blast2cap3_parallel
+from repro.core.workflow_factory import run_local
 from repro.datagen.transcripts import TranscriptomeSpec
 from repro.datagen.workload import generate_blast2cap3_workload
 from repro.observe.bus import EventBus, EventRecorder
 from repro.observe.events import EventKind
 from repro.observe.metrics import MetricsRegistry, instrument
+from tests.oracles.serial_blast2cap3 import blast2cap3_serial
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +63,20 @@ def workload():
 @pytest.fixture(scope="module")
 def serial(workload):
     return blast2cap3_serial(workload.transcripts, workload.hits)
+
+
+@pytest.fixture(scope="module")
+def warm_store(workload, tmp_path_factory):
+    """A store holding every mergeable cluster of ``workload``."""
+    root = tmp_path_factory.mktemp("warm-store")
+    blast2cap3_parallel(
+        workload.transcripts, workload.hits, jobs=1, cache=ResultCache(root)
+    )
+    return root
+
+
+def store_entries(root):
+    return sorted(Path(root, CLUSTER_MERGE_KIND).rglob("*.json"))
 
 
 def assert_identical(a, b):
@@ -74,26 +98,51 @@ def assert_identical(a, b):
 
 class TestParallelEqualsSerial:
     @given(
-        jobs=st.integers(min_value=1, max_value=6),
+        jobs=st.sampled_from([1, 2, 3]),
         n=st.one_of(st.none(), st.integers(min_value=1, max_value=12)),
         strategy=st.sampled_from(["balanced", "round_robin"]),
-        executor=st.sampled_from(["thread", "serial"]),
+        store=st.sampled_from(["none", "cold", "warm", "corrupt"]),
     )
     @settings(
-        max_examples=25,
+        max_examples=30,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_any_jobs_n_strategy(self, workload, serial, jobs, n, strategy, executor):
-        result = blast2cap3_parallel(
-            workload.transcripts,
-            workload.hits,
-            jobs=jobs,
-            n=n,
-            strategy=strategy,
-            executor=executor,
-        )
+    def test_any_jobs_n_strategy(
+        self, workload, serial, warm_store, jobs, n, strategy, store
+    ):
+        """The driver against the serial oracle on the thread pool, with
+        no store, an empty one, a full one and a full one truncated."""
+        with tempfile.TemporaryDirectory() as tmp:
+            cache = None
+            if store != "none":
+                root = Path(tmp, "store")
+                if store == "cold":
+                    root.mkdir()
+                else:
+                    shutil.copytree(warm_store, root)
+                if store == "corrupt":
+                    for path in store_entries(root):
+                        path.write_text(path.read_text()[:20])
+                cache = ResultCache(root)
+            result = blast2cap3_parallel(
+                workload.transcripts,
+                workload.hits,
+                jobs=jobs,
+                n=n,
+                strategy=strategy,
+                executor="thread",
+                cache=cache,
+            )
         assert_identical(result, serial)
+        mergeable = serial.mergeable_cluster_count
+        if store == "warm":
+            assert (cache.stats.hits, cache.stats.misses) == (mergeable, 0)
+            assert cache.stats.puts == 0
+        elif store in ("cold", "corrupt"):
+            assert (cache.stats.hits, cache.stats.misses) == (0, mergeable)
+            assert cache.stats.puts == mergeable
+            assert cache.stats.corrupt == (mergeable if store == "corrupt" else 0)
 
     def test_real_process_pool(self, workload, serial):
         result = blast2cap3_parallel(
@@ -118,6 +167,11 @@ class TestParallelEqualsSerial:
         with pytest.raises(ValueError, match="duplicate"):
             blast2cap3_parallel(
                 workload.transcripts + workload.transcripts[:1], workload.hits
+            )
+        # "serial" was jobs=1 spelled a second way
+        with pytest.raises(ValueError, match="unknown executor: 'serial'"):
+            blast2cap3_parallel(
+                workload.transcripts, workload.hits, jobs=1, executor="serial"
             )
 
     def test_empty_inputs(self):
@@ -305,3 +359,50 @@ class TestCachedBlastx:
                 ResultCache(tmp_path), workload.transcripts, database,
                 batch_size=0,
             )
+
+
+@pytest.fixture(scope="module")
+def staged_six(tmp_path_factory):
+    """A 6-protein workload on disk, as ``repro-blast2cap3`` reads it."""
+    wl = generate_blast2cap3_workload(
+        n_proteins=6,
+        spec=TranscriptomeSpec(mean_fragments_per_gene=2.5,
+                               noise_transcripts=2, error_rate=0.002),
+        seed=88,
+    )
+    tmp = tmp_path_factory.mktemp("six")
+    write_fasta(tmp / "transcripts.fasta", wl.transcripts)
+    write_tabular(tmp / "alignments.out", wl.hits)
+    return wl, tmp / "transcripts.fasta", tmp / "alignments.out"
+
+
+class TestSharedStore:
+    """Workflow mode (``tasks.run_cap3`` through ``cached_merge_cluster``)
+    and the driver key, read and write the store through one pair."""
+
+    def run_workflow(self, staged, work, store):
+        _, transcripts, alignments = staged
+        result = run_local(transcripts, alignments, work, n=3, max_workers=2,
+                           executor="thread", cache_dir=store)
+        assert result.dagman.success
+
+    def test_workflow_store_is_all_hits_for_the_driver(self, staged_six, tmp_path):
+        wl = staged_six[0]
+        self.run_workflow(staged_six, tmp_path / "work", tmp_path / "store")
+        cache = ResultCache(tmp_path / "store")
+        result = blast2cap3_parallel(wl.transcripts, wl.hits, jobs=1, cache=cache)
+        assert result.mergeable_cluster_count == 6
+        assert (cache.stats.hits, cache.stats.misses, cache.stats.puts) == (6, 0, 0)
+        assert_identical(result, blast2cap3_serial(wl.transcripts, wl.hits))
+
+    def test_driver_store_gains_no_entry_from_the_workflow(
+        self, staged_six, tmp_path
+    ):
+        wl = staged_six[0]
+        store = tmp_path / "store"
+        blast2cap3_parallel(wl.transcripts, wl.hits, jobs=2, n=4,
+                            executor="thread", cache=ResultCache(store))
+        before = {p: p.read_bytes() for p in store_entries(store)}
+        assert len(before) == 6
+        self.run_workflow(staged_six, tmp_path / "work", store)
+        assert {p: p.read_bytes() for p in store_entries(store)} == before

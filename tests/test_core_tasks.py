@@ -6,7 +6,7 @@ import pytest
 
 from repro.bio.fasta import read_fasta, write_fasta
 from repro.blast.tabular import read_tabular, write_tabular
-from repro.core.blast2cap3 import blast2cap3_serial
+from repro.core.blast2cap3 import blast2cap3_parallel
 from repro.core.tasks import (
     TASK_REGISTRY,
     concat_final,
@@ -139,7 +139,7 @@ class TestPipelineParity:
         workflow_records = {
             (r.id, r.seq) for r in read_fasta(final)
         }
-        serial = blast2cap3_serial(workload.transcripts, workload.hits)
+        serial = blast2cap3_parallel(workload.transcripts, workload.hits, jobs=1)
         serial_records = {(r.id, r.seq) for r in serial.output_records}
         assert workflow_records == serial_records
 

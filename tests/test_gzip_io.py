@@ -72,7 +72,7 @@ class TestSequenceFormats:
     def test_blast2cap3_pipeline_on_gz_inputs(self, tmp_path):
         # The whole serial path accepts .gz inputs end to end.
         from repro.blast.tabular import read_tabular as rt
-        from repro.core.blast2cap3 import blast2cap3_serial
+        from repro.core.blast2cap3 import blast2cap3_parallel
         from repro.datagen.workload import generate_blast2cap3_workload
 
         wl = generate_blast2cap3_workload(n_proteins=4, seed=1)
@@ -80,7 +80,5 @@ class TestSequenceFormats:
         a_path = tmp_path / "a.out.gz"
         write_fasta(t_path, wl.transcripts)
         write_tabular(a_path, wl.hits)
-        result = blast2cap3_serial(
-            list(read_fasta(t_path)), list(rt(a_path))
-        )
+        result = blast2cap3_parallel(read_fasta(t_path), rt(a_path), jobs=1)
         assert result.output_count > 0

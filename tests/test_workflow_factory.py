@@ -5,7 +5,7 @@ import pytest
 
 from repro.bio.fasta import read_fasta, write_fasta
 from repro.blast.tabular import write_tabular
-from repro.core.blast2cap3 import blast2cap3_serial
+from repro.core.blast2cap3 import blast2cap3_parallel
 from repro.core.workflow_factory import (
     build_blast2cap3_adag,
     default_catalogs,
@@ -143,7 +143,7 @@ class TestRunLocal:
         workflow_records = {
             (r.id, r.seq) for r in read_fasta(result.final_output)
         }
-        serial = blast2cap3_serial(wl.transcripts, wl.hits)
+        serial = blast2cap3_parallel(wl.transcripts, wl.hits, jobs=1)
         assert workflow_records == {
             (r.id, r.seq) for r in serial.output_records
         }
