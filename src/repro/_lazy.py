@@ -14,11 +14,7 @@ under ``if TYPE_CHECKING:`` for mypy, ruff and readers.
 A name is looked up in its defining module on **every** access and
 never stored in the package's globals: a stored value would pin
 whatever the defining module held at first touch, and outlive a
-``monkeypatch`` or a tracing wrapper put there and later undone. A
-re-export that shares its name with a submodule of the package cannot
-go through the table — the import system binds the submodule under
-that name and ``__getattr__`` is never asked — and stays an eager
-import in its package.
+``monkeypatch`` or a tracing wrapper put there and later undone.
 """
 
 from __future__ import annotations

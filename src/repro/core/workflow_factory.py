@@ -12,7 +12,7 @@ Three entry points:
 * :func:`run_local` — plan with real payloads and execute the actual
   protein-guided assembly on the local machine;
 * :func:`simulate_paper_run` — plan at paper scale (runtimes from
-  :class:`repro.perfmodel.PaperTaskModel`) and execute on a simulated
+  :class:`repro.perfmodel.task_models.PaperTaskModel`) and execute on a simulated
   platform, returning the DAGMan result whose trace feeds
   ``pegasus-statistics``.
 """

@@ -16,33 +16,3 @@ marking completed work. This package implements those semantics:
 * :mod:`repro.dagman.condor` — ClassAd-style matchmaking used by the
   platform models to pair jobs with heterogeneous machines.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dagman.dag import Dag, DagJob
-    from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
-    from repro.dagman.scheduler import DagmanScheduler, DagmanResult
-
-_EXPORTS = {
-    "Dag": ("repro.dagman.dag", "Dag"),
-    "DagJob": ("repro.dagman.dag", "DagJob"),
-    "JobAttempt": ("repro.dagman.events", "JobAttempt"),
-    "JobStatus": ("repro.dagman.events", "JobStatus"),
-    "WorkflowTrace": ("repro.dagman.events", "WorkflowTrace"),
-    "DagmanScheduler": ("repro.dagman.scheduler", "DagmanScheduler"),
-    "DagmanResult": ("repro.dagman.scheduler", "DagmanResult"),
-}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-__all__ = [
-    "Dag",
-    "DagJob",
-    "JobAttempt",
-    "JobStatus",
-    "WorkflowTrace",
-    "DagmanScheduler",
-    "DagmanResult",
-]

@@ -50,13 +50,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro._lazy import lazy_exports
 from repro.lint.findings import Finding, Report, Severity, render_report
-from repro.lint.registry import (
-    LintContext,
-    Rule,
-    finding,
-    registered_rules,
-    rule,
-)
+from repro.lint.registry import LintContext, finding, registered_rules, rule
 
 # Importing the rule modules registers their rules.
 from repro.lint import catalog_rules as _catalog_rules  # noqa: E402,F401
@@ -113,18 +107,12 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "Severity",
-    "Finding",
     "Report",
-    "Rule",
-    "LintContext",
     "LintConfig",
-    "SitePool",
     "DeterminismOptions",
     "lint",
-    "rule",
     "registered_rules",
     "render_report",
-    "default_pools",
 ]
 
 

@@ -34,54 +34,22 @@ from typing import TYPE_CHECKING
 
 from repro._lazy import lazy_exports
 
-# Shares its name with the submodule, which the import system binds
-# under that name without ever asking __getattr__: stays eager.
-from repro.observe.chrome_trace import chrome_trace
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.observe.analysis import (
-        MakespanAttribution,
-        aggregate_components,
-        attribute_makespan,
-    )
     from repro.observe.anomaly import (
         AnomalyMonitor,
         BlacklistStormDetector,
         QueueWaitDetector,
-        RollingStats,
         SloBurnDetector,
         StragglerDetector,
     )
     from repro.observe.bus import EventBus, EventRecorder, events_to_trace
     from repro.observe.chrome_trace import write_chrome_trace
-    from repro.observe.events import (
-        TERMINAL_KINDS,
-        EventKind,
-        RunEvent,
-        attempt_events,
-    )
-    from repro.observe.log import (
-        EventLogWriter,
-        iter_events,
-        read_events,
-        write_events,
-    )
-    from repro.observe.metrics import (
-        Counter,
-        Gauge,
-        Histogram,
-        MetricsRegistry,
-        instrument,
-        merge_summaries,
-    )
-    from repro.observe.profile import RusageProbe, modelled_profile
-    from repro.observe.report import build_report, compare_reports, load_report
+    from repro.observe.events import EventKind, RunEvent, attempt_events
+    from repro.observe.log import EventLogWriter, read_events, write_events
+    from repro.observe.metrics import MetricsRegistry, instrument
     from repro.observe.sampler import UtilizationSample, UtilizationSampler
     from repro.observe.status import StatusView, render_status
     from repro.observe.trace import (
-        Span,
-        SpanCriticalPath,
-        SpanLink,
         SpanTracer,
         critical_path_from_spans,
         derive_span_id,
@@ -94,47 +62,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     )
 
 _EXPORTS = {
-    "MakespanAttribution": ("repro.observe.analysis", "MakespanAttribution"),
-    "aggregate_components": ("repro.observe.analysis", "aggregate_components"),
-    "attribute_makespan": ("repro.observe.analysis", "attribute_makespan"),
     "AnomalyMonitor": ("repro.observe.anomaly", "AnomalyMonitor"),
     "BlacklistStormDetector": ("repro.observe.anomaly", "BlacklistStormDetector"),
     "QueueWaitDetector": ("repro.observe.anomaly", "QueueWaitDetector"),
-    "RollingStats": ("repro.observe.anomaly", "RollingStats"),
     "SloBurnDetector": ("repro.observe.anomaly", "SloBurnDetector"),
     "StragglerDetector": ("repro.observe.anomaly", "StragglerDetector"),
     "EventBus": ("repro.observe.bus", "EventBus"),
     "EventRecorder": ("repro.observe.bus", "EventRecorder"),
     "events_to_trace": ("repro.observe.bus", "events_to_trace"),
     "write_chrome_trace": ("repro.observe.chrome_trace", "write_chrome_trace"),
-    "TERMINAL_KINDS": ("repro.observe.events", "TERMINAL_KINDS"),
     "EventKind": ("repro.observe.events", "EventKind"),
     "RunEvent": ("repro.observe.events", "RunEvent"),
     "attempt_events": ("repro.observe.events", "attempt_events"),
     "EventLogWriter": ("repro.observe.log", "EventLogWriter"),
-    "iter_events": ("repro.observe.log", "iter_events"),
     "read_events": ("repro.observe.log", "read_events"),
     "write_events": ("repro.observe.log", "write_events"),
-    "Counter": ("repro.observe.metrics", "Counter"),
-    "Gauge": ("repro.observe.metrics", "Gauge"),
-    "Histogram": ("repro.observe.metrics", "Histogram"),
     "MetricsRegistry": ("repro.observe.metrics", "MetricsRegistry"),
     "instrument": ("repro.observe.metrics", "instrument"),
-    "merge_summaries": ("repro.observe.metrics", "merge_summaries"),
-    "RusageProbe": ("repro.observe.profile", "RusageProbe"),
-    "modelled_profile": ("repro.observe.profile", "modelled_profile"),
-    # repro.observe.report is also ``python -m repro.observe.report``:
-    # loaded here before runpy runs it, runpy would warn and run it twice.
-    "build_report": ("repro.observe.report", "build_report"),
-    "compare_reports": ("repro.observe.report", "compare_reports"),
-    "load_report": ("repro.observe.report", "load_report"),
     "UtilizationSample": ("repro.observe.sampler", "UtilizationSample"),
     "UtilizationSampler": ("repro.observe.sampler", "UtilizationSampler"),
     "StatusView": ("repro.observe.status", "StatusView"),
     "render_status": ("repro.observe.status", "render_status"),
-    "Span": ("repro.observe.trace", "Span"),
-    "SpanCriticalPath": ("repro.observe.trace", "SpanCriticalPath"),
-    "SpanLink": ("repro.observe.trace", "SpanLink"),
     "SpanTracer": ("repro.observe.trace", "SpanTracer"),
     "critical_path_from_spans": ("repro.observe.trace", "critical_path_from_spans"),
     "derive_span_id": ("repro.observe.trace", "derive_span_id"),
@@ -148,46 +96,27 @@ _EXPORTS = {
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
-    "MakespanAttribution",
-    "aggregate_components",
-    "attribute_makespan",
+    "AnomalyMonitor",
+    "BlacklistStormDetector",
+    "QueueWaitDetector",
+    "SloBurnDetector",
+    "StragglerDetector",
     "EventBus",
     "EventRecorder",
     "events_to_trace",
-    "chrome_trace",
     "write_chrome_trace",
-    "TERMINAL_KINDS",
     "EventKind",
     "RunEvent",
     "attempt_events",
     "EventLogWriter",
-    "iter_events",
     "read_events",
     "write_events",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "instrument",
-    "merge_summaries",
-    "RusageProbe",
-    "modelled_profile",
-    "build_report",
-    "compare_reports",
-    "load_report",
     "UtilizationSample",
     "UtilizationSampler",
     "StatusView",
     "render_status",
-    "AnomalyMonitor",
-    "BlacklistStormDetector",
-    "QueueWaitDetector",
-    "RollingStats",
-    "SloBurnDetector",
-    "StragglerDetector",
-    "Span",
-    "SpanCriticalPath",
-    "SpanLink",
     "SpanTracer",
     "critical_path_from_spans",
     "derive_span_id",

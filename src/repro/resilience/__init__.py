@@ -45,7 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         CrashFault,
         CrashInjected,
         Eviction,
-        FaultDecision,
         FaultInjected,
         FaultInjector,
         FaultPlan,
@@ -55,20 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         StartFailure,
         resolve_exec,
     )
-    from repro.resilience.journal import (
-        Journal,
-        JournalError,
-        JournalState,
-        ReconcileReport,
-        RecoveredState,
-        reconcile_local,
-        recover,
-    )
-    from repro.resilience.recovery import (
-        RecoveryResult,
-        RecoveryRound,
-        run_with_recovery,
-    )
+    from repro.resilience.journal import Journal, JournalError, reconcile_local, recover
+    from repro.resilience.recovery import run_with_recovery
     from repro.resilience.retry import (
         ExponentialBackoff,
         FixedDelayRetry,
@@ -85,7 +72,6 @@ _EXPORTS = {
     "CrashFault": ("repro.resilience.faults", "CrashFault"),
     "CrashInjected": ("repro.resilience.faults", "CrashInjected"),
     "Eviction": ("repro.resilience.faults", "Eviction"),
-    "FaultDecision": ("repro.resilience.faults", "FaultDecision"),
     "FaultInjected": ("repro.resilience.faults", "FaultInjected"),
     "FaultInjector": ("repro.resilience.faults", "FaultInjector"),
     "FaultPlan": ("repro.resilience.faults", "FaultPlan"),
@@ -96,13 +82,8 @@ _EXPORTS = {
     "resolve_exec": ("repro.resilience.faults", "resolve_exec"),
     "Journal": ("repro.resilience.journal", "Journal"),
     "JournalError": ("repro.resilience.journal", "JournalError"),
-    "JournalState": ("repro.resilience.journal", "JournalState"),
-    "ReconcileReport": ("repro.resilience.journal", "ReconcileReport"),
-    "RecoveredState": ("repro.resilience.journal", "RecoveredState"),
     "reconcile_local": ("repro.resilience.journal", "reconcile_local"),
     "recover": ("repro.resilience.journal", "recover"),
-    "RecoveryResult": ("repro.resilience.recovery", "RecoveryResult"),
-    "RecoveryRound": ("repro.resilience.recovery", "RecoveryRound"),
     "run_with_recovery": ("repro.resilience.recovery", "run_with_recovery"),
     "ExponentialBackoff": ("repro.resilience.retry", "ExponentialBackoff"),
     "FixedDelayRetry": ("repro.resilience.retry", "FixedDelayRetry"),
@@ -121,13 +102,9 @@ __all__ = [
     "CrashInjected",
     "Journal",
     "JournalError",
-    "JournalState",
-    "ReconcileReport",
-    "RecoveredState",
     "reconcile_local",
     "recover",
     "Eviction",
-    "FaultDecision",
     "FaultInjected",
     "FaultInjector",
     "FaultPlan",
@@ -136,8 +113,6 @@ __all__ = [
     "Slowdown",
     "StartFailure",
     "resolve_exec",
-    "RecoveryResult",
-    "RecoveryRound",
     "run_with_recovery",
     "ExponentialBackoff",
     "FixedDelayRetry",

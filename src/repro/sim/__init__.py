@@ -10,7 +10,6 @@ simulator:
 * :mod:`repro.sim.engine` — event queue, virtual clock, process helpers,
 * :mod:`repro.sim.rng` — named, seeded random streams,
 * :mod:`repro.sim.machine` — node/slot descriptions,
-* :mod:`repro.sim.network` — stage-in/out transfer model,
 * :mod:`repro.sim.failures` — eviction and failure sampling,
 * :mod:`repro.sim.matchmaker` — ClassAd matchmaking over free slots,
 * :mod:`repro.sim.platform` — the platform kernel: queue, dispatch and
@@ -48,9 +47,7 @@ __all__ = [
     "RngStreams",
     "SimPlatform",
     "PLATFORMS",
-    "CampusCluster",
     "CampusClusterConfig",
-    "OpportunisticGrid",
     "GridConfig",
     "CloudPlatform",
     "CloudConfig",

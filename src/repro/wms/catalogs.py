@@ -8,6 +8,12 @@
 * **Site catalog** — the execution sites and the properties the paper's
   comparison turns on: shared filesystem or not, pre-installed software
   or not, and which network model reaches the site.
+
+A site's network is a first-order transfer model — a latency floor plus
+bytes over bandwidth — that the planner prices stage-in/stage-out jobs
+with: the paper's transfer effects (shipping inputs to remote OSG nodes
+versus a campus shared filesystem) are entirely captured by the
+bandwidth difference.
 """
 
 from __future__ import annotations
@@ -15,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping
 
-from repro.sim.network import CAMPUS_SHARED_FS, WAN, NetworkModel
-
 __all__ = [
+    "NetworkModel",
     "ReplicaCatalog",
     "TransformationEntry",
     "TransformationCatalog",
@@ -28,6 +33,36 @@ __all__ = [
     "cloud_site",
     "local_site",
 ]
+
+
+@dataclass(frozen=True)
+class NetworkModel:
+    """Latency + bandwidth transfer model."""
+
+    name: str
+    bandwidth_bytes_per_s: float
+    latency_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.bandwidth_bytes_per_s <= 0:
+            raise ValueError("bandwidth must be positive")
+        if self.latency_s < 0:
+            raise ValueError("latency must be >= 0")
+
+    def transfer_time(self, nbytes: int | float) -> float:
+        """Seconds to move ``nbytes`` (0 bytes still pays latency)."""
+        if nbytes < 0:
+            raise ValueError("nbytes must be >= 0")
+        return self.latency_s + nbytes / self.bandwidth_bytes_per_s
+
+
+#: Campus shared filesystem: effectively local (GbE+, LAN latency).
+CAMPUS_SHARED_FS = NetworkModel(
+    name="campus-sharedfs", bandwidth_bytes_per_s=500e6, latency_s=0.01
+)
+
+#: Wide-area transfers to opportunistic OSG slots.
+WAN = NetworkModel(name="wan", bandwidth_bytes_per_s=10e6, latency_s=0.2)
 
 #: Intra-datacenter object-store bandwidth for the cloud site.
 DATACENTER = NetworkModel(

@@ -54,8 +54,7 @@ class TestDefaultPools:
         assert pool.software == SOFTWARE_ATTRS
 
     def test_unknown_site_synthesized_fail_open(self):
-        from repro.sim.network import CAMPUS_SHARED_FS
-        from repro.wms.catalogs import SiteCatalog, SiteEntry
+        from repro.wms.catalogs import CAMPUS_SHARED_FS, SiteCatalog, SiteEntry
 
         sites = SiteCatalog()
         sites.add(

@@ -30,8 +30,8 @@ from repro.lint import (
 from repro.lint.cli import main as lint_main
 from repro.lint.feasibility import default_pools, pools_from_mapping
 from repro.perfmodel.task_models import PaperTaskModel
-from repro.sim.network import CAMPUS_SHARED_FS
 from repro.wms.catalogs import (
+    CAMPUS_SHARED_FS,
     ReplicaCatalog,
     SiteCatalog,
     SiteEntry,

@@ -26,7 +26,6 @@ from repro.observe import (
     UtilizationSample,
     UtilizationSampler,
     attempt_events,
-    chrome_trace,
     events_to_trace,
     instrument,
     read_events,
@@ -34,6 +33,7 @@ from repro.observe import (
     write_chrome_trace,
     write_events,
 )
+from repro.observe.chrome_trace import chrome_trace
 from repro.observe.log import event_from_json, event_to_json
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator

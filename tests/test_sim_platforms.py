@@ -10,8 +10,8 @@ from repro.sim.engine import Simulator
 from repro.sim.failures import NO_FAILURES, FailureModel
 from repro.sim.grid import GridConfig, GridSiteConfig, OpportunisticGrid
 from repro.sim.machine import make_machines
-from repro.sim.network import CAMPUS_SHARED_FS, WAN, NetworkModel
 from repro.sim.rng import RngStreams
+from repro.wms.catalogs import CAMPUS_SHARED_FS, WAN, NetworkModel
 
 
 def bag_of_jobs(n, runtime=1000.0, **kwargs):

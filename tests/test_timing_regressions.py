@@ -377,7 +377,7 @@ class TestRetryFlowsAcrossRescueRounds:
         ]
 
     def test_arrows_span_the_resume_boundary_in_time_order(self):
-        from repro.observe import chrome_trace
+        from repro.observe.chrome_trace import chrome_trace
 
         doc = chrome_trace(self.merged_trace(), workflow="wf")
         flows = self.flows(doc)
@@ -396,7 +396,7 @@ class TestRetryFlowsAcrossRescueRounds:
         assert hop2[1]["ts"] == 100.0 * 1e6
 
     def test_single_round_chains_unchanged(self):
-        from repro.observe import chrome_trace
+        from repro.observe.chrome_trace import chrome_trace
 
         trace = WorkflowTrace()
         trace.add(self.attempt(1, 0.0, 50.0, JobStatus.FAILED))
