@@ -28,7 +28,7 @@ def _run(paper_model, slots: int):
     for seed in SEEDS:
         result, _ = simulate_paper_run(
             N, "sandhills", seed=seed, model=paper_model,
-            cluster_config=CampusClusterConfig(group_slots=slots),
+            config=CampusClusterConfig(group_slots=slots),
         )
         assert result.success
         walls.append(result.trace.wall_time())
@@ -70,6 +70,6 @@ def test_group_allocation_ablation(paper_model, benchmark):
     benchmark(
         lambda: simulate_paper_run(
             N, "sandhills", seed=0, model=paper_model,
-            cluster_config=CampusClusterConfig(group_slots=25),
+            config=CampusClusterConfig(group_slots=25),
         )
     )

@@ -1,7 +1,7 @@
 """Chaos sweep: paper-scale OSG runs under rising injected failure.
 
 Runs the Fig. 4-scale blast2cap3 workflow (n=300) on the OSG model
-through :func:`simulate_paper_run_with_recovery` while a
+through :func:`simulate_paper_run`'s recovery loop while a
 :class:`~repro.resilience.faults.FaultPlan` layers extra start
 failures on top of the grid's calibrated failure regime, sweeping the
 injected dead-on-arrival probability over several seeds.
@@ -38,7 +38,7 @@ import statistics
 
 from conftest import RESULTS_DIR, write_result
 
-from repro.core.workflow_factory import simulate_paper_run_with_recovery
+from repro.core.workflow_factory import simulate_paper_run
 from repro.observe import EventBus, EventKind, EventRecorder
 from repro.observe.report import build_report
 from repro.resilience import FaultPlan, ImmediateRetry, StartFailure
@@ -73,7 +73,7 @@ def _chaos_run(prob, seed, model, *, n=N, max_rounds=MAX_ROUNDS, **plan):
     start failures; ``plan`` is passed to the simulation."""
     bus = EventBus()
     recorder = EventRecorder(bus)
-    outcome, planned = simulate_paper_run_with_recovery(
+    outcome, planned = simulate_paper_run(
         n,
         "osg",
         seed=seed,

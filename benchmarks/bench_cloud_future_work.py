@@ -34,10 +34,10 @@ def test_cloud_platform_comparison(paper_model, benchmark):
                                        model=paper_model)
         grid, _ = simulate_paper_run(n, "osg", seed=1, model=paper_model)
         cloud, _ = simulate_paper_run(n, "cloud", seed=1, model=paper_model)
-        cloud_env = cloud.environment
+        cloud_env = cloud.final.environment
         spot, _ = simulate_paper_run(n, "cloud", seed=1, model=paper_model,
-                                     cloud_config=spot_config)
-        spot_env = spot.environment
+                                     config=spot_config)
+        spot_env = spot.final.environment
         assert campus.success and grid.success and cloud.success and spot.success
         rows[n] = (campus, grid, cloud, cloud_env, spot, spot_env)
         table.add_row(

@@ -10,9 +10,10 @@
 This bench sweeps a finer grid than the paper to locate the optimum.
 """
 
-from conftest import median_walltime, write_result
+from conftest import SEEDS, write_result
 
 from repro.core.workflow_factory import simulate_paper_run
+from repro.experiments.sweep import run_sweep
 from repro.perfmodel.calibration import anchors
 from repro.util.tables import Table
 
@@ -21,9 +22,8 @@ SWEEP = (10, 50, 100, 200, 300, 400, 500)
 
 def test_cluster_count_sweep(paper_model, benchmark):
     a = anchors()
-    walls = {
-        n: median_walltime(n, "sandhills", model=paper_model) for n in SWEEP
-    }
+    sweep = run_sweep(("sandhills",), SWEEP, seeds=SEEDS, model=paper_model)
+    walls = {n: sweep.get("sandhills", n).median for n in SWEEP}
 
     table = Table(
         ["n", "sandhills wall (s)", "vs n=10"],

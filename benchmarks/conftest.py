@@ -12,16 +12,12 @@ for every new run due to the availability of the current resources".
 
 from __future__ import annotations
 
-import statistics
 from pathlib import Path
 
 import pytest
 
-from repro.core.workflow_factory import (
-    build_blast2cap3_adag,
-    default_catalogs,
-    simulate_paper_run,
-)
+from repro.core.workflow_factory import build_blast2cap3_adag, default_catalogs
+from repro.experiments.sweep import SweepResult, run_sweep
 from repro.lint import lint, render_report
 from repro.perfmodel.task_models import PaperTaskModel
 
@@ -40,17 +36,6 @@ def write_result(name: str, text: str) -> Path:
     path = RESULTS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     return path
-
-
-def median_walltime(n: int, platform: str, *, model: PaperTaskModel,
-                    seeds=SEEDS) -> float:
-    """Median simulated wall time over seeds (all runs must succeed)."""
-    walls = []
-    for seed in seeds:
-        result, _ = simulate_paper_run(n, platform, seed=seed, model=model)
-        assert result.success, f"{platform} n={n} seed={seed} failed"
-        walls.append(result.trace.wall_time())
-    return statistics.median(walls)
 
 
 @pytest.fixture(scope="session")
@@ -77,16 +62,10 @@ def certified_workflows(paper_model):
 
 
 @pytest.fixture(scope="session")
-def fig4_data(paper_model):
-    """Median wall times for both platforms across the n sweep.
+def fig4_data(paper_model) -> SweepResult:
+    """Both platforms across the n sweep, ``SEEDS`` runs each (all must
+    succeed); ``.get(platform, n).median`` is a figure's wall time.
 
-    Session-scoped: Fig. 4, Fig. 5, the speedup and sweep benches all
-    share these runs.
+    Session-scoped: the Fig. 4 and speedup benches share these runs.
     """
-    data: dict[tuple[str, int], float] = {}
-    for platform in ("sandhills", "osg"):
-        for n in NS:
-            data[(platform, n)] = median_walltime(
-                n, platform, model=paper_model
-            )
-    return data
+    return run_sweep(("sandhills", "osg"), NS, seeds=SEEDS, model=paper_model)

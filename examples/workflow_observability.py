@@ -116,7 +116,7 @@ def main() -> None:
     print()
 
     print("== analyzer " + "=" * 48)
-    print(render_analysis(analyze(result.trace, result.states)))
+    print(render_analysis(analyze(result.trace, result.final.states)))
     print()
 
     print("== provenance " + "=" * 46)

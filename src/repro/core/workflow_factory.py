@@ -12,9 +12,11 @@ Three entry points:
 * :func:`run_local` — plan with real payloads and execute the actual
   protein-guided assembly on the local machine;
 * :func:`simulate_paper_run` — plan at paper scale (runtimes from
-  :class:`repro.perfmodel.task_models.PaperTaskModel`) and execute on a simulated
-  platform, returning the DAGMan result whose trace feeds
-  ``pegasus-statistics``.
+  :class:`repro.perfmodel.task_models.PaperTaskModel`) and execute on a
+  simulated platform through
+  :func:`repro.resilience.recovery.run_simulated`, the driver
+  ``repro-run`` uses too, returning the recovery outcome whose trace
+  feeds ``pegasus-statistics``.
 """
 
 from __future__ import annotations
@@ -27,21 +29,14 @@ if TYPE_CHECKING:  # annotation-only; the bus is an optional wire-in
     from repro.observe.bus import EventBus
     from repro.resilience.blacklist import BlacklistPolicy
     from repro.resilience.faults import FaultPlan
+    from repro.resilience.recovery import RecoveryResult
     from repro.resilience.retry import RetryPolicy
+    from repro.sim import CampusClusterConfig, CloudConfig, GridConfig
 
 from repro.cap3.assembler import Cap3Params
 from repro.dagman.scheduler import DagmanResult, DagmanScheduler
 from repro.execution.payloads import TaskCall
 from repro.perfmodel.task_models import PaperTaskModel
-from repro.sim import (
-    PLATFORMS,
-    CampusClusterConfig,
-    CloudConfig,
-    GridConfig,
-    RngStreams,
-    SimPlatform,
-    Simulator,
-)
 from repro.util.dot import DotGraph
 from repro.wms.catalogs import (
     ReplicaCatalog,
@@ -64,7 +59,6 @@ __all__ = [
     "default_catalogs",
     "run_local",
     "simulate_paper_run",
-    "simulate_paper_run_with_recovery",
     "workflow_figure",
 ]
 
@@ -88,21 +82,18 @@ def build_blast2cap3_adag(
     n: int,
     *,
     model: PaperTaskModel | None = None,
-    transcripts_size: int = 0,
-    alignments_size: int = 0,
     partition_strategy: str = "round_robin",
 ) -> ADag:
     """The abstract blast2cap3 workflow with *n* ``run_cap3`` tasks.
 
     With ``model`` given, jobs are annotated with paper-scale runtimes
-    (for the simulators); without it runtimes are nominal and the DAG is
-    meant for payload-bound local execution.
+    and file sizes (for the simulators); without it runtimes are nominal,
+    sizes zero, and the DAG is meant for payload-bound local execution.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if model is not None:
-        transcripts_size = transcripts_size or model.scale.transcripts_bytes
-        alignments_size = alignments_size or model.scale.alignments_bytes
+    transcripts_size = model.scale.transcripts_bytes if model else 0
+    alignments_size = model.scale.alignments_bytes if model else 0
 
     adag = ADag(name=f"blast2cap3-n{n}")
 
@@ -397,25 +388,42 @@ def plan_and_run_locally(
 Platform = Literal["sandhills", "osg", "cloud"]
 
 
-def _plan_and_build(
+def simulate_paper_run(
     n: int,
     platform: Platform,
     *,
-    seed: int,
-    model: PaperTaskModel | None,
-    cluster_config: CampusClusterConfig | None,
-    grid_config: GridConfig | None,
-    cloud_config: CloudConfig | None,
-    planner_options: PlannerOptions | None,
-    partition_strategy: str,
-    bus: "EventBus | None",
+    seed: int = 0,
+    model: PaperTaskModel | None = None,
+    config: "CampusClusterConfig | GridConfig | CloudConfig | None" = None,
+    planner_options: PlannerOptions | None = None,
+    partition_strategy: str = "round_robin",
+    bus: "EventBus | None" = None,
+    sample_interval_s: float | None = None,
     fault_plan: "FaultPlan | None" = None,
     blacklist_policy: "BlacklistPolicy | None" = None,
-) -> tuple[PlannedWorkflow, Simulator, SimPlatform]:
-    """What both simulated runs start from: the paper-scale workflow
-    planned for ``platform``, and that platform's model on a fresh
-    simulator (the caller's config for *that* platform when one was
-    given, its calibrated defaults otherwise)."""
+    retry_policy: "RetryPolicy | None" = None,
+    max_rounds: int = 1,
+) -> tuple[RecoveryResult, PlannedWorkflow]:
+    """Simulate one paper-scale workflow run on one platform.
+
+    The workflow is planned for ``platform`` and run by
+    :func:`repro.resilience.recovery.run_simulated`: ``config`` replaces
+    the platform's calibrated defaults (it must be that platform's
+    config class), ``fault_plan`` injects chaos on top of its failure
+    regime, ``blacklist_policy`` arms the start-failure circuit breaker,
+    ``retry_policy`` shapes DAGMan's requeues, and a failed round is
+    rescued and resubmitted up to ``max_rounds`` rounds in all.
+
+    ``bus`` receives the full live event stream (scheduler and platform
+    events interleaved on the virtual timeline); with
+    ``sample_interval_s`` set, ``platform.sample`` utilization events
+    are emitted on the same bus at that virtual-clock cadence. The
+    platform, and on ``"cloud"`` its cost accounting, is
+    ``outcome.final.environment``.
+    """
+    # Here, not at the top: repro-plan loads this module and runs nothing.
+    from repro.resilience.recovery import run_simulated
+
     if platform not in ("sandhills", "osg", "cloud"):
         raise ValueError(f"unknown platform: {platform!r}")
     sites, transformations, replicas = default_catalogs()
@@ -432,109 +440,11 @@ def _plan_and_build(
         # were observed on OSG", §VI-A); DAGMan just keeps retrying.
         options=planner_options or PlannerOptions(retries=20),
     )
-    simulator = Simulator()
-    streams = RngStreams(seed=seed)
-    injector = blacklist = None
-    if fault_plan is not None:
-        from repro.resilience import FaultInjector
-
-        injector = FaultInjector(fault_plan, rng=streams.stream("faults"), bus=bus)
-    if blacklist_policy is not None:
-        from repro.resilience import Blacklist
-
-        blacklist = Blacklist(blacklist_policy, bus=bus)
-    config = {"sandhills": cluster_config, "osg": grid_config, "cloud": cloud_config}[platform]
-    env = PLATFORMS[platform](
-        *((simulator,) if config is None else (simulator, config)),
-        streams=streams, bus=bus, injector=injector, blacklist=blacklist,
-    )
-    return planned, simulator, env
-
-
-def simulate_paper_run(
-    n: int,
-    platform: Platform,
-    *,
-    seed: int = 0,
-    model: PaperTaskModel | None = None,
-    cluster_config: CampusClusterConfig | None = None,
-    grid_config: GridConfig | None = None,
-    cloud_config: CloudConfig | None = None,
-    planner_options: PlannerOptions | None = None,
-    partition_strategy: str = "round_robin",
-    bus: "EventBus | None" = None,
-    sample_interval_s: float | None = None,
-) -> tuple[DagmanResult, PlannedWorkflow]:
-    """Simulate one paper-scale workflow run on one platform.
-
-    ``"cloud"`` is the paper's future-work platform: its cost accounting
-    is on the platform the run used, ``result.environment``.
-
-    ``bus`` receives the full live event stream (scheduler and platform
-    events interleaved on the virtual timeline); with
-    ``sample_interval_s`` set, ``platform.sample`` utilization events
-    are emitted on the same bus at that virtual-clock cadence.
-    """
-    planned, simulator, env = _plan_and_build(
-        n, platform, seed=seed, model=model,
-        cluster_config=cluster_config, grid_config=grid_config,
-        cloud_config=cloud_config, planner_options=planner_options,
-        partition_strategy=partition_strategy, bus=bus,
-    )
-    scheduler = DagmanScheduler(planned.dag, env, bus=bus)
-    scheduler.start()
-    if sample_interval_s is not None:
-        # Started after the initial ready set is queued, so the sampler
-        # sees pending work and keeps itself alive until the run drains.
-        from repro.observe.sampler import UtilizationSampler
-
-        UtilizationSampler(
-            simulator, env, interval_s=sample_interval_s, bus=bus
-        ).start()
-    env.run_until_complete()
-    return scheduler.finish(), planned
-
-
-def simulate_paper_run_with_recovery(
-    n: int,
-    platform: Platform,
-    *,
-    seed: int = 0,
-    model: PaperTaskModel | None = None,
-    cluster_config: CampusClusterConfig | None = None,
-    grid_config: GridConfig | None = None,
-    cloud_config: CloudConfig | None = None,
-    planner_options: PlannerOptions | None = None,
-    partition_strategy: str = "round_robin",
-    bus: "EventBus | None" = None,
-    fault_plan: "FaultPlan | None" = None,
-    blacklist_policy: "BlacklistPolicy | None" = None,
-    retry_policy: "RetryPolicy | None" = None,
-    max_rounds: int = 3,
-):
-    """Simulate a paper-scale run under the resilience layer.
-
-    Like :func:`simulate_paper_run`, but the whole run goes through
-    :func:`repro.resilience.run_with_recovery`: failed rounds rescue
-    and resubmit automatically (up to ``max_rounds``), an optional
-    ``fault_plan`` injects chaos on top of the platform's calibrated
-    failure regime, ``blacklist_policy`` arms the start-failure circuit
-    breaker, and ``retry_policy`` shapes DAGMan's requeues. Returns
-    ``(RecoveryResult, PlannedWorkflow)``; the platform is
-    ``outcome.final.environment``.
-    """
-    from repro.resilience import run_with_recovery
-
-    planned, _, env = _plan_and_build(
-        n, platform, seed=seed, model=model,
-        cluster_config=cluster_config, grid_config=grid_config,
-        cloud_config=cloud_config, planner_options=planner_options,
-        partition_strategy=partition_strategy, bus=bus,
+    outcome, _ = run_simulated(
+        planned.dag, platform, seed=seed, config=config, bus=bus,
         fault_plan=fault_plan, blacklist_policy=blacklist_policy,
-    )
-    outcome = run_with_recovery(
-        planned.dag, env, max_rounds=max_rounds, bus=bus,
-        retry_policy=retry_policy,
+        sample_interval_s=sample_interval_s, retry_policy=retry_policy,
+        max_rounds=max_rounds,
     )
     return outcome, planned
 

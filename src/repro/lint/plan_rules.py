@@ -163,11 +163,7 @@ def _priority_inversion(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-def durability_advice(
-    dag: "Dag",
-    *,
-    makespan_threshold_s: float = DURABILITY_MAKESPAN_THRESHOLD_S,
-) -> str | None:
+def durability_advice(dag: "Dag") -> str | None:
     """Why this executable DAG deserves a write-ahead journal, or None.
 
     Shared between PLAN006 and ``repro-run``'s inline warning: a plan
@@ -185,10 +181,10 @@ def durability_advice(
             f"{len(with_retries)} job(s) budget retries (e.g. "
             f"{with_retries[0]!r}) — the plan expects failures"
         )
-    if path_s > makespan_threshold_s:
+    if path_s > DURABILITY_MAKESPAN_THRESHOLD_S:
         reasons.append(
             f"the critical path alone runs {path_s / 3600.0:.1f}h "
-            f"(> {makespan_threshold_s / 3600.0:.0f}h) — a manager "
+            f"(> {DURABILITY_MAKESPAN_THRESHOLD_S / 3600.0:.0f}h) — a manager "
             "crash near the end re-runs all of it"
         )
     if not reasons:

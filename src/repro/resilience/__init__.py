@@ -19,7 +19,9 @@ testable subsystem:
   on arrival;
 * :mod:`repro.resilience.recovery` —
   :func:`~repro.resilience.recovery.run_with_recovery`, the automated
-  rescue-DAG resubmit loop;
+  rescue-DAG resubmit loop, and
+  :func:`~repro.resilience.recovery.run_simulated`, every simulated
+  run's platform assembly on top of it;
 * :mod:`repro.resilience.journal` — the crash-consistent write-ahead
   journal: every durable scheduler decision hits an fsynced,
   CRC-framed WAL before it takes effect in memory, snapshots bound the

@@ -172,19 +172,6 @@ class FaultPlan:
 
     faults: tuple[FaultSpec, ...] = ()
 
-    @classmethod
-    def from_failure_model(
-        cls, model: Any, *, sites: tuple[str, ...] | None = None
-    ) -> "FaultPlan":
-        """Bridge a :class:`repro.sim.failures.FailureModel` (duck-typed
-        to avoid importing ``repro.sim`` from here) into a plan."""
-        faults: list[FaultSpec] = []
-        if model.start_failure_prob:
-            faults.append(StartFailure(model.start_failure_prob, sites=sites))
-        if model.eviction_rate_per_s:
-            faults.append(Eviction(model.eviction_rate_per_s, sites=sites))
-        return cls(tuple(faults))
-
 
 # -- per-attempt decision ----------------------------------------------
 

@@ -11,13 +11,16 @@ The merged trace spans every round, so ``pegasus-statistics``'
 planned-vs-attempted accounting stays consistent across recovery: jobs
 done in round 1 are DONE marks (not attempts) in round 2, exactly as
 with real rescue DAGs.
+
+:func:`run_simulated` is every simulated run's driver: it builds the
+platform a site name stands for and runs a DAG under this loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.dagman.dag import Dag
 from repro.dagman.events import WorkflowTrace
@@ -30,9 +33,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
         DagmanScheduler,
         ExecutionEnvironment,
     )
+    from repro.observe.sampler import UtilizationSampler
+    from repro.resilience.blacklist import BlacklistPolicy
+    from repro.resilience.faults import FaultPlan
     from repro.resilience.journal import Journal, RecoveredState
 
-__all__ = ["RecoveryRound", "RecoveryResult", "run_with_recovery"]
+__all__ = ["RecoveryRound", "RecoveryResult", "run_with_recovery", "run_simulated"]
 
 
 @dataclass
@@ -213,3 +219,77 @@ def run_with_recovery(
 
         current = dag.rescue(done)  # DONE marks accumulate over rounds
     return outcome
+
+
+def run_simulated(
+    dag: Dag,
+    site: str,
+    *,
+    seed: int = 0,
+    config: object | None = None,
+    bus: EventBus | None = None,
+    fault_plan: "FaultPlan | None" = None,
+    blacklist_policy: "BlacklistPolicy | None" = None,
+    sample_interval_s: float | None = None,
+    journal: "Journal | None" = None,
+    resume: "RecoveredState | None" = None,
+    **loop_kwargs: Any,
+) -> tuple[RecoveryResult, "UtilizationSampler | None"]:
+    """Run ``dag`` on a freshly built simulated ``site`` under
+    :func:`run_with_recovery` — the one assembly of a simulated run.
+
+    ``site`` names a class in :data:`repro.sim.PLATFORMS`, built with
+    ``config`` (its calibrated defaults when None; a config of another
+    platform's class is a ``ValueError``) on a new simulator whose clock
+    starts where ``resume`` left off, drawing from ``RngStreams(seed)``.
+    ``fault_plan`` draws from that family's ``faults`` stream. The
+    blacklist is the one ``resume`` journaled, else a fresh one when
+    ``blacklist_policy`` is given; ``journal`` snapshots it. With
+    ``sample_interval_s`` a utilization sampler emits on ``bus``.
+    ``max_rounds``, ``rescue_dir`` and ``retry_policy`` go to the loop.
+    Returns the outcome and the sampler (None without sampling).
+    """
+    from repro.observe.sampler import UtilizationSampler
+    from repro.resilience.blacklist import Blacklist
+    from repro.resilience.faults import FaultInjector
+    from repro.sim import PLATFORMS, RngStreams, Simulator
+
+    platform_cls: Any = PLATFORMS[site]
+    if config is not None and not isinstance(config, platform_cls.config_type):
+        raise ValueError(
+            f"site {site!r} takes a {platform_cls.config_type.__name__}, "
+            f"not a {type(config).__name__}"
+        )
+    simulator = Simulator(start_time=resume.clock if resume is not None else 0.0)
+    streams = RngStreams(seed=seed)
+    injector = None
+    if fault_plan is not None:
+        injector = FaultInjector(fault_plan, rng=streams.stream("faults"), bus=bus)
+    blacklist = None
+    if resume is not None:
+        # A tripped breaker stays tripped across the restart.
+        blacklist = resume.restore_blacklist(policy=blacklist_policy, bus=bus)
+    if blacklist is None and blacklist_policy is not None:
+        blacklist = Blacklist(blacklist_policy, bus=bus)
+    if journal is not None and blacklist is not None:
+        journal.attach_blacklist(blacklist)
+    env = platform_cls(
+        *((simulator,) if config is None else (simulator, config)),
+        streams=streams, bus=bus, injector=injector, blacklist=blacklist,
+    )
+    sampler = None
+    if sample_interval_s is not None:
+        sampler = UtilizationSampler(
+            simulator, env, interval_s=sample_interval_s, bus=bus
+        )
+    outcome = run_with_recovery(
+        dag, env, bus=bus, journal=journal, resume=resume,
+        # After each round's initial submissions, so the sampler sees
+        # pending work; every round, because it parks itself whenever
+        # the simulator drains between rounds.
+        on_round_start=None if sampler is None else (
+            lambda _scheduler, _round: sampler.start()
+        ),
+        **loop_kwargs,
+    )
+    return outcome, sampler

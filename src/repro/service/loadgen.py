@@ -15,7 +15,6 @@ the ``svc_*`` workloads of ``benchmarks/budget/``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 from repro.dagman.dag import Dag, DagJob
 from repro.observe.bus import EventBus
@@ -298,10 +297,3 @@ def run_load(
             "matchable_scans": stats.stats.matchable_scans,
         }
     return result
-
-
-def tenant_mapping(spec: LoadSpec) -> Mapping[str, float]:
-    """tenant name → weight (what the convergence tests compare to)."""
-    return {
-        spec.tenant_name(i): spec.weight_of(i) for i in range(spec.tenants)
-    }

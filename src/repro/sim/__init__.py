@@ -33,7 +33,8 @@ from repro.sim.grid import OpportunisticGrid, GridConfig
 from repro.sim.cloud import CloudPlatform, CloudConfig
 
 #: Platform name → class. All three share one constructor shape:
-#: ``cls(simulator, [config], *, streams, bus, injector, blacklist)``.
+#: ``cls(simulator, [config], *, streams, bus, injector, blacklist)``,
+#: ``config`` an instance of ``cls.config_type``.
 PLATFORMS: Mapping[str, Callable[..., SimPlatform]] = {
     "sandhills": CampusCluster,
     "cluster": CampusCluster,
@@ -45,7 +46,6 @@ PLATFORMS: Mapping[str, Callable[..., SimPlatform]] = {
 __all__ = [
     "Simulator",
     "RngStreams",
-    "SimPlatform",
     "PLATFORMS",
     "CampusClusterConfig",
     "GridConfig",

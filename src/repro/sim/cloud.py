@@ -109,6 +109,7 @@ class CloudPlatform(SimPlatform):
     """Discrete-event on-demand cloud (an ``ExecutionEnvironment``)."""
 
     eviction_error = "spot instance reclaimed"
+    config_type = CloudConfig
 
     def __init__(
         self,

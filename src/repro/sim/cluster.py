@@ -71,6 +71,8 @@ class CampusClusterConfig:
 class CampusCluster(SimPlatform):
     """Discrete-event Sandhills model (an ``ExecutionEnvironment``)."""
 
+    config_type = CampusClusterConfig
+
     def __init__(
         self,
         simulator: Simulator,

@@ -123,6 +123,8 @@ class GridConfig:
 class OpportunisticGrid(SimPlatform):
     """Discrete-event OSG model (an ``ExecutionEnvironment``)."""
 
+    config_type = GridConfig
+
     def __init__(
         self,
         simulator: Simulator,

@@ -47,7 +47,6 @@ def make_machines(
     speed_mean: float = 1.0,
     speed_spread: float = 0.15,
     software_prob: float = 1.0,
-    name_prefix: str | None = None,
 ) -> list[MachineSpec]:
     """Generate ``count`` slots with uniform speed jitter.
 
@@ -60,7 +59,6 @@ def make_machines(
         raise ValueError("count must be >= 0")
     if not 0.0 <= software_prob <= 1.0:
         raise ValueError("software_prob must be in [0, 1]")
-    prefix = name_prefix or site
     machines = []
     for i in range(count):
         speed = speed_mean * rng.uniform(1 - speed_spread, 1 + speed_spread)
@@ -69,7 +67,7 @@ def make_machines(
         )
         machines.append(
             MachineSpec(
-                name=f"{prefix}-{i:04d}",
+                name=f"{site}-{i:04d}",
                 site=site,
                 speed=speed,
                 software=software,

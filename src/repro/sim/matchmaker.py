@@ -153,9 +153,6 @@ class Matchmaker:
         order)."""
         return list(self._free)
 
-    def is_free(self, name: str) -> bool:
-        return name in self._free
-
     def claim(self, name: str) -> None:
         """Take a free machine out of the free set — O(1)."""
         del self._free[name]

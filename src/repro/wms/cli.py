@@ -106,6 +106,65 @@ def main_plan(argv: list[str] | None = None) -> int:
     return 0
 
 
+def _run_policies(args: argparse.Namespace):
+    """``repro-run``'s fault plan, blacklist policy and retry policy,
+    built from its flags; a ``ValueError`` names the flag at fault."""
+    from repro.resilience import (
+        BlacklistPolicy,
+        Eviction,
+        ExponentialBackoff,
+        FaultPlan,
+        FixedDelayRetry,
+        ImmediateRetry,
+        SiteOutage,
+        StartFailure,
+    )
+
+    def flag(name, build, *build_args, **build_kwargs):
+        try:
+            return build(*build_args, **build_kwargs)
+        except ValueError as exc:
+            value = getattr(args, name.replace("-", "_"))
+            raise ValueError(f"--{name} {value!r}: {exc}") from None
+
+    def at_least_one(value):
+        if value < 1:
+            raise ValueError("must be >= 1")
+
+    flag("max-rescue-rounds", at_least_one, args.max_rescue_rounds)
+    flag("journal-snapshot-every", at_least_one, args.journal_snapshot_every)
+    faults = []
+    if args.chaos_start_failure > 0:
+        faults.append(flag("chaos-start-failure", StartFailure, args.chaos_start_failure))
+    if args.chaos_eviction_rate > 0:
+        faults.append(Eviction(args.chaos_eviction_rate))
+    if args.chaos_outage:
+        outage_site, *window = args.chaos_outage.split(",")
+        try:
+            start_s, end_s = map(float, window)
+        except ValueError:
+            raise ValueError(f"--chaos-outage {args.chaos_outage!r}: "
+                             "want SITE,START,END") from None
+        faults.append(flag("chaos-outage", SiteOutage, outage_site, start_s, end_s))
+    blacklist_policy = None
+    if args.blacklist_threshold > 0:
+        blacklist_policy = flag("blacklist-cooldown", BlacklistPolicy,
+                                threshold=args.blacklist_threshold,
+                                cooldown_s=args.blacklist_cooldown or None)
+    charge = not args.free_evictions
+    retry_policy = None
+    if args.retry_policy == "fixed":
+        retry_policy = flag("retry-delay", FixedDelayRetry, args.retry_delay,
+                            charge_evictions=charge)
+    elif args.retry_policy == "backoff":
+        retry_policy = flag("retry-delay", ExponentialBackoff, base_s=args.retry_delay,
+                            seed=args.seed, charge_evictions=charge)
+    elif args.free_evictions:
+        retry_policy = ImmediateRetry(charge_evictions=False)
+    return (FaultPlan(tuple(faults)) if faults else None,
+            blacklist_policy, retry_policy)
+
+
 def main_run(argv: list[str] | None = None) -> int:
     """``repro-run``: execute the planned workflow on the simulator.
 
@@ -195,7 +254,6 @@ def main_run(argv: list[str] | None = None) -> int:
         EventLogWriter,
         EventRecorder,
         SpanTracer,
-        UtilizationSampler,
         derive_trace_id,
         instrument,
         write_chrome_trace,
@@ -203,29 +261,26 @@ def main_run(argv: list[str] | None = None) -> int:
         write_perfetto_trace,
     )
     from repro.resilience import (
-        Blacklist,
-        BlacklistPolicy,
         CrashFault,
         CrashInjected,
-        Eviction,
-        ExponentialBackoff,
-        FaultInjector,
-        FaultPlan,
-        FixedDelayRetry,
         Journal,
         JournalError,
-        SiteOutage,
-        StartFailure,
         reconcile_local,
         recover,
-        run_with_recovery,
     )
-    from repro.sim import PLATFORMS, CloudPlatform, RngStreams, Simulator
+    from repro.resilience.recovery import run_simulated
+    from repro.sim import PLATFORMS, CloudPlatform
     from repro.util.iolib import atomic_write
 
     if site not in PLATFORMS:
         print(f"{submit / monitor.PLAN_FILE}: unknown site {site!r}; "
               f"choose from {sorted(PLATFORMS)}", file=sys.stderr)
+        return 2
+    # Every flag is checked here, before the run touches a file.
+    try:
+        fault_plan, blacklist_policy, retry_policy = _run_policies(args)
+    except ValueError as exc:
+        print(f"repro-run: {exc}", file=sys.stderr)
         return 2
 
     # Admission check with the same feasibility engine the linter and
@@ -315,10 +370,6 @@ def main_run(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
 
-    simulator = Simulator(
-        start_time=recovered.clock if recovered is not None else 0.0
-    )
-    streams = RngStreams(seed=args.seed)
     bus = EventBus()
     recorder = EventRecorder(bus)
     metrics = instrument(bus)
@@ -332,75 +383,6 @@ def main_run(argv: list[str] | None = None) -> int:
     )
     tracer = SpanTracer(trace_id=trace_id, bus=bus)
     anomalies = AnomalyMonitor(bus)
-
-    faults = []
-    if args.chaos_start_failure > 0:
-        faults.append(StartFailure(args.chaos_start_failure))
-    if args.chaos_eviction_rate > 0:
-        faults.append(Eviction(args.chaos_eviction_rate))
-    if args.chaos_outage:
-        try:
-            outage_site, start_s, end_s = args.chaos_outage.split(",")
-            faults.append(
-                SiteOutage(outage_site, float(start_s), float(end_s))
-            )
-        except ValueError:
-            print(f"bad --chaos-outage {args.chaos_outage!r} "
-                  "(want SITE,START,END)", file=sys.stderr)
-            return 2
-    injector = None
-    if faults:
-        injector = FaultInjector(
-            FaultPlan(tuple(faults)), rng=streams.stream("faults"), bus=bus
-        )
-    blacklist_policy = None
-    if args.blacklist_threshold > 0:
-        blacklist_policy = BlacklistPolicy(
-            threshold=args.blacklist_threshold,
-            cooldown_s=args.blacklist_cooldown or None,
-        )
-    blacklist = None
-    if recovered is not None:
-        # Journaled blacklist state (snapshot + WAL suffix) survives the
-        # crash: a tripped breaker stays tripped across the restart.
-        blacklist = recovered.restore_blacklist(
-            policy=blacklist_policy, bus=bus
-        )
-    if blacklist is None and blacklist_policy is not None:
-        blacklist = Blacklist(blacklist_policy, bus=bus)
-    retry_policy = None
-    if args.retry_policy == "fixed":
-        retry_policy = FixedDelayRetry(
-            args.retry_delay, charge_evictions=not args.free_evictions
-        )
-    elif args.retry_policy == "backoff":
-        retry_policy = ExponentialBackoff(
-            base_s=args.retry_delay, seed=args.seed,
-            charge_evictions=not args.free_evictions,
-        )
-    elif args.free_evictions:
-        from repro.resilience import ImmediateRetry
-
-        retry_policy = ImmediateRetry(charge_evictions=False)
-
-    env = PLATFORMS[site](
-        simulator, streams=streams, bus=bus,
-        injector=injector, blacklist=blacklist,
-    )
-
-    sampler = None
-
-    def on_round_start(scheduler, round_no) -> None:
-        nonlocal sampler
-        if args.sample_interval <= 0:
-            return
-        if sampler is None:
-            sampler = UtilizationSampler(
-                simulator, env, interval_s=args.sample_interval, bus=bus
-            )
-        # (Re)start each round: the sampler parks itself whenever the
-        # simulator drains between rounds.
-        sampler.start()
 
     journal = None
     if journal_dir is not None:
@@ -419,8 +401,6 @@ def main_run(argv: list[str] | None = None) -> int:
         except JournalError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        if blacklist is not None:
-            journal.attach_blacklist(blacklist)
         journal.record_trace_id(trace_id)
 
     # Truncate any previous event log, then stream this run into it —
@@ -430,16 +410,21 @@ def main_run(argv: list[str] | None = None) -> int:
         (submit / monitor.EVENTS_FILE).write_text("")
     try:
         with EventLogWriter(submit / monitor.EVENTS_FILE, bus):
-            outcome = run_with_recovery(
+            outcome, sampler = run_simulated(
                 dag,
-                env,
-                max_rounds=args.max_rescue_rounds,
-                rescue_dir=submit,
+                site,
+                seed=args.seed,
                 bus=bus,
-                on_round_start=on_round_start,
-                retry_policy=retry_policy,
+                fault_plan=fault_plan,
+                blacklist_policy=blacklist_policy,
+                sample_interval_s=(
+                    args.sample_interval if args.sample_interval > 0 else None
+                ),
                 journal=journal,
                 resume=recovered,
+                max_rounds=args.max_rescue_rounds,
+                rescue_dir=submit,
+                retry_policy=retry_policy,
             )
     except CrashInjected as exc:
         print(
@@ -505,6 +490,7 @@ def main_run(argv: list[str] | None = None) -> int:
               + ", ".join(a.kind.value for a in anomalies.alerts[-3:]))
     if journal_dir is not None:
         print(f"journal: {journal_dir}")
+    env = result.environment
     if isinstance(env, CloudPlatform):
         print(f"cloud cost: ${env.billed_cost():.2f} "
               f"({env.instance_seconds():.0f} instance-seconds)")

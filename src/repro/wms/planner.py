@@ -127,10 +127,6 @@ class PlannedWorkflow:
     lint_report: "Report | None" = None
 
     @property
-    def compute_jobs(self) -> list[str]:
-        return sorted(set(self.job_map.values()))
-
-    @property
     def auxiliary_jobs(self) -> list[str]:
         mapped = set(self.job_map.values())
         return sorted(n for n in self.dag.jobs if n not in mapped)

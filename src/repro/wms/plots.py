@@ -23,6 +23,7 @@ if TYPE_CHECKING:
 __all__ = ["gantt", "utilization", "utilization_series"]
 
 _BLOCKS = " ▁▂▃▄▅▆▇█"
+_LABEL_WIDTH = 24  # gantt's job[attempt] column
 
 
 def _scale(trace: WorkflowTrace) -> tuple[float, float]:
@@ -36,7 +37,6 @@ def gantt(
     *,
     width: int = 72,
     max_rows: int = 40,
-    label_width: int = 24,
 ) -> str:
     """Render the run as a per-attempt timeline.
 
@@ -71,10 +71,10 @@ def gantt(
             row[c] = "#"
         if not a.status.is_success:
             row[max(hi, lo)] = "x" if max(hi, lo) < width else "x"
-        label = f"{a.job_name}[{a.attempt}]"[:label_width]
-        lines.append(f"{label:<{label_width}} |{''.join(row)}|")
+        label = f"{a.job_name}[{a.attempt}]"[:_LABEL_WIDTH]
+        lines.append(f"{label:<{_LABEL_WIDTH}} |{''.join(row)}|")
     header = (
-        f"{'job[attempt]':<{label_width}} |{'t=0':<{width - 9}}"
+        f"{'job[attempt]':<{_LABEL_WIDTH}} |{'t=0':<{width - 9}}"
         f"t={span:,.0f}s|"
     )
     out = [header, *lines]

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.workflow_factory import (
     simulate_paper_run,
-    simulate_paper_run_with_recovery,
 )
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
@@ -146,7 +145,7 @@ def test_retry_count_is_every_resubmission(trace):
 def test_retry_count_sees_rescue_rounds(seed, rounds, retries):
     """The tight-budget cell of ``bench_chaos_sweep``; counting attempts
     numbered above 1 read 25 / 22 / 30 / 46 / 37 / 33."""
-    outcome, _ = simulate_paper_run_with_recovery(
+    outcome, _ = simulate_paper_run(
         12, "osg", seed=seed, planner_options=PlannerOptions(retries=2),
         fault_plan=FaultPlan((StartFailure(0.45),)), max_rounds=4,
     )

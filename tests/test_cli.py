@@ -128,6 +128,44 @@ class TestPegasusStyleCli:
         assert line.startswith(f"{plan}: unknown site 'mars'; choose from [")
 
 
+@pytest.mark.parametrize("flags, line", [
+    (["--max-rescue-rounds", "0"], "--max-rescue-rounds 0: must be >= 1"),
+    (["--journal-snapshot-every", "0"],
+     "--journal-snapshot-every 0: must be >= 1"),
+    (["--retry-policy", "fixed", "--retry-delay", "-5"],
+     "--retry-delay -5.0: delay must be >= 0"),
+    (["--retry-policy", "backoff", "--retry-delay", "-5"],
+     "--retry-delay -5.0: base_s must be >= 0"),
+    (["--blacklist-threshold", "2", "--blacklist-cooldown", "-3"],
+     "--blacklist-cooldown -3.0: cooldown_s must be positive (or None)"),
+    (["--chaos-start-failure", "1.5"],
+     "--chaos-start-failure 1.5: prob must be in [0, 1]"),
+    (["--chaos-outage", "osg,5,1"],
+     "--chaos-outage 'osg,5,1': outage window must have end_s > start_s"),
+    (["--chaos-outage", "osg,5"],
+     "--chaos-outage 'osg,5': want SITE,START,END"),
+], ids=["rounds", "snapshot-every", "fixed-delay", "backoff-delay",
+        "cooldown", "start-failure", "outage-window", "outage-shape"])
+def test_run_refuses_a_bad_flag_before_touching_a_file(
+    flags, line, submit_dir, tmp_path, capsys
+):
+    """Five of these were tracebacks, exit 1; the first also emptied the
+    previous ``events.jsonl`` and left a journal that the next
+    ``--journal`` run refused."""
+    d = tmp_path / "run"
+    shutil.copytree(submit_dir, d)
+    events = (d / "events.jsonl").read_bytes()
+    journal = tmp_path / "journal"
+    capsys.readouterr()
+    assert main_run(["--submit-dir", str(d), "--journal", str(journal),
+                     *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"repro-run: {line}"]
+    assert (d / "events.jsonl").read_bytes() == events
+    assert not journal.exists()
+
+
 def exit_code(main, argv):
     try:
         return main(argv)

@@ -43,7 +43,7 @@ class TestDefaultPools:
         assert pool.failures is NO_FAILURES
         assert pool.software == SOFTWARE_ATTRS
 
-    def test_osg_matches_grid_config(self):
+    def test_osg_matches_the_grid_defaults(self):
         from repro.sim.grid import GridConfig
 
         grid = GridConfig().with_sites()

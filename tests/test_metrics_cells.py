@@ -17,7 +17,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.workflow_factory import (
     simulate_paper_run,
-    simulate_paper_run_with_recovery,
 )
 from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus, EventRecorder
@@ -122,7 +121,7 @@ def record_paper(site: str) -> list[RunEvent]:
 def record_chaos() -> list[RunEvent]:
     bus = EventBus()
     recorder = EventRecorder(bus)
-    simulate_paper_run_with_recovery(
+    simulate_paper_run(
         12, "osg", seed=1, bus=bus, max_rounds=2,
         fault_plan=FaultPlan(
             (StartFailure(0.3), Eviction(1 / 3000.0), Hang(0.1))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.workflow_factory import simulate_paper_run_with_recovery
+from repro.core.workflow_factory import simulate_paper_run
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobStatus
 from repro.dagman.scheduler import DagmanScheduler, NodeState
@@ -208,13 +208,6 @@ class TestFaultInjector:
         faults = [e.detail["fault"] for e in recorder.of_kind(EventKind.FAULT)]
         assert faults == ["bad_node", "hang"]
         assert injector.fired == 2
-
-    def test_from_failure_model_bridges_the_osg_regime(self):
-        model = GridConfig().failures
-        plan = FaultPlan.from_failure_model(model)
-        kinds = tuple(type(f) for f in plan.faults)
-        assert kinds == (StartFailure, Eviction)
-        assert plan.faults[0].prob == model.start_failure_prob
 
 
 class TestChaosPayload:
@@ -634,7 +627,7 @@ class TestRunWithRecovery:
         ))
         # At n=50 the longest cap3 partition runs ~13.4k virtual seconds,
         # so a 6h timeout only ever kills genuinely hung attempts.
-        outcome, planned = simulate_paper_run_with_recovery(
+        outcome, planned = simulate_paper_run(
             50, "osg", seed=1,
             fault_plan=plan,
             blacklist_policy=BlacklistPolicy(

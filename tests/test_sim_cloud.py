@@ -131,7 +131,7 @@ class TestPaperScaleCloud:
 
     def test_cloud_cost_accounted(self):
         result, _ = simulate_paper_run(100, "cloud", seed=1)
-        env = result.environment
+        env = result.final.environment
         assert isinstance(env, CloudPlatform)
         assert env.billed_cost() > 0
         assert env.instance_seconds() > 0
