@@ -63,9 +63,10 @@ SECONDS = {
 GATES = (
     Gate("svc_grid_reqsw", "wait index: matchmaker finds per claim",
          "sim.matchmaker.finds_per_claim", "<=", 3),
-    # five runs: 0.1087 0.1071 0.1090 0.1077 0.0919 (was 0.15)
+    # ten runs: 0.1112 0.1104 0.1303 0.1142 0.1166 0.1139 0.1251 0.1241
+    # 0.1257 0.1162 (was 0.117: the writer's time held, the op shrank)
     Gate("cli_sandhills_n300", "OTLP writer's share of a paper-scale run",
-         "observe.trace.otlp.share", "<=", 0.117),
+         "observe.trace.otlp.share", "<=", 0.140),
     Gate("cli_osg_n300_journal", "journal records of the OSG paper-scale run",
          "resilience.journal.records", "==", 704),
     # 157 560 B when the pid, which the journal writes twice, has four
@@ -74,12 +75,19 @@ GATES = (
          "resilience.journal.bytes", "<=", 157_566),
     Gate("svc_cluster_observed", "bus events per attempt",
          "observe.bus.emitted / sim.attempts", "<=", 7.1),
-    # five runs: 0.0662 0.0658 0.0655 0.0647 0.0659 (was 0.15)
+    # ten runs: 0.0659 0.0709 0.0662 0.0658 0.0707 0.0680 0.0686 0.0680
+    # 0.0687 0.0670 (was 0.071: instrument()'s time held, the op shrank)
     Gate("svc_cluster_observed", "instrument()'s share of an observed op",
-         "observe.metrics.share", "<=", 0.071),
-    # five runs: 0.1129 0.1057 0.1042 0.1071 0.1064
+         "observe.metrics.share", "<=", 0.076),
+    # ten runs: 0.1188 0.1845 0.2068 0.1175 0.1250 0.1162 0.1762 0.1735
+    # 0.1696 0.1986 (was 0.121: the tracer's time net of GC held; a
+    # collection that used to land in the scheduler's row lands here)
     Gate("svc_cluster_observed", "SpanTracer's share, ingest and finish()",
-         "observe.trace.ingest.share + observe.trace.fold.share", "<=", 0.121),
+         "observe.trace.ingest.share + observe.trace.fold.share", "<=", 0.223),
+    # ten runs: 0.2107 0.1378 0.1589 0.1899 0.1823 0.1908 0.1497 0.1540
+    # 0.1455 0.1435
+    Gate("svc_cluster_observed", "scheduler's share of an observed op",
+         "dagman.scheduler.share", "<=", 0.227),
     Gate("engine_layered_100k", "engine events for 100 000 jobs",
          "sim.engine.events", "==", 100_000),
     Gate("engine_layered_100k", "scheduler entries per engine event",

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import AbstractSet, Callable, Iterable, Mapping
 
+from repro.dagman.events import one_step_init
 from repro.util.iolib import atomic_write
 
 __all__ = ["CycleError", "topological_sort", "DagJob", "Dag"]
@@ -76,6 +77,7 @@ def topological_sort(
     return order
 
 
+@one_step_init
 @dataclass(frozen=True, slots=True)
 class DagJob:
     """One schedulable node.
@@ -117,18 +119,39 @@ class DagJob:
             raise ValueError(f"runtime must be >= 0, got {self.runtime}")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
+        # NaN compares false both ways: the ready heap could not order it.
+        if self.priority != self.priority:
+            raise ValueError(f"priority must be a number, got {self.priority}")
         if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError(
                 f"timeout_s must be positive (or None), got {self.timeout_s}"
             )
 
 
-#: What ``plan.json`` keeps of a job, in the order it is written.
-#: ``payload`` cannot travel and the byte counts never have.
-_JOB_KEYS = (
-    "transformation", "runtime", "needs_setup", "retries",
-    "timeout_s", "requirements", "priority",
-)
+#: What ``plan.json`` keeps of a job, in the order it is written, and
+#: what each value must be read back as: the JSON types ``to_json``
+#: writes, a bool never passing for a number. ``payload`` cannot travel
+#: and the byte counts never have.
+_JOB_KEYS = {
+    "transformation": ((str,), "a string"),
+    "runtime": ((int, float), "a number"),
+    "needs_setup": ((bool,), "true or false"),
+    "retries": ((int,), "an integer"),
+    "timeout_s": ((int, float, type(None)), "a number or null"),
+    "requirements": ((str, type(None)), "a string or null"),
+    "priority": ((int,), "an integer"),
+}
+
+
+def _plan_value(spec: Mapping[str, object], key: str) -> object:
+    """``spec[key]``, or a ``ValueError`` saying what it must be."""
+    value = spec[key]
+    types, what = _JOB_KEYS[key]
+    if not isinstance(value, types) or (
+        isinstance(value, bool) and bool not in types
+    ):
+        raise ValueError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 class Dag:
@@ -322,7 +345,9 @@ class Dag:
         dag = cls(name=name)
         for job_name, spec in data["jobs"].items():
             try:
-                dag.add_job(DagJob(name=job_name, **{key: spec[key] for key in _JOB_KEYS}))
+                dag.add_job(DagJob(name=job_name, **{
+                    key: _plan_value(spec, key) for key in _JOB_KEYS
+                }))
             except (KeyError, TypeError, ValueError) as exc:
                 reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"job {job_name!r}: {reason}") from None

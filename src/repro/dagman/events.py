@@ -20,11 +20,66 @@ Timestamp semantics (all in the backend's clock):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator, Mapping, TypeVar
 
-__all__ = ["JobStatus", "ResourceProfile", "JobAttempt", "WorkflowTrace"]
+__all__ = [
+    "JobStatus", "ResourceProfile", "JobAttempt", "WorkflowTrace",
+    "one_step_init",
+]
+
+_Record = TypeVar("_Record", bound=type)
+
+
+def one_step_init(cls: _Record) -> _Record:
+    """Give a frozen slotted dataclass an ``__init__`` that sets each
+    field once, then runs ``__post_init__``.
+
+    The generated one routes every field through
+    ``object.__setattr__(self, name, value)`` — a name lookup on the
+    type per field, past the frozen ``__setattr__``. This one calls each
+    field's slot descriptor, bound when the class is built. What the
+    stock ``__init__`` promised holds: the parameters come from
+    :func:`dataclasses.fields` in order, the defaults are its own
+    (a ``default_factory`` field keeps the stock sentinel, so
+    :func:`inspect.signature` reads the same), and equality, hashing,
+    ``repr``, pickle, ``copy`` and :func:`dataclasses.replace` are
+    untouched. Apply it above ``@dataclass(frozen=True, slots=True)``.
+    The per-job records are built through it — this module's two,
+    :class:`repro.dagman.dag.DagJob` and
+    :class:`repro.observe.events.RunEvent`, of which a job on a live
+    bus builds seven.
+    """
+    stock = cls.__init__  # type: ignore[misc]
+    params = inspect.signature(stock).parameters
+    namespace: dict[str, Any] = {}
+    body = []
+    record_fields = fields(cls)
+    for f in record_fields:
+        name = f.name
+        if not f.init or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{name}: init=False and "
+                            "kw_only fields are not supported")
+        namespace[f"_set_{name}"] = cls.__dict__[name].__set__
+        value = name
+        if f.default_factory is not MISSING:
+            namespace[f"_factory_{name}"] = f.default_factory
+            namespace[f"_unset_{name}"] = params[name].default
+            value = f"_factory_{name}() if {name} is _unset_{name} else {name}"
+        body.append(f"    _set_{name}(self, {value})\n")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()\n")
+    signature = ", ".join(f.name for f in record_fields)
+    exec(f"def __init__(self, {signature}):\n" + "".join(body), namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = stock.__defaults__
+    init.__annotations__ = stock.__annotations__
+    init.__qualname__ = stock.__qualname__
+    init.__module__ = cls.__module__
+    cls.__init__ = init  # type: ignore[misc]
+    return cls
 
 
 class JobStatus(Enum):
@@ -42,6 +97,7 @@ class JobStatus(Enum):
         return self is JobStatus.SUCCEEDED
 
 
+@one_step_init
 @dataclass(frozen=True, slots=True)
 class ResourceProfile:
     """Per-invocation resource accounting — the kickstart record's
@@ -101,6 +157,7 @@ class ResourceProfile:
         )
 
 
+@one_step_init
 @dataclass(frozen=True, slots=True)
 class JobAttempt:
     """One try of one job on one machine."""

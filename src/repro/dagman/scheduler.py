@@ -271,14 +271,13 @@ class DagmanScheduler:
         samplers in between).
         """
         result = self.result()
-        self._emit(
-            EventKind.WORKFLOW_END,
-            detail={
+        bus = self.bus
+        if bus is not None and bus.active:
+            self._emit(EventKind.WORKFLOW_END, None, None, {
                 "success": result.success,
                 "wall_time": result.wall_time,
                 "jobs": len(self.dag.jobs),
-            },
-        )
+            })
         return result
 
     def start(self) -> None:
@@ -344,10 +343,12 @@ class DagmanScheduler:
                     for kid in kid_ids:
                         pending[kid] += 1
         self._children = children
-        self._emit(
-            EventKind.WORKFLOW_START,
-            detail={"jobs": n, "name": dag.name},
-        )
+        bus = self.bus
+        if bus is not None and bus.active:
+            self._emit(
+                EventKind.WORKFLOW_START, None, None,
+                {"jobs": n, "name": dag.name},
+            )
         for i in range(n):
             if state[i] is _UNREADY and pending[i] == 0:
                 self._set_state(i, _READY)
@@ -410,22 +411,25 @@ class DagmanScheduler:
 
     # -- internals ------------------------------------------------------
 
-    def _emit(self, kind: EventKind, *, job: DagJob | None = None,
-              attempt: int | None = None,
-              detail: dict | None = None) -> None:
-        bus = self.bus
-        if bus is None or not bus.active:
-            return  # deaf bus: skip event construction (PR 7 fast path)
+    def _emit(self, kind: EventKind, job: DagJob | None,
+              attempt: int | None, detail: dict) -> None:
+        """Publish one event. The caller has found the bus live — asked
+        before it built ``detail``, so a deaf run builds nothing — and
+        ``detail`` is a dict it just made: the tags go into it in place,
+        after the event's own keys."""
         if self._tags is not None:
-            detail = {**(detail or {}), **self._tags}
-        bus.emit(
+            detail.update(self._tags)
+        self.bus.emit(  # type: ignore[union-attr]
             RunEvent(
                 kind,
                 self.environment.now,
-                job_name=job.name if job is not None else None,
-                transformation=job.transformation if job is not None else None,
-                attempt=attempt,
-                detail=detail or {},
+                None if job is None else job.name,
+                None if job is None else job.transformation,
+                None,
+                None,
+                attempt,
+                None,
+                detail,
             )
         )
 
@@ -462,17 +466,15 @@ class DagmanScheduler:
             self._ready_count -= 1
         bus = self.bus
         if state is not previous and bus is not None and bus.active:
-            # Asked here, not only in _emit: a deaf run pays for no
-            # detail dict (engine_layered_100k is nothing but this).
+            # A deaf run pays for no detail dict (engine_layered_100k is
+            # nothing but this).
             detail: dict = {"from": previous._value_, "to": state._value_}
             if released_by is not None:
                 detail["released_by"] = self._jobs[released_by].name
                 detail["released_attempt"] = released_attempt
             self._emit(
-                EventKind.STATE_CHANGE,
-                job=self._jobs[i],
-                attempt=self._attempt[i] or None,
-                detail=detail,
+                EventKind.STATE_CHANGE, self._jobs[i],
+                self._attempt[i] or None, detail,
             )
 
     def _submit_ready(self) -> None:
@@ -526,13 +528,10 @@ class DagmanScheduler:
         job = self._jobs[i]
         bus = self.bus
         if bus is not None and bus.active:  # as in _set_state
+            # The planner's expected runtime seeds the straggler
+            # detector's per-transformation baseline.
             self._emit(
-                EventKind.SUBMIT,
-                job=job,
-                attempt=attempt,
-                # The planner's expected runtime seeds the straggler
-                # detector's per-transformation baseline.
-                detail={"expected_s": job.runtime},
+                EventKind.SUBMIT, job, attempt, {"expected_s": job.runtime}
             )
         self.environment.submit(
             job, partial(self._handle_completion, i), attempt=attempt
@@ -614,27 +613,20 @@ class DagmanScheduler:
         call_later = getattr(self.environment, "call_later", None)
         if call_later is None:
             delay = 0.0  # environment cannot park work; requeue now
-        self._emit(
-            EventKind.RETRY,
-            job=job,
-            attempt=attempt_no,
-            detail={
+        bus = self.bus
+        if bus is not None and bus.active:
+            self._emit(EventKind.RETRY, job, attempt_no, {
                 "retries_left": self._retries_left[i],
                 "status": attempt.status.value,
                 "charged": charged,
                 "delay_s": delay,
-            },
-        )
+            })
         if delay > 0:
-            self._emit(
-                EventKind.HELD,
-                job=job,
-                attempt=attempt_no,
-                detail={
+            if bus is not None and bus.active:
+                self._emit(EventKind.HELD, job, attempt_no, {
                     "delay_s": delay,
                     "until": self.environment.now + delay,
-                },
-            )
+                })
             self._set_state(i, _HELD)
 
             def release() -> None:

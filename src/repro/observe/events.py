@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from repro.dagman.events import JobAttempt, JobStatus
+from repro.dagman.events import JobAttempt, JobStatus, one_step_init
 
 __all__ = ["EventKind", "RunEvent", "TERMINAL_KINDS", "attempt_events"]
 
@@ -124,7 +124,8 @@ class EventKind(Enum):
 TERMINAL_KINDS = frozenset({EventKind.FINISH, EventKind.EVICT})
 
 
-@dataclass(frozen=True)
+@one_step_init
+@dataclass(frozen=True, slots=True)
 class RunEvent:
     """One timestamped point in a run's life.
 

@@ -272,9 +272,7 @@ class SimPlatform:
             a.slot = slot
             if self._busy_from_match:
                 self._occupy()
-            self._emit(
-                EventKind.MATCH, a, detail={"queue_depth": self._idle}
-            )
+            self._emit(EventKind.MATCH, a, {"queue_depth": self._idle})
             wait = self._wait(slot)
             if wait is None:
                 self._arrive(a)
@@ -311,16 +309,15 @@ class SimPlatform:
 
     # -- events and records -----------------------------------------------
 
-    def _event(self, kind: EventKind, a: Attempt, **extra: Any) -> RunEvent:
+    def _event(
+        self, kind: EventKind, a: Attempt, detail: dict,
+        record: JobAttempt | None = None,
+    ) -> RunEvent:
+        job = a.job
+        slot = a.slot
         return RunEvent(
-            kind,
-            self.simulator.now,
-            job_name=a.job.name,
-            transformation=a.job.transformation,
-            site=a.slot.site,
-            machine=a.slot.name,
-            attempt=a.number,
-            **extra,
+            kind, self.simulator.now, job.name, job.transformation,
+            slot.site, slot.name, a.number, record, detail,
         )
 
     def _emit(
@@ -328,7 +325,7 @@ class SimPlatform:
     ) -> None:
         bus = self.bus
         if bus is not None and bus.active:  # deaf bus: build no event
-            bus.emit(self._event(kind, a, detail=detail or {}))
+            bus.emit(self._event(kind, a, {} if detail is None else detail))
 
     def _record(
         self, a: Attempt, status: JobStatus, error: str | None
@@ -355,14 +352,11 @@ class SimPlatform:
         )
 
     def _terminal_event(self, a: Attempt, record: JobAttempt) -> RunEvent:
+        status = record.status
         kind = (
-            EventKind.EVICT
-            if record.status is JobStatus.EVICTED
-            else EventKind.FINISH
+            EventKind.EVICT if status is JobStatus.EVICTED else EventKind.FINISH
         )
-        return self._event(
-            kind, a, record=record, detail={"status": record.status.value}
-        )
+        return self._event(kind, a, {"status": status.value}, record)
 
     def _publish(self, a: Attempt, record: JobAttempt) -> None:
         """The terminal event, then the scheduler's callback."""
@@ -464,7 +458,7 @@ class SimPlatform:
         timed_out = None
         if live and status is JobStatus.TIMEOUT:
             timed_out = self._event(
-                EventKind.TIMEOUT, a, detail={"error": error} if error else {}
+                EventKind.TIMEOUT, a, {"error": error} if error else {}
             )
         self._occupied -= 1
         if self._eager_release:

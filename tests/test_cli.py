@@ -166,6 +166,45 @@ def test_run_refuses_a_bad_flag_before_touching_a_file(
     assert not journal.exists()
 
 
+@pytest.mark.parametrize("key, value, reason", [
+    ("priority", "high", "priority must be an integer, got 'high'"),
+    ("transformation", 5, "transformation must be a string, got 5"),
+    ("priority", float("nan"), "priority must be an integer, got nan"),
+    ("priority", 1.5, "priority must be an integer, got 1.5"),
+    ("retries", 1.5, "retries must be an integer, got 1.5"),
+    ("retries", True, "retries must be an integer, got True"),
+    ("retries", "3", "retries must be an integer, got '3'"),
+    ("needs_setup", "no", "needs_setup must be true or false, got 'no'"),
+    ("requirements", 5, "requirements must be a string or null, got 5"),
+    ("runtime", True, "runtime must be a number, got True"),
+    ("timeout_s", "60", "timeout_s must be a number or null, got '60'"),
+], ids=["priority-string", "transformation-int", "priority-nan",
+        "priority-fraction", "retries-fraction", "retries-bool",
+        "retries-string", "needs-setup-string", "requirements-int",
+        "runtime-bool", "timeout-string"])
+def test_run_refuses_a_job_field_no_job_can_have(
+    key, value, reason, submit_dir, tmp_path, capsys
+):
+    """The first two were tracebacks (``TypeError`` from ``-priority``,
+    ``AttributeError`` from ``transformation.startswith``), exit 1. The
+    rest ran: a NaN priority breaks the ready heap's order, and a truthy
+    string made the job pay OSG's download/install."""
+    d = tmp_path / "run"
+    shutil.copytree(submit_dir, d)
+    plan = d / "plan.json"
+    meta = json.loads(plan.read_text())
+    first = next(iter(meta["jobs"]))
+    meta["jobs"][first][key] = value
+    plan.write_text(json.dumps(meta))
+    events = (d / "events.jsonl").read_bytes()
+    capsys.readouterr()
+    assert main_run(["--submit-dir", str(d)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"{plan}: job {first!r}: {reason}"]
+    assert (d / "events.jsonl").read_bytes() == events
+
+
 def exit_code(main, argv):
     try:
         return main(argv)

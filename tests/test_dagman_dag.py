@@ -62,6 +62,12 @@ class TestDagJob:
         with pytest.raises(ValueError, match="timeout_s"):
             DagJob(name="a", transformation="t", timeout_s=0.0)
 
+    def test_nan_is_not_a_priority(self):
+        """The ready heap orders by ``-priority``; NaN orders nothing."""
+        with pytest.raises(ValueError) as refused:
+            DagJob(name="a", transformation="t", priority=float("nan"))
+        assert str(refused.value) == "priority must be a number, got nan"
+
 
 class TestDag:
     def test_duplicate_job_rejected(self):

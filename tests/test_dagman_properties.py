@@ -250,3 +250,37 @@ def test_plan_json_round_trip(case, data):
     assert site == "osg" and planned.name == "blast2cap3-n7-osg"
     assert planned.jobs == dag.jobs and not planned.done
     assert list(planned.edges()) == list(dag.edges())
+
+
+def test_planner_parser_and_loadgen_make_jobs_plan_json_can_hold(tmp_path):
+    """``Dag.from_json`` refuses a field of a type no job can have (a
+    string priority, a fractional retry count, a bool runtime); what the
+    planner, the ``.dag`` parser and the service's load generator build
+    must read back unchanged, before any JSON text turns a NumPy scalar
+    into a plain number."""
+    from repro.core.workflow_factory import build_blast2cap3_adag, default_catalogs
+    from repro.perfmodel.task_models import PaperTaskModel
+    from repro.service.loadgen import generate_workflow
+    from repro.sim.rng import RngStreams
+    from repro.wms.planner import PlannerOptions, plan
+
+    sites, transformations, replicas = default_catalogs()
+    adag = build_blast2cap3_adag(12, model=PaperTaskModel())
+    dags = [
+        plan(adag, site_name=site, sites=sites,
+             transformations=transformations, replicas=replicas,
+             options=PlannerOptions(
+                 retries=2, timeout_s=21_600.0, cluster_size=size,
+                 add_cleanup=True, setup_mode=mode, lint="off",
+             )).dag
+        for site in ("sandhills", "osg", "cloud")
+        for size in (1, 3)
+        for mode in ("auto", "never")
+    ]
+    dags.append(Dag.parse_dagfile(dags[-1].write_dagfile(tmp_path / "w.dag")))
+    dags += [
+        generate_workflow("w", jobs, RngStreams(seed=0), requirements=req)
+        for jobs in (2, 12) for req in (None, "has_python")
+    ]
+    for dag in dags:
+        assert Dag.from_json(dag.to_json()).to_json() == dag.to_json()

@@ -260,10 +260,10 @@ class TestDeafBus:
 
         emit = DagmanScheduler._emit
 
-        def spying(self, kind, **kwargs):
+        def spying(self, kind, job, attempt, detail):
             if kind in (EventKind.STATE_CHANGE, EventKind.SUBMIT):
-                details.append(kwargs.get("detail"))
-            emit(self, kind, **kwargs)
+                details.append(detail)
+            emit(self, kind, job, attempt, detail)
 
         env = ScriptedEnvironment(failures={("b", 1): True})
         with mock.patch.object(scheduler_mod, "RunEvent", counting), \

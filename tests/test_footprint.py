@@ -10,7 +10,8 @@ over it hands back (the attempt trace, one record per job, and the
 final state per job), each divided by the job count.
 The two structural facts the figures rest on are asserted beside them:
 ``Dag`` stores each edge once, and the three per-job records carry no
-``__dict__``.
+``__dict__`` — nor does ``RunEvent``, of which a live-bus job builds
+seven and an event recorder keeps every one.
 
 ``python tests/test_footprint.py`` prints the table (CI's 'Footprint'
 step, so every Python of the matrix logs its own figures) and exits 1
@@ -30,6 +31,7 @@ import pytest
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
 from repro.dagman.scheduler import DagmanScheduler
+from repro.observe.events import EventKind, RunEvent
 from repro.sim.engine import Simulator
 
 JOBS = 10_000
@@ -142,6 +144,7 @@ def test_dag_stores_each_edge_once() -> None:
         DagJob(name="j", transformation="t"),
         JobAttempt("j", "t", "s", "m", 1, 0.0, 0.0, 0.0, 1.0, JobStatus.SUCCEEDED),
         ResourceProfile(),
+        RunEvent(EventKind.SUBMIT, 0.0, "j", "t", None, None, 1, None, {}),
     ],
     ids=lambda record: type(record).__name__,
 )
