@@ -51,14 +51,6 @@ class BlastXParams:
     evalue_cutoff: float = 1e-5
     max_hits_per_query: int = 250
     ka_params: KarlinAltschulParams = GAPPED_BLOSUM62
-    #: Use affine (Gotoh) gapped extension — ``gap`` becomes the open
-    #: penalty, ``gap_extend`` the per-residue extension, matching
-    #: NCBI blastx's 11/1 scheme.
-    affine: bool = False
-    gap_extend: int = -1
-    #: SEG-style masking of low-complexity translated query regions
-    #: (suppresses poly-A / simple-repeat seed floods).
-    mask_query: bool = False
 
     def __post_init__(self) -> None:
         if self.gap >= 0:
@@ -161,10 +153,6 @@ def blastx(
     for frame, protein in six_frame_translations(query.seq):
         if len(protein) < database.word_size:
             continue
-        if params.mask_query:
-            from repro.blast.filter import PROTEIN_MASK, mask_low_complexity
-
-            protein = mask_low_complexity(protein, PROTEIN_MASK)
         query_codes = matrix.encode(protein)
         hits = find_seed_hits(
             query_codes, database, threshold=params.threshold
@@ -203,8 +191,6 @@ def blastx(
                 matrix,
                 gap=params.gap,
                 window_pad=params.window_pad,
-                affine=params.affine,
-                gap_extend=params.gap_extend,
             )
             if aln.length == 0:
                 continue

@@ -111,8 +111,6 @@ def gapped_extend(
     *,
     gap: int = -11,
     window_pad: int = 50,
-    affine: bool = False,
-    gap_extend: int = -1,
 ) -> AlignmentResult:
     """Gapped Smith–Waterman around an ungapped HSP.
 
@@ -120,27 +118,15 @@ def gapped_extend(
     side (clamped to the sequences), which bounds cost while letting the
     alignment grow past the ungapped boundaries. The returned result's
     coordinates are translated back into full-sequence positions.
-
-    With ``affine=True`` the window alignment uses the Gotoh kernel:
-    ``gap`` becomes the open penalty and ``gap_extend`` the per-residue
-    extension (NCBI blastx's default scheme is 11/1).
     """
     q_lo = max(0, hsp.q_start - window_pad)
     q_hi = min(len(query), hsp.q_end + window_pad)
     s_lo = max(0, hsp.s_start - window_pad)
     s_hi = min(len(subject), hsp.s_end + window_pad)
 
-    if affine:
-        from repro.bio.affine import affine_local
-
-        local = affine_local(
-            query[q_lo:q_hi], subject[s_lo:s_hi], matrix=matrix,
-            gap_open=gap, gap_extend=gap_extend,
-        )
-    else:
-        local = local_align(
-            query[q_lo:q_hi], subject[s_lo:s_hi], matrix=matrix, gap=gap
-        )
+    local = local_align(
+        query[q_lo:q_hi], subject[s_lo:s_hi], matrix=matrix, gap=gap
+    )
     return AlignmentResult(
         mode=local.mode,
         score=local.score,

@@ -30,11 +30,6 @@ class Cap3Params:
     min_identity: float = 0.90
     kmer_size: int = 12
     min_shared_kmers: int = 3
-    #: Affine overlap scoring (CAP3's own scheme); the linear default is
-    #: faster and equivalent on near-identical transcript overlaps.
-    affine: bool = False
-    gap_open: int = -8
-    gap_extend: int = -2
 
     def __post_init__(self) -> None:
         if self.min_overlap_length < 1:
@@ -121,9 +116,6 @@ def assemble(
         min_shared_kmers=params.min_shared_kmers,
         min_length=params.min_overlap_length,
         min_identity=params.min_identity,
-        affine=params.affine,
-        gap_open=params.gap_open,
-        gap_extend=params.gap_extend,
     )
 
     # Attach contained reads to the contig holding their container,

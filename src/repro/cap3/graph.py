@@ -122,9 +122,6 @@ def build_layouts(
     min_shared_kmers: int = 3,
     min_length: int = 40,
     min_identity: float = 0.90,
-    affine: bool = False,
-    gap_open: int = -8,
-    gap_extend: int = -2,
 ) -> tuple[list[Layout], dict[str, str]]:
     """Compute layouts (chains with offsets) and the containment map.
 
@@ -140,17 +137,10 @@ def build_layouts(
 
     overlaps: list[Overlap] = []
     for a, b in pairs:
-        if affine:
-            ov = compute_overlap(
-                a, oriented[a], b, oriented[b],
-                min_length=min_length, min_identity=min_identity,
-                gap=gap_open, affine=True, gap_extend=gap_extend,
-            )
-        else:
-            ov = compute_overlap(
-                a, oriented[a], b, oriented[b],
-                min_length=min_length, min_identity=min_identity,
-            )
+        ov = compute_overlap(
+            a, oriented[a], b, oriented[b],
+            min_length=min_length, min_identity=min_identity,
+        )
         if ov is not None:
             overlaps.append(ov)
     overlaps.sort(key=lambda o: (-o.score, o.a, o.b))

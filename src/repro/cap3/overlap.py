@@ -138,30 +138,19 @@ def compute_overlap(
     min_length: int = 40,
     min_identity: float = 0.90,
     gap: int = -6,
-    affine: bool = False,
-    gap_extend: int = -2,
 ) -> Overlap | None:
     """Best acceptable forward-strand overlap between two reads.
 
     Tries both left/right orders and returns ``None`` if neither
     arrangement clears the CAP3-style acceptance thresholds
-    (``min_length`` overlap columns at ``min_identity``). With
-    ``affine=True``, overlaps are scored with the Gotoh kernel (``gap``
-    opens, ``gap_extend`` extends), like CAP3's own affine scheme.
+    (``min_length`` overlap columns at ``min_identity``).
     """
     best: Overlap | None = None
     for left_id, left_seq, right_id, right_seq in (
         (a_id, a_seq, b_id, b_seq),
         (b_id, b_seq, a_id, a_seq),
     ):
-        if affine:
-            from repro.bio.affine import affine_overlap
-
-            res = affine_overlap(
-                left_seq, right_seq, gap_open=gap, gap_extend=gap_extend
-            )
-        else:
-            res = overlap_align(left_seq, right_seq, gap=gap)
+        res = overlap_align(left_seq, right_seq, gap=gap)
         if res.length < min_length or res.identity < min_identity:
             continue
         kind = _classify(len(left_seq), len(right_seq), res)

@@ -24,6 +24,10 @@ from typing import Any, Mapping, Sequence
 
 __all__ = ["ClassAd", "compile_expression", "evaluate_requirements", "match"]
 
+#: The requirement a job that relies on pre-installed software carries
+#: (the Sandhills variant of the blast2cap3 jobs).
+SOFTWARE_REQUIREMENTS = "has_python and has_biopython and has_cap3"
+
 _ALLOWED_NODES = (
     ast.Expression,
     ast.BoolOp,

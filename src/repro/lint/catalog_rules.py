@@ -12,7 +12,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.dagman.condor import ClassAd, evaluate_requirements
+from repro.dagman.condor import (
+    SOFTWARE_REQUIREMENTS,
+    ClassAd,
+    evaluate_requirements,
+)
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import LintContext, finding, rule
 from repro.sim.machine import SOFTWARE_ATTRS
@@ -68,7 +72,7 @@ def _unknown_transformation(ctx: LintContext) -> Iterator[Finding]:
 )
 def _unsatisfiable_requirements(ctx: LintContext) -> Iterator[Finding]:
     assert ctx.site is not None and ctx.transformations is not None
-    from repro.wms.planner import SOFTWARE_REQUIREMENTS, PlannerOptions
+    from repro.wms.planner import PlannerOptions
 
     options = ctx.options or PlannerOptions()
     site_ad = guaranteed_machine_ad(ctx.site)

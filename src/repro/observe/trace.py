@@ -721,13 +721,8 @@ def _otlp_span_attrs(s: Span) -> dict[str, object]:
     return {"repro.span_kind": s.kind, **s.attributes}
 
 
-def _otlp_resource(
-    service_name: str, resource_attributes: Mapping[str, object] | None
-) -> dict[str, object]:
-    resource: dict[str, object] = {"service.name": service_name}
-    if resource_attributes:
-        resource.update(resource_attributes)
-    return resource
+#: The one resource every export describes.
+_OTLP_RESOURCE = {"service.name": "repro"}
 
 
 def _otlp_attrs(attrs: Mapping[str, object]) -> list[dict[str, object]]:
@@ -738,12 +733,7 @@ def _otlp_attrs(attrs: Mapping[str, object]) -> list[dict[str, object]]:
     return rendered
 
 
-def to_otlp_json(
-    spans: Sequence[Span],
-    *,
-    service_name: str = "repro",
-    resource_attributes: Mapping[str, object] | None = None,
-) -> dict[str, object]:
+def to_otlp_json(spans: Sequence[Span]) -> dict[str, object]:
     """Render spans as one OTLP-JSON ``ExportTraceServiceRequest``
     (the ``resourceSpans`` envelope any OTLP/HTTP collector accepts)."""
     rendered: list[dict[str, object]] = []
@@ -764,11 +754,10 @@ def to_otlp_json(
                 for link in s.links
             ]
         rendered.append(entry)
-    resource = _otlp_resource(service_name, resource_attributes)
     return {
         "resourceSpans": [
             {
-                "resource": {"attributes": _otlp_attrs(resource)},
+                "resource": {"attributes": _otlp_attrs(_OTLP_RESOURCE)},
                 "scopeSpans": [
                     {"scope": dict(_OTLP_SCOPE), "spans": rendered}
                 ],
@@ -868,13 +857,7 @@ _OTLP_ENVELOPE_TEXT = (
 )
 
 
-def write_otlp_trace(
-    path: str | Path,
-    spans: Sequence[Span],
-    *,
-    service_name: str = "repro",
-    resource_attributes: Mapping[str, object] | None = None,
-) -> Path:
+def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     """Write the :func:`to_otlp_json` document to ``path``, one space
     per nesting level, and return the path.
 
@@ -909,11 +892,10 @@ def write_otlp_trace(
                 tail,
             )
         )
-    resource = _otlp_resource(service_name, resource_attributes)
     return atomic_write(
         path,
         _OTLP_ENVELOPE_TEXT
-        % (_otlp_attrs_text(5)(resource), _json_list(rendered, 6)),
+        % (_otlp_attrs_text(5)(_OTLP_RESOURCE), _json_list(rendered, 6)),
     )
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.dagman.condor import SOFTWARE_REQUIREMENTS
 from repro.dagman.dag import Dag, DagJob
 from repro.observe.bus import EventBus
 from repro.service.service import ServiceConfig, WorkflowService
@@ -25,10 +26,6 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams, bounded_lognormal
 
 __all__ = ["LoadSpec", "generate_workflow", "build_service", "run_load"]
-
-#: The Sandhills-style requirements string a software-requiring
-#: workflow attaches to its partition jobs.
-SOFTWARE_REQUIREMENTS = "has_python and has_biopython and has_cap3"
 
 
 @dataclass(frozen=True)

@@ -84,13 +84,10 @@ class ServiceConfig:
     ``None`` takes the environment's ``capacity`` (every simulated
     platform advertises one) — releasing more than the pool can run
     would just rebuild the platform-side queue the service exists to
-    own. ``admission_control`` can be switched off for experiments
-    that want infeasible work to hit the platform's unmatched-timeout
-    path instead.
+    own.
     """
 
     max_in_flight: int | None = None
-    admission_control: bool = True
 
     def __post_init__(self) -> None:
         if self.max_in_flight is not None and self.max_in_flight < 1:
@@ -344,8 +341,6 @@ class WorkflowService:
     def _admission_reason(self, tenant: str, dag: Dag) -> str | None:
         if tenant not in self._tenants:
             return f"unknown tenant {tenant!r}"
-        if not self.config.admission_control:
-            return None
         quota = self._tenants[tenant].quota
         account = self._accounts[tenant]
         if (

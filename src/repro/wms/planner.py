@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Literal, Mapping
 
+from repro.dagman.condor import SOFTWARE_REQUIREMENTS
 from repro.dagman.dag import Dag, DagJob
 from repro.wms.catalogs import (
     ReplicaCatalog,
@@ -48,9 +49,6 @@ __all__ = [
     "PlannedWorkflow",
     "plan",
 ]
-
-#: ClassAd requirement for jobs that rely on pre-installed software.
-SOFTWARE_REQUIREMENTS = "has_python and has_biopython and has_cap3"
 
 #: Fixed cost of a cleanup (rm) job.
 CLEANUP_RUNTIME_S = 1.0

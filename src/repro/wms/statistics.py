@@ -306,17 +306,3 @@ def render_report(stats: WorkflowStatistics, *, title: str = "workflow") -> str:
     lines.append(table.render())
     return "\n".join(lines)
 
-
-def render_site_breakdown(trace: WorkflowTrace) -> str:
-    """Per-site table (meaningful on multi-site platforms like OSG)."""
-    table = Table(
-        ["site", "jobs", "failures/evictions", "mean kickstart (s)",
-         "total kickstart (s)"],
-        title="Per-site breakdown",
-    )
-    for s in per_site(trace):
-        table.add_row(
-            s.site, s.jobs, s.failures,
-            round(s.mean_kickstart, 1), round(s.total_kickstart),
-        )
-    return table.render()

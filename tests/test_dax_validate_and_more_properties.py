@@ -1,5 +1,5 @@
-"""DAX-pass lint findings on hand-built ADags plus extra bio property tests (ORF symmetry,
-affine/linear relationships over random sequences)."""
+"""DAX-pass lint findings on hand-built ADags plus extra bio property tests
+(ORF symmetry over random sequences)."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +9,6 @@ from repro.bio.seq import reverse_complement
 from repro.core.workflow_factory import build_blast2cap3_adag
 from repro.lint import lint
 from repro.wms.dax import ADag, AbstractJob, File
-from repro.wms.statistics import render_site_breakdown
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=120)
 
@@ -95,37 +94,3 @@ class TestOrfProperties:
                                require_start=False)
         }
         assert strict <= loose
-
-
-class TestAffineProperties:
-    @given(dna.filter(lambda s: len(s) >= 1), dna.filter(lambda s: len(s) >= 1))
-    @settings(max_examples=40, deadline=None)
-    def test_affine_score_monotone_in_extend_cost(self, a, b):
-        from repro.bio.affine import affine_global
-        from repro.bio.matrices import dna_matrix
-
-        m = dna_matrix()
-        cheap = affine_global(a, b, matrix=m, gap_open=-6, gap_extend=-1)
-        dear = affine_global(a, b, matrix=m, gap_open=-6, gap_extend=-4)
-        assert cheap.score >= dear.score
-
-    @given(dna.filter(lambda s: len(s) >= 1))
-    @settings(max_examples=40, deadline=None)
-    def test_self_alignment_gap_free(self, seq):
-        from repro.bio.affine import affine_global
-        from repro.bio.matrices import dna_matrix
-
-        res = affine_global(seq, seq, matrix=dna_matrix(match=2),
-                            gap_open=-6, gap_extend=-1)
-        assert res.gaps == 0
-        assert res.score == 2 * len(seq)
-
-
-class TestSiteBreakdownRender:
-    def test_renders_multi_site(self):
-        from repro.core.workflow_factory import simulate_paper_run
-
-        result, _ = simulate_paper_run(50, "osg", seed=2)
-        text = render_site_breakdown(result.trace)
-        assert "Per-site breakdown" in text
-        assert "total kickstart" in text

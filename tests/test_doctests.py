@@ -19,7 +19,6 @@ DOCTEST_MODULES = [
     "repro.bio.kmer",
     "repro.sim.engine",
     "repro.sim.rng",
-    "repro.blast.filter",
     "repro.core.pipeline",
     "repro.wms.monitor",
     "repro.observe.bus",

@@ -3,7 +3,7 @@ spans; ``to_otlp_json`` is the reference it is held to.
 
 The writer never builds the document tree, so nothing but these tests
 ties its text to the dict API: the file must be, byte for byte,
-``json.dumps(to_otlp_json(spans, **kw), indent=1)`` plus a newline —
+``json.dumps(to_otlp_json(spans), indent=1)`` plus a newline —
 the expression the writer used to be.
 """
 
@@ -15,8 +15,8 @@ from hypothesis import given, settings, strategies as st
 from repro.observe.trace import Span, SpanLink, to_otlp_json, write_otlp_trace
 
 
-def reference(spans, **kw) -> bytes:
-    return (json.dumps(to_otlp_json(spans, **kw), indent=1) + "\n").encode()
+def reference(spans) -> bytes:
+    return (json.dumps(to_otlp_json(spans), indent=1) + "\n").encode()
 
 
 def span(name="s", *, attributes=None, links=(), parent=None, end=1.5,
@@ -73,40 +73,37 @@ spans = st.builds(
     links=links,
     status=st.sampled_from(["unset", "ok", "error"]),
 )
-envelopes = st.fixed_dictionaries(
-    {},
-    optional={
-        "service_name": texts,
-        "resource_attributes": st.none() | attrs,
-    },
-)
 
 
-@given(st.lists(spans, max_size=5), envelopes)
+@given(st.lists(spans, max_size=5))
 @settings(max_examples=120, deadline=None)
-def test_file_is_the_indented_dict_api_byte_for_byte(tmp_path_factory, forest, kw):
+def test_file_is_the_indented_dict_api_byte_for_byte(tmp_path_factory, forest):
     path = tmp_path_factory.getbasetemp() / "property.otlp.json"
-    assert write_otlp_trace(path, forest, **kw) == path
-    assert path.read_bytes() == reference(forest, **kw)
+    assert write_otlp_trace(path, forest) == path
+    assert path.read_bytes() == reference(forest)
 
 
 class TestNamedCases:
     """Each case a renderer has got wrong (or could), on its own, so a
     failure names it without waiting for hypothesis to find it."""
 
-    def check(self, tmp_path, forest, **kw):
-        path = write_otlp_trace(tmp_path / "t.json", forest, **kw)
-        assert path.read_bytes() == reference(forest, **kw)
+    def check(self, tmp_path, forest):
+        path = write_otlp_trace(tmp_path / "t.json", forest)
+        assert path.read_bytes() == reference(forest)
 
     def test_empty_span_list(self, tmp_path):
         self.check(tmp_path, [])
 
     def test_resource_envelope(self, tmp_path):
-        self.check(
-            tmp_path, [span()], service_name='svc "é"',
-            resource_attributes={"host": "h\n", "service.name": "wins", "n": 3},
-        )
-        self.check(tmp_path, [], resource_attributes={})
+        tricky = {"host": "h\n", "service.name": 'svc "é"', "n": 3}
+        self.check(tmp_path, [
+            span(attributes=tricky, links=[SpanLink("ab" * 16, "01" * 8, tricky)]),
+        ])
+        self.check(tmp_path, [])
+        resource = to_otlp_json([])["resourceSpans"][0]["resource"]
+        assert resource == {"attributes": [
+            {"key": "service.name", "value": {"stringValue": "repro"}},
+        ]}
 
     def test_open_root_span_without_attributes(self, tmp_path):
         self.check(tmp_path, [span(end=None, parent=None, attributes={})])
@@ -155,7 +152,6 @@ class TestNamedCases:
             [span(name=text, kind=text, trace_id=text, span_id=text,
                   parent=text, attributes={text: text},
                   links=[SpanLink(text, text, {text: text})])],
-            service_name=text, resource_attributes={text: text},
         )
 
 
@@ -176,15 +172,11 @@ class TestNonFiniteDoubles:
     def test_dict_api_and_file_agree(self, tmp_path, value, spelling):
         forest = [span(attributes={"x": value},
                        links=[SpanLink("ab" * 16, "01" * 8, {"y": value})])]
-        doc = to_otlp_json(forest, resource_attributes={"z": value})
-        path = write_otlp_trace(
-            tmp_path / "t.json", forest, resource_attributes={"z": value}
-        )
+        doc = to_otlp_json(forest)
+        path = write_otlp_trace(tmp_path / "t.json", forest)
         assert self.strict(path.read_text()) == doc
         assert self.strict(json.dumps(doc)) == doc
-        resource = doc["resourceSpans"][0]
-        row = resource["scopeSpans"][0]["spans"][0]
+        row = doc["resourceSpans"][0]["scopeSpans"][0]["spans"][0]
         want = {"doubleValue": spelling}
-        assert resource["resource"]["attributes"][-1]["value"] == want
         assert row["attributes"][-1]["value"] == want
         assert row["links"][0]["attributes"][0]["value"] == want

@@ -161,21 +161,6 @@ class TestAdmissionControl:
         assert service.account("alice").workflows_rejected == 1
         assert service.account("alice").active_workflows == 0
 
-    def test_admission_control_can_be_disabled(self):
-        service = _small_service("alice")
-        disabled = WorkflowService(
-            service.environment,
-            config=ServiceConfig(admission_control=False),
-        )
-        disabled.add_tenant(TenantConfig(name="alice"))
-        dag = Dag(name="wf")
-        dag.add_job(DagJob(
-            name="j0", transformation="blast2cap3", runtime=10.0,
-            requirements="has_gpu",
-        ))
-        handle = disabled.submit("alice", dag)
-        assert handle.state is WorkflowState.RUNNING
-
     def test_max_active_workflows_quota(self):
         service = _small_service(TenantConfig(
             name="alice",

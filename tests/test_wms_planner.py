@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.dagman.condor import SOFTWARE_REQUIREMENTS
 from repro.wms.catalogs import (
     ReplicaCatalog,
     SiteCatalog,
@@ -15,7 +16,6 @@ from repro.wms.dax import ADag, AbstractJob, File
 from repro.wms.planner import (
     PlannerOptions,
     PlanningError,
-    SOFTWARE_REQUIREMENTS,
     plan,
 )
 
