@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterator
 
 __all__ = ["KmerIndex", "kmers"]
 
@@ -57,11 +57,6 @@ class KmerIndex:
             self._index[word].append((key, offset))
             self._size += 1
 
-    def add_all(self, items: Iterable[tuple[Hashable, str]]) -> None:
-        """Index many ``(key, sequence)`` pairs."""
-        for key, seq in items:
-            self.add(key, seq)
-
     def lookup(self, word: str) -> list[tuple[Hashable, int]]:
         """All ``(key, offset)`` occurrences of ``word`` (empty if none)."""
         if len(word) != self.k:
@@ -84,8 +79,3 @@ class KmerIndex:
 
     def __contains__(self, word: str) -> bool:
         return word.upper() in self._index
-
-    @property
-    def distinct_kmers(self) -> int:
-        """Number of distinct k-mers present in the index."""
-        return len(self._index)

@@ -95,10 +95,6 @@ class ScoringMatrix:
         raw = np.frombuffer(seq.upper().encode("ascii"), dtype=np.uint8)
         return self._codes[raw]
 
-    def max_score(self) -> int:
-        """Highest score in the matrix (used by X-drop extension)."""
-        return int(self.matrix.max())
-
 
 @lru_cache(maxsize=None)
 def _encode_table(alphabet: str, wildcard: str) -> np.ndarray:

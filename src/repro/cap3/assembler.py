@@ -46,8 +46,8 @@ class Contig:
 
     ``placements`` records each member's layout position as
     ``(read_id, offset, flipped)``; contained reads inherit their
-    container's offset (an approximation sufficient for the .ace
-    report — their true offset lies within the container's span).
+    container's offset (an approximation: their true offset lies within
+    the container's span).
     """
 
     id: str

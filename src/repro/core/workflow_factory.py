@@ -327,9 +327,12 @@ def run_local(
     (:mod:`repro.core.cache`), so retried jobs and re-planned n-sweeps
     over the same inputs skip the recomputation.
     """
+    from dataclasses import replace as dc_replace
+
+    from repro.execution.local import LocalEnvironment
+
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    adag = build_blast2cap3_adag(n)
     factories = _local_payload_factories(
         workdir, Path(transcripts_path), Path(alignments_path), n,
         cap3_params, cache_dir,
@@ -339,32 +342,8 @@ def run_local(
     )
     replicas.add(TRANSCRIPTS_LFN, str(transcripts_path), site="local")
     replicas.add(ALIGNMENTS_LFN, str(alignments_path), site="local")
-    return plan_and_run_locally(
-        adag, (sites, transformations, replicas), workdir / FINAL_OUTPUT_LFN,
-        retries=retries, max_workers=max_workers, executor=executor, bus=bus,
-    )
-
-
-def plan_and_run_locally(
-    adag: ADag,
-    catalogs: tuple[SiteCatalog, TransformationCatalog, ReplicaCatalog],
-    final_output: Path,
-    *,
-    retries: int = 0,
-    max_workers: int,
-    executor: str,
-    bus: "EventBus | None" = None,
-) -> LocalRunResult:
-    """Plan ``adag`` onto the ``local`` site of ``catalogs`` and run it
-    under DAGMan on the local backend — the tail of :func:`run_local`
-    and of :func:`repro.core.pipeline_workflow.run_pipeline_local`."""
-    from dataclasses import replace as dc_replace
-
-    from repro.execution.local import LocalEnvironment
-
-    sites, transformations, replicas = catalogs
     planned = plan(
-        adag,
+        build_blast2cap3_adag(n),
         site_name="local",
         sites=sites,
         transformations=transformations,
@@ -382,7 +361,9 @@ def plan_and_run_locally(
         max_workers=max_workers, executor=executor, bus=bus
     ) as env:
         result = DagmanScheduler(planned.dag, env, bus=bus).run()
-    return LocalRunResult(dagman=result, planned=planned, final_output=final_output)
+    return LocalRunResult(
+        dagman=result, planned=planned, final_output=workdir / FINAL_OUTPUT_LFN
+    )
 
 
 Platform = Literal["sandhills", "osg", "cloud"]

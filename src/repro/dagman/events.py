@@ -338,10 +338,6 @@ class WorkflowTrace:
         """Attempts that carry a :class:`ResourceProfile`."""
         return [a for a in self.attempts if a.profile is not None]
 
-    def cumulative_cpu(self) -> float:
-        """Total CPU seconds across profiled attempts (user + system)."""
-        return sum(a.profile.cpu_s for a in self.profiled())  # type: ignore[union-attr]
-
     def peak_rss_kb(self) -> int:
         """Largest per-attempt RSS high-water mark (0 if unprofiled)."""
         profiles = self.profiled()

@@ -392,13 +392,6 @@ class DagmanScheduler:
         it changes nothing in the scheduler."""
         return dict(zip(self.dag.jobs, self._state))
 
-    def status_counts(self) -> dict[str, int]:
-        """State histogram, the ``pegasus-status`` style summary."""
-        counts: dict[str, int] = {}
-        for state in self._state:
-            counts[state.value] = counts.get(state.value, 0) + 1
-        return counts
-
     def write_rescue(self, path: str | Path) -> Path:
         """Write a rescue DAG marking completed nodes DONE."""
         done = [

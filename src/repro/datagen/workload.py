@@ -126,12 +126,6 @@ class PaperScale:
     serial_walltime_s: float = 360_000.0  # "the running time was 100 hours"
     cluster_counts: tuple[int, ...] = (10, 100, 300, 500)
 
-    @property
-    def mean_transcript_length(self) -> float:
-        """Approximate mean transcript length implied by the file size."""
-        # FASTA overhead (headers, newlines) is roughly 10 %.
-        return 0.9 * self.transcripts_bytes / self.transcripts
-
 
 def paper_scale() -> PaperScale:
     """The paper's workload descriptor (a singleton value object)."""

@@ -130,29 +130,6 @@ class MakespanAttribution:
             return 0.0
         return self.buckets[bucket] / self.makespan_s
 
-    def by_transformation(self) -> dict[str, dict[str, float]]:
-        """Path seconds per transformation per bucket (idle has no
-        transformation and is omitted)."""
-        out: dict[str, dict[str, float]] = {}
-        for seg in self.segments:
-            if seg.transformation is None:
-                continue
-            row = out.setdefault(
-                seg.transformation, {b: 0.0 for b in BUCKETS}
-            )
-            row[seg.bucket] += seg.duration
-        return out
-
-    def by_site(self) -> dict[str, dict[str, float]]:
-        """Path seconds per execution site per bucket."""
-        out: dict[str, dict[str, float]] = {}
-        for seg in self.segments:
-            if seg.site is None:
-                continue
-            row = out.setdefault(seg.site, {b: 0.0 for b in BUCKETS})
-            row[seg.bucket] += seg.duration
-        return out
-
 
 def _chain_from_timeline(trace: WorkflowTrace) -> list[JobAttempt]:
     """DAG-free fallback: hop backward to the latest-finishing job that

@@ -4,8 +4,8 @@ The paper's operators recovered failed OSG runs by hand: inspect,
 ``pegasus-run`` the rescue DAG, repeat. This module closes that loop:
 run the DAG, and while anything failed, write a ``*.rescue00K`` file,
 carry the DONE marks forward, emit a ``rescue.round`` event, and
-resubmit — up to ``max_rounds`` rounds, on the *same* environment
-(one continuing clock/pool) or a fresh one per round.
+resubmit — up to ``max_rounds`` rounds, on one environment (one
+continuing clock and pool).
 
 The merged trace spans every round, so ``pegasus-statistics``'
 planned-vs-attempted accounting stays consistent across recovery: jobs
@@ -79,8 +79,7 @@ class RecoveryResult:
 
 def run_with_recovery(
     dag: Dag,
-    environment: ExecutionEnvironment
-    | Callable[[int], ExecutionEnvironment],
+    environment: ExecutionEnvironment,
     *,
     max_rounds: int = 3,
     rescue_dir: str | Path | None = None,
@@ -93,10 +92,9 @@ def run_with_recovery(
     """Run ``dag``, rescuing and resubmitting until success or
     ``max_rounds`` rounds are spent.
 
-    ``environment`` is either one environment reused every round (the
-    common case — simulators keep one virtual timeline, the local pool
-    keeps its workers warm) or a factory called with the 1-based round
-    number. ``rescue_dir`` receives ``<dag>.rescue001`` … files after
+    ``environment`` is reused every round: simulators keep one virtual
+    timeline, the local pool keeps its workers warm. ``rescue_dir``
+    receives ``<dag>.rescue001`` … files after
     each failed round (omit to skip writing them). Extra keyword
     arguments (``max_jobs``, ``retry_policy``, …) go to every round's
     :class:`DagmanScheduler`; ``on_round_start`` fires after each
@@ -162,16 +160,15 @@ def run_with_recovery(
             )
     last_round_no = max(max_rounds, start_round)
     for round_no in range(start_round, last_round_no + 1):
-        env = environment(round_no) if callable(environment) else environment
         scheduler = DagmanScheduler(
-            current, env, bus=bus, restore=restore,
+            current, environment, bus=bus, restore=restore,
             **scheduler_kwargs,  # type: ignore[arg-type]
         )
         restore = None  # counters restore into the first resumed round only
         scheduler.start()
         if on_round_start is not None:
             on_round_start(scheduler, round_no)
-        env.run_until_complete()
+        environment.run_until_complete()
         result = scheduler.finish()
         for attempt in result.trace:
             outcome.trace.add(attempt)
@@ -198,7 +195,7 @@ def run_with_recovery(
             bus.emit(
                 RunEvent(
                     EventKind.RESCUE,
-                    env.now,
+                    environment.now,
                     detail={
                         "round": round_no,
                         "done": len(done),

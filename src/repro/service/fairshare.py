@@ -53,10 +53,6 @@ class StrideScheduler:
         self._pass.setdefault(name, 0.0)
         self._served.setdefault(name, 0)
 
-    def unregister(self, name: str) -> None:
-        for table in (self._stride, self._priority, self._pass, self._served):
-            table.pop(name, None)  # type: ignore[attr-defined]
-
     def select(self, eligible: Iterable[str]) -> str | None:
         """The tenant to serve next, among ``eligible`` names.
 

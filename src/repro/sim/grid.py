@@ -164,7 +164,6 @@ class OpportunisticGrid(SimPlatform):
         #: oracle before the first submit.
         self.matchmaker: Matchmaker = IndexedMatchmaker(self._machines)
         self._blocked: frozenset[str] = frozenset()
-        self._pool_epoch = self.matchmaker.pool_epoch
         #: ClassAd match key → the wait class of the attempts that share it.
         self._wait_classes: dict[tuple, deque[Attempt]] = {}
 
@@ -299,15 +298,9 @@ class OpportunisticGrid(SimPlatform):
             )
         # A sleeping class is one no free, unblocked machine satisfied;
         # ``_release`` wakes the classes a freed machine can matter to.
-        # An expiring block or a joining machine frees nothing, so a
-        # pass with (or right after one with) blocked machines, and any
-        # pass after a membership change, wakes everyone.
-        if (
-            blocked
-            or self._blocked
-            or matchmaker.pool_epoch != self._pool_epoch
-        ):
-            self._pool_epoch = matchmaker.pool_epoch
+        # An expiring block frees nothing, so a pass with (or right
+        # after one with) blocked machines wakes everyone.
+        if blocked or self._blocked:
             self._wake()
         self._blocked = blocked
         self._blocks_excluded = bool(blocked)

@@ -30,8 +30,8 @@ list-order tie-break (earliest-freed machine wins among equals) and
 makes ``claim`` O(1) where the old ``list.remove`` paid O(pool).
 
 Pool-wide admission checks (:meth:`Matchmaker.matchable`) are cached
-per requirements signature and invalidated when pool membership
-changes.
+per requirements signature. The pool is fixed at construction, so a
+cached verdict never goes stale.
 """
 
 from __future__ import annotations
@@ -84,9 +84,9 @@ class Matchmaker:
     """Free-list bookkeeping, the strategy hooks and the linear scan
     the index falls back to.
 
-    The pool is the fixed set of machines handed to the constructor
-    plus any later :meth:`add_machines`; the *free* subset shrinks via
-    :meth:`claim` and grows via :meth:`release`.
+    The pool is the set of machines handed to the constructor, all of
+    them free at first; the *free* subset shrinks via :meth:`claim` and
+    grows via :meth:`release`.
     """
 
     def __init__(self, machines: Iterable[MachineSpec]) -> None:
@@ -94,20 +94,7 @@ class Matchmaker:
         self.ads: dict[str, ClassAd] = {}
         self._free: dict[str, int] = {}
         self._free_seq = 0
-        #: Bumped by every membership change: whoever remembers a
-        #: "nothing free matches" verdict must forget it when this moves.
-        self.pool_epoch = 0
         self.stats = MatchmakerStats()
-        self.add_machines(machines)
-
-    # -- pool membership ------------------------------------------------
-
-    def add_machines(self, machines: Iterable[MachineSpec]) -> None:
-        """Grow the pool; new machines start out free.
-
-        Invalidates every cached pool-wide matchability verdict — a job
-        that matched nothing may match the newcomers.
-        """
         for machine in machines:
             if machine.name in self._machines:
                 raise ValueError(f"duplicate machine: {machine.name}")
@@ -115,25 +102,6 @@ class Matchmaker:
             self.ads[machine.name] = machine.classad()
             self._mark_free(machine.name)
             self._index_machine(machine)
-        self.pool_epoch += 1
-        self._invalidate_pool_caches()
-
-    def remove_machine(self, name: str) -> None:
-        """Shrink the pool (the machine must currently be free).
-
-        Invalidates cached matchability — a requirements shape that
-        matched only this machine is unmatchable afterwards.
-        """
-        if name not in self._machines:
-            raise KeyError(name)
-        if name not in self._free:
-            raise ValueError(f"cannot remove busy machine: {name}")
-        del self._free[name]
-        machine = self._machines.pop(name)
-        del self.ads[name]
-        self._unindex_machine(machine)
-        self.pool_epoch += 1
-        self._invalidate_pool_caches()
 
     # -- free-list bookkeeping ------------------------------------------
 
@@ -199,13 +167,7 @@ class Matchmaker:
     def _index_machine(self, machine: MachineSpec) -> None:
         pass
 
-    def _unindex_machine(self, machine: MachineSpec) -> None:
-        pass
-
     def _on_release(self, name: str) -> None:
-        pass
-
-    def _invalidate_pool_caches(self) -> None:
         pass
 
     # -- the shared linear scan -----------------------------------------
@@ -235,8 +197,6 @@ class _Bucket:
     """Free machines sharing one capability signature."""
 
     representative: ClassAd
-    #: pool members with this signature (busy or free)
-    pool: set[str] = field(default_factory=set)
     #: free members (kept for O(1) emptiness checks)
     free: set[str] = field(default_factory=set)
     #: lazy max-heap of (-speed, free_seq, name); stale entries (the
@@ -292,18 +252,7 @@ class IndexedMatchmaker(Matchmaker):
                 )
             )
         self._sig_of[machine.name] = sig
-        bucket.pool.add(machine.name)
         self._push_free(machine.name, bucket)
-
-    def _unindex_machine(self, machine: MachineSpec) -> None:
-        sig = self._sig_of.pop(machine.name, None)
-        if sig is None:
-            return
-        bucket = self._buckets[sig]
-        bucket.pool.discard(machine.name)
-        bucket.free.discard(machine.name)
-        if not bucket.pool:
-            del self._buckets[sig]
 
     def _push_free(self, name: str, bucket: _Bucket) -> None:
         bucket.free.add(name)
@@ -322,12 +271,6 @@ class IndexedMatchmaker(Matchmaker):
         sig = self._sig_of.get(name)
         if sig is not None:
             self._buckets[sig].free.discard(name)
-
-    def _invalidate_pool_caches(self) -> None:
-        # Neither pool-wide matchability nor the accepting set survives
-        # a membership change: buckets come and go with their members.
-        self._matchable_cache.clear()
-        self._accepting_cache.clear()
 
     # -- expression analysis --------------------------------------------
 
@@ -408,11 +351,11 @@ class IndexedMatchmaker(Matchmaker):
         cached = self._matchable_cache.get(job_key)
         if cached is not None:
             return cached
-        # An empty bucket is deleted, so an accepting one has a member.
+        # A bucket exists only for a machine in it, so an accepting one
+        # has a member.
         accepting = self._accepting(ad)
         verdict = (
             self._matchable_scan(ad) if accepting is None else bool(accepting)
         )
         self._matchable_cache[job_key] = verdict
         return verdict
-

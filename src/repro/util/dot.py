@@ -69,10 +69,6 @@ class DotGraph:
     def node_count(self) -> int:
         return len(self._nodes)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
-
     def render(self) -> str:
         """Emit DOT source text."""
         lines = [f"digraph {_quote(self.name)} {{", f"  rankdir={self.rankdir};"]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 __all__ = [
@@ -68,15 +69,26 @@ def main_plan(argv: list[str] | None = None) -> int:
                         help="add cleanup jobs for intermediate files")
     args = parser.parse_args(argv)
 
+    from dataclasses import replace
+
     from repro.core.workflow_factory import build_blast2cap3_adag, default_catalogs
     from repro.perfmodel.task_models import PaperTaskModel
     from repro.wms.monitor import DAG_FILE, DAX_FILE, write_plan
     from repro.wms.planner import PlannerOptions, PlanningError, plan
 
+    # Every flag is checked here, before the submit directory is touched.
+    try:
+        adag = _flag(args, "clusters", build_blast2cap3_adag, args.clusters,
+                     model=PaperTaskModel())
+        options = _flag(args, "retries", PlannerOptions, retries=args.retries)
+        options = _flag(args, "timeout", replace, options, timeout_s=args.timeout)
+        options = _flag(args, "cluster-size", replace, options,
+                        cluster_size=args.cluster_size, add_cleanup=args.cleanup)
+    except ValueError as exc:
+        print(f"repro-plan: {exc}", file=sys.stderr)
+        return 2
     submit = Path(args.submit_dir)
     submit.mkdir(parents=True, exist_ok=True)
-    model = PaperTaskModel()
-    adag = build_blast2cap3_adag(args.clusters, model=model)
     adag.write(submit / DAX_FILE)
 
     sites, transformations, replicas = default_catalogs()
@@ -87,12 +99,7 @@ def main_plan(argv: list[str] | None = None) -> int:
             sites=sites,
             transformations=transformations,
             replicas=replicas,
-            options=PlannerOptions(
-                retries=args.retries,
-                timeout_s=args.timeout,
-                cluster_size=args.cluster_size,
-                add_cleanup=args.cleanup,
-            ),
+            options=options,
         )
     except PlanningError as exc:
         # Includes the pre-flight linter's fail-fast (LintFailure).
@@ -104,6 +111,26 @@ def main_plan(argv: list[str] | None = None) -> int:
     print(f"submit dir: {submit}")
     print(f"run with: repro-run --submit-dir {submit}")
     return 0
+
+
+def _flag(args: argparse.Namespace, name: str, build, *build_args, **build_kwargs):
+    """``build(*build_args, **build_kwargs)``; a ``ValueError`` it raises
+    comes back naming ``--name`` and the value it was given."""
+    try:
+        return build(*build_args, **build_kwargs)
+    except ValueError as exc:
+        value = getattr(args, name.replace("-", "_"))
+        raise ValueError(f"--{name} {value!r}: {exc}") from None
+
+
+def _at_least(bound: int):
+    """A check, for :func:`_flag`, that a value is at least ``bound``."""
+
+    def check(value):
+        if value < bound:
+            raise ValueError(f"must be >= {bound}")
+
+    return check
 
 
 def _run_policies(args: argparse.Namespace):
@@ -120,19 +147,9 @@ def _run_policies(args: argparse.Namespace):
         StartFailure,
     )
 
-    def flag(name, build, *build_args, **build_kwargs):
-        try:
-            return build(*build_args, **build_kwargs)
-        except ValueError as exc:
-            value = getattr(args, name.replace("-", "_"))
-            raise ValueError(f"--{name} {value!r}: {exc}") from None
-
-    def at_least_one(value):
-        if value < 1:
-            raise ValueError("must be >= 1")
-
-    flag("max-rescue-rounds", at_least_one, args.max_rescue_rounds)
-    flag("journal-snapshot-every", at_least_one, args.journal_snapshot_every)
+    flag = partial(_flag, args)
+    flag("max-rescue-rounds", _at_least(1), args.max_rescue_rounds)
+    flag("journal-snapshot-every", _at_least(1), args.journal_snapshot_every)
     faults = []
     if args.chaos_start_failure > 0:
         faults.append(flag("chaos-start-failure", StartFailure, args.chaos_start_failure))
@@ -514,6 +531,10 @@ def main_status(argv: list[str] | None = None) -> int:
     parser.add_argument("--interval", type=float, default=1.0,
                         help="poll interval for --follow, in seconds")
     args = parser.parse_args(argv)
+    try:
+        _flag(args, "interval", _at_least(0), args.interval)
+    except ValueError as exc:
+        parser.exit(2, f"repro-status: {exc}\n")
 
     from repro.wms.monitor import EVENTS_FILE, load_run, progress_line, read_plan
 
@@ -587,6 +608,11 @@ def main_plots(argv: list[str] | None = None) -> int:
     parser.add_argument("--width", type=int, default=72)
     parser.add_argument("--max-rows", type=int, default=40)
     args = parser.parse_args(argv)
+    try:
+        _flag(args, "width", _at_least(1), args.width)
+        _flag(args, "max-rows", _at_least(0), args.max_rows)
+    except ValueError as exc:
+        parser.exit(2, f"repro-plots: {exc}\n")
 
     from repro.wms.monitor import load_run
     from repro.wms.plots import gantt, utilization, utilization_series

@@ -430,13 +430,7 @@ def _horizontal_clustering(
     for parent, child in dag.edges():
         mp, mc = mapped(parent), mapped(child)
         if mp != mc:
-            try:
-                new_dag.add_edge(mp, mc)
-            except ValueError:
-                # Two members of different clusters with edges in both
-                # directions would cycle; clustering by level prevents
-                # this, so reaching here is a bug.
-                raise
+            new_dag.add_edge(mp, mc)
 
     job_map = {
         abstract: mapped(executable)

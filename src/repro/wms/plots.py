@@ -74,7 +74,7 @@ def gantt(
         label = f"{a.job_name}[{a.attempt}]"[:_LABEL_WIDTH]
         lines.append(f"{label:<{_LABEL_WIDTH}} |{''.join(row)}|")
     header = (
-        f"{'job[attempt]':<{_LABEL_WIDTH}} |{'t=0':<{width - 9}}"
+        f"{'job[attempt]':<{_LABEL_WIDTH}} |{'t=0':<{max(width - 9, 0)}}"
         f"t={span:,.0f}s|"
     )
     out = [header, *lines]

@@ -48,9 +48,6 @@ class TestBlosum62:
         assert codes.shape == (6,)
         assert PROTEIN_ORDER[codes[0]] == "M"
 
-    def test_max_score(self):
-        assert blosum62().max_score() == 11
-
 
 class TestDnaMatrix:
     def test_defaults(self):
@@ -110,9 +107,12 @@ class TestKmerIndex:
 
     def test_contains_and_distinct(self):
         idx = KmerIndex(k=2)
-        idx.add_all([("a", "ACAC"), ("b", "ACGT")])
-        assert "AC" in idx
-        assert idx.distinct_kmers == 4  # AC, CA, CG, GT
+        idx.add("a", "ACAC")
+        idx.add("b", "ACGT")
+        assert "AC" in idx and "GG" not in idx
+        # four distinct k-mers over six occurrences
+        assert all(word in idx for word in ("CA", "CG", "GT"))
+        assert len(idx) == 6
 
     def test_case_insensitive(self):
         idx = KmerIndex(k=2)

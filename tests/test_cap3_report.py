@@ -1,4 +1,4 @@
-"""Tests for contig placements and the ACE/info reports."""
+"""Tests for contig placements."""
 
 import random
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.bio.fasta import FastaRecord
 from repro.cap3.assembler import Contig, assemble
-from repro.cap3.report import format_ace, format_info, write_ace
 
 
 def random_dna(rng, n):
@@ -53,63 +52,3 @@ class TestPlacements:
                 id="c", seq="ACGT", members=("a", "b"),
                 placements=(("a", 0, False),),
             )
-
-
-class TestAce:
-    def test_header_counts(self, assembly):
-        result, reads = assembly
-        ace = format_ace(result, reads)
-        n_reads = sum(len(c.members) for c in result.contigs)
-        assert ace.startswith(f"AS {len(result.contigs)} {n_reads}")
-
-    def test_record_structure(self, assembly):
-        result, reads = assembly
-        ace = format_ace(result, reads)
-        lines = ace.splitlines()
-        co = [l for l in lines if l.startswith("CO ")]
-        af = [l for l in lines if l.startswith("AF ")]
-        rd = [l for l in lines if l.startswith("RD ")]
-        assert len(co) == len(result.contigs)
-        assert len(af) == len(rd) == sum(len(c.members) for c in result.contigs)
-
-    def test_af_offsets_one_based(self, assembly):
-        result, reads = assembly
-        ace = format_ace(result, reads)
-        first_af = next(
-            l for l in ace.splitlines() if l.startswith("AF r0")
-        )
-        assert first_af.split()[-1] == "1"
-
-    def test_singlets_not_in_ace(self, assembly):
-        result, reads = assembly
-        assert "lone" not in format_ace(result, reads)
-
-    def test_consensus_wrapped(self, assembly):
-        result, reads = assembly
-        ace = format_ace(result, reads)
-        body_lines = [
-            l for l in ace.splitlines()
-            if l and not l[:2] in ("AS", "CO", "AF", "RD", "QA")
-        ]
-        assert all(len(l) <= 60 for l in body_lines)
-
-    def test_write_ace(self, assembly, tmp_path):
-        result, reads = assembly
-        path = write_ace(result, reads, tmp_path / "out.cap.ace")
-        assert path.read_text().startswith("AS ")
-
-
-class TestInfo:
-    def test_lists_contigs_and_singlets(self, assembly):
-        result, _ = assembly
-        info = format_info(result)
-        assert "Contig1" in info
-        assert "lone" in info
-        assert "Singlets: 1" in info
-
-    def test_reads_sorted_by_offset(self, assembly):
-        result, _ = assembly
-        info = format_info(result)
-        r0 = info.index("r0 ")
-        r2 = info.index("r2 ")
-        assert r0 < r2

@@ -212,6 +212,49 @@ def exit_code(main, argv):
         return stop.code
 
 
+@pytest.mark.parametrize("main, flags, line", [
+    (main_plan, ["-n", "0"], "repro-plan: --clusters 0: n must be >= 1, got 0"),
+    (main_plan, ["--retries", "-1"],
+     "repro-plan: --retries -1: retries must be >= 0"),
+    (main_plan, ["--cluster-size", "0"],
+     "repro-plan: --cluster-size 0: cluster_size must be >= 1"),
+    (main_plan, ["--timeout", "0"],
+     "repro-plan: --timeout 0.0: timeout_s must be positive (or None)"),
+    (main_plan, ["--timeout", "-5"],
+     "repro-plan: --timeout -5.0: timeout_s must be positive (or None)"),
+    (main_status, ["--follow", "--interval", "-1"],
+     "repro-status: --interval -1.0: must be >= 0"),
+    (main_plots, ["--width", "0"], "repro-plots: --width 0: must be >= 1"),
+    (main_plots, ["--width", "-5"], "repro-plots: --width -5: must be >= 1"),
+    (main_plots, ["--max-rows", "-1"],
+     "repro-plots: --max-rows -1: must be >= 0"),
+], ids=["plan-clusters", "plan-retries", "plan-cluster-size", "plan-timeout-0",
+        "plan-timeout-negative", "status-interval", "plots-width-0",
+        "plots-width-negative", "plots-max-rows"])
+def test_plan_status_and_plots_refuse_a_bad_flag(
+    main, flags, line, submit_dir, tmp_path, capsys
+):
+    """All but the last were tracebacks, exit 1 — ``--follow`` once it
+    had read a log without ``workflow.end`` — and the last four
+    ``repro-plan`` rows had already written ``workflow.dax``;
+    ``--max-rows -1`` exited 0 with one gantt row missing."""
+    d = tmp_path / "run"
+    shutil.copytree(submit_dir, d)
+    log = d / "events.jsonl"  # a run in flight: workflow.end not yet there
+    log.write_bytes(b"".join(log.read_bytes().splitlines(keepends=True)[:-1]))
+
+    def files():
+        return {p: p.read_bytes() for p in d.rglob("*") if p.is_file()}
+
+    before = files()
+    capsys.readouterr()
+    assert exit_code(main, ["--submit-dir", str(d), *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [line]
+    assert files() == before
+
+
 PLAN_READERS = {
     "repro-run": (main_run, ["--submit-dir", "{d}"]),
     "repro-status": (main_status, ["--submit-dir", "{d}"]),

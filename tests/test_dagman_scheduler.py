@@ -236,7 +236,7 @@ class TestRescue:
         env = ScriptedEnvironment()
         scheduler = DagmanScheduler(diamond(), env)
         result = scheduler.run()
-        assert scheduler.status_counts() == {"done": 4}
+        assert list(scheduler.states.values()) == [NodeState.DONE] * 4
         assert result.wall_time > 0
 
     def test_double_start_rejected(self):

@@ -18,7 +18,6 @@ from repro.core.workflow_factory import (
     build_blast2cap3_adag,
     default_catalogs,
 )
-from repro.core.pipeline_workflow import build_pipeline_adag
 from repro.dagman.dag import CycleError, Dag, DagJob, topological_sort
 from repro.lint import (
     DeterminismOptions,
@@ -457,9 +456,6 @@ class TestRuleTable:
         assert report.skipped_rules == ["DET001"]
         assert report.ok
 
-    def test_clean_pipeline_yields_zero_findings(self):
-        assert lint(build_pipeline_adag(3)).findings == []
-
     def test_severities(self):
         by_id = {r.id: r.severity for r in registered_rules()}
         assert by_id["DAX001"] is Severity.ERROR
@@ -608,9 +604,3 @@ class TestFactoryWorkflowsAlwaysLintClean:
         report = lint(adag, sites=sites, transformations=tc, replicas=rc,
                       site=site, planned=planned)
         assert not report.errors(), render_report(report)
-
-    @given(n_lanes=st.integers(min_value=1, max_value=8))
-    @settings(max_examples=15, deadline=None)
-    def test_pipeline_adag_dax_pass_clean(self, n_lanes):
-        report = lint(build_pipeline_adag(n_lanes))
-        assert not report.errors()

@@ -177,20 +177,6 @@ class TestCaching:
         assert indexed.matchable(ad) is True
         indexed._matchable_cache[key] = False
         assert indexed.stats.matchable_scans == 0
-        # Pool membership change invalidates: the newcomer has CAP3.
-        indexed.add_machines([_machine("b", software={"has_cap3"})])
-        assert indexed.matchable(ad)
-
-    def test_matchable_invalidated_on_removal(self):
-        machines = [
-            _machine("a", software={"has_cap3"}),
-            _machine("b"),
-        ]
-        indexed = IndexedMatchmaker(machines)
-        ad = _job_ad(requirements="has_cap3")
-        assert indexed.matchable(ad)
-        indexed.remove_machine("a")
-        assert not indexed.matchable(ad)
 
     def test_linear_oracle_keeps_uncached_scans(self):
         machines = [_machine(f"m{i}") for i in range(10)]
@@ -199,12 +185,6 @@ class TestCaching:
         for _ in range(3):
             linear.matchable(ad)
         assert linear.stats.matchable_scans == 3
-
-    def test_busy_machine_removal_refused(self):
-        indexed = IndexedMatchmaker([_machine("a")])
-        indexed.claim("a")
-        with pytest.raises(ValueError):
-            indexed.remove_machine("a")
 
     def test_duplicate_machine_refused(self):
         with pytest.raises(ValueError):

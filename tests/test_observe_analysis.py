@@ -152,22 +152,6 @@ def test_what_if_and_ranking():
         at.what_if_free("nonsense")
 
 
-def test_by_transformation_and_site_partition_the_path():
-    trace = WorkflowTrace([
-        _attempt(job="a", transformation="t1", site="s1",
-                 submit=0, setup=2, start=4, end=50),
-        _attempt(job="b", transformation="t2", site="s2",
-                 submit=50, setup=55, start=60, end=90),
-    ])
-    at = attribute_makespan(trace)
-    per_t = at.by_transformation()
-    per_s = at.by_site()
-    attributed = sum(sum(row.values()) for row in per_t.values())
-    assert attributed + at.buckets["idle"] == pytest.approx(at.makespan_s)
-    assert set(per_t) == {"t1", "t2"}
-    assert set(per_s) == {"s1", "s2"}
-
-
 def test_aggregate_components_counts_machine_time():
     trace = WorkflowTrace([
         _attempt(attempt=1, submit=0, setup=5, start=5, end=50,

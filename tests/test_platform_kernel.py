@@ -38,7 +38,7 @@ from repro.sim.cloud import CloudConfig
 from repro.sim.cluster import CampusClusterConfig
 from repro.sim.failures import NO_FAILURES
 from repro.sim.grid import GridConfig, GridSiteConfig, OpportunisticGrid
-from repro.sim.machine import SOFTWARE_ATTRS, MachineSpec
+from repro.sim.machine import SOFTWARE_ATTRS
 
 #: Small pools, so queues form and slots are reused.
 CONFIGS = {
@@ -246,24 +246,6 @@ def test_only_a_release_that_can_matter_asks_the_matchmaker():
     matches = [job for kind, job, _ in asked if kind is EventKind.MATCH]
     assert matches == ["sw1", "plain", "sw2", "sw3"]
     assert {a.machine for a in done if a.job_name != "plain"} == {"rich-0000"}
-
-
-def test_machine_added_at_runtime_wakes_parked_work():
-    simulator, env = _rich_and_bare()
-    done = []
-    env.submit(_job("sw1", 9000.0), done.append)
-    env.submit(_job("sw2", 100.0), done.append)  # parks: the rich slot is taken
-    env.submit(_job("plain", 2000.0, None), done.append)
-    env.call_later(500.0, lambda: env.matchmaker.add_machines([MachineSpec(
-        "late-0000", "late", speed=1.0, software=frozenset(SOFTWARE_ATTRS),
-    )]))
-    env.run_until_complete()
-    # The pass "plain"'s release runs sees a changed pool and wakes
-    # sw2, although the machine released is no use to it.
-    by_name = {a.job_name: a for a in done}
-    assert by_name["sw2"].machine == "late-0000"
-    assert by_name["sw2"].exec_end < by_name["sw1"].exec_end
-    assert env.queue_status() == {"idle": 0, "running": 0}
 
 
 def test_blacklist_expiry_wakes_parked_work():
