@@ -80,14 +80,19 @@ def test_real_local_execution_also_speeds_up(tmp_path_factory, benchmark):
     serial_s = time.perf_counter() - t0
 
     last_result = {}
+    #: wall seconds of each workflow run, timed here so the comparison
+    #: below holds under ``--benchmark-disable`` too (no stats then)
+    workflow_s = []
 
     def workflow_run(workers: int):
         import shutil
         import tempfile
 
         workdir = tempfile.mkdtemp(dir=tmp, prefix="wf")
+        t0 = time.perf_counter()
         result = run_local(transcripts, alignments, workdir, n=8,
                            max_workers=workers, executor="process")
+        workflow_s.append(time.perf_counter() - t0)
         assert result.dagman.success
         last_result["trace"] = result.dagman.trace
         shutil.rmtree(workdir, ignore_errors=True)
@@ -115,4 +120,4 @@ def test_real_local_execution_also_speeds_up(tmp_path_factory, benchmark):
     assert work > 1.1 * wall, "cumulative payload time should exceed wall time"
     # And the workflow must not be pathologically slower than the plain
     # serial loop (it was 7x slower under the old thread pool).
-    assert benchmark.stats["mean"] < 1.6 * serial_s
+    assert statistics.mean(workflow_s) < 1.6 * serial_s

@@ -132,7 +132,7 @@ class DagJob:
 #: what each value must be read back as: the JSON types ``to_json``
 #: writes, a bool never passing for a number. ``payload`` cannot travel
 #: and the byte counts never have.
-_JOB_KEYS = {
+PLAN_JOB_KEYS = {
     "transformation": ((str,), "a string"),
     "runtime": ((int, float), "a number"),
     "needs_setup": ((bool,), "true or false"),
@@ -146,7 +146,7 @@ _JOB_KEYS = {
 def _plan_value(spec: Mapping[str, object], key: str) -> object:
     """``spec[key]``, or a ``ValueError`` saying what it must be."""
     value = spec[key]
-    types, what = _JOB_KEYS[key]
+    types, what = PLAN_JOB_KEYS[key]
     if not isinstance(value, types) or (
         isinstance(value, bool) and bool not in types
     ):
@@ -324,7 +324,7 @@ class Dag:
         ``done`` is written only when there are marks."""
         data: dict = {
             "jobs": {
-                name: {key: getattr(job, key) for key in _JOB_KEYS}
+                name: {key: getattr(job, key) for key in PLAN_JOB_KEYS}
                 for name, job in self.jobs.items()
             },
             "edges": sorted(self.edges()),
@@ -346,7 +346,7 @@ class Dag:
         for job_name, spec in data["jobs"].items():
             try:
                 dag.add_job(DagJob(name=job_name, **{
-                    key: _plan_value(spec, key) for key in _JOB_KEYS
+                    key: _plan_value(spec, key) for key in PLAN_JOB_KEYS
                 }))
             except (KeyError, TypeError, ValueError) as exc:
                 reason = f"missing {exc}" if isinstance(exc, KeyError) else exc

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import json
 import sys
+from _json import make_encoder
 from dataclasses import fields
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -37,62 +39,39 @@ __all__ = [
     "event_to_json_line",
     "event_from_json",
     "decode_event_line",
-    "serialize_event",
     "write_events",
     "read_events",
     "iter_events",
 ]
 
-#: Line keys that are header or attempt record; every other key of a
-#: line is the event's ``detail``.
-_KNOWN = frozenset({"event", "t", *(f.name for f in fields(JobAttempt))})
+#: The one compact encoder: ``json.dumps(obj, separators=(",", ":"))``
+#: without the encoder that call builds each time (the C one, made
+#: once; no cycle check, which no record needs). Every event-log line
+#: and journal record is written in this form, and the journal's CRC
+#: is taken over it.
+_compact = make_encoder(
+    None, json.JSONEncoder().default, _json_str, None, ":", ",",
+    False, False, True,
+)
 
 
-#: ``json.dumps(obj, separators=(",", ":"))`` without the encoder that
-#: call builds each time: the one compact form every event-log line and
-#: journal record is written in (and the journal's CRC is taken over).
-compact_json = json.JSONEncoder(separators=(",", ":")).encode
+def compact_json(obj: object) -> str:
+    """*obj* in the compact form (see :data:`_compact`)."""
+    return "".join(_compact(obj, 0))
 
 
-#: One-slot serialization memo. A run's bus fans each event out to
-#: several persistence subscribers (event log, write-ahead journal);
-#: caching the last event's flattened dict and compact line means the
-#: flatten + serialize work happens once per event, not once per
+#: One-slot line memo. A run's bus fans each event out to several
+#: persistence subscribers (event log, write-ahead journal); keeping the
+#: last event's line means it is printed once per event, not once per
 #: subscriber. Holding a strong reference to the event itself makes the
 #: ``is`` check sound (an id can't be recycled while we still hold it).
-_memo: tuple[RunEvent, dict, str] | None = None
-
-
-def serialize_event(event: RunEvent) -> tuple[dict, str]:
-    """The flattened dict *and* compact JSON line for *event*, memoized
-    per event object (see the memo above). Both values may be shared
-    across callers — treat them as read-only."""
-    global _memo
-    memo = _memo
-    if memo is not None and memo[0] is event:
-        return memo[1], memo[2]
-    data = _flatten(event)
-    line = compact_json(data)
-    _memo = (event, data, line)
-    return data, line
+_memo: tuple[RunEvent, str] | None = None
 
 
 def event_to_json(event: RunEvent) -> dict:
-    """Flatten one event to a JSON-able dict (one log line).
-
-    The result may be shared across callers (see the memo above) —
-    treat it as read-only; copy before mutating.
-    """
-    return serialize_event(event)[0]
-
-
-def event_to_json_line(event: RunEvent) -> str:
-    """One compact JSON line (no newline) for *event*, memo-shared with
-    :func:`event_to_json` so co-subscribers serialize each event once."""
-    return serialize_event(event)[1]
-
-
-def _flatten(event: RunEvent) -> dict:
+    """Flatten one event to a JSON-able dict: the mapping the line of
+    :func:`event_to_json_line` spells, key for key and in order (a new
+    dict per call)."""
     out: dict[str, object] = {"event": event.kind.value, "t": event.time}
     if event.job_name is not None:
         out["job_name"] = event.job_name
@@ -110,6 +89,127 @@ def _flatten(event: RunEvent) -> dict:
         for key, value in event.detail.items():
             out.setdefault(key, value)
     return out
+
+
+def event_to_json_line(event: RunEvent) -> str:
+    """One compact JSON line (no newline) for *event*: the bytes
+    ``compact_json(event_to_json(event))`` gives, printed from the
+    event without building the dict, and memo-shared so that
+    co-subscribers print each event once."""
+    global _memo
+    memo = _memo
+    if memo is not None and memo[0] is event:
+        return memo[1]
+    line = _print_line(event)
+    _memo = (event, line)
+    return line
+
+
+# The line printer. Keys, separators and braces are literal text; only
+# values go through the escaper. A line is the header (``event``,
+# ``t``, then each of :data:`_HEADER` the event has), the attempt
+# record (whose values win over the header's, and whose header keys the
+# event lacks follow the header's), and the ``detail`` keys no earlier
+# key has taken.
+
+_HEADER = ("job_name", "transformation", "site", "machine", "attempt")
+_HEADER_TEXT = tuple(f',"{name}":' for name in _HEADER)
+_HEADS = {kind: '{"event":%s,"t":' % _json_str(kind.value) for kind in EventKind}
+_RECORD_TAIL = (
+    ',"submit_time":%s,"setup_start":%s,"exec_start":%s,"exec_end":%s'
+    ',"status":%s'
+)
+_PROFILE = (
+    ',"profile":{"cpu_user_s":%s,"cpu_sys_s":%s,"max_rss_kb":%s'
+    ',"read_ops":%s,"write_ops":%s,"source":%s}'
+)
+#: Line keys that are header or attempt record; every other key of a
+#: line is the event's ``detail``.
+_KNOWN = frozenset({"event", "t", *(f.name for f in fields(JobAttempt))})
+
+
+def _value(value: object) -> str:
+    """*value* as the compact encoder spells it."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int or (type(value) is float and value - value == 0):  # finite
+        return repr(value)
+    return "".join(_compact(value, 0))
+
+
+def _taken(event: RunEvent, key: str) -> bool:
+    """Whether the header or the record already holds *key*."""
+    record = event.record
+    if key in ("event", "t"):
+        return True
+    if key in _HEADER:
+        return record is not None or getattr(event, key) is not None
+    if record is None:
+        return False
+    if key == "error":
+        return bool(record.error)
+    if key == "profile":
+        return record.profile is not None
+    return True
+
+
+def _print_line(event: RunEvent) -> str:
+    parts = [_HEADS[event.kind], _value(event.time)]
+    append = parts.append
+    record = event.record
+    header = (
+        event.job_name, event.transformation, event.site, event.machine,
+        event.attempt,
+    )
+    if record is None:
+        for text, value in zip(_HEADER_TEXT, header):
+            if value is not None:
+                append(text)
+                append(_json_str(value) if type(value) is str else _value(value))
+    else:
+        values = (
+            record.job_name, record.transformation, record.site,
+            record.machine, record.attempt,
+        )
+        pairs: Iterable[tuple[str, object, object]] = zip(_HEADER_TEXT, values, header)
+        if None in header:  # present keys keep their places, absent ones follow
+            pairs = sorted(pairs, key=lambda pair: pair[2] is None)
+        for text, value, _ in pairs:
+            append(text)
+            append(_value(value))
+        append(
+            _RECORD_TAIL
+            % (
+                _value(record.submit_time), _value(record.setup_start),
+                _value(record.exec_start), _value(record.exec_end),
+                _value(record.status.value),
+            )
+        )
+        if record.error:
+            append(',"error":')
+            append(_value(record.error))
+        profile = record.profile
+        if profile is not None:
+            append(
+                _PROFILE
+                % (
+                    _value(profile.cpu_user_s), _value(profile.cpu_sys_s),
+                    _value(profile.max_rss_kb), _value(profile.read_ops),
+                    _value(profile.write_ops), _value(profile.source),
+                )
+            )
+    detail = event.detail
+    if detail:
+        for key, value in detail.items():
+            if key in _KNOWN and _taken(event, key):
+                continue
+            if isinstance(key, str):
+                append(f",{_json_str(key)}:")
+                append(_json_str(value) if type(value) is str else _value(value))
+            else:  # the encoder's own spelling of a non-string key
+                append("," + compact_json({key: value})[1:-1])
+    append("}")
+    return "".join(parts)
 
 
 def event_from_json(data: dict) -> RunEvent:

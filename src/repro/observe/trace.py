@@ -58,7 +58,6 @@ attribution purely from spans and their causal links, which
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
@@ -657,8 +656,10 @@ def critical_path_from_spans(spans: Sequence[Span]) -> SpanCriticalPath:
 # (the public API, and the reference the tests hold the writer to) and
 # :func:`write_otlp_trace` prints the same document as indented text
 # straight from the spans. What the two must agree on — value typing,
-# status codes, field names and order, resource and scope — is decided
-# by the definitions below and read by both.
+# status codes, resource and scope — is decided by the definitions below
+# and read by both; the span's field names and order are literal text in
+# the writer's template, held to ``_OTLP_SPAN_FIELDS`` by
+# ``tests/test_otlp_render.py``.
 
 _OTLP_STATUS = {
     "unset": "STATUS_CODE_UNSET",
@@ -780,9 +781,11 @@ def _json_list(items: list[str], depth: int) -> str:
     return "[\n" + ",\n".join(items) + "\n" + " " * (depth - 1) + "]"
 
 
-def _otlp_attrs_text(depth: int) -> Callable[[Mapping[str, object]], str]:
+def _otlp_attrs_text(
+    depth: int,
+) -> Callable[[Iterable[tuple[str, object]]], str]:
     """Text twin of :func:`_otlp_attrs` for attribute objects indented
-    *depth* spaces.
+    *depth* spaces; the renderer takes the (key, value) items.
 
     A run repeats most (key, value) pairs hundreds of times, so each
     attribute object is printed once and its text reused. Only exact
@@ -790,13 +793,17 @@ def _otlp_attrs_text(depth: int) -> Callable[[Mapping[str, object]], str]:
     apart: equal values of one of those types print the same, which
     does not hold across them (``1 == True``), for floats
     (``0.0 == -0.0``), or for anything printed through ``str()`` — and
-    a list, which a rescue link carries, does not hash at all.
+    a list, which a rescue link carries, does not hash at all. A finite
+    float prints inline after its key's remembered prefix.
     """
     pad = " " * depth
     template = (
         f'{pad}{{\n{pad} "key": %s,\n{pad} "value": {{\n'
         f'{pad}  "%s": %s\n{pad} }}\n{pad}}}'
     )
+    double_head = f'{pad}{{\n{pad} "key": %s,\n{pad} "value": {{\n{pad}  "doubleValue": '
+    double_tail = f"\n{pad} }}\n{pad}}}"
+    doubles: dict[str, str] = {}
     printed: dict[type, dict[tuple[str, object], str]] = {
         str: {},
         int: {},
@@ -813,10 +820,17 @@ def _otlp_attrs_text(depth: int) -> Callable[[Mapping[str, object]], str]:
             text = float.__repr__(scalar)
         return template % (_json_str(key), field, text)
 
-    def render(attrs: Mapping[str, object]) -> str:
+    def render(attrs: Iterable[tuple[str, object]]) -> str:
         items = []
-        for item in attrs.items():
-            seen = printed.get(item[1].__class__)
+        for item in attrs:
+            value = item[1]
+            if type(value) is float and value - value == 0:  # finite
+                head = doubles.get(item[0])
+                if head is None:
+                    head = doubles[item[0]] = double_head % _json_str(item[0])
+                items.append(head + repr(value) + double_tail)
+                continue
+            seen = printed.get(type(value))
             text = None if seen is None else seen.get(item)
             if text is None:
                 text = one(*item)
@@ -835,10 +849,16 @@ def _otlp_fields_text(names: Sequence[str], depth: int) -> str:
 
 _OTLP_SPAN_TEXT = (
     "      {\n"
-    + _otlp_fields_text(_OTLP_SPAN_FIELDS, 7)
-    + '       "attributes": %s,\n'
-    + '       "status": {\n        "code": %s\n       }%s\n      }'
+    '       "traceId": %s,\n'
+    '       "spanId": %s,\n'
+    '       "name": %s,\n'
+    '       "kind": "SPAN_KIND_INTERNAL",\n'
+    '       "startTimeUnixNano": "%d",\n'
+    '       "endTimeUnixNano": "%d",\n'
+    '       "attributes": %s,\n'
+    '       "status": {\n        "code": %s\n       }%s\n      }'
 )
+_OTLP_STATUS_TEXT = {key: _json_str(code) for key, code in _OTLP_STATUS.items()}
 _OTLP_PARENT_TEXT = ',\n       "parentSpanId": %s'
 _OTLP_LINKS_TEXT = ',\n       "links": %s'
 _OTLP_LINK_TEXT = (
@@ -868,6 +888,14 @@ def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     """
     span_attrs = _otlp_attrs_text(8)
     link_attrs = _otlp_attrs_text(10)
+    trace_ids: dict[str, str] = {}  # each escaped once
+
+    def trace_id(text: str) -> str:
+        escaped = trace_ids.get(text)
+        if escaped is None:
+            escaped = trace_ids[text] = _json_str(text)
+        return escaped
+
     rendered = []
     for s in spans:
         tail = ""
@@ -877,25 +905,37 @@ def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
             links = [
                 _OTLP_LINK_TEXT
                 % (
-                    *map(_json_str, _otlp_link_fields(link)),
-                    link_attrs(link.attributes),
+                    trace_id(link.trace_id),
+                    _json_str(link.span_id),
+                    link_attrs(link.attributes.items()),
                 )
                 for link in s.links
             ]
             tail += _OTLP_LINKS_TEXT % _json_list(links, 8)
+        attrs = s.attributes
+        if "repro.span_kind" in attrs:  # first place, the attribute's value
+            attrs = {"repro.span_kind": s.kind, **attrs}
+            items: Iterable[tuple[str, object]] = attrs.items()
+        else:
+            items = (("repro.span_kind", s.kind), *attrs.items())
+        end = s.end if s.end is not None else s.start
         rendered.append(
             _OTLP_SPAN_TEXT
             % (
-                *map(_json_str, _otlp_span_fields(s)),
-                span_attrs(_otlp_span_attrs(s)),
-                _json_str(_OTLP_STATUS[s.status]),
+                trace_id(s.trace_id),
+                _json_str(s.span_id),
+                _json_str(s.name),
+                round(s.start * 1e9),
+                round(end * 1e9),
+                span_attrs(items),
+                _OTLP_STATUS_TEXT[s.status],
                 tail,
             )
         )
     return atomic_write(
         path,
         _OTLP_ENVELOPE_TEXT
-        % (_otlp_attrs_text(5)(_OTLP_RESOURCE), _json_list(rendered, 6)),
+        % (_otlp_attrs_text(5)(_OTLP_RESOURCE.items()), _json_list(rendered, 6)),
     )
 
 
@@ -928,20 +968,12 @@ def _perfetto_track(span: Span) -> str | None:
     return None
 
 
-def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
-    """Render spans as Perfetto protobuf-JSON ``TracePacket`` list
-    (``traceconv`` / ui.perfetto.dev accept this shape directly)."""
-    packets: list[dict[str, object]] = []
+def _perfetto_slices(
+    spans: Sequence[Span],
+) -> tuple[dict[str, int], list[tuple[float, int, int, int, Span]]]:
+    """The lanes in order of first use (name -> uuid), and every slice
+    edge as (ts, begin, ±depth, uuid, span) in packet order."""
     track_uuids: dict[str, int] = {}
-
-    def track(name: str) -> int:
-        uuid = track_uuids.get(name)
-        if uuid is None:
-            uuid = len(track_uuids) + 1
-            track_uuids[name] = uuid
-            packets.append({"trackDescriptor": {"uuid": uuid, "name": name}})
-        return uuid
-
     by_id = {s.span_id: s for s in spans}
 
     def depth(span: Span) -> int:
@@ -964,11 +996,22 @@ def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
         lane = _perfetto_track(s)
         if lane is None:
             continue
-        uuid = track(lane)
+        uuid = track_uuids.setdefault(lane, len(track_uuids) + 1)
         d = depth(s)
         slices.append((s.start, 1, d, uuid, s))
         slices.append((s.end, 0, -d, uuid, s))
     slices.sort(key=lambda item: (item[0], item[1], item[2]))
+    return track_uuids, slices
+
+
+def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
+    """Render spans as Perfetto protobuf-JSON ``TracePacket`` list
+    (``traceconv`` / ui.perfetto.dev accept this shape directly)."""
+    tracks, slices = _perfetto_slices(spans)
+    packets: list[dict[str, object]] = [
+        {"trackDescriptor": {"uuid": uuid, "name": name}}
+        for name, uuid in tracks.items()
+    ]
     for ts, begin, _, uuid, s in slices:
         ns = int(round(ts * 1e9))
         if begin:
@@ -997,8 +1040,43 @@ def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
     return {"packet": packets}
 
 
+# The text rendering, in ``json.dumps(indent=1)``'s layout: one packet
+# template per kind, with only the lane and slice names escaped.
+
+_PERFETTO_TRACK_TEXT = (
+    '  {\n   "trackDescriptor": {\n    "uuid": %d,\n    "name": %s\n   }\n  }'
+)
+_PERFETTO_BEGIN_TEXT = (
+    '  {\n   "timestamp": %d,\n   "trustedPacketSequenceId": 1,\n'
+    '   "trackEvent": {\n    "type": "TYPE_SLICE_BEGIN",\n'
+    '    "trackUuid": %d,\n    "name": %s\n   }\n  }'
+)
+_PERFETTO_END_TEXT = (
+    '  {\n   "timestamp": %d,\n   "trustedPacketSequenceId": 1,\n'
+    '   "trackEvent": {\n    "type": "TYPE_SLICE_END",\n'
+    '    "trackUuid": %d\n   }\n  }'
+)
+
+
 def write_perfetto_trace(path: str | Path, spans: Sequence[Span]) -> Path:
-    """Write :func:`to_perfetto_json` output to ``path`` and return it."""
+    """Write the :func:`to_perfetto_json` document to ``path``, one
+    space per nesting level, and return the path.
+
+    Printed from the spans like :func:`write_otlp_trace`: the bytes are
+    those ``json.dumps(indent=1)`` gives for the dict
+    (``tests/test_perfetto_render.py`` compares them).
+    """
+    tracks, slices = _perfetto_slices(spans)
+    packets = [
+        _PERFETTO_TRACK_TEXT % (uuid, _json_str(name))
+        for name, uuid in tracks.items()
+    ]
+    for ts, begin, _, uuid, s in slices:
+        ns = int(round(ts * 1e9))
+        if begin:
+            packets.append(_PERFETTO_BEGIN_TEXT % (ns, uuid, _json_str(s.name)))
+        else:
+            packets.append(_PERFETTO_END_TEXT % (ns, uuid))
     return atomic_write(
-        path, json.dumps(to_perfetto_json(spans), indent=1) + "\n"
+        path, '{\n "packet": ' + _json_list(packets, 2) + "\n}\n"
     )

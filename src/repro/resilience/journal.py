@@ -79,7 +79,7 @@ from repro.dagman.dag import Dag
 from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
-from repro.observe.log import compact_json, serialize_event
+from repro.observe.log import compact_json, event_to_json, event_to_json_line
 from repro.util.iolib import atomic_write, ensure_dir
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -608,11 +608,11 @@ class Journal:
     def _on_durable(self, event: RunEvent) -> None:
         if self._dead:
             return
-        # serialize_event shares a one-slot memo with the EventLogWriter
-        # on the same bus: one flatten + serialize per event, however
-        # many persistence subscribers are attached.
-        body, text = serialize_event(event)
-        self._append_serialized(body, text.encode())
+        # The line is memo-shared with the EventLogWriter on the same
+        # bus (printed once per event, however many persistence
+        # subscribers are attached); the dict is the state's to fold.
+        line = event_to_json_line(event)
+        self._append_serialized(event_to_json(event), line.encode())
 
     def _on_state_change(self, event: RunEvent) -> None:
         # Only hard failures are durable; the ready/submitted/done

@@ -12,7 +12,7 @@ used by the simulators.
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -20,6 +20,28 @@ from pathlib import Path
 from repro.util.iolib import atomic_write
 
 __all__ = ["LinkType", "File", "AbstractJob", "ADag"]
+
+#: A character XML 1.0 has no way to carry, even as a reference.
+_NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+
+
+def _attr(text: str) -> str:
+    """An attribute value as ElementTree escapes it."""
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
 
 
 class LinkType(Enum):
@@ -159,31 +181,38 @@ class ADag:
     # -- DAX XML ----------------------------------------------------------
 
     def to_xml(self) -> str:
-        root = ET.Element("adag", {"name": self.name, "jobCount": str(len(self))})
+        """The DAX document, printed line by line: two spaces per level,
+        `` />`` closing an empty element, attribute values escaped as
+        ElementTree escapes them (``tests/oracles/etree_dax.py`` is the
+        ElementTree writer it is held to, byte for byte).
+
+        Text that XML 1.0 cannot carry (NUL and most other control
+        characters, lone surrogates, U+FFFE/U+FFFF) is refused with a
+        :class:`ValueError`: the file would not read back.
+        """
+        lines = [f'<adag name="{_attr(self.name)}" jobCount="{len(self)}">']
+        append = lines.append
         for job in self.jobs.values():
-            j = ET.SubElement(
-                root,
-                "job",
-                {
-                    "id": job.id,
-                    "name": job.transformation,
-                    "runtime": repr(job.runtime),
-                },
+            head = (
+                f'  <job id="{_attr(job.id)}" name="{_attr(job.transformation)}"'
+                f' runtime="{job.runtime!r}"'
             )
-            for key in sorted(job.args):
-                ET.SubElement(
-                    j, "argument", {"key": key, "value": str(job.args[key])}
+            args, uses = job.args, job.uses
+            if not (args or uses):
+                append(head + " />")
+                continue
+            append(head + ">")
+            for key in sorted(args):
+                append(
+                    f'    <argument key="{_attr(key)}"'
+                    f' value="{_attr(str(args[key]))}" />'
                 )
-            for f, link in job.uses:
-                ET.SubElement(
-                    j,
-                    "uses",
-                    {
-                        "name": f.name,
-                        "link": link.value,
-                        "size": str(f.size),
-                    },
+            for f, link in uses:
+                append(
+                    f'    <uses name="{_attr(f.name)}" link="{link.value}"'
+                    f' size="{f.size!s}" />'
                 )
+            append("  </job>")
         # Pegasus writes child/parent pairs; keep that shape. Only the
         # *explicit* edges are serialized — data dependencies are
         # reconstructed from <uses> on read, so writing them too would
@@ -193,18 +222,46 @@ class ADag:
         for parent, child in sorted(self._explicit_edges):
             children.setdefault(child, []).append(parent)
         for child, parents in sorted(children.items()):
-            c = ET.SubElement(root, "child", {"ref": child})
+            append(f'  <child ref="{_attr(child)}">')
             for parent in parents:
-                ET.SubElement(c, "parent", {"ref": parent})
-        ET.indent(root)
-        return ET.tostring(root, encoding="unicode") + "\n"
+                append(f'    <parent ref="{_attr(parent)}" />')
+            append("  </child>")
+        if len(lines) == 1:
+            text = lines[0][:-1] + " />\n"
+        else:
+            append("</adag>\n")
+            text = "\n".join(lines)
+        if _NOT_XML.search(text) is not None:
+            raise ValueError(self._not_xml())
+        return text
+
+    def _not_xml(self) -> str:
+        """Which value of this workflow XML 1.0 cannot carry."""
+        for job in self.jobs.values():
+            for key in sorted(job.args):
+                if _NOT_XML.search(f"{key}{job.args[key]}"):
+                    return (
+                        f"job {job.id!r}: argument {key!r} holds a character"
+                        " XML 1.0 cannot carry"
+                    )
+        return f"workflow {self.name!r} holds a character XML 1.0 cannot carry"
 
     def write(self, path: str | Path) -> Path:
         return atomic_write(path, self.to_xml())
 
     @classmethod
     def from_xml(cls, text: str) -> "ADag":
-        root = ET.fromstring(text)
+        """Read a DAX document; text that is not one is a
+        :class:`ValueError` of one line (``line L, column C: reason``
+        when the XML itself does not parse)."""
+        import xml.etree.ElementTree as ET
+
+        try:
+            root = ET.fromstring(text)
+        except ET.ParseError as exc:
+            line, column = exc.position
+            reason = str(exc).rsplit(": line ", 1)[0]
+            raise ValueError(f"line {line}, column {column}: {reason}") from None
         if root.tag != "adag":
             raise ValueError(f"not a DAX document: root is <{root.tag}>")
         adag = cls(name=root.get("name", "workflow"))

@@ -18,10 +18,11 @@ exit 2. :func:`load_run` is the loader the post-run commands and
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
-from repro.dagman.dag import Dag
+from repro.dagman.dag import PLAN_JOB_KEYS, Dag
 from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.observe.bus import events_to_trace
 from repro.observe.events import RunEvent
@@ -75,11 +76,59 @@ class Plan(NamedTuple):
 
 def write_plan(submit: str | Path, dag: Dag, *, site: str, n: int) -> Path:
     """What the ``.dag`` file cannot hold, the way Pegasus persists
-    per-job submit files: ``Dag.to_json`` under the plan's site and *n*."""
-    return atomic_write(
-        Path(submit) / PLAN_FILE,
-        json.dumps({"site": site, "n": n, **dag.to_json()}, indent=2),
-    )
+    per-job submit files: ``Dag.to_json`` under the plan's site and *n*.
+
+    The text is printed from the DAG in ``json.dumps(indent=2)``'s
+    layout, byte for byte what that call gives for the dict
+    (``tests/test_plan_render.py`` compares them); no dict is built.
+    """
+    jobs = [
+        _PLAN_JOB % (
+            _json_str(name),
+            *(_plan_value(getattr(job, key), 3) for key in PLAN_JOB_KEYS),
+        )
+        for name, job in dag.jobs.items()
+    ]
+    edges = [_PLAN_EDGE % (_json_str(p), _json_str(c)) for p, c in sorted(dag.edges())]
+    parts = [
+        f'{{\n  "site": {_plan_value(site, 1)},\n  "n": {_plan_value(n, 1)}',
+        ',\n  "jobs": ', _plan_block(jobs, "{", "}"),
+        ',\n  "edges": ', _plan_block(edges, "[", "]"),
+    ]
+    if dag.done:
+        done = ["    " + _json_str(name) for name in sorted(dag.done)]
+        parts += [',\n  "done": ', _plan_block(done, "[", "]")]
+    parts.append("\n}")
+    return atomic_write(Path(submit) / PLAN_FILE, "".join(parts))
+
+
+_PLAN_JOB = "    %s: {\n" + ",\n".join(
+    f"      {_json_str(key)}: %s" for key in PLAN_JOB_KEYS
+) + "\n    }"
+_PLAN_EDGE = "    [\n      %s,\n      %s\n    ]"
+
+
+def _plan_block(items: list[str], opening: str, closing: str) -> str:
+    """A member of the plan object: *items*, each already indented
+    four spaces, between *opening* and *closing*."""
+    if not items:
+        return opening + closing
+    return f"{opening}\n" + ",\n".join(items) + f"\n  {closing}"
+
+
+def _plan_value(value: object, depth: int) -> str:
+    """*value* as ``json.dumps(indent=2)`` spells it *depth* levels in."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int or (type(value) is float and value - value == 0):  # finite
+        return repr(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def read_plan(submit: str | Path) -> Plan:

@@ -1,5 +1,7 @@
 """Tests for the Fig. 1 transcriptome assembly pipeline."""
 
+import zlib
+
 import pytest
 
 from repro.core.pipeline import (
@@ -44,18 +46,23 @@ def pipeline_inputs():
         for r1, r2 in simulate_paired_reads(
             record.seq,
             ReadSimSpec(coverage=12.0, fragment_mean=250, fragment_sd=15),
-            seed=hash(record.id) % 2**31,
+            seed=zlib.crc32(record.id.encode()),
             id_prefix=record.id,
         ):
             reads.extend((r1, r2))
     return proteins, transcriptome, reads
 
 
+@pytest.fixture(scope="module")
+def pipeline_result(pipeline_inputs):
+    """The default-configuration run the read-only tests share."""
+    proteins, _, reads = pipeline_inputs
+    return run_transcriptome_pipeline(reads, proteins)
+
+
 class TestPipeline:
-    def test_stage_sequence(self, pipeline_inputs):
-        proteins, _, reads = pipeline_inputs
-        result = run_transcriptome_pipeline(reads, proteins)
-        names = [s.name for s in result.stages]
+    def test_stage_sequence(self, pipeline_result):
+        names = [s.name for s in pipeline_result.stages]
         assert names == [
             "preprocess(quality-trim+filter)",
             "assemble(overlap-layout-consensus)",
@@ -63,23 +70,18 @@ class TestPipeline:
             "postprocess(blast2cap3)",
         ]
 
-    def test_assembly_reduces_sequence_count(self, pipeline_inputs):
-        proteins, _, reads = pipeline_inputs
-        result = run_transcriptome_pipeline(reads, proteins)
-        assemble_stage = result.stages[1]
+    def test_assembly_reduces_sequence_count(self, pipeline_result):
+        assemble_stage = pipeline_result.stages[1]
         assert assemble_stage.output_count < assemble_stage.input_count
 
-    def test_contigs_longer_than_reads(self, pipeline_inputs):
-        proteins, _, reads = pipeline_inputs
-        result = run_transcriptome_pipeline(reads, proteins)
-        assert result.n50 > 100  # reads are 100 bp
+    def test_contigs_longer_than_reads(self, pipeline_result):
+        assert pipeline_result.n50 > 100  # reads are 100 bp
 
-    def test_quality_report_populated(self, pipeline_inputs):
-        proteins, _, reads = pipeline_inputs
-        result = run_transcriptome_pipeline(reads, proteins)
-        assert result.quality is not None
-        assert result.quality.total == len(reads)
-        assert result.quality.passed > 0
+    def test_quality_report_populated(self, pipeline_inputs, pipeline_result):
+        _, _, reads = pipeline_inputs
+        assert pipeline_result.quality is not None
+        assert pipeline_result.quality.total == len(reads)
+        assert pipeline_result.quality.passed > 0
 
     def test_without_proteins_skips_blast2cap3(self, pipeline_inputs):
         _, _, reads = pipeline_inputs
@@ -97,8 +99,6 @@ class TestPipeline:
         with pytest.raises(ValueError):
             StageReport(name="x", input_count=-1, output_count=0, seconds=0.0)
 
-    def test_final_transcripts_nonempty(self, pipeline_inputs):
-        proteins, _, reads = pipeline_inputs
-        result = run_transcriptome_pipeline(reads, proteins)
-        assert result.transcripts
-        assert all(len(t.seq) > 0 for t in result.transcripts)
+    def test_final_transcripts_nonempty(self, pipeline_result):
+        assert pipeline_result.transcripts
+        assert all(len(t.seq) > 0 for t in pipeline_result.transcripts)
