@@ -110,11 +110,15 @@ GATES = (
     Gate("journal_resume_20k", "journal read path's share (recover + resume)",
          "resilience.journal.recover.share + resilience.recovery.share",
          "<=", 0.149),
-    # five runs: 0.4245 0.4492 0.4293 0.4439 0.4378; 1.08 x the largest
-    # is 0.485, looser than the 0.46 this row already had, which stays
+    # five runs: 0.3946 0.3762 0.3931 0.4090 0.4054 (was 0.46: each
+    # record's work done once on the write path, the read path trimmed)
     Gate("journal_resume_20k", "whole journal's share, write and read",
          "resilience.journal.share + resilience.journal.recover.share"
-         " + resilience.recovery.share", "<=", 0.46),
+         " + resilience.recovery.share", "<=", 0.442),
+    # five runs: 0.2850 0.2891 0.2885 0.2969 0.2968 (the parent's
+    # read 0.3304 0.3438 0.3452 0.3492 0.3430)
+    Gate("journal_resume_20k", "journal write path's share",
+         "resilience.journal.share", "<=", 0.321),
 )
 
 _NAME = re.compile(r"[a-z_]+(?:\.[a-z_]+)+")

@@ -97,6 +97,19 @@ class JobStatus(Enum):
         return self is JobStatus.SUCCEEDED
 
 
+#: Each status by its value: ``JobStatus(value)`` costs a trip through
+#: ``EnumMeta.__call__`` per record read.
+_STATUS_OF = {status.value: status for status in JobStatus}
+
+
+def _status(value: Any) -> JobStatus:
+    """``JobStatus(value)``, looked up directly when *value* is one."""
+    try:
+        return _STATUS_OF[value]
+    except (KeyError, TypeError):  # a member already, or no status
+        return JobStatus(value)
+
+
 @one_step_init
 @dataclass(frozen=True, slots=True)
 class ResourceProfile:
@@ -147,13 +160,14 @@ class ResourceProfile:
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "ResourceProfile":
-        return cls(
-            cpu_user_s=float(data.get("cpu_user_s", 0.0)),  # type: ignore[arg-type]
-            cpu_sys_s=float(data.get("cpu_sys_s", 0.0)),  # type: ignore[arg-type]
-            max_rss_kb=int(data.get("max_rss_kb", 0)),  # type: ignore[arg-type]
-            read_ops=int(data.get("read_ops", 0)),  # type: ignore[arg-type]
-            write_ops=int(data.get("write_ops", 0)),  # type: ignore[arg-type]
-            source=str(data.get("source", "measured")),
+        get = data.get
+        return cls(  # positionally: a journal replay builds one per record
+            float(get("cpu_user_s", 0.0)),  # type: ignore[arg-type]
+            float(get("cpu_sys_s", 0.0)),  # type: ignore[arg-type]
+            int(get("max_rss_kb", 0)),  # type: ignore[arg-type]
+            int(get("read_ops", 0)),  # type: ignore[arg-type]
+            int(get("write_ops", 0)),  # type: ignore[arg-type]
+            str(get("source", "measured")),
         )
 
 
@@ -221,19 +235,19 @@ class JobAttempt:
         ``KeyError`` / ``ValueError`` / ``TypeError`` on a mapping that
         is not an attempt record."""
         profile = data.get("profile")
-        return cls(
-            job_name=data["job_name"],
-            transformation=data["transformation"],
-            site=data["site"],
-            machine=data["machine"],
-            attempt=data["attempt"],
-            submit_time=data["submit_time"],
-            setup_start=data["setup_start"],
-            exec_start=data["exec_start"],
-            exec_end=data["exec_end"],
-            status=JobStatus(data["status"]),
-            error=data.get("error"),
-            profile=(
+        return cls(  # positionally, in field order (see ResourceProfile's)
+            data["job_name"],
+            data["transformation"],
+            data["site"],
+            data["machine"],
+            data["attempt"],
+            data["submit_time"],
+            data["setup_start"],
+            data["exec_start"],
+            data["exec_end"],
+            _status(data["status"]),
+            data.get("error"),
+            (
                 ResourceProfile.from_json(profile)
                 if isinstance(profile, dict)
                 else None

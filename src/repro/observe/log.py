@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from repro.dagman.events import JobAttempt
+from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
 from repro.observe.events import (
     TERMINAL_KINDS,
@@ -126,6 +126,24 @@ _PROFILE = (
 #: Line keys that are header or attempt record; every other key of a
 #: line is the event's ``detail``.
 _KNOWN = frozenset({"event", "t", *(f.name for f in fields(JobAttempt))})
+#: The whole ``job.finish`` / ``job.evict`` line as the platforms emit
+#: it, by kind and status: every header field set (the record's values
+#: are the ones printed), no ``error``, a profile, and no ``detail`` key
+#: but the ``status`` the record already holds. ``%r`` and ``%d`` spell
+#: a finite ``float`` and an ``int`` as the encoder does; anything else
+#: takes the general printer below.
+_TERMINAL = {
+    kind: {
+        status: _HEADS[kind]
+        + '%s,"job_name":%s,"transformation":%s,"site":%s,"machine":%s'
+        ',"attempt":%d,"submit_time":%r,"setup_start":%s,"exec_start":%s'
+        ',"exec_end":%s,"status":' + _json_str(status.value)
+        + ',"profile":{"cpu_user_s":%r,"cpu_sys_s":%r,"max_rss_kb":%d'
+        ',"read_ops":%d,"write_ops":%d,"source":%s}}'
+        for status in JobStatus
+    }
+    for kind in TERMINAL_KINDS
+}
 
 
 def _value(value: object) -> str:
@@ -153,10 +171,65 @@ def _taken(event: RunEvent, key: str) -> bool:
     return True
 
 
+def _print_terminal(
+    event: RunEvent, record: JobAttempt, templates: dict[JobStatus, str]
+) -> str | None:
+    """The line of a terminal event from its kind's :data:`_TERMINAL`
+    *templates*, or ``None`` when the event is not of that shape."""
+    profile = record.profile
+    detail = event.detail
+    if (
+        profile is None
+        or record.error
+        or (detail and (len(detail) != 1 or "status" not in detail))
+        or event.job_name is None
+        or event.transformation is None
+        or event.site is None
+        or event.machine is None
+        or event.attempt is None
+    ):
+        return None
+    t, submit, setup = event.time, record.submit_time, record.setup_start
+    start, end = record.exec_start, record.exec_end
+    user, system = profile.cpu_user_s, profile.cpu_sys_s
+    job, transformation = record.job_name, record.transformation
+    site, machine, source = record.site, record.machine, profile.source
+    attempt, rss = record.attempt, profile.max_rss_kb
+    reads, writes = profile.read_ops, profile.write_ops
+    if not (
+        type(t) is type(submit) is type(setup) is type(start) is type(end)
+        is type(user) is type(system) is float
+        and type(job) is type(transformation) is type(site) is type(machine)
+        is type(source) is str
+        and type(attempt) is type(rss) is type(reads) is type(writes) is int
+    ):
+        return None
+    total = t + submit + setup + start + end + user + system
+    if total - total != 0:  # not all finite (an overflow only falls back)
+        return None
+    # A platform stamps a finish at the record's own exec_end, and a
+    # job with no setup phase starts it when it starts executing: the
+    # same float objects, spelled once.
+    t_text, setup_text = repr(t), repr(setup)
+    return templates[record.status] % (
+        t_text, _json_str(job), _json_str(transformation), _json_str(site),
+        _json_str(machine), attempt, submit, setup_text,
+        setup_text if start is setup else repr(start),
+        t_text if end is t else repr(end),
+        user, system, rss, reads, writes, _json_str(source),
+    )
+
+
 def _print_line(event: RunEvent) -> str:
+    record = event.record
+    if record is not None:
+        templates = _TERMINAL.get(event.kind)
+        if templates is not None:
+            line = _print_terminal(event, record, templates)
+            if line is not None:
+                return line
     parts = [_HEADS[event.kind], _value(event.time)]
     append = parts.append
-    record = event.record
     header = (
         event.job_name, event.transformation, event.site, event.machine,
         event.attempt,

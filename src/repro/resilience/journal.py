@@ -28,16 +28,27 @@ orphaned by the crash (:func:`reconcile_local`). What it cannot anchor
 it refuses (see :func:`recover`): repair cuts only after an anchored
 record.
 
-Bytes are the unit, and each record's are handled once in each
-direction. Out: the event's compact JSON text is encoded once; those
-bytes are framed into the WAL line, kept as the retained terminal
+Bytes are the unit, and each record's work is done once in each
+direction. Out: the event's line is printed once (a platform's terminal
+line from one template, see :mod:`repro.observe.log`) and encoded
+once; the CRC runs on from the ``seq`` head over those bytes, which are
+then joined with it into the WAL line, kept as the retained terminal
 record and later joined into the sidecar (both files are binary).
-Back: :func:`decode_record` checks the CRC over the bytes of the line
-on disk and parses what it verified; a replayed terminal record's body
-is a slice of that line, and every journaled attempt is parsed once,
-through :meth:`JobAttempt.from_json <repro.dagman.events.JobAttempt.from_json>`.
-The check-by-re-serialising this replaced is kept as
-``tests/oracles/journal_reference.py``.
+:meth:`JournalState.apply` is handed only the keys it reads — four for
+a successful terminal — and only a failed terminal, which the state
+keeps whole, is flattened into a dict. A snapshot merges the names
+done since the last one into the sorted list it already holds, and a
+resumed writer copies the recovered state rather than round-tripping
+it through JSON. Back: :func:`decode_record` checks the CRC over the
+bytes of the line on disk, chained on from the opening ``{`` rather
+than over a rebuilt copy, and parses what it verified; a replayed
+terminal record's body is one slice of that line, and every journaled
+attempt is parsed once, through
+:meth:`JobAttempt.from_json <repro.dagman.events.JobAttempt.from_json>`.
+What this replaced is kept as oracles: the check-by-re-serialising in
+``tests/oracles/journal_reference.py``, the append path in
+``tests/oracles/journal_append_reference.py``, the copying decoder and
+the keyword-built attempt in ``tests/oracles/journal_replay_reference.py``.
 
 Exactly-once semantics, precisely: a job whose successful terminal
 record reached the journal is **never executed again** — resume marks
@@ -76,9 +87,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping
 
 from repro.dagman.dag import Dag
-from repro.dagman.events import JobAttempt, WorkflowTrace
+from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
 from repro.observe.bus import EventBus
-from repro.observe.events import EventKind, RunEvent
+from repro.observe.events import TERMINAL_KINDS, EventKind, RunEvent
 from repro.observe.log import compact_json, event_to_json, event_to_json_line
 from repro.util.iolib import atomic_write, ensure_dir
 
@@ -162,13 +173,55 @@ def _durable(event: RunEvent) -> bool:
     )
 
 
+#: Each kind's ``value`` (a plain lookup: ``.value`` on a member is a
+#: descriptor call).
+_KIND_TEXT = {kind: kind.value for kind in EventKind}
+
+
+def _fields(event: RunEvent) -> dict:
+    """Every key :meth:`JournalState.apply` reads of the event's line,
+    with the value ``event_to_json(event)`` holds under it (a
+    record-less event brings its whole ``detail``). A successful
+    terminal is four keys, not its whole attempt record; a failed one
+    is kept whole (``undecided``), so it gets the flattened dict."""
+    record = event.record
+    if record is not None:
+        if record.status is JobStatus.SUCCEEDED and event.kind in TERMINAL_KINDS:
+            return {
+                "event": _KIND_TEXT[event.kind],
+                "t": event.time,
+                "job_name": record.job_name,
+                "status": "succeeded",
+            }
+        return event_to_json(event)
+    # No record: the header's keys take precedence over the detail's,
+    # and apply reads no header key but these two.
+    data = dict(event.detail)
+    data["event"] = _KIND_TEXT[event.kind]
+    data["t"] = event.time
+    if event.job_name is not None:
+        data["job_name"] = event.job_name
+    if event.attempt is not None:
+        data["attempt"] = event.attempt
+    return data
+
+
 # -- record framing ------------------------------------------------------
+
+#: The CRC-32 of the ``{`` that opens the checksummed text
+#: ``{"seq":N,…}``: writer and reader chain it on over the rest, so
+#: neither builds that text to take its checksum.
+_CRC_OPEN = zlib.crc32(b"{")
 
 
 def _frame_record(seq: int, body: bytes) -> bytes:
-    """Frame one serialized body (compact JSON object) as a line."""
-    canonical = b'{"seq":%d,' % seq + body[1:]
-    return b'{"crc":"%08x",' % zlib.crc32(canonical) + canonical[1:] + b"\n"
+    """Frame one serialized body (compact JSON object) as a line: the
+    CRC runs over the ``seq`` head and then on over the body, so the
+    two are joined once, into the line itself."""
+    head = b'"seq":%d,' % seq
+    rest = body[1:]
+    crc = zlib.crc32(rest, zlib.crc32(head, _CRC_OPEN))
+    return b'{"crc":"%08x",%b%b\n' % (crc, head, rest)
 
 
 def encode_record(seq: int, body: Mapping[str, object]) -> str:
@@ -183,7 +236,9 @@ def encode_record(seq: int, body: Mapping[str, object]) -> str:
     return _frame_record(seq, compact_json(body).encode()).decode()
 
 
-_parse_object = json.JSONDecoder().raw_decode
+#: json's C scanner, called without ``raw_decode``'s Python frame: one
+#: JSON value from an index, ``StopIteration`` when none starts there.
+_scan = json.JSONDecoder().scan_once
 
 
 def decode_record(line: bytes | str) -> dict | None:
@@ -192,24 +247,25 @@ def decode_record(line: bytes | str) -> dict | None:
     A line is valid iff it starts ``{"crc":"`` + eight lowercase hex
     digits + ``","seq":``, those digits are the CRC32 of ``{`` + the
     rest of the line from ``"seq":`` on, that text is one JSON object
-    and its ``seq`` is an ``int``. The check is over the line's own
-    bytes, so a line someone re-spaced or re-ordered by hand is torn
-    even when its compact form would still match the checksum.
+    and its ``seq`` is an ``int`` (a ``bool`` is not). The check is over
+    the line's own bytes, so a line someone re-spaced or re-ordered by
+    hand is torn even when its compact form would still match the
+    checksum.
     """
     try:
         if isinstance(line, str):
             line = line.encode()
-        line = line.rstrip(b"\n")
-        canonical = b"{" + line[18:]
+        rest = line.rstrip(b"\n")[18:]
         if not line.startswith(
-            b'{"crc":"%08x","seq":' % zlib.crc32(canonical)
+            b'{"crc":"%08x","seq":' % zlib.crc32(rest, _CRC_OPEN)
         ):
             return None
-        text = canonical.decode()
-        data, end = _parse_object(text)
-    except ValueError:  # un-encodable, not UTF-8, or not JSON
+        text = (b"{" + rest).decode()
+        data, end = _scan(text, 0)
+    except (ValueError, StopIteration):  # un-encodable, not UTF-8, not JSON
         return None
-    if end != len(text) or not isinstance(data["seq"], int):
+    # exactly an int: ``true`` is not seq 1
+    if end != len(text) or type(data["seq"]) is not int:
         return None
     return data
 
@@ -294,6 +350,17 @@ class JournalState:
     #: journaled tenant workflow completions (SLO accounting), each
     #: ``{tenant, workflow, succeeded, turnaround_s, queue_wait_s}``
     service_done: list[dict] = field(default_factory=list)
+    #: ``done`` sorted as of the last :meth:`to_json`, and the names
+    #: :meth:`apply` added since: each snapshot merges the new names in
+    #: instead of sorting the whole set again. ``apply`` is the one
+    #: writer of ``done``: a state that starts from a filled one
+    #: (loaded, copied) sorts it whole once.
+    _done_sorted: list[str] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _done_new: list[str] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def apply(self, data: Mapping[str, object], raw: bytes) -> None:
         """Fold one decoded record into the state.
@@ -324,7 +391,9 @@ class JournalState:
             self.in_flight.pop(job, None)
             self.records.append(raw)
             if data.get("status") == "succeeded":
-                self.done.add(job)
+                if job not in self.done:
+                    self.done.add(job)
+                    self._done_new.append(job)
                 if self.failed_attempts:
                     self.failed_attempts.pop(job, None)
                 if self.undecided:
@@ -418,7 +487,7 @@ class JournalState:
         on every compaction was measurable at workflow scale.
         """
         return {
-            "done": sorted(self.done),
+            "done": list(self._sorted_done()),
             "failed": sorted(self.failed),
             "attempts": dict(self.attempts),
             "retries_left": dict(self.retries_left),
@@ -435,6 +504,18 @@ class JournalState:
             "trace_id": self.trace_id,
             "service_done": [dict(d) for d in self.service_done],
         }
+
+    def _sorted_done(self) -> list[str]:
+        new = self._done_new
+        if len(self._done_sorted) + len(new) != len(self.done):
+            # never sorted yet: the state was loaded or copied
+            self._done_sorted = sorted(self.done)
+        elif new:
+            merged = self._done_sorted + new
+            merged.sort()  # two runs, one of them short: a merge
+            self._done_sorted = merged
+        self._done_new = []
+        return self._done_sorted
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "JournalState":
@@ -490,9 +571,26 @@ class JournalState:
         return state
 
     def copy(self) -> "JournalState":
-        clone = JournalState.from_json(self.to_json())
-        clone.records = list(self.records)
-        return clone
+        """This state, sharing no mutable container with it."""
+        return JournalState(
+            done=set(self.done),
+            failed=set(self.failed),
+            attempts=dict(self.attempts),
+            retries_left=dict(self.retries_left),
+            failed_attempts=dict(self.failed_attempts),
+            in_flight=dict(self.in_flight),
+            undecided={job: dict(r) for job, r in self.undecided.items()},
+            records=list(self.records),
+            blacklist_blocks=[dict(b) for b in self.blacklist_blocks],
+            rescue_round=self.rescue_round,
+            resubmitting=self.resubmitting,
+            workflow_done=self.workflow_done,
+            clock=self.clock,
+            manager_pid=self.manager_pid,
+            worker_pids=list(self.worker_pids),
+            trace_id=self.trace_id,
+            service_done=[dict(d) for d in self.service_done],
+        )
 
 
 # -- the writer ----------------------------------------------------------
@@ -610,9 +708,10 @@ class Journal:
             return
         # The line is memo-shared with the EventLogWriter on the same
         # bus (printed once per event, however many persistence
-        # subscribers are attached); the dict is the state's to fold.
-        line = event_to_json_line(event)
-        self._append_serialized(event_to_json(event), line.encode())
+        # subscribers are attached).
+        self._append_serialized(
+            _fields(event), event_to_json_line(event).encode()
+        )
 
     def _on_state_change(self, event: RunEvent) -> None:
         # Only hard failures are durable; the ready/submitted/done
@@ -784,9 +883,11 @@ class Journal:
         # would re-serialize the ever-growing record list every K
         # appends — O(n^2) over a large run; this keeps the total
         # snapshot cost linear while still bounding replay to
-        # O(state size) records.
+        # O(state size) records. A segment holds its header and at
+        # least one record: with ``snapshot_every=1`` the header of the
+        # segment a snapshot opens would otherwise snapshot again.
         if self._since_snapshot >= max(
-            self.snapshot_every, len(self._state.records)
+            self.snapshot_every, len(self._state.records), 2
         ):
             self.snapshot()
 

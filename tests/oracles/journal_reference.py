@@ -50,7 +50,7 @@ def decode_record_reference(line: bytes | str) -> dict | None:
     expected = format(zlib.crc32(canonical.encode("utf-8")) & 0xFFFFFFFF, "08x")
     if crc != expected:
         return None
-    if not isinstance(data.get("seq"), int):
+    if type(data.get("seq")) is not int:  # a bool is not a seq
         return None
     return data
 

@@ -26,6 +26,7 @@ from repro.sim.grid import GridConfig, GridSiteConfig, OpportunisticGrid
 from repro.sim.rng import RngStreams
 from repro.wms.cli import main_plan, main_run, main_statistics, main_status
 from repro.wms.monitor import read_trace, write_trace
+from tests.oracles.journal_replay_reference import attempt_from_json_keywords
 
 ATTEMPT_KEYS = [
     "job_name", "transformation", "site", "machine", "attempt",
@@ -111,6 +112,36 @@ class TestCodecRoundTrip:
         lines = path.read_text().splitlines()
         assert lines == [json.dumps(a.to_json()) for a in batch]
         assert read_trace(path).attempts == batch
+
+    @given(
+        attempts(),
+        st.dictionaries(
+            st.sampled_from([*ATTEMPT_KEYS, "error", "profile"]),
+            st.none() | st.sampled_from(
+                ["exploded", "failed", JobStatus.EVICTED, 0, -1, 1.5, True, [1],
+                 {"cpu_user_s": "x"}, {"max_rss_kb": -3}, {"source": None}]
+            ),
+            max_size=3,
+        ),
+        st.sets(st.sampled_from([*ATTEMPT_KEYS, "profile"]), max_size=2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_from_json_builds_what_the_keyword_version_built(
+        self, attempt, changes, dropped
+    ):
+        """Positional construction and the status lookup change no
+        outcome: the same record, or the same exception with the same
+        arguments, for any mapping."""
+        wire = {**attempt.to_json(), **changes}
+        for key in dropped:
+            wire.pop(key, None)
+        outcomes = []
+        for build in (JobAttempt.from_json, attempt_from_json_keywords):
+            try:
+                outcomes.append(build(wire))
+            except Exception as exc:  # compared, not swallowed
+                outcomes.append((type(exc), exc.args))
+        assert outcomes[0] == outcomes[1]
 
     def test_not_an_attempt_record(self):
         good = JobAttempt(

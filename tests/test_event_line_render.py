@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
 from repro.observe.events import TERMINAL_KINDS, EventKind, RunEvent
+from repro.observe import log
 from repro.observe.log import event_to_json, event_to_json_line
 
 
@@ -34,6 +35,13 @@ class Level(IntEnum):
 
 class Tag(str):
     pass
+
+
+class Stamp(float):
+    """A float whose own ``repr`` the encoder never calls."""
+
+    def __repr__(self) -> str:
+        return f"Stamp({float(self)!r})"
 
 
 NASTY = [
@@ -129,6 +137,121 @@ def events(draw) -> RunEvent:
 @given(events())
 @settings(max_examples=400, deadline=None)
 def test_line_is_the_compact_dict_byte_for_byte(event):
+    assert event_to_json_line(event) == reference(event)
+
+
+# -- the terminal-line template ---------------------------------------------
+#
+# A platform's ``job.finish`` / ``job.evict`` prints from one template;
+# each way an event can leave that shape must take the general printer
+# and still print the reference's bytes. ``events()`` above almost never
+# has the shape, so these start from it and break it one way at a time.
+
+finite = st.floats(min_value=0, max_value=1e9) | st.sampled_from([0.0, 1e-7, 0.1])
+
+#: name -> (what to change, drawn from the case's strategy)
+FALLBACKS = {
+    "bool attempt": lambda draw: {"attempt": True},
+    "int-subclass attempt": lambda draw: {"attempt": Level.TWO},
+    "int-subclass rss": lambda draw: {"profile": {"max_rss_kb": Level.TWO}},
+    "bool read_ops": lambda draw: {"profile": {"read_ops": False}},
+    "non-finite time": lambda draw: {
+        "t": draw(st.sampled_from([float("inf"), float("-inf"), float("nan")]))
+    },
+    "non-finite exec_end": lambda draw: {"exec_end": float("inf")},
+    "non-finite cpu": lambda draw: {
+        "profile": {"cpu_user_s": draw(st.sampled_from([float("inf"), float("nan")]))}
+    },
+    "int time": lambda draw: {"t": draw(st.integers(min_value=0, max_value=10**6))},
+    "bool time": lambda draw: {"t": draw(st.booleans())},
+    "float-subclass stamp": lambda draw: {"submit_time": Stamp(0.0)},
+    "str-subclass name": lambda draw: {
+        draw(st.sampled_from(["job_name", "transformation", "site", "machine"])):
+        Tag(draw(texts))
+    },
+    "str-subclass source": lambda draw: {"profile": {"source": Tag("modelled")}},
+    "non-str name": lambda draw: {"machine": draw(st.sampled_from([7, 1.5, None]))},
+    "error set": lambda draw: {"error": draw(st.sampled_from(NASTY[1:]))},
+    "profile None": lambda draw: {"profile": None},
+    "detail key beside status": lambda draw: {
+        "detail": {
+            "status": "x", draw(keys.filter(lambda k: k != "status")): draw(values)
+        }
+    },
+    "detail without status": lambda draw: {
+        "detail": {draw(texts.filter(lambda k: k != "status")): 1}
+    },
+    "None header field": lambda draw: {
+        "header": draw(st.sampled_from(
+            ["job_name", "transformation", "site", "machine", "attempt"]
+        ))
+    },
+}
+
+
+@st.composite
+def terminal_cases(draw) -> tuple[RunEvent, str | None]:
+    """A terminal event of the template's shape, or (with its name) one
+    broken by a single :data:`FALLBACKS` change."""
+    broken = draw(st.none() | st.sampled_from(sorted(FALLBACKS)))
+    change = FALLBACKS[broken](draw) if broken else {}
+    stamps = sorted(draw(st.lists(finite, min_size=4, max_size=4)))
+    profile = dict(
+        cpu_user_s=draw(finite), cpu_sys_s=draw(finite),
+        max_rss_kb=draw(st.integers(min_value=0)),
+        read_ops=draw(st.integers(min_value=0, max_value=99)),
+        write_ops=draw(st.integers(min_value=0, max_value=99)),
+        source=draw(texts),
+    )
+    profile_change = change.pop("profile", {})
+    status = draw(st.sampled_from(JobStatus))
+    fields = dict(
+        job_name=draw(texts), transformation=draw(texts), site=draw(texts),
+        machine=draw(texts), attempt=draw(st.integers(min_value=1)),
+        submit_time=stamps[0], setup_start=stamps[1], exec_start=stamps[2],
+        exec_end=stamps[3], status=status,
+        error=draw(st.sampled_from([None, ""])),
+        profile=None if profile_change is None
+        else ResourceProfile(**{**profile, **profile_change}),
+    )
+    t = change.pop("t", fields["exec_end"])
+    detail = change.pop("detail", draw(st.sampled_from([{"status": status.value}, {}])))
+    absent = change.pop("header", None)
+    fields.update(change)
+    record = JobAttempt(**fields)
+    header = {name: getattr(record, name) for name in
+              ("job_name", "transformation", "site", "machine", "attempt")}
+    if absent:
+        header[absent] = None
+    kind = draw(st.sampled_from(sorted(TERMINAL_KINDS, key=lambda k: k.value)))
+    return RunEvent(kind, t, record=record, detail=detail, **header), broken
+
+
+def _templated(event: RunEvent) -> bool:
+    return log._print_terminal(event, event.record, log._TERMINAL[event.kind]) is not None
+
+
+@given(terminal_cases())
+@settings(max_examples=500, deadline=None)
+def test_terminal_line_is_the_compact_dict(case):
+    event, _ = case
+    assert event_to_json_line(event) == reference(event)
+
+
+@given(terminal_cases())
+@settings(max_examples=300, deadline=None)
+def test_each_fallback_leaves_the_template(case):
+    event, broken = case
+    assert _templated(event) == (broken is None), broken
+
+
+def test_overflowing_finite_stamps_fall_back():
+    # the finiteness check sums the floats: an overflow is a false alarm,
+    # which only costs the general printer
+    record = attempt(exec_end=1.5e308, profile=ResourceProfile(cpu_user_s=1.5e308))
+    event = RunEvent(EventKind.FINISH, 1.5e308, job_name="a", transformation="t",
+                     site="osg", machine="m", attempt=1, record=record)
+    assert not _templated(event)
     assert event_to_json_line(event) == reference(event)
 
 
