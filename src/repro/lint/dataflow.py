@@ -30,8 +30,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.dagman.dag import CycleError
-from repro.lint.dax_rules import workflow_order
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import LintContext, finding, rule
 
@@ -41,34 +39,9 @@ __all__ = ["availability_fixpoint", "reachable_jobs", "components"]
 def availability_fixpoint(
     ctx: LintContext,
 ) -> tuple[set[str], set[str]]:
-    """``(available_files, satisfiable_jobs)`` at fixpoint.
-
-    Starts from replica-catalog files and zero-input jobs, then
-    repeatedly marks jobs satisfiable once all their inputs are
-    available and their outputs available in turn. Terminates because
-    both sets only grow and are bounded.
-    """
-    assert ctx.replicas is not None
-    available: set[str] = {
-        lfn for lfn in ctx.consumers if ctx.replicas.has(lfn)
-    }
-    for lfn in ctx.producers:
-        if ctx.replicas.has(lfn):
-            available.add(lfn)
-    satisfiable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for job in ctx.adag.jobs.values():
-            if job.id in satisfiable:
-                continue
-            if all(f.name in available for f in job.inputs()):
-                satisfiable.add(job.id)
-                for f in job.outputs():
-                    if f.name not in available:
-                        available.add(f.name)
-                changed = True
-    return available, satisfiable
+    """``(available_files, satisfiable_jobs)`` at fixpoint
+    (:attr:`LintContext.availability <repro.lint.registry.LintContext.availability>`)."""
+    return ctx.availability
 
 
 def reachable_jobs(ctx: LintContext) -> set[str]:
@@ -103,16 +76,6 @@ def components(ctx: LintContext) -> list[set[str]]:
     return comps
 
 
-def _acyclic(ctx: LintContext) -> bool:
-    """FLOW starvation rules stand down on cyclic workflows: DAX001
-    already owns that defect and every cycle member would be 'starved'."""
-    try:
-        workflow_order(ctx)
-    except CycleError:
-        return False
-    return True
-
-
 @rule(
     "FLOW001",
     Severity.ERROR,
@@ -121,21 +84,21 @@ def _acyclic(ctx: LintContext) -> bool:
 )
 def _transitively_starved(ctx: LintContext) -> Iterator[Finding]:
     assert ctx.replicas is not None
-    if not _acyclic(ctx):
-        return
-    available, satisfiable = availability_fixpoint(ctx)
-    for job in ctx.adag.jobs.values():
-        if job.id in satisfiable:
+    if ctx.order is None:
+        return  # cyclic: DAX001's case, and every member would be starved
+    available, satisfiable = ctx.availability
+    for jid, names in ctx.inputs.items():
+        if jid in satisfiable:
             continue
         directly_missing = sorted(
-            f.name
-            for f in job.inputs()
-            if f.name not in ctx.producers and not ctx.replicas.has(f.name)
+            name
+            for name in names
+            if name not in ctx.producers and not ctx.replicas.has(name)
         )
         if directly_missing:
             continue  # DAX002's case: the file itself is unresolvable
         starved_inputs = sorted(
-            f.name for f in job.inputs() if f.name not in available
+            name for name in names if name not in available
         )
         roots = sorted(
             {
@@ -145,8 +108,8 @@ def _transitively_starved(ctx: LintContext) -> Iterator[Finding]:
             }
         )
         yield finding(
-            f"job:{job.id}",
-            f"job {job.id!r} can never become ready: input(s) "
+            f"job:{jid}",
+            f"job {jid!r} can never become ready: input(s) "
             f"{', '.join(repr(f) for f in starved_inputs[:3])} are "
             f"produced only by starved job(s) "
             f"{', '.join(repr(r) for r in roots[:3])}; the root cause "
@@ -164,9 +127,11 @@ def _transitively_starved(ctx: LintContext) -> Iterator[Finding]:
 )
 def _dead_output(ctx: LintContext) -> Iterator[Finding]:
     assert ctx.replicas is not None
-    if not _acyclic(ctx):
-        return
-    _available, satisfiable = availability_fixpoint(ctx)
+    if ctx.order is None:
+        return  # cyclic: see FLOW001
+    _available, satisfiable = ctx.availability
+    if len(satisfiable) == len(ctx.adag.jobs):
+        return  # no consumer is starved
     for lfn in sorted(ctx.consumers):
         producer = ctx.producers.get(lfn)
         if producer is None or producer not in satisfiable:
@@ -193,13 +158,12 @@ def _reuse_candidate(ctx: LintContext) -> Iterator[Finding]:
     assert ctx.replicas is not None
     if ctx.options is not None and ctx.options.enable_reuse:
         return  # the planner prunes these itself
-    for job in ctx.adag.jobs.values():
-        outputs = job.outputs()
-        if outputs and all(ctx.replicas.has(f.name) for f in outputs):
+    for jid, outputs in ctx.outputs.items():
+        if outputs and all(ctx.replicas.has(name) for name in outputs):
             yield finding(
-                f"job:{job.id}",
-                f"every output of job {job.id!r} "
-                f"({', '.join(repr(f.name) for f in outputs[:3])}) "
+                f"job:{jid}",
+                f"every output of job {jid!r} "
+                f"({', '.join(repr(name) for name in outputs[:3])}) "
                 "already has a replica; the job recomputes existing "
                 "data",
                 "plan with PlannerOptions(enable_reuse=True) to stage "

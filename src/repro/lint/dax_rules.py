@@ -9,20 +9,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.dagman.dag import CycleError, topological_sort
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import LintContext, finding, rule
-
-__all__ = ["workflow_order"]
-
-
-def workflow_order(ctx: LintContext) -> list[str]:
-    """Topological order of the abstract jobs (tolerant edges).
-
-    Raises :class:`CycleError` on cyclic workflows — rule DAX001 turns
-    that into a finding.
-    """
-    return topological_sort(ctx.adag.jobs, ctx.children)
 
 
 @rule(
@@ -31,9 +19,8 @@ def workflow_order(ctx: LintContext) -> list[str]:
     "dependency cycle",
 )
 def _cycle(ctx: LintContext) -> Iterator[Finding]:
-    try:
-        workflow_order(ctx)
-    except CycleError as exc:
+    exc = ctx.cycle
+    if exc is not None:
         yield finding(
             "workflow",
             f"dependency cycle among jobs: {', '.join(exc.members)}",
@@ -92,7 +79,7 @@ def _dead_job(ctx: LintContext) -> Iterator[Finding]:
     for job in ctx.adag.jobs.values():
         if not job.uses:
             continue  # DAX006's case, don't double-report
-        if job.outputs():
+        if ctx.outputs[job.id]:
             continue
         if ctx.children.get(job.id):
             continue
@@ -163,14 +150,12 @@ def _redundant_edge(ctx: LintContext) -> Iterator[Finding]:
     "file is both input and output of one job",
 )
 def _in_place_file(ctx: LintContext) -> Iterator[Finding]:
-    for job in ctx.adag.jobs.values():
-        overlap = {f.name for f in job.inputs()} & {
-            f.name for f in job.outputs()
-        }
+    for jid, names in ctx.inputs.items():
+        overlap = set(names).intersection(ctx.outputs[jid])
         for lfn in sorted(overlap):
             yield finding(
-                f"job:{job.id}",
-                f"job {job.id!r} lists file {lfn!r} as both input and "
+                f"job:{jid}",
+                f"job {jid!r} lists file {lfn!r} as both input and "
                 "output (in-place update)",
                 "write to a new logical file; in-place updates break "
                 "retries and data reuse",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.lint.dax_rules import workflow_order
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import LintContext, finding, rule
 
@@ -39,7 +38,7 @@ def abstract_critical_path(ctx: LintContext) -> float:
     for parent, kids in ctx.children.items():
         for child in kids:
             parents[child].append(parent)
-    for node in workflow_order(ctx):
+    for node in ctx.order or ():  # a cycle is DAX001's finding
         incoming = [longest[p] for p in parents[node]]
         longest[node] = ctx.adag.jobs[node].runtime + max(
             incoming, default=0.0

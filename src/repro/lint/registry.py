@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
+from repro.dagman.dag import CycleError, topological_sort
 from repro.lint.findings import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -63,43 +64,69 @@ class LintContext:
     journal: bool | None = None
 
     # -- tolerant graph views -----------------------------------------
+    # Each is computed on first use and shared by every rule that reads
+    # it, so one lint run walks the jobs' files, orders the graph and
+    # runs the availability fixpoint once each.
+
+    @cached_property
+    def inputs(self) -> dict[str, list[str]]:
+        """Job id -> the names of the files it reads, in ``uses`` order."""
+        # On use: repro-run loads this package for its admission check
+        # and never the DAX model.
+        from repro.wms.dax import LinkType
+
+        return {
+            job.id: [f.name for f, link in job.uses if link is LinkType.INPUT]
+            for job in self.adag.jobs.values()
+        }
+
+    @cached_property
+    def outputs(self) -> dict[str, list[str]]:
+        """Job id -> the names of the files it writes, in ``uses`` order."""
+        from repro.wms.dax import LinkType
+
+        return {
+            job.id: [f.name for f, link in job.uses if link is LinkType.OUTPUT]
+            for job in self.adag.jobs.values()
+        }
 
     @cached_property
     def producers(self) -> dict[str, str]:
         """LFN -> first producing job id (write-write tolerant)."""
         out: dict[str, str] = {}
-        for job in self.adag.jobs.values():
-            for f in job.outputs():
-                out.setdefault(f.name, job.id)
+        for jid, names in self.outputs.items():
+            for name in names:
+                out.setdefault(name, jid)
         return out
 
     @cached_property
     def all_producers(self) -> dict[str, list[str]]:
         """LFN -> every producing job id, in insertion order."""
         out: dict[str, list[str]] = {}
-        for job in self.adag.jobs.values():
-            for f in job.outputs():
-                out.setdefault(f.name, []).append(job.id)
+        for jid, names in self.outputs.items():
+            for name in names:
+                out.setdefault(name, []).append(jid)
         return out
 
     @cached_property
     def consumers(self) -> dict[str, list[str]]:
         """LFN -> consuming job ids, in insertion order."""
         out: dict[str, list[str]] = {}
-        for job in self.adag.jobs.values():
-            for f in job.inputs():
-                out.setdefault(f.name, []).append(job.id)
+        for jid, names in self.inputs.items():
+            for name in names:
+                out.setdefault(name, []).append(jid)
         return out
 
     @cached_property
     def data_edges(self) -> set[tuple[str, str]]:
         """Producer -> consumer edges from file flow (tolerant)."""
         edges = set()
-        for job in self.adag.jobs.values():
-            for f in job.inputs():
-                producer = self.producers.get(f.name)
-                if producer is not None and producer != job.id:
-                    edges.add((producer, job.id))
+        producers = self.producers
+        for jid, names in self.inputs.items():
+            for name in names:
+                producer = producers.get(name)
+                if producer is not None and producer != jid:
+                    edges.add((producer, jid))
         return edges
 
     @cached_property
@@ -110,6 +137,54 @@ class LintContext:
             if parent in adj and child in adj and parent != child:
                 adj[parent].add(child)
         return adj
+
+    @cached_property
+    def _topology(self) -> tuple[list[str] | None, CycleError | None]:
+        try:
+            return topological_sort(self.adag.jobs, self.children), None
+        except CycleError as exc:
+            return None, exc
+
+    @property
+    def order(self) -> list[str] | None:
+        """Topological order of the jobs over the tolerant edges, or
+        ``None`` when the workflow is cyclic (:attr:`cycle` says how)."""
+        return self._topology[0]
+
+    @property
+    def cycle(self) -> CycleError | None:
+        """Why the workflow has no :attr:`order`, or ``None``."""
+        return self._topology[1]
+
+    @cached_property
+    def availability(self) -> tuple[set[str], set[str]]:
+        """``(available_files, satisfiable_jobs)`` at fixpoint.
+
+        Starts from replica-catalog files and zero-input jobs, then
+        repeatedly marks jobs satisfiable once all their inputs are
+        available and their outputs available in turn. Terminates
+        because both sets only grow and are bounded. Needs
+        :attr:`replicas`.
+        """
+        assert self.replicas is not None
+        has = self.replicas.has
+        available: set[str] = {lfn for lfn in self.consumers if has(lfn)}
+        for lfn in self.producers:
+            if has(lfn):
+                available.add(lfn)
+        inputs, outputs = self.inputs, self.outputs
+        satisfiable: set[str] = set()
+        changed = True
+        while changed:
+            changed = False
+            for jid, names in inputs.items():
+                if jid in satisfiable:
+                    continue
+                if all(name in available for name in names):
+                    satisfiable.add(jid)
+                    available.update(outputs[jid])
+                    changed = True
+        return available, satisfiable
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,15 @@ the backend's (virtual seconds × 1e6 for simulated runs).
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Iterable
 
-from repro.dagman.events import WorkflowTrace
+from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.observe.events import EventKind, RunEvent
 from repro.observe.sampler import UtilizationSample
 
-__all__ = ["chrome_trace", "write_chrome_trace"]
+__all__ = ["write_chrome_trace"]
 
 _US = 1e6  # seconds -> microseconds
 
@@ -53,132 +54,76 @@ _INSTANT_KINDS: dict[EventKind, str] = {
     EventKind.RESCUE: "g",
 }
 
+# One template per record kind, keys in the order the dicts they stand
+# for had them and in ``json.dumps``' default layout (``", "`` between
+# members, ``": "`` after a key). Values are filled in already spelled.
+_PROCESS = (
+    '{"ph": "M", "name": "process_name", "pid": %d, "tid": 0,'
+    ' "args": {"name": %s}}'
+)
+_THREAD = '{"ph": "M", "name": "thread_name", "pid": %d, "tid": %d, "args": {"name": %s}}'
+_SLICE = (
+    '{"ph": "X", "name": %s, "cat": "%s", "pid": %d, "tid": %d,'
+    ' "ts": %s, "dur": %s, "args": %s}'
+)
+_FLOW_START = (
+    '{"ph": "s", "name": "retry", "cat": "retry", "id": %d,'
+    ' "pid": %d, "tid": %d, "ts": %s}'
+)
+_FLOW_END = (
+    '{"ph": "f", "bp": "e", "name": "retry", "cat": "retry", "id": %d,'
+    ' "pid": %d, "tid": %d, "ts": %s}'
+)
+_INSTANT = (
+    '{"ph": "i", "name": %s, "cat": "resilience", "s": "%s", "ts": %s,'
+    ' "args": %s, "pid": %d, "tid": %d}'
+)
+_COUNTER = (
+    '{"ph": "C", "name": "utilization", "pid": 0, "tid": 0, "ts": %s,'
+    ' "args": {"busy": %s, "idle": %s}}'
+)
+#: A slice's ``args`` when its values have their plain types: ``%d``
+#: spells an ``int`` as the encoder does.
+_ARGS = '{"job": %s, "transformation": %s, "attempt": %d, "status": %s'
 
-def chrome_trace(
-    trace: WorkflowTrace,
-    *,
-    samples: Iterable[UtilizationSample] | None = None,
-    events: Iterable[RunEvent] | None = None,
-    workflow: str = "workflow",
-) -> dict:
-    """Render a trace (plus optional utilization samples and live
-    events) to the trace-event JSON object. ``json.dump`` the result,
-    or use :func:`write_chrome_trace`."""
-    out: list[dict] = []
-    pids: dict[str, int] = {}
-    tids: dict[tuple[str, str], int] = {}
 
-    def pid(site: str) -> int:
-        if site not in pids:
-            pids[site] = len(pids) + 1
-            out.append({
-                "ph": "M", "name": "process_name", "pid": pids[site], "tid": 0,
-                "args": {"name": f"site:{site}"},
-            })
-        return pids[site]
+def _value(value: object) -> str:
+    """*value* as ``json.dumps`` spells it."""
+    if type(value) is str:
+        return _json_str(value)
+    if type(value) is int or (type(value) is float and value - value == 0):  # finite
+        return repr(value)
+    return json.dumps(value)
 
-    def tid(site: str, machine: str) -> int:
-        key = (site, machine)
-        if key not in tids:
-            tids[key] = len(tids) + 1
-            out.append({
-                "ph": "M", "name": "thread_name", "pid": pid(site),
-                "tid": tids[key], "args": {"name": machine},
-            })
-        return tids[key]
 
-    for a in sorted(trace, key=lambda a: (a.submit_time, a.job_name, a.attempt)):
-        p, t = pid(a.site), tid(a.site, a.machine)
-        label = f"{a.job_name}#{a.attempt}"
-        args = {
-            "job": a.job_name,
-            "transformation": a.transformation,
-            "attempt": a.attempt,
-            "status": a.status.value,
-        }
-        if a.error:
-            args["error"] = a.error
-        if a.profile is not None:
-            args["profile"] = a.profile.to_json()
-        phases = (
-            ("waiting", a.submit_time, a.waiting_time),
-            ("setup", a.setup_start, a.download_install_time),
-            ("exec", a.exec_start, a.kickstart_time),
+def _args(a: JobAttempt) -> str:
+    """The ``args`` object every slice of attempt *a* shares, printed
+    once: from :data:`_ARGS` when its values have their plain types,
+    through the encoder otherwise."""
+    job, transformation, attempt = a.job_name, a.transformation, a.attempt
+    status, error, profile = a.status.value, a.error, a.profile
+    if (
+        type(job) is type(transformation) is type(status) is str
+        and type(attempt) is int
+        and (not error or type(error) is str)
+    ):
+        text = _ARGS % (
+            _json_str(job), _json_str(transformation), attempt, _json_str(status)
         )
-        for cat, start, dur in phases:
-            if dur <= 0 and cat != "exec":
-                continue  # no distinct phase; keep exec even if instant
-            out.append({
-                "ph": "X",
-                "name": f"{label} {cat}" if cat != "exec" else label,
-                "cat": cat,
-                "pid": p,
-                "tid": t,
-                "ts": start * _US,
-                "dur": dur * _US,
-                "args": args,
-            })
-
-    # Retry chains: a flow arrow from each non-final attempt's end to
-    # the next attempt's submit, so Perfetto draws the requeue hop
-    # (often onto a different machine or site). by_job() orders a job's
-    # attempts in time, so the arrows run forward across rescue rounds
-    # and a --resume boundary, where attempt numbers restart.
-    flow_id = 0
-    for _, attempts in sorted(trace.by_job().items()):
-        for prev, nxt in zip(attempts, attempts[1:]):
-            flow_id += 1
-            common = {"name": "retry", "cat": "retry", "id": flow_id}
-            out.append({
-                "ph": "s", **common,
-                "pid": pid(prev.site), "tid": tid(prev.site, prev.machine),
-                "ts": prev.exec_end * _US,
-            })
-            out.append({
-                "ph": "f", "bp": "e", **common,
-                "pid": pid(nxt.site), "tid": tid(nxt.site, nxt.machine),
-                "ts": nxt.submit_time * _US,
-            })
-
-    for e in events or ():
-        scope = _INSTANT_KINDS.get(e.kind)
-        if scope is None:
-            continue
-        detail = {k: v for k, v in e.detail.items()}
-        if e.job_name is not None:
-            detail.setdefault("job", e.job_name)
-        if e.attempt is not None:
-            detail.setdefault("attempt", e.attempt)
-        record = {
-            "ph": "i",
-            "name": e.kind.value,
-            "cat": "resilience",
-            "s": scope,
-            "ts": e.time * _US,
-            "args": detail,
-        }
-        if scope == "t" and e.site is not None and e.machine is not None:
-            record["pid"] = pid(e.site)
-            record["tid"] = tid(e.site, e.machine)
-        else:
-            # Scheduler-scoped (held/rescue) or global events live on
-            # the meta track shared with the utilization counters.
-            record["s"] = "g" if scope == "g" else "p"
-            record["pid"] = 0
-            record["tid"] = 0
-        out.append(record)
-
-    for s in samples or ():
-        out.append({
-            "ph": "C", "name": "utilization", "pid": 0, "tid": 0,
-            "ts": s.time * _US, "args": {"busy": s.busy, "idle": s.idle},
-        })
-
-    return {
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-        "otherData": {"workflow": workflow, "attempts": len(trace)},
+        if error:
+            text += ', "error": ' + _json_str(error)
+        if profile is not None:
+            text += ', "profile": ' + profile.to_json_text()
+        return text + "}"
+    args: dict[str, object] = {
+        "job": job, "transformation": transformation, "attempt": attempt,
+        "status": status,
     }
+    if error:
+        args["error"] = error
+    if profile is not None:
+        args["profile"] = profile.to_json()
+    return json.dumps(args)
 
 
 def write_chrome_trace(
@@ -189,12 +134,122 @@ def write_chrome_trace(
     events: Iterable[RunEvent] | None = None,
     workflow: str = "workflow",
 ) -> Path:
-    """Write the trace-event JSON next to the run's other artifacts."""
+    """Write the trace (plus optional utilization samples and live
+    events) as a trace-event JSON object next to the run's other
+    artifacts, and return the path.
+
+    The document is printed record by record from per-kind templates;
+    no dict tree is built. The bytes are those ``json.dumps`` gives for
+    the dict the writer used to build
+    (``tests/oracles/chrome_trace_reference.py``, held to it by
+    ``tests/test_chrome_render.py``). An instant event's ``detail``, and
+    any value of a type its template cannot spell, goes through the
+    encoder.
+    """
     from repro.util.iolib import atomic_write
 
     path = Path(path)
-    payload = json.dumps(
-        chrome_trace(trace, samples=samples, events=events, workflow=workflow)
-    )
-    atomic_write(path, payload)
+    atomic_write(path, _document(trace, samples, events, workflow))
     return path
+
+
+def _document(
+    trace: WorkflowTrace,
+    samples: Iterable[UtilizationSample] | None,
+    events: Iterable[RunEvent] | None,
+    workflow: str,
+) -> str:
+    """The trace-event document's text: one printed record per event,
+    joined once (its records are garbage before the file is written)."""
+    out: list[str] = []
+    append = out.append
+    pids: dict[str, int] = {}
+    tids: dict[tuple[str, str], int] = {}
+
+    def pid(site: str) -> int:
+        if site not in pids:
+            pids[site] = len(pids) + 1
+            append(_PROCESS % (pids[site], _json_str(f"site:{site}")))
+        return pids[site]
+
+    def tid(site: str, machine: str) -> int:
+        key = (site, machine)
+        if key not in tids:
+            tids[key] = len(tids) + 1
+            append(_THREAD % (pid(site), tids[key], _value(machine)))
+        return tids[key]
+
+    for a in sorted(trace, key=lambda a: (a.submit_time, a.job_name, a.attempt)):
+        p, t = pid(a.site), tid(a.site, a.machine)
+        # The label's text without its closing quote: a phase's name is
+        # the label and a suffix, and escaping goes character by character.
+        label = _json_str(f"{a.job_name}#{a.attempt}")[:-1]
+        args = _args(a)
+        submit, setup, start = a.submit_time, a.setup_start, a.exec_start
+        waiting, install = setup - submit, start - setup
+        # A phase of no length has no slice, but exec is kept even if instant.
+        if not waiting <= 0:
+            append(_SLICE % (
+                label + ' waiting"', "waiting", p, t, _value(submit * _US),
+                _value(waiting * _US), args,
+            ))
+        if not install <= 0:
+            append(_SLICE % (
+                label + ' setup"', "setup", p, t, _value(setup * _US),
+                _value(install * _US), args,
+            ))
+        append(_SLICE % (
+            label + '"', "exec", p, t, _value(start * _US),
+            _value((a.exec_end - start) * _US), args,
+        ))
+
+    # Retry chains: a flow arrow from each non-final attempt's end to
+    # the next attempt's submit, so Perfetto draws the requeue hop
+    # (often onto a different machine or site). by_job() orders a job's
+    # attempts in time, so the arrows run forward across rescue rounds
+    # and a --resume boundary, where attempt numbers restart.
+    flow_id = 0
+    for _, attempts in sorted(trace.by_job().items()):
+        for prev, nxt in zip(attempts, attempts[1:]):
+            flow_id += 1
+            append(_FLOW_START % (
+                flow_id, pid(prev.site), tid(prev.site, prev.machine),
+                _value(prev.exec_end * _US),
+            ))
+            append(_FLOW_END % (
+                flow_id, pid(nxt.site), tid(nxt.site, nxt.machine),
+                _value(nxt.submit_time * _US),
+            ))
+
+    for e in events or ():
+        scope = _INSTANT_KINDS.get(e.kind)
+        if scope is None:
+            continue
+        detail = {k: v for k, v in e.detail.items()}
+        if e.job_name is not None:
+            detail.setdefault("job", e.job_name)
+        if e.attempt is not None:
+            detail.setdefault("attempt", e.attempt)
+        ts, args = _value(e.time * _US), json.dumps(detail)
+        if scope == "t" and e.site is not None and e.machine is not None:
+            p, t = pid(e.site), tid(e.site, e.machine)
+        else:
+            # Scheduler-scoped (held/rescue) or global events live on
+            # the meta track shared with the utilization counters.
+            scope, p, t = "g" if scope == "g" else "p", 0, 0
+        append(_INSTANT % (_json_str(e.kind.value), scope, ts, args, p, t))
+
+    for s in samples or ():
+        append(_COUNTER % (_value(s.time * _US), _value(s.busy), _value(s.idle)))
+
+    head = '{"traceEvents": ['
+    tail = '], "displayTimeUnit": "ms", "otherData": %s}' % json.dumps(
+        {"workflow": workflow, "attempts": len(trace)}
+    )
+    if not out:
+        return head + tail
+    # The head and tail ride on the first and last records, so the one
+    # join is the only copy of the whole document.
+    out[0] = head + out[0]
+    out[-1] += tail
+    return ", ".join(out)

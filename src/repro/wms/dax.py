@@ -16,10 +16,11 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.util.iolib import atomic_write
 
-__all__ = ["LinkType", "File", "AbstractJob", "ADag"]
+__all__ = ["LinkType", "File", "AbstractJob", "FileFlow", "ADag"]
 
 #: A character XML 1.0 has no way to carry, even as a reference.
 _NOT_XML = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
@@ -60,7 +61,8 @@ class File:
     size: int = 0
 
     def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
+        # Missing, empty, or holding anything ``str.isspace`` accepts.
+        if not self.name or self.name.split() != [self.name]:
             raise ValueError(f"invalid logical file name: {self.name!r}")
         if self.size < 0:
             raise ValueError("size must be >= 0")
@@ -83,10 +85,14 @@ class AbstractJob:
     runtime: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.id or any(c.isspace() for c in self.id):
+        if not self.id or self.id.split() != [self.id]:
             raise ValueError(f"invalid job id: {self.id!r}")
-        if self.runtime < 0:
-            raise ValueError("runtime must be >= 0")
+        # ``not x >= 0`` rather than ``x < 0``: NaN fails every
+        # comparison, so only the negated form rejects it.
+        if not self.runtime >= 0:
+            raise ValueError(
+                f"job {self.id!r}: runtime must be >= 0, got {self.runtime}"
+            )
 
     def add_input(self, f: File) -> "AbstractJob":
         self.uses.append((f, LinkType.INPUT))
@@ -101,6 +107,21 @@ class AbstractJob:
 
     def outputs(self) -> list[File]:
         return [f for f, link in self.uses if link is LinkType.OUTPUT]
+
+
+class FileFlow(NamedTuple):
+    """An abstract workflow's file graph (:meth:`ADag.flow`)."""
+
+    #: logical file name -> id of the job that outputs it
+    producers: dict[str, str]
+    #: logical file name -> ids of the jobs that read it, in job order
+    consumers: dict[str, list[str]]
+    #: each edge once: the explicit ones, then producer→consumer data
+    #: dependencies in consumer order (a DAG built in that order never
+    #: has to search for a cycle when its jobs are in topological order)
+    edges: list[tuple[str, str]]
+    #: input files no job produces (must be staged in), first use of each
+    external_inputs: list[File]
 
 
 class ADag:
@@ -129,39 +150,46 @@ class ADag:
 
     # -- derived structure ------------------------------------------------
 
+    def flow(self) -> FileFlow:
+        """How files tie the jobs together, derived in two walks over
+        the jobs; a :class:`ValueError` names the first file two jobs
+        output."""
+        producers: dict[str, str] = {}
+        for job in self.jobs.values():
+            for f, link in job.uses:
+                if link is LinkType.OUTPUT:
+                    if f.name in producers:
+                        raise ValueError(
+                            f"file {f.name!r} produced by both "
+                            f"{producers[f.name]!r} and {job.id!r}"
+                        )
+                    producers[f.name] = job.id
+        consumers: dict[str, list[str]] = {}
+        edges = dict.fromkeys(self._explicit_edges)
+        external: dict[str, File] = {}
+        for job in self.jobs.values():
+            jid = job.id
+            for f, link in job.uses:
+                if link is LinkType.INPUT:
+                    consumers.setdefault(f.name, []).append(jid)
+                    producer = producers.get(f.name)
+                    if producer is None:
+                        external.setdefault(f.name, f)
+                    elif producer != jid:
+                        edges[producer, jid] = None
+        return FileFlow(producers, consumers, list(edges), list(external.values()))
+
     def producers(self) -> dict[str, str]:
         """Logical file name -> id of the job that outputs it."""
-        out: dict[str, str] = {}
-        for job in self.jobs.values():
-            for f in job.outputs():
-                if f.name in out:
-                    raise ValueError(
-                        f"file {f.name!r} produced by both {out[f.name]!r} "
-                        f"and {job.id!r}"
-                    )
-                out[f.name] = job.id
-        return out
+        return self.flow().producers
 
     def edges(self) -> set[tuple[str, str]]:
         """Explicit edges plus producer→consumer data dependencies."""
-        edges = set(self._explicit_edges)
-        producers = self.producers()
-        for job in self.jobs.values():
-            for f in job.inputs():
-                producer = producers.get(f.name)
-                if producer is not None and producer != job.id:
-                    edges.add((producer, job.id))
-        return edges
+        return set(self.flow().edges)
 
     def external_inputs(self) -> list[File]:
         """Input files no workflow job produces (must be staged in)."""
-        producers = self.producers()
-        seen: dict[str, File] = {}
-        for job in self.jobs.values():
-            for f in job.inputs():
-                if f.name not in producers:
-                    seen.setdefault(f.name, f)
-        return list(seen.values())
+        return self.flow().external_inputs
 
     def final_outputs(self) -> list[File]:
         """Output files no workflow job consumes (stage-out targets)."""

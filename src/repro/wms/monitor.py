@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from repro.dagman.dag import PLAN_JOB_KEYS, Dag
-from repro.dagman.events import JobAttempt, WorkflowTrace
+from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
 from repro.observe.bus import events_to_trace
 from repro.observe.events import RunEvent
 from repro.observe.log import iter_events, read_events
@@ -150,12 +150,57 @@ def read_plan(submit: str | Path) -> Plan:
 
 
 def write_trace(path: str | Path, trace: WorkflowTrace | Iterable[JobAttempt]) -> int:
-    """Write a whole trace as JSONL; returns the attempt count."""
+    """Write a whole trace as JSONL; returns the attempt count.
+
+    Each line is ``json.dumps(attempt.to_json())``, printed from
+    :data:`_TRACE_LINE` when the record's values have their plain types
+    and encoded otherwise (``tests/test_trace_jsonl_render.py`` holds it
+    to the encoder)."""
     attempts = list(trace)
-    atomic_write(
-        path, "".join(json.dumps(a.to_json()) + "\n" for a in attempts)
-    )
+    atomic_write(path, "".join([_trace_line(a) for a in attempts]))
     return len(attempts)
+
+
+#: A ``trace.jsonl`` line up to its optional ``error`` and ``profile``,
+#: in ``json.dumps``' default layout; ``%d`` spells an ``int`` as the
+#: encoder does, and the times arrive already spelled.
+_TRACE_LINE = (
+    '{"job_name": %s, "transformation": %s, "site": %s, "machine": %s,'
+    ' "attempt": %d, "submit_time": %s, "setup_start": %s, "exec_start": %s,'
+    ' "exec_end": %s, "status": %s'
+)
+_STATUS_TEXT = {status: _json_str(status.value) for status in JobStatus}
+
+
+def _trace_line(a: JobAttempt) -> str:
+    """One ``trace.jsonl`` line, newline included."""
+    job, transformation, site, machine = a.job_name, a.transformation, a.site, a.machine
+    submit, setup, start, end = a.submit_time, a.setup_start, a.exec_start, a.exec_end
+    attempt, status, error = a.attempt, a.status, a.error
+    if (
+        type(job) is type(transformation) is type(site) is type(machine) is str
+        and type(attempt) is int
+        and type(submit) is type(setup) is type(start) is type(end) is float
+        and type(status) is JobStatus
+        and (not error or type(error) is str)
+    ):
+        total = submit + setup + start + end
+        if total - total == 0:  # all finite (an overflow only falls back)
+            # With no setup phase a platform starts execution at the
+            # same float object: spell it once.
+            setup_text = repr(setup)
+            line = _TRACE_LINE % (
+                _json_str(job), _json_str(transformation), _json_str(site),
+                _json_str(machine), attempt, repr(submit), setup_text,
+                setup_text if start is setup else repr(start), repr(end),
+                _STATUS_TEXT[status],
+            )
+            if error:
+                line += ', "error": ' + _json_str(error)
+            if a.profile is not None:
+                line += ', "profile": ' + a.profile.to_json_text()
+            return line + "}\n"
+    return json.dumps(a.to_json()) + "\n"
 
 
 def read_trace(path: str | Path) -> WorkflowTrace:

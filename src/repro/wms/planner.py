@@ -167,8 +167,9 @@ def plan(
     if options.enable_reuse:
         adag = _apply_reuse(adag, replicas)
 
+    flow = adag.flow()
     missing_inputs = [
-        f.name for f in adag.external_inputs() if not replicas.has(f.name)
+        f.name for f in flow.external_inputs if not replicas.has(f.name)
     ]
     if missing_inputs:
         raise PlanningError(
@@ -211,15 +212,11 @@ def plan(
         job_map[job.id] = job.id
 
     # -- data dependencies ------------------------------------------------
-    for parent, child in adag.edges():
+    for parent, child in flow.edges:
         dag.add_edge(parent, child)
 
     # -- stage-in jobs ------------------------------------------------------
-    consumers_of: dict[str, list[str]] = {}
-    for job in adag.jobs.values():
-        for f in job.inputs():
-            consumers_of.setdefault(f.name, []).append(job.id)
-    for f in adag.external_inputs():
+    for f in flow.external_inputs:
         name = f"stage_in_{_safe(f.name)}"
         dag.add_job(
             DagJob(
@@ -230,13 +227,12 @@ def plan(
                 retries=options.retries,
             )
         )
-        for consumer in consumers_of[f.name]:
+        for consumer in flow.consumers[f.name]:
             dag.add_edge(name, consumer)
 
     # -- stage-out job -------------------------------------------------------
     finals = adag.final_outputs()
     if finals:
-        producers = adag.producers()
         out_bytes = sum(f.size for f in finals)
         name = "stage_out_final"
         dag.add_job(
@@ -249,15 +245,15 @@ def plan(
             )
         )
         for f in finals:
-            dag.add_edge(producers[f.name], name)
+            dag.add_edge(flow.producers[f.name], name)
 
     # -- cleanup jobs -----------------------------------------------------
     if options.add_cleanup:
-        producers = adag.producers()
-        for fname, consumers in consumers_of.items():
-            if fname not in producers:
+        final_names = {f.name for f in finals}
+        for fname, consumers in flow.consumers.items():
+            if fname not in flow.producers:
                 continue  # external input: not ours to delete
-            if fname in {f.name for f in finals}:
+            if fname in final_names:
                 continue
             name = f"cleanup_{_safe(fname)}"
             dag.add_job(
@@ -318,6 +314,9 @@ def _apply_reuse(adag: ADag, replicas: ReplicaCatalog) -> ADag:
             pruned.add(job.id)
 
     # Pass B: cascade upward over jobs that now feed nobody.
+    explicit_children: dict[str, set[str]] = {}
+    for parent, child in adag.edges():
+        explicit_children.setdefault(parent, set()).add(child)
     changed = True
     while changed:
         changed = False
@@ -325,9 +324,6 @@ def _apply_reuse(adag: ADag, replicas: ReplicaCatalog) -> ADag:
         consumed_by_survivors = {
             f.name for j in surviving for f in j.inputs()
         }
-        explicit_children: dict[str, set[str]] = {}
-        for parent, child in adag.edges():
-            explicit_children.setdefault(parent, set()).add(child)
         for job in surviving:
             outputs = job.outputs()
             if not outputs:

@@ -26,7 +26,6 @@ from repro.observe.analysis import (
     _chain_from_timeline,
     attribute_makespan,
 )
-from repro.observe.chrome_trace import chrome_trace
 from repro.observe.report import build_report
 from repro.resilience import FaultPlan, StartFailure
 from repro.wms.analyzer import analyze
@@ -35,6 +34,7 @@ from repro.wms.monitor import load_run
 from repro.wms.planner import PlannerOptions
 from repro.wms.statistics import critical_path, per_site, per_transformation
 from tests.oracles.timeline_chain import chain_from_timeline_reference
+from tests.test_chrome_render import chrome_doc
 
 
 def _attempt(job, attempt, submit, end, status=JobStatus.FAILED):
@@ -182,7 +182,7 @@ def test_readers_follow_time_order_across_a_rescue_round():
         assert at.buckets["exec"] == pytest.approx(30.0)
         assert at.buckets["idle"] == 0.0
     flows = [
-        e["ts"] for e in chrome_trace(trace)["traceEvents"]
+        e["ts"] for e in chrome_doc(trace)["traceEvents"]
         if e.get("cat") == "retry"
     ]
     assert flows == sorted(flows) == [10e6, 12e6, 20e6, 100e6]

@@ -4,6 +4,8 @@ import zlib
 
 import pytest
 
+from repro.cap3.assembler import Cap3Params
+from repro.core import pipeline as pipeline_module
 from repro.core.pipeline import (
     PipelineConfig,
     StageReport,
@@ -54,7 +56,30 @@ def pipeline_inputs():
 
 
 @pytest.fixture(scope="module")
-def pipeline_result(pipeline_inputs):
+def shared_assembly():
+    """Each distinct input is assembled once for the whole module: the
+    three pipeline runs here (with and without the protein-guided
+    stage) clean the same reads and reduce the same contigs, and each
+    assembly of them otherwise costs seconds. Every run still cleans,
+    dispatches and reports every stage; an input or parameter set not
+    seen before is assembled for real."""
+    runs: dict = {}
+    real = pipeline_module.assemble
+
+    def assemble(records, params=Cap3Params(), *, contig_prefix="Contig"):
+        records = list(records)
+        key = (tuple((r.id, r.seq) for r in records), params, contig_prefix)
+        if key not in runs:
+            runs[key] = real(records, params, contig_prefix=contig_prefix)
+        return runs[key]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline_module, "assemble", assemble)
+        yield runs
+
+
+@pytest.fixture(scope="module")
+def pipeline_result(pipeline_inputs, shared_assembly):
     """The default-configuration run the read-only tests share."""
     proteins, _, reads = pipeline_inputs
     return run_transcriptome_pipeline(reads, proteins)
@@ -83,13 +108,13 @@ class TestPipeline:
         assert pipeline_result.quality.total == len(reads)
         assert pipeline_result.quality.passed > 0
 
-    def test_without_proteins_skips_blast2cap3(self, pipeline_inputs):
+    def test_without_proteins_skips_blast2cap3(self, pipeline_inputs, shared_assembly):
         _, _, reads = pipeline_inputs
         result = run_transcriptome_pipeline(reads, protein_db=None)
         assert len(result.stages) == 3
         assert result.blast2cap3 is None
 
-    def test_protein_guided_flag(self, pipeline_inputs):
+    def test_protein_guided_flag(self, pipeline_inputs, shared_assembly):
         proteins, _, reads = pipeline_inputs
         config = PipelineConfig(protein_guided=False)
         result = run_transcriptome_pipeline(reads, proteins, config)

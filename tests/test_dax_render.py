@@ -58,7 +58,7 @@ arg_values = (
 runtimes = (
     st.floats(min_value=0, allow_infinity=True, allow_nan=False)
     | st.integers(min_value=0)
-    | st.sampled_from([0, 0.0, -0.0, float("nan")])
+    | st.sampled_from([0, 0.0, -0.0])  # a NaN runtime is refused
 )
 files = st.builds(File, name=names, size=st.integers(min_value=0, max_value=10**20))
 

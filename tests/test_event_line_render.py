@@ -255,6 +255,147 @@ def test_overflowing_finite_stamps_fall_back():
     assert event_to_json_line(event) == reference(event)
 
 
+# -- the submit / state-change / match / exec-start templates --------------
+#
+# Each prints from its template only in the exact shape its emitter
+# gives it; these start from that shape and break it one way at a time.
+
+#: kind -> header fields its template requires (besides ``t``)
+PLACED = ("job_name", "transformation", "site", "machine", "attempt")
+REQUIRED = {
+    EventKind.SUBMIT: ("job_name", "transformation", "attempt"),
+    EventKind.STATE_CHANGE: ("job_name", "transformation"),
+    EventKind.MATCH: PLACED,
+    EventKind.EXEC_START: PLACED,
+}
+SCHEDULER = (EventKind.SUBMIT, EventKind.STATE_CHANGE)
+PLATFORM = (EventKind.MATCH, EventKind.EXEC_START)
+ALL = (*SCHEDULER, *PLATFORM)
+states = st.sampled_from(["unready", "ready", "submitted", "done", "failed"]) | texts
+
+
+def _set(**fields):
+    return lambda draw, kind, header, detail: header.update(fields)
+
+
+def _detail(fn):
+    return lambda draw, kind, header, detail: detail.update(fn(draw))
+
+
+def _none_header(draw, kind, header, detail):
+    header[draw(st.sampled_from(REQUIRED[kind]))] = None
+
+
+def _str_subclass(draw, kind, header, detail):
+    name = draw(st.sampled_from([k for k in REQUIRED[kind] if k != "attempt"]))
+    header[name] = Tag(header[name])
+
+
+def _odd_value(draw, kind, header, detail):
+    if kind is EventKind.SUBMIT:
+        detail["expected_s"] = draw(st.sampled_from(
+            [True, float("nan"), float("inf"), Stamp(1.0), "1", None, Level.TWO]))
+    elif kind is EventKind.STATE_CHANGE:
+        key = draw(st.sampled_from(["from", "to"]))
+        detail[key] = draw(st.sampled_from([Tag(detail[key]), None, 1]))
+    else:
+        detail["queue_depth"] = draw(st.sampled_from([True, Level.TWO, 1.0, None, "1"]))
+
+
+def _released(draw, kind, header, detail):
+    """A ``released_by`` / ``released_attempt`` pair not of its shape."""
+    by, by_attempt = draw(st.sampled_from([
+        ("parent", True), ("parent", None), ("parent", Level.TWO), ("parent", 1.5),
+        (Tag("parent"), 1), (None, 1), (7, 1),
+    ]))
+    detail.update(released_by=by, released_attempt=by_attempt)
+
+
+def _released_alone(draw, kind, header, detail):
+    detail.pop("released_attempt", None)
+    detail["released_by"] = "parent"
+
+
+#: name -> (kinds it applies to, the change)
+PLAIN_FALLBACKS = {
+    "service tags in detail": (ALL, _detail(lambda draw: {
+        "tenant": draw(texts), "workflow": draw(texts)})),
+    "released_by not of its shape": (ALL, _released),
+    "released_by alone": (ALL, _released_alone),
+    "None header field": (ALL, _none_header),
+    "site on a scheduler event": (SCHEDULER, _set(site="osg")),
+    "machine on a scheduler event": (SCHEDULER, _set(machine="m-0")),
+    "bool attempt": (ALL, _set(attempt=True)),
+    "IntEnum attempt": (ALL, _set(attempt=Level.TWO)),
+    "non-finite time": (ALL, lambda draw, kind, header, detail: header.update(
+        t=draw(st.sampled_from([float("inf"), float("-inf"), float("nan")])))),
+    "int time": (ALL, _set(t=3)),
+    "bool time": (ALL, _set(t=False)),
+    "float-subclass time": (ALL, _set(t=Stamp(2.0))),
+    "str-subclass name": (ALL, _str_subclass),
+    "detail value of another type": (ALL, _odd_value),
+    "detail key missing": ((EventKind.SUBMIT, EventKind.MATCH),
+                           lambda draw, kind, header, detail: detail.clear()),
+    "detail keys reordered": ((EventKind.STATE_CHANGE,),
+                              lambda draw, kind, header, detail: detail.update(
+                                  {"from": detail.pop("from")})),
+}
+
+
+@st.composite
+def plain_cases(draw, kind: EventKind, broken: str | None) -> RunEvent:
+    """An event of *kind* in its template's shape, or broken by the one
+    :data:`PLAIN_FALLBACKS` change named *broken*."""
+    header: dict = dict(t=draw(finite), job_name=draw(texts),
+                        transformation=draw(texts),
+                        attempt=draw(st.integers(min_value=1)))
+    if kind is EventKind.SUBMIT:
+        detail: dict = {"expected_s": draw(finite | st.integers(min_value=0))}
+    elif kind is EventKind.STATE_CHANGE:
+        header["attempt"] = draw(st.none() | st.integers(min_value=1))
+        detail = {"from": draw(states), "to": draw(states)}
+        if draw(st.booleans()):
+            detail.update(released_by=draw(texts),
+                          released_attempt=draw(st.integers(min_value=1)))
+    else:
+        header.update(site=draw(texts), machine=draw(texts))
+        detail = {} if kind is EventKind.EXEC_START else {
+            "queue_depth": draw(st.integers(min_value=0))}
+    if broken:
+        PLAIN_FALLBACKS[broken][1](draw, kind, header, detail)
+    return RunEvent(kind, header.pop("t"), **header, detail=detail)
+
+
+#: Every kind in its shape, then every way out of it that applies.
+PLAIN_CASES = [(kind, None) for kind in ALL] + [
+    (kind, broken)
+    for broken, (kinds, _) in PLAIN_FALLBACKS.items()
+    for kind in kinds
+]
+
+
+@pytest.mark.parametrize(
+    "kind,broken", PLAIN_CASES,
+    ids=[f"{kind.value}-{broken or 'template'}".replace(" ", "-")
+         for kind, broken in PLAIN_CASES],
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_plain_line_is_the_compact_dict_one_fallback_at_a_time(kind, broken, data):
+    event = data.draw(plain_cases(kind, broken))
+    assert event_to_json_line(event) == reference(event)
+    assert (log._PLAIN[kind](event) is not None) == (broken is None)
+
+
+def test_time_memo_is_by_identity():
+    # 0.0 and -0.0 are equal and spelled apart: the memo of the last time
+    # spelled must not hand one the other's text
+    for t in (0.0, -0.0, 0.0, float("0.0")):
+        event = RunEvent(EventKind.SUBMIT, t, job_name="a", transformation="t",
+                         attempt=1, detail={"expected_s": 1.5})
+        assert event_to_json_line(event) == reference(event)
+
+
 def attempt(**changes) -> JobAttempt:
     fields = dict(
         job_name="a", transformation="t", site="osg", machine="m", attempt=1,

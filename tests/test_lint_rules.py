@@ -580,6 +580,21 @@ class TestCli:
         rc = lint_main(["--dax", "/nonexistent/w.dax"])
         assert rc == 2
 
+    def test_nan_runtime_is_refused_not_clean(self, tmp_path, capsys):
+        # The planner's DagJob refused the NaN and lint swallowed that
+        # ValueError: the file linted "clean" with the plan rules skipped.
+        import re
+
+        dax = tmp_path / "nan.dax"
+        build_blast2cap3_adag(3, model=PaperTaskModel()).write(dax)
+        dax.write_text(re.sub('runtime="[^"]*"', 'runtime="nan"',
+                              dax.read_text(), count=1))
+        assert lint_main(["--dax", str(dax)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"cannot parse {dax}: job 'create_transcript_list': "
+                       "runtime must be >= 0, got nan\n")
+
 
 class TestFactoryWorkflowsAlwaysLintClean:
     @given(

@@ -33,12 +33,12 @@ from repro.observe import (
     write_chrome_trace,
     write_events,
 )
-from repro.observe.chrome_trace import chrome_trace
-from repro.observe.log import event_from_json, event_to_json
+from repro.observe.log import event_from_json, event_to_json, event_to_json_line
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.wms.monitor import read_trace, write_trace
+from tests.test_chrome_render import chrome_doc
 
 
 def make_attempt(
@@ -322,6 +322,29 @@ class TestEventLog:
         bus.emit(RunEvent(EventKind.SUBMIT, 2.0, job_name="b"))
         assert len(path.read_text().splitlines()) == 2
 
+    def test_writer_finishes_a_short_write(self, tmp_path):
+        # each line is one unbuffered write; one the OS cuts short (a
+        # full disk, a signal) is finished before the next event
+        path = tmp_path / "events.jsonl"
+        writer = EventLogWriter(path)
+        raw = writer._fh
+
+        class Trickle:
+            def write(self, data):
+                return raw.write(data[:7])
+
+            def close(self):
+                raw.close()
+
+        writer._fh = Trickle()
+        events = [RunEvent(EventKind.SUBMIT, 0.0, job_name="a"),
+                  RunEvent(EventKind.RETRY, 1.0, job_name="a")]
+        for event in events:
+            writer(event)
+        writer.close()
+        assert path.read_text() == "".join(
+            event_to_json_line(e) + "\n" for e in events)
+
     def test_non_terminal_json_has_no_attempt_fields(self):
         line = event_to_json(RunEvent(EventKind.SUBMIT, 1.0, job_name="a"))
         assert line == {"event": "job.submit", "t": 1.0, "job_name": "a"}
@@ -340,13 +363,13 @@ class TestChromeTrace:
         return trace
 
     def test_structure(self):
-        doc = chrome_trace(self.trace(), workflow="wf")
+        doc = chrome_doc(self.trace(), workflow="wf")
         assert set(doc) >= {"traceEvents", "displayTimeUnit"}
         phases = {e["ph"] for e in doc["traceEvents"]}
         assert phases == {"M", "X"}
 
     def test_exec_slice_per_attempt_in_microseconds(self):
-        doc = chrome_trace(self.trace())
+        doc = chrome_doc(self.trace())
         execs = [
             e for e in doc["traceEvents"]
             if e["ph"] == "X" and e["cat"] == "exec"
@@ -357,7 +380,7 @@ class TestChromeTrace:
         assert a["dur"] == pytest.approx(10.0 * 1e6)
 
     def test_zero_duration_phases_skipped_but_exec_kept(self):
-        doc = chrome_trace(self.trace())
+        doc = chrome_doc(self.trace())
         b_slices = [
             e for e in doc["traceEvents"]
             if e["ph"] == "X" and e["args"].get("job") == "b"
@@ -365,7 +388,7 @@ class TestChromeTrace:
         assert [e["cat"] for e in b_slices] == ["exec"]
 
     def test_error_recorded_in_args(self):
-        doc = chrome_trace(self.trace())
+        doc = chrome_doc(self.trace())
         c = next(
             e for e in doc["traceEvents"]
             if e["ph"] == "X" and e["args"].get("job") == "c"
@@ -377,7 +400,7 @@ class TestChromeTrace:
         samples = [
             UtilizationSample(0.0, 1, 9), UtilizationSample(60.0, 5, 5),
         ]
-        doc = chrome_trace(self.trace(), samples=samples)
+        doc = chrome_doc(self.trace(), samples=samples)
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
         assert [c["args"]["busy"] for c in counters] == [1, 5]
 

@@ -12,10 +12,10 @@ from repro.dagman.events import (
     WorkflowTrace,
 )
 from repro.execution.kickstart import kickstart
-from repro.observe.chrome_trace import chrome_trace
 from repro.observe.events import EventKind, RunEvent
 from repro.observe.metrics import Histogram, merge_summaries
 from repro.observe.profile import RusageProbe, modelled_profile
+from tests.test_chrome_render import chrome_doc
 
 
 def _attempt(profile=None, **kw):
@@ -185,7 +185,7 @@ def test_log_and_monitor_roundtrip_profiles(tmp_path):
 
 def test_chrome_trace_exec_args_carry_profile():
     profile = ResourceProfile(cpu_user_s=42.0, max_rss_kb=9000)
-    doc = chrome_trace(WorkflowTrace([_attempt(profile)]))
+    doc = chrome_doc(WorkflowTrace([_attempt(profile)]))
     exec_events = [
         e for e in doc["traceEvents"]
         if e["ph"] == "X" and e["cat"] == "exec"
@@ -213,7 +213,7 @@ def test_chrome_trace_renders_resilience_instants_and_flows():
         # Kinds with no instant mapping are skipped, not crashed on.
         RunEvent(EventKind.SUBMIT, 0.0, job_name="j1", attempt=1),
     ]
-    doc = chrome_trace(WorkflowTrace(attempts), events=events)
+    doc = chrome_doc(WorkflowTrace(attempts), events=events)
     instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
     by_name = {e["name"]: e for e in instants}
     assert set(by_name) == {

@@ -377,9 +377,9 @@ class TestRetryFlowsAcrossRescueRounds:
         ]
 
     def test_arrows_span_the_resume_boundary_in_time_order(self):
-        from repro.observe.chrome_trace import chrome_trace
+        from tests.test_chrome_render import chrome_doc
 
-        doc = chrome_trace(self.merged_trace(), workflow="wf")
+        doc = chrome_doc(self.merged_trace(), workflow="wf")
         flows = self.flows(doc)
         # two hops: attempt1 -> attempt2 -> rescue-round attempt1
         assert len(flows) == 2
@@ -396,12 +396,12 @@ class TestRetryFlowsAcrossRescueRounds:
         assert hop2[1]["ts"] == 100.0 * 1e6
 
     def test_single_round_chains_unchanged(self):
-        from repro.observe.chrome_trace import chrome_trace
+        from tests.test_chrome_render import chrome_doc
 
         trace = WorkflowTrace()
         trace.add(self.attempt(1, 0.0, 50.0, JobStatus.FAILED))
         trace.add(self.attempt(2, 60.0, 90.0, JobStatus.SUCCEEDED))
-        flows = self.flows(chrome_trace(trace, workflow="wf"))
+        flows = self.flows(chrome_doc(trace, workflow="wf"))
         assert len(flows) == 1
         assert flows[0][0]["ts"] == 50.0 * 1e6
         assert flows[0][1]["ts"] == 60.0 * 1e6
