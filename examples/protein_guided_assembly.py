@@ -9,8 +9,9 @@ every stage for real at laptop scale:
 3. write the two paper input files (``transcripts.fasta``,
    ``alignments.out``) to disk,
 4. execute blast2cap3 both **serially** and as a **Pegasus-style
-   workflow under DAGMan** on the local thread-pool backend,
-5. verify both produce the identical merged transcriptome, and print
+   workflow under DAGMan** on the local thread-pool backend, then both
+   modes again through the ``repro-blast2cap3`` command,
+5. verify all produce the identical merged transcriptome, and print
    the pegasus-statistics report for the workflow run.
 
 Run:  python examples/protein_guided_assembly.py
@@ -24,6 +25,7 @@ from repro.bio.fasta import read_fasta, write_fasta
 from repro.blast.blastx import BlastXParams
 from repro.blast.tabular import write_tabular
 from repro.core.blast2cap3 import blast2cap3_parallel
+from repro.core.cli import main as blast2cap3_cli
 from repro.core.workflow_factory import run_local
 from repro.datagen.transcripts import TranscriptomeSpec
 from repro.datagen.workload import generate_blast2cap3_workload
@@ -82,10 +84,28 @@ def main() -> None:
     assert wf.dagman.success, wf.dagman.failed_jobs
     print(f"workflow blast2cap3 (n=4): finished in {wf_s:.1f}s")
 
+    # 4c. both modes from the shell, as `repro-blast2cap3` runs them: the
+    # workflow, and the process pool with a result cache and the
+    # assembly scorecard.
+    inputs = ["--transcripts", str(transcripts_path),
+              "--alignments", str(alignments_path)]
+    cli_workflow = workdir / "cli-workflow.fasta"
+    cli_parallel = workdir / "cli-parallel.fasta"
+    assert blast2cap3_cli([*inputs, "--output", str(cli_workflow), "-n", "4",
+                           "--workers", "4",
+                           "--workdir", str(workdir / "cli-scratch")]) == 0
+    assert blast2cap3_cli([*inputs, "--output", str(cli_parallel), "-n", "4",
+                           "--parallel", "--jobs", "2",
+                           "--cache-dir", str(workdir / "cache"),
+                           "--validate"]) == 0
+
     # 5. parity check + statistics.
     serial_records = {(r.id, r.seq) for r in serial.output_records}
     wf_records = {(r.id, r.seq) for r in read_fasta(wf.final_output)}
     assert serial_records == wf_records, "workflow output != serial output"
+    for path in (cli_workflow, cli_parallel):
+        cli_records = {(r.id, r.seq) for r in read_fasta(path)}
+        assert cli_records == serial_records, f"{path.name} != serial output"
     print("parity: workflow output identical to the serial script's ✓")
     print()
     print(render_report(summarize(wf.dagman.trace), title="local workflow run"))

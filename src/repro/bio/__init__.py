@@ -1,7 +1,8 @@
 """Sequence substrate: the Biopython-equivalent layer blast2cap3 needs.
 
 Provides DNA/protein sequence primitives (:mod:`repro.bio.seq`),
-FASTA/FASTQ I/O (:mod:`repro.bio.fasta`, :mod:`repro.bio.fastq`),
+FASTA I/O (:mod:`repro.bio.fasta`), FASTQ records
+(:mod:`repro.bio.fastq`),
 read quality processing for the preprocessing pipeline stage
 (:mod:`repro.bio.quality`), substitution matrices
 (:mod:`repro.bio.matrices`), pairwise alignment kernels

@@ -1,20 +1,17 @@
-"""FASTQ reading and writing (Sanger/Illumina-1.8 Phred+33 quality).
+"""FASTQ records (Sanger/Illumina-1.8 Phred+33 quality).
 
-Used by the Fig. 1 transcriptome pipeline example: the preprocessing
-stage consumes raw Illumina-like paired reads, which our data generator
-emits as FASTQ.
+Used by the Fig. 1 transcriptome pipeline: the preprocessing stage
+consumes raw Illumina-like paired reads, which our data generator
+emits as FASTQ records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable
 
 __all__ = [
     "FastqRecord",
-    "read_fastq",
-    "write_fastq",
     "phred_to_quality",
     "quality_to_phred",
 ]
@@ -84,62 +81,3 @@ class FastqRecord:
         """Arithmetic mean Phred score (0.0 for an empty read)."""
         scores = self.phred()
         return sum(scores) / len(scores) if scores else 0.0
-
-    def format(self) -> str:
-        """Render as four-line FASTQ text."""
-        header = self.description if self.description else self.id
-        return f"@{header}\n{self.seq}\n+\n{self.quality}\n"
-
-
-def _open_text(source: str | Path | TextIO) -> tuple[TextIO, bool]:
-    if isinstance(source, (str, Path)):
-        from repro.util.iolib import open_text_auto
-
-        return open_text_auto(source), True
-    return source, False
-
-
-def read_fastq(source: str | Path | TextIO) -> Iterator[FastqRecord]:
-    """Stream :class:`FastqRecord` objects from four-line FASTQ."""
-    handle, owned = _open_text(source)
-    try:
-        while True:
-            header = handle.readline()
-            if not header:
-                return
-            header = header.rstrip("\n")
-            if not header.strip():
-                continue
-            if not header.startswith("@"):
-                raise ValueError(f"expected '@' header, got {header!r}")
-            seq = handle.readline().rstrip("\n")
-            plus = handle.readline().rstrip("\n")
-            quality = handle.readline().rstrip("\n")
-            if not plus.startswith("+"):
-                raise ValueError(f"expected '+' separator, got {plus!r}")
-            desc = header[1:].strip()
-            if not desc:
-                raise ValueError("empty FASTQ header")
-            yield FastqRecord(
-                id=desc.split()[0], seq=seq, quality=quality, description=desc
-            )
-    finally:
-        if owned:
-            handle.close()
-
-
-def write_fastq(
-    dest: str | Path | TextIO, records: Iterable[FastqRecord]
-) -> int:
-    """Write records as FASTQ; returns the count. Path writes are atomic
-    and ``.gz`` paths are compressed."""
-    if isinstance(dest, (str, Path)):
-        from repro.util.iolib import atomic_open
-
-        with atomic_open(dest) as handle:
-            return write_fastq(handle, records)
-    count = 0
-    for record in records:
-        dest.write(record.format())
-        count += 1
-    return count

@@ -183,11 +183,7 @@ class Dag:
         return job
 
     def add_edge(self, parent: str, child: str) -> None:
-        for name in (parent, child):
-            if name not in self.jobs:
-                raise KeyError(f"unknown job: {name!r}")
-        if parent == child:
-            raise ValueError("self-dependency")
+        self._check_edge(parent, child)
         if child in self._children[parent]:
             return  # already present: nothing to validate
         # Incremental cycle check: the new edge closes a cycle iff
@@ -214,6 +210,14 @@ class Dag:
                 members,
             )
         self._children[parent].add(child)
+
+    def _check_edge(self, parent: str, child: str) -> None:
+        """An edge's own faults: an unknown job, or a self-dependency."""
+        for name in (parent, child):
+            if name not in self.jobs:
+                raise KeyError(f"unknown job: {name!r}")
+        if parent == child:
+            raise ValueError("self-dependency")
 
     def _reaches(self, source: str, target: str) -> bool:
         """True when ``target`` is reachable from ``source`` via edges."""
@@ -354,10 +358,22 @@ class Dag:
         for edge in data["edges"]:
             try:
                 parent, child = edge
-                dag.add_edge(parent, child)
+                dag._check_edge(parent, child)
             except (KeyError, TypeError, ValueError) as exc:
-                reason = "closes a cycle" if isinstance(exc, CycleError) else exc.args[0]
-                raise ValueError(f"edge {edge!r}: {reason}") from None
+                raise ValueError(f"edge {edge!r}: {exc.args[0]}") from None
+            dag._children[parent].add(child)
+        # One acyclicity check for the whole plan; only a cyclic one is
+        # rebuilt edge by edge, to name the first edge that closes it.
+        try:
+            topological_sort(dag.jobs, dag._children)
+        except CycleError:
+            for children in dag._children.values():
+                children.clear()
+            for edge in data["edges"]:
+                try:
+                    dag.add_edge(*edge)
+                except CycleError:
+                    raise ValueError(f"edge {edge!r}: closes a cycle") from None
         done = data.get("done", [])
         if not (isinstance(done, list) and all(isinstance(n, str) and n in dag.jobs for n in done)):
             raise ValueError("done: not a list of this plan's job names")

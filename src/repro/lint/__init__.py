@@ -28,10 +28,7 @@ serializes the critical path. Six passes:
   perturbed hash seeds and RNG conditions
   (:mod:`repro.lint.determinism`).
 
-Findings support severity overrides, glob suppressions, and
-fingerprint baselines (:mod:`repro.lint.suppress`), SARIF 2.1.0 export
-(:mod:`repro.lint.sarif`), and autofixes for mechanical rules
-(:mod:`repro.lint.fix`). Usage::
+Usage::
 
     from repro.lint import lint, render_report
     report = lint(adag, sites=sites, transformations=tc,
@@ -45,7 +42,6 @@ The planner runs this automatically (``PlannerOptions.lint``), and the
 
 from __future__ import annotations
 
-from dataclasses import replace as _replace
 from typing import TYPE_CHECKING, Iterator, Mapping
 
 from repro._lazy import lazy_exports
@@ -60,7 +56,6 @@ from repro.lint import feasibility as _feasibility  # noqa: E402,F401
 from repro.lint import plan_rules as _plan_rules  # noqa: E402,F401
 
 from repro.lint.feasibility import SitePool, default_pools
-from repro.lint.suppress import LintConfig, apply_baseline
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.determinism import DeterminismOptions
@@ -108,7 +103,6 @@ __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 __all__ = [
     "Severity",
     "Report",
-    "LintConfig",
     "DeterminismOptions",
     "lint",
     "registered_rules",
@@ -128,8 +122,6 @@ def lint(
     pools: "Mapping[str, SitePool] | None" = None,
     determinism: "DeterminismOptions | None" = None,
     journal: bool | None = None,
-    config: "LintConfig | None" = None,
-    baseline: "frozenset[str] | None" = None,
 ) -> Report:
     """Run every applicable rule against ``adag`` and its context.
 
@@ -144,12 +136,9 @@ def lint(
     opts in to the (simulation-replaying) determinism audit.
     ``journal`` tells the durability rule (PLAN006) whether the run
     will keep a write-ahead journal: ``False`` arms the rule, ``True``
-    satisfies it, ``None`` (default) skips it.
-    ``config`` remaps severities and declares suppressions;
-    ``baseline`` suppresses previously recorded finding fingerprints.
-    Suppressed findings stay in the report but do not affect
-    ``Report.ok``. The linter never raises on workflow defects —
-    broken workflows are exactly its subject matter.
+    satisfies it, ``None`` (default) skips it. The linter never raises
+    on workflow defects — broken workflows are exactly its subject
+    matter.
     """
     requested_site: str | None = None
     site_entry: "SiteEntry | None" = None
@@ -178,23 +167,10 @@ def lint(
     )
     report = Report(workflow=adag.name)
     for r in registered_rules():
-        if config is not None and config.disabled(r.id):
-            report.disabled_rules.append(r.id)
-            continue
         if not r.applicable(ctx):
             report.skipped_rules.append(r.id)
             continue
         report.checked_rules.append(r.id)
-        for found in r.run(ctx):
-            if config is not None:
-                severity = config.effective_severity(r.id, found.severity)
-                if severity is not found.severity:
-                    found = _replace(found, severity=severity)
-                matched = config.suppression_for(found)
-                if matched is not None:
-                    found = found.suppress(matched)
-            report.findings.append(found)
-    if baseline:
-        apply_baseline(report, baseline)
+        report.findings.extend(r.run(ctx))
     report.sort()
     return report

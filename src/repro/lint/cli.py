@@ -2,18 +2,16 @@
 
 Lints either a DAX file (``--dax workflow.dax``) or the bundled
 blast2cap3 workflow at a given scale (``-n``), against the default
-catalogs and a target site. Exit status 0 means no failing findings
-(suppressed/baselined findings never fail), 1 means at least one, 2
-means the input could not be read. Diagnostics go to stderr; with
-``--format json`` or ``--format sarif`` stdout carries *only* the
-machine-readable document.
+catalogs and a target site. Exit status 0 means no findings at or
+above ``--fail-on``, 1 means at least one, 2 means the input could not
+be read. Diagnostics go to stderr; with ``--json`` stdout carries
+*only* the report document.
 
 Examples::
 
     repro-lint -n 300 --site osg --setup-mode never   # the paper's trap
-    repro-lint --dax run1/workflow.dax --site sandhills --format json
-    repro-lint -n 100 --site osg --pools doctored.json --format sarif
-    repro-lint --dax w.dax --fix                      # repair mechanical findings
+    repro-lint --dax run1/workflow.dax --site sandhills --json
+    repro-lint -n 100 --site osg --pools doctored.json
     repro-lint -n 6 --audit-determinism               # replay-based audit
 """
 
@@ -58,17 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="horizontal clustering factor to lint against",
     )
     parser.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        dest="output_format",
-        help="report format on stdout (default: text)",
-    )
-    parser.add_argument(
         "--json", action="store_true",
-        help="shorthand for --format json",
-    )
-    parser.add_argument(
-        "--sarif", metavar="PATH",
-        help="additionally write the report as SARIF 2.1.0 to PATH",
+        help="print the report as JSON instead of text",
     )
     parser.add_argument(
         "--pools", metavar="PATH",
@@ -77,42 +66,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "pool without the rest of the stack",
     )
     parser.add_argument(
-        "--config", metavar="PATH",
-        help="lint config (JSON): severity overrides and suppressions",
-    )
-    parser.add_argument(
-        "--baseline", metavar="PATH",
-        help="suppress findings whose fingerprints are in this baseline",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="PATH",
-        help="record the current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
-        "--fix", action="store_true",
-        help="apply autofixes for mechanical findings (requires --dax; "
-        "rewrites the file, keeping a .orig backup)",
-    )
-    parser.add_argument(
         "--audit-determinism", action="store_true",
         help="also replay small simulations under perturbed RNG "
         "conditions and report trace divergence (slow)",
     )
     parser.add_argument(
-        "--journal", dest="journal", action="store_true", default=None,
-        help="the run will keep a write-ahead journal (satisfies the "
-        "PLAN006 durability rule)",
-    )
-    parser.add_argument(
-        "--no-journal", dest="journal", action="store_false",
+        "--no-journal", dest="journal", action="store_false", default=None,
         help="the run will NOT keep a journal: arm PLAN006, which "
         "warns when retries or a long critical path make an "
-        "unjournaled run risky (omit both flags to skip the rule)",
+        "unjournaled run risky (omit the flag to skip the rule)",
     )
     parser.add_argument(
         "--fail-on", choices=("error", "warning"), default="error",
         help="exit 1 when findings of this severity (or worse) remain "
-        "unsuppressed (default: error)",
+        "(default: error)",
     )
     return parser
 
@@ -126,8 +93,6 @@ def _fails(report: Report, fail_on: str) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.json:
-        args.output_format = "json"
 
     from repro.core.workflow_factory import (
         build_blast2cap3_adag,
@@ -135,18 +100,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     from repro.lint.determinism import DeterminismOptions
     from repro.lint.feasibility import default_pools, pools_from_mapping
-    from repro.lint.suppress import (
-        LintConfig,
-        load_baseline,
-        write_baseline,
-    )
     from repro.perfmodel.task_models import PaperTaskModel
     from repro.wms.dax import ADag
     from repro.wms.planner import PlannerOptions, PlanningError, plan
-
-    if args.fix and not args.dax:
-        parser.error("--fix requires --dax (the bundled workflow is "
-                     "generated, not a file to rewrite)")
 
     if args.dax:
         path = Path(args.dax)
@@ -163,23 +119,6 @@ def main(argv: list[str] | None = None) -> int:
             adag = build_blast2cap3_adag(args.clusters, model=PaperTaskModel())
         except ValueError as exc:
             parser.error(str(exc))
-
-    config = None
-    if args.config:
-        try:
-            config = LintConfig.load(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load config {args.config}: {exc}",
-                  file=sys.stderr)
-            return 2
-    baseline = None
-    if args.baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load baseline {args.baseline}: {exc}",
-                  file=sys.stderr)
-            return 2
 
     sites, transformations, replicas = default_catalogs()
     pools = None
@@ -210,84 +149,34 @@ def main(argv: list[str] | None = None) -> int:
             n=min(args.clusters, 6), platforms=("sandhills", "osg")
         )
 
-    def run_lint(current: ADag) -> Report:
-        # Best effort: include the planned-DAG pass when the workflow
-        # plans at all; when planning itself fails the static passes
-        # still run and explain why.
-        planned = None
-        try:
-            planned = plan(
-                current,
-                site_name=args.site,
-                sites=sites,
-                transformations=transformations,
-                replicas=replicas,
-                options=options,
-            )
-        except (PlanningError, ValueError):
-            pass
-        return lint(
-            current,
+    # Best effort: include the planned-DAG pass when the workflow plans
+    # at all; when planning itself fails the static passes still run
+    # and explain why.
+    planned = None
+    try:
+        planned = plan(
+            adag,
+            site_name=args.site,
             sites=sites,
             transformations=transformations,
             replicas=replicas,
-            site=args.site,
             options=options,
-            planned=planned,
-            pools=pools,
-            determinism=determinism,
-            journal=args.journal,
-            config=config,
-            baseline=baseline,
         )
-
-    if args.fix:
-        from repro.lint.fix import apply_fixes
-
-        repaired = apply_fixes(
-            adag, relint=lambda a: run_lint(a).findings
-        )
-        if repaired:
-            backup = path.with_suffix(path.suffix + ".orig")
-            backup.write_text(path.read_text())
-            adag.write(path)
-            for f in repaired:
-                print(f"fixed {f.rule} [{f.location}]", file=sys.stderr)
-            print(
-                f"applied {len(repaired)} fix(es) to {path} "
-                f"(backup: {backup})",
-                file=sys.stderr,
-            )
-        else:
-            print("nothing to fix", file=sys.stderr)
-
-    report = run_lint(adag)
-
-    if args.write_baseline:
-        count = write_baseline(report, args.write_baseline)
-        print(
-            f"baseline: recorded {count} finding(s) to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.sarif:
-        from repro.lint.sarif import sarif_json
-
-        Path(args.sarif).write_text(
-            sarif_json(report, artifact=args.dax) + "\n"
-        )
-        print(f"SARIF written to {args.sarif}", file=sys.stderr)
-
-    if args.output_format == "json":
-        print(report.to_json())
-    elif args.output_format == "sarif":
-        from repro.lint.sarif import sarif_json
-
-        print(sarif_json(report, artifact=args.dax))
-    else:
-        print(render_report(report))
+    except (PlanningError, ValueError):
+        pass
+    report = lint(
+        adag,
+        sites=sites,
+        transformations=transformations,
+        replicas=replicas,
+        site=args.site,
+        options=options,
+        planned=planned,
+        pools=pools,
+        determinism=determinism,
+        journal=args.journal,
+    )
+    print(report.to_json() if args.json else render_report(report))
     return 1 if _fails(report, args.fail_on) else 0
 
 

@@ -216,7 +216,6 @@ def main(argv: list[str] | None = None) -> int:
         "PYTHONHASHSEED / RNG conditions and fail on trace divergence.",
     )
     parser.add_argument("-n", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=7)
     parser.add_argument(
         "--platforms", nargs="+", default=["sandhills", "osg"]
     )
@@ -231,7 +230,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     opts = DeterminismOptions(
         n=args.n,
-        seed=args.seed,
         platforms=tuple(args.platforms),
         hash_seeds=tuple(args.hash_seeds),
     )

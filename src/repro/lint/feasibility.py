@@ -183,6 +183,11 @@ def _synthesize(site: "SiteEntry") -> SitePool:
     )
 
 
+#: The fields a pool override may set.
+_POOL_KEYS = ("slots", "speed_min", "speed_max", "software",
+             "start_failure_prob", "eviction_rate_per_s")
+
+
 def pools_from_mapping(
     overrides: Mapping[str, Mapping[str, Any]],
     *,
@@ -193,52 +198,78 @@ def pools_from_mapping(
     ``{"osg": {"software": ["has_python", "has_biopython"]}}`` doctors
     the OSG pool into one where no slot has CAP3; unspecified fields
     keep their default values. Failure models are overridden via
-    ``start_failure_prob`` / ``eviction_rate_per_s`` keys.
+    ``start_failure_prob`` / ``eviction_rate_per_s`` keys. A value of
+    the wrong shape — not an object, an unknown key, ``software`` that
+    is not a list of names, non-integer ``slots``, a non-numeric speed
+    or probability — is a ``ValueError`` naming the site and the key.
     """
+    if not isinstance(overrides, Mapping):
+        raise ValueError("pools must be an object of site -> pool fields, "
+                         f"got {type(overrides).__name__}")
     pools = dict(base if base is not None else default_pools())
     for site, fields in overrides.items():
+        if not isinstance(fields, Mapping):
+            raise ValueError(f"pool {site!r}: want an object of pool fields, "
+                             f"got {type(fields).__name__}")
+        for key in fields:
+            if key not in _POOL_KEYS:
+                raise ValueError(f"pool {site!r}: unknown key {key!r} "
+                                 f"(known: {', '.join(_POOL_KEYS)})")
         old = pools.get(site)
-        defaults: dict[str, Any] = (
-            {
-                "slots": old.slots,
-                "speed_min": old.speed_min,
-                "speed_max": old.speed_max,
-                "software": old.software,
-                "failures": old.failures,
-            }
-            if old is not None
-            else {
-                "slots": None,
-                "speed_min": 1.0,
-                "speed_max": 1.0,
-                "software": SOFTWARE_ATTRS,
-                "failures": NO_FAILURES,
-            }
-        )
-        failures: FailureModel = defaults["failures"]
-        if "start_failure_prob" in fields or "eviction_rate_per_s" in fields:
-            failures = FailureModel(
-                start_failure_prob=float(
-                    fields.get(
-                        "start_failure_prob", failures.start_failure_prob
-                    )
-                ),
-                eviction_rate_per_s=float(
-                    fields.get(
-                        "eviction_rate_per_s", failures.eviction_rate_per_s
-                    )
-                ),
+        failures = old.failures if old is not None else NO_FAILURES
+        slots = _pool_slots(site, fields, old.slots if old else None)
+        speed_min = _pool_number(site, fields, "speed_min",
+                                 old.speed_min if old else 1.0)
+        speed_max = _pool_number(site, fields, "speed_max",
+                                 old.speed_max if old else 1.0)
+        software = _pool_software(site, fields,
+                                  old.software if old else SOFTWARE_ATTRS)
+        start_failure_prob = _pool_number(site, fields, "start_failure_prob",
+                                          failures.start_failure_prob)
+        eviction_rate_per_s = _pool_number(site, fields, "eviction_rate_per_s",
+                                           failures.eviction_rate_per_s)
+        try:
+            pools[site] = SitePool(
+                site=site,
+                slots=slots,
+                speed_min=speed_min,
+                speed_max=speed_max,
+                software=software,
+                failures=FailureModel(start_failure_prob, eviction_rate_per_s),
+                source="override",
             )
-        pools[site] = SitePool(
-            site=site,
-            slots=fields.get("slots", defaults["slots"]),
-            speed_min=float(fields.get("speed_min", defaults["speed_min"])),
-            speed_max=float(fields.get("speed_max", defaults["speed_max"])),
-            software=tuple(fields.get("software", defaults["software"])),
-            failures=failures,
-            source="override",
-        )
+        except ValueError as exc:  # a value out of its range
+            raise ValueError(f"pool {site!r}: {exc}") from None
     return pools
+
+
+def _pool_number(site: str, fields: Mapping[str, Any], key: str,
+                 default: float) -> float:
+    value = fields.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"pool {site!r}: {key!r} must be a number, "
+                         f"got {value!r}")
+    return float(value)
+
+
+def _pool_slots(site: str, fields: Mapping[str, Any],
+                default: int | None) -> int | None:
+    value = fields.get("slots", default)
+    if value is not None and (isinstance(value, bool)
+                              or not isinstance(value, int)):
+        raise ValueError(f"pool {site!r}: 'slots' must be an integer or "
+                         f"null, got {value!r}")
+    return value
+
+
+def _pool_software(site: str, fields: Mapping[str, Any],
+                   default: tuple[str, ...]) -> tuple[str, ...]:
+    value = fields.get("software", default)
+    if not isinstance(value, (list, tuple)) or not all(
+            isinstance(name, str) for name in value):
+        raise ValueError(f"pool {site!r}: 'software' must be a list of "
+                         f"capability names, got {value!r}")
+    return tuple(value)
 
 
 # -- symbolic matching --------------------------------------------------

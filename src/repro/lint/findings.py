@@ -3,25 +3,16 @@
 A :class:`Finding` is one diagnosed problem — rule id, severity, a
 location string (``job:x``, ``file:y``, ``edge:a->b``, ``site:osg``,
 ``platform:osg``, ``workflow``), a human message, and an optional fix
-hint. Each finding carries a stable :attr:`Finding.fingerprint` (rule +
-location + message digest) used by the baseline/suppression layer
-(:mod:`repro.lint.suppress`) and exported as a SARIF partial
-fingerprint. A :class:`Report` aggregates the findings of one lint run
-plus the rules that were skipped for lack of context (e.g. catalog
-rules when no catalogs were given) or disabled by configuration, and
-renders as text (mirroring ``wms.analyzer.render_analysis``), JSON, or
-SARIF (:mod:`repro.lint.sarif`).
-
-Suppressed findings stay in the report — hidden problems should remain
-auditable — but they no longer affect :attr:`Report.ok` or the CLI
-exit status.
+hint. A :class:`Report` aggregates the findings of one lint run plus
+the rules that were skipped for lack of context (e.g. catalog rules
+when no catalogs were given), and renders as text (mirroring
+``wms.analyzer.render_analysis``) or JSON.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 __all__ = ["Severity", "Finding", "Report", "render_report"]
@@ -53,29 +44,6 @@ class Finding:
     location: str
     message: str
     fix_hint: str = ""
-    #: True when a baseline entry or a configured suppression matched;
-    #: suppressed findings are reported but do not fail the run.
-    suppressed: bool = False
-    #: Why the finding is suppressed (``"baseline"`` or the matching
-    #: suppression pattern); empty for active findings.
-    suppressed_by: str = ""
-
-    @property
-    def fingerprint(self) -> str:
-        """Stable identity for baselines and SARIF partialFingerprints.
-
-        Derived from rule + location + message, so re-ordering the
-        report or re-running the linter never changes it, while any
-        change to what the rule says produces a fresh finding.
-        """
-        digest = hashlib.sha256(
-            f"{self.rule}|{self.location}|{self.message}".encode()
-        ).hexdigest()
-        return digest[:16]
-
-    def suppress(self, by: str) -> "Finding":
-        """A copy of this finding marked suppressed."""
-        return replace(self, suppressed=True, suppressed_by=by)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -84,9 +52,6 @@ class Finding:
             "location": self.location,
             "message": self.message,
             "fix_hint": self.fix_hint,
-            "fingerprint": self.fingerprint,
-            "suppressed": self.suppressed,
-            "suppressed_by": self.suppressed_by,
         }
 
 
@@ -101,32 +66,22 @@ class Report:
     skipped_rules: list[str] = field(default_factory=list)
     #: rule ids that ran (clean or not)
     checked_rules: list[str] = field(default_factory=list)
-    #: rule ids turned off by the severity configuration
-    disabled_rules: list[str] = field(default_factory=list)
-
-    def active(self) -> list[Finding]:
-        """Findings not silenced by a baseline or suppression."""
-        return [f for f in self.findings if not f.suppressed]
-
-    def suppressed(self) -> list[Finding]:
-        return [f for f in self.findings if f.suppressed]
 
     def errors(self) -> list[Finding]:
-        return [f for f in self.active() if f.severity is Severity.ERROR]
+        return [f for f in self.findings if f.severity is Severity.ERROR]
 
     def warnings(self) -> list[Finding]:
-        return [f for f in self.active() if f.severity is Severity.WARNING]
+        return [f for f in self.findings if f.severity is Severity.WARNING]
 
     def infos(self) -> list[Finding]:
-        return [f for f in self.active() if f.severity is Severity.INFO]
+        return [f for f in self.findings if f.severity is Severity.INFO]
 
     def by_rule(self, rule_id: str) -> list[Finding]:
         return [f for f in self.findings if f.rule == rule_id]
 
     @property
     def ok(self) -> bool:
-        """True when no *active* ERROR findings (warnings and
-        suppressed errors allowed)."""
+        """True when no ERROR findings (warnings allowed)."""
         return not self.errors()
 
     @property
@@ -135,21 +90,15 @@ class Report:
             return (
                 f"clean ({len(self.checked_rules)} rules checked)"
             )
-        verdict = (
+        return (
             f"{len(self.errors())} error(s), {len(self.warnings())} "
             f"warning(s), {len(self.infos())} info"
         )
-        hidden = len(self.suppressed())
-        if hidden:
-            verdict += f", {hidden} suppressed"
-        return verdict
 
     def sort(self) -> None:
-        """Severity-major ordering, then rule id, then location;
-        suppressed findings sink below active ones."""
+        """Severity-major ordering, then rule id, then location."""
         self.findings.sort(
             key=lambda f: (
-                f.suppressed,
                 f.severity.order,
                 f.rule,
                 f.location,
@@ -165,7 +114,6 @@ class Report:
             "findings": [f.to_dict() for f in self.findings],
             "checked_rules": self.checked_rules,
             "skipped_rules": self.skipped_rules,
-            "disabled_rules": self.disabled_rules,
         }
 
     def to_json(self) -> str:
@@ -180,21 +128,15 @@ def render_report(report: Report) -> str:
         "************************************",
     ]
     for f in report.findings:
-        marker = "suppressed " if f.suppressed else ""
         lines.append(
-            f"{marker}{f.severity.value.upper():7s} {f.rule}  "
+            f"{f.severity.value.upper():7s} {f.rule}  "
             f"[{f.location}] {f.message}"
         )
-        if f.fix_hint and not f.suppressed:
+        if f.fix_hint:
             lines.append(f"        hint: {f.fix_hint}")
     if report.skipped_rules:
         lines.append(
             "rules skipped (missing catalogs/site/plan context): "
             + ", ".join(report.skipped_rules)
-        )
-    if report.disabled_rules:
-        lines.append(
-            "rules disabled by configuration: "
-            + ", ".join(report.disabled_rules)
         )
     return "\n".join(lines)

@@ -576,7 +576,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     compare.add_argument("--json", dest="json_out", default=None)
     compare.add_argument("--markdown", dest="markdown_out", default=None)
-    compare.add_argument("--quiet", action="store_true")
 
     args = parser.parse_args(argv)
     try:
@@ -604,8 +603,7 @@ def main(argv: list[str] | None = None) -> int:
             comparison, thresholds=thresholds, violations=violations
         )
         _write_outputs(args, comparison, markdown)
-        if not args.quiet:
-            print(markdown)
+        print(markdown)
         if violations:
             print(
                 f"repro-report: {len(violations)} regression(s) exceeded "

@@ -1,4 +1,4 @@
-"""Tests for FASTA/FASTQ I/O round-trips and error handling."""
+"""Tests for FASTA I/O round-trips and error handling, and FASTQ records."""
 
 import io
 
@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.bio.fasta import FastaRecord, fasta_index, read_fasta, write_fasta
-from repro.bio.fastq import (
-    FastqRecord,
-    phred_to_quality,
-    quality_to_phred,
-    read_fastq,
-    write_fastq,
-)
+from repro.bio.fastq import FastqRecord, phred_to_quality, quality_to_phred
 
 ids = st.text(
     alphabet=st.characters(whitelist_categories=("Ll", "Lu", "Nd")),
@@ -124,28 +118,3 @@ class TestFastqIO:
     def test_mean_quality(self):
         r = FastqRecord(id="r", seq="AC", quality=phred_to_quality([10, 30]))
         assert r.mean_quality() == 20.0
-
-    def test_read_simple(self):
-        text = "@r1 lane1\nACGT\n+\nIIII\n@r2\nGG\n+\nII\n"
-        records = list(read_fastq(io.StringIO(text)))
-        assert [r.id for r in records] == ["r1", "r2"]
-        assert records[0].description == "r1 lane1"
-
-    def test_bad_header(self):
-        with pytest.raises(ValueError, match="expected '@'"):
-            list(read_fastq(io.StringIO(">r1\nAC\n+\nII\n")))
-
-    def test_bad_separator(self):
-        with pytest.raises(ValueError, match="expected '\\+'"):
-            list(read_fastq(io.StringIO("@r1\nAC\nII\nII\n")))
-
-    def test_roundtrip_path(self, tmp_path):
-        path = tmp_path / "r.fastq"
-        records = [
-            FastqRecord(id=f"r{i}", seq="ACGT", quality="IIII") for i in range(3)
-        ]
-        assert write_fastq(path, records) == 3
-        back = list(read_fastq(path))
-        assert [(r.id, r.seq, r.quality) for r in back] == [
-            (r.id, r.seq, r.quality) for r in records
-        ]

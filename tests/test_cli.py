@@ -443,7 +443,7 @@ class TestBlast2Cap3Cli:
             "--transcripts", str(transcripts),
             "--alignments", str(alignments),
             "--output", str(out),
-            "--serial",
+            "--parallel", "--jobs", "1",
         ])
         assert rc == 0
         assert out.exists()
@@ -456,7 +456,7 @@ class TestBlast2Cap3Cli:
         blast2cap3_main([
             "--transcripts", str(transcripts),
             "--alignments", str(alignments),
-            "--output", str(serial_out), "--serial",
+            "--output", str(serial_out), "--parallel", "--jobs", "1",
         ])
         rc = blast2cap3_main([
             "--transcripts", str(transcripts),
@@ -470,12 +470,11 @@ class TestBlast2Cap3Cli:
         wf_records = {(r.id, r.seq) for r in read_fasta(wf_out)}
         assert serial_records == wf_records
 
-    @pytest.mark.parametrize("mode", ["--serial", "--parallel"])
     def test_alignment_naming_a_missing_transcript_is_exit_2(
-        self, mode, real_inputs, tmp_path, capsys
+        self, real_inputs, tmp_path, capsys
     ):
-        """Both in-process modes used to end in a ``KeyError`` traceback,
-        exit 1, each with its own message."""
+        """The in-process driver used to end in a ``KeyError`` traceback,
+        exit 1."""
         transcripts, alignments = real_inputs
         records = list(read_fasta(transcripts))
         missing = records[0].id
@@ -486,7 +485,7 @@ class TestBlast2Cap3Cli:
         rc = blast2cap3_main([
             "--transcripts", str(fewer),
             "--alignments", str(alignments),
-            "--output", str(out), mode, "--jobs", "2",
+            "--output", str(out), "--parallel", "--jobs", "2",
         ])
         assert rc == 2
         captured = capsys.readouterr()

@@ -99,7 +99,8 @@ class TestValidateFlag:
         t, a, tmp = inputs
         rc = blast2cap3_main([
             "--transcripts", str(t), "--alignments", str(a),
-            "--output", str(tmp / "o.fasta"), "--serial", "--validate",
+            "--output", str(tmp / "o.fasta"), "--parallel", "--jobs", "1",
+            "--validate",
         ])
         assert rc == 0
         out = capsys.readouterr().out

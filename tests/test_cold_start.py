@@ -53,8 +53,8 @@ COMMANDS = {
     "import repro.wms.cli": ("repro.wms.cli", [], 5, False),
     "repro-plan": ("repro.wms.cli:main_plan",
                    ["--submit-dir", "{d}", "-n", "12", "--site", "sandhills"],
-                   73, True),
-    "repro-run": ("repro.wms.cli:main_run", ["--submit-dir", "{d}"], 52, False),
+                   72, True),
+    "repro-run": ("repro.wms.cli:main_run", ["--submit-dir", "{d}"], 48, False),
     "repro-status": ("repro.wms.cli:main_status", ["--submit-dir", "{d}"],
                      17, False),
     "repro-statistics": ("repro.wms.cli:main_statistics",
@@ -67,7 +67,7 @@ COMMANDS = {
                              ["analyze", "{d}", "--quiet"], 23, False),
     "repro-service bench": ("repro.service.cli:main",
                             ["bench", "--tenants", "2", "--workflows", "1",
-                             "--jobs", "10", "--quiet"], 43, False),
+                             "--jobs", "10", "--quiet"], 42, False),
 }
 
 

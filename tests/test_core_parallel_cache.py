@@ -353,34 +353,41 @@ class TestCacheObservability:
         assert CacheStats().hit_rate == 0.0
 
 
+@pytest.fixture(scope="module")
+def direct_hits(workload):
+    """``blastx_many``'s hits for ``workload``, searched once for the
+    tests that compare the cache against them (≈ 5 s each)."""
+    database = ProteinDatabase(records=list(workload.proteins))
+    return [h.format() for h in blastx_many(workload.transcripts, database,
+                                            BlastXParams())]
+
+
 class TestCachedBlastx:
-    def test_round_trips_hits_exactly(self, workload, tmp_path):
+    def test_round_trips_hits_exactly(self, workload, direct_hits, tmp_path):
         database = ProteinDatabase(records=list(workload.proteins))
         params = BlastXParams()
-        direct = list(blastx_many(workload.transcripts, database, params))
 
         cache = ResultCache(tmp_path)
         cold = cached_blastx_hits(
             cache, workload.transcripts, database, params, batch_size=8
         )
-        assert [h.format() for h in cold] == [h.format() for h in direct]
+        assert [h.format() for h in cold] == direct_hits
         assert cache.stats.hits == 0 and cache.stats.puts > 0
 
         warm_cache = ResultCache(tmp_path)
         warm = cached_blastx_hits(
             warm_cache, workload.transcripts, database, params, batch_size=8
         )
-        assert [h.format() for h in warm] == [h.format() for h in direct]
+        assert [h.format() for h in warm] == direct_hits
         assert warm_cache.stats.misses == 0
         assert warm_cache.stats.hits == cache.stats.puts
 
-    def test_no_cache_passthrough(self, workload):
+    def test_no_cache_passthrough(self, workload, direct_hits):
         database = ProteinDatabase(records=list(workload.proteins))
-        direct = list(blastx_many(workload.transcripts, database, BlastXParams()))
         assert [
             h.format()
             for h in cached_blastx_hits(None, workload.transcripts, database)
-        ] == [h.format() for h in direct]
+        ] == direct_hits
 
     def test_batch_size_validated(self, workload, tmp_path):
         database = ProteinDatabase(records=list(workload.proteins))

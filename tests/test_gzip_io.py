@@ -3,7 +3,6 @@
 import gzip
 
 from repro.bio.fasta import FastaRecord, read_fasta, write_fasta
-from repro.bio.fastq import FastqRecord, read_fastq, write_fastq
 from repro.blast.tabular import TabularHit, read_tabular, write_tabular
 from repro.util.iolib import open_text_auto, write_text_auto
 
@@ -38,15 +37,6 @@ class TestSequenceFormats:
         assert [(r.id, r.seq) for r in back] == [
             (r.id, r.seq) for r in records
         ]
-
-    def test_fastq_gz_roundtrip(self, tmp_path):
-        records = [
-            FastqRecord(id=f"r{i}", seq="ACGT", quality="IIII")
-            for i in range(3)
-        ]
-        path = tmp_path / "reads.fastq.gz"
-        assert write_fastq(path, records) == 3
-        assert [r.id for r in read_fastq(path)] == ["r0", "r1", "r2"]
 
     def test_tabular_gz_roundtrip(self, tmp_path):
         hits = [

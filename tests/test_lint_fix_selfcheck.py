@@ -1,112 +1,11 @@
-"""Autofix (``repro-lint --fix``) and the emit-site selfcheck."""
+"""The emit-site selfcheck (``python -m repro.lint.selfcheck``)."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.lint import lint
-from repro.lint.cli import main as lint_main
-from repro.lint.fix import apply_fixes, fixable_rules
 from repro.lint.selfcheck import check_paths, check_source
 from repro.lint.selfcheck import main as selfcheck_main
-from repro.wms.dax import ADag, AbstractJob, File
-
-
-def _job(jid, inputs=(), outputs=()):
-    j = AbstractJob(id=jid, transformation="t")
-    for name, size in inputs:
-        j.add_input(File(name, size=size))
-    for name, size in outputs:
-        j.add_output(File(name, size=size))
-    return j
-
-
-class TestAutofix:
-    def test_fixable_rules_registered(self):
-        assert fixable_rules() == ["DAX005", "DAX007"]
-
-    def test_redundant_edge_dropped(self):
-        adag = ADag(name="w")
-        adag.add_job(_job("a", outputs=[("x.dat", 10)]))
-        adag.add_job(_job("b", inputs=[("x.dat", 10)],
-                          outputs=[("y.dat", 5)]))
-        adag.add_dependency("a", "b")
-        assert lint(adag).by_rule("DAX007")
-        repaired = apply_fixes(adag)
-        assert [f.rule for f in repaired] == ["DAX007"]
-        assert ("a", "b") not in adag._explicit_edges
-        assert not lint(adag).by_rule("DAX007")
-
-    def test_size_disagreement_unified_to_largest(self):
-        adag = ADag(name="w")
-        adag.add_job(_job("a", outputs=[("x.dat", 100)]))
-        adag.add_job(_job("b", inputs=[("x.dat", 999)],
-                          outputs=[("y.dat", 5)]))
-        assert lint(adag).by_rule("DAX005")
-        repaired = apply_fixes(adag)
-        assert [f.rule for f in repaired] == ["DAX005"]
-        sizes = {
-            f.size
-            for job in adag.jobs.values()
-            for f, _ in job.uses
-            if f.name == "x.dat"
-        }
-        assert sizes == {999}
-        assert not lint(adag).by_rule("DAX005")
-
-    def test_unfixable_findings_left_alone(self):
-        adag = ADag(name="w")
-        adag.add_job(_job("a", outputs=[("x.dat", 1)]))
-        adag.add_job(_job("b", outputs=[("x.dat", 1)]))  # DAX003
-        assert apply_fixes(adag) == []
-        assert lint(adag).by_rule("DAX003")
-
-    def test_fix_terminates_on_pathological_relint(self):
-        from repro.lint.findings import Finding, Severity
-
-        adag = ADag(name="w")
-        adag.add_job(_job("a", outputs=[("x.dat", 10)]))
-        adag.add_job(_job("b", inputs=[("x.dat", 10)],
-                          outputs=[("y.dat", 5)]))
-        adag.add_dependency("a", "b")
-        eternal = Finding(
-            rule="DAX007", severity=Severity.INFO,
-            location="edge:a->b", message="m",
-        )
-        calls = []
-
-        def relint(_a):
-            calls.append(1)
-            return [eternal]
-
-        apply_fixes(adag, relint=relint)
-        assert len(calls) <= 6  # MAX_ROUNDS + the final no-progress pass
-
-    def test_cli_fix_rewrites_the_file(self, tmp_path, capsys):
-        dax = tmp_path / "w.dax"
-        adag = ADag(name="w")
-        # a transformation the default catalogs know, so the post-fix
-        # re-lint comes back clean and the CLI exits 0
-        a = AbstractJob(id="a", transformation="run_cap3")
-        a.add_output(File("x.dat", size=10))
-        b = AbstractJob(id="b", transformation="run_cap3")
-        b.add_input(File("x.dat", size=10))
-        b.add_output(File("y.dat", size=5))
-        adag.add_job(a)
-        adag.add_job(b)
-        adag.add_dependency("a", "b")
-        adag.write(dax)
-        rc = lint_main(["--dax", str(dax), "--fix"])
-        captured = capsys.readouterr()
-        assert rc == 0
-        assert "DAX007" in captured.err
-        assert (tmp_path / "w.dax.orig").exists()
-        fixed = ADag.read(dax)
-        assert not lint(fixed).by_rule("DAX007")
-
-    def test_cli_fix_requires_dax(self, capsys):
-        with pytest.raises(SystemExit):
-            lint_main(["-n", "5", "--fix"])
 
 
 GOOD_SOURCE = '''

@@ -101,30 +101,30 @@ def digest(case: str) -> str:
 
 
 GOLDEN: dict[str, str] = {
-    "bundled/sandhills/12/cli": "901d61a78a8208118662a197d749c860d1354743f87ab4415bfc234cd7d11f99",
-    "bundled/sandhills/12/preflight": "901d61a78a8208118662a197d749c860d1354743f87ab4415bfc234cd7d11f99",
-    "bundled/sandhills/300/cli": "8fa73ace0136abffb756e4ba4f45ef41521e41f78016f2f5d69864bfaf7ab5fa",
-    "bundled/sandhills/300/preflight": "8fa73ace0136abffb756e4ba4f45ef41521e41f78016f2f5d69864bfaf7ab5fa",
-    "bundled/osg/12/cli": "08d0ecb09ac1c4d11ef066436ed9698ba55a706066cd185065c955a56cfa3287",
-    "bundled/osg/12/preflight": "08d0ecb09ac1c4d11ef066436ed9698ba55a706066cd185065c955a56cfa3287",
-    "bundled/osg/300/cli": "91b0f5e6eaa0518e906b9e83f7fbae15af31799e21efddf8fed5889e603c8fbc",
-    "bundled/osg/300/preflight": "91b0f5e6eaa0518e906b9e83f7fbae15af31799e21efddf8fed5889e603c8fbc",
-    "bundled/osg-never/12/cli": "e93d0eb3655e7176b184373ef59a1b1a6a825fd05ffb974406784ceb867c93c2",
-    "bundled/osg-never/12/preflight": "e93d0eb3655e7176b184373ef59a1b1a6a825fd05ffb974406784ceb867c93c2",
-    "bundled/osg-never/300/cli": "2041b47ccb90ff5f679c58ee0abe0908d57ed5769e84b41c397a34c6409cc9e2",
-    "bundled/osg-never/300/preflight": "2041b47ccb90ff5f679c58ee0abe0908d57ed5769e84b41c397a34c6409cc9e2",
-    "fixture/cycle/seed": "33a086b29c069d39e957637622f27e7efe92c407e0dbd7ddefbb7e670b1fe467",
-    "fixture/cycle/catalogs": "077c07b0c20d79425936c01afc1e7e8513c4924edbf5b9cd869a7077b4f213ad",
-    "fixture/missing-input/seed": "be16df987502c0ae193a02c3e96c3c3abd9f35218f0e2caae36b265394e7ddb1",
-    "fixture/missing-input/catalogs": "2b36d90bf968bb6504ca8e0dacac2caa941fd68374f778807f18e87fbfc57ef2",
-    "fixture/write-write/seed": "cd17f571d0e6663097a10c7a59b6012f53b4fa453b535ff2101eb89406ef6fce",
-    "fixture/write-write/catalogs": "7db5a7b07dade8a0ce175ea5b48b750a5b550bb152214b39d9887e4f7718aa23",
-    "fixture/in-place/seed": "8716648ea94133d86cbeed66bf1246c4df4ab881568d97b2bc7fc2b430f79dbc",
-    "fixture/in-place/catalogs": "fde79a9e694c6a6d7ed0882b25f29c500a349b0009e0447c9e34c0641508ca7f",
-    "fixture/reuse/seed": "67c77d85671a5650d2b994a5674a08debf1671a40c56adab34d30247cf5324a0",
-    "fixture/reuse/catalogs": "462ba269cffe4f2298e3e7fd78524e052ff9f36c2aad48439992021aa2287fbb",
-    "fixture/island/seed": "4e6008638817110597de68a91c7eb726e19d57e6bafc2083e1c7407367250efc",
-    "fixture/island/catalogs": "a1c38a9090ae8c1ed196fe28f37387dd05de498a70b6f15b1a4b49012e28fc79",
+    "bundled/sandhills/12/cli": "4085aa3bff349f494998318967bf76f66b8b85900f61717b3fe3d35cb075e724",
+    "bundled/sandhills/12/preflight": "4085aa3bff349f494998318967bf76f66b8b85900f61717b3fe3d35cb075e724",
+    "bundled/sandhills/300/cli": "62ab4524ef259db8b5a2e5d7c5d5d0d97fd6e37fa971940309e98cd9fc6bfa4c",
+    "bundled/sandhills/300/preflight": "62ab4524ef259db8b5a2e5d7c5d5d0d97fd6e37fa971940309e98cd9fc6bfa4c",
+    "bundled/osg/12/cli": "b7413df6dce58fd0e1c3b568ca581c1d272c3bd1ef8e626292f70fd6df00847a",
+    "bundled/osg/12/preflight": "b7413df6dce58fd0e1c3b568ca581c1d272c3bd1ef8e626292f70fd6df00847a",
+    "bundled/osg/300/cli": "6ceb6e2c354ff62fafc221ae686d12af418039b482bbe231443bee1197dc1a9d",
+    "bundled/osg/300/preflight": "6ceb6e2c354ff62fafc221ae686d12af418039b482bbe231443bee1197dc1a9d",
+    "bundled/osg-never/12/cli": "42a196ae30c6bbe4eeb082dd6ea9f7164d511d0f698f98006b3b7fc200b87c57",
+    "bundled/osg-never/12/preflight": "42a196ae30c6bbe4eeb082dd6ea9f7164d511d0f698f98006b3b7fc200b87c57",
+    "bundled/osg-never/300/cli": "f5088afee5e7232d2c16a90a6d11c00739545999fad7d061141b80a5658cdda1",
+    "bundled/osg-never/300/preflight": "f5088afee5e7232d2c16a90a6d11c00739545999fad7d061141b80a5658cdda1",
+    "fixture/cycle/seed": "d5df21c0cb561d65b9780083ad9dbe3cedab2aef3bbc4dc29028d0dea49262fb",
+    "fixture/cycle/catalogs": "cfe8abe2e12a831d7958787b94ca7335b2d8dbc17881f6294fd4989df07d7828",
+    "fixture/missing-input/seed": "d9d80b09a2d58cd8d16f45a167319415c0f6bfe1c2a974d0b2211946cf273493",
+    "fixture/missing-input/catalogs": "d03ee7f345d7c83106979403546bf7785f792b074a7d6255367ce82290e4d011",
+    "fixture/write-write/seed": "6f27c37554ff9ad291ce6ec663319dfb513fdd7d188f6e3ea26870abcc3193ee",
+    "fixture/write-write/catalogs": "815ad01a151e17a777a9f7443e3f1998439c51f0191705af0e03a98c6744d92a",
+    "fixture/in-place/seed": "f7d6004f2d57e346e64f8e6b73d8f05b0085b5bf03ef9ca01753a2c6f27a05bd",
+    "fixture/in-place/catalogs": "976831fb90300e5cd3a39771035b751466bb97077989398d20c30c186a8b97cc",
+    "fixture/reuse/seed": "d6256fd0408e5f5dd6bfc8efa890208e772a20f8ca170226d52ec234355b685f",
+    "fixture/reuse/catalogs": "b1a450d6bff9e6396947ff4e1f5aad8fb58e8f188e574fc7fb029f7b20405367",
+    "fixture/island/seed": "ca0e92c5847b12c25d2df037663c9b8130d7ba65e4a6f06318392f1dd0c55d4e",
+    "fixture/island/catalogs": "b93fc1f1b60080929d9ca75ef2226add6a18685e05cdbc29b2e36c106c007ff7",
 }
 
 

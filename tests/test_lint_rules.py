@@ -9,6 +9,7 @@ no ERROR findings.
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 import pytest
@@ -41,7 +42,7 @@ from repro.wms.catalogs import (
     sandhills_site,
 )
 from repro.wms.dax import ADag, AbstractJob, File
-from repro.wms.planner import PlannerOptions, plan
+from repro.wms.planner import LintFailure, PlannerOptions, plan
 
 
 def job(jid, inputs=(), outputs=(), transformation="t", **kw):
@@ -569,12 +570,66 @@ class TestCli:
         assert "CAT002" in capsys.readouterr().out
 
     def test_json_output(self, capsys):
-        import json
-
         rc = lint_main(["-n", "5", "--site", "sandhills", "--json"])
         assert rc == 0
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
+
+    def test_fail_on_warning_tightens_exit(self, capsys):
+        # PLAN005/RES003 warnings on osg: rc 0 normally, 1 under --fail-on
+        assert lint_main(["-n", "12", "--site", "osg"]) == 0
+        capsys.readouterr()
+        assert lint_main(
+            ["-n", "12", "--site", "osg", "--fail-on", "warning"]
+        ) == 1
+
+    def test_json_output_is_pure(self, capsys):
+        # With findings and a failing exit, stdout is still exactly one
+        # JSON document.
+        rc = lint_main(["-n", "5", "--site", "osg", "--setup-mode", "never",
+                        "--json"])
+        assert rc == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["ok"] is False and data["findings"]
+
+    def test_pools_flag_drives_feasibility(self, tmp_path, capsys):
+        pools = tmp_path / "pools.json"
+        pools.write_text(json.dumps(NO_CAP3))
+        rc = lint_main(
+            ["-n", "12", "--site", "osg", "--setup-mode", "never",
+             "--pools", str(pools)]
+        )
+        assert rc == 1
+        assert "RES001" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text, reason", [
+        ("[1, 2]", "pools must be an object of site -> pool fields, got list"),
+        ('{"osg": 5}', "pool 'osg': want an object of pool fields, got int"),
+        ('{"osg": {"software": "has_python"}}',
+         "pool 'osg': 'software' must be a list of capability names, "
+         "got 'has_python'"),
+        ('{"osg": {"sofware": ["has_python"]}}',
+         "pool 'osg': unknown key 'sofware' (known: slots, speed_min, "
+         "speed_max, software, start_failure_prob, eviction_rate_per_s)"),
+        ('{"osg": {"slots": 2.5}}',
+         "pool 'osg': 'slots' must be an integer or null, got 2.5"),
+        ('{"osg": {"speed_max": "fast"}}',
+         "pool 'osg': 'speed_max' must be a number, got 'fast'"),
+        ('{"osg": {"start_failure_prob": "0.2"}}',
+         "pool 'osg': 'start_failure_prob' must be a number, got '0.2'"),
+        ('{"osg": {"start_failure_prob": 2}}',
+         "pool 'osg': start_failure_prob must be in [0, 1]"),
+    ], ids=["list", "not-an-object", "software-string", "misspelt-key",
+            "float-slots", "string-speed", "string-probability",
+            "probability-out-of-range"])
+    def test_malformed_pools_file_is_exit_2(self, text, reason, tmp_path,
+                                            capsys):
+        pools = tmp_path / "pools.json"
+        pools.write_text(text)
+        rc = lint_main(["-n", "12", "--site", "osg", "--pools", str(pools)])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"cannot load pools {pools}: {reason}\n")
 
     def test_missing_dax_file(self, capsys):
         rc = lint_main(["--dax", "/nonexistent/w.dax"])
@@ -594,6 +649,62 @@ class TestCli:
         assert out == ""
         assert err == (f"cannot parse {dax}: job 'create_transcript_list': "
                        "runtime must be >= 0, got nan\n")
+
+
+NO_CAP3 = {"osg": {"software": ["has_python", "has_biopython"]}}
+
+
+class TestAcceptanceDoctoredPool:
+    """The paper workflow against a doctored pool where no OSG slot has
+    CAP3: a never-matchable-job finding naming the job and the closest
+    missing capability, and a plan that fails fast."""
+
+    def _doctored_pools(self):
+        return pools_from_mapping(NO_CAP3, base=default_pools())
+
+    def test_res001_names_job_and_capability(self):
+        adag = build_blast2cap3_adag(12, model=PaperTaskModel())
+        sites, tc, rc = default_catalogs()
+        planned = plan(
+            adag, site_name="osg", sites=sites, transformations=tc,
+            replicas=rc,
+            options=PlannerOptions(setup_mode="never", lint="off"),
+        )
+        report = lint(adag, replicas=rc, planned=planned,
+                      pools={"osg": self._doctored_pools()["osg"]})
+        findings = report.by_rule("RES001")
+        assert len(findings) == 1
+        (f,) = findings
+        assert not report.ok
+        assert f.location.startswith("job:")
+        assert "has_cap3" in f.message  # the closest missing capability
+        # names at least one concrete doomed job
+        compute = set(planned.job_map.values())
+        assert any(name in f.message for name in sorted(compute))
+
+    def test_plan_fail_fasts_on_doctored_pools(self):
+        adag = build_blast2cap3_adag(12, model=PaperTaskModel())
+        sites, tc, rc = default_catalogs()
+        with pytest.raises(LintFailure) as excinfo:
+            plan(
+                adag, site_name="osg", sites=sites, transformations=tc,
+                replicas=rc,
+                options=PlannerOptions(setup_mode="never"),
+                pools=self._doctored_pools(),
+            )
+        report = excinfo.value.report
+        assert report.by_rule("RES001")
+        assert "has_cap3" in str(excinfo.value)
+
+    def test_healthy_pools_plan_fine_with_setup(self):
+        adag = build_blast2cap3_adag(12, model=PaperTaskModel())
+        sites, tc, rc = default_catalogs()
+        planned = plan(
+            adag, site_name="osg", sites=sites, transformations=tc,
+            replicas=rc,
+        )
+        assert planned.lint_report is not None
+        assert planned.lint_report.ok
 
 
 class TestFactoryWorkflowsAlwaysLintClean:

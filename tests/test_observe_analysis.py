@@ -298,12 +298,12 @@ def test_cli_analyze_and_compare_exit_codes(tmp_path, capsys):
     # Same run against itself: clean pass.
     assert main([
         "compare", str(out_json), str(out_json),
-        "--fail-on", "makespan=5%", "--quiet",
+        "--fail-on", "makespan=5%",
     ]) == 0
     # Regressed run: gate trips (exit 1).
     assert main([
         "compare", str(fast), str(slow),
-        "--fail-on", "makespan=5%", "--quiet",
+        "--fail-on", "makespan=5%",
     ]) == 1
     # Usage errors: exit 2.
     assert main(["analyze", str(tmp_path / "missing")]) == 2
@@ -322,7 +322,7 @@ def test_cli_gate_on_a_metric_the_candidate_lacks_is_refused(tmp_path, capsys):
     del stripped["makespan_s"]
     new = tmp_path / "new.json"
     new.write_text(json.dumps(stripped))
-    gate = ["--fail-on", "makespan=20%", "--quiet"]
+    gate = ["--fail-on", "makespan=20%"]
     # It used to read the missing value as 0.0: -100 %, within threshold.
     assert main(["compare", str(base), str(new), *gate]) == 2
     assert capsys.readouterr().err == (
@@ -330,9 +330,9 @@ def test_cli_gate_on_a_metric_the_candidate_lacks_is_refused(tmp_path, capsys):
     )
     # Ungated, the table still renders; a baseline without the metric
     # keeps its absolute-gate reading.
-    assert main(["compare", str(base), str(new), "--quiet"]) == 0
+    assert main(["compare", str(base), str(new)]) == 0
     assert main(["compare", str(new), str(base),
-                 "--fail-on", "makespan=120", "--quiet"]) == 0
+                 "--fail-on", "makespan=120"]) == 0
     # An unknown metric name is still the bad-spec error.
     assert main(["compare", str(base), str(new),
                  "--fail-on", "nope=1%"]) == 2
@@ -358,5 +358,5 @@ def test_cli_compare_paper_platforms_gates(tmp_path):
         "compare",
         str(tmp_path / "sandhills.json"),
         str(tmp_path / "osg.json"),
-        "--fail-on", "makespan=5%", "--quiet",
+        "--fail-on", "makespan=5%",
     ]) == 1
