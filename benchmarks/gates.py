@@ -63,6 +63,13 @@ SECONDS = {
 GATES = (
     Gate("svc_grid_reqsw", "wait index: matchmaker finds per claim",
          "sim.matchmaker.finds_per_claim", "<=", 3),
+    # 23 702 when each find peeked the top of every accepting bucket
+    Gate("svc_grid_reqsw", "heap entries examined, one heap per set",
+         "sim.matchmaker.bucket_probes", "==", 2078),
+    # five runs: 0.1089 0.1058 0.1057 0.1035 0.1001 (the parent's, a
+    # heap per bucket and an ad per attempt, read 0.2063-0.2107)
+    Gate("svc_grid_reqsw", "matchmaker's share of the grid service op",
+         "sim.matchmaker.share", "<=", 0.118),
     # five runs: 0.1281 0.1254 0.1317 0.1316 0.1456 (was 0.140: the
     # writer's self_s held over five traced runs a side, the op shrank)
     Gate("cli_sandhills_n300", "OTLP writer's share of a paper-scale run",

@@ -90,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{args.jobs} job(s) on {args.backend}: "
             f"{result['workflows_completed']} workflows in "
             f"{float(result['makespan_s']):,.0f} virtual seconds "  # type: ignore[arg-type]
-            f"({float(result['workflows_per_minute_sustained']):.2f}/min sustained)"  # type: ignore[arg-type]
+            f"({float(result['workflows_per_minute_sustained']):.2f}/min sustained), "  # type: ignore[arg-type]
+            f"{result['workflows_rejected']} refused"
         )
         print()
         print("| tenant | weight | done | p95 turnaround (s) "

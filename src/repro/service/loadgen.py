@@ -14,12 +14,13 @@ the ``svc_*`` workloads of ``benchmarks/budget/``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from repro.dagman.condor import SOFTWARE_REQUIREMENTS
 from repro.dagman.dag import Dag, DagJob
 from repro.observe.bus import EventBus
-from repro.service.service import ServiceConfig, WorkflowService
+from repro.service.service import ServiceConfig, WorkflowService, WorkflowState
 from repro.service.tenants import TenantConfig, TenantQuota
 from repro.sim import PLATFORMS
 from repro.sim.engine import Simulator
@@ -63,6 +64,20 @@ class LoadSpec:
             raise ValueError("workflows_per_minute must be positive")
         if not self.tenant_weights:
             raise ValueError("tenant_weights must be non-empty")
+        for weight in self.tenant_weights:
+            if not 0 < weight < math.inf:
+                raise ValueError(
+                    f"tenant weight must be positive and finite, got {weight:g}"
+                )
+        for quota in ("max_running_jobs", "max_active_workflows"):
+            value = getattr(self, quota)
+            if value is not None and value < 1:
+                raise ValueError(f"{quota} must be >= 1 (or None), got {value}")
+        if not 0 <= self.require_software_prob <= 1:
+            raise ValueError(
+                "require_software_prob must be in [0, 1], "
+                f"got {self.require_software_prob:g}"
+            )
 
     def weight_of(self, index: int) -> float:
         return self.tenant_weights[index % len(self.tenant_weights)]
@@ -251,6 +266,7 @@ def run_load(
             built.simulator.schedule(at, arrive)
     handles = service.run()
     makespan = built.simulator.now
+    rejected = sum(1 for h in handles if h.state is WorkflowState.REJECTED)
     completed = sum(1 for h in handles if h.result is not None)
     succeeded = sum(
         1 for h in handles if h.result is not None and h.result.success
@@ -270,6 +286,8 @@ def run_load(
             "workflows_per_minute": spec.workflows_per_minute,
         },
         "makespan_s": makespan,
+        "workflows_submitted": len(handles),
+        "workflows_rejected": rejected,
         "workflows_completed": completed,
         "workflows_succeeded": succeeded,
         "workflows_per_minute_sustained": (

@@ -164,8 +164,12 @@ class OpportunisticGrid(SimPlatform):
         #: oracle before the first submit.
         self.matchmaker: Matchmaker = IndexedMatchmaker(self._machines)
         self._blocked: frozenset[str] = frozenset()
-        #: ClassAd match key → the wait class of the attempts that share it.
-        self._wait_classes: dict[tuple, deque[Attempt]] = {}
+        #: (requirements, transformation) → the job class's ticket: its
+        #: ClassAd, whether any machine in the pool can ever run it, and
+        #: the wait class its attempts queue in.
+        self._wait_classes: dict[
+            tuple[str | None, str], tuple[ClassAd, bool, deque[Attempt]]
+        ] = {}
 
         def opportunistic_wait(_machine: MachineSpec) -> float:
             # Erratic slot acquisition: a lognormal baseline with
@@ -249,23 +253,30 @@ class OpportunisticGrid(SimPlatform):
     def submit(
         self, job: DagJob, on_complete: OnComplete, *, attempt: int = 1
     ) -> None:
-        # The ClassAd is built once at submit time; its match key names
-        # the attempt's wait class (an ad that has none is a class of
-        # its own).
-        ad = ClassAd(
-            name=job.name,
-            attributes={"transformation": job.transformation},
-            requirements=job.requirements,
-            rank="speed",
-        )
-        a = Attempt(job, on_complete, attempt, self.now, ad)
-        if not job.requirements or self.matchmaker.matchable(ad):
-            key = ad.match_key
-            self._enqueue(
-                a,
-                deque() if key is None
-                else self._wait_classes.setdefault(key, deque()),
+        # The ad and the admission verdict depend only on the job's
+        # class, and the pool is fixed at construction, so each class
+        # pays for them once. An ad without a match key is a class of
+        # its own: its ticket is built per attempt and kept nowhere.
+        key = (job.requirements, job.transformation)
+        ticket = self._wait_classes.get(key)
+        if ticket is None:
+            ad = ClassAd(
+                name=f"{job.transformation}[{job.requirements or ''}]",
+                attributes={"transformation": job.transformation},
+                requirements=job.requirements,
+                rank="speed",
             )
+            ticket = (
+                ad,
+                not job.requirements or self.matchmaker.matchable(ad),
+                deque(),
+            )
+            if ad.match_key is not None:
+                self._wait_classes[key] = ticket
+        ad, matchable, wait_class = ticket
+        a = Attempt(job, on_complete, attempt, self.now, ad)
+        if matchable:
+            self._enqueue(a, wait_class)
             return
         # No resource in the entire pool can ever run this job: it idles
         # (holding no slot) until the hold timeout expires, then fails.

@@ -7,22 +7,27 @@ requirements against every free machine — O(queue × pool) per pass,
 which is exactly the hot path a multi-tenant service layer hammers
 (thousands of concurrent workflows sharing one pool).
 
-The grid always builds an :class:`IndexedMatchmaker`. It buckets free
+The grid always builds an :class:`IndexedMatchmaker`. It buckets
 machines by *capability signature* (every advertised attribute except
 the continuous ``speed``). A requirements expression that does not
 mention ``speed`` is constant across a bucket, so one evaluation per
-bucket replaces one evaluation per machine: a match costs O(buckets)
-instead of O(pool), and the set of accepting buckets is memoized per
-(expression, job attributes) — which is also what tells the platform's
-wait index whether a freed machine can matter to a parked job
-(:meth:`Matchmaker.may_accept`). Jobs whose requirements reference
-``speed``, ranks other than ``"speed"``, blacklist-blocked passes, and
-pools whose machines advertise their own requirements all fall back to
-the linear scan on the :class:`Matchmaker` base — correctness first, the
-fast path covers the common shapes. The historical scan-everything
-matchmaker built on that base alone is the equivalence oracle in
-``tests/oracles/linear_matchmaker.py``: property tests pin the index to
-it machine for machine.
+bucket replaces one evaluation per machine, and the set of accepting
+buckets is memoized per (expression, job attributes) — which is also
+what tells the platform's wait index whether a freed machine can matter
+to a parked job (:meth:`Matchmaker.may_accept`). Every distinct
+accepting set owns one lazy heap of its free machines, best first,
+shared by all the job classes that accept exactly that set: a match is
+the heap's top, O(log pool) amortised, however many buckets accept.
+Jobs whose requirements reference ``speed``, ranks other than
+``"speed"``, blacklist-blocked passes, and pools whose machines
+advertise their own requirements all fall back to the linear scan on
+the :class:`Matchmaker` base — correctness first, the fast path covers
+the common shapes. The historical scan-everything matchmaker built on
+that base alone is the equivalence oracle in
+``tests/oracles/linear_matchmaker.py``, and the per-bucket heaps this
+index replaced (O(buckets) per match) are the one in
+``tests/oracles/bucket_heap_matchmaker.py``: property tests pin the
+index to both machine for machine.
 
 The matchmaker owns the free list as an insertion-ordered mapping
 ``name → free_seq``; the sequence number reproduces the oracle's
@@ -36,8 +41,8 @@ cached verdict never goes stale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Iterable
 
 from repro.dagman.condor import (
@@ -61,9 +66,10 @@ class MatchmakerStats:
     O(pool)-regression tests measure.
 
     ``ads_scanned`` counts per-machine requirement evaluations on the
-    linear path; ``bucket_probes`` counts the buckets a ``find`` looked
-    into on the indexed path (accepting buckets with a free member —
-    the point is that probes scale with bucket count, not pool size).
+    linear path; ``bucket_probes`` counts the heap entries a ``find``
+    examined on the indexed path — the stale ones it popped plus the
+    live top it returned — so it scales with claims and releases, not
+    with pool size or bucket count.
     """
 
     finds: int = 0
@@ -73,11 +79,6 @@ class MatchmakerStats:
     linear_fallbacks: int = 0
     matchable_calls: int = 0
     matchable_scans: int = 0
-
-
-#: (speed, -free_seq): the oracle's rank ordering — fastest machine
-#: wins, ties go to the machine that has been free the longest.
-_BestKey = tuple[float, int]
 
 
 class Matchmaker:
@@ -192,21 +193,25 @@ class Matchmaker:
 _Signature = frozenset
 
 
-@dataclass
-class _Bucket:
-    """Free machines sharing one capability signature."""
+@dataclass(slots=True, eq=False)
+class _Heap:
+    """The free machines of one accepting-bucket set, best first.
 
-    representative: ClassAd
-    #: free members (kept for O(1) emptiness checks)
-    free: set[str] = field(default_factory=set)
-    #: lazy max-heap of (-speed, free_seq, name); stale entries (the
-    #: machine was claimed, or re-freed under a newer seq) are popped
-    #: at peek time — the ready-heap idiom from the scheduler rewrite.
-    heap: list[tuple[float, int, str]] = field(default_factory=list)
+    A lazy min-heap of ``(-speed, free_seq, name)``: an entry is live
+    while ``free[name] == free_seq``; one whose machine was claimed (or
+    re-freed under a newer sequence number) is stale and popped when it
+    reaches the top.
+    """
+
+    buckets: frozenset[_Signature]
+    entries: list[tuple[float, int, str]]
+    #: twice the machines in ``buckets``: a longer heap is mostly stale
+    bound: int
 
 
 class IndexedMatchmaker(Matchmaker):
-    """Capability-signature buckets with per-bucket best-machine heaps.
+    """Capability-signature buckets; one best-machine heap per distinct
+    accepting-bucket set.
 
     See the module docstring for the strategy; the fallback conditions
     (speed-referencing requirements, non-``speed`` ranks, blocked
@@ -216,14 +221,19 @@ class IndexedMatchmaker(Matchmaker):
     """
 
     def __init__(self, machines: Iterable[MachineSpec]) -> None:
-        self._buckets: dict[_Signature, _Bucket] = {}
+        #: signature → the ad a bucket's requirements are evaluated on
+        self._buckets: dict[_Signature, ClassAd] = {}
         self._sig_of: dict[str, _Signature] = {}
         self._bucketable = True
         #: (expr, job-attrs) → pool-wide matchability
         self._matchable_cache: dict[tuple, bool] = {}
-        #: (expr, job-attrs) → the buckets whose machines satisfy it
+        #: (expr, job-attrs) → the heap of its accepting buckets
         #: (None = decided per machine: the ad is not indexable)
-        self._accepting_cache: dict[tuple, dict[_Signature, _Bucket] | None] = {}
+        self._accepting_cache: dict[tuple, _Heap | None] = {}
+        #: accepting-bucket set → its heap, shared by every class with it
+        self._heaps: dict[frozenset[_Signature], _Heap] = {}
+        #: bucket → the heaps a machine of it joins when released
+        self._heaps_of: dict[_Signature, list[_Heap]] = {}
         super().__init__(machines)
 
     # -- indexing -------------------------------------------------------
@@ -244,33 +254,54 @@ class IndexedMatchmaker(Matchmaker):
             # An exotic pool: match() must see each machine individually.
             self._bucketable = False
             return
-        bucket = self._buckets.get(sig)
-        if bucket is None:
-            bucket = self._buckets[sig] = _Bucket(
-                representative=ClassAd(
-                    name="bucket-representative", attributes=dict(sig)
-                )
+        if sig not in self._buckets:
+            self._buckets[sig] = ClassAd(
+                name="bucket-representative", attributes=dict(sig)
             )
         self._sig_of[machine.name] = sig
-        self._push_free(machine.name, bucket)
 
-    def _push_free(self, name: str, bucket: _Bucket) -> None:
-        bucket.free.add(name)
-        heappush(
-            bucket.heap,
-            (-self._machines[name].speed, self._free[name], name),
-        )
+    def _heap_for(self, buckets: frozenset[_Signature]) -> _Heap:
+        """The shared heap of ``buckets``, built from the free list the
+        first time any class accepts exactly that set."""
+        heap = self._heaps.get(buckets)
+        if heap is None:
+            members = [
+                name for name, sig in self._sig_of.items() if sig in buckets
+            ]
+            free, machines = self._free, self._machines
+            entries = [
+                (-machines[name].speed, free[name], name)
+                for name in members
+                if name in free
+            ]
+            heapify(entries)
+            heap = self._heaps[buckets] = _Heap(
+                buckets, entries, 2 * len(members)
+            )
+            for sig in buckets:
+                self._heaps_of.setdefault(sig, []).append(heap)
+        return heap
 
     def _on_release(self, name: str) -> None:
-        sig = self._sig_of.get(name)
-        if sig is not None:
-            self._push_free(name, self._buckets[sig])
+        heaps = self._heaps_of.get(self._sig_of.get(name))
+        if not heaps:
+            return
+        entry = (-self._machines[name].speed, self._free[name], name)
+        for heap in heaps:
+            entries = heap.entries
+            heappush(entries, entry)
+            if len(entries) > heap.bound:
+                self._compact(heap)
 
-    def claim(self, name: str) -> None:
-        super().claim(name)
-        sig = self._sig_of.get(name)
-        if sig is not None:
-            self._buckets[sig].free.discard(name)
+    def _compact(self, heap: _Heap) -> None:
+        """Drop the stale entries, in place. Past ``bound`` more than
+        half the heap is stale (a set has at most one live entry per
+        machine), so rebuilding keeps each heap O(pool) amortised even
+        when other classes, or blocked passes, do all the claiming."""
+        free = self._free
+        entries = heap.entries
+        entries[:] = [e for e in entries if free.get(e[2]) == e[1]]
+        heapify(entries)
 
     # -- expression analysis --------------------------------------------
 
@@ -282,10 +313,11 @@ class IndexedMatchmaker(Matchmaker):
         except (SyntaxError, ValueError):
             return False  # the linear path raises it, or has nothing to scan
 
-    def _accepting(self, ad: ClassAd) -> dict[_Signature, _Bucket] | None:
-        """The buckets whose members satisfy ``ad``'s requirements, or
-        ``None`` when that is not a per-bucket question (``speed`` in
-        the expression, unhashable attributes, an exotic pool)."""
+    def _accepting(self, ad: ClassAd) -> _Heap | None:
+        """The heap of the buckets whose members satisfy ``ad``'s
+        requirements, or ``None`` when that is not a per-bucket question
+        (``speed`` in the expression, unhashable attributes, an exotic
+        pool)."""
         job_key = ad.match_key
         if job_key is None or not self._bucketable:
             return None
@@ -294,19 +326,19 @@ class IndexedMatchmaker(Matchmaker):
         except KeyError:
             pass
         expr = ad.requirements
-        accepting: dict[_Signature, _Bucket] | None = None
+        accepting: _Heap | None = None
         if expr is None or self._per_bucket(expr):
-            accepting = {
-                sig: bucket
-                for sig, bucket in self._buckets.items()
-                if evaluate_requirements(expr, bucket.representative, my=ad)
-            }
+            accepting = self._heap_for(frozenset(
+                sig
+                for sig, representative in self._buckets.items()
+                if evaluate_requirements(expr, representative, my=ad)
+            ))
         self._accepting_cache[job_key] = accepting
         return accepting
 
     def may_accept(self, ad: ClassAd, name: str) -> bool:
         accepting = self._accepting(ad)
-        return accepting is None or self._sig_of[name] in accepting
+        return accepting is None or self._sig_of[name] in accepting.buckets
 
     # -- matching -------------------------------------------------------
 
@@ -318,30 +350,25 @@ class IndexedMatchmaker(Matchmaker):
         if not blocked and ad.rank == "speed":
             accepting = self._accepting(ad)
         if accepting is None:
-            # Blocked machines may sit on bucket tops without being
+            # Blocked machines may sit on a heap's top without being
             # claimable; the (rare, chaos-only) pass scans linearly.
             self.stats.linear_fallbacks += 1
             return self._find_linear(ad, blocked)
-        best: _BestKey | None = None
-        best_name: str | None = None
-        free_seq = self._free
-        for bucket in accepting.values():
-            if not bucket.free:
-                continue
-            self.stats.bucket_probes += 1
-            heap = bucket.heap
-            while heap:
-                neg_speed, seq, name = heap[0]
-                if name in bucket.free and free_seq.get(name) == seq:
-                    break
-                heappop(heap)  # stale: claimed or re-freed under new seq
-            if not heap:
-                continue
-            neg_speed, seq, name = heap[0]
-            key: _BestKey = (-neg_speed, -seq)
-            if best is None or key > best:
-                best, best_name = key, name
-        return best_name
+        # ``free_seq`` is unique per free machine, so the heap's top is
+        # the oracle's pick: fastest, then free the longest.
+        entries = accepting.entries
+        free = self._free
+        probes = 0
+        chosen = None
+        while entries:
+            probes += 1
+            _, seq, name = entries[0]
+            if free.get(name) == seq:
+                chosen = name
+                break
+            heappop(entries)  # stale: claimed or re-freed under new seq
+        self.stats.bucket_probes += probes
+        return chosen
 
     def matchable(self, ad: ClassAd) -> bool:
         self.stats.matchable_calls += 1
@@ -355,7 +382,9 @@ class IndexedMatchmaker(Matchmaker):
         # has a member.
         accepting = self._accepting(ad)
         verdict = (
-            self._matchable_scan(ad) if accepting is None else bool(accepting)
+            self._matchable_scan(ad)
+            if accepting is None
+            else bool(accepting.buckets)
         )
         self._matchable_cache[job_key] = verdict
         return verdict

@@ -2,9 +2,10 @@
 
 Same pattern as the scheduler rewrite (LegacyRescanScheduler): the
 historical O(pool) scan stays in ``tests/oracles/`` as
-``LinearMatchmaker``, and property tests drive both implementations
-through identical claim/release/find histories, asserting
-machine-for-machine agreement
+``LinearMatchmaker``, the per-bucket heaps the index replaced as
+``BucketHeapMatchmaker``, and property tests drive all three
+implementations through identical claim/release/find histories,
+asserting machine-for-machine agreement
 — plus the dispatch-path bugfix regressions from PR 9 (memoized job
 ads, shared blocked set, cached matchability, in-method redispatch
 guard)."""
@@ -23,6 +24,7 @@ from repro.sim.grid import GridConfig, GridSiteConfig, OpportunisticGrid
 from repro.sim.machine import MachineSpec
 from repro.sim.matchmaker import IndexedMatchmaker, Matchmaker
 from repro.sim.rng import RngStreams
+from tests.oracles.bucket_heap_matchmaker import BucketHeapMatchmaker
 from tests.oracles.linear_matchmaker import LinearMatchmaker
 
 
@@ -72,44 +74,101 @@ def pools(draw):
     return machines
 
 
+#: Indexable classes whose accepting sets overlap on every pool: each
+#: one's buckets are a subset of ``None``'s, and the two software sets
+#: share every bucket with both packages.
+OVERLAPPING = ("has_python", "has_python and has_biopython", None)
+
+
 @st.composite
 def histories(draw):
-    """A sequence of find(+claim)/release/matchable operations."""
-    ops = draw(st.lists(
+    """Long claim/release churn: find(+claim), blocked find(+claim) —
+    the linear pass, which claims under every heap's feet — release of
+    any claimed machine, and matchable; at least the three overlapping
+    classes of :data:`OVERLAPPING` besides whatever else is drawn."""
+    classes = draw(st.lists(REQUIREMENTS, max_size=3)) + list(OVERLAPPING)
+    return draw(st.lists(
         st.tuples(
-            st.sampled_from(["find", "release", "matchable"]),
-            REQUIREMENTS,
+            st.sampled_from(["find", "find", "blocked", "release",
+                             "release", "matchable"]),
+            st.sampled_from(classes),
+            st.integers(min_value=0, max_value=255),
         ),
-        min_size=1, max_size=30,
+        min_size=1, max_size=200,
     ))
-    return ops
+
+
+def _assert_heaps_bounded(indexed):
+    for heap in indexed._heaps.values():
+        assert len(heap.entries) <= heap.bound
+
+
+def _run_history(machines, ops, *, check_heaps=True):
+    """Drive the index and both oracles through ``ops``, asserting the
+    same pick from all three at every find."""
+    linear = LinearMatchmaker(machines)
+    buckets = BucketHeapMatchmaker(machines)
+    indexed = IndexedMatchmaker(machines)
+    sides = (linear, buckets, indexed)
+    claimed: list[str] = []
+    for op, req, k in ops:
+        ad = _job_ad(requirements=req)
+        if op in ("find", "blocked"):
+            blocked = frozenset()
+            if op == "blocked":
+                blocked = frozenset(
+                    name for i, name in enumerate(linear.free_names())
+                    if k >> (i % 8) & 1
+                )
+            want = linear.find(ad, blocked=blocked)
+            assert buckets.find(ad, blocked=blocked) == want
+            assert indexed.find(ad, blocked=blocked) == want
+            if want is not None:
+                for mm in sides:
+                    mm.claim(want)
+                claimed.append(want)
+        elif op == "release" and claimed:
+            name = claimed.pop(k % len(claimed))
+            for mm in sides:
+                mm.release(name)
+        elif op == "matchable":
+            assert indexed.matchable(ad) == linear.matchable(ad)
+        assert indexed.free_names() == linear.free_names()
+        if check_heaps:
+            _assert_heaps_bounded(indexed)
+    return indexed
 
 
 class TestOracleEquivalence:
     @given(pools(), histories())
     @settings(max_examples=120, deadline=None)
     def test_indexed_matches_linear_machine_for_machine(self, machines, ops):
-        linear = LinearMatchmaker(machines)
-        indexed = IndexedMatchmaker(machines)
-        claimed: list[str] = []
-        for op, req in ops:
-            ad = _job_ad(requirements=req)
-            if op == "find":
-                want = linear.find(ad)
-                got = indexed.find(ad)
-                assert got == want
-                if want is not None:
-                    linear.claim(want)
-                    indexed.claim(want)
-                    claimed.append(want)
-            elif op == "release" and claimed:
-                name = claimed.pop(0)
-                linear.release(name)
-                indexed.release(name)
-            elif op == "matchable":
-                assert indexed.matchable(ad) == linear.matchable(ad)
-            assert indexed.free_count == linear.free_count
-            assert indexed.free_names() == linear.free_names()
+        # Both oracles, machine for machine, and every shared heap
+        # within its compaction bound after every step.
+        _run_history(machines, ops)
+
+    def test_compaction_bounds_heaps_under_overlapping_churn(
+        self, monkeypatch
+    ):
+        # The adversarial history: the all-bucket class builds its heap
+        # once and is never asked again, while a narrower class and
+        # blocked passes claim and release underneath it. Every release
+        # pushes onto the idle heap; nothing pops it.
+        machines = [
+            _machine(f"m{i}", speed=1.0 + i, software={"has_python"})
+            for i in range(3)
+        ] + [_machine("bare", speed=9.0)]
+        ops = [("find", None, 0), ("release", None, 0)]
+        for k in range(40):
+            ops += [("find" if k % 2 else "blocked", "has_python", 1),
+                    ("release", None, k)]
+        indexed = _run_history(machines, ops)
+        assert indexed.stats.bucket_probes > 0
+        monkeypatch.setattr(IndexedMatchmaker, "_compact", lambda *_: None)
+        with pytest.raises(AssertionError):
+            _run_history(machines, ops)
+        unbounded = _run_history(machines, ops, check_heaps=False)
+        assert max(len(h.entries) for h in unbounded._heaps.values()) > 40
 
     @given(pools())
     @settings(max_examples=50, deadline=None)
@@ -189,6 +248,34 @@ class TestCaching:
     def test_duplicate_machine_refused(self):
         with pytest.raises(ValueError):
             LinearMatchmaker([_machine("a"), _machine("a")])
+
+    def test_grid_builds_one_ticket_per_job_class(self):
+        # 30 attempts of three (requirements, transformation) classes:
+        # three ads, one admission check (the only class with
+        # requirements), and one heap per distinct accepting set.
+        grid = OpportunisticGrid(
+            Simulator(), GridConfig(wait_spike_prob=0.0, failures=NO_FAILURES),
+            streams=RngStreams(seed=2),
+        )
+        done = []
+        for i in range(30):
+            grid.submit(DagJob(
+                name=f"j{i}", transformation="merge" if i % 3 else "split",
+                runtime=10.0,
+                requirements=(
+                    "has_python and has_biopython and has_cap3"
+                    if i % 3 == 2 else None
+                ),
+            ), done.append)
+        grid.run_until_complete()
+        assert len(done) == 30
+        assert sorted(ad.name for ad, _, _ in grid._wait_classes.values()) == [
+            "merge[]", "merge[has_python and has_biopython and has_cap3]",
+            "split[]",
+        ]
+        stats = grid.matchmaker.stats
+        assert stats.matchable_calls == 1 and stats.matchable_scans == 0
+        assert len(grid.matchmaker._heaps) == 2
 
 
 class TestDispatchCostRegression:

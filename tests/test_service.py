@@ -446,3 +446,42 @@ class TestRestoreCompletions:
         report = service.slo_report()["alice"]
         assert report["account"]["workflows_completed"] == 1
         assert report["turnaround_s"]["count"] == 1
+
+
+class TestBenchCli:
+    """``repro-service bench``: a bad value is one diagnostic line and
+    exit 2, never a traceback or a silent run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--weights", "0,1"],
+        ["--weights", "nan"],
+        ["--max-running-jobs", "0"],
+        ["--max-active-workflows", "0"],
+        ["--require-software", "-1"],
+        ["--require-software", "1.5"],
+        ["--require-software", "nan"],
+    ])
+    def test_bad_value_exits_2_with_one_line(self, argv, capsys):
+        from repro.service.cli import main
+
+        assert main(["bench", "--tenants", "2", "--workflows", "1",
+                     "--jobs", "3", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("repro-service: ") and err.count("\n") == 1
+
+    def test_refused_workflows_are_counted_and_printed(self, capsys):
+        # README's --max-active-workflows 1 line: 8 of 32 complete, the
+        # other 24 arrive while their tenant is at the quota.
+        from repro.service.cli import main
+
+        spec = LoadSpec(tenants=8, workflows_per_minute=4.0,
+                        max_active_workflows=1)
+        result = run_load(spec, seed=3)
+        assert result["workflows_submitted"] == 32
+        assert result["workflows_rejected"] == 24
+        assert result["workflows_completed"] == 8
+        assert main(["bench", "--tenants", "8", "--rate", "4", "--seed", "3",
+                     "--max-active-workflows", "1"]) == 0
+        summary = capsys.readouterr().out.splitlines()[0]
+        assert summary.endswith("/min sustained), 24 refused")
