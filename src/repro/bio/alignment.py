@@ -81,11 +81,6 @@ class AlignmentResult:
         )
 
     @property
-    def gaps(self) -> int:
-        """Number of gap characters across both rows."""
-        return self.aligned_a.count("-") + self.aligned_b.count("-")
-
-    @property
     def identity(self) -> float:
         """Fraction of identical columns (0.0 for empty alignments)."""
         return self.matches / self.length if self.length else 0.0

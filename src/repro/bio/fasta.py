@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
-__all__ = ["FastaRecord", "read_fasta", "write_fasta", "fasta_index"]
+__all__ = ["FastaRecord", "read_fasta", "write_fasta"]
 
 #: Line width used when wrapping sequence output.
 LINE_WIDTH = 70
@@ -115,19 +115,3 @@ def write_fasta(
         dest.write(record.format())
         count += 1
     return count
-
-
-def fasta_index(source: str | Path | TextIO) -> dict[str, FastaRecord]:
-    """Load a FASTA file into an id-keyed dict.
-
-    This mirrors blast2cap3's in-memory ``transcripts_dict``: the serial
-    script loads all transcripts once and then looks clusters up by id.
-    Duplicate ids raise ``ValueError`` (silently keeping one would corrupt
-    cluster membership downstream).
-    """
-    index: dict[str, FastaRecord] = {}
-    for record in read_fasta(source):
-        if record.id in index:
-            raise ValueError(f"duplicate FASTA id: {record.id!r}")
-        index[record.id] = record
-    return index

@@ -40,7 +40,6 @@ class KmerIndex:
     _index: dict[str, list[tuple[Hashable, int]]] = field(
         default_factory=lambda: defaultdict(list), repr=False
     )
-    _size: int = 0
 
     AMBIGUOUS = frozenset("NX")
 
@@ -55,7 +54,6 @@ class KmerIndex:
             if self.skip_ambiguous and (set(word) & self.AMBIGUOUS):
                 continue
             self._index[word].append((key, offset))
-            self._size += 1
 
     def lookup(self, word: str) -> list[tuple[Hashable, int]]:
         """All ``(key, offset)`` occurrences of ``word`` (empty if none)."""
@@ -64,18 +62,3 @@ class KmerIndex:
                 f"lookup word length {len(word)} != index k {self.k}"
             )
         return self._index.get(word.upper(), [])
-
-    def matches(self, seq: str) -> Iterator[tuple[int, Hashable, int]]:
-        """Yield ``(query_offset, key, target_offset)`` for every shared
-        k-mer between ``seq`` and the indexed collection."""
-        seq = seq.upper()
-        for q_off, word in kmers(seq, self.k):
-            for key, t_off in self._index.get(word, ()):
-                yield q_off, key, t_off
-
-    def __len__(self) -> int:
-        """Total number of indexed k-mer occurrences."""
-        return self._size
-
-    def __contains__(self, word: str) -> bool:
-        return word.upper() in self._index

@@ -26,7 +26,6 @@ __all__ = [
     "six_frame_translations",
     "is_dna",
     "is_protein",
-    "gc_content",
 ]
 
 #: Canonical DNA bases plus the ambiguity code ``N``.
@@ -132,17 +131,3 @@ def is_dna(seq: str) -> bool:
 def is_protein(seq: str) -> bool:
     """True if every character is a standard amino-acid code, X or ``*``."""
     return not seq or all(c.upper() in PROTEIN_ALPHABET for c in seq)
-
-
-def gc_content(seq: str) -> float:
-    """Fraction of G/C bases among non-N bases; 0.0 for empty input.
-
-    >>> gc_content("GGCC")
-    1.0
-    """
-    seq = seq.upper()
-    informative = sum(1 for c in seq if c in "ACGT")
-    if informative == 0:
-        return 0.0
-    gc = sum(1 for c in seq if c in "GC")
-    return gc / informative

@@ -8,25 +8,18 @@ between a query of length m and a database of total length n is
     E = K * m' * n' * exp(-lambda * S)
 
 where m' and n' are the lengths corrected for the expected alignment
-"edge effect". We solve for ``lambda`` from the score distribution of
-the residue background frequencies (the standard implicit equation
-``sum_ij p_i p_j exp(lambda * s_ij) = 1``), and use the published K for
-BLOSUM62/gapped defaults.
+"edge effect". ``lambda`` and ``K`` are NCBI's published values for
+BLOSUM62 (the root of ``sum_ij p_i p_j exp(lambda * s_ij) = 1`` over
+the Robinson background frequencies, for ``lambda``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
-
-from repro.bio.matrices import ScoringMatrix, blosum62
 
 __all__ = [
     "KarlinAltschulParams",
-    "solve_lambda",
     "GAPPED_BLOSUM62",
     "UNGAPPED_BLOSUM62",
     "bit_score",
@@ -65,58 +58,6 @@ GAPPED_BLOSUM62 = KarlinAltschulParams(lam=0.267, k=0.041, h=0.14)
 UNGAPPED_BLOSUM62 = KarlinAltschulParams(lam=0.3176, k=0.134, h=0.40)
 
 
-def solve_lambda(
-    matrix: ScoringMatrix | None = None,
-    frequencies: dict[str, float] | None = None,
-    *,
-    tolerance: float = 1e-9,
-) -> float:
-    """Solve ``sum_ij p_i p_j exp(lambda * s_ij) = 1`` for lambda > 0.
-
-    Uses bisection, which is robust because the left side is strictly
-    increasing in lambda for any matrix with positive expected... rather,
-    for any valid scoring matrix (negative expected score, at least one
-    positive entry) the equation has exactly one positive root.
-    """
-    if matrix is None:
-        matrix = blosum62()
-    if frequencies is None:
-        frequencies = ROBINSON_FREQUENCIES
-
-    residues = [r for r in frequencies if r in matrix.alphabet]
-    probs = np.array([frequencies[r] for r in residues], dtype=float)
-    probs = probs / probs.sum()
-    idx = [matrix.alphabet.index(r) for r in residues]
-    scores = matrix.matrix[np.ix_(idx, idx)].astype(float)
-
-    expected = float(probs @ scores @ probs)
-    if expected >= 0:
-        raise ValueError(
-            "scoring system has non-negative expected score; "
-            "Karlin-Altschul statistics do not apply"
-        )
-    if scores.max() <= 0:
-        raise ValueError("scoring system has no positive score")
-
-    pp = np.outer(probs, probs)
-
-    def f(lam: float) -> float:
-        return float((pp * np.exp(lam * scores)).sum()) - 1.0
-
-    lo, hi = 1e-6, 1.0
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 100:  # pragma: no cover - defensive
-            raise RuntimeError("failed to bracket lambda")
-    while hi - lo > tolerance:
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def bit_score(raw_score: float, params: KarlinAltschulParams) -> float:
     """Convert a raw score to a normalised bit score."""
     return (params.lam * raw_score - math.log(params.k)) / math.log(2.0)
@@ -149,13 +90,3 @@ def evalue(
     """Expected number of chance alignments scoring >= ``raw_score``."""
     m_eff, n_eff = effective_lengths(query_len, db_len, db_sequences, params)
     return params.k * m_eff * n_eff * math.exp(-params.lam * raw_score)
-
-
-@lru_cache(maxsize=1)
-def blosum62_ungapped_lambda() -> float:
-    """Lambda solved numerically for BLOSUM62 with Robinson frequencies.
-
-    Serves as a cross-check against the published 0.3176 (tests assert
-    agreement to ~1e-3).
-    """
-    return solve_lambda()

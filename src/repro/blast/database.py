@@ -11,12 +11,11 @@ per-word Python loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.bio.fasta import FastaRecord, read_fasta
+from repro.bio.fasta import FastaRecord
 from repro.bio.matrices import ScoringMatrix, blosum62
 from repro.bio.seq import is_protein
 
@@ -80,29 +79,17 @@ class ProteinDatabase:
             occurrences[w] for w in words
         ]
 
-    @classmethod
-    def from_fasta(cls, path: str | Path, **kwargs) -> "ProteinDatabase":
-        """Build a database from a protein FASTA file."""
-        return cls(records=list(read_fasta(path)), **kwargs)
-
     def __len__(self) -> int:
         return len(self.records)
 
     def __getitem__(self, subject_id: str) -> FastaRecord:
         return self._by_id[subject_id]
 
-    def __contains__(self, subject_id: str) -> bool:
-        return subject_id in self._by_id
-
     @property
     def total_residues(self) -> int:
         """Sum of subject lengths (the BLAST "database length" n)."""
         return sum(len(r) for r in self.records)
 
-    @property
-    def distinct_words(self) -> int:
-        """Number of distinct indexed words."""
-        return len(self.word_occurrences)
 
     def subject(self, index: int) -> FastaRecord:
         """Subject record by integer index (as stored in occurrences)."""

@@ -51,9 +51,6 @@ class Layout:
     def read_ids(self) -> list[str]:
         return [r.read_id for r in self.reads]
 
-    def __len__(self) -> int:
-        return len(self.reads)
-
 
 class _UnionFind:
     def __init__(self) -> None:

@@ -321,25 +321,12 @@ class Dag:
 
     # -- plan.json round-trip -------------------------------------------
 
-    def to_json(self) -> dict:
-        """The JSON shape of a planned DAG: what the ``.dag`` file cannot
-        carry (runtimes, setup marks, requirements) beside what it can.
-        The name stays out, as it stays out of the ``.dag`` grammar, and
-        ``done`` is written only when there are marks."""
-        data: dict = {
-            "jobs": {
-                name: {key: getattr(job, key) for key in PLAN_JOB_KEYS}
-                for name, job in self.jobs.items()
-            },
-            "edges": sorted(self.edges()),
-        }
-        if self.done:
-            data["done"] = sorted(self.done)
-        return data
-
     @classmethod
     def from_json(cls, data: object, name: str = "workflow") -> "Dag":
-        """Rebuild what :meth:`to_json` wrote. Anything else — a wrong
+        """Rebuild the DAG a ``plan.json`` document describes: each
+        job's :data:`PLAN_JOB_KEYS`, the sorted edges, and ``done`` when
+        there are marks (the name stays out, as it stays out of the
+        ``.dag`` grammar). Anything else — a wrong
         shape, a job missing a key or holding a value no job can have,
         an edge naming an unknown job or closing a cycle — is a
         :class:`ValueError` saying which job or edge."""

@@ -245,20 +245,6 @@ class LocalEnvironment:
 
         future.add_done_callback(on_done)
 
-    def worker_pids(self) -> list[int]:
-        """PIDs of the live pool workers (process executor only).
-
-        Best-effort by design: a ``ProcessPoolExecutor`` spawns workers
-        lazily, so before the first submit this is empty, and thread
-        pools have no separate PIDs at all. The write-ahead journal
-        records the result (``repro.resilience.journal``) so a resumed
-        run can reap orphaned workers whose manager died under them.
-        """
-        processes = getattr(self._pool, "_processes", None)
-        if not processes:
-            return []
-        return sorted(processes.keys())
-
     def call_later(self, delay_s: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` on the driver thread after ``delay_s`` wall seconds.
 

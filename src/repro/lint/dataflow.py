@@ -15,8 +15,8 @@ the defects local rules cannot:
 * **FLOW002** (warning) — a dead output: a file a runnable job computes
   whose every consumer is starved, so the work is produced and then
   dropped on the floor.
-* **FLOW003** (info) — a reuse candidate: every output of a job already
-  has a replica; with ``enable_reuse`` the planner would prune it.
+* **FLOW003** (info) — a recomputation: every output of a job already
+  has a replica, and the planner runs every job, so its work is repeated.
 * **FLOW004** (warning) — an orphan island: the workflow splits into
   disconnected components, usually a generator bug (jobs that were
   meant to feed the main graph but reference the wrong LFNs).
@@ -156,8 +156,6 @@ def _dead_output(ctx: LintContext) -> Iterator[Finding]:
 )
 def _reuse_candidate(ctx: LintContext) -> Iterator[Finding]:
     assert ctx.replicas is not None
-    if ctx.options is not None and ctx.options.enable_reuse:
-        return  # the planner prunes these itself
     for jid, outputs in ctx.outputs.items():
         if outputs and all(ctx.replicas.has(name) for name in outputs):
             yield finding(
@@ -166,8 +164,8 @@ def _reuse_candidate(ctx: LintContext) -> Iterator[Finding]:
                 f"({', '.join(repr(name) for name in outputs[:3])}) "
                 "already has a replica; the job recomputes existing "
                 "data",
-                "plan with PlannerOptions(enable_reuse=True) to stage "
-                "the existing replicas instead",
+                "drop the job, or the replicas if they are stale: the "
+                "planner runs every job it is given",
             )
 
 

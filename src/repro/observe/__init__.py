@@ -48,15 +48,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe.log import EventLogWriter, read_events, write_events
     from repro.observe.metrics import MetricsRegistry, instrument
     from repro.observe.sampler import UtilizationSample, UtilizationSampler
-    from repro.observe.status import StatusView, render_status
+    from repro.observe.status import StatusView
     from repro.observe.trace import (
         SpanTracer,
         critical_path_from_spans,
         derive_span_id,
         derive_trace_id,
         spans_from_events,
-        to_otlp_json,
-        to_perfetto_json,
         write_otlp_trace,
         write_perfetto_trace,
     )
@@ -82,14 +80,11 @@ _EXPORTS = {
     "UtilizationSample": ("repro.observe.sampler", "UtilizationSample"),
     "UtilizationSampler": ("repro.observe.sampler", "UtilizationSampler"),
     "StatusView": ("repro.observe.status", "StatusView"),
-    "render_status": ("repro.observe.status", "render_status"),
     "SpanTracer": ("repro.observe.trace", "SpanTracer"),
     "critical_path_from_spans": ("repro.observe.trace", "critical_path_from_spans"),
     "derive_span_id": ("repro.observe.trace", "derive_span_id"),
     "derive_trace_id": ("repro.observe.trace", "derive_trace_id"),
     "spans_from_events": ("repro.observe.trace", "spans_from_events"),
-    "to_otlp_json": ("repro.observe.trace", "to_otlp_json"),
-    "to_perfetto_json": ("repro.observe.trace", "to_perfetto_json"),
     "write_otlp_trace": ("repro.observe.trace", "write_otlp_trace"),
     "write_perfetto_trace": ("repro.observe.trace", "write_perfetto_trace"),
 }
@@ -116,14 +111,11 @@ __all__ = [
     "UtilizationSample",
     "UtilizationSampler",
     "StatusView",
-    "render_status",
     "SpanTracer",
     "critical_path_from_spans",
     "derive_span_id",
     "derive_trace_id",
     "spans_from_events",
-    "to_otlp_json",
-    "to_perfetto_json",
     "write_otlp_trace",
     "write_perfetto_trace",
 ]

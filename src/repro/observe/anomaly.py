@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Mapping, Protocol
 
 from repro.observe.bus import EventBus
@@ -81,12 +81,11 @@ def _cpu_fraction(transformation: str | None) -> float | None:
 
 @dataclass
 class RollingStats:
-    """Streaming mean/variance (Welford), optionally seeded with a
-    prior observation so detection works from the very first event."""
+    """Streaming mean, optionally seeded with a prior observation so
+    detection works from the very first event."""
 
     count: int = 0
     mean: float = 0.0
-    _m2: float = field(default=0.0, repr=False)
 
     def seed(self, prior: float, weight: int = 1) -> None:
         """Treat ``prior`` as ``weight`` pre-observations (idempotent
@@ -97,13 +96,7 @@ class RollingStats:
 
     def observe(self, value: float) -> None:
         self.count += 1
-        delta = value - self.mean
-        self.mean += delta / self.count
-        self._m2 += delta * (value - self.mean)
-
-    @property
-    def variance(self) -> float:
-        return self._m2 / (self.count - 1) if self.count > 1 else 0.0
+        self.mean += (value - self.mean) / self.count
 
 
 class StragglerDetector:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
@@ -26,7 +26,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "instrument",
-    "merge_summaries",
 ]
 
 Labels = tuple[tuple[str, str], ...]
@@ -108,28 +107,6 @@ class Histogram:
             "p99": self.percentile(99),
             "max": self.percentile(100),
         }
-
-
-def merge_summaries(summaries: Iterable[Mapping[str, float]]) -> dict[str, float]:
-    """Combine histogram summaries into one roll-up.
-
-    Labelled histograms (``kickstart_s{transformation=…}``) are
-    per-label; reports often want the overall view too. ``mean`` is
-    count-weighted (sum of sums over sum of counts — a plain average of
-    means would let a 1-observation label outvote a 300-observation
-    one); percentiles are upper-bounded by the max over labels, which is
-    exact for ``max`` and conservative for p50/p95/p99.
-    """
-    merged = {"count": 0.0, "sum": 0.0, "mean": 0.0,
-              "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-    for s in summaries:
-        merged["count"] += s.get("count", 0)
-        merged["sum"] += s.get("sum", 0.0)
-        for key in ("p50", "p95", "p99", "max"):
-            merged[key] = max(merged[key], s.get(key, 0.0))
-    if merged["count"]:
-        merged["mean"] = merged["sum"] / merged["count"]
-    return merged
 
 
 @dataclass(frozen=True)

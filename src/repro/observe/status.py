@@ -1,11 +1,11 @@
 """``pegasus-status`` style live view over an event stream.
 
-:func:`render_status` is a pure function events → text, so the same
-code serves the one-shot CLI call, the ``--follow`` tail loop, and the
-tests. It reports DAGMan's state histogram, the jobs currently on the
-platform (with how long they have been there), the run's headline
-counters, and an ALERTS pane tailing the online ``anomaly.*`` detector
-stream — everything the paper's user would watch during the
+:class:`StatusView` folds events into a pure events → text render, so
+the same code serves the one-shot CLI call, the ``--follow`` tail loop,
+and the tests. It reports DAGMan's state histogram, the jobs currently
+on the platform (with how long they have been there), the run's
+headline counters, and an ALERTS pane tailing the online ``anomaly.*``
+detector stream — everything the paper's user would watch during the
 10⁴-second OSG runs.
 """
 
@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from repro.observe.events import EventKind, RunEvent
 
-__all__ = ["StatusView", "render_status"]
+__all__ = ["StatusView"]
 
 
 class StatusView:
@@ -167,12 +167,3 @@ class StatusView:
             if len(self.alerts) > max_alerts:
                 lines.append(f"  … {len(self.alerts) - max_alerts} earlier")
         return "\n".join(lines)
-
-
-def render_status(
-    events: Iterable[RunEvent], *, total_jobs: int | None = None,
-    max_in_flight: int = 10, max_alerts: int = 5,
-) -> str:
-    """One-shot render of an event stream's current status."""
-    view = StatusView(total_jobs=total_jobs).feed(events)
-    return view.render(max_in_flight=max_in_flight, max_alerts=max_alerts)

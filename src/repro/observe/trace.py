@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
 from repro.observe.bus import EventBus
@@ -78,8 +78,6 @@ __all__ = [
     "derive_span_id",
     "derive_trace_id",
     "spans_from_events",
-    "to_otlp_json",
-    "to_perfetto_json",
     "write_otlp_trace",
     "write_perfetto_trace",
 ]
@@ -126,10 +124,6 @@ class Span:
     attributes: dict[str, object] = field(default_factory=dict)
     links: list[SpanLink] = field(default_factory=list)
     status: str = "unset"  # "unset" | "ok" | "error"
-
-    @property
-    def duration(self) -> float:
-        return (self.end if self.end is not None else self.start) - self.start
 
 
 class _JobState:
@@ -652,14 +646,11 @@ def critical_path_from_spans(spans: Sequence[Span]) -> SpanCriticalPath:
 
 # -- OTLP-JSON export -------------------------------------------------
 #
-# One document, two renderings: :func:`to_otlp_json` builds it as a dict
-# (the public API, and the reference the tests hold the writer to) and
-# :func:`write_otlp_trace` prints the same document as indented text
-# straight from the spans. What the two must agree on — value typing,
-# status codes, resource and scope — is decided by the definitions below
-# and read by both; the span's field names and order are literal text in
-# the writer's template, held to ``_OTLP_SPAN_FIELDS`` by
-# ``tests/test_otlp_render.py``.
+# :func:`write_otlp_trace` prints the document as indented text straight
+# from the spans. Value typing, status codes, resource and scope are
+# decided by the definitions below; ``tests/oracles/span_documents.py``
+# builds the same document as a dict from them, and
+# ``tests/test_otlp_render.py`` holds the printed bytes to it.
 
 _OTLP_STATUS = {
     "unset": "STATUS_CODE_UNSET",
@@ -669,16 +660,6 @@ _OTLP_STATUS = {
 
 _OTLP_SCOPE = {"name": "repro.observe.trace", "version": "1"}
 
-#: A span's string-valued fields in wire order; ``attributes``,
-#: ``status`` and the optional ``parentSpanId`` and ``links`` follow.
-_OTLP_SPAN_FIELDS = (
-    "traceId",
-    "spanId",
-    "name",
-    "kind",
-    "startTimeUnixNano",
-    "endTimeUnixNano",
-)
 _OTLP_LINK_FIELDS = ("traceId", "spanId")
 
 
@@ -700,71 +681,8 @@ def _otlp_value(value: object) -> tuple[str, bool | str | float]:
     return "stringValue", str(value)
 
 
-def _otlp_span_fields(s: Span) -> tuple[str, ...]:
-    """Values for :data:`_OTLP_SPAN_FIELDS`; an open span ends where it
-    starts."""
-    end = s.end if s.end is not None else s.start
-    return (
-        s.trace_id,
-        s.span_id,
-        s.name,
-        "SPAN_KIND_INTERNAL",
-        str(int(round(s.start * 1e9))),
-        str(int(round(end * 1e9))),
-    )
-
-
-def _otlp_link_fields(link: SpanLink) -> tuple[str, ...]:
-    return link.trace_id, link.span_id
-
-
-def _otlp_span_attrs(s: Span) -> dict[str, object]:
-    return {"repro.span_kind": s.kind, **s.attributes}
-
-
 #: The one resource every export describes.
 _OTLP_RESOURCE = {"service.name": "repro"}
-
-
-def _otlp_attrs(attrs: Mapping[str, object]) -> list[dict[str, object]]:
-    rendered: list[dict[str, object]] = []
-    for key, value in attrs.items():
-        field, scalar = _otlp_value(value)
-        rendered.append({"key": key, "value": {field: scalar}})
-    return rendered
-
-
-def to_otlp_json(spans: Sequence[Span]) -> dict[str, object]:
-    """Render spans as one OTLP-JSON ``ExportTraceServiceRequest``
-    (the ``resourceSpans`` envelope any OTLP/HTTP collector accepts)."""
-    rendered: list[dict[str, object]] = []
-    for s in spans:
-        entry: dict[str, object] = dict(
-            zip(_OTLP_SPAN_FIELDS, _otlp_span_fields(s))
-        )
-        entry["attributes"] = _otlp_attrs(_otlp_span_attrs(s))
-        entry["status"] = {"code": _OTLP_STATUS[s.status]}
-        if s.parent_span_id is not None:
-            entry["parentSpanId"] = s.parent_span_id
-        if s.links:
-            entry["links"] = [
-                {
-                    **dict(zip(_OTLP_LINK_FIELDS, _otlp_link_fields(link))),
-                    "attributes": _otlp_attrs(link.attributes),
-                }
-                for link in s.links
-            ]
-        rendered.append(entry)
-    return {
-        "resourceSpans": [
-            {
-                "resource": {"attributes": _otlp_attrs(_OTLP_RESOURCE)},
-                "scopeSpans": [
-                    {"scope": dict(_OTLP_SCOPE), "spans": rendered}
-                ],
-            }
-        ]
-    }
 
 
 # The text rendering. Nesting depth is fixed by the envelope: resource
@@ -784,8 +702,9 @@ def _json_list(items: list[str], depth: int) -> str:
 def _otlp_attrs_text(
     depth: int,
 ) -> Callable[[Iterable[tuple[str, object]]], str]:
-    """Text twin of :func:`_otlp_attrs` for attribute objects indented
-    *depth* spaces; the renderer takes the (key, value) items.
+    """The renderer of OTLP attribute lists (``{"key": …, "value":
+    {type: scalar}}`` objects) indented *depth* spaces; it takes the
+    (key, value) items.
 
     A run repeats most (key, value) pairs hundreds of times, so each
     attribute object is printed once and its text reused. Only exact
@@ -878,12 +797,14 @@ _OTLP_ENVELOPE_TEXT = (
 
 
 def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
-    """Write the :func:`to_otlp_json` document to ``path``, one space
-    per nesting level, and return the path.
+    """Write the spans as one OTLP-JSON ``ExportTraceServiceRequest``
+    (the ``resourceSpans`` envelope any OTLP/HTTP collector accepts) to
+    ``path``, one space per nesting level, and return the path.
 
-    The text is printed from the spans, not encoded from the dict, so
-    no document tree is built and none is walked in Python; the bytes
-    are those the ``json`` module gives for the dict
+    The text is printed from the spans, so no document tree is built
+    and none is walked in Python; the bytes are those
+    ``json.dumps(indent=1)`` gives for the dict
+    ``tests/oracles/span_documents.py`` builds
     (``tests/test_otlp_render.py`` compares them).
     """
     span_attrs = _otlp_attrs_text(8)
@@ -1004,42 +925,6 @@ def _perfetto_slices(
     return track_uuids, slices
 
 
-def to_perfetto_json(spans: Sequence[Span]) -> dict[str, object]:
-    """Render spans as Perfetto protobuf-JSON ``TracePacket`` list
-    (``traceconv`` / ui.perfetto.dev accept this shape directly)."""
-    tracks, slices = _perfetto_slices(spans)
-    packets: list[dict[str, object]] = [
-        {"trackDescriptor": {"uuid": uuid, "name": name}}
-        for name, uuid in tracks.items()
-    ]
-    for ts, begin, _, uuid, s in slices:
-        ns = int(round(ts * 1e9))
-        if begin:
-            packets.append(
-                {
-                    "timestamp": ns,
-                    "trustedPacketSequenceId": 1,
-                    "trackEvent": {
-                        "type": "TYPE_SLICE_BEGIN",
-                        "trackUuid": uuid,
-                        "name": s.name,
-                    },
-                }
-            )
-        else:
-            packets.append(
-                {
-                    "timestamp": ns,
-                    "trustedPacketSequenceId": 1,
-                    "trackEvent": {
-                        "type": "TYPE_SLICE_END",
-                        "trackUuid": uuid,
-                    },
-                }
-            )
-    return {"packet": packets}
-
-
 # The text rendering, in ``json.dumps(indent=1)``'s layout: one packet
 # template per kind, with only the lane and slice names escaped.
 
@@ -1059,11 +944,13 @@ _PERFETTO_END_TEXT = (
 
 
 def write_perfetto_trace(path: str | Path, spans: Sequence[Span]) -> Path:
-    """Write the :func:`to_perfetto_json` document to ``path``, one
-    space per nesting level, and return the path.
+    """Write the spans as a Perfetto protobuf-JSON ``TracePacket`` list
+    (``traceconv`` / ui.perfetto.dev accept this shape directly) to
+    ``path``, one space per nesting level, and return the path.
 
     Printed from the spans like :func:`write_otlp_trace`: the bytes are
     those ``json.dumps(indent=1)`` gives for the dict
+    ``tests/oracles/span_documents.py`` builds
     (``tests/test_perfetto_render.py`` compares them).
     """
     tracks, slices = _perfetto_slices(spans)

@@ -115,18 +115,6 @@ class Blacklist:
             self._check(self._blocked_sites, site, now)
         )
 
-    def blocked_machines(self, *, now: float) -> list[str]:
-        return sorted(
-            m for m in self._blocked_machines
-            if self._check(self._blocked_machines, m, now)
-        )
-
-    def blocked_sites(self, *, now: float) -> list[str]:
-        return sorted(
-            s for s in self._blocked_sites
-            if self._check(self._blocked_sites, s, now)
-        )
-
     def next_expiry(self, *, now: float) -> float | None:
         """Earliest future time a block lifts (None when nothing will)."""
         expiries = [

@@ -84,7 +84,7 @@ import signal
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Callable, Mapping
 
 from repro.dagman.dag import Dag
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
@@ -107,7 +107,6 @@ __all__ = [
     "ReconcileReport",
     "recover",
     "reconcile_local",
-    "encode_record",
     "decode_record",
 ]
 
@@ -140,9 +139,7 @@ DURABLE_KINDS = frozenset(
         EventKind.HELD,
         EventKind.BLACKLIST,
         EventKind.RESCUE,
-        # Tenant workflow completions: the WaaS layer's SLO accounting
-        # must count pre-crash completions exactly once after a resume
-        # (see WorkflowService.restore_completions).
+        # Tenant workflow completions (the WaaS layer's SLO record).
         EventKind.SERVICE_WORKFLOW_DONE,
     }
 )
@@ -158,19 +155,6 @@ _META_TRACE = "journal/trace"
 class JournalError(RuntimeError):
     """The journal directory is unusable as asked (not empty on a fresh
     open, closed writer, manager still alive on reconcile, ...)."""
-
-
-def _durable(event: RunEvent) -> bool:
-    if event.kind in DURABLE_KINDS:
-        return True
-    # Hard failures must survive: without them a resumed run would
-    # happily resubmit a job DAGMan already declared dead. The other
-    # state transitions (ready/submitted/done/...) are derivable from
-    # submit/terminal records, so they stay off the WAL.
-    return (
-        event.kind is EventKind.STATE_CHANGE
-        and event.detail.get("to") == "failed"
-    )
 
 
 #: Each kind's ``value`` (a plain lookup: ``.value`` on a member is a
@@ -222,18 +206,6 @@ def _frame_record(seq: int, body: bytes) -> bytes:
     rest = body[1:]
     crc = zlib.crc32(rest, zlib.crc32(head, _CRC_OPEN))
     return b'{"crc":"%08x",%b%b\n' % (crc, head, rest)
-
-
-def encode_record(seq: int, body: Mapping[str, object]) -> str:
-    """Frame one WAL record: compact JSON + CRC32, one line.
-
-    The CRC is taken over the bytes of the compact serialization (no
-    whitespace, keys in insertion order, ASCII) of the body with
-    ``seq`` as the first key, then spliced in ahead of it — so the line
-    is plain JSONL any tool can read, and :func:`decode_record` checks
-    it against the very bytes it is handed.
-    """
-    return _frame_record(seq, compact_json(body).encode()).decode()
 
 
 #: json's C scanner, called without ``raw_decode``'s Python frame: one
@@ -697,12 +669,6 @@ class Journal:
 
     # -- append path ----------------------------------------------------
 
-    def __call__(self, event: RunEvent) -> None:
-        """Feed one event by hand (the bus path uses the pre-filtered
-        handlers below): journaled iff it is a durable decision."""
-        if _durable(event):
-            self._on_durable(event)
-
     def _on_durable(self, event: RunEvent) -> None:
         if self._dead:
             return
@@ -718,12 +684,6 @@ class Journal:
         # transitions outnumber the WAL's records and stay off it.
         if event.detail.get("to") == "failed":
             self._on_durable(event)
-
-    def record_workers(self, pids: Iterable[int]) -> None:
-        """Note the local backend's worker PIDs for post-crash reaping."""
-        if self._dead:
-            return
-        self._append({"event": _META_WORKERS, "pids": sorted(pids)})
 
     def record_trace_id(self, trace_id: str) -> None:
         """Persist the causal-trace id so a resumed run extends the
@@ -820,12 +780,6 @@ class Journal:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __enter__(self) -> "Journal":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
     # -- internals ------------------------------------------------------
 
@@ -941,13 +895,6 @@ class RecoveredState:
         """The journaled causal-trace id (resume reuses it so the
         post-crash spans extend the pre-crash trace)."""
         return self.state.trace_id
-
-    @property
-    def service_completions(self) -> list[dict]:
-        """Journaled tenant workflow completions — feed to
-        :meth:`repro.service.WorkflowService.restore_completions` so
-        post-resume SLO reports count each pre-crash workflow once."""
-        return [dict(d) for d in self.state.service_done]
 
     @property
     def complete(self) -> bool:
@@ -1227,13 +1174,14 @@ def reconcile_local(
 ) -> ReconcileReport:
     """Reap-or-requeue for the local backend after a manager crash.
 
-    The journal records the manager PID (segment headers) and the pool
-    worker PIDs (``record_workers``). On resume: if the old manager is
-    *still alive*, raise — resuming would double-run the workflow. If
-    it is dead, SIGKILL any worker that outlived it (their results have
-    nowhere to land; a worker mid-payload holds files the resumed run
-    will rewrite), and report the in-flight jobs the resumed scheduler
-    will requeue. ``kill``/``alive`` are injectable for tests.
+    The journal records the manager PID (segment headers), and a
+    ``journal/workers`` record names pool worker PIDs. On resume: if
+    the old manager is *still alive*, raise — resuming would double-run
+    the workflow. If it is dead, SIGKILL any worker that outlived it
+    (their results have nowhere to land; a worker mid-payload holds
+    files the resumed run will rewrite), and report the in-flight jobs
+    the resumed scheduler will requeue. ``kill``/``alive`` are
+    injectable for tests.
     """
     kill_fn = kill if kill is not None else os.kill
     alive_fn = alive if alive is not None else _pid_alive

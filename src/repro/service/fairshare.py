@@ -38,7 +38,6 @@ class StrideScheduler:
         self._stride: dict[str, float] = {}
         self._priority: dict[str, int] = {}
         self._pass: dict[str, float] = {}
-        self._served: dict[str, int] = {}
         # Global virtual time: the highest pass any served tenant held
         # at serve time. Monotone; rejoining tenants are clamped up to
         # it (one cheap serve, then they compete at the current time).
@@ -51,7 +50,6 @@ class StrideScheduler:
         self._stride[name] = _STRIDE_K / weight
         self._priority[name] = priority
         self._pass.setdefault(name, 0.0)
-        self._served.setdefault(name, 0)
 
     def select(self, eligible: Iterable[str]) -> str | None:
         """The tenant to serve next, among ``eligible`` names.
@@ -81,9 +79,3 @@ class StrideScheduler:
         """
         self._vtime = max(self._vtime, self._pass[name])
         self._pass[name] = self._vtime + self._stride[name]
-        self._served[name] += 1
-
-    @property
-    def served(self) -> dict[str, int]:
-        """Total serves per tenant (what the convergence tests check)."""
-        return dict(self._served)

@@ -223,9 +223,6 @@ class WorkflowService:
         self._workflow_seq = 0
         self._turnaround: dict[str, Histogram] = {}
         self._queue_wait: dict[str, Histogram] = {}
-        #: (tenant, workflow) pairs seeded by ``restore_completions`` —
-        #: the dedup set that makes journal replay exactly-once.
-        self._restored: set[tuple[str, str]] = set()
         self.jobs_released = 0
 
     # -- tenants ---------------------------------------------------------
@@ -244,10 +241,6 @@ class WorkflowService:
 
     def account(self, tenant: str) -> TenantAccount:
         return self._accounts[tenant]
-
-    @property
-    def tenants(self) -> tuple[str, ...]:
-        return tuple(self._tenants)
 
     @property
     def in_flight(self) -> int:
@@ -481,9 +474,6 @@ class WorkflowService:
             account.workflows_succeeded += 1
         turnaround = handle.done_time - handle.submit_time
         self._turnaround[handle.tenant].observe(turnaround)
-        # A live completion claims its dedup key too: replaying a
-        # journal that also recorded it stays exactly-once.
-        self._restored.add((handle.tenant, handle.name))
         self._emit_service(
             EventKind.SERVICE_WORKFLOW_DONE,
             tenant=handle.tenant,
@@ -494,45 +484,6 @@ class WorkflowService:
                 "queue_wait_s": handle.queue_wait_s or 0.0,
             },
         )
-
-    # -- durability ------------------------------------------------------
-
-    def restore_completions(
-        self, records: list[dict[str, object]]
-    ) -> int:
-        """Seed SLO accounting from journaled ``service.workflow_done``
-        records (:attr:`~repro.resilience.journal.RecoveredState.service_completions`).
-
-        A crash between a workflow's terminal event and the next
-        snapshot must not lose — or, replayed twice, double-count — its
-        turnaround sample. Each (tenant, workflow) pair is folded into
-        the histograms and account counters exactly once, no matter how
-        many times the journal is replayed into this service; records
-        for tenants this service doesn't know are skipped. Returns how
-        many records were newly applied.
-        """
-        applied = 0
-        for record in records:
-            tenant = str(record.get("tenant") or "")
-            workflow = str(record.get("workflow") or "")
-            if not tenant or not workflow or tenant not in self._tenants:
-                continue
-            key = (tenant, workflow)
-            if key in self._restored:
-                continue
-            self._restored.add(key)
-            applied += 1
-            account = self._accounts[tenant]
-            account.workflows_completed += 1
-            if bool(record.get("succeeded")):
-                account.workflows_succeeded += 1
-            turnaround = record.get("turnaround_s")
-            if isinstance(turnaround, (int, float)):
-                self._turnaround[tenant].observe(float(turnaround))
-            queue_wait = record.get("queue_wait_s")
-            if isinstance(queue_wait, (int, float)):
-                self._queue_wait[tenant].observe(float(queue_wait))
-        return applied
 
     # -- driving and reporting -------------------------------------------
 
@@ -549,10 +500,6 @@ class WorkflowService:
                 f"environment drained with {len(unfinished)} workflow(s) "
                 f"still running ({names}, …)"
             )
-        return list(self._handles)
-
-    @property
-    def handles(self) -> list[WorkflowHandle]:
         return list(self._handles)
 
     def slo_report(self) -> dict[str, dict[str, object]]:

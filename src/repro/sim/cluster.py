@@ -63,10 +63,6 @@ class CampusClusterConfig:
         if self.nodes < 1 or self.cores_per_node < 1:
             raise ValueError("nodes and cores_per_node must be >= 1")
 
-    @property
-    def total_cores(self) -> int:
-        return self.nodes * self.cores_per_node
-
 
 class CampusCluster(SimPlatform):
     """Discrete-event Sandhills model (an ``ExecutionEnvironment``)."""

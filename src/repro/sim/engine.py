@@ -64,17 +64,6 @@ class Event:
         if self.owner is not None:
             self.owner._note_cancel()
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = (
-            "fired" if self.fired
-            else "cancelled" if self.cancelled
-            else "pending"
-        )
-        return f"Event(time={self.time}, seq={self.seq}, {state})"
-
 
 class Simulator:
     """Virtual-clock event loop.

@@ -115,10 +115,6 @@ class GridConfig:
             return self
         return replace(self, sites=_default_sites())
 
-    @property
-    def total_slots(self) -> int:
-        return sum(site.slots for site in self.sites)
-
 
 class OpportunisticGrid(SimPlatform):
     """Discrete-event OSG model (an ``ExecutionEnvironment``)."""

@@ -34,11 +34,6 @@ class RngStreams:
         digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
-    def child(self, name: str) -> "RngStreams":
-        """A derived stream family (for per-site or per-job namespaces)."""
-        digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
-        return RngStreams(seed=int.from_bytes(digest[8:16], "big"))
-
 
 def bounded_lognormal(
     rng: random.Random,

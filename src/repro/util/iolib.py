@@ -20,7 +20,6 @@ empty or truncated file — the durability DAGMan recovery relies on.
 from __future__ import annotations
 
 import gzip
-import hashlib
 import io
 import os
 import tempfile
@@ -32,10 +31,7 @@ __all__ = [
     "atomic_open",
     "atomic_write",
     "ensure_dir",
-    "file_checksum",
-    "sha256_text",
     "open_text_auto",
-    "write_text_auto",
 ]
 
 
@@ -159,21 +155,6 @@ def atomic_write(path: str | Path, data: str | bytes) -> Path:
     return path
 
 
-def file_checksum(path: str | Path, *, algorithm: str = "sha256") -> str:
-    """Hex digest of a file's contents, streaming in 1 MiB chunks."""
-    digest = hashlib.new(algorithm)
-    with open(path, "rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
-def sha256_text(text: str) -> str:
-    """SHA-256 hex digest of a UTF-8 string (used for replica catalog
-    entries and deterministic file ids)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def open_text_auto(path: str | Path) -> TextIO:
     """Open a text file for reading, transparently gunzipping ``.gz``.
 
@@ -185,11 +166,3 @@ def open_text_auto(path: str | Path) -> TextIO:
     if path.suffix == ".gz":
         return io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8")
     return open(path, "r", encoding="utf-8")
-
-
-def write_text_auto(path: str | Path, data: str) -> Path:
-    """Atomically write text, gzip-compressing when ``path`` ends ``.gz``."""
-    path = Path(path)
-    with atomic_open(path) as fh:
-        fh.write(data)
-    return path

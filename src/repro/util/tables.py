@@ -8,7 +8,7 @@ renderer (column alignment, optional title rule, Markdown export).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 __all__ = ["Table"]
 
@@ -51,11 +51,6 @@ class Table:
             )
         self.rows.append([_cell(v) for v in values])
 
-    def extend(self, rows: Iterable[Sequence[Any]]) -> None:
-        """Append many rows at once."""
-        for row in rows:
-            self.add_row(*row)
-
     def _widths(self) -> list[int]:
         widths = [len(c) for c in self.columns]
         for row in self.rows:
@@ -78,18 +73,3 @@ class Table:
                 "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip()
             )
         return "\n".join(lines)
-
-    def render_markdown(self) -> str:
-        """Render as a GitHub-flavoured Markdown table."""
-        lines = []
-        if self.title:
-            lines.append(f"**{self.title}**")
-            lines.append("")
-        lines.append("| " + " | ".join(self.columns) + " |")
-        lines.append("|" + "|".join("---" for _ in self.columns) + "|")
-        for row in self.rows:
-            lines.append("| " + " | ".join(row) + " |")
-        return "\n".join(lines)
-
-    def __str__(self) -> str:  # pragma: no cover - convenience alias
-        return self.render()

@@ -1,63 +1,14 @@
-"""Human-readable units for durations and byte sizes.
+"""Human-readable durations.
 
 The workflow statistics reports (:mod:`repro.wms.statistics`) and the
 benchmark harnesses print wall times in the same style as
-``pegasus-statistics`` (``11 hrs, 33 mins``) and file sizes the way the
-paper quotes them (``404 MB``). This module centralises parsing and
-formatting so every report renders consistently.
+``pegasus-statistics`` (``11 hrs, 33 mins``), so every report renders
+them one way.
 """
 
 from __future__ import annotations
 
-import re
-
-__all__ = [
-    "format_duration",
-    "parse_duration",
-    "format_bytes",
-    "parse_bytes",
-]
-
-#: Multipliers for the duration suffixes accepted by :func:`parse_duration`.
-_DURATION_SUFFIXES = {
-    "s": 1.0,
-    "sec": 1.0,
-    "secs": 1.0,
-    "second": 1.0,
-    "seconds": 1.0,
-    "m": 60.0,
-    "min": 60.0,
-    "mins": 60.0,
-    "minute": 60.0,
-    "minutes": 60.0,
-    "h": 3600.0,
-    "hr": 3600.0,
-    "hrs": 3600.0,
-    "hour": 3600.0,
-    "hours": 3600.0,
-    "d": 86400.0,
-    "day": 86400.0,
-    "days": 86400.0,
-}
-
-_DECIMAL_BYTES = {
-    "b": 1,
-    "kb": 10**3,
-    "mb": 10**6,
-    "gb": 10**9,
-    "tb": 10**12,
-}
-
-_BINARY_BYTES = {
-    "kib": 2**10,
-    "mib": 2**20,
-    "gib": 2**30,
-    "tib": 2**40,
-}
-
-_NUMBER_UNIT_RE = re.compile(
-    r"\s*(?P<num>[-+]?\d+(?:\.\d+)?)\s*(?P<unit>[a-zA-Z]*)\s*"
-)
+__all__ = ["format_duration"]
 
 
 def format_duration(seconds: float, *, precision: int = 0) -> str:
@@ -88,92 +39,3 @@ def format_duration(seconds: float, *, precision: int = 0) -> str:
     if hours:
         return f"{days} days, {hours} hrs"
     return f"{days} days"
-
-
-def parse_duration(text: str | float | int) -> float:
-    """Parse a duration into seconds.
-
-    Accepts bare numbers (seconds), single-unit strings (``"3h"``,
-    ``"41593 s"``), and comma-separated compounds as produced by
-    :func:`format_duration` (``"11 hrs, 33 mins"``).
-
-    >>> parse_duration("100 hours")
-    360000.0
-    >>> parse_duration("1 hrs, 30 mins")
-    5400.0
-    >>> parse_duration(42)
-    42.0
-    """
-    if isinstance(text, (int, float)):
-        return float(text)
-    total = 0.0
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
-        raise ValueError(f"empty duration: {text!r}")
-    for part in parts:
-        m = _NUMBER_UNIT_RE.fullmatch(part)
-        if not m:
-            raise ValueError(f"unparseable duration component: {part!r}")
-        value = float(m.group("num"))
-        unit = m.group("unit").lower()
-        if not unit:
-            total += value
-            continue
-        try:
-            total += value * _DURATION_SUFFIXES[unit]
-        except KeyError:
-            raise ValueError(f"unknown duration unit: {unit!r}") from None
-    return total
-
-
-def format_bytes(n: int | float, *, binary: bool = False) -> str:
-    """Render a byte count the way the paper does (``404 MB``).
-
-    >>> format_bytes(404_000_000)
-    '404 MB'
-    >>> format_bytes(1536, binary=True)
-    '1.5 KiB'
-    """
-    if n < 0:
-        return "-" + format_bytes(-n, binary=binary)
-    if binary:
-        step, suffixes = 1024.0, ["B", "KiB", "MiB", "GiB", "TiB"]
-    else:
-        step, suffixes = 1000.0, ["B", "KB", "MB", "GB", "TB"]
-    value = float(n)
-    for suffix in suffixes:
-        if value < step or suffix == suffixes[-1]:
-            if suffix == "B":
-                return f"{int(value)} B"
-            if value == int(value):
-                return f"{int(value)} {suffix}"
-            return f"{value:.1f} {suffix}"
-        value /= step
-    raise AssertionError("unreachable")
-
-
-def parse_bytes(text: str | int | float) -> int:
-    """Parse a byte-size string into an integer byte count.
-
-    Decimal (``KB``/``MB``) and binary (``KiB``/``MiB``) suffixes are both
-    accepted; bare numbers are bytes.
-
-    >>> parse_bytes("404 MB")
-    404000000
-    >>> parse_bytes("1.5 KiB")
-    1536
-    """
-    if isinstance(text, (int, float)):
-        return int(text)
-    m = _NUMBER_UNIT_RE.fullmatch(text)
-    if not m:
-        raise ValueError(f"unparseable size: {text!r}")
-    value = float(m.group("num"))
-    unit = m.group("unit").lower()
-    if not unit:
-        return int(value)
-    if unit in _DECIMAL_BYTES:
-        return int(value * _DECIMAL_BYTES[unit])
-    if unit in _BINARY_BYTES:
-        return int(value * _BINARY_BYTES[unit])
-    raise ValueError(f"unknown size unit: {unit!r}")

@@ -95,9 +95,6 @@ class ReplicaCatalog:
             for pfn, site in pfns:
                 yield lfn, pfn, site
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 @dataclass(frozen=True)
 class TransformationEntry:
@@ -144,9 +141,6 @@ class TransformationCatalog:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 @dataclass(frozen=True)
 class SiteEntry:
@@ -187,10 +181,6 @@ class SiteCatalog:
         """Entries in site-name order."""
         for name in sorted(self._entries):
             yield self._entries[name]
-
-    def names(self) -> list[str]:
-        """Registered site names, sorted."""
-        return sorted(self._entries)
 
 
 def sandhills_site() -> SiteEntry:

@@ -76,11 +76,14 @@ class Plan(NamedTuple):
 
 def write_plan(submit: str | Path, dag: Dag, *, site: str, n: int) -> Path:
     """What the ``.dag`` file cannot hold, the way Pegasus persists
-    per-job submit files: ``Dag.to_json`` under the plan's site and *n*.
+    per-job submit files: each job's :data:`PLAN_JOB_KEYS`, the edges
+    and the DONE marks (what :meth:`Dag.from_json` reads back) under
+    the plan's site and *n*.
 
     The text is printed from the DAG in ``json.dumps(indent=2)``'s
     layout, byte for byte what that call gives for the dict
-    (``tests/test_plan_render.py`` compares them); no dict is built.
+    (``tests/test_plan_render.py`` compares them with the dict
+    ``tests/oracles/plan_document.py`` builds); no dict is built.
     """
     jobs = [
         _PLAN_JOB % (

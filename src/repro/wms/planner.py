@@ -79,11 +79,6 @@ class LintFailure(PlanningError):
 class PlannerOptions:
     """Planner behaviour switches.
 
-    ``enable_reuse`` turns on Pegasus' data-reuse pruning: a job whose
-    outputs *all* already have replicas is cut from the plan, and its
-    outputs are staged in instead of recomputed. Pruning cascades —
-    a job whose only purpose was feeding pruned jobs goes too.
-
     ``lint`` controls the pre-flight static analysis
     (:mod:`repro.lint`) that runs on every plan: ``"error"`` (the
     default) raises :class:`LintFailure` on ERROR findings before any
@@ -99,7 +94,6 @@ class PlannerOptions:
     cluster_size: int = 1  # 1 = no horizontal clustering
     add_cleanup: bool = False
     setup_mode: Literal["auto", "never"] = "auto"
-    enable_reuse: bool = False
     lint: Literal["error", "warn", "off"] = "error"
 
     def __post_init__(self) -> None:
@@ -164,9 +158,6 @@ def plan(
         raise PlanningError(
             f"transformations not in catalog: {', '.join(missing_tx)}"
         )
-    if options.enable_reuse:
-        adag = _apply_reuse(adag, replicas)
-
     flow = adag.flow()
     missing_inputs = [
         f.name for f in flow.external_inputs if not replicas.has(f.name)
@@ -292,62 +283,6 @@ def plan(
 
 def _safe(name: str) -> str:
     return name.replace("/", "_").replace(".", "_")
-
-
-def _apply_reuse(adag: ADag, replicas: ReplicaCatalog) -> ADag:
-    """Pegasus' data-reuse pruning.
-
-    Pass A removes every job whose outputs all already have replicas
-    (its work exists; stage it instead). Pass B then iteratively removes
-    jobs that only existed to feed pruned jobs: all their outputs have
-    no surviving consumer and are not final outputs of the original
-    workflow. The surviving jobs form a new abstract workflow in which
-    reused files appear as external inputs.
-    """
-    pruned: set[str] = set()
-    finals = {f.name for f in adag.final_outputs()}
-
-    # Pass A: outputs exist -> job is redundant.
-    for job in adag.jobs.values():
-        outputs = job.outputs()
-        if outputs and all(replicas.has(f.name) for f in outputs):
-            pruned.add(job.id)
-
-    # Pass B: cascade upward over jobs that now feed nobody.
-    explicit_children: dict[str, set[str]] = {}
-    for parent, child in adag.edges():
-        explicit_children.setdefault(parent, set()).add(child)
-    changed = True
-    while changed:
-        changed = False
-        surviving = [j for j in adag.jobs.values() if j.id not in pruned]
-        consumed_by_survivors = {
-            f.name for j in surviving for f in j.inputs()
-        }
-        for job in surviving:
-            outputs = job.outputs()
-            if not outputs:
-                continue
-            needed = any(
-                f.name in consumed_by_survivors or f.name in finals
-                for f in outputs
-            )
-            live_children = explicit_children.get(job.id, set()) - pruned
-            if not needed and not live_children:
-                pruned.add(job.id)
-                changed = True
-
-    if not pruned:
-        return adag
-
-    reduced = ADag(name=adag.name)
-    for job in adag.jobs.values():
-        if job.id not in pruned:
-            reduced.add_job(job)
-    for parent, child in adag._explicit_edges:
-        if parent not in pruned and child not in pruned:
-            reduced.add_dependency(parent, child)
-    return reduced
 
 
 def _horizontal_clustering(

@@ -1,4 +1,5 @@
-"""The journal's read path as it was before it stayed in bytes.
+"""The journal's read path as it was before it stayed in bytes, and a
+dict-to-line framer for the tests that hand-craft records.
 
 ``decode_record`` verified a WAL line by parsing it, re-serialising the
 parsed dict to compact JSON, encoding that and comparing its CRC32 with
@@ -25,7 +26,7 @@ from typing import Iterable
 from repro.dagman.events import WorkflowTrace
 from repro.observe.log import compact_json, event_from_json
 
-__all__ = ["decode_record_reference", "trace_reference"]
+__all__ = ["decode_record_reference", "encode_record", "trace_reference"]
 
 
 def decode_record_reference(line: bytes | str) -> dict | None:
@@ -64,3 +65,10 @@ def trace_reference(records: Iterable[bytes | str]) -> WorkflowTrace:
         if record is not None:
             trace.add(record)
     return trace
+
+
+def encode_record(seq: int, body: dict) -> str:
+    """One WAL line for ``body``: ``{"crc":…,"seq":seq,…body}``, the CRC32
+    taken over the compact JSON of ``seq`` followed by the body."""
+    text = compact_json({"seq": seq, **body})
+    return '{"crc":"%08x",%s\n' % (zlib.crc32(text.encode()), text[1:])

@@ -5,7 +5,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.bio.fasta import FastaRecord, fasta_index, read_fasta, write_fasta
+from repro.bio.fasta import FastaRecord, read_fasta, write_fasta
 from repro.bio.fastq import FastqRecord, phred_to_quality, quality_to_phred
 
 ids = st.text(
@@ -75,17 +75,6 @@ class TestFastaIO:
         buf.seek(0)
         back = list(read_fasta(buf))
         assert [(r.id, r.seq) for r in back] == [(r.id, r.seq) for r in records]
-
-    def test_index(self):
-        text = ">a\nAC\n>b\nGT\n"
-        idx = fasta_index(io.StringIO(text))
-        assert set(idx) == {"a", "b"}
-        assert idx["b"].seq == "GT"
-
-    def test_index_duplicate_rejected(self):
-        text = ">a\nAC\n>a\nGT\n"
-        with pytest.raises(ValueError, match="duplicate"):
-            fasta_index(io.StringIO(text))
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "t.fasta"

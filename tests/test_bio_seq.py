@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.bio.seq import (
     CODON_TABLE,
     complement,
-    gc_content,
     is_dna,
     is_protein,
     reverse_complement,
@@ -123,12 +122,3 @@ class TestValidators:
     def test_is_protein(self):
         assert is_protein("MEDLKVX*")
         assert not is_protein("MEDL1")
-
-    def test_gc_content(self):
-        assert gc_content("GGCC") == 1.0
-        assert gc_content("AATT") == 0.0
-        assert gc_content("ACGT") == 0.5
-        assert gc_content("") == 0.0
-
-    def test_gc_ignores_n(self):
-        assert gc_content("GCNN") == 1.0

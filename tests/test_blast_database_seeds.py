@@ -19,7 +19,7 @@ class TestProteinDatabase:
         db = db_of("MEDLKV", "ACDEFGH")
         assert len(db) == 2
         assert db.total_residues == 13
-        assert "p0" in db
+        assert db["p0"].seq == "MEDLKV"
         assert db["p1"].seq == "ACDEFGH"
 
     def test_duplicate_ids_rejected(self):
@@ -37,7 +37,7 @@ class TestProteinDatabase:
 
     def test_word_index_counts(self):
         db = db_of("MEDLK")  # words MED, EDL, DLK
-        assert db.distinct_words == 3
+        assert len(db.word_occurrences) == 3
 
     def test_repeated_word_has_two_occurrences(self):
         db = db_of("MEDMED")  # MED at 0 and 3
@@ -45,15 +45,9 @@ class TestProteinDatabase:
         idx = [w.tobytes() for w in db.word_codes].index(med)
         assert db.word_occurrences[idx] == [(0, 0), (0, 3)]
 
-    def test_from_fasta(self, tmp_path):
-        path = tmp_path / "db.fasta"
-        path.write_text(">a\nMEDLKV\n>b\nACDEF\n")
-        db = ProteinDatabase.from_fasta(path)
-        assert len(db) == 2
-
     def test_empty_database(self):
         db = ProteinDatabase(records=[])
-        assert db.distinct_words == 0
+        assert len(db.word_occurrences) == 0
         assert db.total_residues == 0
 
 

@@ -12,6 +12,7 @@ from repro.dagman.events import JobAttempt, JobStatus
 from repro.dagman.scheduler import DagmanScheduler, NodeState
 from repro.sim.engine import Simulator
 from repro.wms.monitor import read_plan, write_plan
+from tests.oracles.plan_document import dag_to_json
 
 
 class RecordingEnvironment:
@@ -199,7 +200,8 @@ decorations = st.fixed_dictionaries({
 
 def plan_json_before_the_codec(dag, site, n):
     """The dict literal ``repro-plan`` built inline until ``Dag.to_json``
-    took the shape over, kept as the oracle for the file's bytes."""
+    (now ``tests/oracles/plan_document.py``) took the shape over, kept
+    as the oracle for the file's bytes."""
     return {
         "site": site,
         "n": n,
@@ -238,11 +240,11 @@ def test_plan_json_round_trip(case, data):
     # The round trip, through text and straight from the dict; DONE
     # marks travel too (as in the .dag file, only when there are any).
     dag.done = set(data.draw(st.lists(st.sampled_from(sorted(dag.jobs)))))
-    assert ("done" in dag.to_json()) == bool(dag.done)
+    assert ("done" in dag_to_json(dag)) == bool(dag.done)
     through_text = Dag.from_json(
-        json.loads(json.dumps(dag.to_json())), name=dag.name
+        json.loads(json.dumps(dag_to_json(dag))), name=dag.name
     )
-    for back in (through_text, Dag.from_json(dag.to_json(), name=dag.name)):
+    for back in (through_text, Dag.from_json(dag_to_json(dag), name=dag.name)):
         assert back.name == dag.name
         assert list(back.jobs.items()) == list(dag.jobs.items())
         assert list(back.edges()) == list(dag.edges())
@@ -283,4 +285,4 @@ def test_planner_parser_and_loadgen_make_jobs_plan_json_can_hold(tmp_path):
         for jobs in (2, 12) for req in (None, "has_python")
     ]
     for dag in dags:
-        assert Dag.from_json(dag.to_json()).to_json() == dag.to_json()
+        assert dag_to_json(Dag.from_json(dag_to_json(dag))) == dag_to_json(dag)

@@ -1,9 +1,9 @@
 """Smoke tests: the shipped examples must run end to end.
 
-Each example is executed in a subprocess (its own interpreter, like a
-user would run it) and sanity-checked by output markers. The slowest
-example (the real BLASTX search) is excluded here and covered by the
-equivalent code paths in test_workflow_factory / test_datagen.
+Each of the six examples is executed in a subprocess (its own
+interpreter, like a user would run it) and sanity-checked by output
+markers. The two longest carry the ``slow`` mark; tier-1 runs them too,
+since it deselects no mark.
 """
 
 import subprocess

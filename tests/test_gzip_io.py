@@ -4,7 +4,12 @@ import gzip
 
 from repro.bio.fasta import FastaRecord, read_fasta, write_fasta
 from repro.blast.tabular import TabularHit, read_tabular, write_tabular
-from repro.util.iolib import open_text_auto, write_text_auto
+from repro.util.iolib import atomic_open, open_text_auto
+
+
+def write_text_auto(path, text):
+    with atomic_open(path) as fh:
+        fh.write(text)
 
 
 class TestAutoGzip:

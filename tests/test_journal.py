@@ -28,7 +28,6 @@ from repro.resilience.journal import (
     JournalError,
     JournalState,
     decode_record,
-    encode_record,
     reconcile_local,
     recover,
 )
@@ -37,6 +36,7 @@ from repro.resilience.retry import FixedDelayRetry
 from repro.sim.engine import Simulator
 from repro.util import iolib
 from repro.util.iolib import ensure_dir
+from tests.oracles.journal_reference import encode_record
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,8 @@ class TestRecordFraming:
 
 def _write_attempts(jdir, jobs=("a", "b", "c")):
     """A journal holding one successful attempt per job."""
-    journal = Journal(jdir, snapshot_every=10_000)
+    bus = EventBus()
+    journal = Journal(jdir, snapshot_every=10_000, bus=bus)
     t = 0.0
     for name in jobs:
         record = JobAttempt(
@@ -196,7 +197,7 @@ def _write_attempts(jdir, jobs=("a", "b", "c")):
             exec_end=t + 5.0, status=JobStatus.SUCCEEDED,
         )
         for event in attempt_events(record):
-            journal(event)
+            bus.emit(event)
         t += 10.0
     # no close(): simulate a crash, leaving only the flushed WAL
     journal._fh.close()
@@ -598,7 +599,8 @@ class TestDurability:
     def test_wal_fsync_failure_propagates(self, tmp_path, monkeypatch):
         # Unlike directory fsync (best-effort), a failing WAL fsync is
         # a broken durability promise: it must surface, not vanish.
-        journal = Journal(tmp_path, fsync="always")
+        bus = EventBus()
+        Journal(tmp_path, fsync="always", bus=bus)
 
         import repro.resilience.journal as journal_mod
 
@@ -611,7 +613,7 @@ class TestDurability:
             attempt=1,
         )
         with pytest.raises(OSError):
-            journal(event)
+            bus.emit(event)
 
     def test_fsync_modes_validated(self, tmp_path):
         with pytest.raises(ValueError):
@@ -633,14 +635,15 @@ class TestCrashFault:
             CrashFault(1, torn_fraction=1.0)
 
     def test_fires_at_nth_record(self, tmp_path):
-        journal = Journal(tmp_path, crash=CrashFault(3, mode="raise"))
+        bus = EventBus()
+        journal = Journal(tmp_path, crash=CrashFault(3, mode="raise"), bus=bus)
         event = RunEvent(
             EventKind.SUBMIT, 1.0, job_name="a", transformation="t",
             attempt=1,
         )
-        journal(event)  # record 2 (record 1 is the segment header)
+        bus.emit(event)  # record 2 (record 1 is the segment header)
         with pytest.raises(CrashInjected):
-            journal(event)
+            bus.emit(event)
         assert journal.closed
         # the torn prefix is on disk but unparseable as a record
         rec = recover(tmp_path)
@@ -648,15 +651,17 @@ class TestCrashFault:
         assert rec.state.in_flight == {"a": 1}
 
     def test_torn_fraction_zero_still_writes_a_byte(self, tmp_path):
-        journal = Journal(
-            tmp_path, crash=CrashFault(2, mode="raise", torn_fraction=0.0)
+        bus = EventBus()
+        Journal(
+            tmp_path, crash=CrashFault(2, mode="raise", torn_fraction=0.0),
+            bus=bus,
         )
         event = RunEvent(
             EventKind.SUBMIT, 1.0, job_name="a", transformation="t",
             attempt=1,
         )
         with pytest.raises(CrashInjected):
-            journal(event)
+            bus.emit(event)
         assert recover(tmp_path).torn_tail
 
 
@@ -706,13 +711,10 @@ class TestReconcileLocal:
         report = reconcile_local(recovered, alive=lambda pid: True)
         assert not report.manager_alive
 
-    def test_journal_records_manager_and_workers(self, tmp_path):
+    def test_journal_records_the_manager(self, tmp_path):
         journal = Journal(tmp_path)
-        journal.record_workers([111, 42])
         journal._fh.close()
-        state = recover(tmp_path).state
-        assert state.manager_pid == os.getpid()
-        assert state.worker_pids == [42, 111]
+        assert recover(tmp_path).state.manager_pid == os.getpid()
 
 
 # ---------------------------------------------------------------------------
@@ -753,8 +755,3 @@ class TestResumeSurface:
         for name in sorted(recovered.done):
             assert f"DONE {name}" in text or f"{name} DONE" in text
 
-    def test_journal_context_manager(self, tmp_path):
-        with Journal(tmp_path) as journal:
-            journal.record_workers([1])
-        assert journal.closed
-        assert (tmp_path / "snapshot.json").exists()

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
+from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
 from repro.observe.log import compact_json
 from repro.resilience import CrashFault, CrashInjected
@@ -116,7 +117,6 @@ steps = st.one_of(
     st.booleans().flatmap(
         lambda ok: _event(EventKind.WORKFLOW_END, {"success": ok}, job=False)
     ),
-    st.tuples(st.just("workers"), st.lists(st.integers(1, 99999), max_size=3)),
     st.tuples(st.just("trace"), st.sampled_from(["0af7651916cd43dd8448eb211c80319c",
                                                  "4bf92f3577b34da6a3ce929d0e0e4736"])),
 )
@@ -127,11 +127,9 @@ def _retry(left: int):
                     attempt=1, detail={"retries_left": left})
 
 
-def _feed(journal: Journal, step) -> None:
+def _feed(bus: EventBus, journal: Journal, step) -> None:
     if isinstance(step, RunEvent):
-        journal(step)
-    elif step[0] == "workers":
-        journal.record_workers(step[1])
+        bus.emit(step)
     else:
         journal.record_trace_id(step[1])
 
@@ -156,14 +154,15 @@ def _open(cls, path: Path, crash_at: int | None, **kwargs):
 def _run(cls, path: Path, stream, crash_at, snapshot_every, fsync, resume=None):
     """Feed ``stream``; the state text after each record, and the
     journal (``None`` if it died opening)."""
+    bus = EventBus()
     journal = _open(cls, path, crash_at, snapshot_every=snapshot_every,
-                    fsync=fsync, resume=resume)
+                    fsync=fsync, resume=resume, bus=bus)
     states = []
     if journal is None:
         return states
     try:
         for step in stream:
-            _feed(journal, step)
+            _feed(bus, journal, step)
             states.append(_state(journal._state))
         journal.close()  # its snapshot opens a segment: a record too
     except CrashInjected:
@@ -220,21 +219,23 @@ def test_append_path_writes_what_the_reference_writes(
 def test_done_is_merged_in_sorted_order(tmp_path):
     """Snapshots list ``done`` sorted whether the names arrive in order,
     out of order, twice, or after a resume."""
-    journal = Journal(tmp_path, snapshot_every=3, fsync="never")
+    bus = EventBus()
+    journal = Journal(tmp_path, snapshot_every=3, fsync="never", bus=bus)
     names = ["m", "c", "x", "c", "a", "z", "b", "a", "k"]
     for i, name in enumerate(names):
         record = JobAttempt(name, "t", "s", "m", 1, 0.0, 0.0, 0.0, float(i),
                             JobStatus.SUCCEEDED)
-        journal(RunEvent(EventKind.FINISH, float(i), name, "t", "s", "m", 1,
-                         record, {"status": "succeeded"}))
+        bus.emit(RunEvent(EventKind.FINISH, float(i), name, "t", "s", "m", 1,
+                          record, {"status": "succeeded"}))
         assert journal._state.to_json()["done"] == sorted(set(names[: i + 1]))
     journal.close()
     recovered = recover(tmp_path)
     assert recovered.state.to_json()["done"] == sorted(set(names))
-    resumed = Journal(tmp_path, resume=recovered, fsync="never")
+    bus = EventBus()
+    resumed = Journal(tmp_path, resume=recovered, fsync="never", bus=bus)
     record = JobAttempt("d", "t", "s", "m", 1, 0.0, 0.0, 0.0, 9.0,
                         JobStatus.SUCCEEDED)
-    resumed(RunEvent(EventKind.FINISH, 9.0, "d", "t", "s", "m", 1, record))
+    bus.emit(RunEvent(EventKind.FINISH, 9.0, "d", "t", "s", "m", 1, record))
     assert resumed._state.to_json()["done"] == sorted({*names, "d"})
     resumed.close()
 
@@ -243,9 +244,10 @@ def test_snapshot_every_one(tmp_path):
     """``--journal-snapshot-every 1`` used to recurse: the header of the
     segment each snapshot opens was itself a record to snapshot after.
     Now every segment holds its header and one record."""
-    journal = Journal(tmp_path, snapshot_every=1, fsync="never")
+    bus = EventBus()
+    journal = Journal(tmp_path, snapshot_every=1, fsync="never", bus=bus)
     for t in (1.0, 2.0, 3.0):
-        journal(RunEvent(EventKind.SUBMIT, t, job_name="a", attempt=1))
+        bus.emit(RunEvent(EventKind.SUBMIT, t, job_name="a", attempt=1))
     journal.close()
     recovered = recover(tmp_path)
     assert recovered.state.in_flight == {"a": 1}

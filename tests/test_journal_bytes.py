@@ -31,13 +31,13 @@ from repro.resilience.journal import (
     Journal,
     JournalError,
     decode_record,
-    encode_record,
     recover,
 )
 from repro.service.loadgen import LoadSpec, run_load
 from repro.wms.cli import main_plan, main_run
 from tests.oracles.journal_reference import (
     decode_record_reference,
+    encode_record,
     trace_reference,
 )
 from tests.oracles.journal_replay_reference import decode_record_copying

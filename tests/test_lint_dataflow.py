@@ -188,9 +188,7 @@ class TestFlowRules:
         assert "DAX001" in fired
         assert not fired & {"FLOW001", "FLOW002"}
 
-    def test_flow003_respects_enable_reuse(self):
-        from repro.wms.planner import PlannerOptions
-
+    def test_flow003_names_a_job_whose_outputs_all_have_replicas(self):
         rc = ReplicaCatalog()
         rc.add("raw.txt", "file:///raw.txt")
         rc.add("x.dat", "file:///x.dat")
@@ -198,13 +196,8 @@ class TestFlowRules:
             _job("a", inputs=["raw.txt"], outputs=["x.dat"]),
             _job("b", inputs=["x.dat"], outputs=["y.dat"]),
         )
-        noisy = lint(adag, replicas=rc)
-        assert noisy.by_rule("FLOW003")
-        quiet = lint(
-            adag, replicas=rc,
-            options=PlannerOptions(enable_reuse=True, lint="off"),
-        )
-        assert not quiet.by_rule("FLOW003")
+        assert [f.location for f in lint(adag, replicas=rc).by_rule("FLOW003")] \
+            == ["job:a"]
 
     def test_flow004_quiet_on_bag_of_tasks(self):
         # independent single-job tasks are a legitimate shape, not islands

@@ -121,7 +121,7 @@ GOLDEN: dict[str, str] = {
     "fixture/write-write/catalogs": "815ad01a151e17a777a9f7443e3f1998439c51f0191705af0e03a98c6744d92a",
     "fixture/in-place/seed": "f7d6004f2d57e346e64f8e6b73d8f05b0085b5bf03ef9ca01753a2c6f27a05bd",
     "fixture/in-place/catalogs": "976831fb90300e5cd3a39771035b751466bb97077989398d20c30c186a8b97cc",
-    "fixture/reuse/seed": "d6256fd0408e5f5dd6bfc8efa890208e772a20f8ca170226d52ec234355b685f",
+    "fixture/reuse/seed": "d8d7fe11d200a853371b81066ecac903162d0cfccf6107d03f69a5aa49bcaa97",
     "fixture/reuse/catalogs": "b1a450d6bff9e6396947ff4e1f5aad8fb58e8f188e574fc7fb029f7b20405367",
     "fixture/island/seed": "ca0e92c5847b12c25d2df037663c9b8130d7ba65e4a6f06318392f1dd0c55d4e",
     "fixture/island/catalogs": "b93fc1f1b60080929d9ca75ef2226add6a18685e05cdbc29b2e36c106c007ff7",

@@ -29,7 +29,6 @@ from repro.observe import (
     events_to_trace,
     instrument,
     read_events,
-    render_status,
     write_chrome_trace,
     write_events,
 )
@@ -449,9 +448,9 @@ class TestStatusView:
         assert view.retries == 1
 
     def test_render_status_one_shot(self):
-        text = render_status(
-            [RunEvent(EventKind.SUBMIT, 0.0, job_name="a")], total_jobs=4
-        )
+        text = StatusView(total_jobs=4).feed(
+            [RunEvent(EventKind.SUBMIT, 0.0, job_name="a")]
+        ).render()
         assert "0/4 jobs done" in text
         assert "in flight (1):" in text
 

@@ -13,7 +13,7 @@ from repro.dagman.events import (
 )
 from repro.execution.kickstart import kickstart
 from repro.observe.events import EventKind, RunEvent
-from repro.observe.metrics import Histogram, merge_summaries
+from repro.observe.metrics import Histogram
 from repro.observe.profile import RusageProbe, modelled_profile
 from tests.test_chrome_render import chrome_doc
 
@@ -251,17 +251,3 @@ def test_histogram_summary_p99_and_mean():
     assert s["p50"] <= s["p95"] <= s["p99"] <= s["max"]
     empty = Histogram().summary()
     assert empty["count"] == 0 and empty["p99"] == 0.0
-
-
-def test_merge_summaries_weights_by_count():
-    a = Histogram()
-    for _ in range(99):
-        a.observe(1.0)
-    b = Histogram()
-    b.observe(101.0)
-    merged = merge_summaries([a.summary(), b.summary()])
-    assert merged["count"] == 100
-    # Count-weighted: one outlier observation cannot drag the mean to
-    # the plain average of means (51.0).
-    assert merged["mean"] == pytest.approx(2.0)
-    assert merged["max"] == 101.0

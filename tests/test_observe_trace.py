@@ -33,12 +33,11 @@ from repro.observe import (
     derive_span_id,
     derive_trace_id,
     spans_from_events,
-    to_otlp_json,
-    to_perfetto_json,
     write_otlp_trace,
     write_perfetto_trace,
 )
 from repro.observe.analysis import attribute_makespan
+from tests.oracles.span_documents import to_otlp_json, to_perfetto_json
 from repro.resilience.journal import Journal, recover
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator

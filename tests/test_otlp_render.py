@@ -12,7 +12,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.observe.trace import Span, SpanLink, to_otlp_json, write_otlp_trace
+from repro.observe.trace import Span, SpanLink, write_otlp_trace
+from tests.oracles.span_documents import to_otlp_json
 
 
 def reference(spans) -> bytes:

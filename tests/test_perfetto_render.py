@@ -12,7 +12,8 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.observe.trace import Span, to_perfetto_json, write_perfetto_trace
+from repro.observe.trace import Span, write_perfetto_trace
+from tests.oracles.span_documents import to_perfetto_json
 
 
 def reference(spans) -> bytes:

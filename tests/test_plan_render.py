@@ -1,5 +1,6 @@
 """``write_plan`` prints ``plan.json`` straight from the DAG;
-``Dag.to_json`` under the plan's site and *n*, encoded by
+``dag_to_json`` (``tests/oracles/plan_document.py``) under the plan's
+site and *n*, encoded by
 ``json.dumps(indent=2)``, is the reference it is held to byte for byte.
 """
 
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.dagman.dag import Dag, DagJob
 from repro.wms.monitor import PLAN_FILE, write_plan
+from tests.oracles.plan_document import dag_to_json
 
 
 class Level(IntEnum):
@@ -24,7 +26,7 @@ class Tag(str):
 
 
 def reference(dag: Dag, site: object, n: object) -> str:
-    return json.dumps({"site": site, "n": n, **dag.to_json()}, indent=2)
+    return json.dumps({"site": site, "n": n, **dag_to_json(dag)}, indent=2)
 
 
 def printed(tmp_path, dag: Dag, site: object = "osg", n: object = 3) -> str:

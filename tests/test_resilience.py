@@ -500,7 +500,8 @@ class TestBlacklist:
         bl = Blacklist(BlacklistPolicy(threshold=10, site_threshold=3))
         for i, machine in enumerate(("m0", "m1", "m2")):
             bl.record_start_failure(machine, "osg", now=float(i))
-        assert bl.blocked_sites(now=3.0) == ["osg"]
+        # The site is blocked, not its machines: m0 elsewhere runs.
+        assert not bl.is_blocked("m0", "other", now=3.0)
         # Any machine at the site is now blocked, even an unseen one.
         assert bl.is_blocked("m99", "osg", now=3.0)
 

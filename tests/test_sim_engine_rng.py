@@ -138,12 +138,6 @@ class TestRngStreams:
             != RngStreams(seed=2).stream("x").random()
         )
 
-    def test_child_namespaces(self):
-        s = RngStreams(seed=7)
-        a = s.child("site-a").stream("wait")
-        b = s.child("site-b").stream("wait")
-        assert a.random() != b.random()
-
     def test_bounded_lognormal_mean(self):
         rng = RngStreams(seed=3).stream("ln")
         draws = [bounded_lognormal(rng, 100.0, 0.5) for _ in range(4000)]

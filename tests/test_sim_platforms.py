@@ -152,7 +152,8 @@ class TestCampusCluster:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CampusClusterConfig(group_slots=0)
-        assert CampusClusterConfig().total_cores == 1408
+        config = CampusClusterConfig()
+        assert config.nodes * config.cores_per_node == 1408
 
 
 def run_on_grid(dag, *, config=None, seed=0):
@@ -240,4 +241,4 @@ class TestOpportunisticGrid:
         assert a.wall_time == b.wall_time
 
     def test_total_slots_default(self):
-        assert GridConfig().with_sites().total_slots == 600
+        assert sum(site.slots for site in GridConfig().with_sites().sites) == 600

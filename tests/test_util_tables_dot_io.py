@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro.util.dot import DotGraph
-from repro.util.iolib import atomic_write, file_checksum, sha256_text
+from repro.util.iolib import atomic_write
 from repro.util.tables import Table
 
 
@@ -36,20 +36,6 @@ class TestTable:
         t = Table(["a", "b"])
         with pytest.raises(ValueError, match="expected 2 cells"):
             t.add_row(1)
-
-    def test_extend(self):
-        t = Table(["a"])
-        t.extend([[1], [2], [3]])
-        assert len(t.rows) == 3
-
-    def test_markdown(self):
-        t = Table(["a", "b"], title="T")
-        t.add_row(1, 2)
-        md = t.render_markdown()
-        assert "| a | b |" in md
-        assert "| 1 | 2 |" in md
-        assert "**T**" in md
-
 
 class TestDotGraph:
     def test_shapes_follow_figure_legend(self):
@@ -128,15 +114,3 @@ class TestIolib:
     def test_no_temp_litter(self, tmp_path):
         atomic_write(tmp_path / "f.txt", "data")
         assert os.listdir(tmp_path) == ["f.txt"]
-
-    def test_checksum_matches_known_sha256(self, tmp_path):
-        target = tmp_path / "f.txt"
-        target.write_text("abc")
-        assert file_checksum(target) == (
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        )
-
-    def test_sha256_text_agrees_with_file(self, tmp_path):
-        target = tmp_path / "f.txt"
-        target.write_text("workflow")
-        assert sha256_text("workflow") == file_checksum(target)

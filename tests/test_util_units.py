@@ -1,14 +1,6 @@
-"""Tests for repro.util.units: duration and byte-size round-trips."""
+"""Tests for repro.util.units: pegasus-statistics style durations."""
 
-import pytest
-from hypothesis import given, strategies as st
-
-from repro.util.units import (
-    format_bytes,
-    format_duration,
-    parse_bytes,
-    parse_duration,
-)
+from repro.util.units import format_duration
 
 
 class TestFormatDuration:
@@ -42,91 +34,3 @@ class TestFormatDuration:
 
     def test_zero(self):
         assert format_duration(0) == "0 secs"
-
-
-class TestParseDuration:
-    def test_hours_word(self):
-        assert parse_duration("100 hours") == 360000.0
-
-    def test_compound(self):
-        assert parse_duration("11 hrs, 33 mins") == 41580.0
-
-    def test_bare_number_string(self):
-        assert parse_duration("42") == 42.0
-
-    def test_bare_number(self):
-        assert parse_duration(42) == 42.0
-
-    def test_float_number(self):
-        assert parse_duration(1.5) == 1.5
-
-    def test_single_letter_units(self):
-        assert parse_duration("2h") == 7200.0
-        assert parse_duration("3m") == 180.0
-        assert parse_duration("10s") == 10.0
-        assert parse_duration("1d") == 86400.0
-
-    def test_unknown_unit_raises(self):
-        with pytest.raises(ValueError, match="unknown duration unit"):
-            parse_duration("5 parsecs")
-
-    def test_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_duration("not a duration")
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            parse_duration("")
-
-    @given(st.integers(min_value=0, max_value=10**7))
-    def test_format_parse_roundtrip_within_resolution(self, seconds):
-        # format_duration rounds to its coarsest displayed unit; parsing
-        # the result must land within that unit of the original.
-        text = format_duration(seconds)
-        parsed = parse_duration(text)
-        if seconds < 60:
-            resolution = 1
-        elif seconds < 3600:
-            resolution = 60
-        elif seconds < 86400:
-            resolution = 3600
-        else:
-            resolution = 86400
-        assert abs(parsed - seconds) < resolution
-
-
-class TestBytes:
-    def test_paper_transcripts_size(self):
-        assert format_bytes(404_000_000) == "404 MB"
-
-    def test_paper_alignments_size(self):
-        assert format_bytes(155_000_000) == "155 MB"
-
-    def test_parse_mb(self):
-        assert parse_bytes("404 MB") == 404_000_000
-
-    def test_parse_binary(self):
-        assert parse_bytes("1.5 KiB") == 1536
-
-    def test_small(self):
-        assert format_bytes(999) == "999 B"
-
-    def test_binary_format(self):
-        assert format_bytes(1536, binary=True) == "1.5 KiB"
-
-    def test_parse_bare(self):
-        assert parse_bytes("123") == 123
-        assert parse_bytes(123) == 123
-
-    def test_negative_format(self):
-        assert format_bytes(-1000) == "-1 KB"
-
-    def test_unknown_unit(self):
-        with pytest.raises(ValueError):
-            parse_bytes("5 floppies")
-
-    @given(st.integers(min_value=0, max_value=10**14))
-    def test_roundtrip_within_five_percent(self, n):
-        text = format_bytes(n)
-        parsed = parse_bytes(text)
-        assert abs(parsed - n) <= max(1, 0.06 * n)
