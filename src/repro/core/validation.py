@@ -5,16 +5,14 @@ Quantifies an assembly along the axes transcriptome papers report:
 * **contiguity** — sequence count, total bases, N50, length stats;
 * **coding potential** — fraction of sequences carrying a long ORF;
 * **reference recovery** — fraction of the reference proteins covered
-  by some transcript's BLASTX hit (needs a protein database);
-* **ground-truth fidelity** — with the generator's origin map:
-  per-gene recovery and the chimera (fused-genes) rate.
+  by some transcript's BLASTX hit (needs a protein database).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.bio.fasta import FastaRecord
 from repro.bio.orf import longest_orf
@@ -39,7 +37,6 @@ class ValidationReport:
     #: protein id -> best coverage fraction achieved by any transcript
     reference_coverage: dict[str, float] = field(default_factory=dict)
     reference_recovered: float = 0.0
-    chimera_count: int | None = None
 
     @property
     def references_hit(self) -> int:
@@ -53,17 +50,9 @@ def validate_assembly(
     min_orf_aa: int = 50,
     recovery_coverage: float = 0.7,
     blast_params: BlastXParams = BlastXParams(),
-    origin: Mapping[str, str] | None = None,
 ) -> ValidationReport:
     """Score an assembly; all arguments beyond the transcripts are
-    optional refinements.
-
-    ``origin`` maps *member/read* ids to gene ids (generator ground
-    truth); a transcript whose description or id embeds members from
-    more than one gene counts as a chimera — callers with contig
-    membership should pass ``origin`` plus member-bearing ids (the CAP3
-    contig ids produced by blast2cap3 qualify).
-    """
+    optional refinements."""
     if not transcripts:
         return ValidationReport(
             sequence_count=0, total_bases=0, n50=0, mean_length=0.0,
@@ -99,29 +88,7 @@ def validate_assembly(
         report.reference_recovered = sum(
             1 for c in coverage.values() if c >= recovery_coverage
         ) / len(coverage)
-
-    if origin is not None:
-        chimeras = 0
-        for t in transcripts:
-            genes = {
-                origin[token]
-                for token in _member_tokens(t)
-                if token in origin
-            }
-            if len(genes) > 1:
-                chimeras += 1
-        report.chimera_count = chimeras
     return report
-
-
-def _member_tokens(record: FastaRecord) -> list[str]:
-    """Candidate member ids embedded in a record's id/description."""
-    tokens = [record.id]
-    tokens.extend(record.description.replace("=", " ").split())
-    # CAP3-namespaced contigs: "<protein>.ContigN"
-    if ".Contig" in record.id:
-        tokens.append(record.id.split(".Contig")[0])
-    return tokens
 
 
 def render_validation(report: ValidationReport, *, title: str = "assembly") -> str:
@@ -142,6 +109,4 @@ def render_validation(report: ValidationReport, *, title: str = "assembly") -> s
             "reference recovered (>=70% cov)",
             f"{100 * report.reference_recovered:.1f}%",
         )
-    if report.chimera_count is not None:
-        table.add_row("chimeric sequences", report.chimera_count)
     return table.render()

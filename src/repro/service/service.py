@@ -173,13 +173,6 @@ class _Gate:
     def run_until_complete(self) -> None:  # pragma: no cover - unused
         self._service.environment.run_until_complete()
 
-    def call_later(self, delay_s: float, fn: Callable[[], None]) -> None:
-        call_later = getattr(self._service.environment, "call_later", None)
-        if call_later is None:
-            fn()  # environment cannot park work; degrade like DAGMan does
-        else:
-            call_later(delay_s, fn)
-
 
 class WorkflowService:
     """Multi-tenant submission front-end over one shared platform."""

@@ -16,6 +16,10 @@ The hook is a generated ``sitecustomize.py`` on the roots'
 the first call of each code object one ``os.write`` of its file and
 first line to an ``O_APPEND`` file. So a process pool's workers and a
 SIGKILLed run report what they ran; nothing in ``src/`` knows about it.
+A child started with a fresh environment does not load the hook: the
+cold-start gate's commands and README's ``exit 137`` line run that way,
+and the other roots run what they run (the CI crash smoke kills a run
+with the hook loaded).
 
 A function is keyed by its file and its first line, decorators
 included (``co_firstlineno``), and named ``module:qualname`` from the
@@ -81,9 +85,8 @@ ALLOWED: dict[str, str] = {
     "repro.observe.trace:SpanTracer._on_service_reject":
         "the span of a workflow the service refused, under a tracer",
     "repro.execution.local:LocalEnvironment.call_later":
-        "a delayed retry on the local backend",
-    "repro.service.service:_Gate.call_later":
-        "a delayed retry of a tenant's job, passed on to the platform",
+        "a delayed retry on the local backend (a DagmanScheduler with a "
+        "RetryPolicy over a LocalEnvironment)",
     "repro.resilience.retry:FixedDelayRetry.__init__":
         "repro-run --retry-policy fixed",
     "repro.resilience.retry:FixedDelayRetry.delay_s":
@@ -94,8 +97,6 @@ ALLOWED: dict[str, str] = {
         "BLASTX batch caching: the Fig. 1 pipeline with PipelineConfig.cache",
     "repro.core.cache:blastx_batch_key":
         "BLASTX batch caching: the Fig. 1 pipeline with PipelineConfig.cache",
-    "repro.core.validation:_member_tokens":
-        "the chimera count, when validate() is given each read's origin",
     "repro.sim.matchmaker:Matchmaker._matchable_scan":
         "the index's fallback for an ad it cannot key (unhashable attributes, "
         "requirements on speed)",

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.bio.fasta import FastaRecord
 from repro.bio.orf import Orf, find_orfs, longest_orf
 from repro.bio.seq import reverse_complement, translate
 from repro.core.validation import render_validation, validate_assembly
@@ -122,22 +121,6 @@ class TestValidateAssembly:
         assert report.references_hit == len(proteins)
         assert report.reference_recovered >= 0.8
 
-    def test_chimera_detection_via_origin(self, synthetic_assembly):
-        proteins, t = synthetic_assembly
-        # Build a fake fused record claiming members from two genes.
-        fused = FastaRecord(
-            id="fusedX",
-            seq=t.transcripts[0].seq + t.transcripts[1].seq,
-            description=(
-                f"fusedX {t.transcripts[0].id} {t.transcripts[1].id}"
-            ),
-        )
-        origin = dict(t.origin)
-        report = validate_assembly(
-            list(t.transcripts) + [fused], origin=origin
-        )
-        assert report.chimera_count == 1
-
     def test_empty_assembly(self):
         report = validate_assembly([])
         assert report.sequence_count == 0
@@ -145,9 +128,7 @@ class TestValidateAssembly:
 
     def test_render(self, synthetic_assembly):
         proteins, t = synthetic_assembly
-        report = validate_assembly(t.transcripts, protein_db=proteins,
-                                   origin=t.origin)
+        report = validate_assembly(t.transcripts, protein_db=proteins)
         text = render_validation(report, title="synthetic")
         assert "N50" in text
         assert "reference recovered" in text
-        assert "chimeric" in text
