@@ -2,7 +2,7 @@
 
 The function-level sibling of ``tests/test_src_reach.py`` (modules) and
 ``tests/test_flag_reach.py`` (flags). ``python tests/test_func_reach.py``
-copies the tree to a scratch directory and runs every non-test root
+copies the tree to a temporary directory and runs every non-test root
 there with a profile hook loaded into each interpreter:
 
 * the six ``examples/``;
@@ -493,8 +493,8 @@ def main() -> int:
     from tests.test_src_reach import ALLOWED as ALLOWED_MODULES
 
     start = time.perf_counter()
-    with tempfile.TemporaryDirectory(prefix="func-reach-") as scratch:
-        work = Path(scratch)
+    with tempfile.TemporaryDirectory(prefix="func-reach-") as tmp:
+        work = Path(tmp)
         tree = work / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".hypothesis", ".benchmarks", "out"))
