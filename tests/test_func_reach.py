@@ -496,8 +496,11 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="func-reach-") as tmp:
         work = Path(tmp)
         tree = work / "tree"
+        # What the roots leave behind stays behind: a crash smoke's
+        # journal left in the tree would make the next one refuse to open.
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".hypothesis", ".benchmarks", "out"))
+            ".git", "__pycache__", ".hypothesis", ".benchmarks", "out",
+            "crash_smoke"))
         record = work / "ran.txt"
         record.touch()
         failed = run_lanes(tree, work, record)
