@@ -87,6 +87,10 @@ GATES = (
     Gate("cli_sandhills_n300", "printed artefacts' share (cli, log, perfetto)",
          "wms.cli.share + observe.log.share + observe.trace.perfetto.share",
          "<=", 0.313),
+    # 2 340 while the scheduler restated job.submit and the succeeded
+    # record as state changes
+    Gate("cli_sandhills_n300", "bus events of the untagged paper-scale run",
+         "observe.bus.emitted", "==", 1722),
     Gate("cli_osg_n300_journal", "journal records of the OSG paper-scale run",
          "resilience.journal.records", "==", 704),
     # 157 560 B when the pid, which the journal writes twice, has four
@@ -119,6 +123,9 @@ GATES = (
          "resilience.journal.records", "==", 40_073),
     Gate("journal_resume_20k", "records replayed on resume",
          "resilience.journal.replayed", "==", 14_453),
+    # 140 265 while the scheduler restated them (see cli_sandhills_n300)
+    Gate("journal_resume_20k", "bus events, crash and resume",
+         "observe.bus.emitted", "==", 100_203),
     Gate("journal_resume_20k", "journal bytes per record",
          "resilience.journal.bytes / resilience.journal.records", "<=", 227),
     # five runs: 0.1076 0.1385 0.1147 0.1320 0.1247 (was 0.16)

@@ -129,10 +129,6 @@ _DONE = NodeState.DONE
 _FAILED = NodeState.FAILED
 _UNRUNNABLE = NodeState.UNRUNNABLE
 
-#: States a node never leaves; a workflow is finished when every node
-#: has reached one (see :attr:`DagmanScheduler.unfinished`).
-_TERMINAL_STATES = frozenset({_DONE, _FAILED, _UNRUNNABLE})
-
 
 @dataclass
 class DagmanResult:
@@ -206,6 +202,12 @@ class DagmanScheduler:
         event's own keys — how :mod:`repro.service` puts
         ``tenant``/``workflow`` on a bus many workflows share.
 
+        Untagged, on a platform that shares the bus, it leaves →
+        submitted, → done and a retry's → ready / → held to the
+        ``job.submit``, succeeded record, ``job.retry`` and ``job.held``
+        stating them; tagged, it restates them as state changes (the
+        platform's events carry no workflow scope).
+
         ``retry_policy`` (see :mod:`repro.resilience.retry`) controls
         the timing and accounting of retries; ``None`` keeps the
         historic behaviour — immediate requeue, every failure charged
@@ -223,6 +225,9 @@ class DagmanScheduler:
         self.default_retries = default_retries
         self.bus = bus
         self._tags = dict(tags) if tags else None
+        self._restate = self._tags is not None or (
+            getattr(environment, "bus", None) is not bus
+        )
         self.retry_policy = retry_policy
         self.restore = restore
         self.trace = WorkflowTrace()
@@ -303,7 +308,7 @@ class DagmanScheduler:
         state = self._state = [_UNREADY] * n
         # Counted down by the direct state writes below (pre-done marks,
         # journaled failures); every later transition into a terminal
-        # state flows through _set_state and decrements it.
+        # state (_set_state, a success in _handle_completion) does too.
         unfinished = n
         for name in dag.done:
             i = ids.get(name)
@@ -433,30 +438,32 @@ class DagmanScheduler:
         released_by: int | None = None,
         released_attempt: int | None = None,
     ) -> None:
-        """``released_by`` / ``released_attempt`` add causal context to
-        the ``state_change`` event — which parent's completion (job id
-        and attempt number) made a child READY; what the span tracer
-        turns into explicit links."""
+        """Write and emit a transition no other event states: a live node
+        goes READY, FAILED or UNRUNNABLE. ``released_by`` /
+        ``released_attempt`` say which parent's completion (job id and
+        attempt number) made a child READY; the span tracer links them."""
         states = self._state
         previous = states[i]
         states[i] = state
-        if state in _TERMINAL_STATES and previous not in _TERMINAL_STATES:
-            self._unfinished -= 1
         if state is _READY:
-            # Readiness order is the FIFO tie-break within a priority
-            # class, so retried jobs queue behind equal-priority nodes
-            # already waiting on the max_jobs throttle. Each readiness
-            # transition pushes exactly one heap entry; the seq doubles
-            # as the entry's validity token.
-            seq = self._seq
-            self._ready_seq[i] = seq
-            self._seq = seq + 1
-            self._ready_count += 1
-            heapq.heappush(
-                self._ready_heap, (-self._jobs[i].priority, seq, i)
-            )
-        if previous is _READY and state is not _READY:
-            self._ready_count -= 1
+            self._push_ready(i)
+        else:
+            self._unfinished -= 1
+            if previous is _READY:
+                self._ready_count -= 1
+        self._emit_change(i, previous, state, released_by, released_attempt)
+
+    def _emit_change(
+        self,
+        i: int,
+        previous: NodeState,
+        state: NodeState,
+        released_by: int | None = None,
+        released_attempt: int | None = None,
+    ) -> None:
+        """Publish one ``job.state_change``: every one ``_set_state``
+        writes, and on a restating stream (see ``__init__``) the ones
+        written inline."""
         bus = self.bus
         if state is not previous and bus is not None and bus.active:
             # A deaf run pays for no detail dict (engine_layered_100k is
@@ -469,6 +476,17 @@ class DagmanScheduler:
                 EventKind.STATE_CHANGE, self._jobs[i],
                 self._attempt[i] or None, detail,
             )
+
+    def _push_ready(self, i: int) -> None:
+        """Queue a node that just became READY: one heap entry per
+        readiness transition, its seq the entry's validity token and the
+        FIFO tie-break within a priority class (so a retried job queues
+        behind equal-priority nodes waiting on the max_jobs throttle)."""
+        seq = self._seq
+        self._ready_seq[i] = seq
+        self._seq = seq + 1
+        self._ready_count += 1
+        heapq.heappush(self._ready_heap, (-self._jobs[i].priority, seq, i))
 
     def _submit_ready(self) -> None:
         """Submit ready nodes, highest priority first (FIFO in a class).
@@ -514,7 +532,11 @@ class DagmanScheduler:
         heapq.heapify(heap)
 
     def _submit(self, i: int) -> None:
-        self._set_state(i, _SUBMITTED)
+        # READY → SUBMITTED, which the job.submit below states.
+        self._state[i] = _SUBMITTED
+        self._ready_count -= 1
+        if self._restate:
+            self._emit_change(i, _READY, _SUBMITTED)
         attempt = self._attempt[i] + 1
         self._attempt[i] = attempt
         self._in_flight += 1
@@ -535,7 +557,11 @@ class DagmanScheduler:
         self._in_flight -= 1
         if attempt.status.is_success:
             self._failed_attempts[i] = 0
-            self._set_state(i, _DONE)
+            # SUBMITTED → DONE, which the succeeded record states.
+            self._state[i] = _DONE
+            self._unfinished -= 1
+            if self._restate:
+                self._emit_change(i, _SUBMITTED, _DONE)
             # Children in name order: readiness order is the FIFO
             # tie-break — hash order would make run outcomes depend on
             # PYTHONHASHSEED. A parent finishes (goes DONE) exactly
@@ -614,13 +640,18 @@ class DagmanScheduler:
                 "charged": charged,
                 "delay_s": delay,
             })
+        # SUBMITTED (READY if replayed at start()) → HELD / READY, which
+        # job.held / job.retry state.
+        previous = self._state[i]
         if delay > 0:
             if bus is not None and bus.active:
                 self._emit(EventKind.HELD, job, attempt_no, {
                     "delay_s": delay,
                     "until": self.environment.now + delay,
                 })
-            self._set_state(i, _HELD)
+            self._state[i] = _HELD
+            if previous is _READY:
+                self._ready_count -= 1
 
             def release() -> None:
                 if self._state[i] is _HELD:
@@ -629,7 +660,10 @@ class DagmanScheduler:
 
             call_later(delay, release)
         else:
-            self._set_state(i, _READY)
+            self._state[i] = _READY
+            self._push_ready(i)
+        if self._restate:
+            self._emit_change(i, previous, self._state[i])
 
     def _mark_descendants_unrunnable(self, i: int) -> None:
         state = self._state

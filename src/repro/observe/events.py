@@ -19,7 +19,9 @@ kind                      meaning
 ``job.finish``            terminal: payload succeeded or failed
 ``job.evict``             terminal: preempted by the resource owner
 ``job.retry``             DAGMan re-queued a failed/evicted job
-``job.state_change``      a DAGMan node changed state (ready, done, …)
+``job.state_change``      a node went ready (``released_by``), failed or
+                          unrunnable; a tagged scheduler also restates
+                          → submitted, → done and a retry's → ready/held
 ``platform.sample``       periodic utilization sample (busy/idle counts)
 ``job.timeout``           the attempt exceeded ``DagJob.timeout_s`` and
                           was killed (a ``job.finish`` with a

@@ -17,6 +17,10 @@ from repro.observe.events import EventKind, RunEvent
 
 __all__ = ["StatusView"]
 
+#: The node state an event states (a tagged scheduler restates it as a
+#: ``job.state_change`` too; see ``DagmanScheduler``).
+_STATED = {EventKind.SUBMIT: "submitted", EventKind.RETRY: "ready", EventKind.HELD: "held"}
+
 
 class StatusView:
     """Incremental digest of an event stream (feed events in order)."""
@@ -47,6 +51,8 @@ class StatusView:
         if kind.value.startswith("anomaly."):
             self.alerts.append(event)
             return
+        if kind in _STATED and name is not None:
+            self.states[name] = _STATED[kind]
         if kind is EventKind.STATE_CHANGE and name is not None:
             self.states[name] = str(event.detail.get("to", "?"))
         elif kind is EventKind.SUBMIT and name is not None:
@@ -65,6 +71,7 @@ class StatusView:
             record = event.record
             if record is not None and record.status.is_success:
                 self.done.add(name)
+                self.states[name] = "done"
             else:
                 self.failures += 1
             if kind is EventKind.EVICT:

@@ -461,6 +461,8 @@ class SpanTracer:
         ok = record.status is JobStatus.SUCCEEDED
         self._close(aspan, record.exec_end, status="ok" if ok else "error")
         state.final_attempt = aspan
+        if ok:  # the job is done; an untagged stream says so only here
+            self._close(state.span, t)
 
     def _materialize_phases(self) -> None:
         pending, self._pending_phases = self._pending_phases, []

@@ -680,8 +680,8 @@ class Journal:
         )
 
     def _on_state_change(self, event: RunEvent) -> None:
-        # Only hard failures are durable; the ready/submitted/done
-        # transitions outnumber the WAL's records and stay off it.
+        # Only hard failures are durable; readiness (and what a tagged
+        # scheduler restates) outnumbers the WAL's records and stays off.
         if event.detail.get("to") == "failed":
             self._on_durable(event)
 

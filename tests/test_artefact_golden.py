@@ -21,6 +21,13 @@ record (the record before it is a failed attempt whose retry decision
 is lost). ``osg-crash-resume`` continues that directory with
 ``--resume``.
 
+The scheduler of these runs is untagged, so ``events.jsonl`` holds no
+state change that a ``job.submit``, a terminal record, a ``job.retry``
+or a ``job.held`` already states. ``EXPANDED`` pins each log with
+those state changes put back (``tests/oracles/implied_transitions.py``)
+and printed between its lines: the digests of the logs written before
+the scheduler stopped emitting them.
+
 Regenerate (after convincing yourself the move is intended) with
 ``PYTHONPATH=src python tests/test_artefact_golden.py``.
 """
@@ -38,7 +45,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.observe.log import event_to_json_line, read_events
 from repro.wms.cli import main_plan, main_run
+from tests.oracles.implied_transitions import expand
 
 _CHAOS = (
     "--chaos-start-failure", "0.2",
@@ -88,8 +97,9 @@ def _masked(data: bytes) -> bytes:
 
 
 @functools.lru_cache(maxsize=None)
-def _run(scenario: str) -> tuple[int, dict[str, str]]:
-    """Exit code of ``repro-run`` and sha256 per artefact."""
+def _run(scenario: str) -> tuple[int, dict[str, str], str]:
+    """Exit code of ``repro-run``, sha256 per artefact, and the sha256 of
+    ``events.jsonl`` decoded, expanded and printed again."""
     site = SCENARIOS[scenario][0]
     chain = [scenario]
     while chain[0] in AFTER:
@@ -117,14 +127,23 @@ def _run(scenario: str) -> tuple[int, dict[str, str]]:
                 digests[str(p)] = hashlib.sha256(
                     _masked(p.read_bytes())
                 ).hexdigest()
+            log = Path("submit/events.jsonl")
+            events = read_events(log)
+            # A logged line stays as written (the reader does not keep
+            # ``detail``'s key order); only the put-back ones are printed.
+            lines = dict(zip(map(id, events), log.read_text().splitlines(True)))
+            expanded = "".join(
+                lines.get(id(e)) or event_to_json_line(e) + "\n"
+                for e in expand(events)
+            )
         finally:
             os.chdir(here)
-    return code, digests
+    return code, digests, hashlib.sha256(expanded.encode()).hexdigest()
 
 
 GOLDEN: dict[tuple[str, str], str] = {
-    ('sandhills', 'submit/events.jsonl'): 'e08dcd7f96cd49467362c627d89a82663d892d5c19249a3d95efb852d670962e',
-    ('sandhills', 'submit/metrics.json'): '90e749ce889e7e4e746083437d7297813096323628e4bb7fcf06b7760158129c',
+    ('sandhills', 'submit/events.jsonl'): '10b31760a24cd4d95e1913fc4a020f4829098b317e02cdc62cb878bcc3b806d8',
+    ('sandhills', 'submit/metrics.json'): '1ab06fcc412d4027b49d1f7c0b75e434cf7f536448ad67c0427df8ed493194dd',
     ('sandhills', 'submit/plan.json'): '4cb5319b2854feb02fae7f9b5feb2f6fe9a01515460c4197d41811a811170b0a',
     ('sandhills', 'submit/trace.chrome.json'): 'c78f650c91ab6bfd7fc6760b4877ba819d03032f57a4c6428b3db827350796e5',
     ('sandhills', 'submit/trace.jsonl'): 'e86868f1a8ee8033a4bcb7c017f0c5a79109622b8c5fb81f37c918be7cd772df',
@@ -134,8 +153,8 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('sandhills', 'submit/workflow.dag'): 'd50107b18ba12b2e203688264480ef5c4319fcacaeb1ebab825b42eb79e6c5d8',
     ('sandhills', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg', 'submit/blast2cap3-n12-osg.rescue001'): '54fa2be8a9128093a008b333e3642f00b5ab6f9d6b09b7048ea36b089ccec9fb',
-    ('osg', 'submit/events.jsonl'): 'd511d3cb966254a774c5da428fbba9e18e3d034486d96d2863651b47ef577cde',
-    ('osg', 'submit/metrics.json'): '5eb789648b512e9707ac2538b5f45b4592ef054f55365cad210397d8f74de95c',
+    ('osg', 'submit/events.jsonl'): 'd52f92b6b8fe1bc841a90a0bb88aaf1e945afdea39ea0c91f516d3aacd0c2cf5',
+    ('osg', 'submit/metrics.json'): '65ad4c98e0d74df29bfbf8e1444be56456d6269c3c9365ab3a0a5b85122ecfeb',
     ('osg', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg', 'submit/trace.chrome.json'): '80c6523b86974f76ac2e891e2110e0528f0e1422cd3d60619186333e880d0be9',
     ('osg', 'submit/trace.jsonl'): '4effe2a8b53d14369882a56bca75995632e9035ffe003fd9539e487b08d25448',
@@ -145,8 +164,8 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg-chaos-journal', 'submit/blast2cap3-n12-osg.rescue001'): '99752d8aad86597d597a19b6b415d55ac48794fa024307b14411b6c40a38af18',
-    ('osg-chaos-journal', 'submit/events.jsonl'): 'fe2d3732889ca32287f8964e7a46f74a4430127179c41b6327f17be95a7babe1',
-    ('osg-chaos-journal', 'submit/metrics.json'): 'b4adc37f9f45faf338c8ab718a8466e82fc2a86e02dbe2fb362a8a1ab6827322',
+    ('osg-chaos-journal', 'submit/events.jsonl'): 'f23abc5fc35f93c5a5119ad21490123eca5ea0bdc5eb0c4a907efdd9542f9af3',
+    ('osg-chaos-journal', 'submit/metrics.json'): 'f9147feb9f328cfe888c4f1063371b8e55dc62c1e15bc8bad6195f3e989f8407',
     ('osg-chaos-journal', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg-chaos-journal', 'submit/trace.chrome.json'): '2f378c86e61573db8fa2bd67b7ce9d609ab1bde58cb2201d37cdd1b35a228e4f',
     ('osg-chaos-journal', 'submit/trace.jsonl'): '9175b3b160724f70a2cf1f2cdac2bfde3e351068ed1ff528e953304b50fc9185',
@@ -158,7 +177,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-chaos-journal', 'journal/records.jsonl'): 'd3fa913aa5c518ecefa813576eb5ad0c4b15d365d02ac66ea2049fd3ca55ce49',
     ('osg-chaos-journal', 'journal/snapshot.json'): 'd66b3f53a3b75ca62c93168ebbe97e0bebb3adc475d287b3fc9efec8f0b324f4',
     ('osg-chaos-journal', 'journal/wal-00000003.jsonl'): 'c6899f57db10ea872df0c0d4d163f65f6071d6f6344b1cba745a1cf79140c638',
-    ('osg-crash', 'submit/events.jsonl'): '3bc7fd0b3e401548a9d36e17962cb18626b72101065cf35fec2b8ca51b1ed47b',
+    ('osg-crash', 'submit/events.jsonl'): '0ff78ba8307f2bd52b37c76a7b7b10b68b1b11528658798185aeb4fd1cb2876b',
     ('osg-crash', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg-crash', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-crash', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
@@ -167,8 +186,8 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-crash', 'journal/wal-00000003.jsonl'): 'e79b943409a746883e8f281abb902a315584b1603a80de19bae6075749dd565e',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.rescue001'): '68f6ee1fe0d7713b95ab31d6d38c1484a1b0d98e9c96a2f343eee73d64879434',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.resume.dag'): '55c00044be9e975fb026e8133dd75cf59e9aa55908313690f405d9582f287224',
-    ('osg-crash-resume', 'submit/events.jsonl'): '7dcdf299d2e9a911d4334f1d376f4abd3152c7f7c79d8fffb113cb11afd61360',
-    ('osg-crash-resume', 'submit/metrics.json'): '6baab09c98dc6bc981800a5f9787b4d779fee1b99dde210d31261e6f57389618',
+    ('osg-crash-resume', 'submit/events.jsonl'): 'dce6b4e51527f3cc6d2dafbae3397a79f60bc8a5cc7bb534e2111c8412f8e269',
+    ('osg-crash-resume', 'submit/metrics.json'): '2df1655647c7ae2bf2a94365d71c5cee6a336f06765ea56d89a6789aa488db36',
     ('osg-crash-resume', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg-crash-resume', 'submit/trace.chrome.json'): '9d2a250c508b67cd8345d4ddcc6a04dce244703537f0c7a37c0e916ca1f2883e',
     ('osg-crash-resume', 'submit/trace.jsonl'): 'a068a19cfeb2f80c31cd58b561f027333e91ec6d08fb972b9b099188b22613ec',
@@ -183,9 +202,19 @@ GOLDEN: dict[tuple[str, str], str] = {
 }
 
 
+#: scenario -> sha256 of its ``events.jsonl``, expanded (see above)
+EXPANDED: dict[str, str] = {
+    'sandhills': 'e08dcd7f96cd49467362c627d89a82663d892d5c19249a3d95efb852d670962e',
+    'osg': 'd511d3cb966254a774c5da428fbba9e18e3d034486d96d2863651b47ef577cde',
+    'osg-chaos-journal': 'fe2d3732889ca32287f8964e7a46f74a4430127179c41b6327f17be95a7babe1',
+    'osg-crash': '3bc7fd0b3e401548a9d36e17962cb18626b72101065cf35fec2b8ca51b1ed47b',
+    'osg-crash-resume': '7dcdf299d2e9a911d4334f1d376f4abd3152c7f7c79d8fffb113cb11afd61360',
+}
+
+
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_exit_code_and_file_set_unchanged(scenario):
-    code, digests = _run(scenario)
+    code, digests, _ = _run(scenario)
     assert code == SCENARIOS[scenario][2]
     assert sorted(digests) == sorted(f for s, f in GOLDEN if s == scenario)
 
@@ -195,7 +224,15 @@ def test_artefact_bytes_unchanged(scenario, name):
     assert _run(scenario)[1][name] == GOLDEN[(scenario, name)]
 
 
-if __name__ == "__main__":  # regenerate the table
+@pytest.mark.parametrize("scenario", sorted(EXPANDED))
+def test_expanded_event_log_unchanged(scenario):
+    assert _run(scenario)[2] == EXPANDED[scenario]
+
+
+if __name__ == "__main__":  # regenerate both tables
     for scenario in SCENARIOS:
         for name, digest in _run(scenario)[1].items():
             print(f"    {(scenario, name)!r}: {digest!r},")
+    print()
+    for scenario in SCENARIOS:
+        print(f"    {scenario!r}: {_run(scenario)[2]!r},")

@@ -20,6 +20,12 @@ Regenerate (after convincing yourself the move is intended) with
 The matchmaker's ``find`` count is *work*, not behaviour: it is pinned
 per OSG row in ``FINDS``, outside the digest, so a dispatch-path change
 that asks the matchmaker less moves ``FINDS`` and nothing else.
+
+The scheduler here is untagged, so it leaves the state changes that
+``job.submit``, the terminal record and ``job.retry`` / ``job.held``
+state to those events. ``GOLDEN`` hashes the stream with them put back
+(``tests/oracles/implied_transitions.py``) and still holds the digests
+recorded before; ``THINNED`` hashes the stream as emitted.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from repro.sim.engine import Simulator
 from repro.sim.failures import FailureModel
 from repro.sim.grid import GridConfig, GridSiteConfig, OpportunisticGrid
 from repro.sim.rng import RngStreams
+from tests.oracles.implied_transitions import expand
 
 SEEDS = (3, 11)
 
@@ -125,8 +132,11 @@ def _blackout(platform: str) -> FaultPlan:
 
 
 @functools.cache
-def _run(platform: str, scenario: str, seed: int) -> tuple[str, int | None]:
-    """(digest, matchmaker finds — ``None`` off the grid)."""
+def _run(
+    platform: str, scenario: str, seed: int
+) -> tuple[str, int | None, str]:
+    """(digest of the expanded stream, matchmaker finds — ``None`` off
+    the grid, digest of the stream as emitted)."""
     cls, config = PLATFORMS[platform]
     simulator = Simulator()
     streams = RngStreams(seed=seed)
@@ -180,17 +190,21 @@ def _run(platform: str, scenario: str, seed: int) -> tuple[str, int | None]:
         }
         for a in result.trace
     ]
-    blob = json.dumps(
-        [
-            trace_fingerprint(recorder.events),
-            [event_to_json(e) for e in recorder.events],
-            attempts,
-            counters,
-            result.success,
-        ],
-        sort_keys=True, separators=(",", ":"),
-    )
-    return hashlib.sha256(blob.encode()).hexdigest(), finds
+
+    def digest(events: list) -> str:
+        blob = json.dumps(
+            [
+                trace_fingerprint(events),
+                [event_to_json(e) for e in events],
+                attempts,
+                counters,
+                result.success,
+            ],
+            sort_keys=True, separators=(",", ":"),
+        )
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    return digest(expand(recorder.events)), finds, digest(recorder.events)
 
 
 def _rows() -> list[tuple[str, str, int]]:
@@ -232,6 +246,33 @@ GOLDEN: dict[tuple[str, str, int], str] = {
 }
 
 
+#: The digest of the stream as the untagged scheduler emits it.
+THINNED: dict[tuple[str, str, int], str] = {
+    ('sandhills', 'clean', 3): '54bf77e542c8db4d6879cd6ca6b1ba46f5a339c9ce1330be119af0d006be2aba',
+    ('sandhills', 'clean', 11): 'b9f6c7a7ca156d5194cdacee4ef5e38f460e8d7fd129123630082ee7005fbc9c',
+    ('sandhills', 'chaos', 3): '4cf22bc557abe5d0374f1570d63315372f7c68536c09093d31b940074d9d1c7f',
+    ('sandhills', 'chaos', 11): '0a20d5062cb0aa50bb68dc7f8365d28d6f2bdb29565a6b876859cb473533d612',
+    ('sandhills', 'blacklist', 3): 'd95bc45cbeaf4c071ec5bee0fb4c709a024c25be16890ac1b5697dc5f5209956',
+    ('sandhills', 'blacklist', 11): 'd35f0685f2c8b9bffc68c07580033f363f1db04b76664a3dd4b1fde5bf1f8842',
+    ('osg', 'clean', 3): 'acd4fd11d3c929e2a8d58c705a45e445c8aa85c15e0c9c733ea60c2183dfb2c8',
+    ('osg', 'clean', 11): 'debc36e5d3bee16afe4f73dbd15b87e14d4f9ad83088200a38de7f8f8b7e164b',
+    ('osg', 'chaos', 3): 'fab7f019d00acaa4c7a02ec89a65f9a5053e36ddea197fe2e9699f4bdda16035',
+    ('osg', 'chaos', 11): '20430b4510690f96e254ce0535e52ff6693300815b5d9f7cd3177aa07e2cd732',
+    ('osg', 'blacklist', 3): 'f2c53ca56a87177c0dd01390df7d02621edaca48075b5f8a02a779495aeed03c',
+    ('osg', 'blacklist', 11): '536cec0186561bdd7902390af74c63a47a19fa6a2a6b7290437807561d2d2815',
+    ('osg', 'unsatisfiable', 3): '1b423575353815ca2f5a49bdc59f6a6d094b2192bdb5def41194b70965e00f21',
+    ('osg', 'unsatisfiable', 11): 'b69df48ea85c0a1bb309da44eb381daae97bdc9d8c7cb7723f9ba37031375b2a',
+    ('cloud', 'clean', 3): '30c93ccd6a2d705a0b070655eb1c0e3214d207805fb4a315048331b6e2ad8e2b',
+    ('cloud', 'clean', 11): '8aa5b88e1b961e10e327c316c77dda60b1869766370b487c7d6fa89d110f6e55',
+    ('cloud', 'chaos', 3): '3c406381af48baa670773d6c71f8d22dda1ec1bad63cdef6e35c73626dfe407c',
+    ('cloud', 'chaos', 11): '87d8aa6f21f869e2447ea370bfce4950ddecb594acc609b65fafa0e049890a34',
+    ('cloud-spot', 'clean', 3): 'ee1a37ab6ea82b337b9bd6e8917ffac1d35b30a17ab45966e32394c8c6a5a91b',
+    ('cloud-spot', 'clean', 11): '82045da007c3e03506dd0ed94194e6fabdadd72be18770e2e320750842fa2435',
+    ('cloud-spot', 'chaos', 3): '5a4d297c506d931671c31923a4aa000910cc9bdd162eb89c8f481d1786d07239',
+    ('cloud-spot', 'chaos', 11): '1c8ec949038f6b42e6b2965ad3f470e972fef8fb565160a923e4ae38072dc7b2',
+}
+
+
 #: ``matchmaker.stats.finds`` per OSG row (see the module docstring).
 FINDS: dict[tuple[str, str, int], int] = {
     ('osg', 'clean', 3): 31,
@@ -247,20 +288,26 @@ FINDS: dict[tuple[str, str, int], int] = {
 
 @pytest.mark.parametrize("platform,scenario,seed", _rows())
 def test_trace_digest_unchanged(platform, scenario, seed):
-    digest, _ = _run(platform, scenario, seed)
+    digest, _, _ = _run(platform, scenario, seed)
     assert digest == GOLDEN[(platform, scenario, seed)]
+
+
+@pytest.mark.parametrize("platform,scenario,seed", _rows())
+def test_thinned_digest_unchanged(platform, scenario, seed):
+    _, _, digest = _run(platform, scenario, seed)
+    assert digest == THINNED[(platform, scenario, seed)]
 
 
 @pytest.mark.parametrize("platform,scenario,seed", sorted(FINDS))
 def test_find_count_unchanged(platform, scenario, seed):
-    _, finds = _run(platform, scenario, seed)
+    _, finds, _ = _run(platform, scenario, seed)
     assert finds == FINDS[(platform, scenario, seed)]
 
 
-if __name__ == "__main__":  # regenerate both tables
-    for row in _rows():
-        print(f"    {row!r}: {_run(*row)[0]!r},")
-    print()
-    for row in _rows():
-        if _run(*row)[1] is not None:
-            print(f"    {row!r}: {_run(*row)[1]},")
+if __name__ == "__main__":  # regenerate the three tables
+    for column in (0, 2, 1):
+        for row in _rows():
+            value = _run(*row)[column]
+            if value is not None:
+                print(f"    {row!r}: {value!r},")
+        print()
