@@ -22,9 +22,9 @@ The sweep plans with ``retries=20`` and never leaves round 1. One
 **tight-budget cell** (n=12, ``retries=2``, 45 % injected start
 failures, up to four rounds, seeds 0-5) is there for the composition
 the sweep cannot reach — rescue rounds under the makespan attribution:
-whether or not a seed recovers, its report's span cross-check must
-agree with the attribution and (next to) none of the makespan may be
-booked as ``idle``; attempt numbers restart every round, and a reader
+whether or not a seed recovers, the critical path its event log's
+``released_by`` links give must be the plan's, and (next to) none of
+the makespan may be booked as ``idle``; attempt numbers restart every round, and a reader
 that takes the highest-numbered attempt as a job's last books the
 re-runs as idleness (46-70 % of these six makespans before PR 24).
 
@@ -99,11 +99,17 @@ def _sweep_run(prob, seed, model):
 def _tsv_row(n, prob, seed, outcome, planned, events):
     """One ``chaos_sweep.tsv`` row; also holds the run's report to the
     attribution invariants, whatever cell it came from."""
-    report = build_report(outcome.trace, dag=planned.dag, events=events)
-    assert report["trace"]["agrees_with_attribution"], (
-        f"n={n} p={prob} seed={seed}: span cross-check disagrees by "
-        f"{report['trace']['max_bucket_delta_s']:,.0f}s"
-    )
+    report = build_report(outcome.trace, dag=planned.dag)
+    logged = build_report(outcome.trace, events=events)
+    assert [r["job"] for r in logged["critical_path"]] == [
+        r["job"] for r in report["critical_path"]
+    ], f"n={n} p={prob} seed={seed}: released_by chain is not the DAG chain"
+    tolerance = max(1e-6, 0.001 * report["makespan_s"])
+    for bucket, seconds in report["attribution"].items():
+        assert abs(logged["attribution"][bucket] - seconds) <= tolerance, (
+            f"n={n} p={prob} seed={seed}: {bucket} differs by "
+            f"{logged['attribution'][bucket] - seconds:,.0f}s"
+        )
     share = report["attribution_share"]
     assert share["idle"] < 0.01, (
         f"n={n} p={prob} seed={seed}: {share['idle']:.0%} of the "
@@ -136,8 +142,8 @@ def _tight_budget_cell(model):
         f"Tight budget — n={TIGHT_N}, retries={TIGHT_RETRIES}, "
         f"p={TIGHT_PROB}, seeds {TIGHT_SEEDS}: rounds {tuple(rounds)}, "
         f"{recovered} of {len(TIGHT_SEEDS)} recovered within "
-        f"{TIGHT_MAX_ROUNDS}; every report's span cross-check agrees "
-        "with its attribution and books < 1% of the makespan as idle."
+        f"{TIGHT_MAX_ROUNDS}; in every report the event log's released_by "
+        "path is the DAG path, and < 1% of the makespan is idle."
     )
 
 

@@ -110,7 +110,7 @@ def main() -> None:
     print()
 
     print("== retrospective critical path " + "=" * 29)
-    for a in critical_path(result.trace, planned.dag):
+    for a in critical_path(result.trace, planned.dag.parent_sets()):
         print(f"  {a.job_name:28s} t={a.submit_time:8.0f}s .. "
               f"{a.exec_end:8.0f}s  (kickstart {a.kickstart_time:.0f}s)")
     print()

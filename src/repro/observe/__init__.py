@@ -51,10 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.observe.status import StatusView
     from repro.observe.trace import (
         SpanTracer,
-        critical_path_from_spans,
         derive_span_id,
         derive_trace_id,
-        spans_from_events,
         write_otlp_trace,
         write_perfetto_trace,
     )
@@ -81,10 +79,8 @@ _EXPORTS = {
     "UtilizationSampler": ("repro.observe.sampler", "UtilizationSampler"),
     "StatusView": ("repro.observe.status", "StatusView"),
     "SpanTracer": ("repro.observe.trace", "SpanTracer"),
-    "critical_path_from_spans": ("repro.observe.trace", "critical_path_from_spans"),
     "derive_span_id": ("repro.observe.trace", "derive_span_id"),
     "derive_trace_id": ("repro.observe.trace", "derive_trace_id"),
-    "spans_from_events": ("repro.observe.trace", "spans_from_events"),
     "write_otlp_trace": ("repro.observe.trace", "write_otlp_trace"),
     "write_perfetto_trace": ("repro.observe.trace", "write_perfetto_trace"),
 }
@@ -112,10 +108,8 @@ __all__ = [
     "UtilizationSampler",
     "StatusView",
     "SpanTracer",
-    "critical_path_from_spans",
     "derive_span_id",
     "derive_trace_id",
-    "spans_from_events",
     "write_otlp_trace",
     "write_perfetto_trace",
 ]

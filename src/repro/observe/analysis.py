@@ -39,25 +39,20 @@ different chain to critical, so the true answer is ≥ the estimate; for the
 ranking story (which overhead to attack first) first order is exactly
 what pegasus-statistics style tooling reports.
 
-Without a DAG (bare event logs), the chain is inferred greedily from
-timestamps alone — each step hops to the latest-finishing attempt that
-started earlier — which preserves the sum invariant and is a good
-proxy whenever dependencies follow time order (any DAGMan run).
+The walk's parents are a plain ``job -> parents`` map: the plan's
+edges when the run has one, else the ``released_by`` each readiness
+event of the log names. With neither (a bare ``trace.jsonl``) the path
+is the last-finishing job alone, and everything before its first
+submit is ``idle``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import Collection, Mapping
 
 from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.wms.statistics import critical_path
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.dagman.dag import Dag
 
 __all__ = [
     "BUCKETS",
@@ -104,8 +99,6 @@ class MakespanAttribution:
     segments: list[PathSegment] = field(default_factory=list)
     #: The jobs on the realized critical path, in execution order.
     path_jobs: list[str] = field(default_factory=list)
-    #: "critical-path" (DAG-guided) or "timeline" (greedy fallback).
-    method: str = "critical-path"
 
     def what_if_free(self, bucket: str) -> float:
         """Estimated makespan if ``bucket`` cost nothing (first order:
@@ -131,32 +124,6 @@ class MakespanAttribution:
         return self.buckets[bucket] / self.makespan_s
 
 
-def _chain_from_timeline(trace: WorkflowTrace) -> list[JobAttempt]:
-    """DAG-free fallback: hop backward to the latest-finishing job that
-    was first submitted strictly before the current one."""
-    # (first submit, rank in the trace, final attempt), by first submit.
-    # The cutoff only moves left, so each hop reads a prefix arg-max of
-    # final ``exec_end``; the earlier job in the trace wins a tie.
-    jobs = sorted(
-        (attempts[0].submit_time, rank, attempts[-1])
-        for rank, attempts in enumerate(trace.by_job().values())
-    )
-    submits = [submit for submit, _, _ in jobs]
-    latest = list(
-        accumulate(
-            jobs, partial(max, key=lambda j: (j[2].exec_end, -j[1]))
-        )
-    )
-    hop = len(jobs)
-    chain = []
-    while hop:
-        cutoff, _, current = latest[hop - 1]
-        chain.append(current)
-        hop = bisect_left(submits, cutoff - _EPS)
-    chain.reverse()
-    return chain
-
-
 def tile_path(
     trace: WorkflowTrace, chain: list[JobAttempt]
 ) -> tuple[float, float, dict[str, float], list[PathSegment]]:
@@ -180,9 +147,9 @@ def tile_path(
             (a.exec_start, "setup", a),
             (a.exec_end, "exec", a),
         ]
-    # A pathological chain that stops short of the last completion (only
-    # possible for the timeline fallback on overlapping-start traces)
-    # closes with an idle tile so the sum invariant still holds.
+    # A chain that stops short of the last completion (a non-final
+    # attempt outlasting every final one) closes with an idle tile so
+    # the sum invariant still holds.
     marks.append((end_s, "idle", None))
 
     buckets = {b: 0.0 for b in BUCKETS}
@@ -208,26 +175,21 @@ def tile_path(
 
 
 def attribute_makespan(
-    trace: WorkflowTrace, dag: "Dag | None" = None
+    trace: WorkflowTrace,
+    parents: Mapping[str, Collection[str]] | None = None,
 ) -> MakespanAttribution:
-    """Decompose the trace's makespan along its realized critical path.
-
-    Pass the executed ``dag`` (a :class:`repro.dagman.dag.Dag`) for the
-    true dependency-guided path; without it a timestamp-greedy chain is
-    used (``method="timeline"``). Either way the returned buckets tile
-    the makespan exactly.
+    """Decompose the trace's makespan along its realized critical path,
+    the :func:`~repro.wms.statistics.critical_path` walk over
+    ``parents`` (``job -> the jobs that gate it``; none: the
+    last-finishing job alone). The returned buckets tile the makespan
+    exactly.
     """
-    method = "critical-path" if dag is not None else "timeline"
     if len(trace) == 0:
         return MakespanAttribution(
             makespan_s=0.0, start_s=0.0, end_s=0.0,
-            buckets={b: 0.0 for b in BUCKETS}, method=method,
+            buckets={b: 0.0 for b in BUCKETS},
         )
-    chain = (
-        critical_path(trace, dag, attempts="final")
-        if dag is not None
-        else _chain_from_timeline(trace)
-    )
+    chain = critical_path(trace, parents or {}, attempts="final")
     start_s, end_s, buckets, segments = tile_path(trace, chain)
     return MakespanAttribution(
         makespan_s=end_s - start_s,
@@ -236,7 +198,6 @@ def attribute_makespan(
         buckets=buckets,
         segments=segments,
         path_jobs=[a.job_name for a in chain],
-        method=method,
     )
 
 

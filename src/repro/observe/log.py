@@ -447,9 +447,9 @@ def event_from_json(data: dict) -> RunEvent:
     if "event" not in data:
         return attempt_events(JobAttempt.from_json(data))[-1]
     kind = EventKind(data["event"])
-    detail = {k: v for k, v in data.items() if k not in _KNOWN}
-    if "status" in data:
-        detail["status"] = data["status"]
+    # ``status`` stays in ``detail`` where the line has it, so a decoded
+    # line prints back byte for byte.
+    detail = {k: v for k, v in data.items() if k not in _KNOWN or k == "status"}
     return RunEvent(
         kind,
         data["t"],

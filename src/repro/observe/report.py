@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
 from repro.dagman.events import JobStatus, WorkflowTrace
 from repro.observe.analysis import (
@@ -33,12 +33,14 @@ from repro.observe.analysis import (
     aggregate_components,
     attribute_makespan,
 )
+from repro.observe.events import EventKind
 from repro.observe.metrics import Histogram
 from repro.util.units import format_duration
 from repro.wms.statistics import per_site, per_transformation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dagman.dag import Dag
+    from repro.observe.events import RunEvent
 
 __all__ = [
     "REPORT_SCHEMA",
@@ -125,41 +127,19 @@ def _profile_rollup(trace: WorkflowTrace) -> dict | None:
     }
 
 
-def _trace_section(events: list, at: object) -> dict | None:
-    """Span cross-check: fold the event stream into causal spans,
-    re-derive the critical path purely from spans and links, and
-    compare bucket-for-bucket against the event-record attribution.
-    The two find the chain independently (``released_by`` links vs a
-    walk of the DAG) and share the tiler, so agreement says the fold
-    and the scheduler's causal record tell the DAG's story."""
-    from repro.observe.trace import (
-        critical_path_from_spans,
-        spans_from_events,
-    )
-
-    spans = spans_from_events(events)
-    if not spans:
-        return None
-    cp = critical_path_from_spans(spans)
-    deltas = {
-        b: cp.buckets[b] - at.buckets[b]  # type: ignore[attr-defined]
-        for b in BUCKETS
-    }
-    max_delta = max(abs(v) for v in deltas.values())
-    tolerance = max(
-        1e-6,
-        0.001 * max(cp.makespan_s, at.makespan_s),  # type: ignore[attr-defined]
-    )
-    return {
-        "spans": len(spans),
-        "trace_id": spans[0].trace_id,
-        "makespan_s": cp.makespan_s,
-        "buckets": {b: cp.buckets[b] for b in BUCKETS},
-        "tiling_total_s": cp.total(),
-        "path_jobs": cp.path_jobs,
-        "max_bucket_delta_s": max_delta,
-        "agrees_with_attribution": max_delta <= tolerance,
-    }
+def _gating_parents(
+    dag: "Dag | None", events: "list[RunEvent] | None"
+) -> tuple[Mapping[str, Collection[str]], str]:
+    """The critical-path walk's ``job -> parents`` map and the method
+    naming its source: the plan's edges, else the parent each
+    readiness event of the log names as ``released_by``, else none."""
+    if dag is not None:
+        return dag.parent_sets(), "critical-path"
+    released: dict[str, Collection[str]] = {}
+    for e in events or ():
+        if e.kind is EventKind.STATE_CHANGE and "released_by" in e.detail:
+            released[str(e.job_name)] = (str(e.detail["released_by"]),)
+    return released, "released-by" if released else "none"
 
 
 def build_report(
@@ -167,16 +147,17 @@ def build_report(
     *,
     dag: "Dag | None" = None,
     metrics: Mapping[str, object] | None = None,
-    events: "list | None" = None,
+    events: "list[RunEvent] | None" = None,
     label: str = "run",
 ) -> dict:
     """One run's full attribution report as JSON-able primitives.
 
-    ``events`` (the full lifecycle stream, when the run recorded one)
-    adds a ``trace`` section: the span-derived critical path
-    cross-checked against the attribution buckets.
+    The critical path follows the ``dag``'s edges; without one, the
+    ``released_by`` links of ``events`` (the lifecycle stream, when the
+    run recorded one); with neither, it is the last-finishing job.
     """
-    at = attribute_makespan(trace, dag)
+    parents, method = _gating_parents(dag, events)
+    at = attribute_makespan(trace, parents)
     successes = trace.successful()
 
     # Group the path tiling per job for the report's path table.
@@ -197,7 +178,7 @@ def build_report(
         "schema": REPORT_SCHEMA,
         "label": label,
         "workflow": getattr(dag, "name", None),
-        "method": at.method,
+        "method": method,
         "makespan_s": at.makespan_s,
         "attribution": {b: at.buckets[b] for b in BUCKETS},
         "attribution_share": {b: at.share(b) for b in BUCKETS},
@@ -250,10 +231,6 @@ def build_report(
     }
     if metrics is not None:
         report["metrics"] = metrics
-    if events:
-        section = _trace_section(events, at)
-        if section is not None:
-            report["trace"] = section
     return report
 
 
@@ -276,7 +253,13 @@ def render_markdown(report: dict) -> str:
         "",
         f"Makespan **{format_duration(makespan)}** ({makespan:,.0f} s), "
         f"decomposed along the realized critical path "
-        f"(method: `{report['method']}`).",
+        f"(method: `{report['method']}`)."
+        + (
+            " The run left neither a plan nor `released_by` links, so "
+            "the path is the last-finishing job alone."
+            if report["method"] == "none"
+            else ""
+        ),
         "",
         "| bucket | seconds | share | makespan if free |",
         "|---|---:|---:|---:|",
@@ -332,32 +315,6 @@ def render_markdown(report: dict) -> str:
         f"retries {counts['retries']}, evictions {counts['evictions']}, "
         f"timeouts {counts['timeouts']}.",
     ]
-    trace_section = report.get("trace")
-    if trace_section:
-        agrees = (
-            "agrees with"
-            if trace_section["agrees_with_attribution"]
-            else "**DISAGREES** with"
-        )
-        buckets = trace_section["buckets"]
-        lines += [
-            "",
-            "## Trace-derived critical path (span cross-check)",
-            "",
-            f"{trace_section['spans']} spans "
-            f"(trace `{trace_section['trace_id']}`); span tiling sums to "
-            f"{_fmt_s(trace_section['tiling_total_s'])} s over a "
-            f"{_fmt_s(trace_section['makespan_s'])} s makespan and "
-            f"{agrees} the event-record attribution "
-            f"(max bucket delta "
-            f"{trace_section['max_bucket_delta_s']:.3f} s).",
-            "",
-            "| " + " | ".join(BUCKETS) + " |",
-            "|" + "---:|" * len(BUCKETS),
-            "| " + " | ".join(
-                _fmt_s(float(buckets[b])) for b in BUCKETS
-            ) + " |",
-        ]
     profile = report.get("profile")
     if profile:
         lines += [

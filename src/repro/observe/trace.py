@@ -49,10 +49,10 @@ its spans as the event arrives and keeps no event.
 Exports: :func:`write_otlp_trace` (OTLP-JSON, one resourceSpans
 envelope) and :func:`write_perfetto_trace` (Perfetto protobuf-JSON
 TracePackets, machine-lane slices) complement the existing Chrome
-trace; :func:`critical_path_from_spans` re-derives the PR 5 makespan
-attribution purely from spans and their causal links, which
-``repro-report analyze`` cross-checks against
-:func:`~repro.observe.analysis.attribute_makespan`.
+trace. The spans are a rendering, not an input: the realized critical
+path is :func:`repro.wms.statistics.critical_path`, walked over the
+plan's edges or over the same ``released_by`` names a log's readiness
+events carry (:mod:`repro.observe.analysis`).
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
-from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
+from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
 from repro.util.iolib import atomic_write
@@ -73,11 +73,8 @@ __all__ = [
     "Span",
     "SpanLink",
     "SpanTracer",
-    "SpanCriticalPath",
-    "critical_path_from_spans",
     "derive_span_id",
     "derive_trace_id",
-    "spans_from_events",
     "write_otlp_trace",
     "write_perfetto_trace",
 ]
@@ -143,8 +140,8 @@ class SpanTracer:
 
     Attach with ``bus.subscribe(tracer)`` (or pass ``bus=``); call
     :meth:`finish` after the run to close any still-open spans. The
-    same instance also works offline over a recorded event list (see
-    :func:`spans_from_events`). It never emits, so tracers and
+    same instance also folds a recorded event list offline: call it on
+    each event, then :meth:`finish`. It never emits, so tracers and
     monitors can share one bus without feedback.
     """
 
@@ -542,108 +539,6 @@ class SpanTracer:
             if span.end is None:
                 self._close(span, end, status=span.status or "unset")
         return self.spans
-
-
-def spans_from_events(
-    events: Iterable[RunEvent],
-    *,
-    trace_id: str | None = None,
-    seed: str = "events",
-) -> list[Span]:
-    """Offline folding: replay a recorded event stream into spans."""
-    tracer = SpanTracer(trace_id=trace_id, seed=seed)
-    for event in events:
-        tracer(event)
-    return tracer.finish()
-
-
-# -- trace-derived critical path -------------------------------------
-
-
-@dataclass
-class SpanCriticalPath:
-    """The makespan re-derived purely from spans and causal links.
-
-    ``buckets`` uses the same five-way split as
-    :class:`~repro.observe.analysis.MakespanAttribution` and tiles
-    ``[start_s, end_s]`` exactly, so it can be cross-checked
-    bucket-for-bucket against the event-record attribution.
-    """
-
-    makespan_s: float
-    start_s: float
-    end_s: float
-    buckets: dict[str, float]
-    path_jobs: list[str] = field(default_factory=list)
-
-    def total(self) -> float:
-        return sum(self.buckets.values())
-
-
-def _attempt_of(span: Span) -> JobAttempt:
-    """The attempt record a closed attempt span was stamped from."""
-    attrs = span.attributes
-    return JobAttempt(
-        job_name=str(attrs["job"]),
-        transformation=str(attrs.get("transformation", "")),
-        site=str(attrs.get("site", "")),
-        machine=str(attrs.get("machine", "")),
-        attempt=int(attrs["attempt"]),  # type: ignore[call-overload]
-        submit_time=float(attrs["submit_time"]),  # type: ignore[arg-type]
-        setup_start=float(attrs["setup_start"]),  # type: ignore[arg-type]
-        exec_start=float(attrs["exec_start"]),  # type: ignore[arg-type]
-        exec_end=float(attrs["exec_end"]),  # type: ignore[arg-type]
-        status=JobStatus(attrs["status"]),
-    )
-
-
-def critical_path_from_spans(spans: Sequence[Span]) -> SpanCriticalPath:
-    """Walk ``released_by`` links backward from the last-finishing
-    attempt and tile the makespan into the standard five buckets.
-
-    The chain hop uses the *causal* edge the scheduler recorded (which
-    parent's completion released each job), so on a clean run it
-    reproduces :func:`repro.wms.statistics.critical_path` — the parent
-    that flips the pending count to zero is by definition the
-    latest-finishing parent. Only the chain is found differently: a
-    job's final attempt and the tiling are those of the event-record
-    attribution (:func:`repro.observe.analysis.tile_path`).
-    """
-    from repro.observe.analysis import BUCKETS, tile_path
-
-    trace = WorkflowTrace(
-        [
-            _attempt_of(s)
-            for s in spans
-            if s.kind == "attempt"
-            and s.end is not None
-            and "exec_end" in s.attributes
-        ]
-    )
-    if not trace.attempts:
-        return SpanCriticalPath(0.0, 0.0, 0.0, {b: 0.0 for b in BUCKETS})
-    released_by = {
-        str(s.attributes["job"]): str(s.attributes["released_by"])
-        for s in spans
-        if s.kind == "job" and "released_by" in s.attributes
-    }
-    final = trace.final_attempts()
-
-    job: str | None = max(final, key=lambda name: (final[name].exec_end, name))
-    path: dict[str, JobAttempt] = {}  # last job first
-    while job in final and job not in path:
-        path[job] = final[job]
-        job = released_by.get(job)
-    chain = list(reversed(path.values()))
-
-    start_s, end_s, buckets, _ = tile_path(trace, chain)
-    return SpanCriticalPath(
-        makespan_s=end_s - start_s,
-        start_s=start_s,
-        end_s=end_s,
-        buckets=buckets,
-        path_jobs=[a.job_name for a in chain],
-    )
 
 
 # -- OTLP-JSON export -------------------------------------------------

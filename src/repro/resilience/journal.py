@@ -23,8 +23,8 @@ surviving segments, **truncates a torn tail at the last valid record**
 returns a :class:`RecoveredState` that can mark the DAG's done set,
 rebuild the scheduler's counters (:meth:`RecoveredState.scheduler_restore`),
 restore the blacklist, rebuild the merged attempt trace, write a
-DAGMan-interop rescue ``.dag``, and reconcile local worker processes
-orphaned by the crash (:func:`reconcile_local`). What it cannot anchor
+DAGMan-interop rescue ``.dag``, and refuse a resume while the crashed
+manager still lives (:func:`reconcile_local`). What it cannot anchor
 it refuses (see :func:`recover`): repair cuts only after an anchored
 record.
 
@@ -80,7 +80,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -139,16 +138,13 @@ DURABLE_KINDS = frozenset(
         EventKind.HELD,
         EventKind.BLACKLIST,
         EventKind.RESCUE,
-        # Tenant workflow completions (the WaaS layer's SLO record).
-        EventKind.SERVICE_WORKFLOW_DONE,
     }
 )
 
 #: Journal-internal record kinds (the ``/`` keeps them out of the
-#: ``EventKind`` namespace): segment headers, worker-pid notes, and
-#: the causal-trace id (so a resumed run extends the same trace).
+#: ``EventKind`` namespace): segment headers and the causal-trace id
+#: (so a resumed run extends the same trace).
 _META_OPEN = "journal/open"
-_META_WORKERS = "journal/workers"
 _META_TRACE = "journal/trace"
 
 
@@ -315,13 +311,9 @@ class JournalState:
     workflow_done: bool | None = None
     clock: float = 0.0
     manager_pid: int | None = None
-    worker_pids: list[int] = field(default_factory=list)
     #: W3C-style trace id recorded by the span tracer — a resumed run
     #: reuses it so pre-crash and post-resume spans share one trace.
     trace_id: str | None = None
-    #: journaled tenant workflow completions (SLO accounting), each
-    #: ``{tenant, workflow, succeeded, turnaround_s, queue_wait_s}``
-    service_done: list[dict] = field(default_factory=list)
     #: ``done`` sorted as of the last :meth:`to_json`, and the names
     #: :meth:`apply` added since: each snapshot merges the new names in
     #: instead of sorting the whole set again. ``apply`` is the one
@@ -416,20 +408,6 @@ class JournalState:
             self.resubmitting = None
         elif kind == "workflow.end":
             self.workflow_done = bool(data.get("success"))
-        elif kind == "service.workflow_done":
-            self.service_done.append(
-                {
-                    key: data.get(key)
-                    for key in (
-                        "tenant",
-                        "workflow",
-                        "succeeded",
-                        "turnaround_s",
-                        "queue_wait_s",
-                    )
-                    if key in data
-                }
-            )
         elif kind == _META_TRACE:
             trace_id = data.get("trace_id")
             if isinstance(trace_id, str):
@@ -438,13 +416,6 @@ class JournalState:
             pid = data.get("pid")
             if isinstance(pid, int):
                 self.manager_pid = pid
-            # A new manager means the old manager's workers are orphans
-            # at best; they were reconciled before this record was cut.
-            self.worker_pids = []
-        elif kind == _META_WORKERS:
-            pids = data.get("pids")
-            if isinstance(pids, list):
-                self.worker_pids = [p for p in pids if isinstance(p, int)]
 
     # -- persistence ----------------------------------------------------
 
@@ -472,9 +443,7 @@ class JournalState:
             "workflow_done": self.workflow_done,
             "clock": self.clock,
             "manager_pid": self.manager_pid,
-            "worker_pids": list(self.worker_pids),
             "trace_id": self.trace_id,
-            "service_done": [dict(d) for d in self.service_done],
         }
 
     def _sorted_done(self) -> list[str]:
@@ -530,16 +499,8 @@ class JournalState:
         state.clock = float(clock) if isinstance(clock, (int, float)) else 0.0
         pid = data.get("manager_pid")
         state.manager_pid = pid if isinstance(pid, int) else None
-        pids = data.get("worker_pids")
-        if isinstance(pids, list):
-            state.worker_pids = [p for p in pids if isinstance(p, int)]
         trace_id = data.get("trace_id")
         state.trace_id = trace_id if isinstance(trace_id, str) else None
-        service_done = data.get("service_done")
-        if isinstance(service_done, list):
-            state.service_done = [
-                dict(d) for d in service_done if isinstance(d, Mapping)
-            ]
         return state
 
     def copy(self) -> "JournalState":
@@ -559,9 +520,7 @@ class JournalState:
             workflow_done=self.workflow_done,
             clock=self.clock,
             manager_pid=self.manager_pid,
-            worker_pids=list(self.worker_pids),
             trace_id=self.trace_id,
-            service_done=[dict(d) for d in self.service_done],
         )
 
 
@@ -1148,8 +1107,6 @@ class ReconcileReport:
 
     manager_pid: int | None
     manager_alive: bool
-    #: orphaned worker PIDs that were still alive and got SIGKILLed
-    reaped: list[int]
     #: jobs whose attempt was in flight at the crash — resubmitted
     requeued: list[str]
 
@@ -1169,21 +1126,16 @@ def _pid_alive(pid: int) -> bool:
 def reconcile_local(
     recovered: RecoveredState,
     *,
-    kill: Callable[[int, int], None] | None = None,
     alive: Callable[[int], bool] | None = None,
 ) -> ReconcileReport:
-    """Reap-or-requeue for the local backend after a manager crash.
+    """Refuse-or-requeue after a manager crash.
 
-    The journal records the manager PID (segment headers), and a
-    ``journal/workers`` record names pool worker PIDs. On resume: if
-    the old manager is *still alive*, raise — resuming would double-run
-    the workflow. If it is dead, SIGKILL any worker that outlived it
-    (their results have nowhere to land; a worker mid-payload holds
-    files the resumed run will rewrite), and report the in-flight jobs
-    the resumed scheduler will requeue. ``kill``/``alive`` are
-    injectable for tests.
+    The journal records the manager PID (segment headers). On resume:
+    if the old manager is *still alive*, raise — resuming would
+    double-run the workflow. If it is dead, report the in-flight jobs
+    the resumed scheduler will requeue. ``alive`` is injectable for
+    tests.
     """
-    kill_fn = kill if kill is not None else os.kill
     alive_fn = alive if alive is not None else _pid_alive
     state = recovered.state
     manager = state.manager_pid
@@ -1197,18 +1149,8 @@ def reconcile_local(
             f"journal {recovered.path} belongs to a live manager "
             f"(pid {manager}); resuming now would run the workflow twice"
         )
-    reaped: list[int] = []
-    for pid in state.worker_pids:
-        if pid == os.getpid() or not alive_fn(pid):
-            continue
-        try:
-            kill_fn(pid, signal.SIGKILL)
-        except OSError:  # pragma: no cover - raced its own exit
-            continue
-        reaped.append(pid)
     return ReconcileReport(
         manager_pid=manager,
         manager_alive=False,
-        reaped=reaped,
         requeued=sorted(state.in_flight),
     )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from repro.dagman.condor import SOFTWARE_REQUIREMENTS
 from repro.dagman.dag import Dag, DagJob
 from repro.observe.bus import EventBus
-from repro.service.service import ServiceConfig, WorkflowService, WorkflowState
+from repro.service.service import WorkflowService, WorkflowState
 from repro.service.tenants import TenantConfig, TenantQuota
 from repro.sim import PLATFORMS
 from repro.sim.engine import Simulator
@@ -181,21 +181,21 @@ def build_service(
 ) -> _Backend:
     """Platform + service + tenants for one load run.
 
-    ``backend`` names a platform in :data:`repro.sim.PLATFORMS`:
-    ``cluster`` (Sandhills model) or ``grid`` (OSG model)."""
-    if backend not in PLATFORMS:
+    ``backend`` names a platform in :data:`repro.sim.PLATFORMS` with a
+    fixed ``capacity`` for the service to share: ``cluster`` (Sandhills
+    model) or ``grid`` (OSG model); the cloud scales out and has none."""
+    servable = sorted(
+        name for name, cls in PLATFORMS.items() if hasattr(cls, "capacity")
+    )
+    if backend not in servable:
         raise ValueError(
-            f"unknown backend {backend!r}; choose from {sorted(PLATFORMS)}"
+            f"unknown backend {backend!r}; choose from {servable}"
         )
     simulator = Simulator()
     streams = RngStreams(seed=seed)
     bus = bus if bus is not None else EventBus()
     environment = PLATFORMS[backend](simulator, streams=streams, bus=bus)
-    service = WorkflowService(
-        environment,
-        config=ServiceConfig(),
-        bus=bus,
-    )
+    service = WorkflowService(environment, bus=bus)
     for i in range(spec.tenants):
         service.add_tenant(
             TenantConfig(

@@ -1,8 +1,8 @@
 """The Workflow-as-a-Service front-end.
 
-One :class:`WorkflowService` owns one shared
-:class:`~repro.dagman.scheduler.ExecutionEnvironment` (a simulated
-platform, usually) and multiplexes many tenant workflows onto it:
+One :class:`WorkflowService` owns one shared simulated platform (the
+cluster or the grid, which advertise a ``capacity``) and multiplexes
+many tenant workflows onto it:
 
 * :meth:`WorkflowService.submit` runs **admission control** — the
   tenant must exist, its ``max_active_workflows`` quota must have
@@ -17,11 +17,11 @@ platform, usually) and multiplexes many tenant workflows onto it:
   platform;
 * the **fair-share pump** releases parked jobs to the platform
   whenever slots free up, picking the next tenant by stride scheduling
-  (weights + strict priority tiers, :mod:`repro.service.fairshare`)
-  among tenants with parked work and ``max_running_jobs`` headroom —
-  so the *platform's* FIFO queue never holds more than the service
-  released, and cross-tenant ordering is the service's decision, not
-  the platform's;
+  (weights, :mod:`repro.service.fairshare`) among tenants with parked
+  work and ``max_running_jobs`` headroom, never more at once than the
+  platform's ``capacity`` — so the *platform's* FIFO queue never holds
+  more than the service released, and cross-tenant ordering is the
+  service's decision, not the platform's;
 * every workflow's scheduler emits straight onto the service bus and
   stamps ``tenant``/``workflow`` into ``detail`` where it builds the
   event (``DagmanScheduler(tags=...)``) — one tagged timeline for all
@@ -47,15 +47,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Mapping
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt
-from repro.dagman.scheduler import (
-    DagmanResult,
-    DagmanScheduler,
-    ExecutionEnvironment,
-)
+from repro.dagman.scheduler import DagmanResult, DagmanScheduler
 from repro.lint.feasibility import (
     SitePool,
     closest_missing_capability,
@@ -68,30 +64,15 @@ from repro.observe.metrics import Histogram
 from repro.service.fairshare import StrideScheduler
 from repro.service.tenants import TenantAccount, TenantConfig
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sim.cluster import CampusCluster
+    from repro.sim.grid import OpportunisticGrid
+
 __all__ = [
-    "ServiceConfig",
     "WorkflowState",
     "WorkflowHandle",
     "WorkflowService",
 ]
-
-
-@dataclass(frozen=True)
-class ServiceConfig:
-    """Service-wide knobs.
-
-    ``max_in_flight`` caps jobs released to the platform at once;
-    ``None`` takes the environment's ``capacity`` (every simulated
-    platform advertises one) — releasing more than the pool can run
-    would just rebuild the platform-side queue the service exists to
-    own.
-    """
-
-    max_in_flight: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.max_in_flight is not None and self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1 (or None)")
 
 
 class WorkflowState(Enum):
@@ -179,32 +160,24 @@ class WorkflowService:
 
     def __init__(
         self,
-        environment: ExecutionEnvironment,
+        environment: "CampusCluster | OpportunisticGrid",
         *,
-        config: ServiceConfig = ServiceConfig(),
         bus: EventBus | None = None,
         pools: Mapping[str, SitePool] | None = None,
     ) -> None:
         """``bus`` receives the tagged multi-tenant stream (pass the
         same bus to ``instrument`` for tenant-labelled metrics);
         ``pools`` overrides the feasibility descriptors admission
-        checks against (defaults to the modeled platforms')."""
+        checks against (defaults to the modeled platforms'). At most the
+        platform's ``capacity`` jobs are released at once: releasing
+        more than the pool can run would just rebuild the platform-side
+        queue the service exists to own."""
         self.environment = environment
-        self.config = config
         self.bus = bus if bus is not None else EventBus()
         self._pools: Mapping[str, SitePool] = (
             pools if pools is not None else default_pools()
         )
-        max_in_flight = config.max_in_flight
-        if max_in_flight is None:
-            capacity = getattr(environment, "capacity", None)
-            if capacity is None:
-                raise ValueError(
-                    "environment advertises no capacity; set "
-                    "ServiceConfig(max_in_flight=...) explicitly"
-                )
-            max_in_flight = int(capacity)
-        self._max_in_flight = max_in_flight
+        self._max_in_flight = environment.capacity
         self._in_flight = 0
         self._tenants: dict[str, TenantConfig] = {}
         self._accounts: dict[str, TenantAccount] = {}
@@ -225,9 +198,7 @@ class WorkflowService:
             raise ValueError(f"duplicate tenant: {tenant.name}")
         self._tenants[tenant.name] = tenant
         self._accounts[tenant.name] = TenantAccount()
-        self._fairshare.register(
-            tenant.name, tenant.weight, tenant.priority
-        )
+        self._fairshare.register(tenant.name, tenant.weight)
         self._parked[tenant.name] = deque()
         self._turnaround[tenant.name] = Histogram()
         self._queue_wait[tenant.name] = Histogram()
@@ -505,7 +476,6 @@ class WorkflowService:
         for name in sorted(self._tenants):
             report[name] = {
                 "weight": self._tenants[name].weight,
-                "priority": self._tenants[name].priority,
                 "account": self._accounts[name].snapshot(),
                 "turnaround_s": self._turnaround[name].summary(),
                 "queue_wait_s": self._queue_wait[name].summary(),

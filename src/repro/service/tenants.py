@@ -2,7 +2,7 @@
 
 A *tenant* is one user/group sharing the service's pool. Its
 :class:`TenantConfig` carries the scheduling knobs (fair-share weight,
-strict priority tier, quotas); its :class:`TenantAccount` carries the
+quotas); its :class:`TenantAccount` carries the
 live counters the service maintains — what was submitted, admitted,
 rejected, completed, and how much machine time the tenant consumed —
 the ``condor_userprio``-style ledger multi-tenant operators bill from.
@@ -45,15 +45,11 @@ class TenantConfig:
 
     ``weight`` is the fair-share share: in steady state with everyone
     backlogged, a tenant holds ``weight / total_weight`` of the slots
-    the service releases. ``priority`` is a strict tier on top —
-    tenants in a higher tier are always served before lower tiers have
-    any job released (production vs. opportunistic), with fair-share
-    applying *within* a tier.
+    the service releases.
     """
 
     name: str
     weight: float = 1.0
-    priority: int = 0
     quota: TenantQuota = field(default_factory=TenantQuota)
 
     def __post_init__(self) -> None:

@@ -367,11 +367,6 @@ def main_run(argv: list[str] | None = None) -> int:
                 + ", ".join(reconciled.requeued[:5])
                 + ("..." if len(reconciled.requeued) > 5 else "")
             )
-        if reconciled.reaped:
-            print(
-                f"reaped {len(reconciled.reaped)} orphaned worker(s): "
-                + ", ".join(str(p) for p in reconciled.reaped)
-            )
         print(f"resume state written to {interop.name}")
 
     # If this plan would benefit from a journal and none was asked for,

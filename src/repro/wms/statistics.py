@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from statistics import mean
+from typing import Collection, Mapping
 
 from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.util.tables import Table
@@ -160,18 +161,24 @@ def per_transformation(trace: WorkflowTrace) -> list[TransformationStats]:
 
 
 def critical_path(
-    trace: WorkflowTrace, dag, *, attempts: str = "successful"
+    trace: WorkflowTrace,
+    parents: Mapping[str, Collection[str]],
+    *,
+    attempts: str = "successful",
 ) -> list[JobAttempt]:
     """The *retrospective* critical path of an executed workflow.
 
-    Walks the DAG backward from the last-finishing job, at each step
-    picking the parent whose completion gated this job's release (the
+    Walks backward from the last-finishing job, at each step picking
+    the parent whose completion gated this job's release (the
     latest-finishing parent). The result is the chain of attempts whose
     durations actually determined the makespan — the place to look when
     asking "why was this run slow?" (here: invariably the heaviest
     ``run_cap3`` partition).
 
-    ``dag`` is the executed :class:`repro.dagman.dag.Dag`.
+    ``parents`` maps a job to the jobs that gate it: the plan's
+    ``dag.parent_sets()``, or the one parent each ``job.state_change``
+    → ready event names as ``released_by``. A job it does not name has
+    no parents; the walk never revisits a job.
 
     ``attempts`` selects which attempt represents each job on the path:
     ``"successful"`` (the default, the classic view over jobs that
@@ -190,17 +197,18 @@ def critical_path(
 
     current = max(final_attempt.values(), key=lambda a: a.exec_end)
     chain = [current]
-    parent_sets = dag.parent_sets()
+    seen = {current.job_name}
     while True:
-        parents = [
+        gating = [
             final_attempt[p]
-            for p in parent_sets[current.job_name]
-            if p in final_attempt
+            for p in parents.get(current.job_name, ())
+            if p in final_attempt and p not in seen
         ]
-        if not parents:
+        if not gating:
             break
-        current = max(parents, key=lambda a: a.exec_end)
+        current = max(gating, key=lambda a: a.exec_end)
         chain.append(current)
+        seen.add(current.job_name)
     chain.reverse()
     return chain
 

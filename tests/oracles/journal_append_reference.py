@@ -59,9 +59,7 @@ class ReferenceState(JournalState):
             "workflow_done": self.workflow_done,
             "clock": self.clock,
             "manager_pid": self.manager_pid,
-            "worker_pids": list(self.worker_pids),
             "trace_id": self.trace_id,
-            "service_done": [dict(d) for d in self.service_done],
         }
 
     def copy(self) -> "ReferenceState":

@@ -23,10 +23,10 @@ is lost). ``osg-crash-resume`` continues that directory with
 
 The scheduler of these runs is untagged, so ``events.jsonl`` holds no
 state change that a ``job.submit``, a terminal record, a ``job.retry``
-or a ``job.held`` already states. ``EXPANDED`` pins each log with
-those state changes put back (``tests/oracles/implied_transitions.py``)
-and printed between its lines: the digests of the logs written before
-the scheduler stopped emitting them.
+or a ``job.held`` already states. ``EXPANDED`` pins each log decoded,
+with those state changes put back (``tests/oracles/implied_transitions.py``),
+and printed again: the digests of the logs written before the
+scheduler stopped emitting them.
 
 Regenerate (after convincing yourself the move is intended) with
 ``PYTHONPATH=src python tests/test_artefact_golden.py``.
@@ -127,14 +127,9 @@ def _run(scenario: str) -> tuple[int, dict[str, str], str]:
                 digests[str(p)] = hashlib.sha256(
                     _masked(p.read_bytes())
                 ).hexdigest()
-            log = Path("submit/events.jsonl")
-            events = read_events(log)
-            # A logged line stays as written (the reader does not keep
-            # ``detail``'s key order); only the put-back ones are printed.
-            lines = dict(zip(map(id, events), log.read_text().splitlines(True)))
             expanded = "".join(
-                lines.get(id(e)) or event_to_json_line(e) + "\n"
-                for e in expand(events)
+                event_to_json_line(e) + "\n"
+                for e in expand(read_events("submit/events.jsonl"))
             )
         finally:
             os.chdir(here)
@@ -175,14 +170,14 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-chaos-journal', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-chaos-journal', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg-chaos-journal', 'journal/records.jsonl'): 'd3fa913aa5c518ecefa813576eb5ad0c4b15d365d02ac66ea2049fd3ca55ce49',
-    ('osg-chaos-journal', 'journal/snapshot.json'): 'd66b3f53a3b75ca62c93168ebbe97e0bebb3adc475d287b3fc9efec8f0b324f4',
+    ('osg-chaos-journal', 'journal/snapshot.json'): '7a67ca29085b620f423a5cde0f93f1b56f3f13b269cc15cfc166cd1e6dd2b470',
     ('osg-chaos-journal', 'journal/wal-00000003.jsonl'): 'c6899f57db10ea872df0c0d4d163f65f6071d6f6344b1cba745a1cf79140c638',
     ('osg-crash', 'submit/events.jsonl'): '0ff78ba8307f2bd52b37c76a7b7b10b68b1b11528658798185aeb4fd1cb2876b',
     ('osg-crash', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg-crash', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-crash', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg-crash', 'journal/records.jsonl'): '351791e510ef845d162e1edd399c3d9dc5aa3d7ab2a23a1423ea9c06a2afda85',
-    ('osg-crash', 'journal/snapshot.json'): '481a6776a2c3ce6df34ef1eb6effc886c3d43c988b4955513eee7fd129a0990a',
+    ('osg-crash', 'journal/snapshot.json'): '8770d626105a0c1b6ba6d9392daf6b189aa90f79c86f2e272138a24df1c187e1',
     ('osg-crash', 'journal/wal-00000003.jsonl'): 'e79b943409a746883e8f281abb902a315584b1603a80de19bae6075749dd565e',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.rescue001'): '68f6ee1fe0d7713b95ab31d6d38c1484a1b0d98e9c96a2f343eee73d64879434',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.resume.dag'): '55c00044be9e975fb026e8133dd75cf59e9aa55908313690f405d9582f287224',
@@ -197,7 +192,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-crash-resume', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-crash-resume', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg-crash-resume', 'journal/records.jsonl'): '06ed3a94ace34ee438c02b2d9e96f3f29a97ea7ddb642d8346c8542aa69a92bf',
-    ('osg-crash-resume', 'journal/snapshot.json'): 'aec8b05767f06b470542734d8a5b053d72cd2d9d1d67b7cd028b7149ec7dc7c5',
+    ('osg-crash-resume', 'journal/snapshot.json'): 'b941e33f2489875d2c901d849849f908a99ad6674e585bb54c6f1b210ccc160a',
     ('osg-crash-resume', 'journal/wal-00000012.jsonl'): '62f5c04e8093f06e287ff09aa0288288d1a0e141b52961b825c9910113c6f699',
 }
 

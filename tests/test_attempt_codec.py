@@ -104,6 +104,24 @@ class TestCodecRoundTrip:
         back = event_from_json(data)
         assert back == terminal and back.record == attempt
 
+    def test_chaos_run_events_jsonl_reprints_byte_for_byte(
+        self, tmp_path, capsys
+    ):
+        # Retries, holds, blacklisting and rescue rounds: every kind of
+        # line a grid run writes, each decoded and printed again.
+        d = str(tmp_path / "submit")
+        assert main_plan(["--submit-dir", d, "-n", "12", "--site", "osg"]) == 0
+        main_run([
+            "--submit-dir", d, "--seed", "0",
+            "--chaos-start-failure", "0.2", "--retry-policy", "backoff",
+            "--blacklist-threshold", "2", "--max-rescue-rounds", "2",
+        ])
+        capsys.readouterr()
+        lines = (tmp_path / "submit" / "events.jsonl").read_text().splitlines()
+        assert sum('"event":"job.retry"' in line for line in lines) > 10
+        for line in lines:
+            assert event_to_json_line(event_from_json(json.loads(line))) == line
+
     @given(st.lists(attempts(), max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_trace_jsonl_line_round_trip(self, tmp_path_factory, batch):

@@ -64,7 +64,7 @@ COMMANDS = {
     "repro-plots": ("repro.wms.cli:main_plots", ["--submit-dir", "{d}"],
                     18, False),
     "repro-report analyze": ("repro.observe.report:main",
-                             ["analyze", "{d}", "--quiet"], 23, False),
+                             ["analyze", "{d}", "--quiet"], 22, False),
     "repro-service bench": ("repro.service.cli:main",
                             ["bench", "--tenants", "2", "--workflows", "1",
                              "--jobs", "10", "--quiet"], 42, False),

@@ -77,9 +77,6 @@ ALLOWED: dict[str, str] = {
     "repro.sim.platform:SimPlatform._schedule_redispatch":
         "the cooldown wake-up when every slot is blacklisted; "
         "tests/test_platform_kernel.py pins it",
-    "repro.observe.analysis:_chain_from_timeline":
-        "repro-report analyze's critical path when there is no DAG (a bare "
-        "events.jsonl)",
     "repro.observe.trace:SpanTracer._on_timeout":
         "the span of an attempt a per-job timeout killed",
     "repro.observe.trace:SpanTracer._on_service_reject":

@@ -25,13 +25,13 @@ from repro.observe.events import EventKind
 from repro.observe.log import event_to_json_line
 from repro.observe.report import build_report, render_markdown
 from repro.observe.status import StatusView
-from repro.observe.trace import spans_from_events
 from repro.perfmodel.task_models import PaperTaskModel
 from repro.resilience import Eviction, FaultPlan, Slowdown, StartFailure
 from repro.resilience.recovery import run_simulated
 from repro.resilience.retry import ExponentialBackoff, FixedDelayRetry
 from repro.service.loadgen import LoadSpec, run_load
 from tests.oracles.implied_transitions import expand, implied
+from tests.test_observe_trace import fold
 
 #: (untagged events, of them ``job.state_change``) of a 100-job paper run
 #: at seed 0; 765 and 1 056 events while the scheduler restated them.
@@ -111,7 +111,7 @@ def test_readers_see_the_same_run_in_both_forms(dag, site, plan, policy, seed):
     full = expand(thinned)
 
     def spans(events):
-        return spans_from_events(events, trace_id="0" * 32)
+        return fold(events, trace_id="0" * 32)
 
     def status(events):
         return StatusView(total_jobs=len(dag.jobs)).feed(events).render()
@@ -124,6 +124,38 @@ def test_readers_see_the_same_run_in_both_forms(dag, site, plan, policy, seed):
     assert spans(thinned) == spans(full)
     assert status(thinned) == status(full)
     assert report(thinned) == report(full)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    dag=layered_dags(),
+    site=st.sampled_from(["sandhills", "osg", "cloud"]),
+    plan=st.sampled_from([None, CHAOS]),
+    policy=st.sampled_from(
+        [None, FixedDelayRetry(120.0), ExponentialBackoff(60.0, seed=1)]
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_released_by_chain_is_the_dag_chain(dag, site, plan, policy, seed):
+    """A bare event log's critical path, walked over the parent each
+    readiness event names, is the plan's: the parent whose completion
+    released a job is its latest-finishing one."""
+    bus = EventBus()
+    recorder = EventRecorder(bus)
+    run_simulated(
+        dag, site, seed=seed, bus=bus, fault_plan=plan,
+        retry_policy=policy, max_rounds=2,
+    )
+    trace = events_to_trace(recorder.events)
+    planned = build_report(trace, dag=dag)
+    logged = build_report(trace, events=recorder.events)
+    assert [r["job"] for r in logged["critical_path"]] == [
+        r["job"] for r in planned["critical_path"]
+    ]
+    tolerance = max(1e-6, 0.001 * planned["makespan_s"])
+    for bucket, seconds in planned["attribution"].items():
+        assert abs(logged["attribution"][bucket] - seconds) <= tolerance
 
 
 #: sha256 of a service run's ``events.jsonl`` text per backend, recorded

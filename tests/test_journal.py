@@ -666,10 +666,9 @@ class TestCrashFault:
 
 
 class TestReconcileLocal:
-    def _recovered(self, tmp_path, *, manager, workers, in_flight):
+    def _recovered(self, tmp_path, *, manager, in_flight):
         state = JournalState()
         state.manager_pid = manager
-        state.worker_pids = list(workers)
         state.in_flight = dict(in_flight)
         from repro.resilience.journal import RecoveredState
 
@@ -678,26 +677,18 @@ class TestReconcileLocal:
             last_segment=0, torn_tail=False, replayed=1,
         )
 
-    def test_dead_manager_reaps_live_workers(self, tmp_path):
+    def test_dead_manager_requeues_in_flight_jobs(self, tmp_path):
         recovered = self._recovered(
-            tmp_path, manager=99991, workers=[99992, 99993],
-            in_flight={"b": 2},
+            tmp_path, manager=99991, in_flight={"c": 1, "b": 2},
         )
-        alive = {99992}
-        killed = []
-        report = reconcile_local(
-            recovered,
-            alive=lambda pid: pid in alive,
-            kill=lambda pid, sig: killed.append((pid, sig)),
-        )
+        report = reconcile_local(recovered, alive=lambda pid: False)
         assert not report.manager_alive
-        assert report.reaped == [99992]
-        assert [pid for pid, _ in killed] == [99992]
-        assert report.requeued == ["b"]
+        assert report.manager_pid == 99991
+        assert report.requeued == ["b", "c"]
 
     def test_live_manager_refuses_resume(self, tmp_path):
         recovered = self._recovered(
-            tmp_path, manager=99991, workers=[], in_flight={}
+            tmp_path, manager=99991, in_flight={}
         )
         with pytest.raises(JournalError, match="live manager"):
             reconcile_local(recovered, alive=lambda pid: True)
@@ -706,7 +697,7 @@ class TestReconcileLocal:
         # Resuming in the same process (raise-mode crash tests) must
         # not see itself as a conflicting live manager.
         recovered = self._recovered(
-            tmp_path, manager=os.getpid(), workers=[], in_flight={}
+            tmp_path, manager=os.getpid(), in_flight={}
         )
         report = reconcile_local(recovered, alive=lambda pid: True)
         assert not report.manager_alive

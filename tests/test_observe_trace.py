@@ -2,9 +2,9 @@
 
 Covers the deterministic ID scheme, the span hierarchy and every
 causal-link relation on scripted DAGs (released_by, retry_of,
-rescue_continuation, journal_resume), the trace-derived critical path
-cross-checked against the event-record makespan attribution
-(hypothesis-pinned over seeds), the OTLP-JSON and Perfetto exports,
+rescue_continuation, journal_resume), the critical path walked over a
+log's ``released_by`` names against the plan's (hypothesis-pinned over
+seeds), the OTLP-JSON and Perfetto exports,
 the anomaly detector catalog, the status view's ALERTS pane, and the
 journal round-trip that lets a resumed run extend its pre-crash trace.
 """
@@ -29,14 +29,13 @@ from repro.observe import (
     SpanTracer,
     StatusView,
     StragglerDetector,
-    critical_path_from_spans,
     derive_span_id,
     derive_trace_id,
-    spans_from_events,
     write_otlp_trace,
     write_perfetto_trace,
 )
 from repro.observe.analysis import attribute_makespan
+from repro.observe.report import build_report
 from tests.oracles.span_documents import to_otlp_json, to_perfetto_json
 from repro.resilience.journal import Journal, recover
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
@@ -78,6 +77,14 @@ def traced_chain_run(seed=7, probe=None):
     result = DagmanScheduler(chain_dag(), env, bus=bus).run()
     assert result.success
     return result, recorder, tracer
+
+
+def fold(events, trace_id):
+    """Replay a recorded event stream through a fresh tracer."""
+    tracer = SpanTracer(trace_id=trace_id)
+    for event in events:
+        tracer(event)
+    return tracer.finish()
 
 
 def by_kind(spans, kind):
@@ -145,9 +152,7 @@ class TestSpanHierarchy:
         assert spans[live:] and all(s.kind == "phase" for s in spans[live:])
         assert all(s.end is not None for s in spans)
         # The offline fold over the recorded stream is the same list.
-        assert spans_from_events(
-            recorder.events, trace_id=tracer.trace_id
-        ) == spans
+        assert fold(recorder.events, tracer.trace_id) == spans
 
     def test_levels_and_parents(self):
         _, _, tracer = traced_chain_run()
@@ -277,7 +282,7 @@ class TestContinuationLinks:
             self._wf(EventKind.WORKFLOW_END, 90.0, workflow="w",
                      success=True),
         ]
-        spans = spans_from_events(events, trace_id=derive_trace_id("r"))
+        spans = fold(events, derive_trace_id("r"))
         first, second = by_kind(spans, "workflow")
         (link,) = second.links
         assert link.attributes["relation"] == "rescue_continuation"
@@ -316,32 +321,23 @@ class TestContinuationLinks:
 class TestCriticalPathTiling:
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=50))
-    def test_span_path_tiles_and_agrees_with_attribution(self, seed):
+    def test_released_by_path_agrees_with_dag_path(self, seed):
         bus = EventBus()
-        tracer = SpanTracer(bus=bus)
+        recorder = EventRecorder(bus)
         result, planned = simulate_paper_run(
             12, "osg", seed=seed, bus=bus
         )
         assert result.success
-        cp = critical_path_from_spans(tracer.finish())
-        at = attribute_makespan(result.trace, planned.dag)
+        logged = build_report(result.trace, events=recorder.events)
+        assert logged["method"] == "released-by"
+        at = attribute_makespan(result.trace, planned.dag.parent_sets())
         # exact tiling: the buckets sum to the makespan
-        assert abs(sum(cp.buckets.values()) - cp.makespan_s) < 1e-6
-        assert abs(cp.makespan_s - at.makespan_s) < 1e-6
-        tolerance = max(1e-6, 0.001 * at.makespan_s)
-        for bucket, value in at.buckets.items():
-            assert abs(cp.buckets[bucket] - value) < tolerance, (
-                f"seed {seed}: bucket {bucket} spans={cp.buckets[bucket]}"
-                f" attribution={value}"
-            )
-
-    def test_empty_spans_give_zero_path(self):
-        cp = critical_path_from_spans([])
-        assert cp.makespan_s == 0.0
-        assert set(cp.buckets) == {
-            "waiting", "setup", "exec", "retry_lost", "idle"
-        }
-        assert all(v == 0.0 for v in cp.buckets.values())
+        assert sum(at.buckets.values()) == pytest.approx(
+            at.makespan_s, abs=1e-6
+        )
+        assert logged["makespan_s"] == at.makespan_s
+        assert [r["job"] for r in logged["critical_path"]] == at.path_jobs
+        assert logged["attribution"] == at.buckets
 
 
 class TestExports:

@@ -16,12 +16,13 @@ from repro.dagman.dag import Dag, DagJob
 from repro.observe.bus import EventBus, EventRecorder
 from repro.observe.events import EventKind
 from repro.service.fairshare import StrideScheduler
-from repro.service.loadgen import LoadSpec, generate_workflow, run_load
-from repro.service.service import (
-    ServiceConfig,
-    WorkflowService,
-    WorkflowState,
+from repro.service.loadgen import (
+    LoadSpec,
+    build_service,
+    generate_workflow,
+    run_load,
 )
+from repro.service.service import WorkflowService, WorkflowState
 from repro.service.tenants import TenantConfig, TenantQuota
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator
@@ -45,18 +46,14 @@ def _parallel_dag(name, jobs, runtime=30.0):
     return dag
 
 
-def _small_service(*tenants, slots=4, max_in_flight=None, **svc_kwargs):
+def _small_service(*tenants, slots=4, **svc_kwargs):
     simulator = Simulator()
     env = CampusCluster(
         simulator,
         CampusClusterConfig(group_slots=slots),
         streams=RngStreams(seed=5),
     )
-    service = WorkflowService(
-        env,
-        config=ServiceConfig(max_in_flight=max_in_flight),
-        **svc_kwargs,
-    )
+    service = WorkflowService(env, **svc_kwargs)
     for tenant in tenants:
         if isinstance(tenant, str):
             tenant = TenantConfig(name=tenant)
@@ -103,16 +100,6 @@ class TestStrideScheduler:
             # Stride scheduling lag is bounded: nobody starves, nobody
             # banks more than ~one serve per competitor of drift.
             assert abs(served[name] - expected) <= len(names) + 1
-
-    def test_priority_tier_preempts_fair_share(self):
-        sched = StrideScheduler()
-        sched.register("urgent", 1.0, priority=10)
-        sched.register("bulk", 100.0, priority=0)
-        for _ in range(20):
-            assert sched.select(["urgent", "bulk"]) == "urgent"
-            sched.charge("urgent")
-        # Tier empties: bulk is served now.
-        assert sched.select(["bulk"]) == "bulk"
 
     def test_no_banked_credit_for_returning_idle_tenant(self):
         sched = StrideScheduler()
@@ -206,7 +193,8 @@ class TestQuotasAndPump:
         assert service.account("alice").jobs_completed == 12
 
     def test_max_in_flight_bounds_platform_queue(self):
-        service = _small_service("alice", slots=8, max_in_flight=3)
+        # The platform's capacity is the bound: 3 slots, 10 ready jobs.
+        service = _small_service("alice", slots=3)
         env = service.environment
         in_flight_at_release = []
         original = env.submit
@@ -226,7 +214,7 @@ class TestQuotasAndPump:
         service = _small_service(
             TenantConfig(name="heavy", weight=3.0),
             TenantConfig(name="light", weight=1.0),
-            slots=1, max_in_flight=1,
+            slots=1,
         )
         env = service.environment
         order = []
@@ -285,7 +273,7 @@ class TestQuotasAndPump:
 class TestSloReport:
     def test_report_shape_and_percentiles(self):
         service = _small_service(
-            TenantConfig(name="alice", weight=2.0, priority=1), "bob"
+            TenantConfig(name="alice", weight=2.0), "bob"
         )
         service.submit("alice", _parallel_dag("a1", 3))
         service.submit("alice", _parallel_dag("a2", 3))
@@ -294,7 +282,6 @@ class TestSloReport:
         assert sorted(report) == ["alice", "bob"]
         alice = report["alice"]
         assert alice["weight"] == 2.0
-        assert alice["priority"] == 1
         assert alice["account"]["workflows_completed"] == 2
         for metric in ("turnaround_s", "queue_wait_s"):
             summary = alice[metric]
@@ -378,6 +365,9 @@ class TestLoadGenerator:
             LoadSpec(workflows_per_minute=0.0)
         with pytest.raises(ValueError):
             LoadSpec(tenant_weights=())
+        # The service shares a fixed pool; the cloud advertises none.
+        with pytest.raises(ValueError, match="'cloud'"):
+            build_service(LoadSpec(), backend="cloud")
 
 
 class TestBenchCli:

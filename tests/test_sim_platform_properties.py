@@ -98,7 +98,7 @@ class TestCriticalPath:
         dag.add_edge("b", "c")
         env = CampusCluster(Simulator(), streams=RngStreams(seed=0))
         result = DagmanScheduler(dag, env).run()
-        chain = critical_path(result.trace, dag)
+        chain = critical_path(result.trace, dag.parent_sets())
         assert [a.job_name for a in chain] == ["a", "b", "c"]
 
     def test_fan_out_critical_path_is_heaviest_branch(self):
@@ -112,7 +112,8 @@ class TestCriticalPath:
             dag.add_edge(mid, "sink")
         env = CampusCluster(Simulator(), streams=RngStreams(seed=0))
         result = DagmanScheduler(dag, env).run()
-        names = [a.job_name for a in critical_path(result.trace, dag)]
+        chain = critical_path(result.trace, dag.parent_sets())
+        names = [a.job_name for a in chain]
         assert names == ["src", "heavy", "sink"]
 
     def test_paper_run_critical_path_is_heaviest_partition(self):
@@ -122,7 +123,7 @@ class TestCriticalPath:
         model = PaperTaskModel()
         result, planned = simulate_paper_run(10, "sandhills", seed=1,
                                              model=model)
-        chain = critical_path(result.trace, planned.dag)
+        chain = critical_path(result.trace, planned.dag.parent_sets())
         cap3_steps = [a for a in chain if a.transformation == "run_cap3"]
         assert cap3_steps, "critical path must cross a run_cap3 task"
         heaviest = max(model.partition_runtimes(10))
@@ -132,4 +133,4 @@ class TestCriticalPath:
     def test_empty_trace(self):
         from repro.dagman.events import WorkflowTrace
 
-        assert critical_path(WorkflowTrace(), Dag()) == []
+        assert critical_path(WorkflowTrace(), {}) == []
