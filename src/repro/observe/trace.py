@@ -46,6 +46,15 @@ the PR 7 ``bus.active`` fast path still skips event *construction*
 entirely when nothing listens. When attached it folds each event into
 its spans as the event arrives and keeps no event.
 
+What it keeps is sized per job: the spans themselves (slotted; each
+one's links an immutable tuple, the empty one shared), one occurrence
+counter per span kind keyed by the span's own name string, and for each
+(workflow, job) the job span, its latest submitted attempt, its latest
+finished attempt and the previous rescue round's. DAGMan never has two
+attempts of one node in flight, so no job keeps a map of its attempts.
+``tests/test_footprint.py`` bounds the bytes a finished tracer holds
+per job.
+
 Exports: :func:`write_otlp_trace` (OTLP-JSON, one resourceSpans
 envelope) and :func:`write_perfetto_trace` (Perfetto protobuf-JSON
 TracePackets, machine-lane slices) complement the existing Chrome
@@ -58,6 +67,7 @@ events carry (:mod:`repro.observe.analysis`).
 from __future__ import annotations
 
 import hashlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
@@ -94,7 +104,7 @@ def derive_span_id(trace_id: str, name: str, index: int) -> str:
     return digest.hexdigest()[:16]
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanLink:
     """A causal edge to another span (``attributes["relation"]``)."""
 
@@ -103,12 +113,14 @@ class SpanLink:
     attributes: dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed unit of work in the causal hierarchy.
 
     ``kind`` is the level: ``run`` | ``workflow`` | ``service`` |
     ``job`` | ``attempt`` | ``phase``. ``end is None`` while open.
+    ``links`` is a tuple: adding a link builds a new one, and the spans
+    without a link (nearly all) share the empty tuple.
     """
 
     name: str
@@ -119,18 +131,26 @@ class Span:
     start: float
     end: float | None = None
     attributes: dict[str, object] = field(default_factory=dict)
-    links: list[SpanLink] = field(default_factory=list)
+    links: tuple[SpanLink, ...] = ()
     status: str = "unset"  # "unset" | "ok" | "error"
 
 
 class _JobState:
-    """Per-(scope, job) tracer bookkeeping (one rescue round's worth)."""
+    """Per-(scope, job) tracer bookkeeping (one rescue round's worth).
 
-    __slots__ = ("span", "attempts", "final_attempt", "prev_final")
+    DAGMan never has two attempts of one node in flight, so the job
+    keeps only its latest submitted attempt span (``attempt``: the one
+    a match, timeout or terminal event is about, and the one the next
+    attempt retries), the latest one that ended (``final_attempt``)
+    and the previous round's final attempt (``prev_final``, what a
+    rescue round's attempt 1 retries).
+    """
+
+    __slots__ = ("span", "attempt", "final_attempt", "prev_final")
 
     def __init__(self, span: Span, prev_final: Span | None = None) -> None:
         self.span = span
-        self.attempts: dict[int, Span] = {}
+        self.attempt: Span | None = None
         self.final_attempt: Span | None = None
         self.prev_final = prev_final
 
@@ -154,7 +174,8 @@ class SpanTracer:
     ) -> None:
         self.trace_id = trace_id or derive_trace_id(seed)
         self.spans: list[Span] = []
-        self._counts: dict[str, int] = {}
+        #: kind -> span name -> spans of that kind and name so far
+        self._counts: defaultdict[str, dict[str, int]] = defaultdict(dict)
         self._run: Span | None = None
         self._workflows: dict[str, Span] = {}
         self._last_workflow: dict[str, Span] = {}
@@ -201,14 +222,14 @@ class SpanTracer:
         start: float,
         attributes: dict[str, object] | None = None,
     ) -> Span:
-        key = f"{kind}:{name}"
-        index = self._counts.get(key, 0)
-        self._counts[key] = index + 1
+        counts = self._counts[kind]
+        index = counts.get(name, 0)
+        counts[name] = index + 1
         span = Span(
             name=name,
             kind=kind,
             trace_id=self.trace_id,
-            span_id=derive_span_id(self.trace_id, key, index),
+            span_id=derive_span_id(self.trace_id, f"{kind}:{name}", index),
             parent_span_id=parent.span_id if parent is not None else None,
             start=start,
             attributes=attributes if attributes is not None else {},
@@ -262,8 +283,8 @@ class SpanTracer:
 
     def _on_timeout(self, event: RunEvent, t: float) -> None:
         state = self._jobs.get((self._scope(event), event.job_name or ""))
-        if state is not None and event.attempt in state.attempts:
-            state.attempts[event.attempt].attributes["timeout"] = True
+        if state is not None and state.attempt is not None:
+            state.attempt.attributes["timeout"] = True
 
     def _on_rescue(self, event: RunEvent, t: float) -> None:
         self._pending_rescue = dict(event.detail)
@@ -321,9 +342,7 @@ class SpanTracer:
                 for extra in ("round", "failed", "remaining"):
                     if extra in self._pending_rescue:
                         link_attrs[extra] = self._pending_rescue[extra]
-            span.links.append(
-                SpanLink(self.trace_id, previous.span_id, link_attrs)
-            )
+            span.links += (SpanLink(self.trace_id, previous.span_id, link_attrs),)
             self._pending_rescue = None
         if self._pending_resume is not None:
             link_attrs = {"relation": "journal_resume"}
@@ -332,8 +351,8 @@ class SpanTracer:
                     link_attrs[extra] = self._pending_resume[extra]
             # The run-root id is deterministic per trace id, so this
             # link lands on the pre-crash process's root span.
-            span.links.append(
-                SpanLink(self.trace_id, self.run_root_span_id, link_attrs)
+            span.links += (
+                SpanLink(self.trace_id, self.run_root_span_id, link_attrs),
             )
             self._pending_resume = None
         self._workflows[scope] = span
@@ -358,12 +377,12 @@ class SpanTracer:
             if state is not None:
                 # A rescue round re-running a failed job: new span,
                 # explicitly chained to the previous round's.
-                span.links.append(
+                span.links = (
                     SpanLink(
                         self.trace_id,
                         state.span.span_id,
                         {"relation": "rescue_continuation"},
-                    )
+                    ),
                 )
             parent_name = self._pending_release.pop(key, None)
             if parent_name is not None:
@@ -373,7 +392,7 @@ class SpanTracer:
                     parent_state is not None
                     and parent_state.final_attempt is not None
                 ):
-                    span.links.append(
+                    span.links += (
                         SpanLink(
                             self.trace_id,
                             parent_state.final_attempt.span_id,
@@ -381,7 +400,7 @@ class SpanTracer:
                                 "relation": "released_by",
                                 "parent": parent_name,
                             },
-                        )
+                        ),
                     )
             state = _JobState(span, prev_final=prev_final)
             self._jobs[key] = state
@@ -396,11 +415,10 @@ class SpanTracer:
         aspan = self._span(
             f"{name}/attempt-{attempt}", "attempt", state.span, t, attrs
         )
-        previous = state.attempts.get(attempt - 1)
-        if previous is None and attempt == 1:
-            previous = state.prev_final  # cross-rescue-round retry
+        # Attempt 1 of a rescue round retries the previous round's last.
+        previous = state.prev_final if attempt == 1 else state.attempt
         if previous is not None:
-            aspan.links.append(
+            aspan.links = (
                 SpanLink(
                     self.trace_id,
                     previous.span_id,
@@ -410,9 +428,9 @@ class SpanTracer:
                             previous.attributes.get("status", "")
                         ),
                     },
-                )
+                ),
             )
-        state.attempts[attempt] = aspan
+        state.attempt = aspan
 
     def _on_state_change(self, event: RunEvent, t: float) -> None:
         self._ensure_run(t)
@@ -437,7 +455,7 @@ class SpanTracer:
         state = self._jobs.get((self._scope(event), event.job_name or ""))
         if state is None:
             return
-        aspan = state.attempts.get(record.attempt)
+        aspan = state.attempt
         if aspan is None or aspan.end is not None:
             return
         aspan.attributes.update(
@@ -502,7 +520,7 @@ class SpanTracer:
         state = self._jobs.get((self._scope(event), event.job_name or ""))
         if state is None:
             return
-        aspan = state.attempts.get(event.attempt or 1)
+        aspan = state.attempt
         if aspan is None:
             return
         if event.machine:

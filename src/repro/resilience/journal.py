@@ -1106,7 +1106,6 @@ class ReconcileReport:
     """What happened to the crashed manager's processes on resume."""
 
     manager_pid: int | None
-    manager_alive: bool
     #: jobs whose attempt was in flight at the crash — resubmitted
     requeued: list[str]
 
@@ -1139,18 +1138,12 @@ def reconcile_local(
     alive_fn = alive if alive is not None else _pid_alive
     state = recovered.state
     manager = state.manager_pid
-    manager_alive = (
-        manager is not None
-        and manager != os.getpid()
-        and alive_fn(manager)
-    )
-    if manager_alive:
+    if manager is not None and manager != os.getpid() and alive_fn(manager):
         raise JournalError(
             f"journal {recovered.path} belongs to a live manager "
             f"(pid {manager}); resuming now would run the workflow twice"
         )
     return ReconcileReport(
         manager_pid=manager,
-        manager_alive=False,
         requeued=sorted(state.in_flight),
     )

@@ -170,10 +170,12 @@ def critical_path(
 
     Walks backward from the last-finishing job, at each step picking
     the parent whose completion gated this job's release (the
-    latest-finishing parent). The result is the chain of attempts whose
-    durations actually determined the makespan — the place to look when
-    asking "why was this run slow?" (here: invariably the heaviest
-    ``run_cap3`` partition).
+    latest-finishing parent; of parents that finish at the same
+    instant, the one whose name sorts first, so the path does not
+    follow the iteration order of a ``set``). The result is the chain
+    of attempts whose durations actually determined the makespan — the
+    place to look when asking "why was this run slow?" (here:
+    invariably the heaviest ``run_cap3`` partition).
 
     ``parents`` maps a job to the jobs that gate it: the plan's
     ``dag.parent_sets()``, or the one parent each ``job.state_change``
@@ -206,7 +208,7 @@ def critical_path(
         ]
         if not gating:
             break
-        current = max(gating, key=lambda a: a.exec_end)
+        current = min(gating, key=lambda a: (-a.exec_end, a.job_name))
         chain.append(current)
         seen.add(current.job_name)
     chain.reverse()

@@ -7,18 +7,26 @@ while DAGMan drives a run, so bytes per job is a cost in its own right
 gated here and no RSS reading is: what a 10 000-job two-parent layered
 DAG retains once built, and what one finished ``DagmanScheduler`` run
 over it hands back (the attempt trace, one record per job, and the
-final state per job), each divided by the job count.
-The two structural facts the figures rest on are asserted beside them:
+final state per job), each divided by the job count; and what a
+``SpanTracer`` keeps once it has folded a 4 000-job tenant run on the
+cluster backend and ``finish()`` has returned (the allocations made
+inside ``repro/observe/trace.py``, per job), the tracer being the
+largest observer of the budget's ``svc_cluster_observed``.
+The structural facts the figures rest on are asserted beside them:
 ``Dag`` stores each edge once, and the three per-job records carry no
 ``__dict__`` — nor does ``RunEvent``, of which a live-bus job builds
-seven and an event recorder keeps every one.
+seven and an event recorder keeps every one, nor a ``Span`` or
+``SpanLink``.
 
 ``python tests/test_footprint.py`` prints the table (CI's 'Footprint'
 step, so every Python of the matrix logs its own figures) and exits 1
-past either bound. The bounds were set on CPython 3.11 — 459 and 181
+past any bound. The bounds were set on CPython 3.11 — 459 and 181
 B/job, against 743 and 229 while ``Dag`` mirrored its edges in
-``_parents`` and the records were dict-backed — with slack for the
-object layouts of 3.10 and 3.12, which were not available to measure.
+``_parents`` and the records were dict-backed; 1 112 B/job for the
+tracer, against 1 710 while spans were dict-backed with a list of links
+each, the occurrence counter was keyed by ``"kind:name"`` strings and
+every job kept a dict of its attempts — with slack for the object
+layouts of 3.10 and 3.12, which were not available to measure.
 """
 
 from __future__ import annotations
@@ -31,14 +39,25 @@ import pytest
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
 from repro.dagman.scheduler import DagmanScheduler
+from repro.observe import trace
+from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
+from repro.observe.trace import Span, SpanLink, SpanTracer
+from repro.service.loadgen import LoadSpec, run_load
 from repro.sim.engine import Simulator
 
 JOBS = 10_000
 WIDTH = 100
 
+#: The tenant run the tracer folds: 2 tenants x 2 workflows x 1 000 jobs.
+TENANT_LOAD = LoadSpec(tenants=2, workflows_per_tenant=2, jobs_per_workflow=1_000)
+TENANT_JOBS = (
+    TENANT_LOAD.tenants * TENANT_LOAD.workflows_per_tenant
+    * TENANT_LOAD.jobs_per_workflow
+)
+
 #: label -> most bytes per job it may retain.
-BOUNDS = {"dag": 520, "run": 200}
+BOUNDS = {"dag": 520, "run": 200, "spans": 1_250}
 
 
 def layered_dag(n: int = JOBS, width: int = WIDTH) -> Dag:
@@ -102,9 +121,31 @@ def retained() -> int:
     return tracemalloc.get_traced_memory()[0]
 
 
+def traced_bytes() -> float:
+    """Bytes per job that ``repro/observe/trace.py`` allocated and a
+    finished ``SpanTracer`` still holds after a tenant run. Two frames
+    of traceback reach a span's fields through the dataclass
+    ``__init__``, whose code is not in that file."""
+    bus = EventBus()
+    tracemalloc.start(2)
+    try:
+        tracer = SpanTracer(bus=bus)
+        run_load(TENANT_LOAD, backend="cluster", seed=0, bus=bus)
+        tracer.finish()
+        gc.collect()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    held = snapshot.filter_traces(
+        [tracemalloc.Filter(True, trace.__file__, all_frames=True)]
+    )
+    return sum(t.size for t in held.traces) / TENANT_JOBS
+
+
 def measure() -> dict[str, float]:
-    """Bytes per job retained by the built DAG and by the result of one
-    finished run over it (scheduler and engine let go)."""
+    """Bytes per job retained by the built DAG, by the result of one
+    finished run over it (scheduler and engine let go), and by a
+    finished span tracer."""
     tracemalloc.start()
     try:
         start = retained()
@@ -116,7 +157,11 @@ def measure() -> dict[str, float]:
         assert len(result.trace) == len(dag) == JOBS
     finally:
         tracemalloc.stop()
-    return {"dag": (built - start) / JOBS, "run": (finished - built) / JOBS}
+    return {
+        "dag": (built - start) / JOBS,
+        "run": (finished - built) / JOBS,
+        "spans": traced_bytes(),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +190,8 @@ def test_dag_stores_each_edge_once() -> None:
         JobAttempt("j", "t", "s", "m", 1, 0.0, 0.0, 0.0, 1.0, JobStatus.SUCCEEDED),
         ResourceProfile(),
         RunEvent(EventKind.SUBMIT, 0.0, "j", "t", None, None, 1, None, {}),
+        Span("job:j", "job", "ab" * 16, "01" * 8, None, 0.0),
+        SpanLink("ab" * 16, "01" * 8),
     ],
     ids=lambda record: type(record).__name__,
 )
@@ -161,7 +208,8 @@ def main() -> int:
         failed += over
         print(f"{label:<12} {figures[label]:>7.1f} {bound:>6}"
               f"{'  FAIL' if over else ''}")
-    print(f"({JOBS:,}-job two-parent layered DAG, one finished run)")
+    print(f"({JOBS:,}-job two-parent layered DAG, one finished run; "
+          f"span tracer of a {TENANT_JOBS:,}-job tenant run)")
     return 1 if failed else 0
 
 

@@ -682,7 +682,6 @@ class TestReconcileLocal:
             tmp_path, manager=99991, in_flight={"c": 1, "b": 2},
         )
         report = reconcile_local(recovered, alive=lambda pid: False)
-        assert not report.manager_alive
         assert report.manager_pid == 99991
         assert report.requeued == ["b", "c"]
 
@@ -700,7 +699,7 @@ class TestReconcileLocal:
             tmp_path, manager=os.getpid(), in_flight={}
         )
         report = reconcile_local(recovered, alive=lambda pid: True)
-        assert not report.manager_alive
+        assert report.manager_pid == os.getpid()
 
     def test_journal_records_the_manager(self, tmp_path):
         journal = Journal(tmp_path)

@@ -1,7 +1,14 @@
-"""Tests for per-site statistics, queue snapshots, and the plots CLI."""
+"""Tests for per-site statistics, queue snapshots, the plots CLI, and
+the critical path's tie rule."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.workflow_factory import simulate_paper_run
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
@@ -10,7 +17,7 @@ from repro.sim.cluster import CampusCluster
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
 from repro.wms.cli import main_plan, main_plots, main_run
-from repro.wms.statistics import per_site
+from repro.wms.statistics import critical_path, per_site
 
 
 def attempt(name, site, status=JobStatus.SUCCEEDED, dur=100.0, attempt_no=1):
@@ -123,3 +130,50 @@ class TestPlotsCli:
         main_plan(["--submit-dir", str(d), "-n", "5"])
         with pytest.raises(SystemExit):
             main_plots(["--submit-dir", str(d)])
+
+
+#: One child released by four parents that all end at t = 50; prints the
+#: critical path over the plan's parent sets.
+TIED_PARENTS = """
+from repro.dagman.dag import Dag, DagJob
+from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
+from repro.wms.statistics import critical_path
+
+dag = Dag(name="tie")
+for name in "abcde":
+    dag.add_job(DagJob(name, "t"))
+for parent in "abcd":
+    dag.add_edge(parent, "e")
+trace = WorkflowTrace()
+for name, start, end in (*((p, 0.0, 50.0) for p in "abcd"), ("e", 50.0, 60.0)):
+    trace.add(JobAttempt(name, "t", "s", "m", 1, start, start, start, end,
+                         JobStatus.SUCCEEDED))
+print(" ".join(a.job_name for a in critical_path(trace, dag.parent_sets())))
+"""
+
+
+class TestCriticalPathTies:
+    def test_tied_parents_resolve_to_the_first_name_under_any_hash_seed(self):
+        """The walk once took ``max`` over a parent ``set``, so the tied
+        parent on the path followed ``PYTHONHASHSEED`` (d, d, c, c, b
+        under seeds 0-4)."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        paths = {
+            subprocess.run(
+                [sys.executable, "-c", TIED_PARENTS],
+                env={**os.environ, "PYTHONPATH": src,
+                     "PYTHONHASHSEED": str(seed)},
+                capture_output=True, text=True, check=True,
+            ).stdout.strip()
+            for seed in range(5)
+        }
+        assert paths == {"a e"}
+
+    def test_a_later_parent_still_beats_an_earlier_name(self):
+        trace = WorkflowTrace()
+        trace.add(attempt("a", "s", dur=50.0))
+        trace.add(attempt("b", "s", dur=70.0))
+        trace.add(JobAttempt("c", "t", "s", "m", 1, 70.0, 70.0, 70.0, 80.0,
+                             JobStatus.SUCCEEDED))
+        path = critical_path(trace, {"c": {"a", "b"}})
+        assert [a.job_name for a in path] == ["b", "c"]
