@@ -263,13 +263,6 @@ class Dag:
                 parents[kid].add(parent)
         return parents
 
-    def roots(self) -> list[str]:
-        has_parent: set[str] = set().union(*self._children.values())
-        return [n for n in self.jobs if n not in has_parent]
-
-    def leaves(self) -> list[str]:
-        return [n for n in self.jobs if not self._children[n]]
-
     def edges(self) -> Iterable[tuple[str, str]]:
         for parent, children in self._children.items():
             for child in sorted(children):

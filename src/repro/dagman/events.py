@@ -330,10 +330,6 @@ class WorkflowTrace:
             attempts.sort(key=lambda a: (a.submit_time, a.attempt))
         return jobs
 
-    def for_job(self, job_name: str) -> list[JobAttempt]:
-        """All attempts of one job, in time order (see :meth:`by_job`)."""
-        return self.by_job().get(job_name, [])
-
     def final_attempts(
         self, *, successful_only: bool = False
     ) -> dict[str, JobAttempt]:

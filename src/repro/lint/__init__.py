@@ -4,7 +4,7 @@ A rule-based analysis framework that catches, *before submission*, the
 failure modes the paper hit at runtime on OSG: unsatisfiable software
 requirements, inputs that can never be staged, write-write conflicts,
 retry budgets that cannot survive preemption, and clustering that
-serializes the critical path. Six passes:
+serializes the critical path. Five passes:
 
 * **DAX pass** (``DAX0xx``) — structural rules over the abstract
   workflow: cycles, orphaned inputs, write-write conflicts, dead jobs,
@@ -23,10 +23,7 @@ serializes the critical path. Six passes:
   against :class:`~repro.lint.feasibility.SitePool` descriptors derived
   from the simulator configs: never-matchable jobs, pool
   oversubscription, provably insufficient retry budgets and timeouts
-  (:mod:`repro.lint.feasibility`);
-* **determinism audit** (``DET0xx``) — opt-in trace-replay under
-  perturbed hash seeds and RNG conditions
-  (:mod:`repro.lint.determinism`).
+  (:mod:`repro.lint.feasibility`).
 
 Usage::
 
@@ -42,11 +39,10 @@ The planner runs this automatically (``PlannerOptions.lint``), and the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from repro._lazy import lazy_exports
-from repro.lint.findings import Finding, Report, Severity, render_report
-from repro.lint.registry import LintContext, finding, registered_rules, rule
+from repro.lint.findings import Report, Severity, render_report
+from repro.lint.registry import LintContext, registered_rules
 
 # Importing the rule modules registers their rules.
 from repro.lint import catalog_rules as _catalog_rules  # noqa: E402,F401
@@ -58,7 +54,6 @@ from repro.lint import plan_rules as _plan_rules  # noqa: E402,F401
 from repro.lint.feasibility import SitePool, default_pools
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.determinism import DeterminismOptions
     from repro.wms.catalogs import (
         ReplicaCatalog,
         SiteCatalog,
@@ -69,41 +64,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.wms.planner import PlannedWorkflow, PlannerOptions
 
 
-@rule(
-    "DET001",
-    Severity.ERROR,
-    "simulation event trace is not reproducible",
-    requires=("determinism",),
-)
-def _nondeterministic_trace(ctx: LintContext) -> Iterator[Finding]:
-    # The audit module is imported on use, never by this package:
-    # ``python -m repro.lint.determinism`` imports the package first,
-    # and runpy warns about (and re-executes) a module it then finds
-    # in ``sys.modules``.
-    from repro.lint.determinism import audit_determinism
-
-    assert ctx.determinism is not None
-    for div in audit_determinism(ctx.determinism):
-        yield finding(
-            f"platform:{div.platform}",
-            div.describe(),
-            "find the order-dependent iteration or shared-RNG draw; "
-            "sort before iterating sets/dicts and draw only from named "
-            "RngStreams",
-        )
-
-
-# On first use, for the same reason (its import line is the typing-only
-# one above). Everything else here stays eager: importing a rule module
-# is what registers its rules.
-_EXPORTS = {"DeterminismOptions": ("repro.lint.determinism", "DeterminismOptions")}
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
-
-
 __all__ = [
     "Severity",
     "Report",
-    "DeterminismOptions",
     "lint",
     "registered_rules",
     "render_report",
@@ -120,7 +83,6 @@ def lint(
     options: "PlannerOptions | None" = None,
     planned: "PlannedWorkflow | None" = None,
     pools: "Mapping[str, SitePool] | None" = None,
-    determinism: "DeterminismOptions | None" = None,
     journal: bool | None = None,
 ) -> Report:
     """Run every applicable rule against ``adag`` and its context.
@@ -132,8 +94,7 @@ def lint(
 
     ``pools`` overrides the resource descriptors the feasibility pass
     matches against; by default they are derived from the simulator
-    configurations whenever a site catalog is given. ``determinism``
-    opts in to the (simulation-replaying) determinism audit.
+    configurations whenever a site catalog is given.
     ``journal`` tells the durability rule (PLAN006) whether the run
     will keep a write-ahead journal: ``False`` arms the rule, ``True``
     satisfies it, ``None`` (default) skips it. The linter never raises
@@ -162,7 +123,6 @@ def lint(
         planned=planned,
         requested_site=requested_site,
         pools=dict(pools) if pools is not None else None,
-        determinism=determinism,
         journal=journal,
     )
     report = Report(workflow=adag.name)

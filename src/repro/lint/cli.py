@@ -12,7 +12,6 @@ Examples::
     repro-lint -n 300 --site osg --setup-mode never   # the paper's trap
     repro-lint --dax run1/workflow.dax --site sandhills --json
     repro-lint -n 100 --site osg --pools doctored.json
-    repro-lint -n 6 --audit-determinism               # replay-based audit
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="Static pre-flight analysis of a workflow: DAX, "
         "dataflow, catalog, planned-DAG, and resource-feasibility "
-        "rules, plus an opt-in determinism audit.",
+        "rules.",
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--dax", help="path to a DAX XML file to lint")
@@ -66,11 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "pool without the rest of the stack",
     )
     parser.add_argument(
-        "--audit-determinism", action="store_true",
-        help="also replay small simulations under perturbed RNG "
-        "conditions and report trace divergence (slow)",
-    )
-    parser.add_argument(
         "--no-journal", dest="journal", action="store_false", default=None,
         help="the run will NOT keep a journal: arm PLAN006, which "
         "warns when retries or a long critical path make an "
@@ -98,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         build_blast2cap3_adag,
         default_catalogs,
     )
-    from repro.lint.determinism import DeterminismOptions
     from repro.lint.feasibility import default_pools, pools_from_mapping
     from repro.perfmodel.task_models import PaperTaskModel
     from repro.wms.dax import ADag
@@ -143,12 +136,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    determinism = None
-    if args.audit_determinism:
-        determinism = DeterminismOptions(
-            n=min(args.clusters, 6), platforms=("sandhills", "osg")
-        )
-
     # Best effort: include the planned-DAG pass when the workflow plans
     # at all; when planning itself fails the static passes still run
     # and explain why.
@@ -173,7 +160,6 @@ def main(argv: list[str] | None = None) -> int:
         options=options,
         planned=planned,
         pools=pools,
-        determinism=determinism,
         journal=args.journal,
     )
     print(report.to_json() if args.json else render_report(report))

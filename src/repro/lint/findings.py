@@ -136,7 +136,7 @@ def render_report(report: Report) -> str:
             lines.append(f"        hint: {f.fix_hint}")
     if report.skipped_rules:
         lines.append(
-            "rules skipped (missing catalogs/site/plan context): "
+            "rules skipped (context not given): "
             + ", ".join(report.skipped_rules)
         )
     return "\n".join(lines)

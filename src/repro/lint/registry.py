@@ -25,7 +25,6 @@ from repro.dagman.dag import CycleError, topological_sort
 from repro.lint.findings import Finding, Severity
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.lint.determinism import DeterminismOptions
     from repro.lint.feasibility import SitePool
     from repro.wms.catalogs import (
         ReplicaCatalog,
@@ -55,9 +54,6 @@ class LintContext:
     #: resource pools the feasibility pass matches against; defaults to
     #: the simulator-derived pools when a site is known
     pools: "dict[str, SitePool] | None" = None
-    #: opt-in determinism-audit configuration (DET rules); left None
-    #: in normal lint runs because the audit replays simulations
-    determinism: "DeterminismOptions | None" = None
     #: whether the run will keep a write-ahead journal (PLAN006):
     #: ``False`` = running without one, ``True`` = journaled, ``None`` =
     #: unknown (the durability rule is skipped)

@@ -7,7 +7,9 @@ of a log line, the separators, or anything an exporter does after the
 bus. This table is one sha256 per file, so a change to a codec, a
 reader or an exporter that moves a single byte of ``events.jsonl``,
 ``trace.jsonl``, the three trace exports, ``utilization.tsv``,
-``metrics.json`` or the plan files shows here.
+``metrics.json``, the plan files or ``report.json`` (what ``repro-report
+analyze submit --json report.json`` writes once the runs are over)
+shows here.
 
 The runs use relative paths from a scratch working directory because
 ``events.jsonl`` records the rescue file's path as given. The journal
@@ -28,8 +30,27 @@ with those state changes put back (``tests/oracles/implied_transitions.py``),
 and printed again: the digests of the logs written before the
 scheduler stopped emitting them.
 
+Output may vary with the seed and nothing else.
+``test_hash_seed_moves_no_byte`` runs every scenario in two child
+interpreters side by side, under ``PYTHONHASHSEED`` 0 and 1, and holds
+both digest tables equal to each other and to ``GOLDEN``. Each child
+also runs ``sandhills`` a second time, uncached, in the same process
+(state leaked from one run into the next), and the seed-1 child first
+draws from the global ``random`` and drains three decoy ``RngStreams``
+(a simulator drawing from anything but its own named streams). On a
+copy of the tree it failed on each of two planted mutants:
+``MakespanAttribution.ranked()`` breaking ties through a ``set`` moves
+the sandhills ``report.json``, and the Chrome writer iterating
+``set(trace.by_job())`` moves three osg ``trace.chrome.json`` files.
+(The in-process rows catch them under most hash seeds, not all: the
+first passed them under ``PYTHONHASHSEED=5``.) It cannot see a
+tie-break that follows the hash seed only on ties these runs lack —
+``critical_path`` taking ``max`` over tied parents passes it;
+``TestCriticalPathTies`` in ``tests/test_statistics_extras.py`` holds
+that one.
+
 Regenerate (after convincing yourself the move is intended) with
-``PYTHONPATH=src python tests/test_artefact_golden.py``.
+``PYTHONPATH=src:. python tests/test_artefact_golden.py``.
 """
 
 from __future__ import annotations
@@ -38,14 +59,19 @@ import contextlib
 import functools
 import hashlib
 import io
+import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.observe.log import event_to_json_line, read_events
+from repro.observe.report import main as report_main
 from repro.wms.cli import main_plan, main_run
 from tests.oracles.implied_transitions import expand
 
@@ -119,6 +145,9 @@ def _run(scenario: str) -> tuple[int, dict[str, str], str]:
                         ["--submit-dir", "submit", "--seed", "0",
                          *SCENARIOS[step][1]]
                     )
+                assert report_main(
+                    ["analyze", "submit", "--json", "report.json"]
+                ) == 0
             digests = {
                 str(p): hashlib.sha256(p.read_bytes()).hexdigest()
                 for p in sorted(Path("submit").iterdir())
@@ -127,6 +156,9 @@ def _run(scenario: str) -> tuple[int, dict[str, str], str]:
                 digests[str(p)] = hashlib.sha256(
                     _masked(p.read_bytes())
                 ).hexdigest()
+            digests["report.json"] = hashlib.sha256(
+                Path("report.json").read_bytes()
+            ).hexdigest()
             expanded = "".join(
                 event_to_json_line(e) + "\n"
                 for e in expand(read_events("submit/events.jsonl"))
@@ -147,6 +179,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('sandhills', 'submit/utilization.tsv'): 'c6a6881c907daacd8442aefd95f57ca93ae7f800c5d1bc0c58847cd34fd97f06',
     ('sandhills', 'submit/workflow.dag'): 'd50107b18ba12b2e203688264480ef5c4319fcacaeb1ebab825b42eb79e6c5d8',
     ('sandhills', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
+    ('sandhills', 'report.json'): '4697e5b24761e3f11a3d3fb8afe73daee451f66a163bf5c6ea38ce45bf41e8c9',
     ('osg', 'submit/blast2cap3-n12-osg.rescue001'): '54fa2be8a9128093a008b333e3642f00b5ab6f9d6b09b7048ea36b089ccec9fb',
     ('osg', 'submit/events.jsonl'): 'd52f92b6b8fe1bc841a90a0bb88aaf1e945afdea39ea0c91f516d3aacd0c2cf5',
     ('osg', 'submit/metrics.json'): '65ad4c98e0d74df29bfbf8e1444be56456d6269c3c9365ab3a0a5b85122ecfeb',
@@ -158,6 +191,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg', 'submit/utilization.tsv'): 'abb8648fc16be39e80fb0e983ae3958f7159346967377feee66e40b24a42ad0b',
     ('osg', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
+    ('osg', 'report.json'): 'c624884bdce018f8afd3c3da8c2381765553c364e96062fd2cfbf427911d2205',
     ('osg-chaos-journal', 'submit/blast2cap3-n12-osg.rescue001'): '99752d8aad86597d597a19b6b415d55ac48794fa024307b14411b6c40a38af18',
     ('osg-chaos-journal', 'submit/events.jsonl'): 'f23abc5fc35f93c5a5119ad21490123eca5ea0bdc5eb0c4a907efdd9542f9af3',
     ('osg-chaos-journal', 'submit/metrics.json'): 'f9147feb9f328cfe888c4f1063371b8e55dc62c1e15bc8bad6195f3e989f8407',
@@ -172,6 +206,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-chaos-journal', 'journal/records.jsonl'): 'd3fa913aa5c518ecefa813576eb5ad0c4b15d365d02ac66ea2049fd3ca55ce49',
     ('osg-chaos-journal', 'journal/snapshot.json'): '7a67ca29085b620f423a5cde0f93f1b56f3f13b269cc15cfc166cd1e6dd2b470',
     ('osg-chaos-journal', 'journal/wal-00000003.jsonl'): 'c6899f57db10ea872df0c0d4d163f65f6071d6f6344b1cba745a1cf79140c638',
+    ('osg-chaos-journal', 'report.json'): 'a99e84b6bb6f82b682e664d96e0a354804d763700a479cc5198628a888185678',
     ('osg-crash', 'submit/events.jsonl'): '0ff78ba8307f2bd52b37c76a7b7b10b68b1b11528658798185aeb4fd1cb2876b',
     ('osg-crash', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg-crash', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
@@ -179,6 +214,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-crash', 'journal/records.jsonl'): '351791e510ef845d162e1edd399c3d9dc5aa3d7ab2a23a1423ea9c06a2afda85',
     ('osg-crash', 'journal/snapshot.json'): '8770d626105a0c1b6ba6d9392daf6b189aa90f79c86f2e272138a24df1c187e1',
     ('osg-crash', 'journal/wal-00000003.jsonl'): 'e79b943409a746883e8f281abb902a315584b1603a80de19bae6075749dd565e',
+    ('osg-crash', 'report.json'): '8a766641aec4d6a4d2c826335f6399739884b4ef26dde8aad7c4601a81f216a7',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.rescue001'): '68f6ee1fe0d7713b95ab31d6d38c1484a1b0d98e9c96a2f343eee73d64879434',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.resume.dag'): '55c00044be9e975fb026e8133dd75cf59e9aa55908313690f405d9582f287224',
     ('osg-crash-resume', 'submit/events.jsonl'): 'dce6b4e51527f3cc6d2dafbae3397a79f60bc8a5cc7bb534e2111c8412f8e269',
@@ -194,6 +230,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-crash-resume', 'journal/records.jsonl'): '06ed3a94ace34ee438c02b2d9e96f3f29a97ea7ddb642d8346c8542aa69a92bf',
     ('osg-crash-resume', 'journal/snapshot.json'): 'b941e33f2489875d2c901d849849f908a99ad6674e585bb54c6f1b210ccc160a',
     ('osg-crash-resume', 'journal/wal-00000012.jsonl'): '62f5c04e8093f06e287ff09aa0288288d1a0e141b52961b825c9910113c6f699',
+    ('osg-crash-resume', 'report.json'): 'd4aeee87658b07fd5218be41708a62db48a15be81c9fda256f1e69e3e209e0e5',
 }
 
 
@@ -222,6 +259,58 @@ def test_artefact_bytes_unchanged(scenario, name):
 @pytest.mark.parametrize("scenario", sorted(EXPANDED))
 def test_expanded_event_log_unchanged(scenario):
     assert _run(scenario)[2] == EXPANDED[scenario]
+
+
+#: What a child prints: ``"scenario file" -> sha256`` for every scenario,
+#: then for ``sandhills`` run once more, uncached. ``perturbed`` first
+#: draws from the global ``random`` and drains three decoy streams.
+_CHILD = """
+import json, random, sys
+from repro.sim.rng import RngStreams
+from tests.test_artefact_golden import SCENARIOS, _run
+if sys.argv[1] == "perturbed":
+    random.seed(0xBAD5EED)
+    random.random()
+    decoys = RngStreams(0)
+    for name in ("decoy-a", "decoy-b", "decoy-c"):
+        decoys.stream(name).random()
+table = {f"{s} {n}": d for s in SCENARIOS for n, d in _run(s)[1].items()}
+again = {f"sandhills {n}": d for n, d in _run.__wrapped__("sandhills")[1].items()}
+print(json.dumps([table, again]))
+"""
+
+
+def _differ(a: dict[str, str], b: dict[str, str]) -> list[str]:
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def test_hash_seed_moves_no_byte():
+    src = Path(repro.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(src.parent)])}
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", _CHILD, leg],
+            env={**env, "PYTHONHASHSEED": str(hash_seed)}, cwd=src.parent,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for hash_seed, leg in ((0, "plain"), (1, "perturbed"))
+    ]
+    tables = []
+    try:
+        for child in children:
+            stdout, stderr = child.communicate(timeout=300)
+            assert child.returncode == 0, stderr
+            table, again = json.loads(stdout)
+            rerun = {k: v for k, v in table.items() if k.startswith("sandhills ")}
+            assert _differ(rerun, again) == [], "a second run in one process"
+            tables.append(table)
+    finally:
+        for child in children:
+            child.kill()
+            child.wait()
+    assert _differ(*tables) == [], "PYTHONHASHSEED 0 and 1"
+    golden = {f"{s} {n}": d for (s, n), d in GOLDEN.items()}
+    assert _differ(tables[0], golden) == [], "GOLDEN"
 
 
 if __name__ == "__main__":  # regenerate both tables

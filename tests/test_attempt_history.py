@@ -112,12 +112,10 @@ def test_final_attempt_is_the_latest_submitted(trace):
     for job, attempts in by_job.items():
         assert {a.job_name for a in attempts} == {job}
         assert attempts == sorted(attempts, key=_time_key)
-        assert attempts == trace.for_job(job)
         assert final[job] is attempts[-1]
         assert _time_key(final[job]) == max(
             _time_key(a) for a in trace if a.job_name == job
         )
-    assert trace.for_job("nobody") == []
 
 
 @given(multi_round_traces())

@@ -186,7 +186,7 @@ class TestWorkflowTrace:
         trace = WorkflowTrace()
         trace.add(attempt(name="a", attempt_no=2, status=JobStatus.SUCCEEDED))
         trace.add(attempt(name="a", attempt_no=1, status=JobStatus.FAILED))
-        attempts = trace.for_job("a")
+        attempts = trace.by_job()["a"]
         assert [x.attempt for x in attempts] == [1, 2]
 
     def test_cumulative_kickstart_counts_successes_only(self):

@@ -102,8 +102,8 @@ class TestDag:
 
     def test_roots_and_leaves(self):
         dag = diamond()
-        assert dag.roots() == ["a"]
-        assert dag.leaves() == ["d"]
+        assert [n for n, ps in dag.parent_sets().items() if not ps] == ["a"]
+        assert [n for n, kids in dag.child_sets() if not kids] == ["d"]
 
     def test_parents_children(self):
         dag = diamond()

@@ -102,8 +102,9 @@ def test_dagman_invariants(case):
     )
 
     # 3. Attempt counts respect the retry budget and scripted failures.
+    by_job = result.trace.by_job()
     for name in dag.jobs:
-        attempts = result.trace.for_job(name)
+        attempts = by_job.get(name, [])
         assert len(attempts) <= retries + 1
         for k, attempt in enumerate(attempts, start=1):
             assert attempt.attempt == k
@@ -113,7 +114,7 @@ def test_dagman_invariants(case):
     # 4. DONE iff the job's last attempt succeeded; FAILED iff every
     #    allowed attempt was scripted to fail.
     for name, state in result.states.items():
-        attempts = result.trace.for_job(name)
+        attempts = by_job.get(name, [])
         if state is NodeState.DONE:
             assert attempts and attempts[-1].status.is_success
         elif state is NodeState.FAILED:

@@ -100,7 +100,7 @@ class TestLocalEnvironment:
         assert not result.success
         assert result.states["bad"] is NodeState.FAILED
         assert result.states["child"] is NodeState.UNRUNNABLE
-        assert "bad input" in result.trace.for_job("bad")[0].error
+        assert "bad input" in result.trace.by_job()["bad"][0].error
 
     def test_retry_reruns_payload(self):
         calls = {"n": 0}

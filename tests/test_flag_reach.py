@@ -1,9 +1,9 @@
 """Every command-line flag is passed by something that runs.
 
 The flag-level sibling of ``tests/test_src_reach.py``. The flags are
-every option of the ``[project.scripts]`` commands and of ``python -m
-repro.lint.determinism``, read off the parsers their functions build
-(a subcommand's options belong to ``COMMAND SUB``). A flag is reached
+every option of the ``[project.scripts]`` commands, read off the
+parsers their functions build (a subcommand's options belong to
+``COMMAND SUB``). A flag is reached
 when a root passes it to *its own* command — ``--seed`` given to
 ``repro-run`` does nothing for ``repro-service bench``. The roots:
 
@@ -32,10 +32,8 @@ from tests.test_readme_commands import readme_commands, scripts
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: Command -> ``module:function``: the console scripts plus the one
-#: ``python -m`` command with flags that CI runs.
-COMMANDS = {**scripts(),
-            "python -m repro.lint.determinism": "repro.lint.determinism:main"}
+#: Command -> ``module:function``: the console scripts.
+COMMANDS = scripts()
 
 ALLOWED: dict[str, str] = {}
 
@@ -148,10 +146,6 @@ def ci_scripts() -> list[str]:
 def _invocation(argv: list[str]) -> tuple[str, list[str]] | None:
     if argv[0] in COMMANDS:
         return argv[0], argv[1:]
-    if argv[0] in ("python", "python3") and argv[1:2] == ["-m"]:
-        command = f"python -m {argv[2]}"
-        if command in COMMANDS:
-            return command, argv[3:]
     return None
 
 
@@ -234,8 +228,7 @@ def test_every_allowed_flag_says_why():
 
 def test_the_roots_are_found():
     commands = {command for command, _ in root_invocations()}
-    assert {"repro-lint", "repro-plan", "repro-run", "repro-report",
-            "python -m repro.lint.determinism"} <= commands
+    assert {"repro-lint", "repro-plan", "repro-run", "repro-report"} <= commands
     assert {"repro-plan --submit-dir", "repro-run --journal",
             "repro-plan --retries"} <= reached()
 

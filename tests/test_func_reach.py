@@ -103,8 +103,6 @@ ALLOWED: dict[str, str] = {
         "ClassAd UNDEFINED: a requirement naming an attribute the ad lacks",
     "repro.dagman.condor:_Missing.__lt__":
         "ClassAd UNDEFINED: a requirement naming an attribute the ad lacks",
-    "repro.lint.determinism:Divergence.describe":
-        "prints a divergence: runs only when the determinism audit fails",
     # Refusal paths.
     "repro.wms.planner:LintFailure.__init__":
         "refusal: plan() on a workflow the preflight finds an ERROR in",
@@ -143,13 +141,10 @@ ALLOWED: dict[str, str] = {
     "repro.dagman.condor:ClassAd.get": "tests read an ad's attributes",
     "repro.dagman.dag:Dag.parents": "tests and oracles read one job's parents",
     "repro.dagman.dag:Dag.children": "tests and oracles read one job's children",
-    "repro.dagman.dag:Dag.roots": "tests read a DAG's roots",
-    "repro.dagman.dag:Dag.leaves": "tests read a DAG's leaves",
     "repro.dagman.events:ResourceProfile.cpu_s":
         "tests read a profile's CPU seconds",
     "repro.dagman.events:ResourceProfile.cpu_utilization":
         "tests read a profile's CPU share",
-    "repro.dagman.events:WorkflowTrace.for_job": "tests read one job's attempts",
     "repro.dagman.scheduler:DagmanScheduler.attempt_number":
         "tests check a resume restores the attempt counters",
     "repro.datagen.transcripts:Transcriptome.cluster_sizes":

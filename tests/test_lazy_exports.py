@@ -1,10 +1,11 @@
 """The packages' public surface: a name is re-exported only because
 something imports it through its package.
 
-Three packages re-export through a table (``repro/_lazy.py``):
-``repro.lint``, ``repro.observe`` and ``repro.resilience``.
-``repro.sim`` re-exports eagerly, because its ``PLATFORMS`` table holds
-the classes. Every other package ``__init__`` is its docstring. Pinned
+Two packages re-export through a table (``repro/_lazy.py``):
+``repro.observe`` and ``repro.resilience``. ``repro.sim`` re-exports
+eagerly, because its ``PLATFORMS`` table holds the classes, and
+``repro.lint`` because it defines ``lint()`` beside its names. Every
+other package ``__init__`` is its docstring. Pinned
 here: every name left in an ``__all__`` has an importer; every name of
 ``__all__`` is importable from its package and is the same object as in
 its defining module; a table is the exact mirror of the import lines
@@ -37,7 +38,7 @@ PACKAGES = ["repro"] + sorted(
     if info.ispkg
 )
 #: Packages that still re-export through a table.
-LAZY_PACKAGES = ["repro.lint", "repro.observe", "repro.resilience"]
+LAZY_PACKAGES = ["repro.observe", "repro.resilience"]
 #: ``repro.lint`` defines ``lint()`` and registers its rules, and
 #: ``repro.sim`` builds ``PLATFORMS``: code of their own beside their
 #: re-exports.
@@ -199,13 +200,7 @@ def test_import_as_gives_the_submodule(module) -> None:
     assert namespace["m"] is sys.modules[module]
 
 
-def test_lint_resolves_its_one_lazy_name_through_the_helper() -> None:
-    import repro.lint
-    from repro.lint.determinism import DeterminismOptions
-
-    assert repro.lint.DeterminismOptions is DeterminismOptions
-    assert "DeterminismOptions" not in vars(repro.lint)
-    assert "DeterminismOptions" in dir(repro.lint)
+def test_every_table_resolves_through_the_helper() -> None:
     for name in LAZY_PACKAGES:
         package = importlib.import_module(name)
         assert package.__getattr__.__module__ == "repro._lazy"

@@ -16,7 +16,7 @@ for finding, so this table holds one sha256 per report:
   the default catalogs on ``sandhills``.
 
 Regenerate (after convincing yourself the move is intended) with
-``PYTHONPATH=src python tests/test_lint_report_golden.py``.
+``PYTHONPATH=src:. python tests/test_lint_report_golden.py``.
 """
 
 from __future__ import annotations
@@ -101,30 +101,30 @@ def digest(case: str) -> str:
 
 
 GOLDEN: dict[str, str] = {
-    "bundled/sandhills/12/cli": "4085aa3bff349f494998318967bf76f66b8b85900f61717b3fe3d35cb075e724",
-    "bundled/sandhills/12/preflight": "4085aa3bff349f494998318967bf76f66b8b85900f61717b3fe3d35cb075e724",
-    "bundled/sandhills/300/cli": "62ab4524ef259db8b5a2e5d7c5d5d0d97fd6e37fa971940309e98cd9fc6bfa4c",
-    "bundled/sandhills/300/preflight": "62ab4524ef259db8b5a2e5d7c5d5d0d97fd6e37fa971940309e98cd9fc6bfa4c",
-    "bundled/osg/12/cli": "b7413df6dce58fd0e1c3b568ca581c1d272c3bd1ef8e626292f70fd6df00847a",
-    "bundled/osg/12/preflight": "b7413df6dce58fd0e1c3b568ca581c1d272c3bd1ef8e626292f70fd6df00847a",
-    "bundled/osg/300/cli": "6ceb6e2c354ff62fafc221ae686d12af418039b482bbe231443bee1197dc1a9d",
-    "bundled/osg/300/preflight": "6ceb6e2c354ff62fafc221ae686d12af418039b482bbe231443bee1197dc1a9d",
-    "bundled/osg-never/12/cli": "42a196ae30c6bbe4eeb082dd6ea9f7164d511d0f698f98006b3b7fc200b87c57",
-    "bundled/osg-never/12/preflight": "42a196ae30c6bbe4eeb082dd6ea9f7164d511d0f698f98006b3b7fc200b87c57",
-    "bundled/osg-never/300/cli": "f5088afee5e7232d2c16a90a6d11c00739545999fad7d061141b80a5658cdda1",
-    "bundled/osg-never/300/preflight": "f5088afee5e7232d2c16a90a6d11c00739545999fad7d061141b80a5658cdda1",
-    "fixture/cycle/seed": "d5df21c0cb561d65b9780083ad9dbe3cedab2aef3bbc4dc29028d0dea49262fb",
-    "fixture/cycle/catalogs": "cfe8abe2e12a831d7958787b94ca7335b2d8dbc17881f6294fd4989df07d7828",
-    "fixture/missing-input/seed": "d9d80b09a2d58cd8d16f45a167319415c0f6bfe1c2a974d0b2211946cf273493",
-    "fixture/missing-input/catalogs": "d03ee7f345d7c83106979403546bf7785f792b074a7d6255367ce82290e4d011",
-    "fixture/write-write/seed": "6f27c37554ff9ad291ce6ec663319dfb513fdd7d188f6e3ea26870abcc3193ee",
-    "fixture/write-write/catalogs": "815ad01a151e17a777a9f7443e3f1998439c51f0191705af0e03a98c6744d92a",
-    "fixture/in-place/seed": "f7d6004f2d57e346e64f8e6b73d8f05b0085b5bf03ef9ca01753a2c6f27a05bd",
-    "fixture/in-place/catalogs": "976831fb90300e5cd3a39771035b751466bb97077989398d20c30c186a8b97cc",
-    "fixture/reuse/seed": "d8d7fe11d200a853371b81066ecac903162d0cfccf6107d03f69a5aa49bcaa97",
-    "fixture/reuse/catalogs": "b1a450d6bff9e6396947ff4e1f5aad8fb58e8f188e574fc7fb029f7b20405367",
-    "fixture/island/seed": "ca0e92c5847b12c25d2df037663c9b8130d7ba65e4a6f06318392f1dd0c55d4e",
-    "fixture/island/catalogs": "b93fc1f1b60080929d9ca75ef2226add6a18685e05cdbc29b2e36c106c007ff7",
+    "bundled/sandhills/12/cli": "2f4cba223906736ab40cb3215323b598c2c343a3030f63036c8bb2333bbf03f5",
+    "bundled/sandhills/12/preflight": "2f4cba223906736ab40cb3215323b598c2c343a3030f63036c8bb2333bbf03f5",
+    "bundled/sandhills/300/cli": "bdd50c4f0b47364e9da8b24b3edd666fec37171dd2be5e7419558aa38322d744",
+    "bundled/sandhills/300/preflight": "bdd50c4f0b47364e9da8b24b3edd666fec37171dd2be5e7419558aa38322d744",
+    "bundled/osg/12/cli": "33012c87f41bcec01378dc565698b003609931562ac4accd1b37528a46a893b0",
+    "bundled/osg/12/preflight": "33012c87f41bcec01378dc565698b003609931562ac4accd1b37528a46a893b0",
+    "bundled/osg/300/cli": "21aaf47d8d24e3c1f43f62bee302223dead4f436735fa596c3bb3c298e2cb2e2",
+    "bundled/osg/300/preflight": "21aaf47d8d24e3c1f43f62bee302223dead4f436735fa596c3bb3c298e2cb2e2",
+    "bundled/osg-never/12/cli": "4e3b5e605269de3a06c8490af4b0136b078fa7428aaaa76e442eb2e56b1b5d03",
+    "bundled/osg-never/12/preflight": "4e3b5e605269de3a06c8490af4b0136b078fa7428aaaa76e442eb2e56b1b5d03",
+    "bundled/osg-never/300/cli": "79a86f8e87112b6ac825e858a0a66665d331d7695e63f145a09994365a6419ff",
+    "bundled/osg-never/300/preflight": "79a86f8e87112b6ac825e858a0a66665d331d7695e63f145a09994365a6419ff",
+    "fixture/cycle/seed": "7739400b4e5cdadccb909dfbe396500b300fbb14fc4d2beb230bd14b6456c99e",
+    "fixture/cycle/catalogs": "d5868c1a19e7aeeaf4202c6c3b20260959ec26bcaf47caffffca8065c42304ae",
+    "fixture/missing-input/seed": "79ac0a8393bf9f618f1edacb63a46f4001db1af56175a70dabb784b4909ce38a",
+    "fixture/missing-input/catalogs": "ca04113a39cc72a2a342050e3aa47374640f2b6458d4be265cc61d1b60eeb51b",
+    "fixture/write-write/seed": "b7c16abb7a89b119c98149533431002c521c8be9626be3c348d5658d5e02687a",
+    "fixture/write-write/catalogs": "8fb3e473c85e9521477914517e22a4a6e3f4ad0d2b2bdd3d5b779904eaa165ec",
+    "fixture/in-place/seed": "96cd54fa4fbe4004ff6a5daf8d47c408755911927c793bbfe23cf524cca6b10f",
+    "fixture/in-place/catalogs": "195de180b246f26e48b5b717a39d7cade96b4f22c03ab4522827d3767178e0ea",
+    "fixture/reuse/seed": "d0a79699a49a6e635daacc70caea49bba38396661b4b66351a7c7be4fb2c5c81",
+    "fixture/reuse/catalogs": "d272465e227e947963bcad74366fe58a89ad8af83174fce3774edfdc34d7fcdd",
+    "fixture/island/seed": "3af2493adf48784740427026d629ce10719166040ed2822e4a53f61276e95810",
+    "fixture/island/catalogs": "6235b9f01688a54fb885eac4cc49b12b339647b1a3986f7c70c76d76924f3d88",
 }
 
 

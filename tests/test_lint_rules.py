@@ -21,7 +21,6 @@ from repro.core.workflow_factory import (
 )
 from repro.dagman.dag import CycleError, Dag, DagJob, topological_sort
 from repro.lint import (
-    DeterminismOptions,
     Severity,
     lint,
     registered_rules,
@@ -380,15 +379,6 @@ def seed_res004():
     }
 
 
-def seed_det001():
-    # A fake runner whose fingerprint depends on the perturbation name:
-    # every perturbed replay diverges from baseline.
-    opts = DeterminismOptions(
-        runner=lambda platform, perturbation, _opts: perturbation,
-    )
-    return fan_out(), {"determinism": opts}
-
-
 #: Rules whose seed *inherently* co-fires another rule: transitive
 #: starvation (FLOW001/FLOW002) always roots in a missing file, which
 #: is DAX002's finding — both firing is the designed division of labor.
@@ -425,7 +415,6 @@ SEEDS = {
     "RES002": seed_res002,
     "RES003": seed_res003,
     "RES004": seed_res004,
-    "DET001": seed_det001,
 }
 
 
@@ -452,9 +441,9 @@ class TestRuleTable:
         report = lint(adag, sites=sites, transformations=tc, replicas=rc,
                       site="sandhills", planned=planned, journal=True)
         assert report.findings == []
-        # the determinism audit is opt-in; every static pass ran
-        # (journal=True satisfies PLAN006 rather than skipping it)
-        assert report.skipped_rules == ["DET001"]
+        # every pass ran (journal=True satisfies PLAN006 rather than
+        # skipping it)
+        assert report.skipped_rules == []
         assert report.ok
 
     def test_severities(self):

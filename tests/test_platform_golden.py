@@ -1,10 +1,10 @@
 """Golden traces: the platform models' observable behaviour, pinned
 *across commits*.
 
-DET001 (``repro.lint.determinism``) only compares a run with itself, so
-a refactor that changes event order, RNG draw order or engine-event
-counts on every run passes it. This table pins, per platform ×
-scenario × seed, one sha256 over
+A run compared only with itself under another hash seed cannot see a
+refactor that changes event order, RNG draw order or engine-event
+counts on every run. This table pins, per platform × scenario × seed,
+one sha256 over
 
 * ``trace_fingerprint`` of the bus stream (kind, time, job, attempt),
 * every event flattened as ``events.jsonl`` writes it (site, machine,
@@ -15,7 +15,7 @@ scenario × seed, one sha256 over
 The digests were recorded before the three simulators were folded onto
 one kernel; a change here means behaviour moved, not just code.
 Regenerate (after convincing yourself the move is intended) with
-``PYTHONPATH=src python tests/test_platform_golden.py``.
+``PYTHONPATH=src:. python tests/test_platform_golden.py``.
 
 The matchmaker's ``find`` count is *work*, not behaviour: it is pinned
 per OSG row in ``FINDS``, outside the digest, so a dispatch-path change
@@ -39,7 +39,6 @@ import pytest
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.scheduler import DagmanScheduler
-from repro.lint.determinism import trace_fingerprint
 from repro.observe.bus import EventBus, EventRecorder
 from repro.observe.log import event_to_json
 from repro.observe.sampler import UtilizationSampler
@@ -129,6 +128,16 @@ def _blackout(platform: str) -> FaultPlan:
     every node/slot ends up blocked and dispatch parks on the cooldown."""
     sites = ("site-a", "site-b") if platform == "osg" else (platform,)
     return FaultPlan(tuple(SiteOutage(s, 0.0, 1500.0) for s in sites))
+
+
+def trace_fingerprint(events: list) -> str:
+    """sha256 of each event's ``(kind, time, job, attempt)``, in order."""
+    signature = [
+        (e.kind.value, round(float(e.time), 9), e.job_name, e.attempt)
+        for e in events
+    ]
+    blob = json.dumps(signature, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 @functools.cache

@@ -379,7 +379,7 @@ def test_may_retry_is_pure():
     # RETRY budget allowed 5.
     assert scheduler.states["j"] is NodeState.FAILED
     assert scheduler.attempt_number["j"] == 3
-    assert len(scheduler.trace.for_job("j")) == 3
+    assert len(scheduler.trace.by_job()["j"]) == 3
 
     # Crash after attempt 2 failed, before its decision was journaled:
     # two failures counted, budget 2 — exactly one requeue is still

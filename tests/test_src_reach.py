@@ -111,7 +111,6 @@ def test_every_src_module_is_reached_or_allowed():
 
 def test_the_roots_are_found():
     assert {"repro.wms.cli", "repro.lint.cli", "repro.core.cli",
-            "repro.lint.determinism", "repro.lint.selfcheck",
             "repro.core.pipeline"} <= roots()
 
 
