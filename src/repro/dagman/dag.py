@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import AbstractSet, Callable, Iterable, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from repro.dagman.events import one_step_init
 from repro.util.iolib import atomic_write
@@ -154,23 +154,44 @@ def _plan_value(spec: Mapping[str, object], key: str) -> object:
     return value
 
 
+#: Most children a job keeps in a tuple. A tuple of 1–8 names costs
+#: 48–104 B where a ``set`` costs 216 B at any size, and the paper's
+#: split → partitions → merge shape gives almost every job one or two;
+#: past this, a fan-out's duplicate check must be a probe, not a scan.
+TUPLE_CHILDREN = 8
+
+
+def _grown(kids: Collection[str], child: str) -> Collection[str]:
+    """``kids`` with ``child`` added (it is not there yet): a longer
+    tuple up to :data:`TUPLE_CHILDREN`, then a ``set``, which is grown
+    in place."""
+    if type(kids) is tuple:
+        if len(kids) < TUPLE_CHILDREN:
+            return (*kids, child)
+        kids = set(kids)
+    kids.add(child)  # type: ignore[attr-defined]
+    return kids
+
+
 class Dag:
     """A directed acyclic graph of :class:`DagJob` nodes.
 
-    One adjacency: every edge is stored once, in the parent's child
-    set, and nothing mirrors it. A run only ever walks forward
+    One adjacency: every edge is stored once, with the parent, and
+    nothing mirrors it. A job's children are a ``tuple`` while it has
+    at most :data:`TUPLE_CHILDREN` of them and a ``set`` after that, so
+    the one-or-two-child jobs that make up most DAGs pay for no hash
+    table, and a wide fan-out still dedupes each edge with one probe.
+    A run only ever walks forward
     (:class:`~repro.dagman.scheduler.DagmanScheduler` reads
-    :meth:`child_sets`), so a second set per job would be paid by every
-    resident DAG for the benefit of a few whole-graph readers. Those
-    ask for :meth:`parent_sets` (or :meth:`levels`) once, O(V+E);
-    :meth:`parents` of a single job scans every edge — fine for one
-    look-up, quadratic inside a loop over the jobs.
+    :meth:`child_sets`), so a second container per job would be paid
+    by every resident DAG for the benefit of a few whole-graph readers.
+    Those ask for :meth:`parent_sets` (or :meth:`levels`) once, O(V+E).
     """
 
     def __init__(self, name: str = "workflow") -> None:
         self.name = name
         self.jobs: dict[str, DagJob] = {}
-        self._children: dict[str, set[str]] = {}
+        self._children: dict[str, Collection[str]] = {}
         self.done: set[str] = set()  # pre-completed (rescue semantics)
 
     # -- construction -------------------------------------------------
@@ -179,12 +200,13 @@ class Dag:
         if job.name in self.jobs:
             raise ValueError(f"duplicate job name: {job.name!r}")
         self.jobs[job.name] = job
-        self._children[job.name] = set()
+        self._children[job.name] = ()
         return job
 
     def add_edge(self, parent: str, child: str) -> None:
         self._check_edge(parent, child)
-        if child in self._children[parent]:
+        kids = self._children[parent]
+        if child in kids:
             return  # already present: nothing to validate
         # Incremental cycle check: the new edge closes a cycle iff
         # ``parent`` is already reachable from ``child``. A DFS over
@@ -195,21 +217,22 @@ class Dag:
         # yet: nothing but itself is reachable from it, ``parent`` is
         # not it, and the walk is skipped.
         if self._children[child] and self._reaches(child, parent):
-            self._children[parent].add(child)
             try:
                 # Error path only: recover the full unorderable set so
                 # the exception's ``members`` matches the historical
-                # whole-graph diagnosis.
-                topological_sort(self.jobs, self._children)
+                # whole-graph diagnosis — over a copy of the adjacency
+                # holding the edge, so this DAG is never touched.
+                topological_sort(
+                    self.jobs, {**self._children, parent: (*kids, child)}
+                )
                 members: tuple[str, ...] = ()
             except CycleError as exc:
                 members = exc.members
-            self._children[parent].discard(child)
             raise CycleError(
                 f"edge {parent!r} -> {child!r} would create a cycle",
                 members,
             )
-        self._children[parent].add(child)
+        self._children[parent] = _grown(kids, child)
 
     def _check_edge(self, parent: str, child: str) -> None:
         """An edge's own faults: an unknown job, or a self-dependency."""
@@ -237,20 +260,10 @@ class Dag:
 
     # -- queries ------------------------------------------------------
 
-    def parents(self, name: str) -> set[str]:
-        """The parents of one job, found by scanning every edge: O(E).
-        Whole-graph passes take :meth:`parent_sets` once instead."""
-        if name not in self._children:
-            raise KeyError(name)
-        return {p for p, kids in self._children.items() if name in kids}
-
-    def children(self, name: str) -> set[str]:
-        return set(self._children[name])
-
-    def child_sets(self) -> Iterable[tuple[str, AbstractSet[str]]]:
+    def child_sets(self) -> Iterable[tuple[str, Collection[str]]]:
         """``(job, its children)`` per job, in insertion order — the
-        DAG's own sets where :meth:`children` copies; for whole-graph
-        passes that only read. Do not mutate them."""
+        DAG's own containers (a tuple or a set, in no particular
+        order), for passes that only read. Do not mutate them."""
         return self._children.items()
 
     def parent_sets(self) -> dict[str, set[str]]:
@@ -275,11 +288,15 @@ class Dag:
         """The in-memory rescue DAG: a copy with ``done`` as its DONE
         marks. Same :class:`DagJob` objects (payloads, runtimes and
         timeouts survive, which a written ``.dag`` file cannot carry),
-        adjacency copied set for set — the edges are known acyclic, so
-        none of :meth:`add_edge`'s reachability checks run."""
+        adjacency shared tuple for tuple and copied set for set (only a
+        set is grown in place) — the edges are known acyclic, so none
+        of :meth:`add_edge`'s reachability checks run."""
         rescue = Dag(name=self.name if name is None else name)
         rescue.jobs = dict(self.jobs)
-        rescue._children = {n: set(s) for n, s in self._children.items()}
+        rescue._children = {
+            n: kids if type(kids) is tuple else set(kids)
+            for n, kids in self._children.items()
+        }
         rescue.done = set(done)
         return rescue
 
@@ -335,20 +352,22 @@ class Dag:
             except (KeyError, TypeError, ValueError) as exc:
                 reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"job {job_name!r}: {reason}") from None
+        children = dag._children
         for edge in data["edges"]:
             try:
                 parent, child = edge
                 dag._check_edge(parent, child)
             except (KeyError, TypeError, ValueError) as exc:
                 raise ValueError(f"edge {edge!r}: {exc.args[0]}") from None
-            dag._children[parent].add(child)
+            kids = children[parent]
+            if child not in kids:  # a plan may list an edge twice
+                children[parent] = _grown(kids, child)
         # One acyclicity check for the whole plan; only a cyclic one is
         # rebuilt edge by edge, to name the first edge that closes it.
         try:
-            topological_sort(dag.jobs, dag._children)
+            topological_sort(dag.jobs, children)
         except CycleError:
-            for children in dag._children.values():
-                children.clear()
+            dag._children = dict.fromkeys(dag.jobs, ())
             for edge in data["edges"]:
                 try:
                     dag.add_edge(*edge)

@@ -41,7 +41,10 @@ completion touches no name-keyed dict. Names appear only at the
 boundary: the events built here, :attr:`DagmanResult.states`, the
 ``states`` / ``attempt_number`` snapshots, :class:`SchedulerRestore`
 lookups. Children are kept as ids **in child-name order**: readiness
-order is the FIFO tie-break, and id order is not name order. The
+order is the FIFO tie-break, and id order is not name order. They and
+the readiness tokens live in flat machine-integer arrays (every job's
+child ids end to end, plus where each job's run starts), so the copy
+of the adjacency a run holds costs no Python object per job. The
 name-keyed full-rescan loop this replaced is the test oracle
 ``tests/oracles/rescan_scheduler.py``; the property tests hold this
 scheduler to it event for event.
@@ -50,6 +53,7 @@ scheduler to it event for event.
 from __future__ import annotations
 
 import heapq
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -202,10 +206,12 @@ class DagmanScheduler:
         event's own keys — how :mod:`repro.service` puts
         ``tenant``/``workflow`` on a bus many workflows share.
 
-        Untagged, on a platform that shares the bus, it leaves →
-        submitted, → done and a retry's → ready / → held to the
-        ``job.submit``, succeeded record, ``job.retry`` and ``job.held``
-        stating them; tagged, it restates them as state changes (the
+        It leaves → submitted and a retry's → ready / → held to the
+        ``job.submit``, ``job.retry`` and ``job.held`` it emits beside
+        them, tagged as everything it builds. → done is the platform's
+        succeeded record to state: untagged, on a platform that shares
+        the bus, it leaves that to it too; tagged, or when the platform
+        publishes elsewhere, it restates it as a state change (the
         platform's events carry no workflow scope).
 
         ``retry_policy`` (see :mod:`repro.resilience.retry`) controls
@@ -225,7 +231,7 @@ class DagmanScheduler:
         self.default_retries = default_retries
         self.bus = bus
         self._tags = dict(tags) if tags else None
-        self._restate = self._tags is not None or (
+        self._restate_done = self._tags is not None or (
             getattr(environment, "bus", None) is not bus
         )
         self.retry_policy = retry_policy
@@ -238,13 +244,15 @@ class DagmanScheduler:
         self._attempt: list[int] = []
         self._retries_left: list[int] = []
         self._failed_attempts: list[int] = []
-        self._ready_seq: list[int] = []
+        self._ready_seq = array("q")
         # Parents not yet DONE, per node; READY fires when this hits 0.
         self._pending_parents: list[int] = []
-        # Child ids in child-*name* order, sorted once at start(): the
-        # readiness FIFO tie-break must depend on neither set hash order
-        # nor insertion order.
-        self._children: list[tuple[int, ...]] = []
+        # Job i's children are ``_child_ids[_child_at[i]:_child_at[i + 1]]``,
+        # in child-*name* order, sorted once at start(): the readiness
+        # FIFO tie-break must depend on neither set hash order nor
+        # insertion order.
+        self._child_ids = array("l")
+        self._child_at = array("l")
         self._seq = 0
         self._in_flight = 0
         self._started = False
@@ -304,7 +312,7 @@ class DagmanScheduler:
         )
         self._attempt = [0] * n
         self._failed_attempts = [0] * n
-        self._ready_seq = [0] * n
+        self._ready_seq = array("q", [0]) * n
         state = self._state = [_UNREADY] * n
         # Counted down by the direct state writes below (pre-done marks,
         # journaled failures); every later transition into a terminal
@@ -335,19 +343,22 @@ class DagmanScheduler:
                     state[i] = _FAILED
                     unfinished -= 1
         self._unfinished = unfinished
-        # One pass over the edges, from the parent's side: each child
-        # set is read once, ordered by name, mapped to ids, and counted
-        # into its children's pending-parent counters.
-        children: list[tuple[int, ...]] = [()] * n
+        # One pass over the edges, from the parent's side and in id
+        # order (``child_sets()`` follows ``dag.jobs``): each job's
+        # children are read once, ordered by name, mapped to ids,
+        # appended to the flat array and counted into their
+        # pending-parent counters.
+        child_ids = self._child_ids = array("l")
+        child_at = self._child_at = array("l", [0]) * (n + 1)
         pending = self._pending_parents = [0] * n
-        for name, kids in dag.child_sets():
+        for i, (_, kids) in enumerate(dag.child_sets()):
             if kids:
-                i = ids[name]
-                kid_ids = children[i] = tuple([ids[k] for k in sorted(kids)])
+                kid_ids = [ids[k] for k in sorted(kids)]
+                child_ids.extend(kid_ids)
                 if state[i] is not _DONE:
                     for kid in kid_ids:
                         pending[kid] += 1
-        self._children = children
+            child_at[i + 1] = len(child_ids)
         bus = self.bus
         if bus is not None and bus.active:
             self._emit(
@@ -462,8 +473,8 @@ class DagmanScheduler:
         released_attempt: int | None = None,
     ) -> None:
         """Publish one ``job.state_change``: every one ``_set_state``
-        writes, and on a restating stream (see ``__init__``) the ones
-        written inline."""
+        writes, and on a stream that restates → done (see ``__init__``)
+        a success written inline."""
         bus = self.bus
         if state is not previous and bus is not None and bus.active:
             # A deaf run pays for no detail dict (engine_layered_100k is
@@ -535,8 +546,6 @@ class DagmanScheduler:
         # READY → SUBMITTED, which the job.submit below states.
         self._state[i] = _SUBMITTED
         self._ready_count -= 1
-        if self._restate:
-            self._emit_change(i, _READY, _SUBMITTED)
         attempt = self._attempt[i] + 1
         self._attempt[i] = attempt
         self._in_flight += 1
@@ -560,7 +569,7 @@ class DagmanScheduler:
             # SUBMITTED → DONE, which the succeeded record states.
             self._state[i] = _DONE
             self._unfinished -= 1
-            if self._restate:
+            if self._restate_done:
                 self._emit_change(i, _SUBMITTED, _DONE)
             # Children in name order: readiness order is the FIFO
             # tie-break — hash order would make run outcomes depend on
@@ -569,7 +578,8 @@ class DagmanScheduler:
             # exactly once per parent.
             pending = self._pending_parents
             state = self._state
-            for child in self._children[i]:
+            at = self._child_at
+            for child in self._child_ids[at[i]:at[i + 1]]:
                 remaining = pending[child] - 1
                 pending[child] = remaining
                 if remaining == 0 and state[child] is _UNREADY:
@@ -642,16 +652,15 @@ class DagmanScheduler:
             })
         # SUBMITTED (READY if replayed at start()) → HELD / READY, which
         # job.held / job.retry state.
-        previous = self._state[i]
         if delay > 0:
             if bus is not None and bus.active:
                 self._emit(EventKind.HELD, job, attempt_no, {
                     "delay_s": delay,
                     "until": self.environment.now + delay,
                 })
-            self._state[i] = _HELD
-            if previous is _READY:
+            if self._state[i] is _READY:
                 self._ready_count -= 1
+            self._state[i] = _HELD
 
             def release() -> None:
                 if self._state[i] is _HELD:
@@ -662,18 +671,16 @@ class DagmanScheduler:
         else:
             self._state[i] = _READY
             self._push_ready(i)
-        if self._restate:
-            self._emit_change(i, previous, self._state[i])
 
     def _mark_descendants_unrunnable(self, i: int) -> None:
         state = self._state
-        children = self._children
-        stack = list(children[i])
+        child_ids, at = self._child_ids, self._child_at
+        stack = child_ids[at[i]:at[i + 1]].tolist()
         while stack:
             node = stack.pop()
             if state[node] in (_UNREADY, _READY):
                 self._set_state(node, _UNRUNNABLE)
-                stack.extend(children[node])
+                stack.extend(child_ids[at[node]:at[node + 1]])
 
     @property
     def attempt_number(self) -> dict[str, int]:

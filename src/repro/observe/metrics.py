@@ -13,7 +13,6 @@ transformation kickstart/waiting histograms.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
@@ -68,34 +67,44 @@ class Gauge:
 
 
 class Histogram:
-    """Streaming distribution summary (kept sorted for percentiles)."""
+    """Streaming distribution summary.
 
-    __slots__ = ("_sorted", "sum")
+    ``observe`` appends, O(1); the values are sorted on the first
+    percentile read after a write, because keeping them sorted on every
+    observation would make a run's histogram quadratic in its length."""
+
+    __slots__ = ("_values", "_sorted", "sum")
 
     def __init__(self) -> None:
-        self._sorted: list[float] = []
+        self._values: list[float] = []
+        self._sorted = True
         self.sum = 0.0
 
     def observe(self, value: float) -> None:
-        insort(self._sorted, value)
+        self._values.append(value)
+        self._sorted = False
         self.sum += value
 
     @property
     def count(self) -> int:
-        return len(self._sorted)
+        return len(self._values)
 
     @property
     def mean(self) -> float:
-        return self.sum / len(self._sorted) if self._sorted else 0.0
+        return self.sum / len(self._values) if self._values else 0.0
 
     def percentile(self, p: float) -> float:
         """Nearest-rank percentile, ``p`` in [0, 100]."""
         if not 0 <= p <= 100:
             raise ValueError("p must be in [0, 100]")
-        if not self._sorted:
+        values = self._values
+        if not values:
             return 0.0
-        rank = min(len(self._sorted) - 1, round(p / 100 * (len(self._sorted) - 1)))
-        return self._sorted[rank]
+        if not self._sorted:
+            values.sort()
+            self._sorted = True
+        rank = min(len(values) - 1, round(p / 100 * (len(values) - 1)))
+        return values[rank]
 
     def summary(self) -> dict[str, float]:
         return {

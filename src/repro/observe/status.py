@@ -17,8 +17,8 @@ from repro.observe.events import EventKind, RunEvent
 
 __all__ = ["StatusView"]
 
-#: The node state an event states (a tagged scheduler restates it as a
-#: ``job.state_change`` too; see ``DagmanScheduler``).
+#: The node state an event states: no scheduler restates it as a
+#: ``job.state_change`` (see ``DagmanScheduler``).
 _STATED = {EventKind.SUBMIT: "submitted", EventKind.RETRY: "ready", EventKind.HELD: "held"}
 
 

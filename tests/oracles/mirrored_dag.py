@@ -16,6 +16,10 @@ width, and the order every planned DAG, ``.dag`` file and artefact
 digest was produced in; ``repro.dagman.dag.topological_sort`` must
 return the same list.
 
+It is also the set-backed reference: every job's children are a
+``set`` whatever their number, where ``Dag`` keeps a tuple up to
+``TUPLE_CHILDREN`` — no query may tell the two apart.
+
 The ``.dag`` file round trip and ``rescue()`` are not here: the first
 reads no adjacency, the second copied the two maps and has nothing to
 be compared with.

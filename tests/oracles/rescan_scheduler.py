@@ -76,6 +76,8 @@ class LegacyRescanScheduler:
 
     def start(self) -> None:
         self._start_time = self.environment.now
+        self._parents = self.dag.parent_sets()
+        self._children = dict(self.dag.child_sets())
         for name, job in self.dag.jobs.items():
             retries = (
                 self.default_retries
@@ -134,7 +136,7 @@ class LegacyRescanScheduler:
 
     def _parents_done(self, name: str) -> bool:
         return all(
-            self.states[p] is NodeState.DONE for p in self.dag.parents(name)
+            self.states[p] is NodeState.DONE for p in self._parents[name]
         )
 
     def _submit_ready(self) -> None:
@@ -176,10 +178,10 @@ class LegacyRescanScheduler:
         if attempt.status.is_success:
             self._failed_attempts[name] = 0
             self._set_state(name, NodeState.DONE)
-            # Sorted: children() is a set, and readiness order is the
-            # FIFO tie-break — iterating in hash order would make run
-            # outcomes depend on PYTHONHASHSEED.
-            for child in sorted(self.dag.children(name)):
+            # Sorted: a job's children come in no particular order, and
+            # readiness order is the FIFO tie-break — iterating in hash
+            # order would make run outcomes depend on PYTHONHASHSEED.
+            for child in sorted(self._children[name]):
                 if (
                     self.states[child] is NodeState.UNREADY
                     and self._parents_done(child)
@@ -263,9 +265,9 @@ class LegacyRescanScheduler:
             self._set_state(name, NodeState.READY)
 
     def _mark_descendants_unrunnable(self, name: str) -> None:
-        stack = sorted(self.dag.children(name))
+        stack = sorted(self._children[name])
         while stack:
             node = stack.pop()
             if self.states[node] in (NodeState.UNREADY, NodeState.READY):
                 self._set_state(node, NodeState.UNRUNNABLE)
-                stack.extend(sorted(self.dag.children(node)))
+                stack.extend(sorted(self._children[node]))

@@ -1,22 +1,41 @@
 """``Dag`` stores each edge once; everything the mirrored ``_parents``
 map used to answer must come out the same.
 
-The oracle is the two-map DAG as it was (``tests/oracles/
+The oracle is the two-map, set-per-job DAG as it was (``tests/oracles/
 mirrored_dag.py``). Edges arrive in random order between random pairs,
 so a child usually has descendants already — the reachability walk
 runs, not only the childless fast path of a topological build — and
-some of them close a cycle and must be refused without a trace.
+some of them close a cycle and must be refused without a trace. Fan-out
+scripts give one job more than ``TUPLE_CHILDREN`` children, so its
+container turns from a tuple into a set mid-script, and one of their
+refused edges lands on that job while it holds exactly that many.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dagman.dag import CycleError, Dag, DagJob, topological_sort
+from repro.dagman.dag import (
+    TUPLE_CHILDREN,
+    CycleError,
+    Dag,
+    DagJob,
+    topological_sort,
+)
 from tests.oracles.mirrored_dag import MirroredDag, topological_sort_reference
 
 
 def snapshot(dag) -> dict[str, frozenset[str]]:
     return {name: frozenset(kids) for name, kids in dag.child_sets()}
+
+
+def assert_one_container_per_job(dag) -> None:
+    """A job's children: a tuple of distinct names up to
+    ``TUPLE_CHILDREN``, a set beyond."""
+    for _, kids in dag.child_sets():
+        if len(kids) <= TUPLE_CHILDREN:
+            assert type(kids) is tuple and len(set(kids)) == len(kids)
+        else:
+            assert type(kids) is set
 
 
 @st.composite
@@ -34,8 +53,35 @@ def edge_scripts(draw):
     return list(zip(names, runtimes)), edges
 
 
+@st.composite
+def fan_out_scripts(draw):
+    """A hub fanning out past ``TUPLE_CHILDREN``: ``up -> hub`` first,
+    then ``hub``'s children in a drawn order (repeats included) with
+    ``hub -> up`` — a cycle, refused — tried the moment the hub holds
+    exactly ``TUPLE_CHILDREN``; then random pairs, as in
+    :func:`edge_scripts`."""
+    width = draw(st.integers(TUPLE_CHILDREN + 1, 2 * TUPLE_CHILDREN + 4))
+    kids = [f"k{i:02d}" for i in range(width)]
+    names = draw(st.permutations(["hub", "up", *kids]))
+    runtimes = draw(
+        st.lists(st.integers(0, 40), min_size=len(names), max_size=len(names))
+    )
+    order = draw(st.permutations(kids))
+    repeats = draw(st.lists(st.sampled_from(kids), max_size=4))
+    fan = [("hub", k) for k in order[:TUPLE_CHILDREN]]
+    fan += [("hub", "up")]
+    fan += [("hub", k) for k in (*order[TUPLE_CHILDREN:], *repeats)]
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    edges = [("up", "hub"), *fan, *draw(st.lists(pair, max_size=len(names)))]
+    return list(zip(names, runtimes)), edges
+
+
+scripts = st.one_of(edge_scripts(), fan_out_scripts())
+
+
 def build(script):
-    """Feed one script to both DAGs; each edge must meet the same fate."""
+    """Feed one script to both DAGs; each edge must meet the same fate,
+    and every job keep one container of the kind its size calls for."""
     jobs, edges = script
     dag, oracle = Dag(), MirroredDag()
     for name, runtime in jobs:
@@ -43,6 +89,7 @@ def build(script):
         dag.add_job(job)
         oracle.add_job(job)
     for parent, child in edges:
+        assert_one_container_per_job(dag)
         before = snapshot(dag)
         try:
             oracle.add_edge(parent, child)
@@ -58,15 +105,15 @@ def build(script):
             assert snapshot(dag) == before
         else:
             dag.add_edge(parent, child)
+    assert_one_container_per_job(dag)
     return dag, oracle
 
 
-@given(edge_scripts())
+@given(scripts)
 @settings(max_examples=150, deadline=None)
 def test_every_query_equals_the_mirrored_dag(script):
     dag, oracle = build(script)
     assert snapshot(dag) == snapshot(oracle)
-    assert all(type(kids) is set for _, kids in dag.child_sets())
 
     parent_sets = dag.parent_sets()
     assert list(parent_sets) == list(dag.jobs)
@@ -75,9 +122,6 @@ def test_every_query_equals_the_mirrored_dag(script):
     assert {(p, c) for c, ps in parent_sets.items() for p in ps} == {
         (p, c) for p, kids in dag.child_sets() for c in kids
     }
-    for name in dag.jobs:
-        assert dag.parents(name) == oracle.parents(name)
-        assert dag.children(name) == oracle.children(name)
 
     assert [n for n, ps in parent_sets.items() if not ps] == oracle.roots()
     assert [n for n, kids in dag.child_sets() if not kids] == oracle.leaves()
@@ -89,7 +133,7 @@ def test_every_query_equals_the_mirrored_dag(script):
     assert dag.critical_path_length() == oracle.critical_path_length()
 
 
-@given(edge_scripts())
+@given(scripts)
 @settings(max_examples=60, deadline=None)
 def test_reversing_an_edge_is_refused_without_a_trace(script):
     """A refusal for certain, whatever the script drew: the reverse of
@@ -104,9 +148,10 @@ def test_reversing_an_edge_is_refused_without_a_trace(script):
         assert caught.value.members == expected.value.members
         assert parent in caught.value.members and child in caught.value.members
         assert snapshot(dag) == before == snapshot(oracle)
+        assert_one_container_per_job(dag)
 
 
-@given(edge_scripts(), st.data())
+@given(scripts, st.data())
 @settings(max_examples=60, deadline=None)
 def test_rescue_copy_grows_alone(script, data):
     dag, _ = build(script)
@@ -123,14 +168,75 @@ def test_rescue_copy_grows_alone(script, data):
             pass
     assert snapshot(dag) == before
     assert dag.parent_sets() == parents_before
+    assert_one_container_per_job(copy)
 
 
 def test_parents_of_an_unknown_job_is_a_key_error():
     dag = Dag()
     dag.add_job(DagJob(name="a", transformation="t"))
     with pytest.raises(KeyError):
-        dag.parents("ghost")
-    assert dag.parents("a") == set()
+        dag.parent_sets()["ghost"]
+    assert dag.parent_sets()["a"] == set()
+
+
+def plan_of(jobs, edges) -> dict:
+    """The ``plan.json`` document of ``jobs`` (name, runtime) and
+    ``edges``, listed as given — repeats included."""
+    spec = {
+        "transformation": "t", "needs_setup": False, "retries": 0,
+        "timeout_s": None, "requirements": None, "priority": 0,
+    }
+    return {
+        "jobs": {name: {**spec, "runtime": runtime} for name, runtime in jobs},
+        "edges": [list(edge) for edge in edges],
+    }
+
+
+@given(scripts)
+@settings(max_examples=100, deadline=None)
+def test_from_json_with_repeated_edges_equals_the_mirrored_dag(script):
+    """A plan listing edges twice reads back as the DAG built edge by
+    edge; one that closes a cycle names the first edge that does."""
+    jobs, edges = script
+    edges = [(p, c) for p, c in edges if p != c]
+    oracle, accepted, closing = MirroredDag(), [], None
+    for name, runtime in jobs:
+        oracle.add_job(DagJob(name=name, transformation="t", runtime=runtime))
+    for edge in edges:
+        try:
+            oracle.add_edge(*edge)
+        except CycleError:
+            closing = closing or list(edge)
+        else:
+            accepted.append(edge)
+    dag = Dag.from_json(plan_of(jobs, accepted + accepted[::2]))
+    assert snapshot(dag) == snapshot(oracle)
+    assert list(dag.edges()) == list(oracle.edges())
+    assert_one_container_per_job(dag)
+    if closing is not None:
+        with pytest.raises(ValueError) as caught:
+            Dag.from_json(plan_of(jobs, edges))
+        assert str(caught.value) == f"edge {closing!r}: closes a cycle"
+
+
+def test_a_wide_fan_out_dedupes_by_probe():
+    """Past ``TUPLE_CHILDREN`` a job's children are a set, so each
+    further edge's duplicate check is a hash probe: a 5 000-wide
+    fan-out is linear to build, not quadratic, whichever way it is
+    built."""
+    width = 5_000
+    kids = [f"w{i:05d}" for i in range(width)]
+    dag = Dag()
+    for name in ("split", *kids):
+        dag.add_job(DagJob(name=name, transformation="t"))
+    for kid in kids:
+        dag.add_edge("split", kid)
+    dag.add_edge("split", kids[0])  # a repeat changes nothing
+    edges = list(dag.edges())
+    read = Dag.from_json(plan_of([(n, 1.0) for n in dag.jobs], edges * 2))
+    for built in (dag, read, dag.rescue(done=())):
+        kids_of = dict(built.child_sets())
+        assert type(kids_of["split"]) is set and len(kids_of["split"]) == width
 
 
 # -- topological_sort: same order, linear in the frontier -----------------

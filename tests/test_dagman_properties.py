@@ -125,8 +125,9 @@ def test_dagman_invariants(case):
             assert _has_failed_ancestor(dag, name, result.states)
 
     # 5. No job submitted before all its parents completed.
+    parents = dag.parent_sets()
     for name, attempt, submit_time in env.submissions:
-        for parent in dag.parents(name):
+        for parent in parents[name]:
             assert result.states[parent] is NodeState.DONE
             assert env.completed_at[parent] <= submit_time + 1e-9
 
@@ -146,7 +147,8 @@ def test_dagman_invariants(case):
 
 
 def _has_failed_ancestor(dag, name, states):
-    stack = list(dag.parents(name))
+    parents = dag.parent_sets()
+    stack = list(parents[name])
     seen = set()
     while stack:
         node = stack.pop()
@@ -155,7 +157,7 @@ def _has_failed_ancestor(dag, name, states):
         seen.add(node)
         if states[node] is NodeState.FAILED:
             return True
-        stack.extend(dag.parents(node))
+        stack.extend(parents[node])
     return False
 
 

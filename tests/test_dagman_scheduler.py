@@ -284,7 +284,8 @@ class TestDeafBus:
         bus.subscribe(seen.append)
         built, details = self.run(bus)
         assert seen == built and bus.emitted == len(built)
-        # a, c, d: ready / submitted / done + one submit each;
-        # b, retried once: five state changes + two submits.
-        assert len(details) == 3 * (3 + 1) + (5 + 2)
+        # a, c, d: ready / done + one submit each; b, retried once:
+        # ready / done + two submits (its submits and job.retry state
+        # the → submitted and → ready between, so nothing restates them).
+        assert len(details) == 3 * (2 + 1) + (2 + 2)
         assert all(d for d in details)

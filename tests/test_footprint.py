@@ -5,28 +5,32 @@ while DAGMan drives a run, so bytes per job is a cost in its own right
 (it is most of ``peak_rss_mb`` on the budget's ``engine_layered_100k``).
 ``tracemalloc`` reads it to the byte and the figure repeats, so it is
 gated here and no RSS reading is: what a 10 000-job two-parent layered
-DAG retains once built, and what one finished ``DagmanScheduler`` run
-over it hands back (the attempt trace, one record per job, and the
-final state per job), each divided by the job count; and what a
-``SpanTracer`` keeps once it has folded a 4 000-job tenant run on the
-cluster backend and ``finish()`` has returned (the allocations made
-inside ``repro/observe/trace.py``, per job), the tracer being the
-largest observer of the budget's ``svc_cluster_observed``.
+DAG retains once built, what a ``DagmanScheduler`` over it holds beyond
+the DAG once ``start()`` has returned (its per-job state, and the first
+ready layer on the platform), and what one finished run hands back
+(the attempt trace, one record per job, and the final state per job),
+each divided by the job count; and what a ``SpanTracer`` keeps once it
+has folded a 4 000-job tenant run on the cluster backend and
+``finish()`` has returned (the allocations made inside
+``repro/observe/trace.py``, per job), the tracer being the largest
+observer of the budget's ``svc_cluster_observed``.
 The structural facts the figures rest on are asserted beside them:
-``Dag`` stores each edge once, and the three per-job records carry no
-``__dict__`` — nor does ``RunEvent``, of which a live-bus job builds
-seven and an event recorder keeps every one, nor a ``Span`` or
-``SpanLink``.
+``Dag`` stores each edge once, in one child container per job, and the
+three per-job records carry no ``__dict__`` — nor does ``RunEvent``, of
+which a live-bus job builds five (six under a tagged scheduler) and an
+event recorder keeps every one, nor a ``Span`` or ``SpanLink``.
 
 ``python tests/test_footprint.py`` prints the table (CI's 'Footprint'
 step, so every Python of the matrix logs its own figures) and exits 1
-past any bound. The bounds were set on CPython 3.11 — 459 and 181
-B/job, against 743 and 229 while ``Dag`` mirrored its edges in
+past any bound. The bounds were set on CPython 3.11 — 298, 90 and 181
+B/job, against 459 and 156 while every job's children were a ``set``
+and the scheduler kept them as a tuple of ids per job, and 743 and 229
+(for the DAG and the run) while ``Dag`` mirrored its edges in
 ``_parents`` and the records were dict-backed; 1 112 B/job for the
 tracer, against 1 710 while spans were dict-backed with a list of links
 each, the occurrence counter was keyed by ``"kind:name"`` strings and
-every job kept a dict of its attempts — with slack for the object
-layouts of 3.10 and 3.12, which were not available to measure.
+every job kept a dict of its attempts — with about 12 % slack for the
+object layouts of 3.10 and 3.12, which were not available to measure.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ TENANT_JOBS = (
 )
 
 #: label -> most bytes per job it may retain.
-BOUNDS = {"dag": 520, "run": 200, "spans": 1_250}
+BOUNDS = {"dag": 334, "scheduler": 102, "run": 200, "spans": 1_250}
 
 
 def layered_dag(n: int = JOBS, width: int = WIDTH) -> Dag:
@@ -143,15 +147,21 @@ def traced_bytes() -> float:
 
 
 def measure() -> dict[str, float]:
-    """Bytes per job retained by the built DAG, by the result of one
-    finished run over it (scheduler and engine let go), and by a
-    finished span tracer."""
+    """Bytes per job retained by the built DAG, by a started scheduler
+    beyond it (its per-job state, and the first ready layer submitted),
+    by the result of one finished run over it (scheduler and engine let
+    go), and by a finished span tracer."""
     tracemalloc.start()
     try:
         start = retained()
         dag = layered_dag()
         built = retained()
-        result = DagmanScheduler(dag, InstantEnvironment(), max_jobs=200).run()
+        scheduler = DagmanScheduler(dag, InstantEnvironment(), max_jobs=200)
+        scheduler.start()
+        started = retained()
+        scheduler.environment.run_until_complete()
+        result = scheduler.finish()
+        del scheduler
         assert result.success
         finished = retained()
         assert len(result.trace) == len(dag) == JOBS
@@ -159,6 +169,7 @@ def measure() -> dict[str, float]:
         tracemalloc.stop()
     return {
         "dag": (built - start) / JOBS,
+        "scheduler": (started - built) / JOBS,
         "run": (finished - built) / JOBS,
         "spans": traced_bytes(),
     }
@@ -178,9 +189,14 @@ def test_dag_stores_each_edge_once() -> None:
     dag = layered_dag(3 * WIDTH)
     assert not hasattr(dag, "_parents")
     assert not hasattr(dag.rescue(done=()), "_parents")
-    # One ``set`` per job across everything the DAG holds, not two.
+    # One child container per job across everything the DAG holds, not
+    # two; at two children each, a tuple (an empty one for the leaves).
     maps = [v for v in vars(dag).values() if isinstance(v, dict)]
-    assert sum(isinstance(s, set) for m in maps for s in m.values()) == len(dag)
+    containers = [
+        c for m in maps for c in m.values() if isinstance(c, (tuple, set))
+    ]
+    assert len(containers) == len(dag)
+    assert all(type(c) is tuple for c in containers)
 
 
 @pytest.mark.parametrize(
@@ -208,7 +224,8 @@ def main() -> int:
         failed += over
         print(f"{label:<12} {figures[label]:>7.1f} {bound:>6}"
               f"{'  FAIL' if over else ''}")
-    print(f"({JOBS:,}-job two-parent layered DAG, one finished run; "
+    print(f"({JOBS:,}-job two-parent layered DAG, a started scheduler, "
+          f"one finished run; "
           f"span tracer of a {TENANT_JOBS:,}-job tenant run)")
     return 1 if failed else 0
 

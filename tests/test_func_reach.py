@@ -139,8 +139,6 @@ ALLOWED: dict[str, str] = {
     "repro.core.cache:CacheStats.hit_rate": "tests read a cache's hit rate",
     "repro.core.cache:CacheStats.lookups": "tests read a cache's lookups",
     "repro.dagman.condor:ClassAd.get": "tests read an ad's attributes",
-    "repro.dagman.dag:Dag.parents": "tests and oracles read one job's parents",
-    "repro.dagman.dag:Dag.children": "tests and oracles read one job's children",
     "repro.dagman.events:ResourceProfile.cpu_s":
         "tests read a profile's CPU seconds",
     "repro.dagman.events:ResourceProfile.cpu_utilization":

@@ -1,13 +1,14 @@
-"""An untagged run's event stream says each fact once.
+"""A run's event stream says each fact once.
 
-An untagged scheduler on a platform that shares its bus emits no
-``job.state_change`` for a transition another event already states
-(``job.submit``, a succeeded terminal record, ``job.retry`` /
-``job.held``). Its readers derive those states from the stating event,
-so each must read the thinned stream exactly as the stream with the
-transitions put back by ``tests/oracles/implied_transitions.expand``:
+The scheduler emits no ``job.state_change`` for a transition another
+event already states (``job.submit``, ``job.retry`` / ``job.held``,
+and — untagged, on a platform that shares its bus — a succeeded
+terminal record). Its readers derive those states from the stating
+event, so each must read the thinned stream exactly as the stream with
+the transitions put back by ``tests/oracles/implied_transitions.expand``:
 the span forest, the status view and the makespan report. A tagged
-(service) scheduler keeps restating them, byte for byte as before.
+(service) scheduler restates → done only, and its stream expands to
+the one it emitted while it restated everything, byte for byte.
 """
 
 from __future__ import annotations
@@ -159,14 +160,25 @@ def test_released_by_chain_is_the_dag_chain(dag, site, plan, policy, seed):
         assert abs(logged["attribution"][bucket] - seconds) <= tolerance
 
 
-#: sha256 of a service run's ``events.jsonl`` text per backend, recorded
-#: before the untagged scheduler stopped restating: a tagged scheduler
-#: still emits every transition (its platform events carry no workflow
-#: scope), so the tenant stream must not move a byte.
+#: (events, sha256 of ``events.jsonl`` text) of a service run per
+#: backend. A tagged scheduler restates only → done now (534 and 654
+#: events while it restated → submitted and a retry's → ready / → held
+#: too); its ``job.submit`` / ``job.retry`` / ``job.held`` carry the
+#: same tags, so ``expand`` puts the rest back, tags included, and the
+#: expanded stream must be the one recorded before, byte for byte.
 SERVICE_STREAM = {
+    "cluster": (462, "f5cfd235877bcdce11053d9a601b1f198bcc816287876931e6d6e9b32f5d5cac"),
+    "grid": (566, "e7d74a54d4bf87e25a3753f358b376b88538eed66be1a43dbbebe2d24d031ac5"),
+}
+RESTATED_SERVICE_STREAM = {
     "cluster": (534, "a1d612c51f1b2db51c66349ffab0c51bdc6a495c56da87aa95831971749c6bab"),
     "grid": (654, "2932a032dbdc605bbe884d4c073d9361379c6c2918f3fe0d052b14e5e658d41e"),
 }
+
+
+def _stream_digest(events) -> tuple[int, str]:
+    text = "".join(event_to_json_line(e) + "\n" for e in events)
+    return len(events), hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("backend", sorted(SERVICE_STREAM))
@@ -176,6 +188,8 @@ def test_service_stream_is_unchanged(backend):
     spec = LoadSpec(tenants=3, workflows_per_tenant=2, jobs_per_workflow=12,
                     require_software_prob=0.5, retries=2)
     run_load(spec, backend=backend, seed=0, bus=bus)
-    text = "".join(event_to_json_line(e) + "\n" for e in recorder.events)
-    assert (len(recorder.events), hashlib.sha256(text.encode()).hexdigest()) \
-        == SERVICE_STREAM[backend]
+    events = recorder.events
+    assert _stream_digest(events) == SERVICE_STREAM[backend]
+    restated = [e.detail["to"] for e in events if implied(e)]
+    assert set(restated) == {"done"}
+    assert _stream_digest(expand(events)) == RESTATED_SERVICE_STREAM[backend]

@@ -489,7 +489,7 @@ class TestCycleHelper:
             dag.add_edge("b", "a")
         # rollback: the DAG is still orderable and the edge is gone
         assert dag.topological_order() == ["a", "b"]
-        assert dag.children("b") == set()
+        assert not dict(dag.child_sets())["b"]
 
 
 class TestPlannerPreflight:

@@ -10,6 +10,7 @@ sequence modulo timestamps.
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
@@ -33,6 +34,7 @@ from repro.observe import (
     write_events,
 )
 from repro.observe.log import event_from_json, event_to_json, event_to_json_line
+from repro.observe.metrics import Histogram
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngStreams
@@ -168,6 +170,34 @@ class TestMetrics:
         assert h.percentile(0) == 1.0
         assert h.percentile(50) == 3.0
         assert h.percentile(100) == 5.0
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("observe"),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                st.tuples(st.just("read"), st.floats(0, 100)),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_histogram_reads_as_sorted_observations(self, script):
+        """Observations and reads interleaved: every read answers from
+        ``sorted()`` of what was observed so far."""
+        h, seen = Histogram(), []
+        for op, value in script:
+            if op == "observe":
+                h.observe(value)
+                seen.append(value)
+                continue
+            ordered = sorted(seen)
+            rank = min(len(seen) - 1, round(value / 100 * (len(seen) - 1)))
+            assert h.percentile(value) == (ordered[rank] if seen else 0.0)
+        assert h.count == len(seen)
+        assert h.summary()["max"] == max(seen, default=0.0)
 
     def test_snapshot_renders_labels(self):
         reg = MetricsRegistry()

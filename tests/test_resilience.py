@@ -726,11 +726,12 @@ def fault_scripts(draw):
 
 
 def _descendants(dag, roots):
+    children = dict(dag.child_sets())
     out = set()
     frontier = list(roots)
     while frontier:
         node = frontier.pop()
-        for child in dag.children(node):
+        for child in children[node]:
             if child not in out:
                 out.add(child)
                 frontier.append(child)

@@ -71,8 +71,8 @@ class TestPlanningBasics:
                        transformations=tc, replicas=rc)
         dag = planned.dag
         assert "split" in dag.jobs
-        assert dag.parents("work_0") >= {"split"}
-        assert "merge" in dag.children("work_0")
+        assert dag.parent_sets()["work_0"] >= {"split"}
+        assert "merge" in dict(dag.child_sets())["work_0"]
 
     def test_stage_in_added_for_external_inputs(self):
         adag = fan_out_adag()
@@ -81,7 +81,7 @@ class TestPlanningBasics:
         planned = plan(adag, site_name="sandhills", sites=sites,
                        transformations=tc, replicas=rc)
         assert "stage_in_raw_txt" in planned.dag.jobs
-        assert "split" in planned.dag.children("stage_in_raw_txt")
+        assert "split" in dict(planned.dag.child_sets())["stage_in_raw_txt"]
         assert planned.dag.jobs["stage_in_raw_txt"].runtime > 0
 
     def test_stage_out_collects_finals(self):
@@ -91,7 +91,7 @@ class TestPlanningBasics:
         planned = plan(adag, site_name="sandhills", sites=sites,
                        transformations=tc, replicas=rc)
         assert "stage_out_final" in planned.dag.jobs
-        assert planned.dag.parents("stage_out_final") == {"merge"}
+        assert planned.dag.parent_sets()["stage_out_final"] == {"merge"}
 
     def test_osg_stage_in_slower_than_campus(self):
         adag = fan_out_adag()
@@ -214,7 +214,7 @@ class TestCleanup:
                        transformations=tc, replicas=rc,
                        options=PlannerOptions(add_cleanup=True))
         assert "cleanup_part_0_txt" in planned.dag.jobs
-        assert planned.dag.parents("cleanup_part_0_txt") == {"work_0"}
+        assert planned.dag.parent_sets()["cleanup_part_0_txt"] == {"work_0"}
 
     def test_finals_and_externals_not_cleaned(self):
         adag = fan_out_adag()
@@ -247,9 +247,11 @@ class TestClustering:
         planned = plan(adag, site_name="sandhills", sites=sites,
                        transformations=tc, replicas=rc,
                        options=PlannerOptions(cluster_size=3))
+        parents = planned.dag.parent_sets()
+        children = dict(planned.dag.child_sets())
         for cname in (n for n in planned.dag.jobs if n.startswith("merge_work")):
-            assert "split" in planned.dag.parents(cname)
-            assert "merge" in planned.dag.children(cname)
+            assert "split" in parents[cname]
+            assert "merge" in children[cname]
 
     def test_job_map_points_to_clusters(self):
         adag = fan_out_adag(n=4)

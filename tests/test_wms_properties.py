@@ -137,7 +137,8 @@ def test_planner_structural_invariants(adag, cluster_size, cleanup):
 
     # 7. Cleanup jobs (if any) only ever follow their consumers.
     if cleanup:
+        parents, children = dag.parent_sets(), dict(dag.child_sets())
         for name in dag.jobs:
             if name.startswith("cleanup_"):
-                assert dag.parents(name)
-                assert not dag.children(name)
+                assert parents[name]
+                assert not children[name]
