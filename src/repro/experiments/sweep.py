@@ -103,7 +103,7 @@ def run_config(
         result, _ = simulate_paper_run(n, platform, seed=seed, model=model)
         if not result.success:
             raise RuntimeError(
-                f"{platform} n={n} seed={seed} failed: {result.failed_jobs}"
+                f"{platform} n={n} seed={seed} failed: {result.final.failed_jobs}"
             )
         walls.append(result.trace.wall_time())
         retries.append(result.trace.retry_count)

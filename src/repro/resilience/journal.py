@@ -32,19 +32,25 @@ Bytes are the unit, and each record's work is done once in each
 direction. Out: the event's line is printed once (a platform's terminal
 line from one template, see :mod:`repro.observe.log`) and encoded
 once; the CRC runs on from the ``seq`` head over those bytes, which are
-then joined with it into the WAL line, kept as the retained terminal
-record and later joined into the sidecar (both files are binary).
+then joined with it into the WAL line and, for a terminal record, held
+until the next snapshot appends them to the sidecar (both files are
+binary). The state keeps only those pending records and a count of all
+of them, so a writer's memory follows what recovery needs, not the
+run's history.
 :meth:`JournalState.apply` is handed only the keys it reads — four for
 a successful terminal — and only a failed terminal, which the state
 keeps whole, is flattened into a dict. A snapshot merges the names
 done since the last one into the sorted list it already holds, and a
 resumed writer copies the recovered state rather than round-tripping
-it through JSON. Back: :func:`decode_record` checks the CRC over the
+it through JSON, cuts the sidecar back to the lines the snapshot vouches
+for and appends the replayed ones, never rewriting the vouched prefix.
+Back: :func:`decode_record` checks the CRC over the
 bytes of the line on disk, chained on from the opening ``{`` rather
 than over a rebuilt copy, and parses what it verified; a replayed
 terminal record's body is one slice of that line, and every journaled
 attempt is parsed once, through
-:meth:`JobAttempt.from_json <repro.dagman.events.JobAttempt.from_json>`.
+:meth:`JobAttempt.from_json <repro.dagman.events.JobAttempt.from_json>`;
+the sidecar's lines are parsed and let go, not kept.
 What this replaced is kept as oracles: the check-by-re-serialising in
 ``tests/oracles/journal_reference.py``, the append path in
 ``tests/oracles/journal_append_reference.py``, the copying decoder and
@@ -112,11 +118,12 @@ __all__ = [
 SNAPSHOT_FILE = "snapshot.json"
 SEGMENT_GLOB = "wal-*.jsonl"
 #: Append-only sidecar holding every terminal record (the merged
-#: trace), one compact JSON line each. Snapshots append only the
-#: records accumulated since the previous snapshot and store a line
-#: count in ``snapshot.json`` — so compaction cost is O(new records),
-#: not O(run length), and the file doubles as a directly greppable
-#: history of the whole run.
+#: trace), one compact JSON line each. Snapshots append the records
+#: accumulated since the previous snapshot, let go of them and store a
+#: line count in ``snapshot.json`` — so compaction cost is O(new
+#: records), not O(run length), the writer holds no more than one
+#: snapshot's worth of them, and the file doubles as a directly
+#: greppable history of the whole run.
 RECORDS_FILE = "records.jsonl"
 JOURNAL_VERSION = 1
 #: Records between flush + fsync under ``fsync="batch"`` (snapshots
@@ -238,16 +245,37 @@ def decode_record(line: bytes | str) -> dict | None:
     return data
 
 
-#: Lines per ``json.loads`` of attempt records: a call per line costs
-#: 30 % more, one call for a whole history holds every parsed dict at
-#: once (+20 MB of peak RSS at 15 000 records) and is no faster.
+#: Lines per ``json.loads`` of the sidecar's attempt records: a call
+#: per line costs 30 % more, one call for a whole history holds every
+#: parsed dict at once (+20 MB of peak RSS at 15 000 records) and is no
+#: faster. The lines go once they are parsed; only the attempts stay.
 _PARSE_CHUNK = 256
 _NOT_AN_ATTEMPT = (ValueError, KeyError, TypeError, AttributeError)
 
 
-def _parse_attempts(lines: list[bytes], where: Path) -> list[JobAttempt]:
+def _share_strings(row: dict, strings: dict[str, str]) -> dict:
+    """``row`` with the strings that repeat from attempt to attempt (a
+    run has a handful of transformations, sites, machines and profile
+    sources) swapped for the first equal one in ``strings``; what is
+    not a string is left for ``from_json`` to judge."""
+    for key in ("transformation", "site", "machine"):
+        value = row.get(key)
+        if type(value) is str:
+            row[key] = strings.setdefault(value, value)
+    profile = row.get("profile")
+    if type(profile) is dict:
+        source = profile.get("source")
+        if type(source) is str:
+            profile["source"] = strings.setdefault(source, source)
+    return row
+
+
+def _parse_attempts(
+    lines: list[bytes], where: Path, strings: dict[str, str]
+) -> list[JobAttempt]:
     """The attempt records in ``lines`` (record bodies, one per line of
-    ``where``); :class:`JournalError` names the first that is not one."""
+    ``where``), sharing their repeating strings through ``strings``;
+    :class:`JournalError` names the first that is not one."""
     attempts: list[JobAttempt] = []
     from_json = JobAttempt.from_json
     for start in range(0, len(lines), _PARSE_CHUNK):
@@ -256,7 +284,7 @@ def _parse_attempts(lines: list[bytes], where: Path) -> list[JobAttempt]:
             rows = json.loads(b"[" + b",".join(chunk) + b"]")
             if len(rows) != len(chunk):
                 raise ValueError("a line holds more than one value")
-            attempts += [from_json(row) for row in rows]
+            attempts += [from_json(_share_strings(row, strings)) for row in rows]
         except _NOT_AN_ATTEMPT:
             for number, line in enumerate(chunk, start + 1):
                 try:
@@ -297,13 +325,14 @@ class JournalState:
     #: terminal failure journaled, retry-or-fail decision not: the
     #: scheduler re-decides these at resume (job -> terminal record)
     undecided: dict[str, dict] = field(default_factory=dict)
-    #: every journaled terminal record, across rounds — the merged
-    #: trace. Kept as the compact JSON *bytes* the WAL and the sidecar
-    #: hold, not dicts: bytes are invisible to the cyclic GC, so a
-    #: large run's retained state does not inflate every gen-2
-    #: collection the way tens of thousands of small dicts would
-    #: (measured as the dominant journal overhead).
+    #: journaled terminal records not yet in the sidecar: a writer's
+    #: since its last snapshot, a recovery's replayed from the WAL.
+    #: Kept as the compact JSON *bytes* the WAL and the sidecar hold,
+    #: not dicts: bytes are invisible to the cyclic GC.
     records: list[bytes] = field(default_factory=list)
+    #: every journaled terminal record, across rounds (the merged
+    #: trace's length): the sidecar's lines plus ``records``
+    records_total: int = 0
     #: ``blacklist.add`` records since the last snapshot
     blacklist_blocks: list[dict] = field(default_factory=list)
     rescue_round: int = 0
@@ -354,6 +383,7 @@ class JournalState:
         ) and isinstance(job, str):
             self.in_flight.pop(job, None)
             self.records.append(raw)
+            self.records_total += 1
             if data.get("status") == "succeeded":
                 if job not in self.done:
                     self.done.add(job)
@@ -420,9 +450,9 @@ class JournalState:
     # -- persistence ----------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON-able state, without the (large, append-only) terminal
-        records — snapshots store those in the ``records.jsonl`` sidecar
-        and keep only a line count.
+        """JSON-able state, without the terminal records — snapshots
+        store those in the ``records.jsonl`` sidecar and keep only a
+        line count.
 
         ``done`` is sorted (sets hash-order nondeterministically across
         processes); the dict fields keep insertion order, which a
@@ -514,6 +544,7 @@ class JournalState:
             in_flight=dict(self.in_flight),
             undecided={job: dict(r) for job, r in self.undecided.items()},
             records=list(self.records),
+            records_total=self.records_total,
             blacklist_blocks=[dict(b) for b in self.blacklist_blocks],
             rescue_round=self.rescue_round,
             resubmitting=self.resubmitting,
@@ -590,18 +621,15 @@ class Journal:
             self._segment = resume.last_segment + 1
         self._since_snapshot = 0
         self._since_fsync = 0
-        # The records sidecar restarts from this process's in-memory
-        # state: a resume rewrites it wholesale (once, O(history)), so
-        # any lines a crashed snapshot appended past the durable
-        # snapshot.json are dropped rather than left to shadow the
-        # replayed WAL.
-        self._records_fh: BinaryIO | None = open(
-            self.path / RECORDS_FILE, "wb"
-        )
-        if self._state.records:
-            self._records_fh.write(b"\n".join(self._state.records) + b"\n")
-            self._records_fh.flush()
-        self._records_persisted = len(self._state.records)
+        # The sidecar is cut back to what the recovered snapshot vouches
+        # for (to nothing when there is none): lines a crashed snapshot
+        # appended past it would shadow the replayed records, which
+        # follow. The vouched prefix is never rewritten, so a crash in
+        # here cannot damage it.
+        records_fh = open(self.path / RECORDS_FILE, "ab")
+        records_fh.truncate(0 if resume is None else resume.records_offset)
+        self._write_records(records_fh)
+        self._records_fh: BinaryIO | None = records_fh
         self._fh = self._open_segment()
         # Two kind-filtered subscriptions: the bus's membership test
         # routes durable kinds straight into the append path with no
@@ -672,16 +700,10 @@ class Journal:
         # Records go to the append-only sidecar *before* snapshot.json
         # lands: a crash in between leaves extra sidecar lines that the
         # still-old snapshot's count simply ignores (and the next open
-        # rewrites), never a snapshot that references missing records.
-        records = self._state.records
+        # cuts off), never a snapshot that references missing records.
         records_fh = self._records_fh
         if records_fh is not None:
-            if len(records) > self._records_persisted:
-                records_fh.write(
-                    b"\n".join(records[self._records_persisted:]) + b"\n"
-                )
-                self._records_persisted = len(records)
-            records_fh.flush()
+            self._write_records(records_fh)
             if self.fsync_mode != "never":
                 os.fsync(records_fh.fileno())
         body = {
@@ -689,7 +711,7 @@ class Journal:
             "seq": self._seq - 1,
             "segment": self._segment,
             "state": self._state.to_json(),
-            "records_in_file": self._records_persisted,
+            "records_in_file": self._state.records_total,
             "blacklist": blacklist_json,
         }
         snap_path = atomic_write(
@@ -717,7 +739,7 @@ class Journal:
                     detail={
                         "seq": self._seq - 1,
                         "segment": self._segment,
-                        "records": len(self._state.records),
+                        "records": self._state.records_total,
                     },
                 )
             )
@@ -742,6 +764,15 @@ class Journal:
 
     # -- internals ------------------------------------------------------
 
+    def _write_records(self, fh: BinaryIO) -> None:
+        """Append the pending terminal records to the sidecar ``fh``,
+        flush it and let go of them."""
+        records = self._state.records
+        if records:
+            fh.write(b"\n".join(records) + b"\n")
+            records.clear()
+        fh.flush()
+
     def _open_segment(self) -> BinaryIO:
         seg_path = self.path / f"wal-{self._segment:08d}.jsonl"
         fh = open(seg_path, "ab")
@@ -759,7 +790,7 @@ class Journal:
     def _append_serialized(self, body: dict, raw: bytes) -> None:
         # One serialization per record: the compact body bytes become
         # both the framed WAL line and (for terminal records) the
-        # retained state entry and sidecar line, verbatim.
+        # pending state entry and sidecar line, verbatim.
         fh = self._fh
         if fh is None or self._dead:
             raise JournalError("journal is closed")
@@ -792,15 +823,16 @@ class Journal:
         self._state.apply(body, raw)
         # Log-structured trigger: compact only once the WAL suffix is
         # at least as long as the state a snapshot would have to
-        # serialize (``snapshot_every`` is the floor). A fixed cadence
-        # would re-serialize the ever-growing record list every K
+        # serialize (``snapshot_every`` is the floor; the terminal
+        # count stands for that size, ``done`` grows with it). A fixed
+        # cadence would re-serialize the ever-growing state every K
         # appends — O(n^2) over a large run; this keeps the total
         # snapshot cost linear while still bounding replay to
         # O(state size) records. A segment holds its header and at
         # least one record: with ``snapshot_every=1`` the header of the
         # segment a snapshot opens would otherwise snapshot again.
         if self._since_snapshot >= max(
-            self.snapshot_every, len(self._state.records), 2
+            self.snapshot_every, self._state.records_total, 2
         ):
             self.snapshot()
 
@@ -835,9 +867,15 @@ class RecoveredState:
     torn_tail: bool
     #: WAL records replayed on top of the snapshot
     replayed: int
-    #: ``state.records`` parsed, index for index (:func:`recover` reads
-    #: each journaled attempt once, before it touches the directory)
+    #: every journaled terminal record parsed: the sidecar lines the
+    #: snapshot vouches for, then ``state.records`` (:func:`recover`
+    #: reads each journaled attempt once, before it touches the
+    #: directory)
     attempts: list[JobAttempt] = field(default_factory=list)
+    #: bytes of ``records.jsonl`` the snapshot vouches for (0 without a
+    #: usable snapshot): a resumed writer cuts the sidecar back to here
+    #: and appends ``state.records``
+    records_offset: int = 0
 
     @property
     def done(self) -> frozenset[str]:
@@ -947,14 +985,15 @@ class RecoveredState:
 
 
 def _read_snapshot(
-    path: Path,
-) -> tuple[JournalState, int, dict | None, list[JobAttempt], str]:
+    path: Path, strings: dict[str, str]
+) -> tuple[JournalState, int, dict | None, list[JobAttempt], int, str]:
     """Where replay starts: the snapshot's state, its last ``seq``, the
-    serialized blacklist, the vouched records parsed, and what anchors
-    that ``seq`` — an empty state at -1 and the reason when no snapshot
-    can be used."""
-    def unusable(reason: str) -> tuple[JournalState, int, None, list, str]:
-        return JournalState(), -1, None, [], reason
+    serialized blacklist, the vouched records parsed (see
+    :func:`_parse_attempts`), the sidecar bytes they take, and what
+    anchors that ``seq`` — an empty state at -1 and the reason when no
+    snapshot can be used."""
+    def unusable(reason: str) -> tuple[JournalState, int, None, list, int, str]:
+        return JournalState(), -1, None, [], 0, reason
 
     snap_path = path / SNAPSHOT_FILE
     if not snap_path.exists():
@@ -968,6 +1007,7 @@ def _read_snapshot(
         if (
             snap["version"] != JOURNAL_VERSION
             or not (isinstance(seq, int) and isinstance(wanted, int))
+            or wanted < 0
             or "records" in snap["state"]
         ):
             raise ValueError(snap["version"], seq, wanted)
@@ -980,21 +1020,25 @@ def _read_snapshot(
     # (later ones belong to a snapshot that never landed).
     where = path / RECORDS_FILE
     try:
-        lines = where.read_bytes().split(b"\n")[:-1]
+        data = where.read_bytes()
     except OSError:
-        lines = []
-    if len(lines) < wanted:
+        data = b""
+    size, lines = len(data), data.split(b"\n", wanted)
+    del data  # the lines are the copy parsed below
+    if len(lines) <= wanted:
         return unusable(
-            f"{RECORDS_FILE} holds {len(lines)} of the {wanted} line(s) "
+            f"{RECORDS_FILE} holds {len(lines) - 1} of the {wanted} line(s) "
             f"{SNAPSHOT_FILE} vouches for"
         )
-    state.records = lines[:wanted]
+    offset = size - len(lines.pop())  # what follows the vouched lines
+    state.records_total = wanted
     blacklist = snap.get("blacklist")
     return (
         state,
         seq,
         blacklist if isinstance(blacklist, dict) else None,
-        _parse_attempts(state.records, where),
+        _parse_attempts(lines, where, strings),
+        offset,
         f"{SNAPSHOT_FILE} ends at seq {seq}",
     )
 
@@ -1023,7 +1067,10 @@ def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
     path = Path(path)
     if not path.is_dir():
         raise JournalError(f"no journal directory at {path}")
-    state, last_seq, blacklist, attempts, anchor = _read_snapshot(path)
+    strings: dict[str, str] = {}  # shared by every attempt parsed here
+    state, last_seq, blacklist, attempts, offset, anchor = _read_snapshot(
+        path, strings
+    )
 
     segments = sorted(path.glob(SEGMENT_GLOB), key=_segment_index)
     last_segment = max(
@@ -1032,7 +1079,6 @@ def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
     torn = False
     replayed = 0
     first = True  # no WAL record accepted or skipped yet
-    records = state.records
     for position, seg in enumerate(segments):
         raw = seg.read_bytes()
         idx = 0
@@ -1068,9 +1114,11 @@ def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
             # The body is the line minus its framing: 24 bytes of
             # '{"crc":"…","seq":', then the digits and a comma.
             state.apply(data, b"{" + line[line.find(b",", 24) + 1 :])
-            if len(records) > len(attempts):  # apply kept it: a terminal
+            if state.records_total > len(attempts):  # apply kept it: a terminal
                 try:
-                    attempts.append(JobAttempt.from_json(data))
+                    attempts.append(
+                        JobAttempt.from_json(_share_strings(data, strings))
+                    )
                 except _NOT_AN_ATTEMPT as exc:
                     raise JournalError(
                         f"{seg}: record seq {seq} is not an attempt "
@@ -1095,6 +1143,7 @@ def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
         torn_tail=torn,
         replayed=replayed,
         attempts=attempts,
+        records_offset=offset,
     )
 
 

@@ -63,16 +63,6 @@ class RecoveryResult:
         return self.rounds[-1].result
 
     @property
-    def failed_jobs(self) -> list[str]:
-        """Jobs that still end FAILED after the last round."""
-        return self.final.failed_jobs
-
-    @property
-    def unrunnable_jobs(self) -> list[str]:
-        """The exact set DAGMan could never run (failed ancestors)."""
-        return self.final.unrunnable_jobs
-
-    @property
     def rescue_paths(self) -> list[Path]:
         return [r.rescue_path for r in self.rounds if r.rescue_path]
 

@@ -70,6 +70,7 @@ def reference_copy(state: JournalState) -> ReferenceState:
     """``state`` through ``to_json`` / ``from_json``, records kept."""
     clone = ReferenceState.from_json(ReferenceState.to_json(state))  # type: ignore[arg-type]
     clone.records = list(state.records)
+    clone.records_total = state.records_total
     return clone
 
 
@@ -117,6 +118,6 @@ class ReferenceJournal(Journal):
                 self._since_fsync = 0
         self._state.apply(body, raw)
         if self._since_snapshot >= max(
-            self.snapshot_every, len(self._state.records)
+            self.snapshot_every, self._state.records_total
         ):
             self.snapshot()

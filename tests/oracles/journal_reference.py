@@ -57,7 +57,8 @@ def decode_record_reference(line: bytes | str) -> dict | None:
 
 
 def trace_reference(records: Iterable[bytes | str]) -> WorkflowTrace:
-    """The attempts of ``JournalState.records``, one line at a time
+    """The attempts of terminal record bodies (the ones recovery
+    vouches for: the sidecar's, then the replayed), one line at a time
     through the event reader."""
     trace = WorkflowTrace()
     for raw in records:

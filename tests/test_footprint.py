@@ -13,7 +13,12 @@ each divided by the job count; and what a ``SpanTracer`` keeps once it
 has folded a 4 000-job tenant run on the cluster backend and
 ``finish()`` has returned (the allocations made inside
 ``repro/observe/trace.py``, per job), the tracer being the largest
-observer of the budget's ``svc_cluster_observed``.
+observer of the budget's ``svc_cluster_observed``; and, for a 4 000-job
+layered DAG journaled on the campus cluster (one attempt per job), what
+the live ``Journal`` keeps once ``snapshot()`` has returned (the
+allocations made inside ``repro/resilience/journal.py``, per terminal
+record) and what ``recover()`` of the closed journal retains (per
+attempt), the two halves of the budget's ``journal_resume_20k``.
 The structural facts the figures rest on are asserted beside them:
 ``Dag`` stores each edge once, in one child container per job, and the
 three per-job records carry no ``__dict__`` — nor does ``RunEvent``, of
@@ -29,14 +34,22 @@ and the scheduler kept them as a tuple of ids per job, and 743 and 229
 ``_parents`` and the records were dict-backed; 1 112 B/job for the
 tracer, against 1 710 while spans were dict-backed with a list of links
 each, the occurrence counter was keyed by ``"kind:name"`` strings and
-every job kept a dict of its attempts — with about 12 % slack for the
-object layouts of 3.10 and 3.12, which were not available to measure.
+every job kept a dict of its attempts; 69 B per record for the live
+journal, against 535 while its state kept every terminal record's
+bytes, and 654 B per
+recovered attempt, against 1 355 while recovery kept the sidecar's
+lines beside the attempts and each attempt its own copy of its
+transformation, site, machine and profile source — with about 12 %
+slack for the object layouts of 3.10 and 3.12, which were not available
+to measure.
 """
 
 from __future__ import annotations
 
 import gc
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -47,8 +60,13 @@ from repro.observe import trace
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
 from repro.observe.trace import Span, SpanLink, SpanTracer
+from repro.resilience import journal
+from repro.resilience.journal import Journal, recover
+from repro.resilience.recovery import run_with_recovery
 from repro.service.loadgen import LoadSpec, run_load
+from repro.sim.cluster import CampusCluster
 from repro.sim.engine import Simulator
+from repro.sim.rng import RngStreams
 
 JOBS = 10_000
 WIDTH = 100
@@ -60,8 +78,15 @@ TENANT_JOBS = (
     * TENANT_LOAD.jobs_per_workflow
 )
 
+#: The journaled run: a layered DAG on the campus cluster, which runs
+#: each job once, so a terminal record and an attempt are a job each.
+JOURNAL_JOBS = 4_000
+
 #: label -> most bytes per job it may retain.
-BOUNDS = {"dag": 334, "scheduler": 102, "run": 200, "spans": 1_250}
+BOUNDS = {
+    "dag": 334, "scheduler": 102, "run": 200, "spans": 1_250,
+    "journal": 78, "recovered": 732,
+}
 
 
 def layered_dag(n: int = JOBS, width: int = WIDTH) -> Dag:
@@ -146,11 +171,48 @@ def traced_bytes() -> float:
     return sum(t.size for t in held.traces) / TENANT_JOBS
 
 
+def journal_bytes() -> tuple[float, float]:
+    """Bytes per terminal record that ``repro/resilience/journal.py``
+    allocated and a live ``Journal`` still holds once ``snapshot()``
+    has returned, after journaling a ``JOURNAL_JOBS``-job run; and
+    bytes per attempt retained by the ``RecoveredState`` of that
+    journal once it is closed."""
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "journal"
+        bus = EventBus()
+        platform = CampusCluster(Simulator(), streams=RngStreams(seed=0), bus=bus)
+        dag = layered_dag(JOURNAL_JOBS)
+        tracemalloc.start()
+        try:
+            live = Journal(directory, bus=bus)
+            outcome = run_with_recovery(
+                dag, platform, max_rounds=1, bus=bus, journal=live
+            )
+            assert outcome.success
+            live.snapshot()
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+            live.close()
+            del outcome, platform
+            start = retained()
+            recovered = recover(directory)
+            held = retained() - start
+        finally:
+            tracemalloc.stop()
+        assert len(recovered.attempts) == JOURNAL_JOBS
+    kept = snapshot.filter_traces([tracemalloc.Filter(True, journal.__file__)])
+    return (
+        sum(t.size for t in kept.traces) / JOURNAL_JOBS,
+        held / JOURNAL_JOBS,
+    )
+
+
 def measure() -> dict[str, float]:
     """Bytes per job retained by the built DAG, by a started scheduler
     beyond it (its per-job state, and the first ready layer submitted),
     by the result of one finished run over it (scheduler and engine let
-    go), and by a finished span tracer."""
+    go), by a finished span tracer, by a live journal and by what
+    recovery reads back from it."""
     tracemalloc.start()
     try:
         start = retained()
@@ -167,11 +229,14 @@ def measure() -> dict[str, float]:
         assert len(result.trace) == len(dag) == JOBS
     finally:
         tracemalloc.stop()
+    live_journal, recovered = journal_bytes()
     return {
         "dag": (built - start) / JOBS,
         "scheduler": (started - built) / JOBS,
         "run": (finished - built) / JOBS,
         "spans": traced_bytes(),
+        "journal": live_journal,
+        "recovered": recovered,
     }
 
 
@@ -226,7 +291,8 @@ def main() -> int:
               f"{'  FAIL' if over else ''}")
     print(f"({JOBS:,}-job two-parent layered DAG, a started scheduler, "
           f"one finished run; "
-          f"span tracer of a {TENANT_JOBS:,}-job tenant run)")
+          f"span tracer of a {TENANT_JOBS:,}-job tenant run; "
+          f"journal of a {JOURNAL_JOBS:,}-job cluster run, live and recovered)")
     return 1 if failed else 0
 
 

@@ -103,6 +103,9 @@ ALLOWED: dict[str, str] = {
         "ClassAd UNDEFINED: a requirement naming an attribute the ad lacks",
     "repro.dagman.condor:_Missing.__lt__":
         "ClassAd UNDEFINED: a requirement naming an attribute the ad lacks",
+    "repro.resilience.recovery:RecoveryResult.rescue_paths":
+        "repro-run's unrecovered line names the rescue files: a workflow "
+        "still failed after its last rescue round",
     # Refusal paths.
     "repro.wms.planner:LintFailure.__init__":
         "refusal: plan() on a workflow the preflight finds an ERROR in",
@@ -157,12 +160,6 @@ ALLOWED: dict[str, str] = {
     "repro.observe.sampler:UtilizationSampler.stop": "tests stop a sampler",
     "repro.perfmodel.calibration:CalibrationAnchors.reduction":
         "tests read the paper's reduction anchor",
-    "repro.resilience.recovery:RecoveryResult.failed_jobs":
-        "tests read a recovery's failed jobs",
-    "repro.resilience.recovery:RecoveryResult.unrunnable_jobs":
-        "tests read a recovery's unrunnable jobs",
-    "repro.resilience.recovery:RecoveryResult.rescue_paths":
-        "tests read the rescue files a recovery wrote",
     "repro.service.service:WorkflowHandle.turnaround_s":
         "tests read a workflow's turnaround",
     "repro.service.service:WorkflowService.account": "tests read a tenant's account",

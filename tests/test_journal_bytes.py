@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.observe.bus import EventBus
 from repro.observe.log import compact_json
 from repro.resilience import CrashFault, CrashInjected
+from repro.resilience import journal as journal_module
 from repro.resilience.journal import (
     Journal,
     JournalError,
@@ -42,7 +43,7 @@ from tests.oracles.journal_reference import (
 )
 from tests.oracles.journal_replay_reference import decode_record_copying
 from tests.test_artefact_golden import SCENARIOS
-from tests.test_journal import _write_attempts
+from tests.test_journal import _write_attempts, vouched_records
 
 # ---------------------------------------------------------------------------
 # Codec: new decoder against the reference
@@ -223,8 +224,10 @@ class TestTraceAgainstReference:
     def _check(self, journal: Path):
         recovered = recover(journal, repair=False)
         assert recovered.replayed > 0 and recovered.state.records
-        assert len(recovered.attempts) == len(recovered.state.records)
-        want = trace_reference(recovered.state.records)
+        records = vouched_records(recovered)
+        assert len(recovered.attempts) == recovered.state.records_total
+        assert recovered.state.records_total == len(records)
+        want = trace_reference(records)
         assert recovered.trace().attempts == want.attempts
         return recovered
 
@@ -239,6 +242,18 @@ class TestTraceAgainstReference:
         assert record == trace_reference(
             [compact_json(recovered.state.undecided[job])]
         ).attempts[0]
+
+    def test_attempts_share_their_repeating_strings(self, crashed):
+        # the sidecar's attempts and the replayed ones alike: an equal
+        # transformation, site, machine or profile source is one object
+        recovered = self._check(crashed / "journal")
+        for get in (
+            lambda a: a.transformation, lambda a: a.site,
+            lambda a: a.machine,
+            lambda a: a.profile.source if a.profile else None,
+        ):
+            values = [get(a) for a in recovered.attempts]
+            assert len({id(v) for v in values}) == len(set(values))
 
     def test_sandhills(self, tmp_path):
         submit, journal = str(tmp_path / "s"), tmp_path / "j"
@@ -393,6 +408,86 @@ class TestRefusesTheUnanchored:
 
 
 # ---------------------------------------------------------------------------
+# A resume never rewrites what the snapshot vouches for
+# ---------------------------------------------------------------------------
+
+
+class _HalfWrites:
+    """A sidecar whose writes land half their bytes and then fail, as
+    when the writer dies inside one."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+
+    def write(self, data: bytes):
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+class TestResumeKeepsTheVouchedSidecar:
+    def test_a_resume_dying_in_its_sidecar_write_loses_nothing(
+        self, crashed, tmp_path, monkeypatch
+    ):
+        journal = tmp_path / "journal"
+        shutil.copytree(crashed / "journal", journal)
+        before = recover(journal)
+        assert before.state.records  # the resume has records to append
+        opened = []
+
+        def sidecar_dies(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if Path(file).name != "records.jsonl":
+                return fh
+            opened.append(fh)
+            return _HalfWrites(fh)
+
+        monkeypatch.setattr(journal_module, "open", sidecar_dies, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            Journal(journal, resume=before)
+        monkeypatch.undo()
+        for fh in opened:
+            fh.close()
+        after = recover(journal)
+        assert after.done == before.done
+        assert after.attempts == before.attempts
+        # and the next resume still goes through
+        Journal(journal, resume=after).close()
+        assert recover(journal).done == before.done
+
+    def test_lines_past_the_snapshot_give_way_to_the_replayed_ones(
+        self, crashed, tmp_path
+    ):
+        # A crash between a snapshot's sidecar append and its rename:
+        # the sidecar runs on past what snapshot.json vouches for.
+        journal = tmp_path / "journal"
+        shutil.copytree(crashed / "journal", journal)
+        sidecar = journal / "records.jsonl"
+        wanted = json.loads((journal / "snapshot.json").read_text())[
+            "records_in_file"
+        ]
+        clean = recover(journal, repair=False)
+        # the records replayed from the WAL: the last of state.records
+        replayed = clean.state.records[wanted - len(clean.attempts) :]
+        assert 0 < len(replayed) < len(clean.attempts)
+        want = b"".join(
+            sidecar.read_bytes().splitlines(keepends=True)[:wanted]
+            + [line + b"\n" for line in replayed]
+        )
+        with open(sidecar, "ab") as fh:
+            fh.write(b"\n".join(replayed) + b'\n{"event":"job.fin')
+        recovered = recover(journal)
+        assert recovered.attempts == clean.attempts
+        Journal(journal, resume=recovered).close()
+        # the vouched prefix, then the replayed records: what a resume
+        # that rewrote the whole sidecar from memory wrote
+        assert sidecar.read_bytes() == want
+
+
+# ---------------------------------------------------------------------------
 # Damage sweep over the compacted, crashed journal
 # ---------------------------------------------------------------------------
 
@@ -401,7 +496,8 @@ class TestDamageSweep:
     @pytest.fixture(scope="class")
     def clean(self, crashed):
         files = _files(crashed / "journal")
-        return files, recover(crashed / "journal", repair=False)
+        recovered = recover(crashed / "journal", repair=False)
+        return files, recovered, vouched_records(recovered)
 
     @staticmethod
     def _segment(files: dict[str, bytes]) -> str:
@@ -412,7 +508,7 @@ class TestDamageSweep:
         """``recover()`` with file ``name`` holding ``data``: the
         contract for damage to the segment or the sidecar, and the
         weaker one for the snapshot, which no checksum covers."""
-        clean_files, clean_state = clean
+        clean_files, clean_state, clean_records = clean
         files = {**clean_files, name: data}
         segment = self._segment(files)
         _restore(directory, files)
@@ -428,17 +524,18 @@ class TestDamageSweep:
             assert got.done <= clean_state.done
             assert got.replayed <= clean_state.replayed
             assert got.last_seq <= clean_state.last_seq
-            assert len(got.attempts) == len(got.state.records)
+            assert len(got.attempts) == got.state.records_total
+            assert got.state.records_total == len(vouched_records(got))
         if name == segment:
-            records = clean_state.state.records
-            assert got.state.records == records[: len(got.state.records)]
+            records = vouched_records(got)
+            assert records == clean_records[: len(records)]
         # repair cuts the segment's tail and nothing else
         assert files[segment].startswith(after.pop(segment))
         assert after == {n: d for n, d in files.items() if n != segment}
         return got
 
     def test_truncate_segment_at_every_offset(self, clean, tmp_path):
-        files, clean_state = clean
+        files, clean_state, _ = clean
         segment = self._segment(files)
         whole = files[segment]
         replayed = set()
@@ -455,7 +552,7 @@ class TestDamageSweep:
         "target", ["segment", "records.jsonl", "snapshot.json"]
     )
     def test_flip_one_bit(self, clean, tmp_path, target):
-        files, clean_state = clean
+        files, clean_state, _ = clean
         name = self._segment(files) if target == "segment" else target
         rng = random.Random(0)
         outcomes = {"refused": 0, "recovered": 0}
@@ -469,7 +566,7 @@ class TestDamageSweep:
         assert (outcomes["refused"] > 0) == (target != "segment")
 
     def test_garbage_line_mid_segment(self, clean, tmp_path):
-        files, clean_state = clean
+        files, clean_state, _ = clean
         segment = self._segment(files)
         lines = files[segment].splitlines(keepends=True)
         for at in range(1, len(lines)):

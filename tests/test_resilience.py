@@ -592,8 +592,8 @@ class TestRunWithRecovery:
         )
         assert not outcome.success
         assert len(outcome.rounds) == 2
-        assert outcome.failed_jobs == ["a"]
-        assert outcome.unrunnable_jobs == ["b", "c"]
+        assert outcome.final.failed_jobs == ["a"]
+        assert outcome.final.unrunnable_jobs == ["b", "c"]
         assert len(outcome.rescue_paths) == 2
 
     def test_osg_regime_with_outage_recovers_within_three_rounds(self):
@@ -767,8 +767,8 @@ class TestRecoveryProperty:
         if outcome.success:
             assert all(s is NodeState.DONE for s in states.values())
         else:
-            failed = set(outcome.failed_jobs)
-            unrunnable = set(outcome.unrunnable_jobs)
+            failed = set(outcome.final.failed_jobs)
+            unrunnable = set(outcome.final.unrunnable_jobs)
             done = {n for n, s in states.items() if s is NodeState.DONE}
             assert failed
             # The three sets partition the DAG...
