@@ -93,12 +93,16 @@ GATES = (
          "observe.bus.emitted", "==", 1722),
     Gate("cli_sandhills_n300", "spans of the paper-scale run's trace",
          "sim.spans", "==", 1238),
+    # 704 while each snapshot rotated to a new WAL segment, which opened
+    # with a header record of its own
     Gate("cli_osg_n300_journal", "journal records of the OSG paper-scale run",
-         "resilience.journal.records", "==", 704),
-    # 157 560 B when the pid, which the journal writes twice, has four
-    # digits; seven is the most Linux gives one.
+         "resilience.journal.records", "==", 703),
+    # 228 331 B when the pid, which the journal writes twice, has four
+    # digits; seven is the most Linux gives one. 157 521 while snapshots
+    # deleted the log's head: one log keeps every record, so the submits
+    # from before the last snapshot stay on disk.
     Gate("cli_osg_n300_journal", "journal bytes of the same run",
-         "resilience.journal.bytes", "<=", 157_566),
+         "resilience.journal.bytes", "<=", 228_337),
     # a job span and an attempt span per job: tenant attempts get no
     # phase children while the platform's events carry no workflow
     Gate("svc_cluster_observed", "spans of the observed service run",
@@ -128,15 +132,19 @@ GATES = (
     # five runs: 0.3948 0.3989 0.4100 0.4205 0.4086 (was 0.52)
     Gate("engine_layered_100k", "scheduler's share of the op",
          "dagman.scheduler.share", "<=", 0.454),
+    # 40 073 and 14 453 while each snapshot opened a new segment with a
+    # header record (the crash point, a journal write, is the same)
     Gate("journal_resume_20k", "journal records, crash and resume",
-         "resilience.journal.records", "==", 40_073),
+         "resilience.journal.records", "==", 40_067),
     Gate("journal_resume_20k", "records replayed on resume",
-         "resilience.journal.replayed", "==", 14_453),
+         "resilience.journal.replayed", "==", 14_426),
     # 140 265 while the scheduler restated them (see cli_sandhills_n300)
     Gate("journal_resume_20k", "bus events, crash and resume",
          "observe.bus.emitted", "==", 100_203),
+    # 315.9 (225.9 while snapshots deleted the log's head, whose records
+    # the sidecar kept only the terminal ones of)
     Gate("journal_resume_20k", "journal bytes per record",
-         "resilience.journal.bytes / resilience.journal.records", "<=", 227),
+         "resilience.journal.bytes / resilience.journal.records", "<=", 317),
     # five runs: 0.1076 0.1385 0.1147 0.1320 0.1247 (was 0.16)
     Gate("journal_resume_20k", "journal read path's share (recover + resume)",
          "resilience.journal.recover.share + resilience.recovery.share",

@@ -40,8 +40,8 @@ kind                      meaning
 ``cache.miss``            a result was absent (or corrupt) in the store
                           and is being recomputed
 ``journal.snapshot``      the write-ahead journal compacted its state
-                          into ``snapshot.json`` and rotated segments
-                          (``detail`` has seq/segment/records)
+                          into ``snapshot.json`` (``detail`` has seq,
+                          the last record it covers, and records)
 ``journal.resume``        a run is continuing from a recovered journal
                           (``detail`` has replayed/done/torn/clock)
 ``service.submit``        a tenant handed a DAG to the WaaS front-end

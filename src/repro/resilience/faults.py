@@ -365,15 +365,17 @@ class CrashInjected(RuntimeError):
 
 @dataclass
 class CrashFault:
-    """Kill the *manager* at the Nth write-ahead-journal record.
+    """Kill the *manager* at the Nth write-ahead-journal write.
 
     Where every other fault in this module breaks a job, this one
     breaks the workflow manager itself — the failure mode
     :mod:`repro.resilience.journal` exists to survive. The journal
-    consults the fault before each record append; when the Nth record
-    (1-based, counted across this fault's lifetime) is reached, only a
-    ``torn_fraction`` prefix of the record's bytes hits the file (a
-    simulated torn write) and then :meth:`fire` either raises
+    consults the fault before each record append and after each
+    snapshot lands; when the Nth write (1-based, counted across this
+    fault's lifetime) is a record, only a ``torn_fraction`` prefix of
+    its bytes hits the file (a simulated torn write), and when it is a
+    snapshot, the manager dies before its next record. Then
+    :meth:`fire` either raises
     :class:`CrashInjected` (``mode="raise"``, for in-process property
     tests that sweep every crash point) or SIGKILLs the process
     (``mode="kill"``, for end-to-end subprocess tests and the
@@ -395,7 +397,8 @@ class CrashFault:
         self._seen = 0
 
     def note_record(self) -> bool:
-        """Count one record about to be appended; True = crash now."""
+        """Count one journal write (a record about to be appended, or a
+        snapshot just landed); True = crash now."""
         self._seen += 1
         return self._seen == self.at_record
 

@@ -11,46 +11,45 @@ Design, in one paragraph: a :class:`Journal` subscribes to the run's
 event bus and appends the *durable subset* of the lifecycle stream
 (:data:`DURABLE_KINDS` — submits, terminal attempts, retry charges,
 HELD parks, hard failures, blacklist trips, rescue-round boundaries,
-workflow start/end) to an append-only JSONL WAL, one CRC32-framed
-record per line, in the exact schema of :mod:`repro.observe.log` plus a
-``seq`` continuity counter. Periodically the journal compacts: the
-reduced state (:class:`JournalState`) is atomically written to
-``snapshot.json``, the segment file rotates, and older segments are
-deleted — so recovery replay is bounded by the snapshot cadence, not
-the run length. :func:`recover` reads the snapshot, replays the
-surviving segments, **truncates a torn tail at the last valid record**
-(bad CRC, bad JSON, seq gap, or a line missing its newline), and
-returns a :class:`RecoveredState` that can mark the DAG's done set,
-rebuild the scheduler's counters (:meth:`RecoveredState.scheduler_restore`),
+workflow start/end) to one append-only log, ``wal.jsonl``: one
+CRC32-framed record per line, in the exact schema of
+:mod:`repro.observe.log` plus a ``seq`` continuity counter (line N
+holds seq N - 1). The log is never rotated; it is cut only to drop a
+torn tail. Periodically the journal compacts: the reduced state
+(:class:`JournalState`) is written atomically to ``snapshot.json``, a
+single record in the same framing that also holds the byte offset in
+the log where its ``seq`` ends. The snapshot is a cache that bounds
+replay. :func:`recover` reads the log once: up to the snapshot's offset
+it checks every line's CRC and ``seq`` and parses only the terminal
+attempts (the merged trace); from there it replays records through
+:meth:`JournalState.apply` and **truncates a torn tail at the last
+valid record** (bad CRC, bad JSON, seq gap, or a line missing its
+newline). A damaged line before the offset is refused with one
+``…/wal.jsonl:LINE:`` :class:`JournalError`, every file left as found;
+a missing or damaged snapshot means replay from seq 0, which always
+works because compaction deletes nothing. The returned
+:class:`RecoveredState` can mark the DAG's done set, rebuild the
+scheduler's counters (:meth:`RecoveredState.scheduler_restore`),
 restore the blacklist, rebuild the merged attempt trace, write a
 DAGMan-interop rescue ``.dag``, and refuse a resume while the crashed
-manager still lives (:func:`reconcile_local`). What it cannot anchor
-it refuses (see :func:`recover`): repair cuts only after an anchored
-record.
+manager still lives (:func:`reconcile_local`).
 
 Bytes are the unit, and each record's work is done once in each
 direction. Out: the event's line is printed once (a platform's terminal
 line from one template, see :mod:`repro.observe.log`) and encoded
 once; the CRC runs on from the ``seq`` head over those bytes, which are
-then joined with it into the WAL line and, for a terminal record, held
-until the next snapshot appends them to the sidecar (both files are
-binary). The state keeps only those pending records and a count of all
-of them, so a writer's memory follows what recovery needs, not the
-run's history.
+then joined with it into the log line. The writer keeps the reduced
+state and nothing of the run's history.
 :meth:`JournalState.apply` is handed only the keys it reads — four for
 a successful terminal — and only a failed terminal, which the state
 keeps whole, is flattened into a dict. A snapshot merges the names
 done since the last one into the sorted list it already holds, and a
 resumed writer copies the recovered state rather than round-tripping
-it through JSON, cuts the sidecar back to the lines the snapshot vouches
-for and appends the replayed ones, never rewriting the vouched prefix.
-Back: :func:`decode_record` checks the CRC over the
-bytes of the line on disk, chained on from the opening ``{`` rather
-than over a rebuilt copy, and parses what it verified; a replayed
-terminal record's body is one slice of that line, and every journaled
-attempt is parsed once, through
-:meth:`JobAttempt.from_json <repro.dagman.events.JobAttempt.from_json>`;
-the sidecar's lines are parsed and let go, not kept.
+it through JSON. Back: the CRC is checked over the bytes of the line on
+disk, chained on from the opening ``{`` rather than over a rebuilt
+copy; every journaled attempt is parsed once, through
+:meth:`JobAttempt.from_json <repro.dagman.events.JobAttempt.from_json>`,
+and shares its job name with the done set.
 What this replaced is kept as oracles: the check-by-re-serialising in
 ``tests/oracles/journal_reference.py``, the append path in
 ``tests/oracles/journal_append_reference.py``, the copying decoder and
@@ -67,7 +66,8 @@ in ``tests/test_journal.py`` pins both halves.
 
 Durability policy: appends are buffered and flushed + fsynced in
 batches (``fsync="batch"``, every :data:`FSYNC_BATCH` records, plus at
-every snapshot and close; crash injection flushes its torn prefix
+every snapshot — the log is synced before the snapshot that points
+into it — and close; crash injection flushes its torn prefix
 explicitly). A crash between batch points can lose the buffered tail —
 but only the tail, and only whole or torn-suffix records, so recovery
 still sees a consistent prefix; the lost window re-executes, which the
@@ -88,6 +88,7 @@ import json
 import os
 import zlib
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Mapping
 
@@ -116,16 +117,11 @@ __all__ = [
 ]
 
 SNAPSHOT_FILE = "snapshot.json"
-SEGMENT_GLOB = "wal-*.jsonl"
-#: Append-only sidecar holding every terminal record (the merged
-#: trace), one compact JSON line each. Snapshots append the records
-#: accumulated since the previous snapshot, let go of them and store a
-#: line count in ``snapshot.json`` — so compaction cost is O(new
-#: records), not O(run length), the writer holds no more than one
-#: snapshot's worth of them, and the file doubles as a directly
-#: greppable history of the whole run.
-RECORDS_FILE = "records.jsonl"
-JOURNAL_VERSION = 1
+#: The log: every durable record, from seq 0 on, one framed line each.
+WAL_FILE = "wal.jsonl"
+#: Version 1 kept rotating log segments, a terminal-record sidecar and
+#: an unframed snapshot; a directory of it is refused, not read.
+JOURNAL_VERSION = 2
 #: Records between flush + fsync under ``fsync="batch"`` (snapshots
 #: and close flush too).
 FSYNC_BATCH = 4096
@@ -149,15 +145,16 @@ DURABLE_KINDS = frozenset(
 )
 
 #: Journal-internal record kinds (the ``/`` keeps them out of the
-#: ``EventKind`` namespace): segment headers and the causal-trace id
-#: (so a resumed run extends the same trace).
+#: ``EventKind`` namespace): the writer's header (version and pid) and
+#: the causal-trace id (so a resumed run extends the same trace).
 _META_OPEN = "journal/open"
 _META_TRACE = "journal/trace"
 
 
 class JournalError(RuntimeError):
     """The journal directory is unusable as asked (not empty on a fresh
-    open, closed writer, manager still alive on reconcile, ...)."""
+    open, closed writer, damaged before its snapshot, manager still
+    alive on reconcile, ...)."""
 
 
 #: Each kind's ``value`` (a plain lookup: ``.value`` on a member is a
@@ -217,7 +214,7 @@ _scan = json.JSONDecoder().scan_once
 
 
 def decode_record(line: bytes | str) -> dict | None:
-    """Parse and verify one WAL line; ``None`` means torn/corrupt.
+    """Parse and verify one framed line; ``None`` means torn/corrupt.
 
     A line is valid iff it starts ``{"crc":"`` + eight lowercase hex
     digits + ``","seq":``, those digits are the CRC32 of ``{`` + the
@@ -245,20 +242,33 @@ def decode_record(line: bytes | str) -> dict | None:
     return data
 
 
-#: Lines per ``json.loads`` of the sidecar's attempt records: a call
-#: per line costs 30 % more, one call for a whole history holds every
-#: parsed dict at once (+20 MB of peak RSS at 15 000 records) and is no
-#: faster. The lines go once they are parsed; only the attempts stay.
+def _framed_as(line: bytes, seq: int) -> bool:
+    """Whether ``line`` (newline included) is framed as record ``seq``:
+    :func:`decode_record`'s CRC check and the ``seq`` in one prefix
+    test, without parsing the body."""
+    return line.endswith(b"\n") and line.startswith(
+        b'{"crc":"%08x","seq":%d,' % (zlib.crc32(line[18:-1], _CRC_OPEN), seq)
+    )
+
+
+#: The record kinds that are attempts (what the merged trace holds),
+#: and how such a record's line goes on after its framing.
+_TERMINAL_TEXT = frozenset(_KIND_TEXT[kind] for kind in TERMINAL_KINDS)
+_TERMINAL_HEADS = tuple(b'"event":"%s"' % k.encode() for k in _TERMINAL_TEXT)
+#: Terminal bodies per ``json.loads``: a call per line costs 30 % more,
+#: one call for a whole history holds every parsed dict at once and is
+#: no faster.
 _PARSE_CHUNK = 256
 _NOT_AN_ATTEMPT = (ValueError, KeyError, TypeError, AttributeError)
 
 
 def _share_strings(row: dict, strings: dict[str, str]) -> dict:
-    """``row`` with the strings that repeat from attempt to attempt (a
-    run has a handful of transformations, sites, machines and profile
-    sources) swapped for the first equal one in ``strings``; what is
-    not a string is left for ``from_json`` to judge."""
-    for key in ("transformation", "site", "machine"):
+    """``row`` with the strings that repeat from record to record (the
+    job name, which the done set holds too, and a run's handful of
+    transformations, sites, machines and profile sources) swapped for
+    the first equal one in ``strings``; what is not a string is left
+    for ``from_json`` to judge."""
+    for key in ("job_name", "transformation", "site", "machine"):
         value = row.get(key)
         if type(value) is str:
             row[key] = strings.setdefault(value, value)
@@ -271,30 +281,27 @@ def _share_strings(row: dict, strings: dict[str, str]) -> dict:
 
 
 def _parse_attempts(
-    lines: list[bytes], where: Path, strings: dict[str, str]
+    chunk: list[tuple[int, bytes]], where: Path, strings: dict[str, str]
 ) -> list[JobAttempt]:
-    """The attempt records in ``lines`` (record bodies, one per line of
-    ``where``), sharing their repeating strings through ``strings``;
-    :class:`JournalError` names the first that is not one."""
-    attempts: list[JobAttempt] = []
+    """The attempt records in ``chunk`` (line numbers of ``where`` and
+    record bodies), sharing their repeating strings through
+    ``strings``; :class:`JournalError` names the first that is not
+    one."""
     from_json = JobAttempt.from_json
-    for start in range(0, len(lines), _PARSE_CHUNK):
-        chunk = lines[start : start + _PARSE_CHUNK]
-        try:
-            rows = json.loads(b"[" + b",".join(chunk) + b"]")
-            if len(rows) != len(chunk):
-                raise ValueError("a line holds more than one value")
-            attempts += [from_json(_share_strings(row, strings)) for row in rows]
-        except _NOT_AN_ATTEMPT:
-            for number, line in enumerate(chunk, start + 1):
-                try:
-                    from_json(json.loads(line))
-                except _NOT_AN_ATTEMPT as exc:
-                    raise JournalError(
-                        f"{where}:{number}: not an attempt record: {exc!r}"
-                    ) from None
-            raise
-    return attempts
+    try:
+        rows = json.loads(b"[" + b",".join(body for _, body in chunk) + b"]")
+        if len(rows) != len(chunk):
+            raise ValueError("a line holds more than one value")
+        return [from_json(_share_strings(row, strings)) for row in rows]
+    except _NOT_AN_ATTEMPT:
+        for number, body in chunk:
+            try:
+                from_json(json.loads(body))
+            except _NOT_AN_ATTEMPT as exc:
+                raise JournalError(
+                    f"{where}:{number}: not an attempt record: {exc!r}"
+                ) from None
+        raise
 
 
 # -- the reduced state ---------------------------------------------------
@@ -325,13 +332,8 @@ class JournalState:
     #: terminal failure journaled, retry-or-fail decision not: the
     #: scheduler re-decides these at resume (job -> terminal record)
     undecided: dict[str, dict] = field(default_factory=dict)
-    #: journaled terminal records not yet in the sidecar: a writer's
-    #: since its last snapshot, a recovery's replayed from the WAL.
-    #: Kept as the compact JSON *bytes* the WAL and the sidecar hold,
-    #: not dicts: bytes are invisible to the cyclic GC.
-    records: list[bytes] = field(default_factory=list)
     #: every journaled terminal record, across rounds (the merged
-    #: trace's length): the sidecar's lines plus ``records``
+    #: trace's length)
     records_total: int = 0
     #: ``blacklist.add`` records since the last snapshot
     blacklist_blocks: list[dict] = field(default_factory=list)
@@ -355,14 +357,9 @@ class JournalState:
         default_factory=list, init=False, repr=False, compare=False
     )
 
-    def apply(self, data: Mapping[str, object], raw: bytes) -> None:
-        """Fold one decoded record into the state.
-
-        ``raw`` is the record body's compact JSON bytes (the live
-        writer just framed them, recovery slices them out of the
-        verified line), stored verbatim for terminal records; the
-        ``seq``/``crc`` framing keys are not part of it.
-        """
+    def apply(self, data: Mapping[str, object]) -> None:
+        """Fold one decoded record into the state (the ``seq``/``crc``
+        framing keys, when present, are ignored)."""
         t = data.get("t")
         if isinstance(t, (int, float)) and t > self.clock:
             self.clock = float(t)
@@ -382,7 +379,6 @@ class JournalState:
             kind == "job.finish" or kind == "job.evict"
         ) and isinstance(job, str):
             self.in_flight.pop(job, None)
-            self.records.append(raw)
             self.records_total += 1
             if data.get("status") == "succeeded":
                 if job not in self.done:
@@ -450,9 +446,7 @@ class JournalState:
     # -- persistence ----------------------------------------------------
 
     def to_json(self) -> dict:
-        """JSON-able state, without the terminal records — snapshots
-        store those in the ``records.jsonl`` sidecar and keep only a
-        line count.
+        """JSON-able state (the terminal records stay in the log).
 
         ``done`` is sorted (sets hash-order nondeterministically across
         processes); the dict fields keep insertion order, which a
@@ -543,7 +537,6 @@ class JournalState:
             failed_attempts=dict(self.failed_attempts),
             in_flight=dict(self.in_flight),
             undecided={job: dict(r) for job, r in self.undecided.items()},
-            records=list(self.records),
             records_total=self.records_total,
             blacklist_blocks=[dict(b) for b in self.blacklist_blocks],
             rescue_round=self.rescue_round,
@@ -559,20 +552,19 @@ class JournalState:
 
 
 class Journal:
-    """Append-only, CRC-framed, fsynced WAL writer (a bus subscriber).
+    """Append-only, CRC-framed, fsynced log writer (a bus subscriber).
 
     Subscribe it to the run's bus (pass ``bus=``) or feed it events by
-    calling it directly. Compaction (snapshot + segment rotation) is
-    log-structured: it fires once the WAL suffix reaches
-    ``max(snapshot_every, state size)`` records, so replay stays
+    calling it directly. Compaction (a snapshot of the reduced state)
+    is log-structured: it fires once the records since the last one
+    reach ``max(snapshot_every, terminal records)``, so replay stays
     bounded while total snapshot cost stays linear in run length;
-    ``fsync`` is ``"always"`` /
-    ``"batch"`` (every :data:`FSYNC_BATCH` records, plus snapshot/close) /
-    ``"never"``. ``crash`` arms a
+    ``fsync`` is ``"always"`` / ``"batch"`` (every :data:`FSYNC_BATCH`
+    records, plus snapshot/close) / ``"never"``. ``crash`` arms a
     :class:`~repro.resilience.faults.CrashFault` — the injection point
-    for kill-anywhere testing. ``resume`` continues an existing journal
-    (seq and segment numbering carry on) instead of requiring an empty
-    directory.
+    for kill-anywhere testing, consulted at every record and every
+    snapshot. ``resume`` continues an existing journal (its log and its
+    ``seq`` carry on) instead of requiring an empty directory.
     """
 
     def __init__(
@@ -599,38 +591,31 @@ class Journal:
         self._dead = False
         if resume is None:
             leftovers = sorted(
-                p.name
-                for p in self.path.iterdir()
-                if p.name in (SNAPSHOT_FILE, RECORDS_FILE)
-                or p.match(SEGMENT_GLOB)
+                p.name for p in self.path.iterdir()
+                if p.name in (SNAPSHOT_FILE, WAL_FILE)
             )
             if leftovers:
                 raise JournalError(
                     f"journal directory {self.path} already holds "
-                    f"{', '.join(leftovers[:3])}"
-                    f"{', ...' if len(leftovers) > 3 else ''} — resume it "
+                    f"{', '.join(leftovers)} — resume it "
                     "(repro-run --resume) or point --journal elsewhere"
                 )
             self._state = JournalState()
             self._seq = 0
-            self._segment = 0
         else:
             self._state = resume.state.copy()
             self._blacklist_json = resume.blacklist
             self._seq = resume.last_seq + 1
-            self._segment = resume.last_segment + 1
         self._since_snapshot = 0
         self._since_fsync = 0
-        # The sidecar is cut back to what the recovered snapshot vouches
-        # for (to nothing when there is none): lines a crashed snapshot
-        # appended past it would shadow the replayed records, which
-        # follow. The vouched prefix is never rewritten, so a crash in
-        # here cannot damage it.
-        records_fh = open(self.path / RECORDS_FILE, "ab")
-        records_fh.truncate(0 if resume is None else resume.records_offset)
-        self._write_records(records_fh)
-        self._records_fh: BinaryIO | None = records_fh
-        self._fh = self._open_segment()
+        # recover() cut any torn tail, so this appends after the last
+        # valid record.
+        self._fh: BinaryIO | None = open(self.path / WAL_FILE, "ab")
+        self._append({
+            "event": _META_OPEN,
+            "version": JOURNAL_VERSION,
+            "pid": os.getpid(),
+        })
         # Two kind-filtered subscriptions: the bus's membership test
         # routes durable kinds straight into the append path with no
         # per-event re-checking, and STATE_CHANGE (the one kind whose
@@ -668,7 +653,7 @@ class Journal:
 
     def _on_state_change(self, event: RunEvent) -> None:
         # Only hard failures are durable; readiness (and what a tagged
-        # scheduler restates) outnumbers the WAL's records and stays off.
+        # scheduler restates) outnumbers the log's records and stays off.
         if event.detail.get("to") == "failed":
             self._on_durable(event)
 
@@ -687,9 +672,11 @@ class Journal:
         self._blacklist = blacklist
 
     def snapshot(self) -> Path:
-        """Compact: write ``snapshot.json`` atomically, rotate the
-        segment, delete segments the snapshot subsumes."""
-        if self._fh is None or self._dead:
+        """Compact: sync the log, then write ``snapshot.json``
+        atomically — the state as of the last record, and the byte
+        offset in the log where that record ends."""
+        fh = self._fh
+        if fh is None or self._dead:
             raise JournalError("journal is closed")
         blacklist_json = self._blacklist_json
         if self._blacklist is not None:
@@ -697,50 +684,33 @@ class Journal:
             # Blocks recorded since the last snapshot are now subsumed
             # by the serialized blacklist itself.
             self._state.blacklist_blocks = []
-        # Records go to the append-only sidecar *before* snapshot.json
-        # lands: a crash in between leaves extra sidecar lines that the
-        # still-old snapshot's count simply ignores (and the next open
-        # cuts off), never a snapshot that references missing records.
-        records_fh = self._records_fh
-        if records_fh is not None:
-            self._write_records(records_fh)
-            if self.fsync_mode != "never":
-                os.fsync(records_fh.fileno())
+        # The log reaches disk before the snapshot that points into it:
+        # a snapshot never vouches for bytes a crash could lose.
+        self._sync()
+        seq = self._seq - 1
         body = {
             "version": JOURNAL_VERSION,
-            "seq": self._seq - 1,
-            "segment": self._segment,
+            "offset": fh.tell(),
             "state": self._state.to_json(),
-            "records_in_file": self._state.records_total,
             "blacklist": blacklist_json,
         }
         snap_path = atomic_write(
-            self.path / SNAPSHOT_FILE, json.dumps(body)
+            self.path / SNAPSHOT_FILE,
+            _frame_record(seq, compact_json(body).encode()),
         )
-        old_segment = self._segment
-        # No segment fsync here: the snapshot that just landed subsumes
-        # the outgoing segment entirely (it is deleted two lines down),
-        # so syncing its tail buys no durability the snapshot doesn't
-        # already provide. close() flushes it to the OS for the window
-        # between rename and unlink.
-        self._fh.close()
-        self._segment += 1
-        self._since_snapshot = 0  # before reopening: _append re-checks
-        self._since_fsync = 0  # the old segment's pending count is moot
-        self._fh = self._open_segment()
-        for seg in self.path.glob(SEGMENT_GLOB):
-            if _segment_index(seg) <= old_segment:
-                seg.unlink(missing_ok=True)
+        self._since_snapshot = 0
+        crash = self.crash
+        if crash is not None and crash.note_record():
+            # A crash point too: right after the snapshot lands, before
+            # the next record.
+            self._dead = True
+            crash.fire()
         if self.bus is not None:
             self.bus.emit(
                 RunEvent(
                     EventKind.JOURNAL_SNAPSHOT,
                     self._state.clock,
-                    detail={
-                        "seq": self._seq - 1,
-                        "segment": self._segment,
-                        "records": self._state.records_total,
-                    },
+                    detail={"seq": seq, "records": self._state.records_total},
                 )
             )
         return snap_path
@@ -754,43 +724,17 @@ class Journal:
             return
         if not self._dead:
             self.snapshot()
-            self._fsync_segment()
-        if self._records_fh is not None:
-            self._records_fh.close()
-            self._records_fh = None
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()
+        self._fh = None
 
     # -- internals ------------------------------------------------------
-
-    def _write_records(self, fh: BinaryIO) -> None:
-        """Append the pending terminal records to the sidecar ``fh``,
-        flush it and let go of them."""
-        records = self._state.records
-        if records:
-            fh.write(b"\n".join(records) + b"\n")
-            records.clear()
-        fh.flush()
-
-    def _open_segment(self) -> BinaryIO:
-        seg_path = self.path / f"wal-{self._segment:08d}.jsonl"
-        fh = open(seg_path, "ab")
-        self._fh = fh
-        self._append({
-            "event": _META_OPEN,
-            "version": JOURNAL_VERSION,
-            "pid": os.getpid(),
-        })
-        return fh
 
     def _append(self, body: dict) -> None:
         self._append_serialized(body, compact_json(body).encode())
 
     def _append_serialized(self, body: dict, raw: bytes) -> None:
         # One serialization per record: the compact body bytes become
-        # both the framed WAL line and (for terminal records) the
-        # pending state entry and sidecar line, verbatim.
+        # the framed log line verbatim.
         fh = self._fh
         if fh is None or self._dead:
             raise JournalError("journal is closed")
@@ -817,37 +761,26 @@ class Journal:
         elif self.fsync_mode == "batch":
             self._since_fsync += 1
             if self._since_fsync >= FSYNC_BATCH:
-                fh.flush()
-                os.fsync(fh.fileno())
-                self._since_fsync = 0
-        self._state.apply(body, raw)
-        # Log-structured trigger: compact only once the WAL suffix is
-        # at least as long as the state a snapshot would have to
-        # serialize (``snapshot_every`` is the floor; the terminal
-        # count stands for that size, ``done`` grows with it). A fixed
-        # cadence would re-serialize the ever-growing state every K
-        # appends — O(n^2) over a large run; this keeps the total
-        # snapshot cost linear while still bounding replay to
-        # O(state size) records. A segment holds its header and at
-        # least one record: with ``snapshot_every=1`` the header of the
-        # segment a snapshot opens would otherwise snapshot again.
-        if self._since_snapshot >= max(
-            self.snapshot_every, self._state.records_total, 2
-        ):
+                self._sync()
+        self._state.apply(body)
+        # Log-structured trigger: compact only once the records since
+        # the last snapshot are at least as many as the state a
+        # snapshot would have to serialize (``snapshot_every`` is the
+        # floor; the terminal count stands for that size, ``done`` grows
+        # with it). A fixed cadence would
+        # re-serialize the ever-growing state every K appends — O(n^2)
+        # over a large run; this keeps the total snapshot cost linear
+        # while still bounding replay to O(state size) records.
+        if self._since_snapshot >= max(self.snapshot_every, self._state.records_total):
             self.snapshot()
 
-    def _fsync_segment(self) -> None:
-        if self._fh is not None and self.fsync_mode != "never":
-            self._fh.flush()
+    def _sync(self) -> None:
+        """Flush the log to the OS, and to disk unless ``fsync="never"``."""
+        assert self._fh is not None
+        self._fh.flush()
+        if self.fsync_mode != "never":
             os.fsync(self._fh.fileno())
-            self._since_fsync = 0
-
-
-def _segment_index(path: Path) -> int:
-    try:
-        return int(path.stem.split("-", 1)[1])
-    except (IndexError, ValueError):
-        return -1
+        self._since_fsync = 0
 
 
 # -- recovery ------------------------------------------------------------
@@ -862,20 +795,13 @@ class RecoveredState:
     #: the snapshot's serialized blacklist (``Blacklist.to_json``), if any
     blacklist: dict | None
     last_seq: int
-    last_segment: int
-    #: True when a torn tail was found (and, with ``repair``, truncated)
+    #: True when a torn tail was found (and truncated)
     torn_tail: bool
-    #: WAL records replayed on top of the snapshot
+    #: log records replayed on top of the snapshot
     replayed: int
-    #: every journaled terminal record parsed: the sidecar lines the
-    #: snapshot vouches for, then ``state.records`` (:func:`recover`
-    #: reads each journaled attempt once, before it touches the
-    #: directory)
+    #: every journaled terminal record, in log order (each parsed
+    #: once, before :func:`recover` touches the directory)
     attempts: list[JobAttempt] = field(default_factory=list)
-    #: bytes of ``records.jsonl`` the snapshot vouches for (0 without a
-    #: usable snapshot): a resumed writer cuts the sidecar back to here
-    #: and appends ``state.records``
-    records_offset: int = 0
 
     @property
     def done(self) -> frozenset[str]:
@@ -956,7 +882,8 @@ class RecoveredState:
         policy: "BlacklistPolicy | None" = None,
         bus: EventBus | None = None,
     ) -> "Blacklist | None":
-        """Rebuild the blacklist: snapshot state plus WAL-suffix blocks.
+        """Rebuild the blacklist: the snapshot's, plus the blocks the log
+        holds past it.
 
         ``policy`` seeds a blacklist when blocks were journaled before
         any snapshot carried the full serialization. Returns ``None``
@@ -984,166 +911,126 @@ class RecoveredState:
         return restored
 
 
-def _read_snapshot(
-    path: Path, strings: dict[str, str]
-) -> tuple[JournalState, int, dict | None, list[JobAttempt], int, str]:
-    """Where replay starts: the snapshot's state, its last ``seq``, the
-    serialized blacklist, the vouched records parsed (see
-    :func:`_parse_attempts`), the sidecar bytes they take, and what
-    anchors that ``seq`` — an empty state at -1 and the reason when no
-    snapshot can be used."""
-    def unusable(reason: str) -> tuple[JournalState, int, None, list, int, str]:
-        return JournalState(), -1, None, [], 0, reason
-
+def _read_snapshot(path: Path) -> tuple[JournalState, int, int, dict | None]:
+    """Where replay starts: the snapshot's state, its ``seq``, the byte
+    offset in the log where that record ends, and the serialized
+    blacklist — an empty state at seq -1 when there is no snapshot or it
+    is damaged. A snapshot of another version is refused."""
     snap_path = path / SNAPSHOT_FILE
-    if not snap_path.exists():
-        return unusable(f"there is no {SNAPSHOT_FILE}")
     try:
-        snap = json.loads(snap_path.read_bytes())
+        raw = snap_path.read_bytes()
+    except FileNotFoundError:
+        raw = b""
+    snap = decode_record(raw)
+    if snap is not None:
+        version = snap.get("version")
+    else:  # missing or damaged, or an older journal's unframed one
+        try:
+            older = json.loads(raw)
+            version = JOURNAL_VERSION if "crc" in older else older["version"]
+        except (ValueError, TypeError, KeyError):
+            version = JOURNAL_VERSION
+    if version != JOURNAL_VERSION:
+        raise JournalError(
+            f"{snap_path}: a version-{version} journal; this repro reads "
+            f"version {JOURNAL_VERSION} only — finish that run with the "
+            "release that wrote it"
+        )
+    try:  # a snapshot that is not there or not whole: replay it all
+        seq, offset = snap["seq"], snap["offset"]  # type: ignore[index]
+        if type(offset) is not int or offset <= 0 or seq < 0:
+            raise ValueError(offset, seq)
         state = JournalState.from_json(snap["state"])
-        seq, wanted = snap["seq"], snap["records_in_file"]
-        # Version 1 keeps the terminal records in the sidecar and says how
-        # many: a snapshot that inlines them is refused, not recovered bare.
-        if (
-            snap["version"] != JOURNAL_VERSION
-            or not (isinstance(seq, int) and isinstance(wanted, int))
-            or wanted < 0
-            or "records" in snap["state"]
-        ):
-            raise ValueError(snap["version"], seq, wanted)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
-        # unreadable, not JSON, or JSON of some other shape
-        return unusable(
-            f"{SNAPSHOT_FILE} is not a version-{JOURNAL_VERSION} snapshot"
-        )
-    # The snapshot only vouches for the sidecar's first ``wanted`` lines
-    # (later ones belong to a snapshot that never landed).
-    where = path / RECORDS_FILE
-    try:
-        data = where.read_bytes()
-    except OSError:
-        data = b""
-    size, lines = len(data), data.split(b"\n", wanted)
-    del data  # the lines are the copy parsed below
-    if len(lines) <= wanted:
-        return unusable(
-            f"{RECORDS_FILE} holds {len(lines) - 1} of the {wanted} line(s) "
-            f"{SNAPSHOT_FILE} vouches for"
-        )
-    offset = size - len(lines.pop())  # what follows the vouched lines
-    state.records_total = wanted
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return JournalState(), -1, 0, None
     blacklist = snap.get("blacklist")
-    return (
-        state,
-        seq,
-        blacklist if isinstance(blacklist, dict) else None,
-        _parse_attempts(lines, where, strings),
-        offset,
-        f"{SNAPSHOT_FILE} ends at seq {seq}",
-    )
+    return state, seq, offset, blacklist if isinstance(blacklist, dict) else None
 
 
-def recover(path: str | Path, *, repair: bool = True) -> RecoveredState:
+def recover(path: str | Path) -> RecoveredState:
     """Reconstruct state from a journal directory.
 
-    Reads ``snapshot.json`` and the ``records.jsonl`` lines it vouches
-    for, then replays every segment in order, verifying CRC and ``seq``
-    continuity per record. The first invalid record — torn tail, bad
-    checksum, sequence gap, or trailing bytes without a newline — ends
-    the replay; with ``repair`` the offending segment is truncated to
-    its last valid byte and any later segments (causally after the
-    tear) are deleted, leaving the directory consistent for the resumed
-    writer.
-
-    Repair only cuts *after* something anchors the cut. A snapshot that
-    cannot be used (not JSON, not version 1, a sidecar shorter than it
-    claims) leaves replaying the WAL from ``seq`` 0, which no longer
-    exists after the first compaction: when the first surviving record
-    is not the one the snapshot (or ``seq`` 0) calls for, or is
-    unreadable with no snapshot behind it, :class:`JournalError` — as
-    for a vouched sidecar line that is not an attempt record
-    (``…/records.jsonl:LINE: …``). Raising leaves every file as found.
+    Reads ``snapshot.json``, then the log once. Up to the snapshot's
+    ``seq`` every line must carry its CRC and the next ``seq`` and end
+    at the offset the snapshot names; there only the terminal records
+    are parsed (into :attr:`RecoveredState.attempts`), and any damage
+    is a :class:`JournalError` naming ``…/wal.jsonl:LINE``. After it
+    each record is replayed through :meth:`JournalState.apply`; the
+    first invalid one — torn tail, bad checksum, sequence gap, or
+    trailing bytes without a newline — ends the replay, and the log is
+    truncated to its last valid byte for the resumed writer. Raising
+    leaves every file as found.
     """
     path = Path(path)
     if not path.is_dir():
         raise JournalError(f"no journal directory at {path}")
-    strings: dict[str, str] = {}  # shared by every attempt parsed here
-    state, last_seq, blacklist, attempts, offset, anchor = _read_snapshot(
-        path, strings
-    )
-
-    segments = sorted(path.glob(SEGMENT_GLOB), key=_segment_index)
-    last_segment = max(
-        (_segment_index(s) for s in segments), default=-1
-    )
+    wal = path / WAL_FILE
+    state, last_seq, offset, blacklist = _read_snapshot(path)
+    # Each attempt's job name is the done set's string, not a copy.
+    strings = {name: name for name in state.done}
+    attempts: list[JobAttempt] = []
+    chunk: list[tuple[int, bytes]] = []
+    seq = end = replayed = 0  # the next line's seq; the bytes verified
     torn = False
-    replayed = 0
-    first = True  # no WAL record accepted or skipped yet
-    for position, seg in enumerate(segments):
-        raw = seg.read_bytes()
-        idx = 0
-        valid_end = 0
-        while True:
-            nl = raw.find(b"\n", idx)
-            if nl == -1:
-                torn = idx < len(raw)  # trailing bytes, no newline
+    try:
+        fh = open(wal, "rb")
+    except FileNotFoundError:
+        raise JournalError(f"{wal}: no such file — no journal to recover") from None
+    with fh:
+        # What the snapshot vouches for: checked, and only its terminal
+        # records parsed.
+        for line in islice(fh, last_seq + 1):
+            if not _framed_as(line, seq):
                 break
-            line = raw[idx:nl]
-            data = decode_record(line)
-            if data is None:
-                if last_seq < 0:
-                    raise JournalError(
-                        f"{seg}:1: not a journal record, and {anchor} — "
-                        "nothing anchors the records after it"
-                    )
+            body = line.find(b",", 24) + 1  # after '{"crc":"…","seq":N,'
+            if line.startswith(_TERMINAL_HEADS, body):
+                chunk.append((seq + 1, b"{" + line[body:-1]))
+                if len(chunk) == _PARSE_CHUNK:
+                    attempts += _parse_attempts(chunk, wal, strings)
+                    chunk = []
+            end += len(line)
+            seq += 1
+        if seq <= last_seq:
+            raise JournalError(
+                f"{wal}:{seq + 1}: not journal record seq {seq}, which "
+                f"{SNAPSHOT_FILE} vouches for (up to seq {last_seq})"
+            )
+        if end != offset:
+            raise JournalError(
+                f"{wal}:{seq}: seq {last_seq} ends at byte {end}, but "
+                f"{SNAPSHOT_FILE} says at byte {offset}"
+            )
+        if chunk:
+            attempts += _parse_attempts(chunk, wal, strings)
+        # The suffix: replayed, up to the first record that is not the
+        # next one.
+        for line in fh:
+            data = decode_record(line) if line.endswith(b"\n") else None
+            if data is None or data.pop("seq") != seq:  # as the writer applied it
                 torn = True
                 break
-            seq = data["seq"]
-            if seq > last_seq + 1:  # a gap: records after it are unanchored
-                if first:
-                    raise JournalError(
-                        f"{seg}: the first surviving record is seq {seq}, "
-                        f"but {anchor} — nothing anchors it"
-                    )
-                torn = True
-                break
-            first = False
-            idx = valid_end = nl + 1
-            if seq <= last_seq:
-                continue  # already in the snapshot
-            # The body is the line minus its framing: 24 bytes of
-            # '{"crc":"…","seq":', then the digits and a comma.
-            state.apply(data, b"{" + line[line.find(b",", 24) + 1 :])
-            if state.records_total > len(attempts):  # apply kept it: a terminal
+            state.apply(_share_strings(data, strings))
+            if data.get("event") in _TERMINAL_TEXT:
                 try:
-                    attempts.append(
-                        JobAttempt.from_json(_share_strings(data, strings))
-                    )
+                    attempts.append(JobAttempt.from_json(data))
                 except _NOT_AN_ATTEMPT as exc:
                     raise JournalError(
-                        f"{seg}: record seq {seq} is not an attempt "
-                        f"record: {exc!r}"
+                        f"{wal}:{seq + 1}: not an attempt record: {exc!r}"
                     ) from None
-            last_seq = seq
+            end += len(line)
+            seq += 1
             replayed += 1
-        if torn:
-            if repair:
-                if valid_end < len(raw):
-                    with open(seg, "r+b") as fh:
-                        fh.truncate(valid_end)
-                for later in segments[position + 1 :]:
-                    later.unlink(missing_ok=True)
-            break
+    if torn:
+        os.truncate(wal, end)
+    state.records_total = len(attempts)
     return RecoveredState(
         path=path,
         state=state,
         blacklist=blacklist,
-        last_seq=last_seq,
-        last_segment=last_segment,
+        last_seq=seq - 1,
         torn_tail=torn,
         replayed=replayed,
         attempts=attempts,
-        records_offset=offset,
     )
 
 
@@ -1178,7 +1065,7 @@ def reconcile_local(
 ) -> ReconcileReport:
     """Refuse-or-requeue after a manager crash.
 
-    The journal records the manager PID (segment headers). On resume:
+    The journal records the manager PID (each writer's header record). On resume:
     if the old manager is *still alive*, raise — resuming would
     double-run the workflow. If it is dead, report the in-flight jobs
     the resumed scheduler will requeue. ``alive`` is injectable for

@@ -244,7 +244,8 @@ def main_run(argv: list[str] | None = None) -> int:
     parser.add_argument("--crash-at-record", type=int, default=0,
                         metavar="N",
                         help="testing: crash the manager at the Nth journal "
-                             "record, leaving a torn tail (needs --journal)")
+                             "write — a record, leaving a torn tail, or a "
+                             "snapshot (needs --journal)")
     parser.add_argument("--crash-mode", choices=("kill", "raise"),
                         default="kill",
                         help="testing: SIGKILL the process (kill) or raise "

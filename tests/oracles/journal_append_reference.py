@@ -67,9 +67,9 @@ class ReferenceState(JournalState):
 
 
 def reference_copy(state: JournalState) -> ReferenceState:
-    """``state`` through ``to_json`` / ``from_json``, records kept."""
+    """``state`` through ``to_json`` / ``from_json``, its terminal
+    count kept."""
     clone = ReferenceState.from_json(ReferenceState.to_json(state))  # type: ignore[arg-type]
-    clone.records = list(state.records)
     clone.records_total = state.records_total
     return clone
 
@@ -82,7 +82,7 @@ class ReferenceJournal(Journal):
             resume = dataclasses.replace(resume, state=reference_copy(resume.state))
         super().__init__(path, resume=resume, **kwargs)
         if resume is None:
-            # The segment header is already folded in; the reducer is
+            # The journal's header is already folded in; the reducer is
             # the same, only snapshots and copies differ.
             self._state.__class__ = ReferenceState
 
@@ -116,7 +116,7 @@ class ReferenceJournal(Journal):
                 fh.flush()
                 os.fsync(fh.fileno())
                 self._since_fsync = 0
-        self._state.apply(body, raw)
+        self._state.apply(body)
         if self._since_snapshot >= max(
             self.snapshot_every, self._state.records_total
         ):

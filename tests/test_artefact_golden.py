@@ -13,15 +13,13 @@ shows here.
 
 The runs use relative paths from a scratch working directory because
 ``events.jsonl`` records the rescue file's path as given. The journal
-directory is in too: the ``records.jsonl`` sidecar verbatim, the WAL
-segments and ``snapshot.json`` with the manager's pid masked (and, on
-the ``journal/open`` lines that carry it, the CRC taken over it). A
-clean ``close()`` compacts the WAL down to one header line, so the
-``osg-crash`` row is what pins record framing: it stops at the injected
-crash, with a snapshot, a sidecar and a WAL suffix ending in a torn
-record (the record before it is a failed attempt whose retry decision
-is lost). ``osg-crash-resume`` continues that directory with
-``--resume``.
+directory is in too: the log ``wal.jsonl`` and ``snapshot.json`` with
+the manager's pid masked (and, on the lines that carry it, the CRC
+taken over it, and the snapshot's byte offset into the log, which the
+pid's digits move). The ``osg-crash`` row stops at the injected crash,
+with a snapshot and the log running on past it into a torn record (the
+record before it is a failed attempt whose retry decision is lost).
+``osg-crash-resume`` continues that directory with ``--resume``.
 
 The scheduler of these runs is untagged, so ``events.jsonl`` holds no
 state change that a ``job.submit``, a terminal record, a ``job.retry``
@@ -111,15 +109,15 @@ SCENARIOS: dict[str, tuple[str, tuple[str, ...], int]] = {
 #: scenario -> the scenario whose directories it continues
 AFTER = {"osg-crash-resume": "osg-crash"}
 
-_PID = re.compile(rb'("(?:manager_)?pid": ?)\d+')
-_OPEN_CRC = re.compile(
-    rb'^\{"crc":"[0-9a-f]{8}"(?=.*"event":"journal/open")', re.MULTILINE
+_PID = re.compile(rb'("(?:manager_)?pid": ?|"offset":)\d+')
+_PID_CRC = re.compile(
+    rb'^\{"crc":"[0-9a-f]{8}"(?=.*"(?:manager_)?pid":)', re.MULTILINE
 )
 
 
 def _masked(data: bytes) -> bytes:
     """Journal bytes with the one run-dependent value, the pid, out."""
-    return _OPEN_CRC.sub(b'{"crc":"--------"', _PID.sub(rb"\1N", data))
+    return _PID_CRC.sub(b'{"crc":"--------"', _PID.sub(rb"\1N", data))
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,7 +191,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg', 'report.json'): 'c624884bdce018f8afd3c3da8c2381765553c364e96062fd2cfbf427911d2205',
     ('osg-chaos-journal', 'submit/blast2cap3-n12-osg.rescue001'): '99752d8aad86597d597a19b6b415d55ac48794fa024307b14411b6c40a38af18',
-    ('osg-chaos-journal', 'submit/events.jsonl'): 'f23abc5fc35f93c5a5119ad21490123eca5ea0bdc5eb0c4a907efdd9542f9af3',
+    ('osg-chaos-journal', 'submit/events.jsonl'): '40e6206fb2d521f68ecac4551f04f8d64a8b258fd69cc94c841601ed7fe073f3',
     ('osg-chaos-journal', 'submit/metrics.json'): 'f9147feb9f328cfe888c4f1063371b8e55dc62c1e15bc8bad6195f3e989f8407',
     ('osg-chaos-journal', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg-chaos-journal', 'submit/trace.chrome.json'): '2f378c86e61573db8fa2bd67b7ce9d609ab1bde58cb2201d37cdd1b35a228e4f',
@@ -203,33 +201,30 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-chaos-journal', 'submit/utilization.tsv'): '37108affe7103fefc8e7ccb00b35659c758b544168f07c93dc47c9607d069c6e',
     ('osg-chaos-journal', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-chaos-journal', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
-    ('osg-chaos-journal', 'journal/records.jsonl'): 'd3fa913aa5c518ecefa813576eb5ad0c4b15d365d02ac66ea2049fd3ca55ce49',
-    ('osg-chaos-journal', 'journal/snapshot.json'): '7a67ca29085b620f423a5cde0f93f1b56f3f13b269cc15cfc166cd1e6dd2b470',
-    ('osg-chaos-journal', 'journal/wal-00000003.jsonl'): 'c6899f57db10ea872df0c0d4d163f65f6071d6f6344b1cba745a1cf79140c638',
+    ('osg-chaos-journal', 'journal/snapshot.json'): '1e8d81993fb40a12f3c7a8b7abe0122381bd7fef2373c8262ac5eff3fdbbb0da',
+    ('osg-chaos-journal', 'journal/wal.jsonl'): '46de802709d02e3a22ff3079e729b401657858e1600a1a24ad5fb27929b84c6c',
     ('osg-chaos-journal', 'report.json'): 'a99e84b6bb6f82b682e664d96e0a354804d763700a479cc5198628a888185678',
-    ('osg-crash', 'submit/events.jsonl'): '0ff78ba8307f2bd52b37c76a7b7b10b68b1b11528658798185aeb4fd1cb2876b',
+    ('osg-crash', 'submit/events.jsonl'): 'adb9cc9f9db57beaa9947b414579b175a1a28dd292114fa4e4bc1b09066b86aa',
     ('osg-crash', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg-crash', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-crash', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
-    ('osg-crash', 'journal/records.jsonl'): '351791e510ef845d162e1edd399c3d9dc5aa3d7ab2a23a1423ea9c06a2afda85',
-    ('osg-crash', 'journal/snapshot.json'): '8770d626105a0c1b6ba6d9392daf6b189aa90f79c86f2e272138a24df1c187e1',
-    ('osg-crash', 'journal/wal-00000003.jsonl'): 'e79b943409a746883e8f281abb902a315584b1603a80de19bae6075749dd565e',
+    ('osg-crash', 'journal/snapshot.json'): 'd156a2fb8de89746b00490a357e968210fed77d0feafdf2f3db71255efb96a71',
+    ('osg-crash', 'journal/wal.jsonl'): '0408df44bb03d38145ddcca4843bbfb34f203d2d3696a462eb40e03d9ed197c1',
     ('osg-crash', 'report.json'): '8a766641aec4d6a4d2c826335f6399739884b4ef26dde8aad7c4601a81f216a7',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.rescue001'): '68f6ee1fe0d7713b95ab31d6d38c1484a1b0d98e9c96a2f343eee73d64879434',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.resume.dag'): '55c00044be9e975fb026e8133dd75cf59e9aa55908313690f405d9582f287224',
-    ('osg-crash-resume', 'submit/events.jsonl'): 'dce6b4e51527f3cc6d2dafbae3397a79f60bc8a5cc7bb534e2111c8412f8e269',
+    ('osg-crash-resume', 'submit/events.jsonl'): '170159362a116dfcea0dc891a77292989ca82560f54805e269ae4a5ad10ab7eb',
     ('osg-crash-resume', 'submit/metrics.json'): '2df1655647c7ae2bf2a94365d71c5cee6a336f06765ea56d89a6789aa488db36',
     ('osg-crash-resume', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
     ('osg-crash-resume', 'submit/trace.chrome.json'): '9d2a250c508b67cd8345d4ddcc6a04dce244703537f0c7a37c0e916ca1f2883e',
     ('osg-crash-resume', 'submit/trace.jsonl'): 'a068a19cfeb2f80c31cd58b561f027333e91ec6d08fb972b9b099188b22613ec',
-    ('osg-crash-resume', 'submit/trace.otlp.json'): 'abc999cf1f91105f0e12768389acc6aa6a8ed57b78b970e1d16d61da7be3d145',
+    ('osg-crash-resume', 'submit/trace.otlp.json'): 'c89f85a93df2d67b748d5569563e1550743bf4e850286e9fe60697330da4e4d6',
     ('osg-crash-resume', 'submit/trace.perfetto.json'): '97cb88a4f15a942569e7c3649c6938d8e3e97348fea4847e6bb387a3780cd7c2',
     ('osg-crash-resume', 'submit/utilization.tsv'): '68e68fa288e8273638b6ebd30b9cb276940059a10db198784fb4134702906b02',
     ('osg-crash-resume', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-crash-resume', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
-    ('osg-crash-resume', 'journal/records.jsonl'): '06ed3a94ace34ee438c02b2d9e96f3f29a97ea7ddb642d8346c8542aa69a92bf',
-    ('osg-crash-resume', 'journal/snapshot.json'): 'b941e33f2489875d2c901d849849f908a99ad6674e585bb54c6f1b210ccc160a',
-    ('osg-crash-resume', 'journal/wal-00000012.jsonl'): '62f5c04e8093f06e287ff09aa0288288d1a0e141b52961b825c9910113c6f699',
+    ('osg-crash-resume', 'journal/snapshot.json'): '05c0a2439ac22d129bc2ae6f0127132c7a550de852dd6357afe76108e804ee37',
+    ('osg-crash-resume', 'journal/wal.jsonl'): '55a4769965daffcff257ea538ad20d7273c54f30e5c7807dbac3a5e566980c9b',
     ('osg-crash-resume', 'report.json'): 'd4aeee87658b07fd5218be41708a62db48a15be81c9fda256f1e69e3e209e0e5',
 }
 
@@ -238,9 +233,9 @@ GOLDEN: dict[tuple[str, str], str] = {
 EXPANDED: dict[str, str] = {
     'sandhills': 'e08dcd7f96cd49467362c627d89a82663d892d5c19249a3d95efb852d670962e',
     'osg': 'd511d3cb966254a774c5da428fbba9e18e3d034486d96d2863651b47ef577cde',
-    'osg-chaos-journal': 'fe2d3732889ca32287f8964e7a46f74a4430127179c41b6327f17be95a7babe1',
-    'osg-crash': '3bc7fd0b3e401548a9d36e17962cb18626b72101065cf35fec2b8ca51b1ed47b',
-    'osg-crash-resume': '7dcdf299d2e9a911d4334f1d376f4abd3152c7f7c79d8fffb113cb11afd61360',
+    'osg-chaos-journal': '9e235131635dc9c6a555358fc6ef61d8b6023b374fb479f6d01fbd0e4742ac8f',
+    'osg-crash': '4be8bdc1010111f750b5cd06083e283254d46941feb36f5e89b104af71720273',
+    'osg-crash-resume': 'ec04da496b5c5fed840d7d2406fbc61e7dd5b0599bedb3f9f60cc9c137f46f6f',
 }
 
 

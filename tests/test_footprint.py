@@ -34,12 +34,14 @@ and the scheduler kept them as a tuple of ids per job, and 743 and 229
 ``_parents`` and the records were dict-backed; 1 112 B/job for the
 tracer, against 1 710 while spans were dict-backed with a list of links
 each, the occurrence counter was keyed by ``"kind:name"`` strings and
-every job kept a dict of its attempts; 69 B per record for the live
+every job kept a dict of its attempts; 68 B per record for the live
 journal, against 535 while its state kept every terminal record's
-bytes, and 654 B per
+bytes (69 while it held those since its last snapshot), and 597 B per
 recovered attempt, against 1 355 while recovery kept the sidecar's
 lines beside the attempts and each attempt its own copy of its
-transformation, site, machine and profile source — with about 12 %
+transformation, site, machine and profile source, and 654 while each
+attempt kept its own copy of its job name, which the done set also
+holds — with about 12 %
 slack for the object layouts of 3.10 and 3.12, which were not available
 to measure.
 """
@@ -85,7 +87,7 @@ JOURNAL_JOBS = 4_000
 #: label -> most bytes per job it may retain.
 BOUNDS = {
     "dag": 334, "scheduler": 102, "run": 200, "spans": 1_250,
-    "journal": 78, "recovered": 732,
+    "journal": 76, "recovered": 668,
 }
 
 

@@ -64,14 +64,9 @@ ROOT = Path(__file__).resolve().parents[1]
 #: ``module:qualname`` -> why it stays though no root runs it.
 ALLOWED: dict[str, str] = {
     # Live branches no root triggers.
-    "repro.resilience.journal:Journal.attach_blacklist":
-        "blacklist snapshots: repro-run --journal J --blacklist-threshold N",
-    "repro.resilience.blacklist:Blacklist.to_json":
-        "blacklist snapshots: repro-run --journal J --blacklist-threshold N",
-    "repro.resilience.blacklist:Blacklist.from_json":
-        "blacklist snapshots: resuming a journal that holds one",
     "repro.resilience.blacklist:Blacklist.restore_block":
-        "blacklist snapshots: resuming a journal that holds one",
+        "blacklist blocks journaled since the last snapshot: resuming a "
+        "journal whose log holds a blacklist.add past its snapshot",
     "repro.resilience.blacklist:Blacklist.next_expiry":
         "the cooldown wake-up (_schedule_redispatch) asks when a block lifts",
     "repro.sim.platform:SimPlatform._schedule_redispatch":

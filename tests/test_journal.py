@@ -8,9 +8,10 @@ run, and never re-executes a job whose success was journaled.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-from pathlib import Path
+import shutil
 
 import pytest
 from hypothesis import given, settings
@@ -136,23 +137,18 @@ def run_journaled(failures, jdir, *, dag=None, crash=None,
     return outcome, env, journal
 
 
-def wal_lines(jdir: Path) -> list[str]:
-    lines = []
-    for seg in sorted(jdir.glob("wal-*.jsonl")):
-        lines.extend(seg.read_text().splitlines())
-    return lines
-
-
 def vouched_records(recovered: RecoveredState) -> list[bytes]:
     """Every terminal record body ``recover()`` vouched for, in order:
-    the sidecar's lines up to ``records_offset``, then the replayed ones
-    ``state.records`` holds. Read it before anything resumes the
-    journal."""
-    prefix = b""
-    if recovered.records_offset:
-        sidecar = recovered.path / "records.jsonl"
-        prefix = sidecar.read_bytes()[: recovered.records_offset]
-    return prefix.split(b"\n")[:-1] + recovered.state.records
+    the attempts among the log's lines up to ``last_seq``, without their
+    framing (a resume appends after them, so any time will do)."""
+    lines = (recovered.path / "wal.jsonl").read_bytes().splitlines()
+    bodies = []
+    for line in lines[: recovered.last_seq + 1]:
+        data = decode_record(line)
+        assert data is not None
+        if data["event"] in ("job.finish", "job.evict"):
+            bodies.append(b"{" + line[line.find(b",", 24) + 1 :])
+    return bodies
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +222,7 @@ class TestTornTail:
 
     def test_trailing_garbage_truncated(self, tmp_path):
         _write_attempts(tmp_path)
-        seg = next(iter(sorted(tmp_path.glob("wal-*.jsonl"))))
+        seg = tmp_path / "wal.jsonl"
         before = seg.read_text()
         with open(seg, "a") as fh:
             fh.write('{"crc":"bogus","half')
@@ -237,7 +233,7 @@ class TestTornTail:
 
     def test_missing_final_newline_truncates_last_record(self, tmp_path):
         _write_attempts(tmp_path)
-        seg = next(iter(sorted(tmp_path.glob("wal-*.jsonl"))))
+        seg = tmp_path / "wal.jsonl"
         raw = seg.read_bytes()
         seg.write_bytes(raw[:-1])  # the classic torn write
         rec = recover(tmp_path)
@@ -247,7 +243,7 @@ class TestTornTail:
 
     def test_mid_file_corruption_truncates_from_there(self, tmp_path):
         _write_attempts(tmp_path)
-        seg = next(iter(sorted(tmp_path.glob("wal-*.jsonl"))))
+        seg = tmp_path / "wal.jsonl"
         lines = seg.read_text().splitlines(keepends=True)
         target = next(
             i for i, line in enumerate(lines)
@@ -258,13 +254,13 @@ class TestTornTail:
         rec = recover(tmp_path)
         assert rec.torn_tail
         assert rec.done == {"a"}
-        # repair rewrote the file to end at the last valid record
+        # recovery cut the file to end at the last valid record
         survivors = seg.read_text().splitlines()
         assert len(survivors) == target
 
     def test_seq_gap_truncates(self, tmp_path):
         _write_attempts(tmp_path)
-        seg = next(iter(sorted(tmp_path.glob("wal-*.jsonl"))))
+        seg = tmp_path / "wal.jsonl"
         lines = seg.read_text().splitlines(keepends=True)
         target = next(
             i for i, line in enumerate(lines)
@@ -275,16 +271,6 @@ class TestTornTail:
         rec = recover(tmp_path)
         assert rec.torn_tail
         assert rec.done == {"a"}
-
-    def test_repair_false_leaves_bytes(self, tmp_path):
-        _write_attempts(tmp_path)
-        seg = next(iter(sorted(tmp_path.glob("wal-*.jsonl"))))
-        with open(seg, "a") as fh:
-            fh.write("torn")
-        before = seg.read_text()
-        rec = recover(tmp_path, repair=False)
-        assert rec.torn_tail
-        assert seg.read_text() == before
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(JournalError):
@@ -315,8 +301,14 @@ class TestSnapshotCompaction:
         assert vouched_records(rec_compact) == vouched_records(rec_sparse)
         assert rec_compact.attempts == rec_sparse.attempts
         assert rec_compact.done == rec_sparse.done
-        assert (tmp_path / "compact" / "snapshot.json").exists()
-        assert not (tmp_path / "compact" / "wal-00000000.jsonl").exists()
+        # compaction writes a snapshot and no record: one log, the same
+        for name in ("sparse", "compact"):
+            assert sorted(p.name for p in (tmp_path / name).iterdir()) == [
+                "snapshot.json", "wal.jsonl"
+            ]
+        assert (tmp_path / "compact" / "wal.jsonl").read_bytes() == (
+            tmp_path / "sparse" / "wal.jsonl"
+        ).read_bytes()
 
     def test_compaction_bounds_replay_after_crash(self, tmp_path):
         # Crash both journals at the same record; the compacted one
@@ -329,9 +321,9 @@ class TestSnapshotCompaction:
                 )
         rec_sparse = recover(tmp_path / "sparse")
         rec_compact = recover(tmp_path / "compact")
-        # rotation metadata shifts the compacted run's record numbering,
-        # so only the replay bound is comparable — but both journals
-        # must still resume to the same place.
+        # Each snapshot is a crash point too, so the compacted run dies
+        # a few records earlier: only the replay bound is comparable —
+        # but both journals must still resume to the same place.
         assert rec_compact.replayed < rec_sparse.replayed
         done_sparse, _, _ = run_journaled(
             {("b", 1)}, tmp_path / "sparse", resume=rec_sparse,
@@ -353,13 +345,66 @@ class TestSnapshotCompaction:
         journal = Journal(tmp_path, bus=bus, snapshot_every=10_000)
         journal.snapshot()
         journal.close()
-        assert seen and seen[0].detail["segment"] >= 1
+        # the header is record 0, and no terminal record yet
+        assert [e.detail for e in seen] == [{"seq": 0, "records": 0}] * 2
 
     def test_corrupt_snapshot_falls_back_to_wal(self, tmp_path):
         _write_attempts(tmp_path)
         (tmp_path / "snapshot.json").write_text("{not json")
         rec = recover(tmp_path)
         assert rec.done == {"a", "b", "c"}
+
+
+class TestSnapshotIsACache:
+    """``snapshot.json`` only bounds replay: the log alone recovers the
+    same state and attempts, so a snapshot that is gone or damaged
+    costs a longer replay and nothing else."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        failures=st.sets(
+            st.tuples(
+                st.sampled_from(["a", "b", "c", "d"]),
+                st.integers(min_value=1, max_value=2),
+            ),
+            max_size=3,
+        ),
+        snapshot_every=st.integers(min_value=1, max_value=6),
+        crash_at=st.integers(min_value=1, max_value=40),
+        flip=st.tuples(st.integers(min_value=0), st.integers(0, 7)),
+    )
+    def test_property_intact_deleted_or_flipped_snapshot(
+        self, failures, snapshot_every, crash_at, flip, tmp_path_factory
+    ):
+        root = tmp_path_factory.mktemp("snapshot-cache")
+        try:
+            run_journaled(
+                failures, root / "crashed", snapshot_every=snapshot_every,
+                crash=CrashFault(crash_at, mode="raise"),
+            )
+        except CrashInjected:
+            pass
+        snap_path = root / "crashed" / "snapshot.json"
+        snap = snap_path.read_bytes() if snap_path.exists() else None
+        flipped = None
+        if snap is not None:  # a crash before the first snapshot has none
+            flipped = bytearray(snap)
+            flipped[flip[0] % len(snap)] ^= 1 << flip[1]
+        outcomes = []
+        for name, data in (
+            ("intact", snap), ("deleted", None), ("flipped", flipped),
+        ):
+            shutil.copytree(root / "crashed", root / name)
+            (root / name / "snapshot.json").unlink(missing_ok=True)
+            if data is not None:
+                (root / name / "snapshot.json").write_bytes(data)
+            got = recover(root / name)
+            outcomes.append((
+                json.dumps(got.state.to_json()), got.state.records_total,
+                got.attempts, got.last_seq, got.torn_tail,
+                (root / name / "wal.jsonl").read_bytes(),
+            ))
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 # ---------------------------------------------------------------------------
@@ -381,21 +426,20 @@ def _sweep_crash_points(failures, tmp_path, *, retries, snapshot_every):
         failures, baseline_dir, retries=retries,
         snapshot_every=snapshot_every,
     )
-    total_records = recover(baseline_dir).last_seq + 1
     baseline_states = baseline.final.states
 
-    for crash_at in range(1, total_records + 1):
+    # Every journal write is a crash point: each record, and each
+    # snapshot (close()'s included); past the last one the run finishes.
+    for crash_at in itertools.count(1):
         jdir = tmp_path / f"crash{crash_at}"
         crash = CrashFault(crash_at, mode="raise")
         crashed_env = None
         try:
-            _, crashed_env, _ = run_journaled(
+            run_journaled(
                 failures, jdir, crash=crash, retries=retries,
                 snapshot_every=snapshot_every,
             )
-            # crash landed on the final close() path or not at all;
-            # either way the workflow already finished — nothing to do
-            continue
+            break
         except CrashInjected:
             pass
         recovered = recover(jdir)
@@ -450,8 +494,8 @@ class TestKillAnywhere:
         )
 
     def test_exhaustive_sweep_with_compaction(self, tmp_path):
-        # snapshot_every=5 exercises snapshot-plus-WAL-suffix recovery
-        # at many crash points, including crashes mid-rotation window.
+        # snapshot_every=5 exercises snapshot-plus-log-suffix recovery
+        # at many crash points, just before and after each snapshot.
         _sweep_crash_points(
             {("b", 1)}, tmp_path, retries=1, snapshot_every=5,
         )
@@ -655,7 +699,7 @@ class TestCrashFault:
             EventKind.SUBMIT, 1.0, job_name="a", transformation="t",
             attempt=1,
         )
-        bus.emit(event)  # record 2 (record 1 is the segment header)
+        bus.emit(event)  # record 2 (record 1 is the journal's header)
         with pytest.raises(CrashInjected):
             bus.emit(event)
         assert journal.closed
@@ -688,7 +732,7 @@ class TestReconcileLocal:
 
         return RecoveredState(
             path=tmp_path, state=state, blacklist=None, last_seq=0,
-            last_segment=0, torn_tail=False, replayed=1,
+            torn_tail=False, replayed=1,
         )
 
     def test_dead_manager_requeues_in_flight_jobs(self, tmp_path):

@@ -148,7 +148,7 @@ def _open(cls, path: Path, crash_at: int | None, **kwargs):
     crash = None if crash_at is None else CrashFault(crash_at, torn_fraction=0.4)
     try:
         return cls(path, crash=crash, **kwargs)
-    except CrashInjected:  # the segment header was the record to die on
+    except CrashInjected:  # the journal's header was the record to die on
         return None
 
 
@@ -165,7 +165,7 @@ def _run(cls, path: Path, stream, crash_at, snapshot_every, fsync, resume=None):
         for step in stream:
             _feed(bus, journal, step)
             states.append(_state(journal._state))
-        journal.close()  # its snapshot opens a segment: a record too
+        journal.close()
     except CrashInjected:
         states.append("crashed")
     journal.close()
@@ -176,11 +176,10 @@ def _same_recovery(live: Path, ref: Path):
     got, want = recover(live), recover(ref)
     assert _state(got.state) == _state(want.state)
     assert vouched_records(got) == vouched_records(want)
-    assert got.records_offset == want.records_offset
     assert got.attempts == want.attempts
     assert got.blacklist == want.blacklist
-    assert (got.last_seq, got.last_segment, got.torn_tail, got.replayed) == (
-        want.last_seq, want.last_segment, want.torn_tail, want.replayed
+    assert (got.last_seq, got.torn_tail, got.replayed) == (
+        want.last_seq, want.torn_tail, want.replayed
     )
     assert _files(live) == _files(ref)  # repaired alike
     return got, want
@@ -244,13 +243,18 @@ def test_done_is_merged_in_sorted_order(tmp_path):
 
 def test_snapshot_every_one(tmp_path):
     """``--journal-snapshot-every 1`` used to recurse: the header of the
-    segment each snapshot opens was itself a record to snapshot after.
-    Now every segment holds its header and one record."""
+    segment each snapshot opened was itself a record to snapshot after.
+    A snapshot writes no record now, so it follows every record."""
     bus = EventBus()
+    seen = []
+    bus.subscribe(lambda e: seen.append(e.detail["seq"]),
+                  kinds=(EventKind.JOURNAL_SNAPSHOT,))
     journal = Journal(tmp_path, snapshot_every=1, fsync="never", bus=bus)
     for t in (1.0, 2.0, 3.0):
         bus.emit(RunEvent(EventKind.SUBMIT, t, job_name="a", attempt=1))
     journal.close()
     recovered = recover(tmp_path)
     assert recovered.state.in_flight == {"a": 1}
-    assert recovered.last_seq == 7  # three headers, three submits, one more header
+    assert recovered.last_seq == 3  # the header and three submits
+    assert seen == [0, 1, 2, 3, 3]  # after each record, and at close
+    assert recovered.replayed == 0

@@ -79,12 +79,14 @@ def test_sigkill_mid_run_then_resume(tmp_path):
         "--crash-at-record", "12", "--crash-mode", "kill",
     ])
     assert proc.returncode == -signal.SIGKILL, proc.stderr
-    assert list(jdir.glob("wal-*.jsonl")), "crash left no WAL"
+    assert (jdir / "wal.jsonl").stat().st_size, "crash left no log"
 
     # Resume in-process: recovery must reconcile the dead manager's
     # pids, truncate the torn tail, and finish the workflow.
     rc = main_run(["--submit-dir", str(submit), "--resume", str(jdir)])
     assert rc == 0
+    # One log and its snapshot, nothing else.
+    assert sorted(p.name for p in jdir.iterdir()) == ["snapshot.json", "wal.jsonl"]
 
     # The merged trace equals the uninterrupted run's outcome: every
     # job succeeded, exactly once, and journaled-done jobs did not
