@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
+from repro.lint.feasibility import attempt_failure_probability
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import LintContext, finding, rule
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dagman.dag import Dag
+    from repro.lint.feasibility import SitePool
     from repro.wms.catalogs import SiteEntry
 
 __all__ = [
@@ -162,24 +164,30 @@ def _priority_inversion(ctx: LintContext) -> Iterator[Finding]:
             )
 
 
-def durability_advice(dag: "Dag") -> str | None:
-    """Why this executable DAG deserves a write-ahead journal, or None.
+def durability_advice(dag: "Dag", pool: "SitePool | None") -> str | None:
+    """Why this executable DAG deserves a write-ahead journal on the
+    target *pool*, or None.
 
     Shared between PLAN006 and ``repro-run``'s inline warning: a plan
-    that budgets retries *expects* failures, and a plan whose critical
-    path alone exceeds the threshold loses real hours to a manager
-    crash — both are runs worth making resumable.
+    that budgets retries the pool can spend — some job with retries can
+    lose an attempt under the pool's failure model (RES003's) —
+    *expects* failures, and a plan whose critical path alone exceeds the
+    threshold loses real hours to a manager crash; both are runs worth
+    making resumable. With no pool known, no attempt is known to fail.
     """
-    with_retries = sorted(
-        name for name, job in dag.jobs.items() if job.retries > 0
-    )
-    path_s = dag.critical_path_length()
     reasons = []
-    if with_retries:
-        reasons.append(
-            f"{len(with_retries)} job(s) budget retries (e.g. "
-            f"{with_retries[0]!r}) — the plan expects failures"
+    if pool is not None:
+        with_retries = sorted(
+            name for name, job in dag.jobs.items()
+            if job.retries > 0 and attempt_failure_probability(job.runtime, pool) > 0
         )
+        if with_retries:
+            reasons.append(
+                f"{len(with_retries)} job(s) budget retries that pool "
+                f"{pool.site!r} can fail (e.g. {with_retries[0]!r}) — the "
+                "plan expects failures"
+            )
+    path_s = dag.critical_path_length()
     if path_s > DURABILITY_MAKESPAN_THRESHOLD_S:
         reasons.append(
             f"the critical path alone runs {path_s / 3600.0:.1f}h "
@@ -201,7 +209,12 @@ def _unjournaled_durable_run(ctx: LintContext) -> Iterator[Finding]:
     assert ctx.planned is not None and ctx.journal is not None
     if ctx.journal:
         return
-    advice = durability_advice(ctx.planned.dag)
+    pool = (
+        ctx.pools.get(ctx.site.name)
+        if ctx.site is not None and ctx.pools is not None
+        else None
+    )
+    advice = durability_advice(ctx.planned.dag, pool)
     if advice:
         yield finding(
             f"workflow:{ctx.planned.dag.name}",

@@ -93,9 +93,10 @@ def event_to_json(event: RunEvent) -> dict:
 
 def event_to_json_line(event: RunEvent) -> str:
     """One compact JSON line (no newline) for *event*: the bytes
-    ``compact_json(event_to_json(event))`` gives, printed from the
-    event without building the dict, and memo-shared so that
-    co-subscribers print each event once."""
+    ``compact_json(event_to_json(event))`` gives, printed from a
+    template without building the dict where the event has a template's
+    shape, and memo-shared so that co-subscribers print each event
+    once."""
     global _memo
     memo = _memo
     if memo is not None and memo[0] is event:
@@ -105,24 +106,12 @@ def event_to_json_line(event: RunEvent) -> str:
     return line
 
 
-# The line printer. Keys, separators and braces are literal text; only
-# values go through the escaper. A line is the header (``event``,
-# ``t``, then each of :data:`_HEADER` the event has), the attempt
-# record (whose values win over the header's, and whose header keys the
-# event lacks follow the header's), and the ``detail`` keys no earlier
-# key has taken.
+# The line printers. The lines a run emits most print from templates:
+# keys, separators and braces are literal text, and only values go
+# through the escaper. A line no template takes is the compact encoding
+# of :func:`event_to_json`, which spells the same flattening.
 
-_HEADER = ("job_name", "transformation", "site", "machine", "attempt")
-_HEADER_TEXT = tuple(f',"{name}":' for name in _HEADER)
 _HEADS = {kind: '{"event":%s,"t":' % _json_str(kind.value) for kind in EventKind}
-_RECORD_TAIL = (
-    ',"submit_time":%s,"setup_start":%s,"exec_start":%s,"exec_end":%s'
-    ',"status":%s'
-)
-_PROFILE = (
-    ',"profile":{"cpu_user_s":%s,"cpu_sys_s":%s,"max_rss_kb":%s'
-    ',"read_ops":%s,"write_ops":%s,"source":%s}'
-)
 #: Line keys that are header or attempt record; every other key of a
 #: line is the event's ``detail``.
 _KNOWN = frozenset({"event", "t", *(f.name for f in fields(JobAttempt))})
@@ -131,7 +120,7 @@ _KNOWN = frozenset({"event", "t", *(f.name for f in fields(JobAttempt))})
 #: are the ones printed), no ``error``, a profile, and no ``detail`` key
 #: but the ``status`` the record already holds. ``%r`` and ``%d`` spell
 #: a finite ``float`` and an ``int`` as the encoder does; anything else
-#: takes the general printer below.
+#: is encoded from :func:`event_to_json`.
 _TERMINAL = {
     kind: {
         status: _HEADS[kind]
@@ -151,10 +140,11 @@ _TERMINAL = {
 # scheduler: no site or machine yet, and the planner's expected
 # runtime), ``job.state_change`` (the scheduler: an attempt once there
 # has been one, and the parent that released a ready node), and
-# ``job.match`` / ``job.exec_start`` (a platform: every header field).
-# Values arrive spelled as the encoder spells them (``%d`` for an
-# ``int``); any other shape — a tag in ``detail``, a header field
-# missing, a value of another type — takes the general printer below.
+# ``job.match`` / ``job.setup_start`` / ``job.exec_start`` (a platform:
+# every header field). Values arrive spelled as the encoder spells them
+# (``%d`` for an ``int``); any other shape — a tag in ``detail``, a
+# header field missing, a value of another type — is encoded from
+# :func:`event_to_json`.
 # Each printer repeats the header checks in line: a shared helper cost
 # about a fourteenth of the event log's time on a paper-scale run.
 _JOB = '%s,"job_name":%s,"transformation":%s'
@@ -163,7 +153,12 @@ _STATE_CHANGE = _HEADS[EventKind.STATE_CHANGE] + _JOB + '%s,"from":%s,"to":%s%s}
 _RELEASED_KEYS = ("from", "to", "released_by", "released_attempt")
 _PLACED = _JOB + ',"site":%s,"machine":%s,"attempt":%d'
 _MATCH = _HEADS[EventKind.MATCH] + _PLACED + ',"queue_depth":%d}'
-_EXEC_START = _HEADS[EventKind.EXEC_START] + _PLACED + "}"
+#: ``job.setup_start`` has ``job.exec_start``'s shape: one placed-event
+#: template, by kind.
+_STARTED = {
+    kind: _HEADS[kind] + _PLACED + "}"
+    for kind in (EventKind.SETUP_START, EventKind.EXEC_START)
+}
 
 
 #: The last event time spelled, and its spelling. Every event of one
@@ -277,44 +272,20 @@ def _print_match(event: RunEvent) -> str | None:
     return None if header is None else _MATCH % (*header, depth)
 
 
-def _print_exec_start(event: RunEvent) -> str | None:
+def _print_started(event: RunEvent) -> str | None:
     if event.detail:
         return None
     header = _placed(event)
-    return None if header is None else _EXEC_START % header
+    return None if header is None else _STARTED[event.kind] % header
 
 
 _PLAIN = {
     EventKind.SUBMIT: _print_submit,
     EventKind.STATE_CHANGE: _print_state_change,
     EventKind.MATCH: _print_match,
-    EventKind.EXEC_START: _print_exec_start,
+    EventKind.SETUP_START: _print_started,
+    EventKind.EXEC_START: _print_started,
 }
-
-
-def _value(value: object) -> str:
-    """*value* as the compact encoder spells it."""
-    if type(value) is str:
-        return _json_str(value)
-    if type(value) is int or (type(value) is float and value - value == 0):  # finite
-        return repr(value)
-    return "".join(_compact(value, 0))
-
-
-def _taken(event: RunEvent, key: str) -> bool:
-    """Whether the header or the record already holds *key*."""
-    record = event.record
-    if key in ("event", "t"):
-        return True
-    if key in _HEADER:
-        return record is not None or getattr(event, key) is not None
-    if record is None:
-        return False
-    if key == "error":
-        return bool(record.error)
-    if key == "profile":
-        return record.profile is not None
-    return True
 
 
 def _print_terminal(
@@ -380,61 +351,7 @@ def _print_line(event: RunEvent) -> str:
             line = plain(event)
             if line is not None:
                 return line
-    parts = [_HEADS[event.kind], _value(event.time)]
-    append = parts.append
-    header = (
-        event.job_name, event.transformation, event.site, event.machine,
-        event.attempt,
-    )
-    if record is None:
-        for text, value in zip(_HEADER_TEXT, header):
-            if value is not None:
-                append(text)
-                append(_json_str(value) if type(value) is str else _value(value))
-    else:
-        values = (
-            record.job_name, record.transformation, record.site,
-            record.machine, record.attempt,
-        )
-        pairs: Iterable[tuple[str, object, object]] = zip(_HEADER_TEXT, values, header)
-        if None in header:  # present keys keep their places, absent ones follow
-            pairs = sorted(pairs, key=lambda pair: pair[2] is None)
-        for text, value, _ in pairs:
-            append(text)
-            append(_value(value))
-        append(
-            _RECORD_TAIL
-            % (
-                _value(record.submit_time), _value(record.setup_start),
-                _value(record.exec_start), _value(record.exec_end),
-                _value(record.status.value),
-            )
-        )
-        if record.error:
-            append(',"error":')
-            append(_value(record.error))
-        profile = record.profile
-        if profile is not None:
-            append(
-                _PROFILE
-                % (
-                    _value(profile.cpu_user_s), _value(profile.cpu_sys_s),
-                    _value(profile.max_rss_kb), _value(profile.read_ops),
-                    _value(profile.write_ops), _value(profile.source),
-                )
-            )
-    detail = event.detail
-    if detail:
-        for key, value in detail.items():
-            if key in _KNOWN and _taken(event, key):
-                continue
-            if isinstance(key, str):
-                append(f",{_json_str(key)}:")
-                append(_json_str(value) if type(value) is str else _value(value))
-            else:  # the encoder's own spelling of a non-string key
-                append("," + compact_json({key: value})[1:-1])
-    append("}")
-    return "".join(parts)
+    return compact_json(event_to_json(event))
 
 
 def event_from_json(data: dict) -> RunEvent:

@@ -32,8 +32,12 @@ Causal links (:class:`SpanLink`, ``attributes["relation"]``):
 ``journal_resume``
     after ``repro-run --resume``, the resumed workflow span links the
     deterministic run-root span of the *same* trace: the trace id is
-    persisted in the PR 8 write-ahead journal, so the pre-crash and
-    post-resume exports join into one causally-connected trace.
+    persisted in the write-ahead journal, so the resumed process's
+    spans carry the crashed run's trace id and root. Only the resumed
+    process exports spans (a crashed ``repro-run`` exports nothing), so
+    its span files hold the attempts that ran after the resume, while
+    ``trace.jsonl`` and the Chrome trace, built from the attempts the
+    journal recovered plus those, hold the whole run.
 
 IDs are W3C trace-context shaped (32-hex trace id, 16-hex span id) and
 fully deterministic: derived by SHA-256 from the trace id, the span

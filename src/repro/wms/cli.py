@@ -375,7 +375,7 @@ def main_run(argv: list[str] | None = None) -> int:
     if journal_dir is None:
         from repro.lint.plan_rules import durability_advice
 
-        advice = durability_advice(dag)
+        advice = durability_advice(dag, pool)
         if advice:
             print(
                 f"warning: {advice}; run with --journal DIR to make the "

@@ -1,14 +1,14 @@
 """``event_to_json_line`` prints every ``events.jsonl`` line (and every
-journal record body) straight from the event; the compact encoding of
-``event_to_json`` — the flattened dict the line spells — is the
-reference it is held to byte for byte.
+journal record body): the shapes a run emits most from templates, any
+other line as the compact encoding of ``event_to_json``. That encoding
+— of the flattened dict the line spells — is the reference each
+template is held to byte for byte, one way out of its shape at a time.
 
-What the printer must get right beyond the spelling of values is the
-flattening's key rules: header keys (``event``, ``t``, then each of
-``job_name`` … ``attempt`` that is not ``None``) come first; an attempt
-record's values replace the header's, and its keys the header lacks
-follow the header; a ``detail`` key some earlier key already holds
-keeps the earlier value.
+The named cases spell the flattening's key rules as literal lines:
+header keys (``event``, ``t``, then each of ``job_name`` … ``attempt``
+that is not ``None``) come first; an attempt record's values replace
+the header's, and its keys the header lacks follow the header; a
+``detail`` key some earlier key already holds keeps the earlier value.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def events(draw) -> RunEvent:
 
 
 @given(events())
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_line_is_the_compact_dict_byte_for_byte(event):
     assert event_to_json_line(event) == reference(event)
 
@@ -143,8 +143,8 @@ def test_line_is_the_compact_dict_byte_for_byte(event):
 # -- the terminal-line template ---------------------------------------------
 #
 # A platform's ``job.finish`` / ``job.evict`` prints from one template;
-# each way an event can leave that shape must take the general printer
-# and still print the reference's bytes. ``events()`` above almost never
+# each way an event can leave that shape must leave the template for
+# the encoder and still print the reference's bytes. ``events()`` above almost never
 # has the shape, so these start from it and break it one way at a time.
 
 finite = st.floats(min_value=0, max_value=1e9) | st.sampled_from([0.0, 1e-7, 0.1])
@@ -247,7 +247,7 @@ def test_each_fallback_leaves_the_template(case):
 
 def test_overflowing_finite_stamps_fall_back():
     # the finiteness check sums the floats: an overflow is a false alarm,
-    # which only costs the general printer
+    # which only costs the encoder
     record = attempt(exec_end=1.5e308, profile=ResourceProfile(cpu_user_s=1.5e308))
     event = RunEvent(EventKind.FINISH, 1.5e308, job_name="a", transformation="t",
                      site="osg", machine="m", attempt=1, record=record)
@@ -255,7 +255,7 @@ def test_overflowing_finite_stamps_fall_back():
     assert event_to_json_line(event) == reference(event)
 
 
-# -- the submit / state-change / match / exec-start templates --------------
+# -- the submit / state-change / match / setup- and exec-start templates ---
 #
 # Each prints from its template only in the exact shape its emitter
 # gives it; these start from that shape and break it one way at a time.
@@ -266,10 +266,11 @@ REQUIRED = {
     EventKind.SUBMIT: ("job_name", "transformation", "attempt"),
     EventKind.STATE_CHANGE: ("job_name", "transformation"),
     EventKind.MATCH: PLACED,
+    EventKind.SETUP_START: PLACED,
     EventKind.EXEC_START: PLACED,
 }
 SCHEDULER = (EventKind.SUBMIT, EventKind.STATE_CHANGE)
-PLATFORM = (EventKind.MATCH, EventKind.EXEC_START)
+PLATFORM = (EventKind.MATCH, EventKind.SETUP_START, EventKind.EXEC_START)
 ALL = (*SCHEDULER, *PLATFORM)
 states = st.sampled_from(["unready", "ready", "submitted", "done", "failed"]) | texts
 
@@ -359,8 +360,8 @@ def plain_cases(draw, kind: EventKind, broken: str | None) -> RunEvent:
                           released_attempt=draw(st.integers(min_value=1)))
     else:
         header.update(site=draw(texts), machine=draw(texts))
-        detail = {} if kind is EventKind.EXEC_START else {
-            "queue_depth": draw(st.integers(min_value=0))}
+        detail = {"queue_depth": draw(st.integers(min_value=0))} if (
+            kind is EventKind.MATCH) else {}
     if broken:
         PLAIN_FALLBACKS[broken][1](draw, kind, header, detail)
     return RunEvent(kind, header.pop("t"), **header, detail=detail)
@@ -407,59 +408,104 @@ def attempt(**changes) -> JobAttempt:
     return JobAttempt(**fields)
 
 
+#: :func:`attempt`'s stamps and profile as a line spells them.
+STAMPS = '"submit_time":0.0,"setup_start":1.0,"exec_start":2.5,"exec_end":4.0'
+PROFILE = (
+    '"profile":{"cpu_user_s":1.25,"cpu_sys_s":0.0,"max_rss_kb":10,'
+    '"read_ops":0,"write_ops":0,"source":"modelled"}'
+)
+
+
 class TestNamedCases:
     @staticmethod
-    def check(event):
-        assert event_to_json_line(event) == reference(event)
+    def check(event, line):
+        assert event_to_json_line(event) == line
+        assert reference(event) == line
 
     def test_state_change(self):
         self.check(RunEvent(EventKind.STATE_CHANGE, 3.5, job_name="a",
                             transformation="t", attempt=1,
-                            detail={"from": "ready", "to": "submitted"}))
+                            detail={"from": "ready", "to": "submitted"}),
+                   '{"event":"job.state_change","t":3.5,"job_name":"a",'
+                   '"transformation":"t","attempt":1,"from":"ready",'
+                   '"to":"submitted"}')
+
+    def test_header_first(self):
+        # each header key the event has, in header order, then detail
+        self.check(RunEvent(EventKind.SAMPLE, 60.0, site="osg", attempt=2,
+                            detail={"busy": 3, "idle": 1}),
+                   '{"event":"platform.sample","t":60.0,"site":"osg",'
+                   '"attempt":2,"busy":3,"idle":1}')
 
     def test_finish_with_and_without_error_and_profile(self):
         self.check(RunEvent(EventKind.FINISH, 4.0, job_name="a", transformation="t",
-                            site="osg", machine="m", attempt=1, record=attempt()))
+                            site="osg", machine="m", attempt=1, record=attempt()),
+                   '{"event":"job.finish","t":4.0,"job_name":"a",'
+                   '"transformation":"t","site":"osg","machine":"m","attempt":1,'
+                   + STAMPS + ',"status":"succeeded",' + PROFILE + "}")
         self.check(RunEvent(EventKind.FINISH, 4.0, job_name="a", record=attempt(
-            status=JobStatus.FAILED, error="exit 1", profile=None)))
+            status=JobStatus.FAILED, error="exit 1", profile=None)),
+                   '{"event":"job.finish","t":4.0,"job_name":"a",'
+                   '"transformation":"t","site":"osg","machine":"m","attempt":1,'
+                   + STAMPS + ',"status":"failed","error":"exit 1"}')
+
+    #: header field left ``None`` -> the line's keys before ``submit_time``:
+    #: the record's values, the absent key after the header's others
+    RECORD_HEADS = {
+        "job_name": '"transformation":"t","site":"osg","machine":"m",'
+                    '"attempt":1,"job_name":"a"',
+        "site": '"job_name":"a","transformation":"t","machine":"m",'
+                '"attempt":1,"site":"osg"',
+        "attempt": '"job_name":"a","transformation":"t","site":"osg",'
+                   '"machine":"m","attempt":1',
+    }
 
     @pytest.mark.parametrize("absent", ["job_name", "site", "attempt"])
     def test_record_event_with_a_none_header_field(self, absent):
         header = dict(job_name="hdr", transformation="hdr", site="hdr",
                       machine="hdr", attempt=9)
         header[absent] = None
-        event = RunEvent(EventKind.EVICT, 4.0, **header,
-                         record=attempt(status=JobStatus.EVICTED))
-        self.check(event)
-        line = json.loads(event_to_json_line(event))
-        assert list(line)[:6] == ["event", "t", *[k for k in header if k != absent]]
-        assert list(line)[6] == absent  # after the header, before submit_time
-        assert line["site"] == "osg"  # the record's value wins
+        self.check(RunEvent(EventKind.EVICT, 4.0, **header,
+                            record=attempt(status=JobStatus.EVICTED)),
+                   '{"event":"job.evict","t":4.0,' + self.RECORD_HEADS[absent]
+                   + "," + STAMPS + ',"status":"evicted",' + PROFILE + "}")
 
     def test_detail_keys_that_collide(self):
         self.check(RunEvent(EventKind.FINISH, 1.0, job_name="a", record=attempt(),
                             detail={"t": "late", "status": "x", "job_name": "b",
                                     "error": "kept: the record has none",
-                                    Tag("profile"): 0, "extra": 1}))
+                                    Tag("profile"): 0, "extra": 1}),
+                   '{"event":"job.finish","t":1.0,"job_name":"a",'
+                   '"transformation":"t","site":"osg","machine":"m","attempt":1,'
+                   + STAMPS + ',"status":"succeeded",' + PROFILE
+                   + ',"error":"kept: the record has none","extra":1}')
         self.check(RunEvent(EventKind.SUBMIT, 1.0, detail={
             "job_name": "the header has none", "event": "dropped",
             "site": None, 1: "int key", 1.5: "float key", None: "null key",
-        }))
+        }), '{"event":"job.submit","t":1.0,"job_name":"the header has none",'
+            '"site":null,"1":"int key","1.5":"float key","null":"null key"}')
 
     def test_number_spellings(self):
-        self.check(RunEvent(EventKind.SAMPLE, -0.0, detail={
-            "one": 1, "float": 1.0, "bool": True, "enum": Level.TWO,
-            "inf": float("inf"), "nan": float("nan"), "big": 10**40,
-            "nested": [1, 1.0, True, {"k": (Tag("s"), -0.0)}],
-        }))
-        self.check(RunEvent(EventKind.SAMPLE, True))
-        self.check(RunEvent(EventKind.SAMPLE, Level.TWO, attempt=Level.TWO))
+        # the compact encoder spells values as json.dumps does
+        for event in (
+            RunEvent(EventKind.SAMPLE, -0.0, detail={
+                "one": 1, "float": 1.0, "bool": True, "enum": Level.TWO,
+                "inf": float("inf"), "nan": float("nan"), "big": 10**40,
+                "nested": [1, 1.0, True, {"k": (Tag("s"), -0.0)}],
+            }),
+            RunEvent(EventKind.SAMPLE, True),
+            RunEvent(EventKind.SAMPLE, Level.TWO, attempt=Level.TWO),
+        ):
+            assert event_to_json_line(event) == reference(event)
 
     @pytest.mark.parametrize("text", NASTY)
     def test_escapes(self, text):
-        self.check(RunEvent(EventKind.FINISH, 1.0, job_name=text, site=text,
-                            record=attempt(machine=text, error=text or None),
-                            detail={text: text}))
+        # through the terminal template, every name and the source escaped
+        names = dict(job_name=text, transformation=text, site=text, machine=text)
+        event = RunEvent(EventKind.FINISH, 4.0, **names, attempt=1, record=attempt(
+            **names, profile=ResourceProfile(cpu_user_s=1.25, source=text)))
+        assert _templated(event)
+        assert event_to_json_line(event) == reference(event)
 
 
 def test_non_string_key_the_encoder_refuses_is_refused():

@@ -25,6 +25,9 @@ three per-job records carry no ``__dict__`` — nor does ``RunEvent``, of
 which a live-bus job builds five (six under a tagged scheduler) and an
 event recorder keeps every one, nor a ``Span`` or ``SpanLink``.
 
+Each group of rows is measured in its own child interpreter that
+imports only what the group needs (``tests/footprint_rows.py``), so no
+figure depends on what this module or pytest has loaded.
 ``python tests/test_footprint.py`` prints the table (CI's 'Footprint'
 step, so every Python of the matrix logs its own figures) and exits 1
 past any bound. The bounds were set on CPython 3.11 — 298, 90 and 181
@@ -48,41 +51,19 @@ to measure.
 
 from __future__ import annotations
 
-import gc
-import tempfile
-import tracemalloc
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.dagman.dag import Dag, DagJob
+import repro
+from repro.dagman.dag import DagJob
 from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
-from repro.dagman.scheduler import DagmanScheduler
-from repro.observe import trace
-from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
-from repro.observe.trace import Span, SpanLink, SpanTracer
-from repro.resilience import journal
-from repro.resilience.journal import Journal, recover
-from repro.resilience.recovery import run_with_recovery
-from repro.service.loadgen import LoadSpec, run_load
-from repro.sim.cluster import CampusCluster
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
-
-JOBS = 10_000
-WIDTH = 100
-
-#: The tenant run the tracer folds: 2 tenants x 2 workflows x 1 000 jobs.
-TENANT_LOAD = LoadSpec(tenants=2, workflows_per_tenant=2, jobs_per_workflow=1_000)
-TENANT_JOBS = (
-    TENANT_LOAD.tenants * TENANT_LOAD.workflows_per_tenant
-    * TENANT_LOAD.jobs_per_workflow
-)
-
-#: The journaled run: a layered DAG on the campus cluster, which runs
-#: each job once, so a terminal record and an attempt are a job each.
-JOURNAL_JOBS = 4_000
+from repro.observe.trace import Span, SpanLink
 
 #: label -> most bytes per job it may retain.
 BOUNDS = {
@@ -90,156 +71,26 @@ BOUNDS = {
     "journal": 76, "recovered": 668,
 }
 
-
-def layered_dag(n: int = JOBS, width: int = WIDTH) -> Dag:
-    """``width`` jobs per layer, each depending on two jobs of the layer
-    above — the shape of the budget's ``engine_layered_100k``."""
-    dag = Dag(name=f"layered-{n}")
-    names = [f"j{i:07d}" for i in range(n)]
-    for i, name in enumerate(names):
-        dag.add_job(
-            DagJob(
-                name=name,
-                transformation="synthetic",
-                runtime=1.0 + i % 7,
-                priority=(i * 31) % 5 - 2,
-            )
-        )
-    for i in range(width, n):
-        base = (i // width - 1) * width
-        dag.add_edge(names[base + i % width], names[i])
-        dag.add_edge(names[base + (i + 1) % width], names[i])
-    return dag
-
-
-class InstantEnvironment:
-    """Every attempt succeeds after its runtime; nothing is kept."""
-
-    def __init__(self) -> None:
-        self.sim = Simulator()
-
-    @property
-    def now(self) -> float:
-        return self.sim.now
-
-    def submit(self, job, on_complete, *, attempt=1) -> None:
-        submit_time = self.sim.now
-
-        def finish() -> None:
-            on_complete(
-                JobAttempt(
-                    job_name=job.name,
-                    transformation=job.transformation,
-                    site="bench",
-                    machine="m",
-                    attempt=attempt,
-                    submit_time=submit_time,
-                    setup_start=submit_time,
-                    exec_start=submit_time,
-                    exec_end=self.sim.now,
-                    status=JobStatus.SUCCEEDED,
-                )
-            )
-
-        self.sim.schedule(job.runtime, finish)
-
-    def run_until_complete(self) -> None:
-        self.sim.run()
-
-
-def retained() -> int:
-    gc.collect()
-    return tracemalloc.get_traced_memory()[0]
-
-
-def traced_bytes() -> float:
-    """Bytes per job that ``repro/observe/trace.py`` allocated and a
-    finished ``SpanTracer`` still holds after a tenant run. Two frames
-    of traceback reach a span's fields through the dataclass
-    ``__init__``, whose code is not in that file."""
-    bus = EventBus()
-    tracemalloc.start(2)
-    try:
-        tracer = SpanTracer(bus=bus)
-        run_load(TENANT_LOAD, backend="cluster", seed=0, bus=bus)
-        tracer.finish()
-        gc.collect()
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    held = snapshot.filter_traces(
-        [tracemalloc.Filter(True, trace.__file__, all_frames=True)]
-    )
-    return sum(t.size for t in held.traces) / TENANT_JOBS
-
-
-def journal_bytes() -> tuple[float, float]:
-    """Bytes per terminal record that ``repro/resilience/journal.py``
-    allocated and a live ``Journal`` still holds once ``snapshot()``
-    has returned, after journaling a ``JOURNAL_JOBS``-job run; and
-    bytes per attempt retained by the ``RecoveredState`` of that
-    journal once it is closed."""
-    with tempfile.TemporaryDirectory() as tmp:
-        directory = Path(tmp) / "journal"
-        bus = EventBus()
-        platform = CampusCluster(Simulator(), streams=RngStreams(seed=0), bus=bus)
-        dag = layered_dag(JOURNAL_JOBS)
-        tracemalloc.start()
-        try:
-            live = Journal(directory, bus=bus)
-            outcome = run_with_recovery(
-                dag, platform, max_rounds=1, bus=bus, journal=live
-            )
-            assert outcome.success
-            live.snapshot()
-            gc.collect()
-            snapshot = tracemalloc.take_snapshot()
-            live.close()
-            del outcome, platform
-            start = retained()
-            recovered = recover(directory)
-            held = retained() - start
-        finally:
-            tracemalloc.stop()
-        assert len(recovered.attempts) == JOURNAL_JOBS
-    kept = snapshot.filter_traces([tracemalloc.Filter(True, journal.__file__)])
-    return (
-        sum(t.size for t in kept.traces) / JOURNAL_JOBS,
-        held / JOURNAL_JOBS,
-    )
+#: Measures one group of rows in a child interpreter (see its docstring).
+ROWS = Path(__file__).with_name("footprint_rows.py")
+GROUPS = ("graph", "spans", "journal")
 
 
 def measure() -> dict[str, float]:
-    """Bytes per job retained by the built DAG, by a started scheduler
-    beyond it (its per-job state, and the first ready layer submitted),
-    by the result of one finished run over it (scheduler and engine let
-    go), by a finished span tracer, by a live journal and by what
-    recovery reads back from it."""
-    tracemalloc.start()
-    try:
-        start = retained()
-        dag = layered_dag()
-        built = retained()
-        scheduler = DagmanScheduler(dag, InstantEnvironment(), max_jobs=200)
-        scheduler.start()
-        started = retained()
-        scheduler.environment.run_until_complete()
-        result = scheduler.finish()
-        del scheduler
-        assert result.success
-        finished = retained()
-        assert len(result.trace) == len(dag) == JOBS
-    finally:
-        tracemalloc.stop()
-    live_journal, recovered = journal_bytes()
-    return {
-        "dag": (built - start) / JOBS,
-        "scheduler": (started - built) / JOBS,
-        "run": (finished - built) / JOBS,
-        "spans": traced_bytes(),
-        "journal": live_journal,
-        "recovered": recovered,
-    }
+    """Bytes per job of every row, each group of rows measured in its
+    own child interpreter that imports only what that group needs."""
+    path = [str(Path(repro.__file__).resolve().parents[1])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        path + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    figures: dict[str, float] = {}
+    for group in GROUPS:
+        done = subprocess.run(
+            [sys.executable, str(ROWS), group], env=env,
+            capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        figures.update(json.loads(done.stdout))
+    return figures
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +104,8 @@ def test_bytes_per_job(figures, label) -> None:
 
 
 def test_dag_stores_each_edge_once() -> None:
+    from tests.footprint_rows import WIDTH, layered_dag
+
     dag = layered_dag(3 * WIDTH)
     assert not hasattr(dag, "_parents")
     assert not hasattr(dag.rescue(done=()), "_parents")
@@ -291,10 +144,10 @@ def main() -> int:
         failed += over
         print(f"{label:<12} {figures[label]:>7.1f} {bound:>6}"
               f"{'  FAIL' if over else ''}")
-    print(f"({JOBS:,}-job two-parent layered DAG, a started scheduler, "
-          f"one finished run; "
-          f"span tracer of a {TENANT_JOBS:,}-job tenant run; "
-          f"journal of a {JOURNAL_JOBS:,}-job cluster run, live and recovered)")
+    print("(10,000-job two-parent layered DAG, a started scheduler, "
+          "one finished run; span tracer of a 4,000-job tenant run; "
+          "journal of a 4,000-job cluster run, live and recovered; "
+          "each group in its own interpreter)")
     return 1 if failed else 0
 
 

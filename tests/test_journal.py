@@ -109,9 +109,11 @@ def diamond(retries=1):
 
 def run_journaled(failures, jdir, *, dag=None, crash=None,
                   snapshot_every=1000, max_rounds=2, resume=None,
-                  retries=1, retry_delay=5.0, close=True):
+                  retries=1, retry_delay=5.0, close=True, envs=None):
     """One journaled run (or resumed continuation); returns
-    (outcome, env, journal)."""
+    (outcome, env, journal). The environment is also appended to
+    *envs*, when given, before the run starts: a crashing run never
+    returns it."""
     bus = EventBus()
     journal = Journal(
         jdir, bus=bus, snapshot_every=snapshot_every, crash=crash,
@@ -121,6 +123,8 @@ def run_journaled(failures, jdir, *, dag=None, crash=None,
         failures, bus=bus,
         start_time=resume.clock if resume is not None else 0.0,
     )
+    if envs is not None:
+        envs.append(env)
     outcome = run_with_recovery(
         dag if dag is not None else diamond(retries),
         env,
@@ -433,15 +437,18 @@ def _sweep_crash_points(failures, tmp_path, *, retries, snapshot_every):
     for crash_at in itertools.count(1):
         jdir = tmp_path / f"crash{crash_at}"
         crash = CrashFault(crash_at, mode="raise")
-        crashed_env = None
+        envs: list[ScriptedEnvironment] = []
         try:
             run_journaled(
                 failures, jdir, crash=crash, retries=retries,
-                snapshot_every=snapshot_every,
+                snapshot_every=snapshot_every, envs=envs,
             )
             break
         except CrashInjected:
             pass
+        # what the crashed run executed (nothing when it died opening
+        # the journal, before its environment was made)
+        crashed = set(envs[0].submissions) if envs else set()
         recovered = recover(jdir)
         if recovered.complete:
             # the workflow's end was journaled before the crash point
@@ -449,6 +456,9 @@ def _sweep_crash_points(failures, tmp_path, *, retries, snapshot_every):
                 n for n, s in baseline_states.items()
                 if s is NodeState.DONE
             }
+            assert crashed == set(baseline_env.submissions), (
+                f"crash at record {crash_at}"
+            )
             continue
         resumed, resumed_env, _ = run_journaled(
             failures, jdir, resume=recovered, retries=retries,
@@ -465,12 +475,11 @@ def _sweep_crash_points(failures, tmp_path, *, retries, snapshot_every):
             f"crash at record {crash_at}: re-executed "
             f"{resumed_jobs & recovered.done}"
         )
-        # 3. The executed-attempt set matches the uninterrupted run
-        #    (in-flight attempts resume under the SAME attempt number).
-        merged = baseline_env.submissions if crashed_env is None else (
-            set(crashed_env.submissions) | set(resumed_env.submissions)
-        )
-        assert set(merged) == set(baseline_env.submissions), (
+        # 3. The attempts the crashed and the resumed run executed are
+        #    the uninterrupted run's (in-flight attempts resume under the
+        #    SAME attempt number).
+        merged = crashed | set(resumed_env.submissions)
+        assert merged == set(baseline_env.submissions), (
             f"crash at record {crash_at}"
         )
         # 4. Exactly one journaled success per completed job, across

@@ -28,7 +28,9 @@ from repro.lint import (
 )
 from repro.lint.cli import main as lint_main
 from repro.lint.feasibility import default_pools, pools_from_mapping
+from repro.lint.plan_rules import durability_advice
 from repro.perfmodel.task_models import PaperTaskModel
+from repro.sim.failures import FailureModel
 from repro.wms.catalogs import (
     CAMPUS_SHARED_FS,
     ReplicaCatalog,
@@ -260,16 +262,23 @@ def seed_plan005():
 
 
 def seed_plan006():
-    # Default retries (> 0) mean the plan expects failures; declaring
-    # journal=False (run will keep no write-ahead journal) arms the
-    # durability rule. Sandhills keeps the preemptible-site rules quiet.
+    # Default retries (> 0) on a pool that can fail an attempt mean the
+    # plan expects failures; declaring journal=False (run will keep no
+    # write-ahead journal) arms the durability rule. Sandhills keeps the
+    # preemptible-site rules quiet; its pool is given a 1 % chance that
+    # an attempt dies on arrival, which the default retries survive.
     adag = fan_out()
     sites, tc, rc = full_catalogs()
     rc.add("raw.txt", "file:///raw.txt")
     planned = _planned(adag, "sandhills", sites, tc, rc)
+    pools = default_pools(sites)
+    pools["sandhills"] = replace(
+        pools["sandhills"], failures=FailureModel(start_failure_prob=0.01)
+    )
     return adag, {
         "sites": sites, "transformations": tc, "replicas": rc,
-        "site": "sandhills", "planned": planned, "journal": False,
+        "site": "sandhills", "planned": planned, "pools": pools,
+        "journal": False,
     }
 
 
@@ -445,6 +454,33 @@ class TestRuleTable:
         # skipping it)
         assert report.skipped_rules == []
         assert report.ok
+
+    def test_durability_advice_asks_the_target_pool(self):
+        # The paper's Sandhills plan budgets retries the campus cluster
+        # never spends, and its critical path is 2.5 h: no advice, so
+        # PLAN006 stays quiet; the same plan on the grid can lose any
+        # attempt.
+        adag = build_blast2cap3_adag(300, model=PaperTaskModel())
+        sites, tc, rc = default_catalogs()
+        pools = default_pools(sites)
+        for site in ("sandhills", "osg"):
+            planned = plan(adag, site_name=site, sites=sites,
+                           transformations=tc, replicas=rc)
+            advice = durability_advice(planned.dag, pools[site])
+            report = lint(adag, sites=sites, transformations=tc,
+                          replicas=rc, site=site, planned=planned,
+                          journal=False)
+            fired = [f for f in report.findings if f.rule == "PLAN006"]
+            if site == "sandhills":
+                assert advice is None
+                assert fired == []
+            else:
+                assert advice is not None
+                assert "budget retries that pool 'osg' can fail" in advice
+                assert [f.message for f in fired] == [
+                    f"this run keeps no write-ahead journal, but {advice}"
+                ]
+            assert durability_advice(planned.dag, None) is None
 
     def test_severities(self):
         by_id = {r.id: r.severity for r in registered_rules()}
