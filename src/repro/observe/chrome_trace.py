@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.observe.events import EventKind, RunEvent
@@ -138,31 +138,42 @@ def write_chrome_trace(
     events) as a trace-event JSON object next to the run's other
     artifacts, and return the path.
 
-    The document is printed record by record from per-kind templates;
-    no dict tree is built. The bytes are those ``json.dumps`` gives for
-    the dict the writer used to build
+    The document is printed into the file record by record from
+    per-kind templates; no dict tree is built and no document string.
+    The bytes are those ``json.dumps`` gives for the dict the writer
+    used to build
     (``tests/oracles/chrome_trace_reference.py``, held to it by
     ``tests/test_chrome_render.py``). An instant event's ``detail``, and
     any value of a type its template cannot spell, goes through the
     encoder.
     """
-    from repro.util.iolib import atomic_write
+    from repro.util.iolib import atomic_open
 
     path = Path(path)
-    atomic_write(path, _document(trace, samples, events, workflow))
+    with atomic_open(path) as out:
+        out.write('{"traceEvents": [')
+        _write_records(out.write, trace, samples, events)
+        out.write('], "displayTimeUnit": "ms", "otherData": %s}' % json.dumps(
+            {"workflow": workflow, "attempts": len(trace)}
+        ))
     return path
 
 
-def _document(
+def _write_records(
+    write: Callable[[str], object],
     trace: WorkflowTrace,
     samples: Iterable[UtilizationSample] | None,
     events: Iterable[RunEvent] | None,
-    workflow: str,
-) -> str:
-    """The trace-event document's text: one printed record per event,
-    joined once (its records are garbage before the file is written)."""
-    out: list[str] = []
-    append = out.append
+) -> None:
+    """Write the trace-event records, one printed record per event,
+    ``", "`` between records."""
+    sep = ""
+
+    def append(record: str) -> None:
+        nonlocal sep
+        write(sep + record)
+        sep = ", "
+
     pids: dict[str, int] = {}
     tids: dict[tuple[str, str], int] = {}
 
@@ -241,15 +252,3 @@ def _document(
 
     for s in samples or ():
         append(_COUNTER % (_value(s.time * _US), _value(s.busy), _value(s.idle)))
-
-    head = '{"traceEvents": ['
-    tail = '], "displayTimeUnit": "ms", "otherData": %s}' % json.dumps(
-        {"workflow": workflow, "attempts": len(trace)}
-    )
-    if not out:
-        return head + tail
-    # The head and tail ride on the first and last records, so the one
-    # join is the only copy of the whole document.
-    out[0] = head + out[0]
-    out[-1] += tail
-    return ", ".join(out)

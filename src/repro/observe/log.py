@@ -419,13 +419,15 @@ class EventLogWriter:
 
 
 def write_events(path: str | Path, events: Iterable[RunEvent]) -> int:
-    """Write a whole event stream as JSONL; returns the event count."""
-    events = list(events)
-    payload = "".join(event_to_json_line(e) + "\n" for e in events)
-    from repro.util.iolib import atomic_write
+    """Write a whole event stream as JSONL, line by line; returns the
+    event count."""
+    from repro.util.iolib import atomic_open
 
-    atomic_write(path, payload)
-    return len(events)
+    count = 0
+    with atomic_open(path) as out:
+        for count, e in enumerate(events, 1):
+            out.write(event_to_json_line(e) + "\n")
+    return count
 
 
 class _NotJSON(ValueError):

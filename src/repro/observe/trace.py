@@ -76,12 +76,12 @@ from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from repro.dagman.events import JobAttempt, JobStatus
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
-from repro.util.iolib import atomic_write
+from repro.util.iolib import atomic_open
 
 __all__ = [
     "Span",
@@ -604,26 +604,37 @@ def _otlp_value(value: object) -> tuple[str, bool | str | float]:
 _OTLP_RESOURCE = {"service.name": "repro"}
 
 
-# The text rendering. Nesting depth is fixed by the envelope: resource
-# attributes sit 5 spaces in, spans 6, a span's attributes and links 8,
-# a link's attributes 10. ``_json_str`` is the ``json`` module's own
-# string escaper (the C one where CPython has it).
+# The text rendering, printed into the file piece by piece. Nesting
+# depth is fixed by the envelope: resource attributes sit 5 spaces in,
+# spans 6, a span's attributes and links 8, a link's attributes 10.
+# ``_json_str`` is the ``json`` module's own string escaper (the C one
+# where CPython has it).
 
 
-def _json_list(items: list[str], depth: int) -> str:
-    """*items*, each already indented *depth* spaces, as a JSON list
-    whose opening bracket continues the current line."""
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join(items) + "\n" + " " * (depth - 1) + "]"
+def _write_list(
+    write: Callable[[str], object],
+    items: Iterable[Any],
+    depth: int,
+    put: Callable[[Any], object] | None = None,
+) -> None:
+    """Write *items* as a JSON list whose opening bracket continues the
+    current line; each item is text already indented *depth* spaces, or
+    is written so by *put*."""
+    put = put or write
+    sep = "[\n"
+    for item in items:
+        write(sep)
+        put(item)
+        sep = ",\n"
+    write("[]" if sep == "[\n" else "\n" + " " * (depth - 1) + "]")
 
 
 def _otlp_attrs_text(
     depth: int,
-) -> Callable[[Iterable[tuple[str, object]]], str]:
+) -> Callable[[Iterable[tuple[str, object]]], list[str]]:
     """The renderer of OTLP attribute lists (``{"key": …, "value":
     {type: scalar}}`` objects) indented *depth* spaces; it takes the
-    (key, value) items.
+    (key, value) items and returns each item's text.
 
     A run repeats most (key, value) pairs hundreds of times, so each
     attribute object is printed once and its text reused. Only exact
@@ -658,7 +669,7 @@ def _otlp_attrs_text(
             text = float.__repr__(scalar)
         return template % (_json_str(key), field, text)
 
-    def render(attrs: Iterable[tuple[str, object]]) -> str:
+    def render(attrs: Iterable[tuple[str, object]]) -> list[str]:
         items = []
         for item in attrs:
             value = item[1]
@@ -675,17 +686,12 @@ def _otlp_attrs_text(
                 if seen is not None:
                     seen[item] = text
             items.append(text)
-        return _json_list(items, depth)
+        return items
 
     return render
 
 
-def _otlp_fields_text(names: Sequence[str], depth: int) -> str:
-    pad = " " * depth
-    return "".join(f'{pad}"{name}": %s,\n' for name in names)
-
-
-_OTLP_SPAN_TEXT = (
+_OTLP_SPAN_HEAD = (
     "      {\n"
     '       "traceId": %s,\n'
     '       "spanId": %s,\n'
@@ -693,25 +699,28 @@ _OTLP_SPAN_TEXT = (
     '       "kind": "SPAN_KIND_INTERNAL",\n'
     '       "startTimeUnixNano": "%d",\n'
     '       "endTimeUnixNano": "%d",\n'
-    '       "attributes": %s,\n'
-    '       "status": {\n        "code": %s\n       }%s\n      }'
+    '       "attributes": '
 )
-_OTLP_STATUS_TEXT = {key: _json_str(code) for key, code in _OTLP_STATUS.items()}
+_OTLP_STATUS_TEXT = {
+    key: ',\n       "status": {\n        "code": %s\n       }' % _json_str(code)
+    for key, code in _OTLP_STATUS.items()
+}
 _OTLP_PARENT_TEXT = ',\n       "parentSpanId": %s'
-_OTLP_LINKS_TEXT = ',\n       "links": %s'
-_OTLP_LINK_TEXT = (
+_OTLP_LINKS_HEAD = ',\n       "links": '
+_OTLP_LINK_HEAD = (
     "        {\n"
-    + _otlp_fields_text(_OTLP_LINK_FIELDS, 9)
-    + '         "attributes": %s\n        }'
+    + "".join(f'         "{name}": %s,\n' for name in _OTLP_LINK_FIELDS)
+    + '         "attributes": '
 )
+#: The envelope around the resource attributes and the spans.
 _OTLP_ENVELOPE_TEXT = (
-    '{\n "resourceSpans": [\n  {\n   "resource": {\n'
-    '    "attributes": %s\n   },\n   "scopeSpans": [\n    {\n'
-    '     "scope": {\n'
+    '{\n "resourceSpans": [\n  {\n   "resource": {\n    "attributes": ',
+    '\n   },\n   "scopeSpans": [\n    {\n     "scope": {\n'
     + ",\n".join(
         f"      {_json_str(k)}: {_json_str(v)}" for k, v in _OTLP_SCOPE.items()
     )
-    + '\n     },\n     "spans": %s\n    }\n   ]\n  }\n ]\n}\n'
+    + '\n     },\n     "spans": ',
+    "\n    }\n   ]\n  }\n ]\n}\n",
 )
 
 
@@ -720,8 +729,8 @@ def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     (the ``resourceSpans`` envelope any OTLP/HTTP collector accepts) to
     ``path``, one space per nesting level, and return the path.
 
-    The text is printed from the spans, so no document tree is built
-    and none is walked in Python; the bytes are those
+    The text is printed into the file span by span, so no document tree
+    is built and no document string either; the bytes are those
     ``json.dumps(indent=1)`` gives for the dict
     ``tests/oracles/span_documents.py`` builds
     (``tests/test_otlp_render.py`` compares them).
@@ -736,47 +745,47 @@ def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
             escaped = trace_ids[text] = _json_str(text)
         return escaped
 
-    rendered = []
-    for s in spans:
-        tail = ""
-        if s.parent_span_id is not None:
-            tail = _OTLP_PARENT_TEXT % _json_str(s.parent_span_id)
-        if s.links:
-            links = [
-                _OTLP_LINK_TEXT
-                % (
-                    trace_id(link.trace_id),
-                    _json_str(link.span_id),
-                    link_attrs(link.attributes.items()),
-                )
-                for link in s.links
-            ]
-            tail += _OTLP_LINKS_TEXT % _json_list(links, 8)
-        attrs = s.attributes
-        if "repro.span_kind" in attrs:  # first place, the attribute's value
-            attrs = {"repro.span_kind": s.kind, **attrs}
-            items: Iterable[tuple[str, object]] = attrs.items()
-        else:
-            items = (("repro.span_kind", s.kind), *attrs.items())
+    def put_link(link: SpanLink) -> None:
+        write(_OTLP_LINK_HEAD % (trace_id(link.trace_id), _json_str(link.span_id)))
+        _write_list(write, link_attrs(link.attributes.items()), 10)
+        write("\n        }")
+
+    def put_span(s: Span) -> None:
         end = s.end if s.end is not None else s.start
-        rendered.append(
-            _OTLP_SPAN_TEXT
+        write(
+            _OTLP_SPAN_HEAD
             % (
                 trace_id(s.trace_id),
                 _json_str(s.span_id),
                 _json_str(s.name),
                 round(s.start * 1e9),
                 round(end * 1e9),
-                span_attrs(items),
-                _OTLP_STATUS_TEXT[s.status],
-                tail,
             )
         )
-    return atomic_write(
-        path,
-        _OTLP_ENVELOPE_TEXT
-        % (_otlp_attrs_text(5)(_OTLP_RESOURCE.items()), _json_list(rendered, 6)),
-    )
+        attrs = s.attributes
+        if "repro.span_kind" in attrs:  # first place, the attribute's value
+            attrs = {"repro.span_kind": s.kind, **attrs}
+            items: Iterable[tuple[str, object]] = attrs.items()
+        else:
+            items = (("repro.span_kind", s.kind), *attrs.items())
+        _write_list(write, span_attrs(items), 8)
+        write(_OTLP_STATUS_TEXT[s.status])
+        if s.parent_span_id is not None:
+            write(_OTLP_PARENT_TEXT % _json_str(s.parent_span_id))
+        if s.links:
+            write(_OTLP_LINKS_HEAD)
+            _write_list(write, s.links, 8, put_link)
+        write("\n      }")
+
+    head, middle, tail = _OTLP_ENVELOPE_TEXT
+    with atomic_open(path) as out:
+        write = out.write
+        write(head)
+        _write_list(write, _otlp_attrs_text(5)(_OTLP_RESOURCE.items()), 5)
+        write(middle)
+        _write_list(write, spans, 6, put_span)
+        write(tail)
+    return Path(path)
 
 
 # -- Perfetto protobuf-JSON export -----------------------------------
@@ -867,22 +876,25 @@ def write_perfetto_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     (``traceconv`` / ui.perfetto.dev accept this shape directly) to
     ``path``, one space per nesting level, and return the path.
 
-    Printed from the spans like :func:`write_otlp_trace`: the bytes are
-    those ``json.dumps(indent=1)`` gives for the dict
+    Printed into the file packet by packet like :func:`write_otlp_trace`:
+    the bytes are those ``json.dumps(indent=1)`` gives for the dict
     ``tests/oracles/span_documents.py`` builds
     (``tests/test_perfetto_render.py`` compares them).
     """
     tracks, slices = _perfetto_slices(spans)
-    packets = [
-        _PERFETTO_TRACK_TEXT % (uuid, _json_str(name))
-        for name, uuid in tracks.items()
-    ]
-    for ts, begin, _, uuid, s in slices:
-        ns = int(round(ts * 1e9))
-        if begin:
-            packets.append(_PERFETTO_BEGIN_TEXT % (ns, uuid, _json_str(s.name)))
-        else:
-            packets.append(_PERFETTO_END_TEXT % (ns, uuid))
-    return atomic_write(
-        path, '{\n "packet": ' + _json_list(packets, 2) + "\n}\n"
-    )
+
+    def packets() -> Iterator[str]:
+        for name, uuid in tracks.items():
+            yield _PERFETTO_TRACK_TEXT % (uuid, _json_str(name))
+        for ts, begin, _, uuid, s in slices:
+            ns = int(round(ts * 1e9))
+            if begin:
+                yield _PERFETTO_BEGIN_TEXT % (ns, uuid, _json_str(s.name))
+            else:
+                yield _PERFETTO_END_TEXT % (ns, uuid)
+
+    with atomic_open(path) as out:
+        out.write('{\n "packet": ')
+        _write_list(out.write, packets(), 2)
+        out.write("\n}\n")
+    return Path(path)

@@ -2,19 +2,19 @@
 
 Workflow tools must never leave half-written catalogs, DAG files, or
 rescue files behind when interrupted — DAGMan in particular re-reads its
-own outputs on recovery. Two write paths share the same
-write-to-temp-then-rename semantics on the same filesystem:
+own outputs on recovery. One durability core writes a temp file in the
+target's directory, fsyncs it, renames it over the target and fsyncs
+the directory, or removes the temp file if anything raises; so a crash
+immediately after the rename cannot surface an empty or truncated file,
+and a failed write leaves the previous file as it was. It has two entry
+points:
 
 * :func:`atomic_open` — a context manager yielding a **streaming** text
   handle, for writers whose output is large (the paper's
-  ``alignments.out`` is 155 MB; buffering it in a ``StringIO`` first
-  would hold the whole file in memory);
-* :func:`atomic_write` — the convenience one-shot for small payloads
-  (catalogs, id lists, JSON blobs).
-
-Both fsync the temp file before the rename and the parent directory
-after it, so a crash immediately after ``os.replace`` cannot surface an
-empty or truncated file — the durability DAGMan recovery relies on.
+  ``alignments.out`` is 155 MB; the run's trace exports print into it
+  record by record, so no document is ever whole in memory);
+* :func:`atomic_write` — the one-shot for a payload already in hand
+  (catalogs, id lists, JSON blobs, the journal snapshot's bytes).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 __all__ = [
     "atomic_open",
@@ -59,7 +59,7 @@ def ensure_dir(path: str | Path) -> Path:
     this call actually creates gets its parent fsynced, bottom-up.
 
     Directory fsync failures on platforms that do not support it are
-    tolerated (same contract as the rename path in
+    tolerated (same contract as the rename path of
     :func:`atomic_write`); the creation itself still raises normally.
     """
     path = Path(path)
@@ -80,78 +80,54 @@ def ensure_dir(path: str | Path) -> Path:
 
 
 @contextmanager
+def _replacing(path: Path) -> Iterator[BinaryIO]:
+    """The durability core: a binary handle on a temp file beside
+    ``path``, fsynced and renamed over it (then the directory fsynced)
+    on clean exit, removed on error."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        try:
+            # The handle may be closed by a wrapper; the fd stays ours.
+            with open(fd, "wb", closefd=False) as raw:
+                yield raw
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp_name, path)
+        _fsync_dir(path.parent)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+@contextmanager
 def atomic_open(path: str | Path, *, encoding: str = "utf-8") -> Iterator[TextIO]:
     """Open ``path`` for streaming text writes with atomic-replace semantics.
 
-    Yields a text handle backed by a temp file in ``path``'s directory;
-    on clean exit the data is flushed, fsynced, and renamed over
-    ``path`` (and the directory fsynced). On error the temp file is
-    removed and ``path`` is untouched. ``.gz`` paths are
-    gzip-compressed on the fly.
-
-    Parent directories are created as needed.
+    Yields a text handle on the durability core's temp file; on clean
+    exit the data is flushed, fsynced, and renamed over ``path``. On
+    error ``path`` is untouched. ``.gz`` paths are gzip-compressed on
+    the fly (the trailer is written before the fsync). Parent
+    directories are created as needed.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        raw = os.fdopen(fd, "wb")
-        handle: TextIO
-        if path.suffix == ".gz":
-            handle = io.TextIOWrapper(
-                gzip.GzipFile(fileobj=raw, mode="wb"), encoding=encoding
-            )
-        else:
-            handle = io.TextIOWrapper(raw, encoding=encoding)
-        try:
+    with _replacing(path) as raw:
+        stream = gzip.GzipFile(fileobj=raw, mode="wb") if path.suffix == ".gz" else raw
+        with io.TextIOWrapper(stream, encoding=encoding) as handle:
             yield handle
-            handle.flush()
-            if path.suffix == ".gz":
-                # Finalize the gzip trailer before syncing the raw file.
-                handle.detach().close()  # type: ignore[union-attr]
-            raw.flush()
-            os.fsync(raw.fileno())
-        finally:
-            try:
-                handle.close()
-            except ValueError:  # detached wrapper above
-                pass
-            if not raw.closed:
-                raw.close()
-        os.replace(tmp_name, path)
-        _fsync_dir(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
 
 
 def atomic_write(path: str | Path, data: str | bytes) -> Path:
-    """Write ``data`` to ``path`` atomically (temp file + fsync + rename).
-
-    Parent directories are created as needed. Returns the final path.
-    The temp file is fsynced before the rename and the directory after,
-    so the replace is durable, not merely atomic.
+    """Write ``data`` (text as UTF-8) to ``path`` through the durability
+    core and return the path. Parent directories are created as needed.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    mode = "wb" if isinstance(data, bytes) else "w"
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, mode) as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp_name, path)
-        _fsync_dir(path.parent)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    with _replacing(path) as raw:
+        raw.write(data.encode() if isinstance(data, str) else data)
     return path
 
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import sys
 from functools import partial
 from pathlib import Path
@@ -440,11 +441,14 @@ def main_run(argv: list[str] | None = None) -> int:
                 retry_policy=retry_policy,
             )
     except CrashInjected as exc:
-        print(
-            f"crash injected: {exc}; resume with repro-run "
-            f"--submit-dir {submit} --resume {journal_dir}",
-            file=sys.stderr,
-        )
+        # The journal keeps no flag, so the resume repeats every one
+        # this run was given but the journal's and the crash's.
+        hint = ["repro-run", "--submit-dir", str(submit), "--resume", str(journal_dir)]
+        for dest, value in vars(args).items():
+            if dest not in ("submit_dir", "journal", "resume", "crash_at_record",
+                            "crash_mode") and value != parser.get_default(dest):
+                hint += [f"--{dest.replace('_', '-')}"] + ([] if value is True else [str(value)])
+        print(f"crash injected: {exc}; resume with {shlex.join(hint)}", file=sys.stderr)
         return 3
     finally:
         if journal is not None:

@@ -28,7 +28,7 @@ from repro.observe.bus import events_to_trace
 from repro.observe.events import RunEvent
 from repro.observe.log import iter_events, read_events
 from repro.observe.sampler import UtilizationSample
-from repro.util.iolib import atomic_write
+from repro.util.iolib import atomic_open, atomic_write
 
 __all__ = [
     "DAX_FILE", "DAG_FILE", "PLAN_FILE", "EVENTS_FILE", "TRACE_FILE",
@@ -159,9 +159,11 @@ def write_trace(path: str | Path, trace: WorkflowTrace | Iterable[JobAttempt]) -
     :data:`_TRACE_LINE` when the record's values have their plain types
     and encoded otherwise (``tests/test_trace_jsonl_render.py`` holds it
     to the encoder)."""
-    attempts = list(trace)
-    atomic_write(path, "".join([_trace_line(a) for a in attempts]))
-    return len(attempts)
+    count = 0
+    with atomic_open(path) as out:
+        for count, a in enumerate(trace, 1):
+            out.write(_trace_line(a))
+    return count
 
 
 #: A ``trace.jsonl`` line up to its optional ``error`` and ``profile``,
@@ -214,8 +216,10 @@ def read_trace(path: str | Path) -> WorkflowTrace:
 
 def write_utilization(path: str | Path, samples: Iterable[UtilizationSample]) -> Path:
     """One header line, then ``time<TAB>busy<TAB>idle`` per sample."""
-    rows = "".join(f"{s.time:.0f}\t{s.busy}\t{s.idle}\n" for s in samples)
-    return atomic_write(path, f"{_UTILIZATION_HEADER}\n{rows}")
+    with atomic_open(path) as out:
+        out.write(f"{_UTILIZATION_HEADER}\n")
+        out.writelines(f"{s.time:.0f}\t{s.busy}\t{s.idle}\n" for s in samples)
+    return Path(path)
 
 
 def read_utilization(path: str | Path) -> list[UtilizationSample]:

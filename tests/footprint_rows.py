@@ -11,7 +11,11 @@ a JSON object, label -> bytes per job:
 * ``spans`` — what a finished ``SpanTracer`` holds;
 * ``journal`` — ``journal`` and ``recovered``: what a live journal
   keeps per terminal record, and what recovering that journal retains
-  per attempt.
+  per attempt;
+* ``writers`` — ``otlp``, ``perfetto``, ``chrome``, ``trace_jsonl``,
+  ``utilization`` and ``events``: the most each of ``repro-run``'s six
+  run-sized artefact writers holds at once beyond what the run left
+  resident, while it writes the artefacts of a paper-scale run.
 
 This module imports nothing but the standard library at the top, and
 each group imports only what it measures: a figure must not depend on
@@ -209,8 +213,73 @@ def journal_bytes() -> dict[str, float]:
     }
 
 
+#: The paper-scale run whose artefacts the writers write, on each site.
+WRITER_CLUSTERS, WRITER_SITES = 300, ("sandhills", "osg")
+
+
+def writer_bytes() -> dict[str, float]:
+    """Per writer, the ``tracemalloc`` peak while it writes the artefacts
+    of ``simulate_paper_run(300, site, seed=0, sample_interval_s=60)``,
+    traced from just before the call (so above what the run left
+    resident), per job, the larger of the two sites. Each writer runs
+    once untraced first, so no first-call cost is counted."""
+    from repro.core.workflow_factory import simulate_paper_run
+    from repro.observe.bus import EventBus, EventRecorder
+    from repro.observe.chrome_trace import write_chrome_trace
+    from repro.observe.events import EventKind
+    from repro.observe.log import write_events
+    from repro.observe.sampler import UtilizationSample
+    from repro.observe.trace import SpanTracer, write_otlp_trace, write_perfetto_trace
+    from repro.wms.monitor import write_trace, write_utilization
+
+    figures: dict[str, float] = {}
+    for site in WRITER_SITES:
+        bus = EventBus()
+        recorder = EventRecorder(bus)
+        tracer = SpanTracer(bus=bus)
+        outcome, planned = simulate_paper_run(
+            WRITER_CLUSTERS, site, seed=0, bus=bus, sample_interval_s=60
+        )
+        spans = tracer.finish()
+        trace, events = outcome.trace, recorder.events
+        samples = [
+            UtilizationSample(e.time, e.detail["busy"], e.detail["idle"])
+            for e in events if e.kind is EventKind.SAMPLE
+        ]
+        assert outcome.success and samples
+        writers = {
+            "otlp": lambda path: write_otlp_trace(path, spans),
+            "perfetto": lambda path: write_perfetto_trace(path, spans),
+            "chrome": lambda path: write_chrome_trace(
+                path, trace, samples=samples, events=events,
+                workflow=planned.dag.name,
+            ),
+            "trace_jsonl": lambda path: write_trace(path, trace),
+            "utilization": lambda path: write_utilization(path, samples),
+            "events": lambda path: write_events(path, events),
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            for label, write in writers.items():
+                path = Path(tmp) / label
+                write(path)
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    write(path)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                figures[label] = max(
+                    figures.get(label, 0.0), peak / len(planned.dag)
+                )
+    return figures
+
+
 #: group -> the function that measures its rows
-GROUPS = {"graph": graph_bytes, "spans": span_bytes, "journal": journal_bytes}
+GROUPS = {
+    "graph": graph_bytes, "spans": span_bytes, "journal": journal_bytes,
+    "writers": writer_bytes,
+}
 
 
 if __name__ == "__main__":

@@ -109,3 +109,93 @@ class TestWritersStream:
         assert write_tabular(p, [hit]) == 1
         assert [h.format() for h in read_tabular(p)] == [hit.format()]
         assert leftovers(tmp_path) == []
+
+
+def _attempt(job, *, error=None):
+    from repro.dagman.events import JobAttempt, JobStatus
+
+    return JobAttempt(job, "t", "s", "m", 1, 0.0, 1.0, 2.0, 3.0,
+                      JobStatus.SUCCEEDED, error=error)
+
+
+def _spans(last_end):
+    from repro.observe.trace import Span
+
+    return [
+        Span(f"s{i}", "run", "ab" * 16, f"{i:016x}", None, float(i),
+             end=float(i) + 0.5 if i < 3 else last_end,
+             attributes={"job": f"j{i}"})
+        for i in range(4)
+    ]
+
+
+def _otlp(path, bad):
+    from repro.observe.trace import write_otlp_trace
+
+    # An infinite time has no nanosecond count: the last span refuses.
+    write_otlp_trace(path, _spans(float("inf") if bad else 4.0))
+
+
+def _perfetto(path, bad):
+    from repro.observe.trace import write_perfetto_trace
+
+    write_perfetto_trace(path, _spans(float("inf") if bad else 4.0))
+
+
+def _records(bad):
+    # An error the encoder cannot spell fails the last record only.
+    return [_attempt(f"j{i}") for i in range(3)] + [
+        _attempt("j9", error=object() if bad else "lost")
+    ]
+
+
+def _chrome(path, bad):
+    from repro.dagman.events import WorkflowTrace
+    from repro.observe.chrome_trace import write_chrome_trace
+
+    write_chrome_trace(path, WorkflowTrace(_records(bad)))
+
+
+def _trace_jsonl(path, bad):
+    from repro.wms.monitor import write_trace
+
+    write_trace(path, _records(bad))
+
+
+def _utilization(path, bad):
+    from repro.observe.sampler import UtilizationSample
+    from repro.wms.monitor import write_utilization
+
+    samples = [UtilizationSample(60.0 * i, i, 3 - i) for i in range(3)]
+    write_utilization(path, samples + [UtilizationSample("x" if bad else 180.0, 0, 3)])
+
+
+def _events(path, bad):
+    from repro.observe.events import EventKind, RunEvent
+    from repro.observe.log import write_events
+
+    write_events(path, [
+        RunEvent(EventKind.FAULT, float(i), f"j{i}",
+                 detail={"x": object() if bad and i == 3 else i})
+        for i in range(4)
+    ])
+
+
+class TestStreamedArtefacts:
+    """Each run-sized artefact writer prints into ``atomic_open`` record
+    by record, so a record that raises comes after others were written
+    to the temp file: the previous file must survive byte for byte."""
+
+    @pytest.mark.parametrize(
+        "write",
+        [_otlp, _perfetto, _chrome, _trace_jsonl, _utilization, _events],
+        ids=lambda write: write.__name__.lstrip("_"),
+    )
+    def test_raise_mid_stream_keeps_previous_file(self, tmp_path, write):
+        p = tmp_path / "artefact"
+        write(p, bad=False)
+        before = p.read_bytes()
+        with pytest.raises((OverflowError, TypeError, ValueError)):
+            write(p, bad=True)
+        assert p.read_bytes() == before
+        assert leftovers(tmp_path) == []

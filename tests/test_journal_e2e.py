@@ -136,3 +136,38 @@ def test_raise_mode_exit_code_names_resume_command(tmp_path, capsys):
     captured = capsys.readouterr()
     combined = captured.out + captured.err
     assert "--resume" in combined and str(jdir) in combined
+
+
+def test_crash_hint_repeats_the_run_flags(tmp_path, capsys):
+    """The journal records no flag, so the printed resume command must
+    carry every one the crashed run was given (but ``--journal`` and
+    ``--crash-*``): run as printed, it resumes exactly as the same
+    command with the flags typed by hand. Under seed 0, which a hint
+    without ``--seed`` resumes with, this run ends FAILED."""
+    import shlex
+
+    flags = ["--seed", "1", "--blacklist-threshold", "2"]
+
+    def crash(name: str) -> tuple[Path, Path, str]:
+        submit, jdir = tmp_path / name, tmp_path / f"{name}-journal"
+        _plan(submit, n=12, site="osg")
+        capsys.readouterr()
+        rc = main_run([
+            "--submit-dir", str(submit), *flags, "--journal", str(jdir),
+            "--crash-at-record", "40", "--crash-mode", "raise",
+        ])
+        assert rc == 3
+        return submit, jdir, capsys.readouterr().err
+
+    printed, _, err = crash("printed")
+    command = shlex.split(err.split("resume with ", 1)[1])
+    assert command[0] == "repro-run"
+    assert main_run(command[1:]) == 0
+
+    by_hand, jdir, _ = crash("by-hand")
+    assert main_run(
+        ["--submit-dir", str(by_hand), "--resume", str(jdir), *flags]
+    ) == 0
+    assert (printed / "trace.jsonl").read_bytes() == (
+        by_hand / "trace.jsonl"
+    ).read_bytes()

@@ -410,7 +410,7 @@ class TestExports:
 
     def test_writers_replace_atomically(self, tmp_path, monkeypatch):
         # A crash mid-export must leave the previous file, never half a
-        # JSON document: both writers go through atomic_write (temp file
+        # JSON document: both writers print into atomic_open (temp file
         # + rename, 0600 like the other artefacts).
         spans = self.spans()
 
