@@ -101,8 +101,8 @@ class ExecutionEnvironment(Protocol):
         """Drive the platform until no submitted work remains.
 
         Environments may additionally provide ``call_later(delay_s,
-        fn)`` — used for delayed retries; without it, retry delays
-        degrade to immediate requeue.
+        fn)`` for delayed retries (without it they requeue at once),
+        and ``abandon()``, called when the manager crashes.
         """
         ...
 

@@ -107,6 +107,7 @@ def run_with_recovery(
     # observe imports reach the simulators — a top-level scheduler
     # import here would close that loop into a cycle.
     from repro.dagman.scheduler import DagmanScheduler, NodeState
+    from repro.resilience.faults import CrashInjected
 
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
@@ -148,64 +149,71 @@ def run_with_recovery(
                     },
                 )
             )
-    last_round_no = max(max_rounds, start_round)
-    for round_no in range(start_round, last_round_no + 1):
-        scheduler = DagmanScheduler(
-            current, environment, bus=bus, restore=restore,
-            **scheduler_kwargs,  # type: ignore[arg-type]
-        )
-        restore = None  # counters restore into the first resumed round only
-        scheduler.start()
-        if on_round_start is not None:
-            on_round_start(scheduler, round_no)
-        environment.run_until_complete()
-        result = scheduler.finish()
-        for attempt in result.trace:
-            outcome.trace.add(attempt)
-
-        rescue_path: Path | None = None
-        if not result.success and rescue_dir is not None:
-            rescue_dir.mkdir(parents=True, exist_ok=True)
-            rescue_path = scheduler.write_rescue(
-                rescue_dir / f"{dag.name}.rescue{round_no:03d}"
+    try:
+        last_round_no = max(max_rounds, start_round)
+        for round_no in range(start_round, last_round_no + 1):
+            scheduler = DagmanScheduler(
+                current, environment, bus=bus, restore=restore,
+                **scheduler_kwargs,  # type: ignore[arg-type]
             )
-        outcome.rounds.append(RecoveryRound(round_no, result, rescue_path))
+            restore = None  # counters restore into the first resumed round only
+            scheduler.start()
+            if on_round_start is not None:
+                on_round_start(scheduler, round_no)
+            environment.run_until_complete()
+            result = scheduler.finish()
+            for attempt in result.trace:
+                outcome.trace.add(attempt)
 
-        if result.success:
-            outcome.success = True
+            rescue_path: Path | None = None
+            if not result.success and rescue_dir is not None:
+                rescue_dir.mkdir(parents=True, exist_ok=True)
+                rescue_path = scheduler.write_rescue(
+                    rescue_dir / f"{dag.name}.rescue{round_no:03d}"
+                )
+            outcome.rounds.append(RecoveryRound(round_no, result, rescue_path))
+
+            if result.success:
+                outcome.success = True
+                if journal is not None and not journal.closed:
+                    journal.snapshot()
+                return outcome
+
+            done = {
+                n for n, s in result.states.items() if s is NodeState.DONE
+            }
+            last_round = round_no == last_round_no
+            if bus is not None:
+                bus.emit(
+                    RunEvent(
+                        EventKind.RESCUE,
+                        environment.now,
+                        detail={
+                            "round": round_no,
+                            "done": len(done),
+                            "failed": result.failed_jobs,
+                            "unrunnable": len(result.unrunnable_jobs),
+                            "rescue": str(rescue_path) if rescue_path else None,
+                            "resubmitting": not last_round,
+                        },
+                    )
+                )
+            # Compact after the round boundary: the rescue.round record is
+            # in the WAL, so a crash in the next round replays only that
+            # round's suffix on top of this snapshot.
             if journal is not None and not journal.closed:
                 journal.snapshot()
-            return outcome
+            if last_round:
+                return outcome
 
-        done = {
-            n for n, s in result.states.items() if s is NodeState.DONE
-        }
-        last_round = round_no == last_round_no
-        if bus is not None:
-            bus.emit(
-                RunEvent(
-                    EventKind.RESCUE,
-                    environment.now,
-                    detail={
-                        "round": round_no,
-                        "done": len(done),
-                        "failed": result.failed_jobs,
-                        "unrunnable": len(result.unrunnable_jobs),
-                        "rescue": str(rescue_path) if rescue_path else None,
-                        "resubmitting": not last_round,
-                    },
-                )
-            )
-        # Compact after the round boundary: the rescue.round record is
-        # in the WAL, so a crash in the next round replays only that
-        # round's suffix on top of this snapshot.
-        if journal is not None and not journal.closed:
-            journal.snapshot()
-        if last_round:
-            return outcome
-
-        current = dag.rescue(done)  # DONE marks accumulate over rounds
-    return outcome
+            current = dag.rescue(done)  # DONE marks accumulate over rounds
+        return outcome
+    except CrashInjected:
+        # What the dead manager left queued and in flight dies with it.
+        abandon = getattr(environment, "abandon", None)
+        if abandon is not None:
+            abandon()
+        raise
 
 
 def run_simulated(

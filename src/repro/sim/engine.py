@@ -134,6 +134,13 @@ class Simulator:
             heapq.heapify(self._queue)
             self._cancelled = 0
 
+    def clear(self) -> None:
+        """Drop every pending event unfired; the clock stays."""
+        for entry in self._queue:
+            entry[2].cancelled = True  # a late cancel() stays a no-op
+        self._queue.clear()  # in place: run() loops hold this list
+        self._cancelled = 0
+
     def step(self) -> bool:
         """Fire the next event; returns False when the queue is empty."""
         queue = self._queue

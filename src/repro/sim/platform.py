@@ -206,6 +206,16 @@ class SimPlatform:
         """Virtual-clock deferral (delayed retries park here)."""
         self.simulator.schedule(delay_s, fn)
 
+    def abandon(self) -> None:
+        """Drop every queued attempt and pending event unrun: the
+        manager they report to died. Each closes a cycle through this
+        platform, so the dead run is then freed without the collector."""
+        self.simulator.clear()
+        for fifo in (self._line, *(f for _, f in self._awake), *self._asleep):
+            fifo.clear()
+        del self._awake[:], self._asleep[:]
+        self._idle = 0
+
     def queue_status(self) -> dict[str, int]:
         """``condor_q``-style snapshot: idle (queued) vs running."""
         return {"idle": self._idle, "running": self._occupied}

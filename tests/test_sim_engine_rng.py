@@ -112,6 +112,20 @@ class TestSimulator:
         assert sim.processed == 2
         assert sim.pending == 0
 
+    def test_clear_drops_pending_events_unfired(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("a"))
+        late = sim.schedule(2.0, lambda: fired.append("b"))
+        sim.run(until=1.5)
+        sim.clear()
+        assert sim.pending == 0 and sim.now == 1.5
+        late.cancel()  # after clear(): a no-op, the count stays right
+        assert sim.pending == 0
+        sim.schedule(1.0, lambda: fired.append("c"))
+        sim.run()
+        assert fired == ["a", "c"]
+
     @given(st.lists(st.floats(min_value=0, max_value=1e6), max_size=50))
     @settings(max_examples=30)
     def test_monotonic_clock_property(self, delays):

@@ -1,10 +1,17 @@
 """Tests for the campus-cluster and opportunistic-grid platform models."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobStatus
 from repro.dagman.scheduler import DagmanScheduler
+from repro.observe.bus import EventBus
+from repro.resilience.faults import CrashFault, CrashInjected
+from repro.resilience.journal import Journal
+from repro.resilience.recovery import run_with_recovery
 from repro.sim.cluster import CampusCluster, CampusClusterConfig
 from repro.sim.engine import Simulator
 from repro.sim.failures import NO_FAILURES, FailureModel
@@ -242,3 +249,28 @@ class TestOpportunisticGrid:
 
     def test_total_slots_default(self):
         assert sum(site.slots for site in GridConfig().with_sites().sites) == 600
+
+
+@pytest.mark.parametrize("platform", [CampusCluster, OpportunisticGrid])
+def test_a_crashed_run_is_freed_by_reference_counting(platform, tmp_path):
+    """A manager crash mid-run leaves queued attempts and pending events
+    behind; the platform drops them, so the dead run is freed the moment
+    the crash is handled, not whenever the cyclic collector next runs."""
+    bus = EventBus()
+    sim = Simulator()
+    env = platform(sim, streams=RngStreams(seed=0), bus=bus)
+    journal = Journal(tmp_path, bus=bus, crash=CrashFault(200, mode="raise"))
+    gc.disable()
+    try:
+        with pytest.raises(CrashInjected):
+            run_with_recovery(
+                bag_of_jobs(700, runtime=100.0), env, max_rounds=1, bus=bus,
+                journal=journal,
+            )
+        assert sim.pending == 0
+        journal.close()
+        dead = weakref.ref(sim)
+        del sim, env, journal, bus
+        assert dead() is None
+    finally:
+        gc.enable()
