@@ -21,10 +21,8 @@ Timestamp semantics (all in the backend's clock):
 from __future__ import annotations
 
 import inspect
-import json
 from dataclasses import MISSING, dataclass, field, fields
 from enum import Enum
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Any, Iterator, Mapping, TypeVar
 
 __all__ = [
@@ -112,14 +110,6 @@ def _status(value: Any) -> JobStatus:
         return JobStatus(value)
 
 
-#: :meth:`ResourceProfile.to_json_text`'s template: ``%r`` and ``%d``
-#: spell a finite ``float`` and an ``int`` as the encoder does.
-_PROFILE_TEXT = (
-    '{"cpu_user_s": %r, "cpu_sys_s": %r, "max_rss_kb": %d, "read_ops": %d,'
-    ' "write_ops": %d, "source": %s}'
-)
-
-
 @one_step_init
 @dataclass(frozen=True, slots=True)
 class ResourceProfile:
@@ -167,24 +157,6 @@ class ResourceProfile:
             "write_ops": self.write_ops,
             "source": self.source,
         }
-
-    def to_json_text(self) -> str:
-        """:meth:`to_json` as ``json.dumps`` spells it (``", "`` between
-        members, ``": "`` after a key): printed from the fields when
-        they have their plain types, encoded otherwise."""
-        user, system = self.cpu_user_s, self.cpu_sys_s
-        rss, reads, writes = self.max_rss_kb, self.read_ops, self.write_ops
-        if (
-            type(user) is type(system) is float
-            and type(rss) is type(reads) is type(writes) is int
-            and type(self.source) is str
-        ):
-            cpu = user + system
-            if cpu - cpu == 0:  # both finite (an overflow only falls back)
-                return _PROFILE_TEXT % (
-                    user, system, rss, reads, writes, _json_str(self.source)
-                )
-        return json.dumps(self.to_json())
 
     @classmethod
     def from_json(cls, data: Mapping[str, object]) -> "ResourceProfile":

@@ -58,15 +58,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Mapping, Protocol
+from typing import Callable, Mapping, Protocol
 
 from repro.dagman.dag import Dag, DagJob
 from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
 from repro.observe.bus import EventBus
 from repro.observe.events import EventKind, RunEvent
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.retry import RetryPolicy
+from repro.resilience.retry import RetryPolicy
 
 __all__ = [
     "ExecutionEnvironment",
@@ -75,6 +73,10 @@ __all__ = [
     "NodeState",
     "SchedulerRestore",
 ]
+
+#: The default retry policy: immediate requeue, evictions charged, no
+#: budget (stateless, so every scheduler can share it).
+_IMMEDIATE = RetryPolicy()
 
 
 class ExecutionEnvironment(Protocol):
@@ -194,7 +196,7 @@ class DagmanScheduler:
         default_retries: int | None = None,
         bus: EventBus | None = None,
         tags: Mapping[str, object] | None = None,
-        retry_policy: "RetryPolicy | None" = None,
+        retry_policy: RetryPolicy | None = None,
         restore: SchedulerRestore | None = None,
     ) -> None:
         """``bus`` receives the full lifecycle event stream (submits,
@@ -215,9 +217,9 @@ class DagmanScheduler:
         platform's events carry no workflow scope).
 
         ``retry_policy`` (see :mod:`repro.resilience.retry`) controls
-        the timing and accounting of retries; ``None`` keeps the
-        historic behaviour — immediate requeue, every failure charged
-        against the ``RETRY`` budget.
+        the timing and accounting of retries; ``None`` is the base
+        :class:`RetryPolicy` — immediate requeue, every failure charged
+        against the ``RETRY`` budget, no cap.
 
         ``restore`` resumes a crashed run: per-job counters and failure
         marks recovered from the write-ahead journal are applied during
@@ -234,7 +236,7 @@ class DagmanScheduler:
         self._restate_done = self._tags is not None or (
             getattr(environment, "bus", None) is not bus
         )
-        self.retry_policy = retry_policy
+        self.retry_policy = retry_policy if retry_policy is not None else _IMMEDIATE
         self.restore = restore
         self.trace = WorkflowTrace()
         # Per-job state, filled by start(): parallel lists indexed by
@@ -610,12 +612,8 @@ class DagmanScheduler:
         counter as a side effect, so a second call silently burned
         retry-policy budget).
         """
-        policy = self.retry_policy
-        if (
-            policy is not None
-            and policy.budget is not None
-            and self._failed_attempts[i] > policy.budget
-        ):
+        budget = self.retry_policy.budget
+        if budget is not None and self._failed_attempts[i] > budget:
             return False  # runaway guard: total requeues capped
         if self._is_free_requeue(attempt):
             return True
@@ -627,7 +625,6 @@ class DagmanScheduler:
         ``RETRY``."""
         return (
             attempt.status is JobStatus.EVICTED
-            and self.retry_policy is not None
             and not self.retry_policy.charge_evictions
         )
 
@@ -637,8 +634,7 @@ class DagmanScheduler:
             self._retries_left[i] -= 1
         job = self._jobs[i]
         attempt_no = self._attempt[i]
-        policy = self.retry_policy
-        delay = policy.delay_s(attempt_no) if policy is not None else 0.0
+        delay = self.retry_policy.delay_s(attempt_no)
         call_later = getattr(self.environment, "call_later", None)
         if call_later is None:
             delay = 0.0  # environment cannot park work; requeue now

@@ -44,6 +44,7 @@ share one bus without feedback loops.
 from __future__ import annotations
 
 import heapq
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Mapping, Protocol
@@ -372,7 +373,10 @@ class AnomalyMonitor:
             self.slo,
         )
         self.alerts: list[RunEvent] = []
-        self._bus = bus
+        # The bus holds the monitor as a subscriber; holding the bus
+        # only weakly keeps that from being a cycle, so a finished run's
+        # bus and everything on it are freed by reference counting.
+        self._bus = weakref.ref(bus) if bus is not None else None
         # Kind-routed dispatch: only the detectors that consume a kind
         # see it (one dict probe per event instead of fanning every
         # event through the whole catalog).
@@ -408,7 +412,8 @@ class AnomalyMonitor:
                 self._publish(alerts)
 
     def _publish(self, alerts: list[RunEvent]) -> None:
+        bus = self._bus() if self._bus is not None else None
         for alert in alerts:
             self.alerts.append(alert)
-            if self._bus is not None and self._bus.active:
-                self._bus.emit(alert)
+            if bus is not None and bus.active:
+                bus.emit(alert)

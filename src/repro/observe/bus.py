@@ -46,7 +46,7 @@ class EventBus:
     entirely when nothing listens.
     """
 
-    __slots__ = ("_subscribers", "_snapshot", "_emitted")
+    __slots__ = ("_subscribers", "_snapshot", "_emitted", "__weakref__")
 
     def __init__(self) -> None:
         self._subscribers: list[tuple[Subscriber, frozenset[EventKind] | None]] = []

@@ -30,13 +30,13 @@ the backend's (virtual seconds × 1e6 for simulated runs).
 
 from __future__ import annotations
 
-import json
 from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.observe.events import EventKind, RunEvent
+from repro.observe.log import PROFILE_TEXT, compact_json, profile_values
 from repro.observe.sampler import UtilizationSample
 
 __all__ = ["write_chrome_trace"]
@@ -55,66 +55,52 @@ _INSTANT_KINDS: dict[EventKind, str] = {
 }
 
 # One template per record kind, keys in the order the dicts they stand
-# for had them and in ``json.dumps``' default layout (``", "`` between
-# members, ``": "`` after a key). Values are filled in already spelled.
-_PROCESS = (
-    '{"ph": "M", "name": "process_name", "pid": %d, "tid": 0,'
-    ' "args": {"name": %s}}'
-)
-_THREAD = '{"ph": "M", "name": "thread_name", "pid": %d, "tid": %d, "args": {"name": %s}}'
-_SLICE = (
-    '{"ph": "X", "name": %s, "cat": "%s", "pid": %d, "tid": %d,'
-    ' "ts": %s, "dur": %s, "args": %s}'
-)
-_FLOW_START = (
-    '{"ph": "s", "name": "retry", "cat": "retry", "id": %d,'
-    ' "pid": %d, "tid": %d, "ts": %s}'
-)
+# for had them and in the compact layout. Values are filled in already
+# spelled.
+_PROCESS = '{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%s}}'
+_THREAD = '{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}'
+_SLICE = '{"ph":"X","name":%s,"cat":"%s","pid":%d,"tid":%d,"ts":%s,"dur":%s,"args":%s}'
+_FLOW_START = '{"ph":"s","name":"retry","cat":"retry","id":%d,"pid":%d,"tid":%d,"ts":%s}'
 _FLOW_END = (
-    '{"ph": "f", "bp": "e", "name": "retry", "cat": "retry", "id": %d,'
-    ' "pid": %d, "tid": %d, "ts": %s}'
+    '{"ph":"f","bp":"e","name":"retry","cat":"retry","id":%d,"pid":%d,"tid":%d'
+    ',"ts":%s}'
 )
-_INSTANT = (
-    '{"ph": "i", "name": %s, "cat": "resilience", "s": "%s", "ts": %s,'
-    ' "args": %s, "pid": %d, "tid": %d}'
+_INSTANT = '{"ph":"i","name":%s,"cat":"resilience","s":"%s","ts":%s,"args":%s,"pid":%d,"tid":%d}'
+_COUNTER = '{"ph":"C","name":"utilization","pid":0,"tid":0,"ts":%s,"args":{"busy":%s,"idle":%s}}'
+#: A slice's ``args`` when the attempt has a profile and no error and
+#: its values have their plain types: ``%d`` spells an ``int`` as the
+#: encoder does, and the profile is the event log's own text.
+_ARGS = (
+    '{"job":%s,"transformation":%s,"attempt":%d,"status":%s,"profile":'
+    + PROFILE_TEXT + "}"
 )
-_COUNTER = (
-    '{"ph": "C", "name": "utilization", "pid": 0, "tid": 0, "ts": %s,'
-    ' "args": {"busy": %s, "idle": %s}}'
-)
-#: A slice's ``args`` when its values have their plain types: ``%d``
-#: spells an ``int`` as the encoder does.
-_ARGS = '{"job": %s, "transformation": %s, "attempt": %d, "status": %s'
 
 
 def _value(value: object) -> str:
-    """*value* as ``json.dumps`` spells it."""
+    """*value* as the compact encoder spells it."""
     if type(value) is str:
         return _json_str(value)
     if type(value) is int or (type(value) is float and value - value == 0):  # finite
         return repr(value)
-    return json.dumps(value)
+    return compact_json(value)
 
 
 def _args(a: JobAttempt) -> str:
     """The ``args`` object every slice of attempt *a* shares, printed
-    once: from :data:`_ARGS` when its values have their plain types,
-    through the encoder otherwise."""
+    once: from :data:`_ARGS` when it has that shape, through the
+    encoder otherwise."""
     job, transformation, attempt = a.job_name, a.transformation, a.attempt
     status, error, profile = a.status.value, a.error, a.profile
+    spelled = None if profile is None or error else profile_values(profile)
     if (
-        type(job) is type(transformation) is type(status) is str
+        spelled is not None
+        and type(job) is type(transformation) is type(status) is str
         and type(attempt) is int
-        and (not error or type(error) is str)
     ):
-        text = _ARGS % (
-            _json_str(job), _json_str(transformation), attempt, _json_str(status)
+        return _ARGS % (
+            _json_str(job), _json_str(transformation), attempt, _json_str(status),
+            *spelled,
         )
-        if error:
-            text += ', "error": ' + _json_str(error)
-        if profile is not None:
-            text += ', "profile": ' + profile.to_json_text()
-        return text + "}"
     args: dict[str, object] = {
         "job": job, "transformation": transformation, "attempt": attempt,
         "status": status,
@@ -123,7 +109,7 @@ def _args(a: JobAttempt) -> str:
         args["error"] = error
     if profile is not None:
         args["profile"] = profile.to_json()
-    return json.dumps(args)
+    return compact_json(args)
 
 
 def write_chrome_trace(
@@ -140,9 +126,8 @@ def write_chrome_trace(
 
     The document is printed into the file record by record from
     per-kind templates; no dict tree is built and no document string.
-    The bytes are those ``json.dumps`` gives for the dict the writer
-    used to build
-    (``tests/oracles/chrome_trace_reference.py``, held to it by
+    The bytes are the compact encoding of the dict the writer used to
+    build (``tests/oracles/chrome_trace_reference.py``, held to it by
     ``tests/test_chrome_render.py``). An instant event's ``detail``, and
     any value of a type its template cannot spell, goes through the
     encoder.
@@ -151,9 +136,9 @@ def write_chrome_trace(
 
     path = Path(path)
     with atomic_open(path) as out:
-        out.write('{"traceEvents": [')
+        out.write('{"traceEvents":[')
         _write_records(out.write, trace, samples, events)
-        out.write('], "displayTimeUnit": "ms", "otherData": %s}' % json.dumps(
+        out.write('],"displayTimeUnit":"ms","otherData":%s}' % compact_json(
             {"workflow": workflow, "attempts": len(trace)}
         ))
     return path
@@ -166,13 +151,13 @@ def _write_records(
     events: Iterable[RunEvent] | None,
 ) -> None:
     """Write the trace-event records, one printed record per event,
-    ``", "`` between records."""
+    ``","`` between records."""
     sep = ""
 
     def append(record: str) -> None:
         nonlocal sep
         write(sep + record)
-        sep = ", "
+        sep = ","
 
     pids: dict[str, int] = {}
     tids: dict[tuple[str, str], int] = {}
@@ -241,7 +226,7 @@ def _write_records(
             detail.setdefault("job", e.job_name)
         if e.attempt is not None:
             detail.setdefault("attempt", e.attempt)
-        ts, args = _value(e.time * _US), json.dumps(detail)
+        ts, args = _value(e.time * _US), compact_json(detail)
         if scope == "t" and e.site is not None and e.machine is not None:
             p, t = pid(e.site), tid(e.site, e.machine)
         else:

@@ -5,12 +5,17 @@ tail, and survive crashes. A terminal line (``job.finish`` /
 ``job.evict``) is an ``event`` discriminator and an event timestamp
 ``t`` followed by the attempt record exactly as
 :meth:`JobAttempt.to_json <repro.dagman.events.JobAttempt.to_json>`
-renders it; ``trace.jsonl`` (:func:`repro.wms.monitor.write_trace`) is
-the same record with no header. This module is the only reader of
-either: :func:`iter_events` turns a headerless attempt line into the
-terminal event of that attempt, so
+renders it; a ``trace.jsonl`` line (:func:`attempt_to_json_line`) is
+the same record with no header, printed from the same text. This module
+is the only reader of either: :func:`iter_events` turns a headerless
+attempt line into the terminal event of that attempt, so
 :func:`~repro.observe.bus.events_to_trace` recovers the same trace from
 both files.
+
+It also decides the one JSON layout of a submit directory: every file
+``repro-plan`` and ``repro-run`` write is in :func:`compact_json`'s
+spelling (``,`` and ``:``, no whitespace), printed by the encoder or
+by a template with the same separators.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from repro.dagman.events import JobAttempt, JobStatus
+from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
 from repro.observe.bus import EventBus
 from repro.observe.events import (
     TERMINAL_KINDS,
@@ -34,7 +39,10 @@ from repro.observe.events import (
 
 __all__ = [
     "EventLogWriter",
+    "PROFILE_TEXT",
     "compact_json",
+    "profile_values",
+    "attempt_to_json_line",
     "event_to_json",
     "event_to_json_line",
     "event_from_json",
@@ -48,7 +56,7 @@ __all__ = [
 #: without the encoder that call builds each time (the C one, made
 #: once; no cycle check, which no record needs). Every event-log line
 #: and journal record is written in this form, and the journal's CRC
-#: is taken over it.
+#: is taken over it; so is every other JSON file of a submit directory.
 _compact = make_encoder(
     None, json.JSONEncoder().default, _json_str, None, ":", ",",
     False, False, True,
@@ -115,23 +123,28 @@ _HEADS = {kind: '{"event":%s,"t":' % _json_str(kind.value) for kind in EventKind
 #: Line keys that are header or attempt record; every other key of a
 #: line is the event's ``detail``.
 _KNOWN = frozenset({"event", "t", *(f.name for f in fields(JobAttempt))})
-#: The whole ``job.finish`` / ``job.evict`` line as the platforms emit
-#: it, by kind and status: every header field set (the record's values
-#: are the ones printed), no ``error``, a profile, and no ``detail`` key
-#: but the ``status`` the record already holds. ``%r`` and ``%d`` spell
-#: a finite ``float`` and an ``int`` as the encoder does; anything else
-#: is encoded from :func:`event_to_json`.
-_TERMINAL = {
-    kind: {
-        status: _HEADS[kind]
-        + '%s,"job_name":%s,"transformation":%s,"site":%s,"machine":%s'
-        ',"attempt":%d,"submit_time":%r,"setup_start":%s,"exec_start":%s'
-        ',"exec_end":%s,"status":' + _json_str(status.value)
-        + ',"profile":{"cpu_user_s":%r,"cpu_sys_s":%r,"max_rss_kb":%d'
-        ',"read_ops":%d,"write_ops":%d,"source":%s}}'
-        for status in JobStatus
-    }
-    for kind in TERMINAL_KINDS
+#: A profile object, compact: ``%r`` and ``%d`` spell a finite
+#: ``float`` and an ``int`` as the encoder does. The one spelling of a
+#: profile in print: the attempt record below embeds it, and so does a
+#: Chrome slice's ``args``.
+PROFILE_TEXT = (
+    '{"cpu_user_s":%r,"cpu_sys_s":%r,"max_rss_kb":%d,"read_ops":%d'
+    ',"write_ops":%d,"source":%s}'
+)
+#: An attempt record with a profile and no ``error``, by status:
+#: ``compact_json(attempt.to_json())`` without its opening brace. It is
+#: all of a ``trace.jsonl`` line after that brace, and the tail of a
+#: ``job.finish`` / ``job.evict`` line after its header (``_HEADS``, the
+#: time and a comma) when the platform emitted it: every header field
+#: set (the record's values are the ones printed), and no ``detail``
+#: key but the ``status`` the record already holds. So the two files
+#: spell an attempt from one text; anything else is encoded.
+_ATTEMPT = {
+    status: '"job_name":%s,"transformation":%s,"site":%s,"machine":%s'
+    ',"attempt":%d,"submit_time":%r,"setup_start":%s,"exec_start":%s'
+    ',"exec_end":%s,"status":' + _json_str(status.value)
+    + ',"profile":' + PROFILE_TEXT + "}"
+    for status in JobStatus
 }
 
 
@@ -288,61 +301,97 @@ _PLAIN = {
 }
 
 
-def _print_terminal(
-    event: RunEvent, record: JobAttempt, templates: dict[JobStatus, str]
-) -> str | None:
-    """The line of a terminal event from its kind's :data:`_TERMINAL`
-    *templates*, or ``None`` when the event is not of that shape."""
+def profile_values(profile: ResourceProfile) -> tuple[object, ...] | None:
+    """The values :data:`PROFILE_TEXT` spells for *profile*, or ``None``
+    when one is not of its plain type or a CPU time is not finite."""
+    user, system = profile.cpu_user_s, profile.cpu_sys_s
+    rss, reads, writes = profile.max_rss_kb, profile.read_ops, profile.write_ops
+    source = profile.source
+    if not (
+        type(user) is type(system) is float
+        and type(rss) is type(reads) is type(writes) is int
+        and type(source) is str
+    ):
+        return None
+    cpu = user + system
+    if cpu - cpu != 0:  # not both finite (an overflow only falls back)
+        return None
+    return user, system, rss, reads, writes, _json_str(source)
+
+
+def _attempt_values(
+    record: JobAttempt, t: object = None, t_text: str = ""
+) -> tuple[object, ...] | None:
+    """The values :data:`_ATTEMPT` spells for *record*, or ``None`` when
+    the record is not of its shape: an ``error``, no profile, or a value
+    not of its plain type or not finite. An ``exec_end`` that is the
+    float *t* (a platform stamps a finish at it) is spelled *t_text*."""
     profile = record.profile
-    detail = event.detail
+    if profile is None or record.error or type(record.status) is not JobStatus:
+        return None
+    spelled = profile_values(profile)
+    submit, setup = record.submit_time, record.setup_start
+    start, end = record.exec_start, record.exec_end
+    job, transformation = record.job_name, record.transformation
+    site, machine, attempt = record.site, record.machine, record.attempt
+    if spelled is None or not (
+        type(submit) is type(setup) is type(start) is type(end) is float
+        and type(job) is type(transformation) is type(site) is type(machine) is str
+        and type(attempt) is int
+    ):
+        return None
+    total = submit + setup + start + end + spelled[0] + spelled[1]
+    if total - total != 0:  # not all finite (an overflow only falls back)
+        return None
+    # A job with no setup phase starts it when it starts executing: the
+    # same float object, spelled once.
+    setup_text = repr(setup)
+    return (
+        _json_str(job), _json_str(transformation), _json_str(site),
+        _json_str(machine), attempt, submit, setup_text,
+        setup_text if start is setup else repr(start),
+        t_text if end is t else repr(end), *spelled,
+    )
+
+
+def attempt_to_json_line(record: JobAttempt) -> str:
+    """One ``trace.jsonl`` line (no newline) for *record*: the bytes
+    ``compact_json(record.to_json())`` gives, which are its terminal
+    event's line with the header taken off, printed from the same
+    :data:`_ATTEMPT` text where the record has its shape."""
+    values = _attempt_values(record)
+    if values is None:
+        return compact_json(record.to_json())
+    return "{" + _ATTEMPT[record.status] % values
+
+
+def _print_terminal(event: RunEvent, record: JobAttempt) -> str | None:
+    """The line of a terminal event from its header and :data:`_ATTEMPT`,
+    or ``None`` when the event is not of that shape."""
+    t, detail = event.time, event.detail
     if (
-        profile is None
-        or record.error
-        or (detail and (len(detail) != 1 or "status" not in detail))
+        (detail and (len(detail) != 1 or "status" not in detail))
         or event.job_name is None
         or event.transformation is None
         or event.site is None
         or event.machine is None
         or event.attempt is None
+        or type(t) is not float
+        or t - t != 0  # not finite
     ):
         return None
-    t, submit, setup = event.time, record.submit_time, record.setup_start
-    start, end = record.exec_start, record.exec_end
-    user, system = profile.cpu_user_s, profile.cpu_sys_s
-    job, transformation = record.job_name, record.transformation
-    site, machine, source = record.site, record.machine, profile.source
-    attempt, rss = record.attempt, profile.max_rss_kb
-    reads, writes = profile.read_ops, profile.write_ops
-    if not (
-        type(t) is type(submit) is type(setup) is type(start) is type(end)
-        is type(user) is type(system) is float
-        and type(job) is type(transformation) is type(site) is type(machine)
-        is type(source) is str
-        and type(attempt) is type(rss) is type(reads) is type(writes) is int
-    ):
+    t_text = _time_text(t)
+    values = _attempt_values(record, t, t_text)
+    if values is None:
         return None
-    total = t + submit + setup + start + end + user + system
-    if total - total != 0:  # not all finite (an overflow only falls back)
-        return None
-    # A platform stamps a finish at the record's own exec_end, and a
-    # job with no setup phase starts it when it starts executing: the
-    # same float objects, spelled once.
-    t_text, setup_text = _time_text(t), repr(setup)
-    return templates[record.status] % (
-        t_text, _json_str(job), _json_str(transformation), _json_str(site),
-        _json_str(machine), attempt, submit, setup_text,
-        setup_text if start is setup else repr(start),
-        t_text if end is t else repr(end),
-        user, system, rss, reads, writes, _json_str(source),
-    )
+    return _HEADS[event.kind] + t_text + "," + _ATTEMPT[record.status] % values
 
 
 def _print_line(event: RunEvent) -> str:
     record = event.record
     if record is not None:
-        templates = _TERMINAL.get(event.kind)
-        if templates is not None:
-            line = _print_terminal(event, record, templates)
+        if event.kind in TERMINAL_KINDS:
+            line = _print_terminal(event, record)
             if line is not None:
                 return line
     else:

@@ -192,27 +192,6 @@ class SpanTracer:
         self._pending_resume: dict[str, object] | None = None
         self._pending_rescue: dict[str, object] | None = None
         self._last_time = 0.0
-        # Per-kind dispatch: one dict probe per event. Kinds
-        # outside the span model — exec starts, utilization samples,
-        # resilience instants and the monitor's ``anomaly.*`` families
-        # — miss the table and are skipped.
-        self._handlers: dict[EventKind, Callable[[RunEvent, float], None]] = {
-            EventKind.WORKFLOW_START: self._on_workflow_start,
-            EventKind.WORKFLOW_END: self._on_workflow_end,
-            EventKind.SUBMIT: self._on_submit,
-            EventKind.STATE_CHANGE: self._on_state_change,
-            EventKind.FINISH: self._on_terminal,
-            EventKind.EVICT: self._on_terminal,
-            EventKind.MATCH: self._on_match,
-            EventKind.RETRY: self._on_retry,
-            EventKind.TIMEOUT: self._on_timeout,
-            EventKind.RESCUE: self._on_rescue,
-            EventKind.JOURNAL_RESUME: self._on_journal_resume,
-            EventKind.SERVICE_SUBMIT: self._on_service_submit,
-            EventKind.SERVICE_ADMIT: self._on_service_admit,
-            EventKind.SERVICE_REJECT: self._on_service_reject,
-            EventKind.SERVICE_WORKFLOW_DONE: self._on_service_done,
-        }
         if bus is not None:
             bus.subscribe(self)
 
@@ -261,12 +240,12 @@ class SpanTracer:
     # -- event handling ----------------------------------------------
 
     def __call__(self, event: RunEvent) -> None:
-        handler = self._handlers.get(event.kind)
+        handler = _HANDLERS.get(event.kind)
         if handler is None:
-            return  # outside the span model (see _handlers comment)
+            return  # outside the span model (see _HANDLERS)
         if event.time > self._last_time:
             self._last_time = event.time
-        handler(event, event.time)
+        handler(self, event, event.time)
 
     @staticmethod
     def _scope(event: RunEvent) -> str:
@@ -563,9 +542,33 @@ class SpanTracer:
         return self.spans
 
 
+# Per-kind dispatch: one dict probe per event. Kinds outside the span
+# model — exec starts, utilization samples, resilience instants and the
+# monitor's ``anomaly.*`` families — miss the table and are skipped. The
+# table holds the functions, not a tracer's bound methods, so a tracer
+# is freed by reference counting once nothing else holds it.
+_HANDLERS: dict[EventKind, Callable[[SpanTracer, RunEvent, float], None]] = {
+    EventKind.WORKFLOW_START: SpanTracer._on_workflow_start,
+    EventKind.WORKFLOW_END: SpanTracer._on_workflow_end,
+    EventKind.SUBMIT: SpanTracer._on_submit,
+    EventKind.STATE_CHANGE: SpanTracer._on_state_change,
+    EventKind.FINISH: SpanTracer._on_terminal,
+    EventKind.EVICT: SpanTracer._on_terminal,
+    EventKind.MATCH: SpanTracer._on_match,
+    EventKind.RETRY: SpanTracer._on_retry,
+    EventKind.TIMEOUT: SpanTracer._on_timeout,
+    EventKind.RESCUE: SpanTracer._on_rescue,
+    EventKind.JOURNAL_RESUME: SpanTracer._on_journal_resume,
+    EventKind.SERVICE_SUBMIT: SpanTracer._on_service_submit,
+    EventKind.SERVICE_ADMIT: SpanTracer._on_service_admit,
+    EventKind.SERVICE_REJECT: SpanTracer._on_service_reject,
+    EventKind.SERVICE_WORKFLOW_DONE: SpanTracer._on_service_done,
+}
+
+
 # -- OTLP-JSON export -------------------------------------------------
 #
-# :func:`write_otlp_trace` prints the document as indented text straight
+# :func:`write_otlp_trace` prints the document as compact text straight
 # from the spans. Value typing, status codes, resource and scope are
 # decided by the definitions below; ``tests/oracles/span_documents.py``
 # builds the same document as a dict from them, and
@@ -604,37 +607,32 @@ def _otlp_value(value: object) -> tuple[str, bool | str | float]:
 _OTLP_RESOURCE = {"service.name": "repro"}
 
 
-# The text rendering, printed into the file piece by piece. Nesting
-# depth is fixed by the envelope: resource attributes sit 5 spaces in,
-# spans 6, a span's attributes and links 8, a link's attributes 10.
-# ``_json_str`` is the ``json`` module's own string escaper (the C one
-# where CPython has it).
+# The text rendering, printed into the file piece by piece in the
+# compact layout. ``_json_str`` is the ``json`` module's own string
+# escaper (the C one where CPython has it).
 
 
 def _write_list(
     write: Callable[[str], object],
     items: Iterable[Any],
-    depth: int,
     put: Callable[[Any], object] | None = None,
 ) -> None:
-    """Write *items* as a JSON list whose opening bracket continues the
-    current line; each item is text already indented *depth* spaces, or
-    is written so by *put*."""
+    """Write *items* as a JSON list; each item is printed text, or is
+    written by *put*."""
     put = put or write
-    sep = "[\n"
+    sep = "["
     for item in items:
         write(sep)
         put(item)
-        sep = ",\n"
-    write("[]" if sep == "[\n" else "\n" + " " * (depth - 1) + "]")
+        sep = ","
+    write("[]" if sep == "[" else "]")
 
 
-def _otlp_attrs_text(
-    depth: int,
-) -> Callable[[Iterable[tuple[str, object]]], list[str]]:
+def _otlp_attrs_text() -> Callable[[Iterable[tuple[str, object]]], str]:
     """The renderer of OTLP attribute lists (``{"key": …, "value":
-    {type: scalar}}`` objects) indented *depth* spaces; it takes the
-    (key, value) items and returns each item's text.
+    {type: scalar}}`` objects); it takes the (key, value) items and
+    returns the list's text. One renderer serves a whole export:
+    resource, span and link attributes.
 
     A run repeats most (key, value) pairs hundreds of times, so each
     attribute object is printed once and its text reused. Only exact
@@ -645,13 +643,8 @@ def _otlp_attrs_text(
     a list, which a rescue link carries, does not hash at all. A finite
     float prints inline after its key's remembered prefix.
     """
-    pad = " " * depth
-    template = (
-        f'{pad}{{\n{pad} "key": %s,\n{pad} "value": {{\n'
-        f'{pad}  "%s": %s\n{pad} }}\n{pad}}}'
-    )
-    double_head = f'{pad}{{\n{pad} "key": %s,\n{pad} "value": {{\n{pad}  "doubleValue": '
-    double_tail = f"\n{pad} }}\n{pad}}}"
+    template = '{"key":%s,"value":{"%s":%s}}'
+    double_head = '{"key":%s,"value":{"doubleValue":'
     doubles: dict[str, str] = {}
     printed: dict[type, dict[tuple[str, object], str]] = {
         str: {},
@@ -669,7 +662,7 @@ def _otlp_attrs_text(
             text = float.__repr__(scalar)
         return template % (_json_str(key), field, text)
 
-    def render(attrs: Iterable[tuple[str, object]]) -> list[str]:
+    def render(attrs: Iterable[tuple[str, object]]) -> str:
         items = []
         for item in attrs:
             value = item[1]
@@ -677,7 +670,7 @@ def _otlp_attrs_text(
                 head = doubles.get(item[0])
                 if head is None:
                     head = doubles[item[0]] = double_head % _json_str(item[0])
-                items.append(head + repr(value) + double_tail)
+                items.append(head + repr(value) + "}}")
                 continue
             seen = printed.get(type(value))
             text = None if seen is None else seen.get(item)
@@ -686,57 +679,43 @@ def _otlp_attrs_text(
                 if seen is not None:
                     seen[item] = text
             items.append(text)
-        return items
+        return "[" + ",".join(items) + "]"
 
     return render
 
 
 _OTLP_SPAN_HEAD = (
-    "      {\n"
-    '       "traceId": %s,\n'
-    '       "spanId": %s,\n'
-    '       "name": %s,\n'
-    '       "kind": "SPAN_KIND_INTERNAL",\n'
-    '       "startTimeUnixNano": "%d",\n'
-    '       "endTimeUnixNano": "%d",\n'
-    '       "attributes": '
+    '{"traceId":%s,"spanId":%s,"name":%s,"kind":"SPAN_KIND_INTERNAL"'
+    ',"startTimeUnixNano":"%d","endTimeUnixNano":"%d","attributes":%s'
 )
 _OTLP_STATUS_TEXT = {
-    key: ',\n       "status": {\n        "code": %s\n       }' % _json_str(code)
-    for key, code in _OTLP_STATUS.items()
+    key: ',"status":{"code":%s}' % _json_str(code) for key, code in _OTLP_STATUS.items()
 }
-_OTLP_PARENT_TEXT = ',\n       "parentSpanId": %s'
-_OTLP_LINKS_HEAD = ',\n       "links": '
-_OTLP_LINK_HEAD = (
-    "        {\n"
-    + "".join(f'         "{name}": %s,\n' for name in _OTLP_LINK_FIELDS)
-    + '         "attributes": '
+_OTLP_PARENT_TEXT = ',"parentSpanId":%s'
+_OTLP_LINK_TEXT = (
+    "{" + "".join(f'"{name}":%s,' for name in _OTLP_LINK_FIELDS) + '"attributes":%s}'
 )
 #: The envelope around the resource attributes and the spans.
 _OTLP_ENVELOPE_TEXT = (
-    '{\n "resourceSpans": [\n  {\n   "resource": {\n    "attributes": ',
-    '\n   },\n   "scopeSpans": [\n    {\n     "scope": {\n'
-    + ",\n".join(
-        f"      {_json_str(k)}: {_json_str(v)}" for k, v in _OTLP_SCOPE.items()
-    )
-    + '\n     },\n     "spans": ',
-    "\n    }\n   ]\n  }\n ]\n}\n",
+    '{"resourceSpans":[{"resource":{"attributes":',
+    '},"scopeSpans":[{"scope":{'
+    + ",".join(f"{_json_str(k)}:{_json_str(v)}" for k, v in _OTLP_SCOPE.items())
+    + '},"spans":',
+    "}]}]}\n",
 )
 
 
 def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     """Write the spans as one OTLP-JSON ``ExportTraceServiceRequest``
     (the ``resourceSpans`` envelope any OTLP/HTTP collector accepts) to
-    ``path``, one space per nesting level, and return the path.
+    ``path``, one line, and return the path.
 
     The text is printed into the file span by span, so no document tree
-    is built and no document string either; the bytes are those
-    ``json.dumps(indent=1)`` gives for the dict
-    ``tests/oracles/span_documents.py`` builds
-    (``tests/test_otlp_render.py`` compares them).
+    is built and no document string either; the bytes are the compact
+    encoding of the dict ``tests/oracles/span_documents.py`` builds,
+    and a newline (``tests/test_otlp_render.py`` compares them).
     """
-    span_attrs = _otlp_attrs_text(8)
-    link_attrs = _otlp_attrs_text(10)
+    attrs_text = _otlp_attrs_text()
     trace_ids: dict[str, str] = {}  # each escaped once
 
     def trace_id(text: str) -> str:
@@ -746,12 +725,19 @@ def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
         return escaped
 
     def put_link(link: SpanLink) -> None:
-        write(_OTLP_LINK_HEAD % (trace_id(link.trace_id), _json_str(link.span_id)))
-        _write_list(write, link_attrs(link.attributes.items()), 10)
-        write("\n        }")
+        write(_OTLP_LINK_TEXT % (
+            trace_id(link.trace_id), _json_str(link.span_id),
+            attrs_text(link.attributes.items()),
+        ))
 
     def put_span(s: Span) -> None:
         end = s.end if s.end is not None else s.start
+        attrs = s.attributes
+        if "repro.span_kind" in attrs:  # first place, the attribute's value
+            attrs = {"repro.span_kind": s.kind, **attrs}
+            items: Iterable[tuple[str, object]] = attrs.items()
+        else:
+            items = (("repro.span_kind", s.kind), *attrs.items())
         write(
             _OTLP_SPAN_HEAD
             % (
@@ -760,30 +746,22 @@ def write_otlp_trace(path: str | Path, spans: Sequence[Span]) -> Path:
                 _json_str(s.name),
                 round(s.start * 1e9),
                 round(end * 1e9),
+                attrs_text(items),
             )
         )
-        attrs = s.attributes
-        if "repro.span_kind" in attrs:  # first place, the attribute's value
-            attrs = {"repro.span_kind": s.kind, **attrs}
-            items: Iterable[tuple[str, object]] = attrs.items()
-        else:
-            items = (("repro.span_kind", s.kind), *attrs.items())
-        _write_list(write, span_attrs(items), 8)
         write(_OTLP_STATUS_TEXT[s.status])
         if s.parent_span_id is not None:
             write(_OTLP_PARENT_TEXT % _json_str(s.parent_span_id))
         if s.links:
-            write(_OTLP_LINKS_HEAD)
-            _write_list(write, s.links, 8, put_link)
-        write("\n      }")
+            write(',"links":')
+            _write_list(write, s.links, put_link)
+        write("}")
 
     head, middle, tail = _OTLP_ENVELOPE_TEXT
     with atomic_open(path) as out:
         write = out.write
-        write(head)
-        _write_list(write, _otlp_attrs_text(5)(_OTLP_RESOURCE.items()), 5)
-        write(middle)
-        _write_list(write, spans, 6, put_span)
+        write(head + attrs_text(_OTLP_RESOURCE.items()) + middle)
+        _write_list(write, spans, put_span)
         write(tail)
     return Path(path)
 
@@ -853,32 +831,28 @@ def _perfetto_slices(
     return track_uuids, slices
 
 
-# The text rendering, in ``json.dumps(indent=1)``'s layout: one packet
-# template per kind, with only the lane and slice names escaped.
+# The text rendering, compact: one packet template per kind, with only
+# the lane and slice names escaped.
 
-_PERFETTO_TRACK_TEXT = (
-    '  {\n   "trackDescriptor": {\n    "uuid": %d,\n    "name": %s\n   }\n  }'
-)
+_PERFETTO_TRACK_TEXT = '{"trackDescriptor":{"uuid":%d,"name":%s}}'
 _PERFETTO_BEGIN_TEXT = (
-    '  {\n   "timestamp": %d,\n   "trustedPacketSequenceId": 1,\n'
-    '   "trackEvent": {\n    "type": "TYPE_SLICE_BEGIN",\n'
-    '    "trackUuid": %d,\n    "name": %s\n   }\n  }'
+    '{"timestamp":%d,"trustedPacketSequenceId":1,"trackEvent":'
+    '{"type":"TYPE_SLICE_BEGIN","trackUuid":%d,"name":%s}}'
 )
 _PERFETTO_END_TEXT = (
-    '  {\n   "timestamp": %d,\n   "trustedPacketSequenceId": 1,\n'
-    '   "trackEvent": {\n    "type": "TYPE_SLICE_END",\n'
-    '    "trackUuid": %d\n   }\n  }'
+    '{"timestamp":%d,"trustedPacketSequenceId":1,"trackEvent":'
+    '{"type":"TYPE_SLICE_END","trackUuid":%d}}'
 )
 
 
 def write_perfetto_trace(path: str | Path, spans: Sequence[Span]) -> Path:
     """Write the spans as a Perfetto protobuf-JSON ``TracePacket`` list
     (``traceconv`` / ui.perfetto.dev accept this shape directly) to
-    ``path``, one space per nesting level, and return the path.
+    ``path``, one line, and return the path.
 
     Printed into the file packet by packet like :func:`write_otlp_trace`:
-    the bytes are those ``json.dumps(indent=1)`` gives for the dict
-    ``tests/oracles/span_documents.py`` builds
+    the bytes are the compact encoding of the dict
+    ``tests/oracles/span_documents.py`` builds, and a newline
     (``tests/test_perfetto_render.py`` compares them).
     """
     tracks, slices = _perfetto_slices(spans)
@@ -894,7 +868,7 @@ def write_perfetto_trace(path: str | Path, spans: Sequence[Span]) -> Path:
                 yield _PERFETTO_END_TEXT % (ns, uuid)
 
     with atomic_open(path) as out:
-        out.write('{\n "packet": ')
-        _write_list(out.write, packets(), 2)
-        out.write("\n}\n")
+        out.write('{"packet":')
+        _write_list(out.write, packets())
+        out.write("}\n")
     return Path(path)

@@ -17,9 +17,6 @@ that second axis:
   vacate;
 * an optional hard ``budget`` on total requeues per job (charged or
   not) as the runaway guard free evictions would otherwise lack.
-
-``retry_policy=None`` (the scheduler default) reproduces the historic
-behaviour bit for bit: immediate requeue, evictions charged.
 """
 
 from __future__ import annotations

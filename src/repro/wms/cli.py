@@ -24,7 +24,6 @@ through its one owner, :mod:`repro.wms.monitor`:
 from __future__ import annotations
 
 import argparse
-import json
 import shlex
 import sys
 from functools import partial
@@ -279,6 +278,7 @@ def main_run(argv: list[str] | None = None) -> int:
         write_otlp_trace,
         write_perfetto_trace,
     )
+    from repro.observe.log import compact_json
     from repro.resilience import (
         CrashFault,
         CrashInjected,
@@ -469,9 +469,7 @@ def main_run(argv: list[str] | None = None) -> int:
         monitor.write_utilization(
             submit / monitor.UTILIZATION_FILE, sampler.samples
         )
-    atomic_write(
-        submit / monitor.METRICS_FILE, json.dumps(metrics.snapshot(), indent=2)
-    )
+    atomic_write(submit / monitor.METRICS_FILE, compact_json(metrics.snapshot()))
     print(
         f"workflow {'succeeded' if outcome.success else 'FAILED'} in "
         f"{outcome.trace.wall_time():.0f} simulated seconds "
@@ -514,6 +512,16 @@ def main_run(argv: list[str] | None = None) -> int:
     return 0 if outcome.success else 1
 
 
+#: Why ``repro-status`` reads a log without ``workflow.end`` as live.
+_LIVE_NOTE = (
+    "An events.jsonl without a workflow.end event reads as live "
+    "([RUNNING]), even beside a metrics.json. repro-run streams the log "
+    "as the run goes and at start truncates only events.jsonl; nothing "
+    "removes an earlier run's metrics.json. So a metrics.json beside the "
+    "log cannot prove that this run ended."
+)
+
+
 def main_status(argv: list[str] | None = None) -> int:
     """``repro-status``: pegasus-status-style progress view.
 
@@ -523,8 +531,11 @@ def main_status(argv: list[str] | None = None) -> int:
     ``--follow`` keeps tailing the log until the workflow ends. Without
     an event log it falls back to the classic one-liner from
     ``trace.jsonl``.
+
+    A log without ``workflow.end`` reads as live (:data:`_LIVE_NOTE`),
+    a cut one included.
     """
-    parser = argparse.ArgumentParser(prog="repro-status")
+    parser = argparse.ArgumentParser(prog="repro-status", epilog=_LIVE_NOTE)
     parser.add_argument("--submit-dir", required=True)
     parser.add_argument("--follow", action="store_true",
                         help="keep tailing events.jsonl until workflow end")

@@ -1,13 +1,14 @@
 """The submit directory: its files, and how each is written and read.
 
-The one module that knows the layout (docs/ARCHITECTURE.md, "The submit
-directory", lists the ten files and who writes each). ``repro-plan``
-leaves the DAX, the ``.dag`` file and ``plan.json``; everything
-``repro-run`` leaves is derivable from ``events.jsonl``, whose terminal
-lines carry :meth:`JobAttempt.to_json
+The one module that knows the directory's files (docs/ARCHITECTURE.md,
+"The submit directory", lists the ten files and who writes each); their
+JSON spelling is :func:`repro.observe.log.compact_json`'s.
+``repro-plan`` leaves the DAX, the ``.dag`` file and ``plan.json``;
+everything ``repro-run`` leaves is derivable from ``events.jsonl``,
+whose terminal lines carry :meth:`JobAttempt.to_json
 <repro.dagman.events.JobAttempt.to_json>` after their header — a
-``trace.jsonl`` line — so :func:`read_trace` recovers the same trace
-from either file.
+``trace.jsonl`` line, byte for byte — so :func:`read_trace` recovers
+the same trace from either file.
 
 Every reader refuses what it cannot use with one ``PATH: reason`` (or
 ``PATH:LINE: reason``) :class:`ValueError`; the commands print it and
@@ -23,10 +24,10 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from repro.dagman.dag import PLAN_JOB_KEYS, Dag
-from repro.dagman.events import JobAttempt, JobStatus, WorkflowTrace
+from repro.dagman.events import JobAttempt, WorkflowTrace
 from repro.observe.bus import events_to_trace
 from repro.observe.events import RunEvent
-from repro.observe.log import iter_events, read_events
+from repro.observe.log import attempt_to_json_line, compact_json, iter_events, read_events
 from repro.observe.sampler import UtilizationSample
 from repro.util.iolib import atomic_open, atomic_write
 
@@ -80,58 +81,38 @@ def write_plan(submit: str | Path, dag: Dag, *, site: str, n: int) -> Path:
     and the DONE marks (what :meth:`Dag.from_json` reads back) under
     the plan's site and *n*.
 
-    The text is printed from the DAG in ``json.dumps(indent=2)``'s
-    layout, byte for byte what that call gives for the dict
-    (``tests/test_plan_render.py`` compares them with the dict
-    ``tests/oracles/plan_document.py`` builds); no dict is built.
+    The text is printed from the DAG, byte for byte the compact
+    encoding of that dict (``tests/test_plan_render.py`` compares them
+    with the dict ``tests/oracles/plan_document.py`` builds); no dict
+    is built.
     """
-    jobs = [
+    jobs = ",".join(
         _PLAN_JOB % (
-            _json_str(name),
-            *(_plan_value(getattr(job, key), 3) for key in PLAN_JOB_KEYS),
+            _json_str(name), *(_plan_value(getattr(job, key)) for key in PLAN_JOB_KEYS)
         )
         for name, job in dag.jobs.items()
-    ]
-    edges = [_PLAN_EDGE % (_json_str(p), _json_str(c)) for p, c in sorted(dag.edges())]
-    parts = [
-        f'{{\n  "site": {_plan_value(site, 1)},\n  "n": {_plan_value(n, 1)}',
-        ',\n  "jobs": ', _plan_block(jobs, "{", "}"),
-        ',\n  "edges": ', _plan_block(edges, "[", "]"),
-    ]
+    )
+    edges = ",".join(
+        "[%s,%s]" % (_json_str(p), _json_str(c)) for p, c in sorted(dag.edges())
+    )
+    text = '{"site":%s,"n":%s,"jobs":{%s},"edges":[%s]' % (
+        _plan_value(site), _plan_value(n), jobs, edges
+    )
     if dag.done:
-        done = ["    " + _json_str(name) for name in sorted(dag.done)]
-        parts += [',\n  "done": ', _plan_block(done, "[", "]")]
-    parts.append("\n}")
-    return atomic_write(Path(submit) / PLAN_FILE, "".join(parts))
+        text += ',"done":[%s]' % ",".join(_json_str(name) for name in sorted(dag.done))
+    return atomic_write(Path(submit) / PLAN_FILE, text + "}")
 
 
-_PLAN_JOB = "    %s: {\n" + ",\n".join(
-    f"      {_json_str(key)}: %s" for key in PLAN_JOB_KEYS
-) + "\n    }"
-_PLAN_EDGE = "    [\n      %s,\n      %s\n    ]"
+_PLAN_JOB = "%s:{" + ",".join(f"{_json_str(key)}:%s" for key in PLAN_JOB_KEYS) + "}"
 
 
-def _plan_block(items: list[str], opening: str, closing: str) -> str:
-    """A member of the plan object: *items*, each already indented
-    four spaces, between *opening* and *closing*."""
-    if not items:
-        return opening + closing
-    return f"{opening}\n" + ",\n".join(items) + f"\n  {closing}"
-
-
-def _plan_value(value: object, depth: int) -> str:
-    """*value* as ``json.dumps(indent=2)`` spells it *depth* levels in."""
+def _plan_value(value: object) -> str:
+    """*value* as the compact encoder spells it."""
     if type(value) is str:
         return _json_str(value)
     if type(value) is int or (type(value) is float and value - value == 0):  # finite
         return repr(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+    return compact_json(value)
 
 
 def read_plan(submit: str | Path) -> Plan:
@@ -153,59 +134,15 @@ def read_plan(submit: str | Path) -> Plan:
 
 
 def write_trace(path: str | Path, trace: WorkflowTrace | Iterable[JobAttempt]) -> int:
-    """Write a whole trace as JSONL; returns the attempt count.
-
-    Each line is ``json.dumps(attempt.to_json())``, printed from
-    :data:`_TRACE_LINE` when the record's values have their plain types
-    and encoded otherwise (``tests/test_trace_jsonl_render.py`` holds it
-    to the encoder)."""
+    """Write a whole trace as JSONL; returns the attempt count. Each
+    line is :func:`~repro.observe.log.attempt_to_json_line`: the
+    attempt's terminal line in ``events.jsonl`` with the header taken
+    off."""
     count = 0
     with atomic_open(path) as out:
         for count, a in enumerate(trace, 1):
-            out.write(_trace_line(a))
+            out.write(attempt_to_json_line(a) + "\n")
     return count
-
-
-#: A ``trace.jsonl`` line up to its optional ``error`` and ``profile``,
-#: in ``json.dumps``' default layout; ``%d`` spells an ``int`` as the
-#: encoder does, and the times arrive already spelled.
-_TRACE_LINE = (
-    '{"job_name": %s, "transformation": %s, "site": %s, "machine": %s,'
-    ' "attempt": %d, "submit_time": %s, "setup_start": %s, "exec_start": %s,'
-    ' "exec_end": %s, "status": %s'
-)
-_STATUS_TEXT = {status: _json_str(status.value) for status in JobStatus}
-
-
-def _trace_line(a: JobAttempt) -> str:
-    """One ``trace.jsonl`` line, newline included."""
-    job, transformation, site, machine = a.job_name, a.transformation, a.site, a.machine
-    submit, setup, start, end = a.submit_time, a.setup_start, a.exec_start, a.exec_end
-    attempt, status, error = a.attempt, a.status, a.error
-    if (
-        type(job) is type(transformation) is type(site) is type(machine) is str
-        and type(attempt) is int
-        and type(submit) is type(setup) is type(start) is type(end) is float
-        and type(status) is JobStatus
-        and (not error or type(error) is str)
-    ):
-        total = submit + setup + start + end
-        if total - total == 0:  # all finite (an overflow only falls back)
-            # With no setup phase a platform starts execution at the
-            # same float object: spell it once.
-            setup_text = repr(setup)
-            line = _TRACE_LINE % (
-                _json_str(job), _json_str(transformation), _json_str(site),
-                _json_str(machine), attempt, repr(submit), setup_text,
-                setup_text if start is setup else repr(start), repr(end),
-                _STATUS_TEXT[status],
-            )
-            if error:
-                line += ', "error": ' + _json_str(error)
-            if a.profile is not None:
-                line += ', "profile": ' + a.profile.to_json_text()
-            return line + "}\n"
-    return json.dumps(a.to_json()) + "\n"
 
 
 def read_trace(path: str | Path) -> WorkflowTrace:

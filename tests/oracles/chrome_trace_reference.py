@@ -1,5 +1,5 @@
 """The Chrome trace writer as ``repro.observe.chrome_trace`` had it: a
-trace-event dict built from the records, then ``json.dumps``.
+trace-event dict built from the records, then encoded compact.
 
 :func:`repro.observe.chrome_trace.write_chrome_trace` now prints the
 document from the attempt records, samples and instant events; for any
@@ -165,7 +165,8 @@ def reference_text(
     events: Iterable[RunEvent] | None = None,
     workflow: str = "workflow",
 ) -> str:
-    """The file ``write_chrome_trace`` wrote: the dict, ``json.dumps``-ed."""
+    """The file ``write_chrome_trace`` writes: the dict, encoded compact."""
     return json.dumps(
-        chrome_trace(trace, samples=samples, events=events, workflow=workflow)
+        chrome_trace(trace, samples=samples, events=events, workflow=workflow),
+        separators=(",", ":"),
     )

@@ -3,7 +3,7 @@
 :func:`repro.observe.trace.write_otlp_trace` and
 :func:`~repro.observe.trace.write_perfetto_trace` print their files
 straight from the spans; for any spans the bytes must be
-``json.dumps(doc, indent=1) + "\\n"`` of these documents
+``json.dumps(doc, separators=(",", ":")) + "\\n"`` of these documents
 (``tests/test_otlp_render.py``, ``tests/test_perfetto_render.py``).
 They read the same value typing, status codes, resource, scope and
 lanes as the writers, so only the layout is checked twice.

@@ -47,6 +47,11 @@ tie-break that follows the hash seed only on ties these runs lack —
 ``TestCriticalPathTies`` in ``tests/test_statistics_extras.py`` holds
 that one.
 
+Every JSON file of a scenario's submit directory is also held to one
+spelling, the compact one (``test_every_json_file_is_compact``): each
+file, or each line of a JSONL file, equals its own ``compact_json``
+re-encoding, so no writer can fall back to another layout unseen.
+
 Regenerate (after convincing yourself the move is intended) with
 ``PYTHONPATH=src:. python tests/test_artefact_golden.py``.
 """
@@ -68,7 +73,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.observe.log import event_to_json_line, read_events
+from repro.observe.log import compact_json, event_to_json_line, read_events
 from repro.observe.report import main as report_main
 from repro.wms.cli import main_plan, main_run
 from tests.oracles.implied_transitions import expand
@@ -115,15 +120,28 @@ _PID_CRC = re.compile(
 )
 
 
+def _is_compact(path: Path) -> bool:
+    """Whether a JSON file is its own compact re-encoding — a JSONL file
+    line by line, each line ending in a newline — keeping the trailing
+    newline its writer writes."""
+    text = path.read_text()
+    if path.suffix == ".jsonl":
+        *lines, tail = text.split("\n")
+        return tail == "" and all(line == compact_json(json.loads(line)) for line in lines)
+    body = text.removesuffix("\n")
+    return body == compact_json(json.loads(body))
+
+
 def _masked(data: bytes) -> bytes:
     """Journal bytes with the one run-dependent value, the pid, out."""
     return _PID_CRC.sub(b'{"crc":"--------"', _PID.sub(rb"\1N", data))
 
 
 @functools.lru_cache(maxsize=None)
-def _run(scenario: str) -> tuple[int, dict[str, str], str]:
-    """Exit code of ``repro-run``, sha256 per artefact, and the sha256 of
-    ``events.jsonl`` decoded, expanded and printed again."""
+def _run(scenario: str) -> tuple[int, dict[str, str], str, list[str]]:
+    """Exit code of ``repro-run``, sha256 per artefact, the sha256 of
+    ``events.jsonl`` decoded, expanded and printed again, and the JSON
+    files of the submit directory that are not compact."""
     site = SCENARIOS[scenario][0]
     chain = [scenario]
     while chain[0] in AFTER:
@@ -157,47 +175,51 @@ def _run(scenario: str) -> tuple[int, dict[str, str], str]:
             digests["report.json"] = hashlib.sha256(
                 Path("report.json").read_bytes()
             ).hexdigest()
+            loose = [
+                str(p) for p in sorted(Path("submit").iterdir())
+                if p.suffix in (".json", ".jsonl") and not _is_compact(p)
+            ]
             expanded = "".join(
                 event_to_json_line(e) + "\n"
                 for e in expand(read_events("submit/events.jsonl"))
             )
         finally:
             os.chdir(here)
-    return code, digests, hashlib.sha256(expanded.encode()).hexdigest()
+    return code, digests, hashlib.sha256(expanded.encode()).hexdigest(), loose
 
 
 GOLDEN: dict[tuple[str, str], str] = {
     ('sandhills', 'submit/events.jsonl'): '10b31760a24cd4d95e1913fc4a020f4829098b317e02cdc62cb878bcc3b806d8',
-    ('sandhills', 'submit/metrics.json'): '1ab06fcc412d4027b49d1f7c0b75e434cf7f536448ad67c0427df8ed493194dd',
-    ('sandhills', 'submit/plan.json'): '4cb5319b2854feb02fae7f9b5feb2f6fe9a01515460c4197d41811a811170b0a',
-    ('sandhills', 'submit/trace.chrome.json'): 'c78f650c91ab6bfd7fc6760b4877ba819d03032f57a4c6428b3db827350796e5',
-    ('sandhills', 'submit/trace.jsonl'): 'e86868f1a8ee8033a4bcb7c017f0c5a79109622b8c5fb81f37c918be7cd772df',
-    ('sandhills', 'submit/trace.otlp.json'): '1ecbd69645e6d8eff151edff5793e51670491f1524ab489ba27577d9adac4deb',
-    ('sandhills', 'submit/trace.perfetto.json'): '73b93fa9654f3fea669120e3275de4b7733a19da7d0e929a6a3cea34aaa55e76',
+    ('sandhills', 'submit/metrics.json'): 'c278ca33269b6e9c10e586e3e87ba285594da2ebec3c6ef28797e74f5d9131d7',
+    ('sandhills', 'submit/plan.json'): 'c94f757c27418fde800ca63e020b1199246a25a9c00b42ef5345c516f74753c5',
+    ('sandhills', 'submit/trace.chrome.json'): 'b78d1fdd48c05ddd78a747fb689aadedcf48041ec0d0a251d57d76903c1b8775',
+    ('sandhills', 'submit/trace.jsonl'): '2d7782360fe406114070ed43eee71a17bcd5caca9f23636f85c146480ef05a62',
+    ('sandhills', 'submit/trace.otlp.json'): 'f9fda97b7fbd35091d52ed61be87de2fce7d52dc266f26a7d13b6ba8e5df3d58',
+    ('sandhills', 'submit/trace.perfetto.json'): '8450ad6a8788697e5c74ff2a20d8945a35c6701cebebcce0a1053c0eee6f6f0d',
     ('sandhills', 'submit/utilization.tsv'): 'c6a6881c907daacd8442aefd95f57ca93ae7f800c5d1bc0c58847cd34fd97f06',
     ('sandhills', 'submit/workflow.dag'): 'd50107b18ba12b2e203688264480ef5c4319fcacaeb1ebab825b42eb79e6c5d8',
     ('sandhills', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('sandhills', 'report.json'): '4697e5b24761e3f11a3d3fb8afe73daee451f66a163bf5c6ea38ce45bf41e8c9',
     ('osg', 'submit/blast2cap3-n12-osg.rescue001'): '54fa2be8a9128093a008b333e3642f00b5ab6f9d6b09b7048ea36b089ccec9fb',
     ('osg', 'submit/events.jsonl'): 'd52f92b6b8fe1bc841a90a0bb88aaf1e945afdea39ea0c91f516d3aacd0c2cf5',
-    ('osg', 'submit/metrics.json'): '65ad4c98e0d74df29bfbf8e1444be56456d6269c3c9365ab3a0a5b85122ecfeb',
-    ('osg', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
-    ('osg', 'submit/trace.chrome.json'): '80c6523b86974f76ac2e891e2110e0528f0e1422cd3d60619186333e880d0be9',
-    ('osg', 'submit/trace.jsonl'): '4effe2a8b53d14369882a56bca75995632e9035ffe003fd9539e487b08d25448',
-    ('osg', 'submit/trace.otlp.json'): '86eb9f28790554d3f649201940ec760432d2fe02696e45aa5900b713647781fe',
-    ('osg', 'submit/trace.perfetto.json'): '5eb21cd46fa13eba3efb1e72ee021a176aed7005e2d1d3718a5e659f1dea549b',
+    ('osg', 'submit/metrics.json'): '8f14ae3ae26a25dd813f1fc3e73cfef0884fd7524ae0602071f3d1a7a816eff7',
+    ('osg', 'submit/plan.json'): '495b28396862fdf7a6eab265d42896e0ef012a3d617fdbc9ecfc4716b5ef07b1',
+    ('osg', 'submit/trace.chrome.json'): 'ba6336f6bada93c3de0127cb7255d101ce899927bb776f34a74dd03f5146eadb',
+    ('osg', 'submit/trace.jsonl'): 'c47279edcd483883051b03eab1fd148749ee1487eb673221769a9e9ba565e45c',
+    ('osg', 'submit/trace.otlp.json'): '007b9442512728b6d75bec5ff46ffd2537960aa585a8906a3aa7b849a6ed4741',
+    ('osg', 'submit/trace.perfetto.json'): '50c8c0c429a0fece65527491f316b372eac22647347358fa085c505c22f5b2ae',
     ('osg', 'submit/utilization.tsv'): 'abb8648fc16be39e80fb0e983ae3958f7159346967377feee66e40b24a42ad0b',
     ('osg', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg', 'report.json'): 'c624884bdce018f8afd3c3da8c2381765553c364e96062fd2cfbf427911d2205',
     ('osg-chaos-journal', 'submit/blast2cap3-n12-osg.rescue001'): '99752d8aad86597d597a19b6b415d55ac48794fa024307b14411b6c40a38af18',
     ('osg-chaos-journal', 'submit/events.jsonl'): '40e6206fb2d521f68ecac4551f04f8d64a8b258fd69cc94c841601ed7fe073f3',
-    ('osg-chaos-journal', 'submit/metrics.json'): 'f9147feb9f328cfe888c4f1063371b8e55dc62c1e15bc8bad6195f3e989f8407',
-    ('osg-chaos-journal', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
-    ('osg-chaos-journal', 'submit/trace.chrome.json'): '2f378c86e61573db8fa2bd67b7ce9d609ab1bde58cb2201d37cdd1b35a228e4f',
-    ('osg-chaos-journal', 'submit/trace.jsonl'): '9175b3b160724f70a2cf1f2cdac2bfde3e351068ed1ff528e953304b50fc9185',
-    ('osg-chaos-journal', 'submit/trace.otlp.json'): '28952eb2acadfbab27acfd54a79e0aba54e1050de63eef3a0593626a77c80aa1',
-    ('osg-chaos-journal', 'submit/trace.perfetto.json'): 'e03893d543787505cb080a88b9740b4cc46b056a5d3b872c9793438860f20b7d',
+    ('osg-chaos-journal', 'submit/metrics.json'): 'dc8cfc01148fbe66c4c23f3c4f9268103c201d9a5e29b35355e3171b537b9f1e',
+    ('osg-chaos-journal', 'submit/plan.json'): '495b28396862fdf7a6eab265d42896e0ef012a3d617fdbc9ecfc4716b5ef07b1',
+    ('osg-chaos-journal', 'submit/trace.chrome.json'): '8d2192f3e987e8c58d1d0b6dabbefac68619b7e750f61dba6176c138ea535b18',
+    ('osg-chaos-journal', 'submit/trace.jsonl'): '4424e189f0b8713481647514843a0f5026f0de607373321ace65562987d61717',
+    ('osg-chaos-journal', 'submit/trace.otlp.json'): '7b9e2d01345be7f058959cf0170c560e7768002236efda3ae3daa39a4d12841a',
+    ('osg-chaos-journal', 'submit/trace.perfetto.json'): 'f91494d916ac808e3b9585a9060085e78529c8e9ee3182861b8d30ee57e47180',
     ('osg-chaos-journal', 'submit/utilization.tsv'): '37108affe7103fefc8e7ccb00b35659c758b544168f07c93dc47c9607d069c6e',
     ('osg-chaos-journal', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-chaos-journal', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
@@ -205,7 +227,7 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-chaos-journal', 'journal/wal.jsonl'): '46de802709d02e3a22ff3079e729b401657858e1600a1a24ad5fb27929b84c6c',
     ('osg-chaos-journal', 'report.json'): 'a99e84b6bb6f82b682e664d96e0a354804d763700a479cc5198628a888185678',
     ('osg-crash', 'submit/events.jsonl'): 'adb9cc9f9db57beaa9947b414579b175a1a28dd292114fa4e4bc1b09066b86aa',
-    ('osg-crash', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
+    ('osg-crash', 'submit/plan.json'): '495b28396862fdf7a6eab265d42896e0ef012a3d617fdbc9ecfc4716b5ef07b1',
     ('osg-crash', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-crash', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
     ('osg-crash', 'journal/snapshot.json'): 'd156a2fb8de89746b00490a357e968210fed77d0feafdf2f3db71255efb96a71',
@@ -214,12 +236,12 @@ GOLDEN: dict[tuple[str, str], str] = {
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.rescue001'): '68f6ee1fe0d7713b95ab31d6d38c1484a1b0d98e9c96a2f343eee73d64879434',
     ('osg-crash-resume', 'submit/blast2cap3-n12-osg.resume.dag'): '55c00044be9e975fb026e8133dd75cf59e9aa55908313690f405d9582f287224',
     ('osg-crash-resume', 'submit/events.jsonl'): '170159362a116dfcea0dc891a77292989ca82560f54805e269ae4a5ad10ab7eb',
-    ('osg-crash-resume', 'submit/metrics.json'): '2df1655647c7ae2bf2a94365d71c5cee6a336f06765ea56d89a6789aa488db36',
-    ('osg-crash-resume', 'submit/plan.json'): 'fd723cb9087cf3d88c8ddef098c8883d55f897ae9a6ee2cdacf5d3bc78b421ec',
-    ('osg-crash-resume', 'submit/trace.chrome.json'): '9d2a250c508b67cd8345d4ddcc6a04dce244703537f0c7a37c0e916ca1f2883e',
-    ('osg-crash-resume', 'submit/trace.jsonl'): 'a068a19cfeb2f80c31cd58b561f027333e91ec6d08fb972b9b099188b22613ec',
-    ('osg-crash-resume', 'submit/trace.otlp.json'): 'c89f85a93df2d67b748d5569563e1550743bf4e850286e9fe60697330da4e4d6',
-    ('osg-crash-resume', 'submit/trace.perfetto.json'): '97cb88a4f15a942569e7c3649c6938d8e3e97348fea4847e6bb387a3780cd7c2',
+    ('osg-crash-resume', 'submit/metrics.json'): '7ff8a4450de9a945d6fba07f3fc120ac614cb35a493cfbb08a7bf1742631ffd1',
+    ('osg-crash-resume', 'submit/plan.json'): '495b28396862fdf7a6eab265d42896e0ef012a3d617fdbc9ecfc4716b5ef07b1',
+    ('osg-crash-resume', 'submit/trace.chrome.json'): '1b7cefd2fc6586b48fcdebc7556eaff5908cf745b87c0bcbc1a54e40b4c28210',
+    ('osg-crash-resume', 'submit/trace.jsonl'): '790f32def43183e14436d0fb1af11d200c7cf28db1bd285623950caef1c5deff',
+    ('osg-crash-resume', 'submit/trace.otlp.json'): '9c81196c6c723e5ee1a4bf09572f4038b67c98d5f4f0a13dd71ae1481e2f53cf',
+    ('osg-crash-resume', 'submit/trace.perfetto.json'): '365290551b62740594ec4fbfef085489294cbba2fae8ca966f5b22438bd19ac4',
     ('osg-crash-resume', 'submit/utilization.tsv'): '68e68fa288e8273638b6ebd30b9cb276940059a10db198784fb4134702906b02',
     ('osg-crash-resume', 'submit/workflow.dag'): '5465a353b30ee2debe56c3a53174008fce43eaea3c19688814a8b4425d9fc5e7',
     ('osg-crash-resume', 'submit/workflow.dax'): '6b509827e1ac74ea825d920317878e7faccc40b320e88694d0909a419e9341ad',
@@ -241,7 +263,7 @@ EXPANDED: dict[str, str] = {
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
 def test_exit_code_and_file_set_unchanged(scenario):
-    code, digests, _ = _run(scenario)
+    code, digests = _run(scenario)[:2]
     assert code == SCENARIOS[scenario][2]
     assert sorted(digests) == sorted(f for s, f in GOLDEN if s == scenario)
 
@@ -254,6 +276,13 @@ def test_artefact_bytes_unchanged(scenario, name):
 @pytest.mark.parametrize("scenario", sorted(EXPANDED))
 def test_expanded_event_log_unchanged(scenario):
     assert _run(scenario)[2] == EXPANDED[scenario]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_every_json_file_is_compact(scenario):
+    """One JSON spelling in the submit directory: the compact one the
+    event log and the journal use."""
+    assert _run(scenario)[3] == []
 
 
 #: What a child prints: ``"scenario file" -> sha256`` for every scenario,

@@ -128,7 +128,7 @@ class TestCodecRoundTrip:
         path = tmp_path_factory.mktemp("codec") / "trace.jsonl"
         assert write_trace(path, batch) == len(batch)
         lines = path.read_text().splitlines()
-        assert lines == [json.dumps(a.to_json()) for a in batch]
+        assert lines == [json.dumps(a.to_json(), separators=(",", ":")) for a in batch]
         assert read_trace(path).attempts == batch
 
     @given(

@@ -3,8 +3,8 @@ attempt records, samples and instant events; the dict-building writer it
 replaced (``tests/oracles/chrome_trace_reference.py``) is the reference
 it is held to.
 
-The file must be, byte for byte, ``json.dumps`` of that dict — the
-expression the writer used to be. The drawn traces carry what the
+The file must be, byte for byte, that dict encoded compact
+(``json.dumps(doc, separators=(",", ":"))``). The drawn traces carry what the
 templates must hand to the encoder instead of printing: errors, a
 missing profile, non-finite times and CPU seconds, ``bool`` /
 ``IntEnum`` attempt numbers, ``str`` / ``float`` subclasses and

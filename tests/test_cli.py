@@ -495,3 +495,33 @@ class TestBlast2Cap3Cli:
             "which is not among the transcripts"
         ]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("crash", [False, True], ids=["clean", "crashed"])
+def test_a_finished_run_leaves_no_observer_to_the_cyclic_collector(tmp_path, crash):
+    """The observers a run hangs on its bus — the span tracer, the
+    anomaly monitor, the recorder and the metrics — are freed by
+    reference counting when ``repro-run`` returns, crashed or not."""
+    import gc
+
+    from repro.observe.events import RunEvent
+    from repro.observe.trace import Span
+
+    submit, journal = tmp_path / "submit", tmp_path / "journal"
+    assert main_plan(["--submit-dir", str(submit), "-n", "12", "--site", "osg"]) == 0
+    argv = ["--submit-dir", str(submit), "--seed", "1", "--journal", str(journal)]
+    if crash:
+        argv += ["--crash-at-record", "40", "--crash-mode", "raise"]
+    gc.collect()
+    gc.disable()
+    try:
+        assert main_run(argv) == (3 if crash else 0)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        kept = sorted({type(o).__name__ for o in gc.garbage
+                       if isinstance(o, (RunEvent, Span))})
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert kept == []

@@ -232,12 +232,13 @@ def test_plan_json_round_trip(case, data):
     for name in dag.jobs:
         dag.jobs[name] = replace(dag.jobs[name], **data.draw(decorations))
 
-    # The bytes: what ``repro-plan`` wrote before there was a codec.
+    # The bytes: what ``repro-plan`` wrote before there was a codec,
+    # encoded compact.
     with tempfile.TemporaryDirectory() as tmp:
         written = write_plan(tmp, dag, site="osg", n=7).read_text()
         site, planned = read_plan(tmp)
     assert written == json.dumps(
-        plan_json_before_the_codec(dag, "osg", 7), indent=2
+        plan_json_before_the_codec(dag, "osg", 7), separators=(",", ":")
     )
 
     # The round trip, through text and straight from the dict; DONE

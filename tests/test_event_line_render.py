@@ -9,12 +9,16 @@ header keys (``event``, ``t``, then each of ``job_name`` … ``attempt``
 that is not ``None``) come first; an attempt record's values replace
 the header's, and its keys the header lacks follow the header; a
 ``detail`` key some earlier key already holds keeps the earlier value.
+
+A ``trace.jsonl`` line is a terminal line's attempt record without the
+header, printed from the same text; ``compact_json(attempt.to_json())``
+is its reference.
 """
 
 from __future__ import annotations
 
 import json
-from enum import IntEnum
+from enum import Enum, IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +27,7 @@ from repro.dagman.events import JobAttempt, JobStatus, ResourceProfile
 from repro.observe.events import TERMINAL_KINDS, EventKind, RunEvent
 from repro.observe import log
 from repro.observe.log import event_to_json, event_to_json_line
+from repro.wms.monitor import write_trace
 
 
 def reference(event: RunEvent) -> str:
@@ -228,7 +233,7 @@ def terminal_cases(draw) -> tuple[RunEvent, str | None]:
 
 
 def _templated(event: RunEvent) -> bool:
-    return log._print_terminal(event, event.record, log._TERMINAL[event.kind]) is not None
+    return log._print_terminal(event, event.record) is not None
 
 
 @given(terminal_cases())
@@ -520,3 +525,83 @@ def test_line_is_printed_once_per_event():
     event = RunEvent(EventKind.SUBMIT, 1.0, job_name="a")
     assert event_to_json_line(event) is event_to_json_line(event)
     assert event_to_json(event) == json.loads(event_to_json_line(event))
+
+
+# -- trace.jsonl: the attempt record without the header ----------------------
+#
+# ``attempt_to_json_line`` prints a ``trace.jsonl`` line from the same
+# attempt text the terminal template ends in; the compact encoding of
+# ``attempt.to_json()`` is its reference.
+
+
+def record_reference(record: JobAttempt) -> str:
+    return json.dumps(record.to_json(), separators=(",", ":"))
+
+
+@given(terminal_cases())
+@settings(max_examples=300, deadline=None)
+def test_trace_line_is_the_terminal_line_without_its_header(case):
+    event, _ = case
+    line = log.attempt_to_json_line(event.record)
+    assert line == record_reference(event.record)
+    if _templated(event):
+        head = json.dumps({"event": event.kind.value, "t": event.time},
+                          separators=(",", ":"))[:-1]
+        assert event_to_json_line(event) == head + "," + line[1:]
+
+
+@given(st.lists(records(), max_size=6))
+@settings(max_examples=120, deadline=None)
+def test_trace_file_is_one_compact_record_per_line(tmp_path_factory, batch):
+    path = tmp_path_factory.getbasetemp() / "property.trace.jsonl"
+    assert write_trace(path, batch) == len(batch)
+    assert path.read_text() == "".join(record_reference(a) + "\n" for a in batch)
+
+
+class OtherStatus(Enum):
+    """A status of another enum, with a ``JobStatus`` value."""
+
+    SUCCEEDED = "succeeded"
+
+
+#: One float object, as a platform stamps a job with no setup phase.
+SETUP = 2.5
+
+
+class TestTraceLineOneFallbackAtATime:
+    """The template's shape, then each way out of it on its own."""
+
+    CASES = {
+        "template": attempt(),
+        "setup is start": attempt(setup_start=SETUP, exec_start=SETUP),
+        "equal, not the same object": attempt(setup_start=2.5, exec_start=float("2.5")),
+        "no profile": attempt(profile=None),
+        "error": attempt(status=JobStatus.FAILED, error="exit 1 ü"),
+        "empty error": attempt(error=""),
+        "negative zero start": attempt(setup_start=0.0, exec_start=-0.0),
+        "str subclass": attempt(machine=Tag("m-0")),
+        "non-str machine": attempt(machine=7),
+        "None job_name": attempt(job_name=None),
+        "str subclass error": attempt(error=Tag("x")),
+        "non-str error": attempt(error=7),
+        "status of another enum": attempt(status=OtherStatus.SUCCEEDED),
+        "bool attempt": attempt(attempt=True),
+        "IntEnum attempt": attempt(attempt=Level.TWO),
+        "int time": attempt(submit_time=0),
+        "bool time": attempt(submit_time=True),
+        "float subclass submit": attempt(submit_time=Stamp(0.5)),
+        "float subclass end": attempt(exec_end=Stamp(4.0)),
+        "infinite end": attempt(exec_end=float("inf")),
+        "non-finite CPU": attempt(profile=ResourceProfile(float("nan"), 0.0)),
+        "int CPU": attempt(profile=ResourceProfile(2, 0.0)),
+        "float subclass system CPU": attempt(profile=ResourceProfile(0.5, Stamp(0.25))),
+        "bool counter": attempt(profile=ResourceProfile(0.5, 0.5, True)),
+        "str subclass source": attempt(profile=ResourceProfile(source=Tag("m"))),
+        "non-str source": attempt(profile=ResourceProfile(source=None)),
+    }
+
+    def test_each_case(self, tmp_path):
+        for name, record in self.CASES.items():
+            path = tmp_path / "t.jsonl"
+            write_trace(path, [record])
+            assert path.read_text() == record_reference(record) + "\n", name

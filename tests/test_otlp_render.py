@@ -3,8 +3,7 @@ spans; ``to_otlp_json`` is the reference it is held to.
 
 The writer never builds the document tree, so nothing but these tests
 ties its text to the dict API: the file must be, byte for byte,
-``json.dumps(to_otlp_json(spans), indent=1)`` plus a newline —
-the expression the writer used to be.
+``to_otlp_json(spans)`` encoded compact, plus a newline.
 """
 
 import json
@@ -17,7 +16,7 @@ from tests.oracles.span_documents import to_otlp_json
 
 
 def reference(spans) -> bytes:
-    return (json.dumps(to_otlp_json(spans), indent=1) + "\n").encode()
+    return (json.dumps(to_otlp_json(spans), separators=(",", ":")) + "\n").encode()
 
 
 def span(name="s", *, attributes=None, links=(), parent=None, end=1.5,

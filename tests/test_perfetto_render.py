@@ -1,8 +1,8 @@
 """``write_perfetto_trace`` prints ``trace.perfetto.json`` straight from
 the spans; ``to_perfetto_json`` is the reference it is held to.
 
-The file must be, byte for byte, ``json.dumps(to_perfetto_json(spans),
-indent=1)`` plus a newline — the expression the writer used to be.
+The file must be, byte for byte, ``to_perfetto_json(spans)`` encoded
+compact (``json.dumps(doc, separators=(",", ":"))``), plus a newline.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from tests.oracles.span_documents import to_perfetto_json
 
 
 def reference(spans) -> bytes:
-    return (json.dumps(to_perfetto_json(spans), indent=1) + "\n").encode()
+    return (json.dumps(to_perfetto_json(spans), separators=(",", ":")) + "\n").encode()
 
 
 NASTY = [

@@ -1,7 +1,7 @@
 """``write_plan`` prints ``plan.json`` straight from the DAG;
 ``dag_to_json`` (``tests/oracles/plan_document.py``) under the plan's
-site and *n*, encoded by
-``json.dumps(indent=2)``, is the reference it is held to byte for byte.
+site and *n*, encoded compact (``json.dumps(doc, separators=(",", ":"))``),
+is the reference it is held to byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class Tag(str):
 
 
 def reference(dag: Dag, site: object, n: object) -> str:
-    return json.dumps({"site": site, "n": n, **dag_to_json(dag)}, indent=2)
+    return json.dumps({"site": site, "n": n, **dag_to_json(dag)}, separators=(",", ":"))
 
 
 def printed(tmp_path, dag: Dag, site: object = "osg", n: object = 3) -> str:
@@ -113,8 +113,8 @@ class TestNamedCases:
         self.check(tmp_path, dag, site=Tag("s"), n=Level.HIGH)
 
     def test_nested_value_keeps_the_indentation(self, tmp_path):
-        # Not a value a planned job holds, but the layout is json's at
-        # any depth.
+        # Not a value a planned job holds, but the layout is the
+        # encoder's at any depth.
         dag = Dag(name="w")
         dag.add_job(DagJob(name="a", transformation="t",
                            requirements=["x", {"k": [1, 2.5]}, []]))  # type: ignore[arg-type]
